@@ -6,15 +6,21 @@ all operations are pure functions, which makes concurrent evaluation of
 independent matrices safe.
 
 Scalars are represented by ``fractions.Fraction`` over the rationals and by
-canonical integers in ``[0, p)`` over a prime field.  Matrices are small and
-dense; a sparse column-reduction routine is provided separately for the large
-boundary-membership problems that arise in big multidegree strands.
+canonical integers in ``[0, p)`` over a prime field.
+
+All elimination runs through one kernel, ``Echelon``, on sparse vectors:
+dicts ``key -> nonzero scalar``.  ``Matrix`` is the dense value type at the
+API boundary; ``rref``, ``kernel_basis`` and ``solve`` reduce its columns.
+Callers that need coordinates tag each vector with a unit entry at its own
+key above every row key; the tags of a residual hold the combination that
+was subtracted.  Callers that need only rank or membership add no tags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 
 class LinAlgError(ValueError):
@@ -66,9 +72,6 @@ class Field:
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
 
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
-
     def mul(self, a, b):
         return a * b if self.char == 0 else (a * b) % self.char
 
@@ -79,9 +82,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a if self.char == 0 else pow(a, -1, self.char)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __str__(self):
         return "Q" if self.char == 0 else f"F_{self.char}"
@@ -120,14 +120,6 @@ class Matrix:
         return cls(field, len(rows), ncols, rows)
 
     @classmethod
-    def from_columns(cls, field, columns, nrows):
-        cols = [tuple(field.of(x) for x in c) for c in columns]
-        if any(len(c) != nrows for c in cols):
-            raise LinAlgError("column length mismatch")
-        rows = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-        return cls(field, nrows, len(cols), rows)
-
-    @classmethod
     def zero(cls, field, rows, cols):
         z = field.zero()
         return cls(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
@@ -136,9 +128,6 @@ class Matrix:
     def identity(cls, field, n):
         z, o = field.zero(), field.one()
         return cls(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
-
-    def entry(self, i, j):
-        return self.entries[i][j]
 
     def column(self, j):
         return tuple(r[j] for r in self.entries)
@@ -161,6 +150,102 @@ class Matrix:
         return all(x == 0 for r in self.entries for x in r)
 
 
+class Echelon:
+    """Span of sparse vectors in echelon form; the package's one elimination loop.
+
+    A vector is a dict ``key -> nonzero scalar`` with totally ordered keys.
+    Each stored row has coefficient 1 at its least key, its lead, and leads
+    are distinct.  Any nonzero vector of the span has a lead as its least
+    key, so clearing leads from the least key upwards decides membership:
+    a vector lies in the span exactly when it reduces to zero.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}  # lead key -> row with coefficient 1 at the lead
+
+    def reduce(self, vec):
+        """The residual of vec, a new dict: rows are subtracted while its least key is a lead."""
+        rows, p = self.rows, self.field.char
+        v = dict(vec)
+        heap = sorted(v)  # every key of v, possibly with stale extras
+        while heap:
+            lead = heappop(heap)
+            c = v.get(lead)
+            if c is None:
+                continue
+            row = rows.get(lead)
+            if row is None:
+                break
+            for k, x in row.items():
+                y = v.get(k)
+                if y is None:
+                    heappush(heap, k)
+                    y = -c * x
+                    v[k] = y % p if p else y
+                    continue
+                y -= c * x
+                if p:
+                    y %= p
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+        return v
+
+    def insert(self, residual):
+        """Store a nonzero residual of ``reduce`` under its lead, scaled to a unit lead."""
+        f = self.field
+        lead = min(residual)
+        c = residual[lead]
+        if c != 1:
+            inv = f.inv(c)
+            residual = {k: f.mul(inv, x) for k, x in residual.items()}
+        self.rows[lead] = residual
+
+    def absorb(self, vec):
+        """Add vec to the span; True when it was independent of the rows so far."""
+        v = self.reduce(vec)
+        if v:
+            self.insert(v)
+        return bool(v)
+
+
+def _sparse(vec):
+    return {k: x for k, x in enumerate(vec) if x != 0}
+
+
+def column_relations(field, columns, nrows):
+    """Tagged reduction of sparse columns whose row keys all lie below nrows.
+
+    Column j gets the tag key ``nrows + j``.  Returns the echelon of the
+    columns, the pivot columns (those independent of the columns before
+    them, i.e. the RREF pivots) and, for every other column j, its relation:
+    the kernel vector keyed by column index with 1 at j and minus the
+    coefficients of the earlier pivot columns that sum to column j.
+    """
+    one = field.one()
+    ech = Echelon(field)
+    pivots, relations = [], {}
+    for j, col in enumerate(columns):
+        v = ech.reduce({**col, nrows + j: one})
+        if min(v) < nrows:
+            ech.insert(v)
+            pivots.append(j)
+        else:
+            relations[j] = {k - nrows: x for k, x in v.items()}
+    return ech, pivots, relations
+
+
+def _matrix_relations(m):
+    columns = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            if x != 0:
+                columns[j][i] = x
+    return column_relations(m.field, columns, m.rows)
+
+
 @dataclass(frozen=True)
 class RrefResult:
     rank: int
@@ -171,58 +256,31 @@ class RrefResult:
 def rref(m):
     """Reduced row echelon form; returns (rank, pivot columns, reduced matrix).
 
-    Pivoting is deterministic: the first nonzero entry from the top of each
-    column wins, so results depend only on the input ordering.
+    The pivot columns are the columns independent of the columns before
+    them; entry (i, j) of the reduced matrix is the coefficient of the i-th
+    pivot column in column j.
     """
     f = m.field
-    R = [list(r) for r in m.entries]
-    pivots = []
-    pr = 0
-    for c in range(m.cols):
-        pv = None
-        for r in range(pr, m.rows):
-            if R[r][c] != 0:
-                pv = r
-                break
-        if pv is None:
-            continue
-        if pv != pr:
-            R[pr], R[pv] = R[pv], R[pr]
-        inv = f.inv(R[pr][c])
-        if inv != 1:
-            R[pr] = [f.mul(inv, x) for x in R[pr]]
-        for r in range(m.rows):
-            if r != pr and R[r][c] != 0:
-                fac = R[r][c]
-                row, prow = R[r], R[pr]
-                R[r] = [f.sub(x, f.mul(fac, y)) for x, y in zip(row, prow)]
-        pivots.append(c)
-        pr += 1
-        if pr == m.rows:
-            break
-    reduced = Matrix(f, m.rows, m.cols, tuple(tuple(r) for r in R))
+    _, pivots, relations = _matrix_relations(m)
+    rows = [[f.zero()] * m.cols for _ in range(m.rows)]
+    for i, p in enumerate(pivots):
+        rows[i][p] = f.one()
+        for j, rel in relations.items():
+            if p in rel:
+                rows[i][j] = f.neg(rel[p])
+    reduced = Matrix(f, m.rows, m.cols, tuple(tuple(r) for r in rows))
     return RrefResult(len(pivots), tuple(pivots), reduced)
 
 
 def rank(m):
-    return rref(m).rank
+    return len(extend_independent(m.field, (), m.entries))
 
 
 def kernel_basis(m):
     """Basis of the right kernel {v : m v = 0}, one vector per free column."""
-    f = m.field
-    res = rref(m)
-    pivset = set(res.pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivset:
-            continue
-        v = [f.zero()] * m.cols
-        v[free] = f.one()
-        for i, p in enumerate(res.pivots):
-            v[p] = f.neg(res.reduced.entry(i, free))
-        basis.append(tuple(v))
-    return basis
+    zero = m.field.zero()
+    _, _, relations = _matrix_relations(m)
+    return [tuple(rel.get(k, zero) for k in range(m.cols)) for rel in relations.values()]
 
 
 def solve(m, rhs):
@@ -234,65 +292,22 @@ def solve(m, rhs):
     if len(rhs) != m.rows:
         raise LinAlgError(f"rhs length {len(rhs)} != rows {m.rows}")
     f = m.field
-    aug = Matrix.from_rows(f, [list(r) + [b] for r, b in zip(m.entries, rhs)])
-    res = rref(aug)
-    if m.cols in res.pivots:
+    ech = _matrix_relations(m)[0]
+    v = ech.reduce(_sparse(f.of(b) for b in rhs))
+    if v and min(v) < m.rows:
         return None
     x = [f.zero()] * m.cols
-    for i, p in enumerate(res.pivots):
-        x[p] = res.reduced.entry(i, m.cols)
+    for k, c in v.items():
+        x[k - m.rows] = f.neg(c)
     return tuple(x)
-
-
-class Echelon:
-    """Incremental row-echelon accumulator used to pick independent vectors.
-
-    Vectors are reduced against the rows absorbed so far; ``absorb`` returns
-    True when the vector was independent of the current span.  Greedy and
-    deterministic, which fixes all basis choices downstream.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = {}  # pivot index -> normalized reduced row (list)
-
-    def reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for p in sorted(self.rows):
-            if v[p] != 0:
-                fac = v[p]
-                row = self.rows[p]
-                v = [f.sub(x, f.mul(fac, y)) for x, y in zip(v, row)]
-        return v
-
-    def absorb(self, vec):
-        f = self.field
-        v = self.reduce(vec)
-        for p, x in enumerate(v):
-            if x != 0:
-                inv = f.inv(x)
-                if inv != 1:
-                    v = [f.mul(inv, y) for y in v]
-                self.rows[p] = v
-                return True
-        return False
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
 
 def extend_independent(field, base, candidates):
     """Indices of candidates that greedily extend span(base) to span(base+candidates)."""
     ech = Echelon(field)
     for v in base:
-        ech.absorb(v)
-    chosen = []
-    for i, v in enumerate(candidates):
-        if ech.absorb(v):
-            chosen.append(i)
-    return chosen
+        ech.absorb(_sparse(v))
+    return [i for i, v in enumerate(candidates) if ech.absorb(_sparse(v))]
 
 
 def quotient_coordinates(field, cycles, boundaries, v):
@@ -302,61 +317,41 @@ def quotient_coordinates(field, cycles, boundaries, v):
     the boundaries (in the given order).  Returns the zero vector exactly when
     v lies in span(boundaries); raises if v is not in span(cycles).
     """
-    chosen = extend_independent(field, boundaries, cycles)
-    rep = [cycles[i] for i in chosen]
     n = len(v)
-    columns = list(boundaries) + rep
-    if not columns:
-        if any(x != 0 for x in v):
-            raise LinAlgError("vector not in the span of the cycles")
-        return ()
-    mat = Matrix.from_columns(field, columns, n)
-    x = solve(mat, tuple(field.of(c) for c in v))
-    if x is None:
+    one, zero = field.one(), field.zero()
+    ech = Echelon(field)
+    for b in boundaries:
+        ech.absorb(_sparse(b))
+    chosen = 0
+    for c in cycles:
+        w = ech.reduce({**_sparse(c), n + chosen: one})
+        if min(w) < n:
+            ech.insert(w)
+            chosen += 1
+    w = ech.reduce(_sparse(field.of(x) for x in v))
+    if w and min(w) < n:
         raise LinAlgError("vector not in the span of the cycles")
-    return tuple(x[len(boundaries):])
+    return tuple(field.neg(w.get(n + k, zero)) for k in range(chosen))
+
+
+def _span(field, columns):
+    ech = Echelon(field)
+    # sparse columns first: the order changes the rows' fill, never the span
+    for col in sorted(columns, key=lambda c: (len(c), min(c) if c else 0)):
+        ech.absorb({k: x for k, x in col.items() if x != 0})
+    return ech
 
 
 def sparse_reduce_columns(field, columns):
-    """Eliminate sparse columns (dicts key -> coeff); returns pivot table.
+    """Eliminate sparse columns (dicts key -> coeff); returns the pivot table.
 
-    The pivot table maps a key to a normalized column whose minimal key it is.
-    Keys must be totally ordered.  Column processing order only affects speed,
-    never the resulting span.
+    The pivot table maps a key to a normalized column whose minimal key it
+    is, so its length is the rank.  Keys must be totally ordered.
     """
-    pivots = {}
-    for col in sorted(columns, key=lambda c: (len(c), min(c) if c else 0)):
-        col = {k: x for k, x in col.items() if x != 0}
-        col = _sparse_reduce(field, pivots, col)
-        if col:
-            lead = min(col)
-            inv = field.inv(col[lead])
-            if inv != 1:
-                col = {k: field.mul(inv, x) for k, x in col.items()}
-            pivots[lead] = col
-    return pivots
-
-
-def _sparse_reduce(field, pivots, col):
-    while col:
-        lead = min(col)
-        piv = pivots.get(lead)
-        if piv is None:
-            return col
-        fac = col[lead]
-        for k, x in piv.items():
-            nv = field.sub(col.get(k, field.zero()), field.mul(fac, x))
-            if nv == 0:
-                col.pop(k, None)
-            else:
-                col[k] = nv
-    return col
+    return _span(field, columns).rows
 
 
 def sparse_in_span(field, columns, rhs):
     """Whether the sparse vector rhs lies in the span of the sparse columns."""
     rhs = {k: field.of(x) for k, x in rhs.items() if x != 0}
-    if not rhs:
-        return True
-    pivots = sparse_reduce_columns(field, columns)
-    return not _sparse_reduce(field, pivots, dict(rhs))
+    return not rhs or not _span(field, columns).reduce(rhs)

@@ -21,14 +21,13 @@ from .exact_linalg import (
     sparse_in_span,
 )
 from .taylor_dga import (
+    _SMALL_STRAND,
     chain_degrees,
     lcm_lattice,
     reduced_boundary,
     strand,
     strand_degree_basis,
 )
-
-_SPARSE_STRAND_CUTOFF = 15  # above this many generators below u, avoid full strands
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ def chain_is_boundary(ideal, field, chain):
     if u not in lattice:
         raise AssertionError("nonzero chain in a multidegree outside the lattice")
     below = lattice.generators_below(u)
-    if len(below) <= _SPARSE_STRAND_CUTOFF:
+    if len(below) <= _SMALL_STRAND:
         return class_of(ideal, field, chain).is_zero
     columns = []
     for mask in strand_degree_basis(ideal, u, i + 1, below):

@@ -32,14 +32,13 @@ from .homology_engine import (
     homology_dimension,
 )
 from .taylor_dga import (
+    _SMALL_STRAND,
     lcm_lattice,
     mask_of,
     product_reduced,
     reduced_boundary,
     subset_lcm,
 )
-
-_SMALL_STRAND = 15
 
 
 def _scale_chain(field, chain, scalar):

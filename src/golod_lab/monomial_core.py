@@ -77,10 +77,6 @@ class Monomial:
         return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
 
 
-def lcm(m1, m2):
-    return m1.lcm(m2)
-
-
 def lcm_of(monomials, n_vars):
     """Componentwise maximum over a collection; the constant for empty input."""
     acc = [0] * n_vars
@@ -91,22 +87,6 @@ def lcm_of(monomials, n_vars):
             if e > acc[i]:
                 acc[i] = e
     return Monomial(tuple(acc))
-
-
-def coprime(m1, m2):
-    return m1.coprime(m2)
-
-
-def divides(m1, m2):
-    return m1.divides(m2)
-
-
-def total_degree(m):
-    return m.degree
-
-
-def support(m):
-    return m.support
 
 
 def minimalize(gens):

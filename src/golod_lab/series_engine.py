@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import Matrix, extend_independent, kernel_basis, sparse_reduce_columns
+from .exact_linalg import Echelon, column_relations, sparse_reduce_columns
 from .homology_engine import betti
 
 
@@ -208,7 +208,6 @@ def _resolution_step(ideal, field, gens, phi, cap):
     ``phi``: per generator, the image as a map (previous gen index, exps) -> coeff.
     Returns (new generator multidegrees, new phi, counts per internal degree).
     """
-    zero = field.zero()
     by_u = {}
     for gi, dg in enumerate(gens):
         base = sum(dg)
@@ -216,14 +215,13 @@ def _resolution_step(ideal, field, gens, phi, cap):
             for m in _std_monomials(ideal, d):
                 u = tuple(a + b for a, b in zip(dg, m))
                 by_u.setdefault(u, []).append(gi)
-    kernels = {}
+    kernels = {}  # multidegree -> kernel vectors, keyed by generator index
     new_gens = []
     new_phi = []
     counts = {}
     n = ideal.n_vars
     for u in sorted(by_u, key=lambda t: (sum(t), t)):
         basis = sorted(by_u[u])
-        pos = {gi: k for k, gi in enumerate(basis)}
         columns = []
         row_keys = {}
         for gi in basis:
@@ -231,47 +229,24 @@ def _resolution_step(ideal, field, gens, phi, cap):
             for (pj, me), c in phi[gi].items():
                 target = tuple(a + b - bb for a, b, bb in zip(u, me, gens[gi]))
                 # target = u - prev_degrees[pj]; dead when it leaves the ring
-                if not _is_std(ideal, target):
-                    continue
-                if pj not in row_keys:
-                    row_keys[pj] = len(row_keys)
-                col[row_keys[pj]] = field.add(col.get(row_keys[pj], zero), c)
+                if _is_std(ideal, target):
+                    col[row_keys.setdefault(pj, len(row_keys))] = c
             columns.append(col)
-        nrows = len(row_keys)
-        rows = [[zero] * len(basis) for _ in range(nrows)]
-        for j, col in enumerate(columns):
-            for r, c in col.items():
-                rows[r][j] = c
-        mat = Matrix.from_rows(field, rows) if nrows else Matrix.zero(field, 0, len(basis))
-        kern = kernel_basis(mat)
-        old = []
+        _, _, relations = column_relations(field, columns, len(row_keys))
+        kern = [{basis[k]: c for k, c in rel.items()} for rel in relations.values()]
+        lifted = Echelon(field)
         for v in range(n):
             prev_u = tuple(a - (1 if k == v else 0) for k, a in enumerate(u))
-            if min(prev_u) < 0:
+            for kv in kernels.get(prev_u, ()):
+                lifted.absorb({
+                    gi: c for gi, c in kv.items()
+                    if _is_std(ideal, tuple(a - b for a, b in zip(u, gens[gi])))
+                })
+        kernels[u] = kern
+        for vec in kern:
+            if not lifted.absorb(vec):
                 continue
-            stored = kernels.get(prev_u)
-            if not stored:
-                continue
-            pbasis, pvecs = stored
-            for kv in pvecs:
-                lifted = [zero] * len(basis)
-                for k, gi in enumerate(pbasis):
-                    if kv[k] == 0:
-                        continue
-                    mono = tuple(a - b for a, b in zip(u, gens[gi]))
-                    if not _is_std(ideal, mono):
-                        continue
-                    lifted[pos[gi]] = kv[k]
-                old.append(tuple(lifted))
-        chosen = extend_independent(field, old, kern)
-        kernels[u] = (basis, [tuple(v) for v in kern])
-        for k in chosen:
-            vec = kern[k]
-            image = {}
-            for p, gi in enumerate(basis):
-                if vec[p] != 0:
-                    mono = tuple(a - b for a, b in zip(u, gens[gi]))
-                    image[(gi, mono)] = vec[p]
+            image = {(gi, tuple(a - b for a, b in zip(u, gens[gi]))): c for gi, c in vec.items()}
             new_gens.append(u)
             new_phi.append(image)
             counts[sum(u)] = counts.get(sum(u), 0) + 1

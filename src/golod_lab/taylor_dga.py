@@ -24,6 +24,7 @@ from .monomial_core import lcm_of
 from .simplicial import SimplicialComplex
 
 _FULL_STRAND_LIMIT = 18  # full strands enumerate 2^|G_u| subsets
+_SMALL_STRAND = 15  # above this many generators below u, go sparse instead of full strands
 
 
 def mask_members(mask):
@@ -140,9 +141,6 @@ class LcmLattice:
 
     def __len__(self):
         return len(self.elements)
-
-    def join(self, u, v):
-        return tuple(max(a, b) for a, b in zip(u, v))
 
     def generators_below(self, u):
         """Indices of generators whose multidegree is componentwise <= u."""

@@ -11,6 +11,7 @@ from golod_lab.exact_linalg import (
     LinAlgError,
     Matrix,
     QQ,
+    extend_independent,
     kernel_basis,
     parse_field,
     quotient_coordinates,
@@ -201,10 +202,125 @@ def test_sparse_in_span_matches_dense():
                 v = rng.choice([0, 0, 1, -1])
                 if v:
                     rhs[r] = field.of(v)
-            dense = Matrix.from_columns(
-                field,
-                [[c.get(r, 0) for r in range(nrows)] for c in cols],
-                nrows,
+            dense = Matrix.from_rows(field, [[c.get(r, 0) for c in cols] for r in range(nrows)])
+            want = _ref_solve(dense, tuple(field.of(rhs.get(r, 0)) for r in range(nrows)))
+            assert sparse_in_span(field, cols, rhs) == (want is not None)
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss-Jordan reference: every basis choice of the library must match it
+
+
+def _ref_rref(m):
+    """(rank, pivots, reduced rows); the first nonzero entry from the top wins."""
+    f = m.field
+    R = [list(r) for r in m.entries]
+    pivots = []
+    pr = 0
+    for c in range(m.cols):
+        pv = next((r for r in range(pr, m.rows) if R[r][c] != 0), None)
+        if pv is None:
+            continue
+        R[pr], R[pv] = R[pv], R[pr]
+        inv = f.inv(R[pr][c])
+        R[pr] = [f.mul(inv, x) for x in R[pr]]
+        for r in range(m.rows):
+            if r != pr and R[r][c] != 0:
+                fac = R[r][c]
+                R[r] = [f.add(x, f.neg(f.mul(fac, y))) for x, y in zip(R[r], R[pr])]
+        pivots.append(c)
+        pr += 1
+    return len(pivots), tuple(pivots), tuple(tuple(r) for r in R)
+
+
+def _ref_kernel(m):
+    f = m.field
+    _, pivots, R = _ref_rref(m)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [f.zero()] * m.cols
+        v[free] = f.one()
+        for i, p in enumerate(pivots):
+            v[p] = f.neg(R[i][free])
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_solve(m, rhs):
+    f = m.field
+    rows = [list(r) + [b] for r, b in zip(m.entries, rhs)]
+    aug = Matrix.from_rows(f, rows) if rows else Matrix.zero(f, 0, m.cols + 1)
+    _, pivots, R = _ref_rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [f.zero()] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = R[i][m.cols]
+    return tuple(x)
+
+
+def _columns_matrix(field, columns, n):
+    if n == 0:
+        return Matrix.zero(field, 0, len(columns))
+    return Matrix.from_rows(field, [[c[i] for c in columns] for i in range(n)])
+
+
+def _ref_extend(field, base, candidates, n):
+    _, pivots, _ = _ref_rref(_columns_matrix(field, list(base) + list(candidates), n))
+    return [p - len(base) for p in pivots if p >= len(base)]
+
+
+def _ref_quotient(field, cycles, boundaries, v):
+    rep = [cycles[i] for i in _ref_extend(field, boundaries, cycles, len(v))]
+    x = _ref_solve(_columns_matrix(field, list(boundaries) + rep, len(v)), v)
+    return None if x is None else x[len(boundaries):]
+
+
+def _random_low_rank(rng, field, rows, cols):
+    """Random integer matrix of random rank, sometimes with a zero row or column."""
+    r = rng.randint(0, min(rows, cols))
+    left = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rows)]
+    right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(r)]
+    ent = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(cols)]
+           for i in range(rows)]
+    if rows and rng.random() < 0.3:
+        ent[rng.randrange(rows)] = [0] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in ent:
+            row[j] = 0
+    if rows == 0:
+        return Matrix.zero(field, 0, cols)
+    return Matrix.from_rows(field, ent)
+
+
+def test_kernel_matches_dense_reference_random():
+    rng = random.Random(5)
+    for field in (QQ, GF2, GF3, Field(7)):
+        for _ in range(60):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            m = _random_low_rank(rng, field, rows, cols)
+            ref_rank, ref_pivots, ref_reduced = _ref_rref(m)
+            res = rref(m)
+            assert (res.rank, res.pivots, res.reduced.entries) == (ref_rank, ref_pivots, ref_reduced)
+            assert rank(m) == ref_rank
+            assert kernel_basis(m) == _ref_kernel(m)
+            rhs = tuple(field.of(x) for x in m.apply(tuple(rng.randint(-2, 2) for _ in range(cols))))
+            other = tuple(field.of(rng.randint(-2, 2)) for _ in range(rows))
+            for b in (rhs, other):
+                assert solve(m, b) == _ref_solve(m, b)
+            columns = [m.column(j) for j in range(cols)]
+            split = rng.randint(0, cols)
+            base, candidates = columns[:split], columns[split:]
+            assert extend_independent(field, base, candidates) == _ref_extend(
+                field, base, candidates, rows
             )
-            want = solve(dense, tuple(field.of(rhs.get(r, 0)) for r in range(nrows))) is not None
-            assert sparse_in_span(field, cols, rhs) == want
+            for v in (rhs, other):
+                want = _ref_quotient(field, candidates, base, v)
+                if want is None:
+                    with pytest.raises(LinAlgError):
+                        quotient_coordinates(field, candidates, base, v)
+                else:
+                    assert quotient_coordinates(field, candidates, base, v) == want
