@@ -45,11 +45,9 @@ from .simplicial import (
 from .taylor_dga import (
     LcmLattice,
     StrandComplex,
-    boundary,
     chain_to_cochain,
     fiber_complex,
     lcm_lattice,
-    product,
     reduced_boundary,
     strand,
 )

@@ -5,8 +5,13 @@ there is deliberately no floating point anywhere.  Values are immutable and
 all operations are pure functions, which makes concurrent evaluation of
 independent matrices safe.
 
-Scalars are represented by ``fractions.Fraction`` over the rationals and by
-canonical integers in ``[0, p)`` over a prime field.
+At the API boundary, scalars are ``fractions.Fraction`` over the rationals
+and canonical integers in ``[0, p)`` over a prime field.  Inside the kernel
+a rational stays a plain ``int`` while it is integral; a ``Fraction``
+appears only when a non-unit pivot forces one.  Strand boundaries have
+entries +-1, so their elimination never leaves the integers.  Kernel
+vectors, solutions, coordinates and reduced matrices are converted on the
+way out; rank and membership answers need no conversion.
 
 All elimination runs through one kernel, ``Echelon``, on sparse vectors:
 dicts ``key -> nonzero scalar``.  ``Matrix`` is the dense value type at the
@@ -81,7 +86,9 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.char == 0 else pow(a, -1, self.char)
+        if self.char:
+            return pow(a, -1, self.char)
+        return 1 / a if isinstance(a, Fraction) else Fraction(1, a)
 
     def __str__(self):
         return "Q" if self.char == 0 else f"F_{self.char}"
@@ -150,6 +157,23 @@ class Matrix:
         return all(x == 0 for r in self.entries for x in r)
 
 
+def _integral(x):
+    """A rational as an int when its denominator is 1 (ints pass through)."""
+    return x.numerator if x.denominator == 1 else x
+
+
+_UNITS = {1: Fraction(1), -1: Fraction(-1)}  # immutable, so safe to share
+
+
+def _canonical(field, vec):
+    """vec with API-boundary scalars: Fractions over Q, residues in [0, p) over F_p."""
+    p = field.char
+    if p:
+        return {k: x % p for k, x in vec.items()}
+    return {k: x if x.__class__ is Fraction else _UNITS.get(x) or Fraction(x)
+            for k, x in vec.items()}
+
+
 class Echelon:
     """Span of sparse vectors in echelon form; the package's one elimination loop.
 
@@ -158,6 +182,12 @@ class Echelon:
     are distinct.  Any nonzero vector of the span has a lead as its least
     key, so clearing leads from the least key upwards decides membership:
     a vector lies in the span exactly when it reduces to zero.
+
+    Input scalars are nonzero: ints or Fractions over Q, and over F_p ints
+    that are nonzero mod p, such as canonical residues or the signs +-1.
+    Over Q, ``reduce`` turns integral Fractions into ints; over F_p every
+    entry a row operation touches is reduced mod p, and a row is scaled to
+    canonical residues unless its lead is already 1.
     """
 
     def __init__(self, field):
@@ -167,7 +197,10 @@ class Echelon:
     def reduce(self, vec):
         """The residual of vec, a new dict: rows are subtracted while its least key is a lead."""
         rows, p = self.rows, self.field.char
-        v = dict(vec)
+        if p:
+            v = dict(vec)
+        else:  # _integral, inlined
+            v = {k: x.numerator if x.denominator == 1 else x for k, x in vec.items()}
         heap = sorted(v)  # every key of v, possibly with stale extras
         while heap:
             lead = heappop(heap)
@@ -177,30 +210,45 @@ class Echelon:
             row = rows.get(lead)
             if row is None:
                 break
-            for k, x in row.items():
-                y = v.get(k)
-                if y is None:
-                    heappush(heap, k)
-                    y = -c * x
-                    v[k] = y % p if p else y
-                    continue
-                y -= c * x
-                if p:
-                    y %= p
-                if y:
-                    v[k] = y
-                else:
-                    del v[k]
+            if p:
+                c = p - c % p  # subtracting c * row is adding (p - c) * row
+                for k, x in row.items():
+                    y = v.get(k)
+                    if y is None:
+                        heappush(heap, k)
+                        v[k] = c * x % p
+                    elif y := (y + c * x) % p:
+                        v[k] = y
+                    else:
+                        del v[k]
+            else:
+                if c.__class__ is Fraction:
+                    c = _integral(c)
+                for k, x in row.items():
+                    y = v.get(k)
+                    if y is None:
+                        heappush(heap, k)
+                        v[k] = -c * x
+                    elif y := y - c * x:
+                        v[k] = y
+                    else:
+                        del v[k]
         return v
 
     def insert(self, residual):
         """Store a nonzero residual of ``reduce`` under its lead, scaled to a unit lead."""
-        f = self.field
         lead = min(residual)
         c = residual[lead]
+        p = self.field.char
         if c != 1:
-            inv = f.inv(c)
-            residual = {k: f.mul(inv, x) for k, x in residual.items()}
+            if p:
+                inv = pow(c, -1, p)
+                residual = {k: x * inv % p for k, x in residual.items()}
+            elif c == -1:
+                residual = {k: -x for k, x in residual.items()}
+            else:
+                inv = self.field.inv(c)
+                residual = {k: _integral(x * inv) for k, x in residual.items()}
         self.rows[lead] = residual
 
     def absorb(self, vec):
@@ -222,18 +270,18 @@ def column_relations(field, columns, nrows):
     columns, the pivot columns (those independent of the columns before
     them, i.e. the RREF pivots) and, for every other column j, its relation:
     the kernel vector keyed by column index with 1 at j and minus the
-    coefficients of the earlier pivot columns that sum to column j.
+    coefficients of the earlier pivot columns that sum to column j.  The
+    relations carry API-boundary scalars; the echelon keeps the kernel's.
     """
-    one = field.one()
     ech = Echelon(field)
     pivots, relations = [], {}
     for j, col in enumerate(columns):
-        v = ech.reduce({**col, nrows + j: one})
+        v = ech.reduce({**col, nrows + j: 1})
         if min(v) < nrows:
             ech.insert(v)
             pivots.append(j)
         else:
-            relations[j] = {k - nrows: x for k, x in v.items()}
+            relations[j] = _canonical(field, {k - nrows: x for k, x in v.items()})
     return ech, pivots, relations
 
 
@@ -298,7 +346,7 @@ def solve(m, rhs):
         return None
     x = [f.zero()] * m.cols
     for k, c in v.items():
-        x[k - m.rows] = f.neg(c)
+        x[k - m.rows] = f.of(-c)
     return tuple(x)
 
 
@@ -318,20 +366,19 @@ def quotient_coordinates(field, cycles, boundaries, v):
     v lies in span(boundaries); raises if v is not in span(cycles).
     """
     n = len(v)
-    one, zero = field.one(), field.zero()
     ech = Echelon(field)
     for b in boundaries:
         ech.absorb(_sparse(b))
     chosen = 0
     for c in cycles:
-        w = ech.reduce({**_sparse(c), n + chosen: one})
+        w = ech.reduce({**_sparse(c), n + chosen: 1})
         if min(w) < n:
             ech.insert(w)
             chosen += 1
     w = ech.reduce(_sparse(field.of(x) for x in v))
     if w and min(w) < n:
         raise LinAlgError("vector not in the span of the cycles")
-    return tuple(field.neg(w.get(n + k, zero)) for k in range(chosen))
+    return tuple(field.of(-w.get(n + k, 0)) for k in range(chosen))
 
 
 def _span(field, columns):
@@ -348,10 +395,11 @@ def sparse_reduce_columns(field, columns):
     The pivot table maps a key to a normalized column whose minimal key it
     is, so its length is the rank.  Keys must be totally ordered.
     """
-    return _span(field, columns).rows
+    rows = _span(field, columns).rows
+    return {lead: _canonical(field, row) for lead, row in rows.items()}
 
 
 def sparse_in_span(field, columns, rhs):
     """Whether the sparse vector rhs lies in the span of the sparse columns."""
-    rhs = {k: field.of(x) for k, x in rhs.items() if x != 0}
+    rhs = {k: y for k, x in rhs.items() if (y := field.of(x))}
     return not rhs or not _span(field, columns).reduce(rhs)

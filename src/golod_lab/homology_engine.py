@@ -1,9 +1,14 @@
 """Strand homology with explicit representatives, and Betti data derived from it.
 
-Homology bases are chosen deterministically: the image of the next boundary
-matrix is reduced to a column basis first, then kernel vectors are accepted
-greedily to complete it.  Coordinates of arbitrary cycles are computed against
-that fixed basis, so an all-zero coordinate vector is exactly "is a boundary".
+Each boundary d_j of a strand is eliminated once, as tagged sparse columns:
+the elimination yields the kernel of d_j (one vector per free column) and an
+echelon of the image of d_j.  In degree i the echelon of the image of d_{i+1}
+is extended by the kernel vectors of d_i that are independent of it, taken
+greedily in order; they are the homology representatives.  That one echelon
+per (strand, degree) answers every later question: the dimension, the
+coordinates of a cycle against the fixed basis (all zero exactly when it is
+a boundary), whether a vector is a cycle at all, and the pivot solution of
+d_{i+1} x = v.
 
 Per-strand results are cached on (ideal, field, multidegree); strands are
 independent, so populating the cache concurrently would be safe.
@@ -13,13 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from .exact_linalg import (
-    extend_independent,
-    kernel_basis,
-    quotient_coordinates,
-    solve,
-    sparse_in_span,
-)
+from .exact_linalg import Echelon, LinAlgError, column_relations, sparse_in_span
 from .taylor_dga import (
     _SMALL_STRAND,
     chain_degrees,
@@ -72,72 +71,101 @@ class StrandHomology:
     def __init__(self, ideal, u, field):
         self.strand = strand(ideal, u, field)
         self.field = field
+        self._pending = {}
         self._data = {}
 
     def degrees(self):
         return self.strand.degrees
 
+    def _take(self, part, j):
+        """The ``"kernel"`` relations or the ``"image"`` echelon of d_j.
+
+        One column_relations call yields both; degree j takes the kernel and
+        degree j-1 the image, each exactly once, so nothing is kept twice.
+        """
+        if (part, j) not in self._pending:
+            s = self.strand
+            ech, _, relations = column_relations(self.field, s.boundary_columns(j), s.dim(j - 1))
+            self._pending[("kernel", j)] = relations
+            self._pending[("image", j)] = ech
+        return self._pending.pop((part, j))
+
     def _compute(self, i):
+        """(echelon, first representative tag, representatives) in degree i.
+
+        Row keys of the echelon are the degree-i basis indices below n; the
+        tag n + j marks column j of d_{i+1}, and the tag ``first + k`` the
+        k-th representative, a sparse kernel vector of d_i.
+        """
         if i in self._data:
             return self._data[i]
         s = self.strand
-        f = self.field
-        n = s.dim(i)
-        if n == 0:
-            entry = ((), (), ())
-            self._data[i] = entry
-            return entry
-        kernel = kernel_basis(s.boundary_matrix(i)) if s.dim(i - 1) else [
-            tuple(f.one() if k == j else f.zero() for k in range(n)) for j in range(n)
-        ]
-        image_cols = []
-        if s.dim(i + 1):
-            up = s.boundary_matrix(i + 1)
-            cols = [up.column(j) for j in range(up.cols)]
-            chosen = extend_independent(f, [], cols)
-            image_cols = [cols[j] for j in chosen]
-        rep_idx = extend_independent(f, image_cols, kernel)
-        reps = [kernel[j] for j in rep_idx]
-        entry = (tuple(kernel), tuple(image_cols), tuple(reps))
+        n, first = s.dim(i), s.dim(i) + s.dim(i + 1)
+        ech = self._take("image", i + 1) if s.dim(i + 1) else Echelon(self.field)
+        reps = []
+        if n:
+            for kv in self._take("kernel", i).values():
+                w = ech.reduce({**kv, first + len(reps): 1})
+                if min(w) < n:
+                    ech.insert(w)
+                    reps.append(kv)
+        entry = (ech, first, reps)
         self._data[i] = entry
         return entry
 
     def dimension(self, i):
-        kernel, image, reps = self._compute(i)
-        return len(reps)
+        return len(self._compute(i)[2])
 
     def classes(self, i):
-        kernel, image, reps = self._compute(i)
+        _, _, reps = self._compute(i)
+        basis = self.strand.basis.get(i, [])
+        zero, one = self.field.zero(), self.field.one()
         out = []
         for k, rep in enumerate(reps):
-            coords = tuple(
-                self.field.one() if j == k else self.field.zero()
-                for j in range(len(reps))
-            )
+            coords = tuple(one if j == k else zero for j in range(len(reps)))
             out.append(
                 HomologyClass(
                     self.strand.ideal,
                     self.field,
                     self.strand.u,
                     i,
-                    _freeze_chain(self.strand.vector_chain(i, rep)),
+                    _freeze_chain({basis[j]: c for j, c in rep.items()}),
                     coords,
                 )
             )
         return out
 
+    def _residual(self, i, vec):
+        ech, _, _ = self._compute(i)
+        return ech.reduce({k: x for k, x in enumerate(vec) if x != 0})
+
     def coordinates_of(self, i, vec):
-        kernel, image, reps = self._compute(i)
-        return quotient_coordinates(self.field, list(kernel), list(image), vec)
+        """Coordinates of a degree-i cycle (a dense vector) in the homology basis."""
+        _, first, reps = self._compute(i)
+        w = self._residual(i, vec)
+        if w and min(w) < len(vec):
+            raise LinAlgError("vector not in the span of the cycles")
+        return tuple(self.field.of(-w.get(first + k, 0)) for k in range(len(reps)))
 
     def solve_boundary(self, i, vec):
-        """Some degree-(i+1) vector whose boundary is vec, or None."""
+        """Some degree-(i+1) vector whose boundary is vec, or None.
+
+        The pivot solution: it is supported on the columns of d_{i+1} that
+        are independent of the columns before them.
+        """
         s = self.strand
         if s.dim(i + 1) == 0:
             if all(x == 0 for x in vec):
                 return tuple()
             return None
-        return solve(s.boundary_matrix(i + 1), vec)
+        n, first = len(vec), self._compute(i)[1]
+        w = self._residual(i, vec)
+        if w and (min(w) < n or max(w) >= first):
+            return None
+        x = [self.field.zero()] * s.dim(i + 1)
+        for k, c in w.items():
+            x[k - n] = self.field.of(-c)
+        return tuple(x)
 
 
 @lru_cache(maxsize=None)
@@ -181,12 +209,10 @@ def class_of(ideal, field, chain, multidegree=None, hom_degree=None):
             raise AssertionError("nonzero chain in a multidegree outside the lattice")
         return HomologyClass(ideal, field, u, i, (), ())
     sh = _strand_homology(ideal, field, u)
-    vec = sh.strand.chain_vector(i, chain)
-    if sh.strand.dim(i - 1):
-        img = sh.strand.boundary_matrix(i).apply(vec)
-        if any(x != 0 for x in img):
-            raise ValueError("chain is not a cycle")
-    coords = sh.coordinates_of(i, vec)
+    try:
+        coords = sh.coordinates_of(i, sh.strand.chain_vector(i, chain))
+    except LinAlgError:
+        raise ValueError("chain is not a cycle") from None
     return HomologyClass(ideal, field, u, i, _freeze_chain(chain), coords)
 
 
@@ -209,7 +235,7 @@ def chain_is_boundary(ideal, field, chain):
         return class_of(ideal, field, chain).is_zero
     columns = []
     for mask in strand_degree_basis(ideal, u, i + 1, below):
-        col = {rest: field.of(s) for rest, s in reduced_boundary(ideal, mask).items()}
+        col = reduced_boundary(ideal, mask)
         if col:
             columns.append(col)
     rhs = {m: field.of(c) for m, c in chain.items()}

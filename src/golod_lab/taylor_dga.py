@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .exact_linalg import Matrix
 from .monomial_core import lcm_of
 from .simplicial import SimplicialComplex
 
@@ -55,35 +54,24 @@ def subset_multidegree(ideal, mask):
     return subset_lcm(ideal, mask).exps
 
 
-def boundary(ideal, mask):
-    """Taylor differential of a basis subset, over the full Taylor complex.
-
-    Returns a map ``smaller_mask -> (sign, monomial coefficient)``.  The empty
-    subset has zero boundary.
-    """
-    out = {}
-    m_I = subset_lcm(ideal, mask)
-    sign = 1
-    for i in mask_members(mask):
-        rest = mask & ~(1 << i)
-        m_rest = subset_lcm(ideal, rest)
-        out[rest] = (sign, m_I.quotient(m_rest))
-        sign = -sign
-    return out
-
-
 def reduced_boundary(ideal, mask):
     """Differential after tensoring with the field: only constant-coefficient terms.
 
-    Returns a map ``smaller_mask -> sign`` with sign in {1, -1}.
+    Dropping a generator keeps the lcm exactly when every variable in which
+    it attains the mask's maximal exponent has a second generator attaining
+    it.  Returns a map ``smaller_mask -> sign`` with sign in {1, -1}.
     """
+    members = mask_members(mask)
+    needed = set()  # positions of the sole holders of some variable's maximum
+    for col in zip(*(ideal.gens[i].exps for i in members)):
+        top = max(col)
+        if top and col.count(top) == 1:
+            needed.add(col.index(top))
     out = {}
-    m_I = subset_lcm(ideal, mask)
     sign = 1
-    for i in mask_members(mask):
-        rest = mask & ~(1 << i)
-        if subset_lcm(ideal, rest) == m_I:
-            out[rest] = sign
+    for pos, i in enumerate(members):
+        if pos not in needed:
+            out[mask ^ (1 << i)] = sign
         sign = -sign
     return out
 
@@ -94,20 +82,6 @@ def product_sign(maskI, maskJ):
     for i in mask_members(maskI):
         count += bin(maskJ & ((1 << i) - 1)).count("1")
     return -1 if count % 2 else 1
-
-
-def product(ideal, maskI, maskJ):
-    """DGA product <I> * <J> in the full Taylor complex.
-
-    Returns ``(sign, monomial coefficient, union mask)`` or None when the
-    subsets intersect.
-    """
-    if maskI & maskJ:
-        return None
-    union = maskI | maskJ
-    coeff = subset_lcm(ideal, maskI) * subset_lcm(ideal, maskJ)
-    coeff = coeff.quotient(subset_lcm(ideal, union))
-    return (product_sign(maskI, maskJ), coeff, union)
 
 
 def product_reduced(ideal, maskI, maskJ):
@@ -197,7 +171,7 @@ class StrandComplex:
     """The multidegree-u piece of the field-reduced Taylor complex.
 
     Bases per homological degree are mask lists sorted ascending; boundary
-    matrices are built lazily and consecutive ones compose to zero.
+    columns are built on request and consecutive differentials compose to zero.
     """
 
     def __init__(self, ideal, u, field):
@@ -220,7 +194,6 @@ class StrandComplex:
             if masks:
                 self.basis[i] = masks
         self._index = {i: {m: k for k, m in enumerate(b)} for i, b in self.basis.items()}
-        self._matrices = {}
 
     @property
     def degrees(self):
@@ -232,25 +205,25 @@ class StrandComplex:
     def index_of(self, i, mask):
         return self._index[i][mask]
 
-    def boundary_matrix(self, i):
-        """Matrix of the differential from degree i to degree i-1."""
-        if i in self._matrices:
-            return self._matrices[i]
-        f = self.field
-        src = self.basis.get(i, [])
-        dst = self.basis.get(i - 1, [])
+    def boundary_columns(self, i):
+        """Sparse columns of the differential from degree i to degree i-1.
+
+        Column j is the boundary of the j-th degree-i basis element, a map
+        ``row index -> sign`` with int signs +-1 over every field.  Built
+        afresh on each call: homology eliminates each differential once.
+        """
         dst_index = self._index.get(i - 1, {})
-        rows = [[f.zero()] * len(src) for _ in dst]
-        for col, mask in enumerate(src):
+        columns = []
+        for mask in self.basis.get(i, []):
+            col = {}
             for rest, sign in reduced_boundary(self.ideal, mask).items():
                 r = dst_index.get(rest)
                 if r is None:
                     # a constant-coefficient term never leaves the strand
                     raise AssertionError("boundary term escaped its strand")
-                rows[r][col] = f.of(sign)
-        m = Matrix.from_rows(f, rows) if dst else Matrix.zero(f, 0, len(src))
-        self._matrices[i] = m
-        return m
+                col[r] = sign
+            columns.append(col)
+        return columns
 
     def chain_vector(self, i, chain):
         """Coefficient vector of a chain (mask -> scalar) in the degree-i basis."""

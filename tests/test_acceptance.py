@@ -131,11 +131,13 @@ def _check_boundary_squared(ideal, field):
     for u in lcm_lattice(ideal):
         s = strand(ideal, tuple(u), field)
         for i in s.degrees:
-            a, b = s.boundary_matrix(i), s.boundary_matrix(i + 1)
-            if b.cols == 0 or a.rows == 0:
-                continue
-            for col in range(b.cols):
-                assert all(x == 0 for x in a.apply(b.column(col)))
+            lower = s.boundary_columns(i)
+            for col in s.boundary_columns(i + 1):
+                acc = {}
+                for r, x in col.items():
+                    for q, y in lower[r].items():
+                        acc[q] = field.add(acc.get(q, field.zero()), field.of(x * y))
+                assert all(v == 0 for v in acc.values())
 
 
 def _check_leibniz(ideal, field):

@@ -11,6 +11,7 @@ from golod_lab.exact_linalg import (
     LinAlgError,
     Matrix,
     QQ,
+    column_relations,
     extend_independent,
     kernel_basis,
     parse_field,
@@ -29,6 +30,13 @@ def test_field_elements_canonical():
     x = QQ.of(Fraction(4, -6))
     assert (x.numerator, x.denominator) == (-2, 3)
     assert GF3.of(Fraction(1, 2)) == 2  # inverse of 2 mod 3
+
+
+def test_field_inverse_is_exact():
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(2)) is Fraction
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert GF3.inv(2) == 2
 
 
 def test_field_requires_prime():
@@ -324,3 +332,44 @@ def test_kernel_matches_dense_reference_random():
                         quotient_coordinates(field, candidates, base, v)
                 else:
                     assert quotient_coordinates(field, candidates, base, v) == want
+
+
+# ---------------------------------------------------------------------------
+# scalars at the API boundary: Fractions over Q, canonical residues over F_p
+
+
+def _returned_scalars(field, ints, rng):
+    """Every scalar that rref, kernel_basis, solve, quotient_coordinates and
+    column_relations return for the integer matrix ints (a list of rows)."""
+    m = Matrix.from_rows(field, ints)
+    out = [x for row in rref(m).reduced.entries for x in row]
+    out += [x for v in kernel_basis(m) for x in v]
+    columns = [m.column(j) for j in range(m.cols)]
+    rhs = m.apply(tuple(field.of(rng.randint(-2, 2)) for _ in range(m.cols)))
+    out += solve(m, rhs)
+    split = rng.randint(0, m.cols)
+    out += quotient_coordinates(field, columns, columns[:split], rhs)
+    # signs as raw ints, the way strand boundaries hand them over
+    raw = [{i: row[j] if row[j] in (1, -1) else field.of(row[j])
+            for i, row in enumerate(ints) if field.of(row[j])} for j in range(m.cols)]
+    _, _, relations = column_relations(field, raw, m.rows)
+    out += [x for rel in relations.values() for x in rel.values()]
+    return out
+
+
+def test_scalars_at_the_api_boundary():
+    rng = random.Random(9)
+    non_integral = 0
+    for field in (QQ, GF2, GF3, Field(7)):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+            signs = [[rng.choice((-1, 0, 0, 1)) for _ in range(cols)] for _ in range(rows)]
+            seeded = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            for ints in (signs, seeded):
+                for x in _returned_scalars(field, ints, rng):
+                    if field.char:
+                        assert type(x) is int and 0 <= x < field.char
+                    else:
+                        assert type(x) is Fraction
+                        non_integral += x.denominator != 1
+    assert non_integral  # the seeded matrices force non-unit pivots

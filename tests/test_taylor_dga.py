@@ -10,17 +10,22 @@ from golod_lab.monomial_core import (
     counterexample_ideal,
     lcm_of,
     parse_monomial,
+    polarize,
 )
-from golod_lab.simplicial import reduced_cochain_complex
+from golod_lab.simplicial import (
+    complex_of,
+    reduced_cochain_complex,
+    skeleton,
+    stanley_reisner_ideal,
+)
 from golod_lab.taylor_dga import (
-    boundary,
     chain_to_cochain,
     fiber_complex,
     lcm_lattice,
     mask_members,
     mask_of,
-    product,
     product_reduced,
+    product_sign,
     reduced_boundary,
     strand,
     strand_degree_basis,
@@ -28,6 +33,53 @@ from golod_lab.taylor_dga import (
 )
 
 EDGES = MonomialIdeal.from_strings(("x", "y", "z"), ["x*y", "y*z", "z*x"])
+
+
+# Test-only references: the full-coefficient Taylor differential and product,
+# and the lcm-comparison definition of the field-reduced differential.
+
+
+def boundary(ideal, mask):
+    """Taylor differential of a basis subset, over the full Taylor complex.
+
+    Returns a map ``smaller_mask -> (sign, monomial coefficient)``.  The empty
+    subset has zero boundary.
+    """
+    out = {}
+    m_I = subset_lcm(ideal, mask)
+    sign = 1
+    for i in mask_members(mask):
+        rest = mask & ~(1 << i)
+        out[rest] = (sign, m_I.quotient(subset_lcm(ideal, rest)))
+        sign = -sign
+    return out
+
+
+def product(ideal, maskI, maskJ):
+    """DGA product <I> * <J> in the full Taylor complex.
+
+    Returns ``(sign, monomial coefficient, union mask)`` or None when the
+    subsets intersect.
+    """
+    if maskI & maskJ:
+        return None
+    union = maskI | maskJ
+    coeff = subset_lcm(ideal, maskI) * subset_lcm(ideal, maskJ)
+    coeff = coeff.quotient(subset_lcm(ideal, union))
+    return (product_sign(maskI, maskJ), coeff, union)
+
+
+def _ref_reduced_boundary(ideal, mask):
+    """The terms of ``boundary`` whose monomial coefficient is constant."""
+    out = {}
+    m_I = subset_lcm(ideal, mask)
+    sign = 1
+    for i in mask_members(mask):
+        rest = mask & ~(1 << i)
+        if subset_lcm(ideal, rest) == m_I:
+            out[rest] = sign
+        sign = -sign
+    return out
 
 
 def test_boundary_two_edges():
@@ -77,6 +129,23 @@ def test_reduced_boundary_filler_sign():
     ideal = counterexample_ideal()
     out = reduced_boundary(ideal, mask_of([0, 1, 3]))
     assert out == {mask_of([0, 3]): -1}
+
+
+def test_reduced_boundary_matches_lcm_reference():
+    ideals = [counterexample_ideal()] + ideal_corpus(20, seed=61)
+    for ideal in ideals:
+        for u in lcm_lattice(ideal):
+            s = strand(ideal, u, QQ)
+            for i in s.degrees:
+                for mask in s.basis[i]:
+                    assert reduced_boundary(ideal, mask) == _ref_reduced_boundary(ideal, mask)
+    pol, _ = polarize(counterexample_ideal())
+    gamma = stanley_reisner_ideal(skeleton(complex_of(pol), 4))
+    assert gamma.n_gens == 20
+    rng = random.Random(62)
+    for _ in range(200):
+        mask = rng.randrange(1, 1 << gamma.n_gens)
+        assert reduced_boundary(gamma, mask) == _ref_reduced_boundary(gamma, mask)
 
 
 def test_product_self_zero():
@@ -165,12 +234,13 @@ def test_strand_matrices_compose_to_zero(example_ideal):
     for u in lcm_lattice(example_ideal):
         s = strand(example_ideal, u, QQ)
         for i in s.degrees:
-            a = s.boundary_matrix(i)
-            b = s.boundary_matrix(i + 1)
-            if b.cols == 0 or a.rows == 0:
-                continue
-            for col in range(b.cols):
-                assert all(x == 0 for x in a.apply(b.column(col)))
+            lower = s.boundary_columns(i)
+            for col in s.boundary_columns(i + 1):
+                acc = {}
+                for r, x in col.items():
+                    for q, y in lower[r].items():
+                        acc[q] = acc.get(q, 0) + x * y
+                assert all(v == 0 for v in acc.values())
 
 
 def test_strand_basis_sizes_invariant_under_reordering():
