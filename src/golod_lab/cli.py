@@ -84,6 +84,17 @@ def _emit(args, payload, text):
         print(text)
 
 
+def _truncation_order(text):
+    """argparse type of ``--trunc``: a non-negative int."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("truncation order must be non-negative")
+    return n
+
+
 def _add_common(p, ideal_input=True):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--field", default="q", help="coefficients: q or fp:<prime>")
@@ -453,12 +464,14 @@ def build_parser():
 
     p = sub.add_parser("golod", help="decide the Golod property")
     _add_common(p)
-    p.add_argument("--trunc", type=int, default=5, help="series truncation for the fallback route")
+    p.add_argument(
+        "--trunc", type=_truncation_order, default=5, help="series truncation for the fallback route"
+    )
     p.set_defaults(fn=cmd_golod)
 
     p = sub.add_parser("series", help="resolution-side vs bound-side series")
     _add_common(p)
-    p.add_argument("--trunc", type=int, default=5)
+    p.add_argument("--trunc", type=_truncation_order, default=5)
     p.add_argument("--cap-policy", choices=("serre", "windowed"), default="serre")
     p.set_defaults(fn=cmd_series)
 

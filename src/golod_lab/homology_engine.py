@@ -308,6 +308,11 @@ def betti(ideal, field):
 
 
 def clear_caches():
-    """Drop memoized strand data (mostly useful in long test sessions)."""
+    """Empty the package's two module-level caches: the strand homology per
+    (ideal, field, multidegree) and ``taylor_dga.lcm_lattice``.
+
+    Nothing else in the package memoizes across calls; ``p_series`` builds
+    its standard-monomial table afresh on every call.
+    """
     _strand_homology.cache_clear()
     lcm_lattice.cache_clear()

@@ -6,6 +6,14 @@ over the quotient ring is built step by step, splitting every kernel by
 multidegree (each multidegree piece involves at most one standard monomial per
 free generator, which keeps the exact linear algebra tiny).
 
+Each ``p_series`` call builds one table of the ring's standard monomials, per
+degree and as a set, up to the largest degree any step reaches; every step
+reads it, and nothing is cached between calls.  At a multidegree u the
+kernel K(u) of the current map is lifted from below: x_v K(u - e_v) lies in
+K(u) for every variable v, and the kernel vectors outside the span of these
+lifts are the new generators.  Lifting stops as soon as the lifts span all of
+K(u), since then u has no new generator.
+
 No a-priori internal-degree bound exists in general, so each step runs under a
 cap policy.  The default policy derives a certified cap for step j from the
 coefficientwise inequality between the two series: internal degrees where the
@@ -18,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import add
 
-from .exact_linalg import Echelon, column_relations, sparse_reduce_columns
+from .exact_linalg import Echelon, sparse_reduce_columns
 from .homology_engine import betti
 
 
@@ -48,6 +56,8 @@ class SeriesTrunc:
 
 def expand_rational(numerator, denominator, n):
     """Exact expansion of numerator/denominator to order n (constant term != 0)."""
+    if n < 0:
+        raise ValueError("truncation order must be non-negative")
     den = [Fraction(c) for c in denominator]
     num = [Fraction(c) for c in numerator]
     if not den or den[0] == 0:
@@ -97,35 +107,24 @@ def q_series(ideal, field, n):
 # standard monomials of the quotient ring
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _std_table(ideal, top):
+    """Standard monomials of degree 0..top: a list of sorted exponent tuples per
+    degree, and the set of them all.
 
-
-@lru_cache(maxsize=None)
-def _std_monomials(ideal, d):
-    """Exponent tuples of degree d not divisible by any generator, sorted."""
-    from .monomial_core import Monomial
-
-    out = []
-    for exps in _compositions(d, ideal.n_vars):
-        if not ideal.contains_monomial(Monomial(exps)):
-            out.append(exps)
-    out.sort()
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _std_set(ideal, d):
-    return frozenset(_std_monomials(ideal, d))
-
-
-def _is_std(ideal, exps):
-    return exps in _std_set(ideal, sum(exps))
+    Degree d is grown from degree d-1 (every divisor of a standard monomial is
+    standard), so monomials inside the ideal are never enumerated in bulk.
+    """
+    gens = [g.exps for g in ideal.gens]
+    n = ideal.n_vars
+    layer = [(0,) * n]
+    by_degree = [layer]
+    for _ in range(top):
+        grown = {m[:v] + (m[v] + 1,) + m[v + 1:] for m in layer for v in range(n)}
+        layer = sorted(
+            m for m in grown if not any(all(a <= b for a, b in zip(g, m)) for g in gens)
+        )
+        by_degree.append(layer)
+    return by_degree, {m for ms in by_degree for m in ms}
 
 
 # ---------------------------------------------------------------------------
@@ -201,55 +200,65 @@ def _q_bigraded(ideal, field, n):
     return table
 
 
-def _resolution_step(ideal, field, gens, phi, cap):
+def _resolution_step(field, std, gens, phi, cap):
     """One minimal-resolution step, multidegree by multidegree.
 
+    ``std``: the ``_std_table`` of the ring, through degree ``cap`` at least.
     ``gens``: multidegrees of the current free module's generators.
     ``phi``: per generator, the image as a map (previous gen index, exps) -> coeff.
     Returns (new generator multidegrees, new phi, counts per internal degree).
     """
-    by_u = {}
+    by_degree, is_std = std
+    by_u = {}  # multidegree -> {generator index: its standard monomial there}
     for gi, dg in enumerate(gens):
-        base = sum(dg)
-        for d in range(0, cap - base + 1):
-            for m in _std_monomials(ideal, d):
-                u = tuple(a + b for a, b in zip(dg, m))
-                by_u.setdefault(u, []).append(gi)
+        for d in range(cap - sum(dg) + 1):
+            for m in by_degree[d]:
+                by_u.setdefault(tuple(map(add, dg, m)), {})[gi] = m
     kernels = {}  # multidegree -> kernel vectors, keyed by generator index
     new_gens = []
     new_phi = []
     counts = {}
-    n = ideal.n_vars
     for u in sorted(by_u, key=lambda t: (sum(t), t)):
-        basis = sorted(by_u[u])
+        here = by_u.pop(u)  # each multidegree is visited once; popping lowers peak memory
         columns = []
         row_keys = {}
-        for gi in basis:
+        for gi, m in here.items():
             col = {}
             for (pj, me), c in phi[gi].items():
-                target = tuple(a + b - bb for a, b, bb in zip(u, me, gens[gi]))
-                # target = u - prev_degrees[pj]; dead when it leaves the ring
-                if _is_std(ideal, target):
+                # m * me is u - prev_degrees[pj]; dead when it leaves the ring
+                if tuple(map(add, m, me)) in is_std:
                     col[row_keys.setdefault(pj, len(row_keys))] = c
             columns.append(col)
-        _, _, relations = column_relations(field, columns, len(row_keys))
-        kern = [{basis[k]: c for k, c in rel.items()} for rel in relations.values()]
-        lifted = Echelon(field)
-        for v in range(n):
-            prev_u = tuple(a - (1 if k == v else 0) for k, a in enumerate(u))
-            for kv in kernels.get(prev_u, ()):
-                lifted.absorb({
-                    gi: c for gi, c in kv.items()
-                    if _is_std(ideal, tuple(a - b for a, b in zip(u, gens[gi])))
-                })
+        # Generator gi's column carries the tag nrows + gi; a column that
+        # reduces to tags alone is a kernel vector in the echelon's scalars.
+        nrows = len(row_keys)
+        ech = Echelon(field)
+        kern = []
+        for gi, col in zip(here, columns):
+            v = ech.reduce({**col, nrows + gi: 1})
+            if min(v) < nrows:
+                ech.insert(v)
+            else:
+                kern.append({k - nrows: x for k, x in v.items()})
         kernels[u] = kern
-        for vec in kern:
-            if not lifted.absorb(vec):
-                continue
-            image = {(gi, tuple(a - b for a, b in zip(u, gens[gi]))): c for gi, c in vec.items()}
-            new_gens.append(u)
-            new_phi.append(image)
-            counts[sum(u)] = counts.get(sum(u), 0) + 1
+        if not kern:
+            continue
+        lifts = (
+            {gi: c for gi, c in kv.items() if gi in here}
+            for v in range(len(u))
+            for kv in kernels.get(u[:v] + (u[v] - 1,) + u[v + 1:], ())
+        )
+        lifted = Echelon(field)
+        for w in lifts:
+            # x_v K(u - e_v) lies in K(u): once the lifts span it, u has no new generator
+            if lifted.absorb(w) and len(lifted.rows) == len(kern):
+                break
+        else:
+            for vec in kern:
+                if lifted.absorb(vec):
+                    new_gens.append(u)
+                    new_phi.append({(gi, here[gi]): c for gi, c in vec.items()})
+                    counts[sum(u)] = counts.get(sum(u), 0) + 1
     return new_gens, new_phi, counts
 
 
@@ -259,6 +268,8 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
     Builds the minimal graded free resolution of the residue field over the
     quotient ring; the coefficient of t^j is the rank of the j-th free module.
     """
+    if n < 0:
+        raise ValueError("truncation order must be non-negative")
     if degree_cap_policy not in ("serre", "windowed"):
         raise ValueError(f"unknown cap policy {degree_cap_policy!r}")
     coeffs = [1]
@@ -268,12 +279,18 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
     qtable = _q_bigraded(ideal, field, n) if degree_cap_policy == "serre" else None
     maxgen = max((g.degree for g in ideal.gens), default=1)
     nv = ideal.n_vars
+    # the table reaches the largest cap any step searches
+    if degree_cap_policy == "serre":
+        top = max(max(bound) for bound in qtable.values())
+    else:
+        top = maxgen * (n + 1) + nv
+    std = _std_table(ideal, top)
     # first syzygy module of the residue field is the irrelevant ideal
     gens = []
     phi = []
     for v in range(nv):
         e = tuple(1 if k == v else 0 for k in range(nv))
-        if _is_std(ideal, e):
+        if e in std[1]:  # the set of every standard monomial
             gens.append(e)
             phi.append({(0, e): field.one()})
     coeffs.append(len(gens))
@@ -291,7 +308,7 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
             cap = maxgen * j + nv
             note = f"windowed cap, stability window +{maxgen}"
         search_cap = cap if degree_cap_policy == "serre" else cap + maxgen
-        new_gens, new_phi, counts = _resolution_step(ideal, field, gens, phi, search_cap)
+        new_gens, new_phi, counts = _resolution_step(field, std, gens, phi, search_cap)
         if degree_cap_policy == "serre":
             for d, c in counts.items():
                 if c > qtable.get(j, {}).get(d, 0):
@@ -321,15 +338,16 @@ def _bar_basis(ideal, j, d):
     """Tuples of j standard monomials of positive degree with total degree d."""
     if j == 0:
         return [()] if d == 0 else []
+    by_degree = _std_table(ideal, d)[0]
     out = []
 
     def rec(parts, remaining, slots):
         if slots == 1:
-            for m in _std_monomials(ideal, remaining):
+            for m in by_degree[remaining]:
                 out.append(parts + (m,))
             return
         for first in range(1, remaining - slots + 2):
-            for m in _std_monomials(ideal, first):
+            for m in by_degree[first]:
                 rec(parts + (m,), remaining - first, slots - 1)
 
     if d >= j:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from golod_lab.cli import main
 from golod_lab.monomial_core import counterexample_ideal, parse_ideal, polarize
 from golod_lab.simplicial import complex_of, parse_complex, skeleton
@@ -116,6 +118,21 @@ def test_series_cap_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod.se, "p_series", boom)
     code, _, err = run(capsys, "series", "--example", "paper", "--trunc", "2")
     assert code == 3 and "cap failure" in err
+
+
+def test_negative_trunc_is_a_usage_error(capsys):
+    for command in ("series", "golod"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--example", "paper", "--trunc", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "truncation order must be non-negative" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--example", "paper", "--trunc", "five"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'five'" in capsys.readouterr().err
+    code, payload, _ = run_json(capsys, "series", "--example", "paper", "--trunc", "0")
+    assert code == 0 and payload["p"] == payload["q"] == [1]
 
 
 def test_polarize_roundtrip(capsys):

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from conftest import ideal_corpus
-from golod_lab.exact_linalg import GF2, QQ
+from golod_lab import series_engine
+from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, column_relations
+from golod_lab.homology_engine import betti
 from golod_lab.massey_golod import golod_decide
-from golod_lab.monomial_core import MonomialIdeal
+from golod_lab.monomial_core import Monomial, MonomialIdeal
 from golod_lab.series_engine import (
     SeriesTrunc,
     _bar_columns,
@@ -173,3 +177,118 @@ def test_golod_verdict_implies_series_equality():
         q = q_series(ideal, QQ, 5)
         p, _ = p_series(ideal, QQ, 5)
         assert p.coeffs == q.coeffs
+
+
+def test_negative_truncation_order_is_rejected():
+    calls = (
+        lambda: p_series(M2, QQ, -1),
+        lambda: p_series(M2, QQ, -1, degree_cap_policy="windowed"),
+        lambda: q_series(M2, QQ, -1),
+        lambda: expand_rational([1], [1], -1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="truncation order must be non-negative"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the resolution step against a from-scratch reference
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _reference_step(ideal, field, gens, phi, cap):
+    """The resolution step with no shortcut: standard monomials by enumeration
+    and a divisibility test, kernels from column_relations, and every lift
+    x_v K(u - e_v) absorbed before the kernel vectors at u are tried."""
+
+    @cache
+    def is_std(exps):
+        return not ideal.contains_monomial(Monomial(exps))
+
+    @cache
+    def std_monomials(d):
+        return sorted(e for e in _compositions(d, ideal.n_vars) if is_std(e))
+
+    by_u = {}
+    for gi, dg in enumerate(gens):
+        for d in range(cap - sum(dg) + 1):
+            for m in std_monomials(d):
+                by_u.setdefault(tuple(a + b for a, b in zip(dg, m)), []).append(gi)
+    kernels, new_gens, new_phi, counts = {}, [], [], {}
+    for u in sorted(by_u, key=lambda t: (sum(t), t)):
+        basis = by_u[u]
+        columns, row_keys = [], {}
+        for gi in basis:
+            col = {}
+            for (pj, me), c in phi[gi].items():
+                if is_std(tuple(a + b - g for a, b, g in zip(u, me, gens[gi]))):
+                    col[row_keys.setdefault(pj, len(row_keys))] = c
+            columns.append(col)
+        _, _, relations = column_relations(field, columns, len(row_keys))
+        kern = [{basis[k]: c for k, c in rel.items()} for rel in relations.values()]
+        lifted = Echelon(field)
+        for v in range(ideal.n_vars):
+            prev_u = tuple(a - (k == v) for k, a in enumerate(u))
+            for kv in kernels.get(prev_u, ()):
+                lifted.absorb({
+                    gi: c for gi, c in kv.items()
+                    if is_std(tuple(a - b for a, b in zip(u, gens[gi])))
+                })
+        kernels[u] = kern
+        for vec in kern:
+            if lifted.absorb(vec):
+                new_gens.append(u)
+                new_phi.append({(gi, tuple(a - b for a, b in zip(u, gens[gi]))): c
+                                for gi, c in vec.items()})
+                counts[sum(u)] = counts.get(sum(u), 0) + 1
+    return new_gens, new_phi, counts
+
+
+def test_resolution_step_matches_reference(monkeypatch, example_ideal):
+    rng = random.Random(20261018)
+    corpus = [
+        i for i in ideal_corpus(100, seed=20260811)
+        if i.n_gens >= 2 and i.n_vars * max(g.degree for g in i.gens) <= 20
+    ]
+    cases = [
+        (example_ideal, QQ, 5, "serre"),
+        (example_ideal, GF2, 4, "serre"),
+        (example_ideal, GF3, 3, "serre"),
+        (example_ideal, GF2, 2, "windowed"),
+    ]
+    for k, ideal in enumerate(rng.sample(corpus, 12)):
+        field = (QQ, GF2, GF3)[k % 3]
+        cases += [(ideal, field, 4, "serre"), (ideal, field, 2, "windowed")]
+    for ideal, field, n, policy in cases:
+        got = p_series(ideal, field, n, degree_cap_policy=policy)
+        with monkeypatch.context() as m:
+            m.setattr(
+                series_engine,
+                "_resolution_step",
+                lambda f, std, gens, phi, cap: _reference_step(ideal, f, gens, phi, cap),
+            )
+            want = p_series(ideal, field, n, degree_cap_policy=policy)
+        assert got == want, (ideal, field, n, policy)
+
+
+def test_p_series_does_not_hash_the_ideal(monkeypatch, example_ideal):
+    betti(example_ideal, GF2)  # strand homology is memoized per (ideal, field, u)
+    calls = []
+    plain_hash = MonomialIdeal.__hash__
+
+    def counting_hash(self):
+        calls.append(1)
+        return plain_hash(self)
+
+    monkeypatch.setattr(MonomialIdeal, "__hash__", counting_hash)
+    p, _ = p_series(example_ideal, GF2, 5)
+    assert p.coeffs == (1, 5, 18, 64, 227, 805)
+    assert len(calls) <= 100
