@@ -28,7 +28,7 @@ from .monomial_core import (
     parse_ideal,
     polarize,
 )
-from .taylor_dga import fiber_complex, lcm_lattice, mask_members
+from .taylor_dga import fiber_complex, generators_below, in_lattice, mask_members
 
 
 class UsageError(Exception):
@@ -333,13 +333,11 @@ def cmd_fiber(args):
     u = tuple(int(x) for x in args.mdeg.split(","))
     if len(u) != ideal.n_vars:
         raise UsageError(f"multidegree needs {ideal.n_vars} components")
-    if u not in lcm_lattice(ideal):
+    below = generators_below(ideal, u)
+    if not in_lattice(ideal, u, below):
         raise UsageError(f"multidegree {u} is not in the lcm lattice")
     cx = fiber_complex(ideal, u)
-    legend = {
-        f"g{i}": format_monomial(ideal.gens[i], ideal.variables)
-        for i in lcm_lattice(ideal).generators_below(u)
-    }
+    legend = {f"g{i}": format_monomial(ideal.gens[i], ideal.variables) for i in below}
     payload = {
         "multidegree": list(u),
         "complex": sc.format_complex(cx),
@@ -410,9 +408,7 @@ def cmd_search(args):
     field = parse_field(args.field)
     budget = (args.budget, args.seconds) if args.seconds else args.budget
     stats = cxs.SearchStats()
-    hits = []
     for hit in cxs.search(args.vars, args.max_gens, budget, field=field, stats=stats):
-        hits.append(hit)
         record = {
             "serial": hit.serial,
             "ideal": format_ideal(hit.ideal),
@@ -438,7 +434,7 @@ def cmd_search(args):
             f"searched {stats.candidates} candidates, {stats.survivors} survivors"
             + (" (budget exhausted)" if stats.budget_exhausted else "")
         )
-    return 3 if stats.budget_exhausted and not hits else 0
+    return 3 if stats.budget_exhausted and not stats.pattern_hits else 0
 
 
 def build_parser():

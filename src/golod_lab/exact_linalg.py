@@ -53,10 +53,6 @@ class Field:
         if self.char != 0 and not _is_prime(self.char):
             raise ValueError(f"field characteristic must be 0 or a prime, got {self.char}")
 
-    @property
-    def is_rational(self):
-        return self.char == 0
-
     def of(self, x):
         """Coerce an int or Fraction to a canonical element of this field."""
         p = self.char
@@ -251,6 +247,11 @@ class Echelon:
                 residual = {k: _integral(x * inv) for k, x in residual.items()}
         self.rows[lead] = residual
 
+    def contains(self, vec):
+        """Whether vec, with any scalars ``field.of`` takes (zeros too), lies in the span."""
+        of = self.field.of
+        return not self.reduce({k: y for k, x in vec.items() if (y := of(x))})
+
     def absorb(self, vec):
         """Add vec to the span; True when it was independent of the rows so far."""
         v = self.reduce(vec)
@@ -381,7 +382,8 @@ def quotient_coordinates(field, cycles, boundaries, v):
     return tuple(field.of(-w.get(n + k, 0)) for k in range(chosen))
 
 
-def _span(field, columns):
+def span(field, columns):
+    """Echelon of the span of sparse columns (dicts key -> coeff, zeros allowed)."""
     ech = Echelon(field)
     # sparse columns first: the order changes the rows' fill, never the span
     for col in sorted(columns, key=lambda c: (len(c), min(c) if c else 0)):
@@ -395,11 +397,10 @@ def sparse_reduce_columns(field, columns):
     The pivot table maps a key to a normalized column whose minimal key it
     is, so its length is the rank.  Keys must be totally ordered.
     """
-    rows = _span(field, columns).rows
+    rows = span(field, columns).rows
     return {lead: _canonical(field, row) for lead, row in rows.items()}
 
 
 def sparse_in_span(field, columns, rhs):
     """Whether the sparse vector rhs lies in the span of the sparse columns."""
-    rhs = {k: y for k, x in rhs.items() if (y := field.of(x))}
-    return not rhs or not _span(field, columns).reduce(rhs)
+    return span(field, columns).contains(rhs)

@@ -10,18 +10,24 @@ coordinates of a cycle against the fixed basis (all zero exactly when it is
 a boundary), whether a vector is a cycle at all, and the pivot solution of
 d_{i+1} x = v.
 
-Per-strand results are cached on (ideal, field, multidegree); strands are
-independent, so populating the cache concurrently would be safe.
+One rule sizes strands: one with at most ``_FULL_STRAND_LIMIT`` generators
+below u is built whole and answers every question through its
+``StrandHomology``.  Past that cap only boundary membership is answered,
+from the span of the boundaries of one degree.  Both are kept in
+``ideal.derived`` under (field, u) and (field, u, degree), so a later query
+reuses them, and they are freed with the ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from .exact_linalg import Echelon, LinAlgError, column_relations, sparse_in_span
+
+from .exact_linalg import Echelon, LinAlgError, column_relations, span
 from .taylor_dga import (
-    _SMALL_STRAND,
+    _FULL_STRAND_LIMIT,
     chain_degrees,
+    generators_below,
+    in_lattice,
     lcm_lattice,
     reduced_boundary,
     strand,
@@ -43,10 +49,6 @@ class HomologyClass:
     @property
     def is_zero(self):
         return all(c == 0 for c in self.coordinates)
-
-    @property
-    def total_degree(self):
-        return sum(self.multidegree)
 
     def chain(self):
         return dict(self.representative)
@@ -168,9 +170,21 @@ class StrandHomology:
         return tuple(x)
 
 
-@lru_cache(maxsize=None)
 def _strand_homology(ideal, field, u):
-    return StrandHomology(ideal, u, field)
+    """The homology of the strand at u (a tuple), built once per ideal."""
+    key = ("homology", field, u)
+    if key not in ideal.derived:
+        ideal.derived[key] = StrandHomology(ideal, u, field)
+    return ideal.derived[key]
+
+
+def whole_strand(ideal, field, u):
+    """The homology of the strand at u; None when u is outside the lcm lattice
+    or the strand is past the cap on strands built whole."""
+    below = generators_below(ideal, u)
+    if len(below) > _FULL_STRAND_LIMIT or not in_lattice(ideal, u, below):
+        return None
+    return _strand_homology(ideal, field, tuple(u))
 
 
 def strand_homology(strand_complex, i):
@@ -204,7 +218,7 @@ def class_of(ideal, field, chain, multidegree=None, hom_degree=None):
         if multidegree is None or hom_degree is None:
             raise ValueError("zero chain needs an explicit multidegree and degree")
         u, i = tuple(multidegree), hom_degree
-    if u not in lcm_lattice(ideal):
+    if not in_lattice(ideal, u, generators_below(ideal, u)):
         if chain:
             raise AssertionError("nonzero chain in a multidegree outside the lattice")
         return HomologyClass(ideal, field, u, i, (), ())
@@ -219,27 +233,22 @@ def class_of(ideal, field, chain, multidegree=None, hom_degree=None):
 def chain_is_boundary(ideal, field, chain):
     """Whether a homogeneous cycle bounds; scales to strands too large to build.
 
-    Small strands go through the cached homology basis; large ones reduce the
-    question to sparse membership in the image of the next boundary matrix,
-    enumerating only one homological degree of the strand.
+    A strand built whole answers through its homology basis.  Past the cap
+    the question is membership in the image of the next boundary, whose span
+    is built from one homological degree of the strand and kept on the ideal.
     """
     chain = {m: c for m, c in chain.items() if c != 0}
     if not chain:
         return True
     u, i = chain_degrees(ideal, chain)
-    lattice = lcm_lattice(ideal)
-    if u not in lattice:
-        raise AssertionError("nonzero chain in a multidegree outside the lattice")
-    below = lattice.generators_below(u)
-    if len(below) <= _SMALL_STRAND:
+    below = generators_below(ideal, u)
+    if len(below) <= _FULL_STRAND_LIMIT:
         return class_of(ideal, field, chain).is_zero
-    columns = []
-    for mask in strand_degree_basis(ideal, u, i + 1, below):
-        col = reduced_boundary(ideal, mask)
-        if col:
-            columns.append(col)
-    rhs = {m: field.of(c) for m, c in chain.items()}
-    return sparse_in_span(field, columns, rhs)
+    key = ("image", field, u, i)
+    if key not in ideal.derived:
+        masks = strand_degree_basis(ideal, u, i + 1, below)
+        ideal.derived[key] = span(field, [reduced_boundary(ideal, m) for m in masks])
+    return ideal.derived[key].contains(chain)
 
 
 @dataclass(frozen=True)
@@ -306,13 +315,3 @@ def betti(ideal, field):
     ordered = tuple(sorted(entries.items(), key=lambda kv: (kv[0][0], kv[0][1])))
     return BettiData(field, ideal.n_vars, ordered)
 
-
-def clear_caches():
-    """Empty the package's two module-level caches: the strand homology per
-    (ideal, field, multidegree) and ``taylor_dga.lcm_lattice``.
-
-    Nothing else in the package memoizes across calls; ``p_series`` builds
-    its standard-monomial table afresh on every call.
-    """
-    _strand_homology.cache_clear()
-    lcm_lattice.cache_clear()

@@ -29,10 +29,10 @@ from .homology_engine import (
     chain_is_boundary,
     class_of,
     homology_basis,
-    homology_dimension,
+    whole_strand,
 )
 from .taylor_dga import (
-    _SMALL_STRAND,
+    generators_below,
     lcm_lattice,
     mask_of,
     product_reduced,
@@ -120,12 +120,8 @@ class ProductWitness:
 
 def _strand_classes(ideal, field, u):
     """All positive-degree homology classes of the strand at u."""
-    lattice = lcm_lattice(ideal)
-    below = lattice.generators_below(u)
-    out = []
-    for i in range(1, len(below) + 1):
-        out.extend(homology_basis(ideal, field, u, i))
-    return out
+    below = generators_below(ideal, u)
+    return [c for i in range(1, len(below) + 1) for c in homology_basis(ideal, field, u, i)]
 
 
 def all_products_trivial(ideal, field):
@@ -207,17 +203,12 @@ def _undefined(reason):
 
 
 def _finish_massey(ideal, field, value_chain, u, i, s, t, b2_certified):
-    lattice = lcm_lattice(ideal)
-    value_class = None
-    if not value_chain:
-        zero = True
-        if u in lattice and len(lattice.generators_below(u)) <= _SMALL_STRAND:
-            value_class = class_of(ideal, field, {}, multidegree=u, hom_degree=i)
-    elif len(lattice.generators_below(u)) <= _SMALL_STRAND:
-        value_class = class_of(ideal, field, dict(value_chain))
-        zero = value_class.is_zero
+    if whole_strand(ideal, field, u) is None:
+        value_class = None
+        zero = chain_is_boundary(ideal, field, value_chain)
     else:
-        zero = chain_is_boundary(ideal, field, dict(value_chain))
+        value_class = class_of(ideal, field, value_chain, multidegree=u, hom_degree=i)
+        zero = value_class.is_zero
     return MasseyResult(
         defined=True,
         unique=bool(b2_certified),
@@ -273,9 +264,9 @@ def _solve_boundary(ideal, field, target_chain, u, target_degree):
     """
     if not target_chain:
         return {}
-    from .homology_engine import _strand_homology
-
-    sh = _strand_homology(ideal, field, tuple(u))
+    sh = whole_strand(ideal, field, u)
+    if sh is None:
+        raise ValueError(f"strand at {u} is too big to solve for a defining system")
     vec = sh.strand.chain_vector(target_degree, target_chain)
     sol = sh.solve_boundary(target_degree, vec)
     if sol is None:
@@ -345,22 +336,25 @@ def satisfies_B(ideal, field, r):
     """Whether every Massey product of arity <= r is defined and zero.
 
     Supports r in {2, 3}.  Arity two is the exhaustive binary check; arity
-    three additionally runs every ordered triple of homology basis classes
-    whose combined multidegree stays in the lcm lattice.
+    three adds ``ternary_products_vanish``.
     """
     if r not in (2, 3):
         raise ValueError(f"Massey arity {r} is not supported (only 2 and 3)")
     ok, witness = all_products_trivial(ideal, field)
-    if not ok:
-        return False, witness
-    if r == 2:
-        return True, None
+    if not ok or r == 2:
+        return ok, witness
+    return ternary_products_vanish(ideal, field)
+
+
+def ternary_products_vanish(ideal, field):
+    """Whether every ternary Massey product vanishes, given that all binary ones do.
+
+    Runs every ordered triple of homology basis classes whose combined
+    multidegree stays in the lcm lattice, except where the target strand is
+    built whole and has no homology in the target degree.
+    """
     lattice = lcm_lattice(ideal)
-    classes = {}
-    for u in lattice:
-        cs = _strand_classes(ideal, field, u)
-        if cs:
-            classes[u] = cs
+    classes = {u: cs for u in lattice if (cs := _strand_classes(ideal, field, u))}
     support = sorted(classes)
     for ua in support:
         for ub in support:
@@ -369,12 +363,12 @@ def satisfies_B(ideal, field, r):
                 u = _vector_sum(uab, uc)
                 if u not in lattice:
                     continue
-                small = len(lattice.generators_below(u)) <= _SMALL_STRAND
+                sh = whole_strand(ideal, field, u)
                 for alpha in classes[ua]:
                     for beta in classes[ub]:
                         for gamma in classes[uc]:
                             i = alpha.hom_degree + beta.hom_degree + gamma.hom_degree + 1
-                            if small and homology_dimension(ideal, field, u, i) == 0:
+                            if sh is not None and sh.dimension(i) == 0:
                                 continue
                             res = ternary_massey(
                                 ideal, field, alpha, beta, gamma, b2_certified=True
@@ -505,7 +499,7 @@ def golod_decide(ideal, field, series_trunc=None):
     if ideal.is_squarefree and ideal.n_vars <= 7 and all(g.degree >= 2 for g in ideal.gens):
         basis.append("squarefree on <= 7 variables without variable generators")
     if basis:
-        ok3, w3 = satisfies_B(ideal, field, 3)
+        ok3, w3 = ternary_products_vanish(ideal, field)
         if ok3:
             return GolodVerdict(
                 "Golod",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class AmbientMismatchError(ValueError):
@@ -53,10 +54,6 @@ class Monomial:
     def lcm(self, other):
         self._check(other)
         return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def gcd(self, other):
-        self._check(other)
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
 
     def divides(self, other):
         self._check(other)
@@ -116,6 +113,9 @@ class MonomialIdeal:
     The constructor insists on minimality (no generator divides another);
     call :func:`minimalize` first if the input may be redundant.  The zero
     ideal (no generators) is allowed.
+
+    ``derived`` keeps what is computed from the ideal (lcm lattice, strand
+    homology) and is freed with it; equality, hashing and repr ignore it.
     """
 
     variables: tuple
@@ -148,6 +148,10 @@ class MonomialIdeal:
     def from_strings(cls, variables, texts):
         variables = tuple(variables)
         return cls(variables, tuple(parse_monomial(t, variables) for t in texts))
+
+    @cached_property
+    def derived(self):
+        return {}
 
     @property
     def n_vars(self):

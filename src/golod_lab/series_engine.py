@@ -357,25 +357,19 @@ def _bar_basis(ideal, j, d):
 
 def _bar_columns(ideal, field, j, d):
     """Sparse columns of the bar differential from (j, d) into (j-1, d)."""
-    from .monomial_core import Monomial
-
+    std = _std_table(ideal, d)[1]
     lower = {t: k for k, t in enumerate(_bar_basis(ideal, j - 1, d))}
     cols = []
     for t in _bar_basis(ideal, j, d):
         col = {}
         sign = 1
         for i in range(j - 1):
-            prod = Monomial(t[i]) * Monomial(t[i + 1])
-            if not ideal.contains_monomial(prod):
-                merged = t[:i] + (prod.exps,) + t[i + 2:]
-                r = lower[merged]
-                v = field.add(col.get(r, field.zero()), field.of(sign))
-                if v == 0:
-                    col.pop(r, None)
-                else:
-                    col[r] = v
+            prod = tuple(a + b for a, b in zip(t[i], t[i + 1]))
+            if prod in std:
+                r = lower[t[:i] + (prod,) + t[i + 2:]]
+                col[r] = col.get(r, 0) + sign
             sign = -sign
-        cols.append(col)
+        cols.append({r: c for r, c in col.items() if field.of(c) != 0})
     return cols
 
 

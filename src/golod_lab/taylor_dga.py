@@ -9,21 +9,23 @@ depend only on that order:
                                               with m' before m)
 
 After tensoring with the residue field, a term survives exactly when its
-monomial coefficient is constant.  Everything here is pure and immutable, so
-distinct multidegrees can be processed concurrently.
+monomial coefficient is constant.
+
+A single strand needs only the generators below u (u is in the lcm lattice
+exactly when their lcm is u); the closure ``lcm_lattice``, kept on the ideal,
+is for callers that enumerate the lattice.  A strand past
+``_FULL_STRAND_LIMIT`` generators is enumerated one degree at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .monomial_core import lcm_of
 from .simplicial import SimplicialComplex
 
-_FULL_STRAND_LIMIT = 18  # full strands enumerate 2^|G_u| subsets
-_SMALL_STRAND = 15  # above this many generators below u, go sparse instead of full strands
+_FULL_STRAND_LIMIT = 18  # most generators below u for a whole strand (2^|G_u| subsets)
 
 
 def mask_members(mask):
@@ -100,6 +102,16 @@ def product_reduced(ideal, maskI, maskJ):
     return (product_sign(maskI, maskJ), union)
 
 
+def generators_below(ideal, u):
+    """Indices of generators whose multidegree is componentwise <= u."""
+    return [i for i, g in enumerate(ideal.gens) if all(a <= b for a, b in zip(g.exps, u))]
+
+
+def in_lattice(ideal, u, below):
+    """Whether u is in the lcm lattice, given the generators below it (their lcm is u)."""
+    return bool(below) and lcm_of((ideal.gens[i] for i in below), ideal.n_vars).exps == tuple(u)
+
+
 @dataclass(frozen=True)
 class LcmLattice:
     """Multidegrees of lcms of nonempty generator subsets, with join structure."""
@@ -118,20 +130,21 @@ class LcmLattice:
 
     def generators_below(self, u):
         """Indices of generators whose multidegree is componentwise <= u."""
-        return [
-            i
-            for i, g in enumerate(self.ideal.gens)
-            if all(a <= b for a, b in zip(g.exps, u))
-        ]
+        return generators_below(self.ideal, u)
 
     @property
     def top(self):
         return tuple(lcm_of(self.ideal.gens, self.ideal.n_vars).exps)
 
 
-@lru_cache(maxsize=64)
 def lcm_lattice(ideal):
-    """Lattice of subset-lcm multidegrees, computed by pairwise-join closure."""
+    """Lattice of subset-lcm multidegrees, computed by pairwise-join closure.
+
+    Built once per ideal and kept in ``ideal.derived``.  Only callers that
+    enumerate the lattice need it: a single strand asks ``in_lattice``.
+    """
+    if "lattice" in ideal.derived:
+        return ideal.derived["lattice"]
     current = {tuple(g.exps) for g in ideal.gens}
     frontier = set(current)
     while frontier:
@@ -143,7 +156,8 @@ def lcm_lattice(ideal):
                     new.add(j)
         current |= new
         frontier = new
-    return LcmLattice(ideal, frozenset(current))
+    lattice = ideal.derived["lattice"] = LcmLattice(ideal, frozenset(current))
+    return lattice
 
 
 def strand_degree_basis(ideal, u, i, gens_below=None):
@@ -152,7 +166,7 @@ def strand_degree_basis(ideal, u, i, gens_below=None):
     Enumerates only one homological degree, which keeps large strands usable.
     """
     if gens_below is None:
-        gens_below = lcm_lattice(ideal).generators_below(u)
+        gens_below = generators_below(ideal, u)
     u = tuple(u)
     masks = []
     for c in combinations(gens_below, i):
@@ -175,14 +189,13 @@ class StrandComplex:
     """
 
     def __init__(self, ideal, u, field):
-        lattice = lcm_lattice(ideal)
         u = tuple(u)
-        if u not in lattice:
+        self.gens_below = generators_below(ideal, u)
+        if not in_lattice(ideal, u, self.gens_below):
             raise ValueError(f"multidegree {u} is not in the lcm lattice")
         self.ideal = ideal
         self.u = u
         self.field = field
-        self.gens_below = lattice.generators_below(u)
         if len(self.gens_below) > _FULL_STRAND_LIMIT:
             raise ValueError(
                 f"strand at {u} has {len(self.gens_below)} generators below it; "
@@ -201,9 +214,6 @@ class StrandComplex:
 
     def dim(self, i):
         return len(self.basis.get(i, ()))
-
-    def index_of(self, i, mask):
-        return self._index[i][mask]
 
     def boundary_columns(self, i):
         """Sparse columns of the differential from degree i to degree i-1.
@@ -266,11 +276,10 @@ def fiber_complex(ideal, u):
     face exactly when the lcm of its complement has multidegree u.  Generators
     that every cover needs are ghost vertices.
     """
-    lattice = lcm_lattice(ideal)
     u = tuple(u)
-    if u not in lattice:
+    below = generators_below(ideal, u)
+    if not in_lattice(ideal, u, below):
         raise ValueError(f"multidegree {u} is not in the lcm lattice")
-    below = lattice.generators_below(u)
     if len(below) > _FULL_STRAND_LIMIT:
         raise ValueError(f"fiber complex at {u} would have {len(below)} vertices")
     labels = fiber_vertex_labels(below)
@@ -300,8 +309,7 @@ def chain_to_cochain(ideal, u, chain):
     coboundary exactly.
     """
     u = tuple(u)
-    lattice = lcm_lattice(ideal)
-    below = lattice.generators_below(u)
+    below = generators_below(ideal, u)
     below_set = set(below)
     rank_of = {gi: k for k, gi in enumerate(below)}
     labels = fiber_vertex_labels(below)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import ideal_corpus
+from golod_lab import homology_engine
 from golod_lab.exact_linalg import (
     GF2,
     GF3,
@@ -18,9 +19,11 @@ from golod_lab.homology_engine import (
     betti,
     chain_is_boundary,
     class_of,
+    homology_basis,
     homology_dimension,
     strand_homology,
 )
+from golod_lab.massey_golod import chain_product
 from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal
 from golod_lab.simplicial import reduced_cohomology_dims
 from golod_lab.taylor_dga import (
@@ -218,3 +221,37 @@ def test_strand_homology_matches_separate_eliminations():
                         assert sh.solve_boundary(i, bnd) == solve(up, bnd)
                         if up.cols:
                             assert sh.solve_boundary(i, cycle) == solve(up, cycle)
+
+
+def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
+    """With the strand cap at 0 every membership query takes the route for
+    strands past the cap; it must agree with the whole strand's homology, and
+    a second query at the same (u, i) must reuse the span kept on the ideal."""
+    real = homology_engine.strand_degree_basis
+    enumerated = []
+
+    def counted(ideal, u, i, gens_below=None):
+        enumerated.append((u, i))
+        return real(ideal, u, i, gens_below)
+
+    monkeypatch.setattr(homology_engine, "strand_degree_basis", counted)
+    monkeypatch.setattr(homology_engine, "_FULL_STRAND_LIMIT", 0)
+    answers = set()
+    for field in (QQ, GF2, GF3):
+        for ideal in [counterexample_ideal()] + ideal_corpus(10, seed=20260811):
+            classes = [c for u in lcm_lattice(ideal) for i in range(1, ideal.n_gens + 1)
+                       for c in homology_basis(ideal, field, tuple(u), i)]
+            enumerated.clear()
+            for a in classes:
+                for b in classes:
+                    prod = chain_product(ideal, field, a.chain(), b.chain())
+                    if not prod:
+                        continue
+                    want = class_of(ideal, field, prod).is_zero
+                    assert chain_is_boundary(ideal, field, prod) == want
+                    seen = len(enumerated)
+                    assert chain_is_boundary(ideal, field, prod) == want
+                    assert len(enumerated) == seen
+                    answers.add(want)
+            assert len(enumerated) == len(set(enumerated))
+    assert answers == {True, False}

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import ideal_corpus
+from golod_lab import massey_golod
 from golod_lab.exact_linalg import GF2, QQ
 from golod_lab.homology_engine import homology_basis
 from golod_lab.massey_golod import (
@@ -234,6 +235,21 @@ def test_golod_decide_counterexample(example_ideal):
         assert verdict.route == "massey-arity-3"
         assert "regularity 5" in verdict.reason
         assert verdict.witness is not None
+
+
+def test_golod_decide_checks_products_once(monkeypatch):
+    # the arity-3 route follows the product check without repeating it
+    calls = []
+    real = massey_golod.all_products_trivial
+
+    def counted(ideal, field):
+        calls.append(ideal)
+        return real(ideal, field)
+
+    monkeypatch.setattr(massey_golod, "all_products_trivial", counted)
+    verdict = golod_decide(counterexample_ideal(), QQ)
+    assert (verdict.status, verdict.route) == ("NotGolod", "massey-arity-3")
+    assert len(calls) == 1
 
 
 def test_golod_decide_controls():

@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from golod_lab import counterexample_search
 from golod_lab.counterexample_search import (
     RoleAssignment,
     SearchStats,
@@ -105,3 +109,20 @@ def test_search_budget_flag():
     stats = SearchStats()
     list(search(9, 9, budget=3, seeds=[], stats=stats))
     assert stats.budget_exhausted
+
+
+def test_search_keeps_no_candidate_alive(monkeypatch):
+    # what is derived from a candidate lives on its ideal, so it goes with it
+    refs = []
+    real = counterexample_search._evaluate_candidate
+
+    def recording(serial, ideal, assignment, field):
+        refs.append(weakref.ref(ideal))
+        return real(serial, ideal, assignment, field)
+
+    monkeypatch.setattr(counterexample_search, "_evaluate_candidate", recording)
+    hits = list(search(7, 9, budget=150, seeds=[]))
+    assert hits and len(refs) == 150
+    del hits
+    gc.collect()
+    assert sum(r() is not None for r in refs) == 0
