@@ -16,6 +16,12 @@ below u is built whole and answers every question through its
 from the span of the boundaries of one degree.  Both are kept in
 ``ideal.derived`` under (field, u) and (field, u, degree), so a later query
 reuses them, and they are freed with the ideal.
+
+That span needs only the boundaries of the masks that contain one apex
+generator g0 below u, a cone on g0.  A mask J with lcm u that misses g0 is
+a face of K = J + {g0}, which has lcm u too, and d(d(K)) = 0 writes d(J)
+through the boundaries of the other faces of K, which all contain g0.  On
+the 4-skeleton's top strand the cone is a quarter of the boundaries.
 """
 
 from __future__ import annotations
@@ -197,10 +203,6 @@ def homology_basis(ideal, field, u, i):
     return _strand_homology(ideal, field, tuple(u)).classes(i)
 
 
-def homology_dimension(ideal, field, u, i):
-    return _strand_homology(ideal, field, tuple(u)).dimension(i)
-
-
 def class_of(ideal, field, chain, multidegree=None, hom_degree=None):
     """Homology class of a homogeneous cycle given as a mask -> coefficient map.
 
@@ -234,8 +236,13 @@ def chain_is_boundary(ideal, field, chain):
     """Whether a homogeneous cycle bounds; scales to strands too large to build.
 
     A strand built whole answers through its homology basis.  Past the cap
-    the question is membership in the image of the next boundary, whose span
-    is built from one homological degree of the strand and kept on the ideal.
+    the question is membership in the image of the next boundary, kept on
+    the ideal.  That image is spanned by the boundaries of the degree-(i+1)
+    masks with lcm u that contain the apex g0, the first generator below u.
+    For such a mask J without g0, K = J + {g0} also has lcm u, and in d(K)
+    the term J survives with sign +-1 while every other term contains g0;
+    so d(d(K)) = 0 writes d(J) through boundaries of masks containing g0,
+    over every field.
     """
     chain = {m: c for m, c in chain.items() if c != 0}
     if not chain:
@@ -246,7 +253,7 @@ def chain_is_boundary(ideal, field, chain):
         return class_of(ideal, field, chain).is_zero
     key = ("image", field, u, i)
     if key not in ideal.derived:
-        masks = strand_degree_basis(ideal, u, i + 1, below)
+        masks = strand_degree_basis(ideal, u, i + 1, below, apex=below[0])
         ideal.derived[key] = span(field, [reduced_boundary(ideal, m) for m in masks])
     return ideal.derived[key].contains(chain)
 

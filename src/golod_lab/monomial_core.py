@@ -165,10 +165,6 @@ class MonomialIdeal:
     def is_squarefree(self):
         return all(g.is_squarefree for g in self.gens)
 
-    def contains_monomial(self, m):
-        """Membership test: some generator divides m."""
-        return any(g.divides(m) for g in self.gens)
-
     def format_monomial(self, m):
         return format_monomial(m, self.variables)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact_linalg import Matrix, rank, solve
+from .exact_linalg import span
 from .monomial_core import Monomial, MonomialIdeal
 
 _ENUMERATION_LIMIT = 22  # subset scans are 2^n; keep inputs desk-scale
@@ -184,8 +184,9 @@ def complex_of(ideal):
 class CochainComplex:
     """Reduced simplicial cochain complex over a field.
 
-    Degree -1 is the empty face.  ``delta(i)`` is the coboundary matrix from
-    i-cochains to (i+1)-cochains, rows indexed by the (i+1)-faces.
+    Degree -1 is the empty face.  ``delta(i)`` gives the coboundary from
+    i-cochains to (i+1)-cochains as sparse columns, rows indexed by the
+    (i+1)-faces.
     """
 
     def __init__(self, cx, field):
@@ -199,7 +200,6 @@ class CochainComplex:
             faces = cx.faces_of_dim(k)
             self._faces[k] = faces
             self._index[k] = {f: i for i, f in enumerate(faces)}
-        self._delta = {}
 
     def faces(self, k):
         return self._faces.get(k, [])
@@ -208,29 +208,23 @@ class CochainComplex:
         return len(self.faces(k))
 
     def delta(self, i):
-        """Coboundary matrix C^i -> C^(i+1)."""
-        if i in self._delta:
-            return self._delta[i]
-        field = self.field
-        src = self.faces(i)
-        dst = self.faces(i + 1)
+        """Sparse columns of the coboundary C^i -> C^(i+1).
+
+        Column j is the coboundary of the j-th i-face, a map ``row index ->
+        sign`` with int signs +-1 over every field, as the strand boundaries.
+        """
         vorder = {v: j for j, v in enumerate(self.complex.vertices)}
-        rows = [[field.zero()] * len(src) for _ in dst]
         dst_index = self._index.get(i + 1, {})
-        one = field.one()
-        for col, f in enumerate(src):
+        columns = []
+        for f in self.faces(i):
+            col = {}
             for v in self.complex.vertices:
-                if v in f:
-                    continue
-                g = f | {v}
-                r = dst_index.get(g)
-                if r is None:
-                    continue
-                pos = sum(1 for w in f if vorder[w] < vorder[v])
-                rows[r][col] = one if pos % 2 == 0 else field.neg(one)
-        m = Matrix.from_rows(field, rows) if dst else Matrix.zero(field, 0, len(src))
-        self._delta[i] = m
-        return m
+                r = dst_index.get(f | {v})  # None for v in f: f is no (i+1)-face
+                if r is not None:
+                    pos = sum(1 for w in f if vorder[w] < vorder[v])
+                    col[r] = -1 if pos % 2 else 1
+            columns.append(col)
+        return columns
 
     def cochain_vector(self, i, cochain):
         """Coefficient vector of a cochain given as a face -> scalar mapping."""
@@ -257,7 +251,7 @@ def reduced_cochain_complex(cx, field):
 def reduced_cohomology_dims(cx, field):
     """Reduced cohomology dimensions as a map degree -> dim, degrees -1..dim."""
     cc = reduced_cochain_complex(cx, field)
-    ranks = {i: rank(cc.delta(i)) for i in range(-1, cc.top + 1)}
+    ranks = {i: len(span(field, cc.delta(i)).rows) for i in range(-1, cc.top + 1)}
     dims = {}
     for i in range(-1, cc.top + 1):
         below = ranks.get(i - 1, 0)
@@ -281,14 +275,7 @@ def is_coboundary(cx, field, cochain, dim=None):
         dim = sizes.pop() - 1
     cc = reduced_cochain_complex(cx, field)
     vec = cc.cochain_vector(dim, cochain)
-    if all(x == 0 for x in vec):
-        return True
-    if dim - 1 < -1:
-        return False
-    dmat = cc.delta(dim - 1)
-    if dmat.cols == 0:
-        return False
-    return solve(dmat, vec) is not None
+    return span(field, cc.delta(dim - 1)).contains(dict(enumerate(vec)))
 
 
 def parse_complex(text):

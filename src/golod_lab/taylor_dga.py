@@ -160,23 +160,30 @@ def lcm_lattice(ideal):
     return lattice
 
 
-def strand_degree_basis(ideal, u, i, gens_below=None):
+def strand_degree_basis(ideal, u, i, gens_below=None, apex=None):
     """Sorted masks of i-element generator subsets with lcm multidegree exactly u.
 
     Enumerates only one homological degree, which keeps large strands usable.
+    With ``apex``, a generator below u, only the masks that contain it are
+    enumerated: C(|G_u| - 1, i - 1) subsets instead of C(|G_u|, i).
     """
     if gens_below is None:
         gens_below = generators_below(ideal, u)
     u = tuple(u)
+    if apex is None:
+        start, bit, pool, size = (0,) * len(u), 0, gens_below, i
+    else:
+        start, bit, size = ideal.gens[apex].exps, 1 << apex, i - 1
+        pool = [gi for gi in gens_below if gi != apex]
     masks = []
-    for c in combinations(gens_below, i):
-        acc = [0] * len(u)
+    for c in combinations(pool, size):
+        acc = list(start)
         for gi in c:
             for k, e in enumerate(ideal.gens[gi].exps):
                 if e > acc[k]:
                     acc[k] = e
         if tuple(acc) == u:
-            masks.append(mask_of(c))
+            masks.append(mask_of(c) | bit)
     masks.sort()
     return masks
 

@@ -54,3 +54,12 @@ def ideal_corpus(count=100, seed=20260811, **kwargs):
         if ideal is not None:
             out.append(ideal)
     return out
+
+
+def apply_columns(field, columns, vec, nrows):
+    """Dense image of vec under the map whose sparse columns are given."""
+    out = [field.zero()] * nrows
+    for col, x in zip(columns, vec):
+        for r, c in col.items():
+            out[r] = field.add(out[r], field.mul(field.of(c), x))
+    return tuple(out)

@@ -13,25 +13,33 @@ from golod_lab.exact_linalg import (
     kernel_basis,
     quotient_coordinates,
     solve,
+    span,
 )
 from golod_lab.homology_engine import (
     StrandHomology,
+    _strand_homology,
     betti,
     chain_is_boundary,
     class_of,
     homology_basis,
-    homology_dimension,
     strand_homology,
 )
-from golod_lab.massey_golod import chain_product
-from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal
-from golod_lab.simplicial import reduced_cohomology_dims
+from golod_lab.massey_golod import chain_product, ternary_massey_generators
+from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal, polarize
+from golod_lab.simplicial import (
+    complex_of,
+    reduced_cohomology_dims,
+    skeleton,
+    stanley_reisner_ideal,
+)
 from golod_lab.taylor_dga import (
     fiber_complex,
+    generators_below,
     lcm_lattice,
     mask_of,
     reduced_boundary,
     strand,
+    strand_degree_basis,
 )
 
 EDGES = MonomialIdeal.from_strings(("x", "y", "z"), ["x*y", "y*z", "z*x"])
@@ -59,7 +67,7 @@ def test_minimal_generator_strand_class(example_ideal):
 
 
 def test_top_strand_degree_four(example_ideal):
-    assert homology_dimension(example_ideal, QQ, (1, 2, 1, 2, 3), 4) == 1
+    assert _strand_homology(example_ideal, QQ, (1, 2, 1, 2, 3)).dimension(4) == 1
 
 
 def test_betti_counterexample_table(example_ideal):
@@ -159,7 +167,7 @@ def test_euler_characteristic_per_strand():
             s = strand(ideal, tuple(u), QQ)
             chi_basis = sum((-1) ** i * s.dim(i) for i in s.degrees)
             chi_hom = sum(
-                (-1) ** i * homology_dimension(ideal, QQ, tuple(u), i)
+                (-1) ** i * _strand_homology(ideal, QQ, tuple(u)).dimension(i)
                 for i in s.degrees
             )
             assert chi_basis == chi_hom
@@ -174,7 +182,7 @@ def test_strand_homology_matches_fiber_cohomology(example_ideal):
         dims = reduced_cohomology_dims(fib, QQ)
         for i in range(1, len(below) + 1):
             want = dims.get(len(below) - i - 1, 0)
-            assert homology_dimension(example_ideal, QQ, tuple(u), i) == want
+            assert _strand_homology(example_ideal, QQ, tuple(u)).dimension(i) == want
 
 
 def test_zero_ideal_betti():
@@ -230,9 +238,9 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
     real = homology_engine.strand_degree_basis
     enumerated = []
 
-    def counted(ideal, u, i, gens_below=None):
+    def counted(ideal, u, i, gens_below=None, apex=None):
         enumerated.append((u, i))
-        return real(ideal, u, i, gens_below)
+        return real(ideal, u, i, gens_below, apex)
 
     monkeypatch.setattr(homology_engine, "strand_degree_basis", counted)
     monkeypatch.setattr(homology_engine, "_FULL_STRAND_LIMIT", 0)
@@ -255,3 +263,71 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
                     answers.add(want)
             assert len(enumerated) == len(set(enumerated))
     assert answers == {True, False}
+
+
+def _boundary_rank(ideal, field, masks):
+    return len(span(field, [reduced_boundary(ideal, m) for m in masks]).rows)
+
+
+def _assert_cone_spans(ideal, field, u, i, apexes):
+    """For each apex, the degree-i masks with lcm u that contain it are exactly
+    the ones enumerated with that apex, and their boundaries span the image
+    of d_i.  Returns how many apexes left out some mask."""
+    below = generators_below(ideal, u)
+    full = strand_degree_basis(ideal, u, i, below)
+    want = _boundary_rank(ideal, field, full)
+    smaller = 0
+    for g in apexes:
+        cone = strand_degree_basis(ideal, u, i, below, apex=g)
+        assert cone == [m for m in full if m >> g & 1]
+        assert _boundary_rank(ideal, field, cone) == want
+        smaller += len(cone) < len(full)
+    return smaller
+
+
+def _skeleton_ideal():
+    """The 4-skeleton ideal and its generators a, b, c of the Massey product."""
+    pol, _ = polarize(counterexample_ideal())
+    gamma = stanley_reisner_ideal(skeleton(complex_of(pol), 4))
+    roles = []
+    for sup in ({"x1", "x2_1", "x2_2"}, {"y1", "y2_1", "y2_2"}, {"z_1", "z_2", "z_3"}):
+        roles += [k for k, g in enumerate(gamma.gens)
+                  if {gamma.variables[j] for j in g.support} == sup]
+    return gamma, roles
+
+
+def test_apex_cone_spans_the_boundary_image():
+    """Past the strand cap chain_is_boundary spans only the boundaries of the
+    masks containing one apex generator.  Within the cap, for every strand,
+    degree and apex, that cone must span what all boundaries of the degree
+    span; and in the top strand of the 4-skeleton in degree 2."""
+    smaller = 0
+    for field in (QQ, GF2, GF3):
+        for ideal in [counterexample_ideal()] + ideal_corpus(10, seed=20260811):
+            for u in lcm_lattice(ideal):
+                below = generators_below(ideal, u)
+                for i in range(2, len(below) + 1):
+                    smaller += _assert_cone_spans(ideal, field, tuple(u), i, below)
+        gamma, _ = _skeleton_ideal()
+        top = (1,) * gamma.n_vars
+        assert len(strand_degree_basis(gamma, top, 3)) == 498
+        smaller += _assert_cone_spans(gamma, field, top, 3, generators_below(gamma, top))
+    assert smaller == 471  # cases where the cone leaves some mask out
+
+
+def test_skeleton_massey_spans_only_the_cone(monkeypatch):
+    """The Massey value of the 4-skeleton bounds or not in a strand past the
+    cap; its membership test eliminates only the apex cone's boundaries
+    (3,386 columns; all 14,169 boundaries of that degree span the same)."""
+    gamma, (a, b, c) = _skeleton_ideal()
+    columns = []
+    real = homology_engine.span
+
+    def counted(field, cols):
+        columns.append(len(cols))
+        return real(field, cols)
+
+    monkeypatch.setattr(homology_engine, "span", counted)
+    res = ternary_massey_generators(gamma, QQ, a, b, c, b2_certified=True)
+    assert res.defined and res.value_is_zero is False
+    assert 0 < sum(columns) <= 3386

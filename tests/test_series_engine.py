@@ -211,7 +211,7 @@ def _reference_step(ideal, field, gens, phi, cap):
 
     @cache
     def is_std(exps):
-        return not ideal.contains_monomial(Monomial(exps))
+        return not any(g.divides(Monomial(exps)) for g in ideal.gens)
 
     @cache
     def std_monomials(d):

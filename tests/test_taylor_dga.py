@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import ideal_corpus
+from conftest import apply_columns, ideal_corpus
 from golod_lab.exact_linalg import QQ
 from golod_lab.monomial_core import (
     MonomialIdeal,
@@ -354,8 +354,8 @@ def _intertwining_holds(ideal, u, field):
             cdim = n_below - i - 1
             phi = chain_to_cochain(ideal, u, {mask: 1})
             vec = cc.cochain_vector(cdim, phi)
-            delta = cc.delta(cdim)
-            want = {f: c for f, c in zip(cc.faces(cdim + 1), delta.apply(vec)) if c != 0}
+            image_vec = apply_columns(field, cc.delta(cdim), vec, cc.n_faces(cdim + 1))
+            want = {f: c for f, c in zip(cc.faces(cdim + 1), image_vec) if c != 0}
             got = {f: field.of(c) for f, c in image.items() if c != 0}
             if got != want:
                 return False
