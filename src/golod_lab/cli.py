@@ -84,15 +84,24 @@ def _emit(args, payload, text):
         print(text)
 
 
-def _truncation_order(text):
-    """argparse type of ``--trunc``: a non-negative int."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError("truncation order must be non-negative")
-    return n
+def _non_negative(convert, what):
+    """argparse type: a value of ``convert`` (int or float) that is >= 0."""
+
+    def parse(text):
+        try:
+            x = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not x >= 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"{what} must be non-negative")
+        return x
+
+    return parse
+
+
+_truncation_order = _non_negative(int, "truncation order")
 
 
 def _add_common(p, ideal_input=True):
@@ -406,7 +415,7 @@ def cmd_pattern_check(args):
 
 def cmd_search(args):
     field = parse_field(args.field)
-    budget = (args.budget, args.seconds) if args.seconds else args.budget
+    budget = (args.budget, args.seconds) if args.seconds is not None else args.budget
     stats = cxs.SearchStats()
     for hit in cxs.search(args.vars, args.max_gens, budget, field=field, stats=stats):
         record = {
@@ -505,8 +514,8 @@ def build_parser():
     p.add_argument("--field", default="q")
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--max-gens", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seconds", type=float, default=None)
+    p.add_argument("--budget", type=_non_negative(int, "budget"), default=1000)
+    p.add_argument("--seconds", type=_non_negative(float, "seconds"), default=None)
     p.set_defaults(fn=cmd_search)
 
     return ap

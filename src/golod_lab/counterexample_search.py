@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .exact_linalg import QQ
 from .massey_golod import all_products_trivial, pair_criterion, ternary_massey_generators
-from .monomial_core import Monomial, MonomialIdeal, counterexample_ideal, minimalize, polarize
+from .monomial_core import Monomial, MonomialIdeal, counterexample_ideal, polarize
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ def search(n_vars, max_gens, budget, seeds=None, field=QQ, stats=None):
             yield hit
     for core, sharps in _candidate_patterns(n_vars, max_gens):
         if serial >= max_candidates or (
-            max_seconds is not None and time.monotonic() - start > max_seconds
+            max_seconds is not None and time.monotonic() - start >= max_seconds
         ):
             stats.budget_exhausted = True
             return
@@ -344,13 +344,14 @@ def search(n_vars, max_gens, budget, seeds=None, field=QQ, stats=None):
         for s in sharps:
             if s not in supports:
                 supports.append(s)
-        gens = minimalize([_mono(n_vars, s) for s in supports])
-        if len(gens) != len(supports):
-            continue  # a role was swallowed by divisibility; not this pattern
+        # squarefree: one generator divides another exactly when its support
+        # is a proper subset (the supports are distinct)
+        if any(s < t for s in supports for t in supports):
+            continue  # a role would be swallowed by divisibility; not this pattern
         ideal = MonomialIdeal(
-            tuple(f"v{i}" for i in range(n_vars)), tuple(gens)
+            tuple(f"v{i}" for i in range(n_vars)), tuple(_mono(n_vars, s) for s in supports)
         )
-        index = {g.support: k for k, g in enumerate(gens)}
+        index = {s: k for k, s in enumerate(supports)}
         assignment = RoleAssignment(
             a=index[a], b=index[b], c=index[c],
             ab=index[ab], bc=index[bc], ca=index[ca],

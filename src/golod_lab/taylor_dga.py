@@ -15,6 +15,14 @@ A single strand needs only the generators below u (u is in the lcm lattice
 exactly when their lcm is u); the closure ``lcm_lattice``, kept on the ideal,
 is for callers that enumerate the lattice.  A strand past
 ``_FULL_STRAND_LIMIT`` generators is enumerated one degree at a time.
+
+Inside a strand the lcm test is a bitmask test.  Every generator below u
+divides u, so the lcm of a subset of them reaches u in variable k exactly
+when some member has exponent u[k] there.  With the *attain mask* of a
+generator (the variables k with exps[k] == u[k] > 0), a subset has lcm u
+exactly when the OR of its attain masks is the support mask of u.  The same
+fact makes a boundary term survive exactly when its face is in the strand's
+basis one degree down, so strand boundaries are index lookups.
 """
 
 from __future__ import annotations
@@ -166,23 +174,30 @@ def strand_degree_basis(ideal, u, i, gens_below=None, apex=None):
     Enumerates only one homological degree, which keeps large strands usable.
     With ``apex``, a generator below u, only the masks that contain it are
     enumerated: C(|G_u| - 1, i - 1) subsets instead of C(|G_u|, i).
+
+    Every generator below u divides u, so a subset has lcm u exactly when the
+    OR of its members' attain masks (variables k with exps[k] == u[k] > 0) is
+    the support mask of u; each combination costs one OR per member.
     """
     if gens_below is None:
         gens_below = generators_below(ideal, u)
     u = tuple(u)
+    full = mask_of(k for k, e in enumerate(u) if e)
+    att = {}  # generator -> attain mask
+    for gi in gens_below:
+        exps = ideal.gens[gi].exps
+        att[gi] = mask_of(k for k, e in enumerate(u) if e and exps[k] == e)
     if apex is None:
-        start, bit, pool, size = (0,) * len(u), 0, gens_below, i
+        start, bit, pool, size = 0, 0, gens_below, i
     else:
-        start, bit, size = ideal.gens[apex].exps, 1 << apex, i - 1
+        start, bit, size = att[apex], 1 << apex, i - 1
         pool = [gi for gi in gens_below if gi != apex]
     masks = []
     for c in combinations(pool, size):
-        acc = list(start)
+        acc = start
         for gi in c:
-            for k, e in enumerate(ideal.gens[gi].exps):
-                if e > acc[k]:
-                    acc[k] = e
-        if tuple(acc) == u:
+            acc |= att[gi]
+        if acc == full:
             masks.append(mask_of(c) | bit)
     masks.sort()
     return masks
@@ -226,19 +241,24 @@ class StrandComplex:
         """Sparse columns of the differential from degree i to degree i-1.
 
         Column j is the boundary of the j-th degree-i basis element, a map
-        ``row index -> sign`` with int signs +-1 over every field.  Built
-        afresh on each call: homology eliminates each differential once.
+        ``row index -> sign`` with int signs +-1 over every field.  A face
+        keeps its term exactly when it is a degree-(i-1) basis element: its
+        lcm is then still u.  Built afresh on each call: homology eliminates
+        each differential once.
         """
         dst_index = self._index.get(i - 1, {})
         columns = []
         for mask in self.basis.get(i, []):
             col = {}
-            for rest, sign in reduced_boundary(self.ideal, mask).items():
-                r = dst_index.get(rest)
-                if r is None:
-                    # a constant-coefficient term never leaves the strand
-                    raise AssertionError("boundary term escaped its strand")
-                col[r] = sign
+            sign = 1
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                r = dst_index.get(mask ^ bit)
+                if r is not None:
+                    col[r] = sign
+                sign = -sign
+                rest ^= bit
             columns.append(col)
         return columns
 

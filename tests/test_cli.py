@@ -210,6 +210,26 @@ def test_search_command_seeded(capsys):
     assert any(rec.get("counterexample") for rec in lines if "serial" in rec)
 
 
+def test_search_seconds_zero_stops_before_the_enumeration(capsys):
+    code, out, _ = run(capsys, "search", "--vars", "7", "--max-gens", "9", "--seconds", "0",
+                       "--format", "json")
+    assert code == 3
+    summary = {"budget_exhausted": True, "candidates": 0, "survivors": 0}
+    assert json.loads(out) == {"summary": summary}
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seconds", "-1", "seconds must be non-negative"),
+    ("--budget", "-5", "budget must be non-negative"),
+])
+def test_search_negative_budget_is_a_usage_error(capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--vars", "7", "--max-gens", "9", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+
+
 def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "betti", "--example", "nope")
     assert code == 2

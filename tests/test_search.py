@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,14 @@ from golod_lab.counterexample_search import (
     search,
     seed_pattern,
 )
-from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal, polarize
+from golod_lab.monomial_core import (
+    Monomial,
+    MonomialIdeal,
+    counterexample_ideal,
+    format_ideal,
+    minimalize,
+    polarize,
+)
 
 
 def test_pattern_check_polarized_example():
@@ -126,3 +134,107 @@ def test_search_keeps_no_candidate_alive(monkeypatch):
     del hits
     gc.collect()
     assert sum(r() is not None for r in refs) == 0
+
+
+def _reference_candidates(n_vars, max_gens):
+    """Seeds, then each role pattern whose generators minimalize keeps whole,
+    with the generators built as Monomials.  minimalize drops a generator
+    exactly when another one divides it, so a list keeps every role exactly
+    when each pair does; each pair of supports is asked once."""
+    pol, assignment = seed_pattern()
+    if pol.n_vars <= n_vars and pol.n_gens <= max_gens:
+        yield pol, assignment
+    variables = tuple(f"v{i}" for i in range(n_vars))
+    mono = {}
+    pair_kept = {}
+
+    def monomial(s):
+        if s not in mono:
+            mono[s] = Monomial(tuple(1 if k in s else 0 for k in range(n_vars)))
+        return mono[s]
+
+    def kept(pair):
+        if pair not in pair_kept:
+            pair_kept[pair] = len(minimalize([monomial(s) for s in pair])) == 2
+        return pair_kept[pair]
+
+    for core, sharps in counterexample_search._candidate_patterns(n_vars, max_gens):
+        a, b, c, ab, bc, ca = core
+        supports = [a, ab, b, bc, c, ca]
+        for s in sharps:
+            if s not in supports:
+                supports.append(s)
+        if not all(map(kept, combinations(supports, 2))):
+            yield None  # a role is swallowed; the budget is still checked here
+            continue
+        gens = minimalize([monomial(s) for s in supports])
+        assert len(gens) == len(supports)
+        index = {g.support: k for k, g in enumerate(gens)}
+        yield MonomialIdeal(variables, tuple(gens)), RoleAssignment(
+            a=index[a], b=index[b], c=index[c],
+            ab=index[ab], bc=index[bc], ca=index[ca],
+            ab_sharp_c=index[sharps[0]],
+            bc_sharp_a=index[sharps[1]],
+            ca_sharp_b=index[sharps[2]],
+        )
+
+
+def _reference_search(n_vars, max_gens, budget, evaluate):
+    """(serial, format_ideal, assignment) of each hit, and the SearchStats."""
+    stats = SearchStats()
+    stream = []
+    serial = 0
+    for cand in _reference_candidates(n_vars, max_gens):
+        if serial >= budget:
+            stats.budget_exhausted = True
+            break
+        if cand is None:
+            continue
+        ideal, assignment = cand
+        stats.candidates += 1
+        hit = evaluate(serial, ideal, assignment)
+        serial += 1
+        if hit is not None:
+            stats.pattern_hits += 1
+            stats.survivors += hit.is_counterexample
+            stream.append((hit.serial, format_ideal(hit.ideal), hit.assignment))
+    return stream, stats
+
+
+@pytest.mark.parametrize("n_vars, max_gens, budget", [(7, 9, 150), (9, 9, 3)])
+def test_search_stream_matches_minimalize_reference(monkeypatch, n_vars, max_gens, budget):
+    """Patterns are rejected on their supports before any generator is built;
+    the hits, the SearchStats and every evaluated candidate must be those of
+    the route that builds Monomials and asks minimalize.  The reference reuses
+    the evaluation of each candidate only after checking its inputs agree."""
+    evaluated = []
+    real = counterexample_search._evaluate_candidate
+
+    def recording(serial, ideal, assignment, field):
+        hit = real(serial, ideal, assignment, field)
+        evaluated.append((serial, ideal, assignment, hit))
+        return hit
+
+    built = []
+    real_mono = counterexample_search._mono
+
+    def counted_mono(n, sup):
+        built.append(sup)
+        return real_mono(n, sup)
+
+    monkeypatch.setattr(counterexample_search, "_evaluate_candidate", recording)
+    monkeypatch.setattr(counterexample_search, "_mono", counted_mono)
+    stats = SearchStats()
+    stream = [(h.serial, format_ideal(h.ideal), h.assignment)
+              for h in search(n_vars, max_gens, budget=budget, stats=stats)]
+    assert stats.candidates == len(evaluated) and stats.budget_exhausted
+    # reject before build: only the candidates' own generators are built
+    assert len(built) <= max_gens * stats.candidates
+
+    def replay(serial, ideal, assignment):
+        want_serial, want_ideal, want_assignment, hit = evaluated[serial]
+        assert (serial, ideal, assignment) == (want_serial, want_ideal, want_assignment)
+        return hit
+
+    assert (stream, stats) == _reference_search(n_vars, max_gens, budget, replay)
+    assert stream

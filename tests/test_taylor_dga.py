@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import apply_columns, ideal_corpus
-from golod_lab.exact_linalg import QQ
+from golod_lab.exact_linalg import GF2, QQ
 from golod_lab.monomial_core import (
     MonomialIdeal,
     counterexample_ideal,
@@ -21,6 +21,7 @@ from golod_lab.simplicial import (
 from golod_lab.taylor_dga import (
     chain_to_cochain,
     fiber_complex,
+    generators_below,
     lcm_lattice,
     mask_members,
     mask_of,
@@ -378,6 +379,90 @@ def test_strand_degree_basis_matches_full_strand(example_ideal):
         s = strand(example_ideal, tuple(u), QQ)
         for i in s.degrees:
             assert strand_degree_basis(example_ideal, tuple(u), i) == s.basis[i]
+
+
+def _ref_strand_degree_basis(ideal, u, i, apex=None):
+    """Degree-i masks with lcm u, from the componentwise maximum of the
+    exponent vectors of each combination: an independent check of the
+    attain-mask rule."""
+    below = generators_below(ideal, u)
+    if apex is None:
+        start, bit, pool, size = (0,) * len(u), 0, below, i
+    else:
+        start, bit, size = ideal.gens[apex].exps, 1 << apex, i - 1
+        pool = [gi for gi in below if gi != apex]
+    masks = []
+    for c in combinations(pool, size):
+        acc = list(start)
+        for gi in c:
+            for k, e in enumerate(ideal.gens[gi].exps):
+                if e > acc[k]:
+                    acc[k] = e
+        if tuple(acc) == u:
+            masks.append(mask_of(c) | bit)
+    return sorted(masks)
+
+
+def _basis_test_ideals():
+    paper = counterexample_ideal()
+    ideals = [paper, polarize(paper)[0]] + ideal_corpus(20, seed=20260811)
+    assert sum(not ideal.is_squarefree for ideal in ideals) >= 10
+    assert any(ideal.is_squarefree for ideal in ideals)
+    return ideals
+
+
+def test_strand_degree_basis_matches_exponent_reference():
+    masks = 0
+    for ideal in _basis_test_ideals():
+        for u in lcm_lattice(ideal):
+            u = tuple(u)
+            below = generators_below(ideal, u)
+            for i in range(len(below) + 1):
+                want = _ref_strand_degree_basis(ideal, u, i)
+                assert strand_degree_basis(ideal, u, i) == want
+                assert strand_degree_basis(ideal, u, i, below) == want
+                masks += len(want)
+                for g in below if i else ():
+                    assert strand_degree_basis(ideal, u, i, below, apex=g) == \
+                        _ref_strand_degree_basis(ideal, u, i, apex=g)
+    assert masks > 400
+
+
+def test_strand_degree_basis_skeleton_counts():
+    """The 4-skeleton's top strand (20 generators): 498 masks in degree 3 and
+    the 3,386-mask apex cone in degree 5 that its Massey value is tested
+    against, both as the exponent reference enumerates them."""
+    pol, _ = polarize(counterexample_ideal())
+    gamma = stanley_reisner_ideal(skeleton(complex_of(pol), 4))
+    top = (1,) * gamma.n_vars
+    below = generators_below(gamma, top)
+    assert len(below) == 20
+    three = strand_degree_basis(gamma, top, 3, below)
+    assert len(three) == 498 and three == _ref_strand_degree_basis(gamma, top, 3)
+    cone = strand_degree_basis(gamma, top, 5, below, apex=below[0])
+    assert len(cone) == 3386 and cone == _ref_strand_degree_basis(gamma, top, 5, below[0])
+
+
+def test_boundary_columns_match_reduced_boundary():
+    """Strand boundaries keep a face when it is a basis element one degree
+    down; that must be reduced_boundary's exponent rule, term for term and
+    sign for sign, so no surviving term ever leaves its strand."""
+    nonzero = 0
+    for field in (QQ, GF2):
+        for ideal in _basis_test_ideals():
+            for u in lcm_lattice(ideal):
+                s = strand(ideal, tuple(u), field)
+                for i in range(1, max(s.degrees) + 2):
+                    rows = {m: r for r, m in enumerate(s.basis.get(i - 1, []))}
+                    want = []
+                    for mask in s.basis.get(i, []):
+                        terms = reduced_boundary(ideal, mask)
+                        assert set(terms) <= set(rows)
+                        want.append({rows[m]: sign for m, sign in terms.items()})
+                    got = s.boundary_columns(i)
+                    assert got == want
+                    nonzero += sum(map(len, got))
+    assert nonzero > 1000
 
 
 def test_mask_helpers():
