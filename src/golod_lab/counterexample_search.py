@@ -321,8 +321,15 @@ def search(n_vars, max_gens, budget, seeds=None, field=QQ, stats=None):
         if pol.n_vars <= n_vars and pol.n_gens <= max_gens:
             seeds.append((pol, assignment))
     serial = 0
+
+    def spent():
+        """The one budget test, made before every seed and every pattern."""
+        return serial >= max_candidates or (
+            max_seconds is not None and time.monotonic() - start >= max_seconds
+        )
+
     for ideal, assignment in seeds:
-        if serial >= max_candidates:
+        if spent():
             stats.budget_exhausted = True
             return
         stats.candidates += 1
@@ -334,9 +341,7 @@ def search(n_vars, max_gens, budget, seeds=None, field=QQ, stats=None):
                 stats.survivors += 1
             yield hit
     for core, sharps in _candidate_patterns(n_vars, max_gens):
-        if serial >= max_candidates or (
-            max_seconds is not None and time.monotonic() - start >= max_seconds
-        ):
+        if spent():
             stats.budget_exhausted = True
             return
         a, b, c, ab, bc, ca = core

@@ -8,11 +8,25 @@ free generator, which keeps the exact linear algebra tiny).
 
 Each ``p_series`` call builds one table of the ring's standard monomials, per
 degree and as a set, up to the largest degree any step reaches; every step
-reads it, and nothing is cached between calls.  At a multidegree u the
-kernel K(u) of the current map is lifted from below: x_v K(u - e_v) lies in
-K(u) for every variable v, and the kernel vectors outside the span of these
-lifts are the new generators.  Lifting stops as soon as the lifts span all of
-K(u), since then u has no new generator.
+reads it, and nothing is cached between calls.  A step walks its multidegrees
+one internal degree at a time and keeps only the current and the previous
+degree.  At a multidegree u the kernel K(u) of the current map is lifted
+from below: x_v K(u - e_v) lies in K(u) for every variable v, and the kernel
+vectors outside the span of these lifts are the new generators.
+
+Its dimension comes from exactness, not elimination.  Where the current map
+F_{j-1} -> F_{j-2} is onto the previous kernel K_{j-1} at u,
+dim K_j(u) = dim (F_{j-1})_u - dim K_{j-1}(u), and K_1 = m has dimension 1 at
+each nonzero standard monomial.  By construction this holds through the
+previous step's search cap, where that step's generators and lifts spanned
+its kernel.  Under the serre policy it holds through the largest cap of all:
+the series bound leaves no generator above a step's cap (the same fact the
+cap itself rests on), so each step also counts its kernel's dimensions above
+its cap for the next one.  Under "windowed" a multidegree above the previous
+search cap has no known dimension and is eliminated.  Where the dimension is
+0 nothing is built; elsewhere lifts are absorbed until they reach it, and
+only where they fall short, that is where new generators appear, is the
+kernel eliminated, with its dimension checked against exactness.
 
 No a-priori internal-degree bound exists in general, so each step runs under a
 cap policy.  The default policy derives a certified cap for step j from the
@@ -200,66 +214,115 @@ def _q_bigraded(ideal, field, n):
     return table
 
 
-def _resolution_step(field, std, gens, phi, cap):
+def _kernel_at(field, u, here, phi, is_std, dim):
+    """Kernel of the current map at multidegree u, by tagged reduction.
+
+    ``here``: generator index -> its standard monomial at u.  Returns the
+    kernel vectors, keyed by generator index, in the echelon's scalars.
+    ``dim`` is dim K(u) by exactness, or None where it is not known; a known
+    dimension the elimination does not confirm is an ``AssertionError``.
+    """
+    columns = []
+    row_keys = {}
+    for gi, m in here.items():
+        col = {}
+        for (pj, me), c in phi[gi].items():
+            # m * me is u - prev_degrees[pj]; dead when it leaves the ring
+            if tuple(map(add, m, me)) in is_std:
+                col[row_keys.setdefault(pj, len(row_keys))] = c
+        columns.append(col)
+    # Generator gi's column carries the tag nrows + gi; a column that
+    # reduces to tags alone is a kernel vector in the echelon's scalars.
+    nrows = len(row_keys)
+    ech = Echelon(field)
+    kern = []
+    for gi, col in zip(here, columns):
+        v = ech.reduce({**col, nrows + gi: 1})
+        if min(v) < nrows:
+            ech.insert(v)
+        else:
+            kern.append({k - nrows: x for k, x in v.items()})
+    if dim is not None and len(kern) != dim:
+        raise AssertionError(
+            f"kernel at {u} has dimension {len(kern)}, exactness gives {dim}"
+        )
+    return kern
+
+
+def _resolution_step(field, std, gens, phi, cap, known):
     """One minimal-resolution step, multidegree by multidegree.
 
-    ``std``: the ``_std_table`` of the ring, through degree ``cap`` at least.
-    ``gens``: multidegrees of the current free module's generators.
+    ``std``: the ``_std_table`` of the ring, through ``max(cap, upto)``.
+    ``gens``: multidegrees of the current free module F's generators.
     ``phi``: per generator, the image as a map (previous gen index, exps) -> coeff.
-    Returns (new generator multidegrees, new phi, counts per internal degree).
+    ``known``: ``(prev, upto)``, the nonzero dimensions of the previous
+    kernel K' by multidegree (None for K' = m), consumed here, and the degree
+    through which F is onto K': the previous search cap, by construction, or
+    under serre the largest cap, on the series bound.  Through ``upto``,
+    dim K(u) = dim F_u - dim K'(u); past it (windowed only) the kernel is
+    eliminated.  Lifts reach dim K(u) except where new generators appear,
+    and only there does ``_kernel_at`` eliminate.  Past ``cap``, through
+    ``upto``, dimensions are only counted.
+
+    Returns (new generator multidegrees, new phi, counts per internal degree,
+    the nonzero dimensions of K by multidegree).
     """
     by_degree, is_std = std
-    by_u = {}  # multidegree -> {generator index: its standard monomial there}
-    for gi, dg in enumerate(gens):
-        for d in range(cap - sum(dg) + 1):
-            for m in by_degree[d]:
-                by_u.setdefault(tuple(map(add, dg, m)), {})[gi] = m
-    kernels = {}  # multidegree -> kernel vectors, keyed by generator index
+    prev, upto = known
+    degrees = [sum(dg) for dg in gens]
+
+    def dim_prev(u):
+        return (u in is_std) if prev is None else prev.pop(u, 0)
+
+    dims = {}
+    kernels = {}  # multidegree of the current degree -> a basis of K(u)
     new_gens = []
     new_phi = []
     counts = {}
-    for u in sorted(by_u, key=lambda t: (sum(t), t)):
-        here = by_u.pop(u)  # each multidegree is visited once; popping lowers peak memory
-        columns = []
-        row_keys = {}
-        for gi, m in here.items():
-            col = {}
-            for (pj, me), c in phi[gi].items():
-                # m * me is u - prev_degrees[pj]; dead when it leaves the ring
-                if tuple(map(add, m, me)) in is_std:
-                    col[row_keys.setdefault(pj, len(row_keys))] = c
-            columns.append(col)
-        # Generator gi's column carries the tag nrows + gi; a column that
-        # reduces to tags alone is a kernel vector in the echelon's scalars.
-        nrows = len(row_keys)
-        ech = Echelon(field)
-        kern = []
-        for gi, col in zip(here, columns):
-            v = ech.reduce({**col, nrows + gi: 1})
-            if min(v) < nrows:
-                ech.insert(v)
+    for d in range(min(degrees), max(cap, upto) + 1):
+        layer = {}  # multidegree -> {generator index: its standard monomial there}
+        for gi, dg in enumerate(gens):
+            if degrees[gi] <= d:
+                for m in by_degree[d - degrees[gi]]:
+                    layer.setdefault(tuple(map(add, dg, m)), {})[gi] = m
+        below, kernels = kernels, {}  # lifts come from one degree down only
+        for u in sorted(layer):
+            here = layer.pop(u)  # popping lowers peak memory
+            kern = None
+            if d <= upto:
+                dim = len(here) - dim_prev(u)
             else:
-                kern.append({k - nrows: x for k, x in v.items()})
-        kernels[u] = kern
-        if not kern:
-            continue
-        lifts = (
-            {gi: c for gi, c in kv.items() if gi in here}
-            for v in range(len(u))
-            for kv in kernels.get(u[:v] + (u[v] - 1,) + u[v + 1:], ())
-        )
-        lifted = Echelon(field)
-        for w in lifts:
-            # x_v K(u - e_v) lies in K(u): once the lifts span it, u has no new generator
-            if lifted.absorb(w) and len(lifted.rows) == len(kern):
-                break
-        else:
-            for vec in kern:
-                if lifted.absorb(vec):
-                    new_gens.append(u)
-                    new_phi.append({(gi, here[gi]): c for gi, c in vec.items()})
-                    counts[sum(u)] = counts.get(sum(u), 0) + 1
-    return new_gens, new_phi, counts
+                kern = _kernel_at(field, u, here, phi, is_std, None)
+                dim = len(kern)
+            if not dim:
+                continue
+            dims[u] = dim
+            if d > cap:
+                continue  # counted, not visited
+            lifts = (
+                {gi: c for gi, c in kv.items() if gi in here}
+                for v in range(len(u))
+                for kv in below.get(u[:v] + (u[v] - 1,) + u[v + 1:], ())
+            )
+            lifted = Echelon(field)
+            basis = []
+            for w in lifts:
+                # once the lifts span K(u), u has no new generator
+                if lifted.absorb(w):
+                    basis.append(w)
+                    if len(basis) == dim:
+                        break
+            else:
+                if kern is None:
+                    kern = _kernel_at(field, u, here, phi, is_std, dim)
+                for vec in kern:
+                    if lifted.absorb(vec):
+                        new_gens.append(u)
+                        new_phi.append({(gi, here[gi]): c for gi, c in vec.items()})
+                        counts[d] = counts.get(d, 0) + 1
+                basis = kern
+            kernels[u] = basis
+    return new_gens, new_phi, counts, dims
 
 
 def p_series(ideal, field, n, degree_cap_policy="serre"):
@@ -295,6 +358,8 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
             phi.append({(0, e): field.one()})
     coeffs.append(len(gens))
     steps.append(StepReport(1, 1, len(gens), ((1, len(gens)),), "ring variables"))
+    dims = None  # K_1 = m: dimension 1 at each nonzero standard monomial
+    onto = top  # the variables generate m, so d_1 is onto K_1 everywhere
     for j in range(2, n + 1):
         if not gens:
             coeffs.append(0)
@@ -308,7 +373,13 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
             cap = maxgen * j + nv
             note = f"windowed cap, stability window +{maxgen}"
         search_cap = cap if degree_cap_policy == "serre" else cap + maxgen
-        new_gens, new_phi, counts = _resolution_step(field, std, gens, phi, search_cap)
+        # The current map is onto the previous kernel through the last search
+        # cap; under serre the bound leaves no generator past any cap, so it
+        # is onto through top, and each step counts its dimensions up to there.
+        upto = top if degree_cap_policy == "serre" else min(onto, search_cap)
+        new_gens, new_phi, counts, dims = _resolution_step(
+            field, std, gens, phi, search_cap, (dims, upto)
+        )
         if degree_cap_policy == "serre":
             for d, c in counts.items():
                 if c > qtable.get(j, {}).get(d, 0):
@@ -327,6 +398,7 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
             StepReport(j, cap, len(new_gens), tuple(sorted(counts.items())), note)
         )
         gens, phi = new_gens, new_phi
+        onto = search_cap
     return SeriesTrunc(tuple(coeffs), n), CapReport(degree_cap_policy, tuple(steps), True)
 
 
@@ -359,6 +431,7 @@ def _bar_columns(ideal, field, j, d):
     """Sparse columns of the bar differential from (j, d) into (j-1, d)."""
     std = _std_table(ideal, d)[1]
     lower = {t: k for k, t in enumerate(_bar_basis(ideal, j - 1, d))}
+    p = field.char
     cols = []
     for t in _bar_basis(ideal, j, d):
         col = {}
@@ -369,7 +442,8 @@ def _bar_columns(ideal, field, j, d):
                 r = lower[t[:i] + (prod,) + t[i + 2:]]
                 col[r] = col.get(r, 0) + sign
             sign = -sign
-        cols.append({r: c for r, c in col.items() if field.of(c) != 0})
+        # the signs are ints: zero in the field means zero, or zero mod p
+        cols.append({r: c for r, c in col.items() if (c % p if p else c)})
     return cols
 
 

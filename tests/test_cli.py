@@ -218,6 +218,16 @@ def test_search_seconds_zero_stops_before_the_enumeration(capsys):
     assert json.loads(out) == {"summary": summary}
 
 
+def test_search_seconds_zero_skips_the_seeds(capsys):
+    # 9 variables and 8 generators admit the seeded polarized example
+    code, out, _ = run(capsys, "search", "--vars", "9", "--max-gens", "8", "--seconds", "0",
+                       "--format", "json")
+    assert code == 3
+    summary = json.loads(out)["summary"]
+    assert summary["candidates"] == 0
+    assert summary["budget_exhausted"] is True
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--seconds", "-1", "seconds must be non-negative"),
     ("--budget", "-5", "budget must be non-negative"),

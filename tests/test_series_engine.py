@@ -249,7 +249,8 @@ def _reference_step(ideal, field, gens, phi, cap):
                 new_phi.append({(gi, tuple(a - b for a, b in zip(u, gens[gi]))): c
                                 for gi, c in vec.items()})
                 counts[sum(u)] = counts.get(sum(u), 0) + 1
-    return new_gens, new_phi, counts
+    dims = {u: len(kern) for u, kern in kernels.items() if kern}
+    return new_gens, new_phi, counts, dims
 
 
 def test_resolution_step_matches_reference(monkeypatch, example_ideal):
@@ -273,10 +274,48 @@ def test_resolution_step_matches_reference(monkeypatch, example_ideal):
             m.setattr(
                 series_engine,
                 "_resolution_step",
-                lambda f, std, gens, phi, cap: _reference_step(ideal, f, gens, phi, cap),
+                lambda f, std, gens, phi, cap, known: _reference_step(ideal, f, gens, phi, cap),
             )
             want = p_series(ideal, field, n, degree_cap_policy=policy)
         assert got == want, (ideal, field, n, policy)
+
+
+def test_p_series_eliminates_only_where_generators_appear(monkeypatch, example_ideal):
+    # The resolution to order 5 visits 6,574 multidegrees; at all but these
+    # the kernel dimension comes from exactness and the lifts span the kernel.
+    eliminated = []
+    kernel_at = series_engine._kernel_at
+
+    def counting(field, u, *rest):
+        eliminated.append(u)
+        return kernel_at(field, u, *rest)
+
+    monkeypatch.setattr(series_engine, "_kernel_at", counting)
+    p, _ = p_series(example_ideal, GF2, 5)
+    assert p.coeffs == (1, 5, 18, 64, 227, 805)
+    assert len(eliminated) == 491
+
+
+def test_resolution_step_checks_known_dimensions(monkeypatch):
+    calls = []
+    step = series_engine._resolution_step
+
+    def recording(field, std, gens, phi, cap, known):
+        prev, upto = known
+        calls.append((field, std, gens, phi, cap, None if prev is None else dict(prev), upto))
+        return step(field, std, gens, phi, cap, known)
+
+    monkeypatch.setattr(series_engine, "_resolution_step", recording)
+    assert p_series(M2, QQ, 3)[0].coeffs == (1, 2, 4, 8)
+    field, std, gens, phi, cap, prev, upto = calls[1]  # step 3, after K_2's dimensions
+    assert step(field, std, gens, phi, cap, (dict(prev), upto))[0].count((1, 2)) == 3
+    # three new generators at (1, 2): raising dim K_2 there by 1 claims one
+    # kernel dimension too few, which still leaves the lifts short, so the
+    # kernel is eliminated there and contradicts it
+    wrong = dict(prev)
+    wrong[(1, 2)] = wrong.get((1, 2), 0) + 1
+    with pytest.raises(AssertionError, match=r"kernel at \(1, 2\)"):
+        step(field, std, gens, phi, cap, (wrong, upto))
 
 
 def test_p_series_does_not_hash_the_ideal(monkeypatch, example_ideal):
