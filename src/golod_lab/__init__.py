@@ -1,8 +1,8 @@
 """Exact computation of Koszul homology products, ternary Massey products,
 and Golod criteria for monomial rings, built on the Taylor resolution."""
 
-from .exact_linalg import Field, GF2, GF3, Matrix, QQ, kernel_basis, parse_field, rref, solve
-from .homology_engine import BettiData, HomologyClass, betti, class_of, strand_homology
+from .exact_linalg import Field, GF2, GF3, QQ, parse_field
+from .homology_engine import BettiData, HomologyClass, betti, class_of
 from .massey_golod import (
     GolodVerdict,
     MasseyResult,

@@ -132,32 +132,6 @@ def pattern_check(ideal, assignment):
     )
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    n_vars: int
-    n_gens: int
-    meets_lower_bounds: bool  # at least 5 variables and 8 generators
-    meets_bounds_exactly: bool
-
-    def describe(self):
-        status = (
-            "meets the lower bounds with equality"
-            if self.meets_bounds_exactly
-            else ("meets the lower bounds" if self.meets_lower_bounds else "below the lower bounds")
-        )
-        return f"{self.n_vars} variables, {self.n_gens} generators: {status}"
-
-
-def minimality_report(ideal):
-    """Compare variable and generator counts against the structural lower bounds.
-
-    A trivial-product non-Golod monomial quotient needs at least 5 variables
-    and at least 8 minimal generators.
-    """
-    n, g = ideal.n_vars, ideal.n_gens
-    return MinimalityReport(n, g, n >= 5 and g >= 8, n == 5 and g == 8)
-
-
 @dataclass
 class SearchStats:
     candidates: int = 0

@@ -1,24 +1,24 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Every rank, kernel, and solve in this package runs through this module, so
-there is deliberately no floating point anywhere.  Values are immutable and
-all operations are pure functions, which makes concurrent evaluation of
-independent matrices safe.
+Every rank, kernel, and membership test in this package runs through this
+module, so there is deliberately no floating point anywhere.
+
+All elimination runs through one kernel, ``Echelon``, on sparse vectors:
+dicts ``key -> nonzero scalar``.  ``span`` builds the echelon of a list of
+columns; its number of rows is their rank and ``contains`` decides
+membership.  ``column_relations`` reduces columns in order and returns the
+pivot columns and the relation of every other column, a kernel basis.
+Callers that need coordinates tag each vector with a unit entry at its own
+key above every row key; the tags of a residual hold the combination that
+was subtracted.  Callers that need only rank or membership add no tags.
 
 At the API boundary, scalars are ``fractions.Fraction`` over the rationals
 and canonical integers in ``[0, p)`` over a prime field.  Inside the kernel
 a rational stays a plain ``int`` while it is integral; a ``Fraction``
 appears only when a non-unit pivot forces one.  Strand boundaries have
-entries +-1, so their elimination never leaves the integers.  Kernel
-vectors, solutions, coordinates and reduced matrices are converted on the
-way out; rank and membership answers need no conversion.
-
-All elimination runs through one kernel, ``Echelon``, on sparse vectors:
-dicts ``key -> nonzero scalar``.  ``Matrix`` is the dense value type at the
-API boundary; ``rref``, ``kernel_basis`` and ``solve`` reduce its columns.
-Callers that need coordinates tag each vector with a unit entry at its own
-key above every row key; the tags of a residual hold the combination that
-was subtracted.  Callers that need only rank or membership add no tags.
+entries +-1, so their elimination never leaves the integers.  Relations
+are converted on the way out; rank and membership answers need no
+conversion.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from heapq import heappop, heappush
 
 
 class LinAlgError(ValueError):
-    """Dimension mismatch or violated precondition in a linear-algebra call."""
+    """Violated precondition in a linear-algebra call, such as a vector outside
+    a span or a denominator not invertible mod p."""
 
 
 def _is_prime(p):
@@ -103,54 +104,6 @@ def parse_field(text):
     if t.startswith("fp:"):
         return Field(int(t[3:]))
     raise ValueError(f"unrecognized field {text!r}; use 'q' or 'fp:<prime>'")
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Dense matrix with canonical entries over a fixed field."""
-
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        rows = tuple(tuple(field.of(x) for x in r) for r in rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise LinAlgError("ragged rows")
-        return cls(field, len(rows), ncols, rows)
-
-    @classmethod
-    def zero(cls, field, rows, cols):
-        z = field.zero()
-        return cls(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
-
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def apply(self, vec):
-        """Matrix-vector product; ``vec`` has length ``cols``."""
-        if len(vec) != self.cols:
-            raise LinAlgError(f"vector length {len(vec)} != cols {self.cols}")
-        f = self.field
-        out = []
-        for r in self.entries:
-            acc = f.zero()
-            for a, x in zip(r, vec):
-                if a != 0 and x != 0:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
-
-    def is_zero(self):
-        return all(x == 0 for r in self.entries for x in r)
 
 
 def _integral(x):
@@ -260,10 +213,6 @@ class Echelon:
         return bool(v)
 
 
-def _sparse(vec):
-    return {k: x for k, x in enumerate(vec) if x != 0}
-
-
 def column_relations(field, columns, nrows):
     """Tagged reduction of sparse columns whose row keys all lie below nrows.
 
@@ -286,102 +235,6 @@ def column_relations(field, columns, nrows):
     return ech, pivots, relations
 
 
-def _matrix_relations(m):
-    columns = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if x != 0:
-                columns[j][i] = x
-    return column_relations(m.field, columns, m.rows)
-
-
-@dataclass(frozen=True)
-class RrefResult:
-    rank: int
-    pivots: tuple
-    reduced: Matrix
-
-
-def rref(m):
-    """Reduced row echelon form; returns (rank, pivot columns, reduced matrix).
-
-    The pivot columns are the columns independent of the columns before
-    them; entry (i, j) of the reduced matrix is the coefficient of the i-th
-    pivot column in column j.
-    """
-    f = m.field
-    _, pivots, relations = _matrix_relations(m)
-    rows = [[f.zero()] * m.cols for _ in range(m.rows)]
-    for i, p in enumerate(pivots):
-        rows[i][p] = f.one()
-        for j, rel in relations.items():
-            if p in rel:
-                rows[i][j] = f.neg(rel[p])
-    reduced = Matrix(f, m.rows, m.cols, tuple(tuple(r) for r in rows))
-    return RrefResult(len(pivots), tuple(pivots), reduced)
-
-
-def rank(m):
-    return len(extend_independent(m.field, (), m.entries))
-
-
-def kernel_basis(m):
-    """Basis of the right kernel {v : m v = 0}, one vector per free column."""
-    zero = m.field.zero()
-    _, _, relations = _matrix_relations(m)
-    return [tuple(rel.get(k, zero) for k in range(m.cols)) for rel in relations.values()]
-
-
-def solve(m, rhs):
-    """Some x with m x = rhs, or None.
-
-    Free variables are set to zero (the pivot solution), so the choice is
-    deterministic given the column order.
-    """
-    if len(rhs) != m.rows:
-        raise LinAlgError(f"rhs length {len(rhs)} != rows {m.rows}")
-    f = m.field
-    ech = _matrix_relations(m)[0]
-    v = ech.reduce(_sparse(f.of(b) for b in rhs))
-    if v and min(v) < m.rows:
-        return None
-    x = [f.zero()] * m.cols
-    for k, c in v.items():
-        x[k - m.rows] = f.of(-c)
-    return tuple(x)
-
-
-def extend_independent(field, base, candidates):
-    """Indices of candidates that greedily extend span(base) to span(base+candidates)."""
-    ech = Echelon(field)
-    for v in base:
-        ech.absorb(_sparse(v))
-    return [i for i, v in enumerate(candidates) if ech.absorb(_sparse(v))]
-
-
-def quotient_coordinates(field, cycles, boundaries, v):
-    """Coordinates of v in a fixed basis of span(cycles)/span(boundaries).
-
-    The quotient basis consists of the cycles that greedily extend the span of
-    the boundaries (in the given order).  Returns the zero vector exactly when
-    v lies in span(boundaries); raises if v is not in span(cycles).
-    """
-    n = len(v)
-    ech = Echelon(field)
-    for b in boundaries:
-        ech.absorb(_sparse(b))
-    chosen = 0
-    for c in cycles:
-        w = ech.reduce({**_sparse(c), n + chosen: 1})
-        if min(w) < n:
-            ech.insert(w)
-            chosen += 1
-    w = ech.reduce(_sparse(field.of(x) for x in v))
-    if w and min(w) < n:
-        raise LinAlgError("vector not in the span of the cycles")
-    return tuple(field.of(-w.get(n + k, 0)) for k in range(chosen))
-
-
 def span(field, columns):
     """Echelon of the span of sparse columns (dicts key -> coeff, zeros allowed)."""
     ech = Echelon(field)
@@ -389,18 +242,3 @@ def span(field, columns):
     for col in sorted(columns, key=lambda c: (len(c), min(c) if c else 0)):
         ech.absorb({k: x for k, x in col.items() if x != 0})
     return ech
-
-
-def sparse_reduce_columns(field, columns):
-    """Eliminate sparse columns (dicts key -> coeff); returns the pivot table.
-
-    The pivot table maps a key to a normalized column whose minimal key it
-    is, so its length is the rank.  Keys must be totally ordered.
-    """
-    rows = span(field, columns).rows
-    return {lead: _canonical(field, row) for lead, row in rows.items()}
-
-
-def sparse_in_span(field, columns, rhs):
-    """Whether the sparse vector rhs lies in the span of the sparse columns."""
-    return span(field, columns).contains(rhs)

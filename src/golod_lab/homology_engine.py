@@ -193,12 +193,6 @@ def whole_strand(ideal, field, u):
     return _strand_homology(ideal, field, tuple(u))
 
 
-def strand_homology(strand_complex, i):
-    """(dimension, homology classes with representatives) in degree i."""
-    sh = _strand_homology(strand_complex.ideal, strand_complex.field, strand_complex.u)
-    return sh.dimension(i), sh.classes(i)
-
-
 def homology_basis(ideal, field, u, i):
     return _strand_homology(ideal, field, tuple(u)).classes(i)
 
@@ -265,10 +259,6 @@ class BettiData:
     field: object
     n_vars: int
     multigraded: tuple  # sorted ((i, multidegree), dim) pairs, nonzero only
-
-    @property
-    def multigraded_dict(self):
-        return dict(self.multigraded)
 
     @property
     def coarse(self):

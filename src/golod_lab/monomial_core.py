@@ -238,12 +238,6 @@ class PolarizationMap:
 
     new_to_old: tuple  # index of the original variable per new variable
 
-    def depolarize_exponents(self, exps, n_old):
-        out = [0] * n_old
-        for i, e in enumerate(exps):
-            out[self.new_to_old[i]] += e
-        return tuple(out)
-
 
 def polarize(ideal):
     """Standard polarization to a squarefree ideal in more variables.
@@ -285,13 +279,6 @@ def polarize(ideal):
         new_gens.append(Monomial(tuple(exps)))
     pol = MonomialIdeal(tuple(new_vars), tuple(new_gens))
     return pol, PolarizationMap(tuple(new_to_old))
-
-
-def depolarize(ideal, varmap, original_variables):
-    """Substitute each polarized variable back; inverse of :func:`polarize`."""
-    n_old = len(original_variables)
-    gens = [Monomial(varmap.depolarize_exponents(g.exps, n_old)) for g in ideal.gens]
-    return MonomialIdeal(tuple(original_variables), tuple(gens))
 
 
 # Built-in example: a quotient with trivial Koszul-homology products that is

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .exact_linalg import Echelon, sparse_reduce_columns
+from .exact_linalg import Echelon, span
 from .homology_engine import betti
 
 
@@ -158,10 +158,9 @@ class StepReport:
 class CapReport:
     policy: str
     steps: tuple
-    passed: bool
 
     def describe(self):
-        lines = [f"cap policy: {self.policy} ({'passed' if self.passed else 'FAILED'})"]
+        lines = [f"cap policy: {self.policy} (passed)"]
         for s in self.steps:
             degs = ", ".join(f"{d}:{c}" for d, c in s.degrees) or "-"
             lines.append(
@@ -338,7 +337,7 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
     coeffs = [1]
     steps = []
     if n == 0:
-        return SeriesTrunc((1,), 0), CapReport(degree_cap_policy, (), True)
+        return SeriesTrunc((1,), 0), CapReport(degree_cap_policy, ())
     qtable = _q_bigraded(ideal, field, n) if degree_cap_policy == "serre" else None
     maxgen = max((g.degree for g in ideal.gens), default=1)
     nv = ideal.n_vars
@@ -399,7 +398,7 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
         )
         gens, phi = new_gens, new_phi
         onto = search_cap
-    return SeriesTrunc(tuple(coeffs), n), CapReport(degree_cap_policy, tuple(steps), True)
+    return SeriesTrunc(tuple(coeffs), n), CapReport(degree_cap_policy, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +459,7 @@ def bar_homology_dim(ideal, field, j, d):
     if dim == 0:
         return 0
     cols_j = _bar_columns(ideal, field, j, d)
-    rank_j = len(sparse_reduce_columns(field, [c for c in cols_j if c]))
+    rank_j = len(span(field, cols_j).rows)
     cols_up = _bar_columns(ideal, field, j + 1, d)
-    rank_up = len(sparse_reduce_columns(field, [c for c in cols_up if c]))
+    rank_up = len(span(field, cols_up).rows)
     return dim - rank_j - rank_up

@@ -85,15 +85,6 @@ class SimplicialComplex:
                 seen.add(frozenset(c))
         return sorted(seen, key=lambda f: sorted(index[v] for v in f))
 
-    def all_faces(self):
-        faces = []
-        d = self.dim
-        if d is None:
-            return faces
-        for k in range(-1, d + 1):
-            faces.extend(self.faces_of_dim(k))
-        return faces
-
 
 def restriction(cx, vertex_subset):
     """Full subcomplex on the given vertices (which become the vertex set)."""

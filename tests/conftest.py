@@ -63,3 +63,82 @@ def apply_columns(field, columns, vec, nrows):
         for r, c in col.items():
             out[r] = field.add(out[r], field.mul(field.of(c), x))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss-Jordan reference: every basis choice of the library must match it
+#
+# A dense matrix is a list of rows (ints or field elements); its column count
+# is passed along, so that it may have no rows.
+
+
+def columns_of(field, rows, ncols):
+    """The sparse columns (dicts row -> nonzero field element) of a row list."""
+    return [{i: x for i, r in enumerate(rows) if (x := field.of(r[j]))} for j in range(ncols)]
+
+
+def rows_of(columns, nrows):
+    """The row list of sparse columns (dicts row -> coeff) with nrows rows."""
+    return [[c.get(r, 0) for c in columns] for r in range(nrows)]
+
+
+def ref_rref(field, rows, ncols):
+    """(rank, pivots, reduced rows); the first nonzero entry from the top wins."""
+    R = [[field.of(x) for x in r] for r in rows]
+    pivots = []
+    pr = 0
+    for c in range(ncols):
+        pv = next((r for r in range(pr, len(R)) if R[r][c] != 0), None)
+        if pv is None:
+            continue
+        R[pr], R[pv] = R[pv], R[pr]
+        inv = field.inv(R[pr][c])
+        R[pr] = [field.mul(inv, x) for x in R[pr]]
+        for r in range(len(R)):
+            if r != pr and R[r][c] != 0:
+                fac = R[r][c]
+                R[r] = [field.add(x, field.neg(field.mul(fac, y))) for x, y in zip(R[r], R[pr])]
+        pivots.append(c)
+        pr += 1
+    return len(pivots), tuple(pivots), tuple(tuple(r) for r in R)
+
+
+def ref_kernel(field, rows, ncols):
+    """Kernel basis, one vector per free column, from the reduced rows."""
+    _, pivots, R = ref_rref(field, rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for i, p in enumerate(pivots):
+            v[p] = field.neg(R[i][free])
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_solve(field, rows, ncols, rhs):
+    """The pivot solution x of rows * x = rhs (free variables zero), or None."""
+    _, pivots, R = ref_rref(field, [list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [field.zero()] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = R[i][ncols]
+    return tuple(x)
+
+
+def ref_extend(field, base, candidates, n):
+    """Indices of the dense candidates that greedily extend span(base)."""
+    cols = list(base) + list(candidates)
+    _, pivots, _ = ref_rref(field, rows_of([dict(enumerate(c)) for c in cols], n), len(cols))
+    return [p - len(base) for p in pivots if p >= len(base)]
+
+
+def ref_quotient(field, cycles, boundaries, v):
+    """Coordinates of v in span(cycles)/span(boundaries), against the cycles
+    that greedily extend the boundaries; None when v is outside span(cycles)."""
+    cols = list(boundaries) + [cycles[i] for i in ref_extend(field, boundaries, cycles, len(v))]
+    x = ref_solve(field, rows_of([dict(enumerate(c)) for c in cols], len(v)), len(cols), v)
+    return None if x is None else x[len(boundaries):]

@@ -5,23 +5,21 @@ from itertools import product as iproduct
 
 import pytest
 
-from golod_lab.exact_linalg import (
-    Field,
-    GF2,
-    GF3,
-    LinAlgError,
-    Matrix,
-    QQ,
-    column_relations,
-    extend_independent,
-    kernel_basis,
-    parse_field,
-    quotient_coordinates,
-    rank,
-    rref,
-    solve,
-    sparse_in_span,
+from conftest import (
+    apply_columns,
+    columns_of,
+    ideal_corpus,
+    ref_extend,
+    ref_kernel,
+    ref_quotient,
+    ref_rref,
+    ref_solve,
+    rows_of,
 )
+from golod_lab.exact_linalg import GF2, GF3, QQ, Field, column_relations, parse_field, span
+from golod_lab.homology_engine import StrandHomology
+from golod_lab.monomial_core import counterexample_ideal
+from golod_lab.taylor_dga import lcm_lattice
 
 
 def test_field_elements_canonical():
@@ -52,35 +50,64 @@ def test_parse_field():
         parse_field("r")
 
 
+# ---------------------------------------------------------------------------
+# the elimination surface on dense row lists (see the reference in conftest)
+
+
+def _rank(field, rows, ncols):
+    return len(span(field, columns_of(field, rows, ncols)).rows)
+
+
+def _relations(field, rows, ncols):
+    """(pivots, kernel basis as dense tuples) from column_relations."""
+    _, pivots, relations = column_relations(field, columns_of(field, rows, ncols), len(rows))
+    zero = field.zero()
+    return pivots, [tuple(rel.get(k, zero) for k in range(ncols)) for rel in relations.values()]
+
+
+def _pivot_solution(field, rows, ncols, rhs):
+    """The solution read off the column tags of column_relations' echelon, or None."""
+    n = len(rows)
+    ech, _, _ = column_relations(field, columns_of(field, rows, ncols), n)
+    w = ech.reduce({k: y for k, x in enumerate(rhs) if (y := field.of(x))})
+    if w and min(w) < n:
+        return None
+    x = [field.zero()] * ncols
+    for k, c in w.items():
+        x[k - n] = field.of(-c)
+    return tuple(x)
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_rref_duplicate_rows_f2():
-    m = Matrix.from_rows(GF2, [[1, 1], [1, 1]])
-    res = rref(m)
-    assert res.rank == 1
-    assert res.pivots == (0,)
+    rows = [[1, 1], [1, 1]]
+    assert _rank(GF2, rows, 2) == 1
+    assert _relations(GF2, rows, 2)[0] == [0]
 
 
 def test_rref_zero_and_identity():
-    assert rref(Matrix.zero(QQ, 3, 3)).rank == 0
-    res = rref(Matrix.identity(QQ, 4))
-    assert res.rank == 4
-    assert res.pivots == (0, 1, 2, 3)
+    assert _rank(QQ, [[0] * 3] * 3, 3) == 0
+    assert _relations(QQ, [[0] * 3] * 3, 3)[0] == []
+    assert _rank(QQ, _identity(4), 4) == 4
+    assert _relations(QQ, _identity(4), 4)[0] == [0, 1, 2, 3]
 
 
 def test_kernel_single_row():
-    m = Matrix.from_rows(QQ, [[1, 1]])
-    basis = kernel_basis(m)
+    basis = _relations(QQ, [[1, 1]], 2)[1]
     assert len(basis) == 1
     v = basis[0]
     assert v[0] == -v[1] and v[1] != 0
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(QQ, 3)) == []
+    assert _relations(QQ, _identity(3), 3)[1] == []
 
 
 def test_kernel_f2_all_ones_vs_enumeration():
-    m = Matrix.from_rows(GF2, [[1, 1, 1]])
-    basis = kernel_basis(m)
+    basis = _relations(GF2, [[1, 1, 1]], 3)[1]
     assert len(basis) == 2
     # oracle: enumerate the whole space and compare the solution sets
     solutions = {v for v in iproduct((0, 1), repeat=3) if sum(v) % 2 == 0}
@@ -91,77 +118,76 @@ def test_kernel_f2_all_ones_vs_enumeration():
 
 
 def test_solve_identity_and_zero():
-    m = Matrix.identity(QQ, 3)
-    assert solve(m, (1, 2, 3)) == (1, 2, 3)
-    z = Matrix.zero(QQ, 2, 2)
-    assert solve(z, (1, 0)) is None
-    assert solve(z, (0, 0)) == (Fraction(0), Fraction(0))
+    assert span(QQ, columns_of(QQ, _identity(3), 3)).contains({0: 1, 1: 2, 2: 3})
+    assert _pivot_solution(QQ, _identity(3), 3, (1, 2, 3)) == (1, 2, 3)
+    zero = [[0, 0], [0, 0]]
+    assert not span(QQ, columns_of(QQ, zero, 2)).contains({0: 1})
+    assert _pivot_solution(QQ, zero, 2, (1, 0)) is None
+    assert span(QQ, columns_of(QQ, zero, 2)).contains({})
+    assert _pivot_solution(QQ, zero, 2, (0, 0)) == (Fraction(0), Fraction(0))
 
 
 def test_solve_pivot_convention():
-    m = Matrix.from_rows(QQ, [[1, 1]])
-    assert solve(m, (2,)) == (2, 0)
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(LinAlgError):
-        solve(Matrix.identity(QQ, 2), (1, 2, 3))
+    assert _pivot_solution(QQ, [[1, 1]], 2, (2,)) == (2, 0)
 
 
 def test_quotient_coordinates_boundary_is_zero():
     cycles = [(1, 0), (0, 1)]
     boundaries = [(1, 1)]
-    assert quotient_coordinates(QQ, cycles, boundaries, (2, 2)) == (0,)
+    assert ref_quotient(QQ, cycles, boundaries, (2, 2)) == (0,)
+    assert span(QQ, [dict(enumerate(b)) for b in boundaries]).contains({0: 2, 1: 2})
 
 
 def test_quotient_coordinates_no_boundaries():
-    cycles = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    coords = quotient_coordinates(QQ, cycles, [], (3, 5, 7))
-    assert coords == (3, 5, 7)
+    # without boundaries the coordinates solve cycles * x = v
+    assert _pivot_solution(QQ, _identity(3), 3, (3, 5, 7)) == (3, 5, 7)
 
 
 def test_quotient_coordinates_one_dimensional():
     # rank count: span(cycles)=2, span(boundaries)=1, quotient is a line
-    cycles = [(1, 0), (0, 1)]
-    boundaries = [(1, 1)]
-    coords = quotient_coordinates(QQ, cycles, boundaries, (1, 0))
-    assert len(coords) == 1 and coords[0] != 0
+    cycles = [{0: 1}, {1: 1}]
+    boundaries = [{0: 1, 1: 1}]
+    assert len(span(QQ, cycles + boundaries).rows) - len(span(QQ, boundaries).rows) == 1
+    assert not span(QQ, boundaries).contains({0: 1})
 
 
 def test_quotient_coordinates_outside_span():
-    with pytest.raises(LinAlgError):
-        quotient_coordinates(QQ, [(1, 0, 0)], [], (0, 1, 0))
+    assert not span(QQ, [{0: 1}]).contains({1: 1})
 
 
-def _random_matrix(rng, field, rows, cols, lo=-4, hi=4):
-    return Matrix.from_rows(
-        field, [[field.of(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
-    )
+def _random_rows(rng, rows, cols, lo=-4, hi=4):
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
 def test_kernel_and_rank_nullity_random():
     rng = random.Random(1)
     for field in (QQ, GF2, GF3, Field(7)):
         for _ in range(25):
-            m = _random_matrix(rng, field, rng.randint(1, 5), rng.randint(1, 5))
-            basis = kernel_basis(m)
-            assert rank(m) + len(basis) == m.cols
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = _random_rows(rng, rows, cols)
+            basis = _relations(field, m, cols)[1]
+            assert _rank(field, m, cols) + len(basis) == cols
+            columns = columns_of(field, m, cols)
             for v in basis:
-                assert all(x == 0 for x in m.apply(v))
+                assert all(x == 0 for x in apply_columns(field, columns, v, rows))
 
 
 def test_solve_agrees_with_rank_test_random():
     rng = random.Random(2)
     for field in (QQ, GF3):
         for _ in range(30):
-            m = _random_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 4))
-            rhs = tuple(field.of(rng.randint(-3, 3)) for _ in range(m.rows))
-            aug = Matrix.from_rows(field, [list(r) + [b] for r, b in zip(m.entries, rhs)])
-            x = solve(m, rhs)
-            if rank(aug) == rank(m):
-                assert x is not None and m.apply(x) == rhs
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            m = _random_rows(rng, rows, cols)
+            rhs = tuple(field.of(rng.randint(-3, 3)) for _ in range(rows))
+            aug = [list(r) + [b] for r, b in zip(m, rhs)]
+            x = _pivot_solution(field, m, cols, rhs)
+            inside = span(field, columns_of(field, m, cols)).contains(dict(enumerate(rhs)))
+            if _rank(field, aug, cols + 1) == _rank(field, m, cols):
+                assert inside
+                assert x is not None
+                assert apply_columns(field, columns_of(field, m, cols), x, rows) == rhs
             else:
-                assert x is None
+                assert not inside and x is None
 
 
 def _det(rows):
@@ -172,13 +198,12 @@ def _det(rows):
                for j, a in enumerate(rows[0]) if a)
 
 
-def _minor_rank_fp(field, m):
+def _minor_rank_fp(field, rows, ncols):
     """Rank as the largest k with a k x k minor nonzero mod p (tiny matrices only)."""
-    ents = [list(r) for r in m.entries]
-    for k in range(min(m.rows, m.cols), 0, -1):
-        for rs in combinations(range(m.rows), k):
-            for cs in combinations(range(m.cols), k):
-                if _det([[ents[i][j] for j in cs] for i in rs]) % field.char:
+    for k in range(min(len(rows), ncols), 0, -1):
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(ncols), k):
+                if _det([[rows[i][j] for j in cs] for i in rs]) % field.char:
                     return k
     return 0
 
@@ -187,12 +212,12 @@ def test_rank_q_vs_fp_brute_force():
     # integer matrices with entries below p: elimination never divides by p,
     # and a minor (|det| <= 41, Hadamard's bound) is 0 mod 101 only when it is 0
     rng = random.Random(3)
+    fp = Field(101)
     for _ in range(20):
         rows, cols = rng.randint(1, 3), rng.randint(1, 4)
         ints = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
-        mq = Matrix.from_rows(QQ, ints)
-        mp = Matrix.from_rows(Field(101), ints)
-        assert rank(mq) == rank(mp) == _minor_rank_fp(Field(101), mp)
+        canonical = [[fp.of(x) for x in r] for r in ints]
+        assert _rank(QQ, ints, cols) == _rank(fp, ints, cols) == _minor_rank_fp(fp, canonical, cols)
 
 
 def test_sparse_in_span_matches_dense():
@@ -214,84 +239,16 @@ def test_sparse_in_span_matches_dense():
                 v = rng.choice([0, 0, 1, -1])
                 if v:
                     rhs[r] = field.of(v)
-            dense = Matrix.from_rows(field, [[c.get(r, 0) for c in cols] for r in range(nrows)])
-            want = _ref_solve(dense, tuple(field.of(rhs.get(r, 0)) for r in range(nrows)))
-            assert sparse_in_span(field, cols, rhs) == (want is not None)
+            want = ref_solve(field, rows_of(cols, nrows), ncols, [rhs.get(r, 0) for r in range(nrows)])
+            assert span(field, cols).contains(rhs) == (want is not None)
 
 
 # ---------------------------------------------------------------------------
-# dense Gauss-Jordan reference: every basis choice of the library must match it
+# column_relations and span against the dense reference
 
 
-def _ref_rref(m):
-    """(rank, pivots, reduced rows); the first nonzero entry from the top wins."""
-    f = m.field
-    R = [list(r) for r in m.entries]
-    pivots = []
-    pr = 0
-    for c in range(m.cols):
-        pv = next((r for r in range(pr, m.rows) if R[r][c] != 0), None)
-        if pv is None:
-            continue
-        R[pr], R[pv] = R[pv], R[pr]
-        inv = f.inv(R[pr][c])
-        R[pr] = [f.mul(inv, x) for x in R[pr]]
-        for r in range(m.rows):
-            if r != pr and R[r][c] != 0:
-                fac = R[r][c]
-                R[r] = [f.add(x, f.neg(f.mul(fac, y))) for x, y in zip(R[r], R[pr])]
-        pivots.append(c)
-        pr += 1
-    return len(pivots), tuple(pivots), tuple(tuple(r) for r in R)
-
-
-def _ref_kernel(m):
-    f = m.field
-    _, pivots, R = _ref_rref(m)
-    basis = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        v = [f.zero()] * m.cols
-        v[free] = f.one()
-        for i, p in enumerate(pivots):
-            v[p] = f.neg(R[i][free])
-        basis.append(tuple(v))
-    return basis
-
-
-def _ref_solve(m, rhs):
-    f = m.field
-    rows = [list(r) + [b] for r, b in zip(m.entries, rhs)]
-    aug = Matrix.from_rows(f, rows) if rows else Matrix.zero(f, 0, m.cols + 1)
-    _, pivots, R = _ref_rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [f.zero()] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = R[i][m.cols]
-    return tuple(x)
-
-
-def _columns_matrix(field, columns, n):
-    if n == 0:
-        return Matrix.zero(field, 0, len(columns))
-    return Matrix.from_rows(field, [[c[i] for c in columns] for i in range(n)])
-
-
-def _ref_extend(field, base, candidates, n):
-    _, pivots, _ = _ref_rref(_columns_matrix(field, list(base) + list(candidates), n))
-    return [p - len(base) for p in pivots if p >= len(base)]
-
-
-def _ref_quotient(field, cycles, boundaries, v):
-    rep = [cycles[i] for i in _ref_extend(field, boundaries, cycles, len(v))]
-    x = _ref_solve(_columns_matrix(field, list(boundaries) + rep, len(v)), v)
-    return None if x is None else x[len(boundaries):]
-
-
-def _random_low_rank(rng, field, rows, cols):
-    """Random integer matrix of random rank, sometimes with a zero row or column."""
+def _random_low_rank(rng, rows, cols):
+    """Random integer rows of random rank, sometimes with a zero row or column."""
     r = rng.randint(0, min(rows, cols))
     left = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rows)]
     right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(r)]
@@ -303,9 +260,7 @@ def _random_low_rank(rng, field, rows, cols):
         j = rng.randrange(cols)
         for row in ent:
             row[j] = 0
-    if rows == 0:
-        return Matrix.zero(field, 0, cols)
-    return Matrix.from_rows(field, ent)
+    return ent
 
 
 def test_kernel_matches_dense_reference_random():
@@ -313,67 +268,88 @@ def test_kernel_matches_dense_reference_random():
     for field in (QQ, GF2, GF3, Field(7)):
         for _ in range(60):
             rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-            m = _random_low_rank(rng, field, rows, cols)
-            ref_rank, ref_pivots, ref_reduced = _ref_rref(m)
-            res = rref(m)
-            assert (res.rank, res.pivots, res.reduced.entries) == (ref_rank, ref_pivots, ref_reduced)
-            assert rank(m) == ref_rank
-            assert kernel_basis(m) == _ref_kernel(m)
-            rhs = tuple(field.of(x) for x in m.apply(tuple(rng.randint(-2, 2) for _ in range(cols))))
+            m = _random_low_rank(rng, rows, cols)
+            ref_rank, ref_pivots, _ = ref_rref(field, m, cols)
+            pivots, kernel = _relations(field, m, cols)
+            assert tuple(pivots) == ref_pivots
+            assert _rank(field, m, cols) == ref_rank
+            assert kernel == ref_kernel(field, m, cols)
+            columns = columns_of(field, m, cols)
+            ech = span(field, columns)
+            rhs = apply_columns(field, columns, tuple(rng.randint(-2, 2) for _ in range(cols)), rows)
             other = tuple(field.of(rng.randint(-2, 2)) for _ in range(rows))
             for b in (rhs, other):
-                assert solve(m, b) == _ref_solve(m, b)
-            columns = [m.column(j) for j in range(cols)]
+                want = ref_solve(field, m, cols, b)
+                assert ech.contains(dict(enumerate(b))) == (want is not None)
+                assert _pivot_solution(field, m, cols, b) == want
+            dense = [tuple(c.get(i, field.zero()) for i in range(rows)) for c in columns]
             split = rng.randint(0, cols)
-            base, candidates = columns[:split], columns[split:]
-            assert extend_independent(field, base, candidates) == _ref_extend(
+            base, candidates = dense[:split], dense[split:]
+            assert [p - split for p in pivots if p >= split] == ref_extend(
                 field, base, candidates, rows
             )
+            # the quotient of span(candidates) by span(base): zero coordinates
+            # exactly on span(base), none outside span(base + candidates)
+            in_base = span(field, columns[:split])
             for v in (rhs, other):
-                want = _ref_quotient(field, candidates, base, v)
-                if want is None:
-                    with pytest.raises(LinAlgError):
-                        quotient_coordinates(field, candidates, base, v)
-                else:
-                    assert quotient_coordinates(field, candidates, base, v) == want
+                want = ref_quotient(field, candidates, base, v)
+                assert ech.contains(dict(enumerate(v))) == (want is not None)
+                assert in_base.contains(dict(enumerate(v))) == (
+                    want is not None and not any(want))
 
 
 # ---------------------------------------------------------------------------
 # scalars at the API boundary: Fractions over Q, canonical residues over F_p
 
 
-def _returned_scalars(field, ints, rng):
-    """Every scalar that rref, kernel_basis, solve, quotient_coordinates and
-    column_relations return for the integer matrix ints (a list of rows)."""
-    m = Matrix.from_rows(field, ints)
-    out = [x for row in rref(m).reduced.entries for x in row]
-    out += [x for v in kernel_basis(m) for x in v]
-    columns = [m.column(j) for j in range(m.cols)]
-    rhs = m.apply(tuple(field.of(rng.randint(-2, 2)) for _ in range(m.cols)))
-    out += solve(m, rhs)
-    split = rng.randint(0, m.cols)
-    out += quotient_coordinates(field, columns, columns[:split], rhs)
-    # signs as raw ints, the way strand boundaries hand them over
+def _relation_scalars(field, ints):
+    """Every scalar in the relations column_relations returns for the integer
+    rows ints, its columns handed over the way strand boundaries are: signs
+    as raw ints, other entries as field elements."""
     raw = [{i: row[j] if row[j] in (1, -1) else field.of(row[j])
-            for i, row in enumerate(ints) if field.of(row[j])} for j in range(m.cols)]
-    _, _, relations = column_relations(field, raw, m.rows)
-    out += [x for rel in relations.values() for x in rel.values()]
+            for i, row in enumerate(ints) if field.of(row[j])} for j in range(len(ints[0]))]
+    _, _, relations = column_relations(field, raw, len(ints))
+    return [x for rel in relations.values() for x in rel.values()]
+
+
+def _strand_scalars(field, ideal, rng):
+    """Every scalar that StrandHomology.coordinates_of and solve_boundary
+    return for random cycles and boundaries of every strand of the ideal."""
+    out = []
+    for u in lcm_lattice(ideal):
+        sh = StrandHomology(ideal, tuple(u), field)
+        s = sh.strand
+        for i in s.degrees:
+            _, kernel = _relations(field, rows_of(s.boundary_columns(i), s.dim(i - 1)), s.dim(i))
+            up = s.boundary_columns(i + 1)
+            for _ in range(2):
+                coeffs = [rng.randint(-2, 2) for _ in kernel]
+                cycle = tuple(field.of(sum(c * kv[k] for c, kv in zip(coeffs, kernel)))
+                              for k in range(s.dim(i)))
+                out += sh.coordinates_of(i, cycle)
+                x = tuple(field.of(rng.randint(-2, 2)) for _ in up)
+                out += sh.solve_boundary(i, apply_columns(field, up, x, s.dim(i)))
     return out
 
 
 def test_scalars_at_the_api_boundary():
     rng = random.Random(9)
     non_integral = 0
+    ideals = [counterexample_ideal()] + ideal_corpus(4, seed=9)
     for field in (QQ, GF2, GF3, Field(7)):
+        scalars = []
         for _ in range(40):
             rows, cols = rng.randint(1, 6), rng.randint(1, 7)
             signs = [[rng.choice((-1, 0, 0, 1)) for _ in range(cols)] for _ in range(rows)]
             seeded = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             for ints in (signs, seeded):
-                for x in _returned_scalars(field, ints, rng):
-                    if field.char:
-                        assert type(x) is int and 0 <= x < field.char
-                    else:
-                        assert type(x) is Fraction
-                        non_integral += x.denominator != 1
+                scalars += _relation_scalars(field, ints)
+        for ideal in ideals:
+            scalars += _strand_scalars(field, ideal, rng)
+        for x in scalars:
+            if field.char:
+                assert type(x) is int and 0 <= x < field.char
+            else:
+                assert type(x) is Fraction
+                non_integral += x.denominator != 1
     assert non_integral  # the seeded matrices force non-unit pivots

@@ -2,19 +2,17 @@ import random
 
 import pytest
 
-from conftest import ideal_corpus
-from golod_lab import homology_engine
-from golod_lab.exact_linalg import (
-    GF2,
-    GF3,
-    QQ,
-    Matrix,
-    extend_independent,
-    kernel_basis,
-    quotient_coordinates,
-    solve,
-    span,
+from conftest import (
+    apply_columns,
+    ideal_corpus,
+    ref_extend,
+    ref_kernel,
+    ref_quotient,
+    ref_solve,
+    rows_of,
 )
+from golod_lab import homology_engine
+from golod_lab.exact_linalg import GF2, GF3, QQ, span
 from golod_lab.homology_engine import (
     StrandHomology,
     _strand_homology,
@@ -22,7 +20,6 @@ from golod_lab.homology_engine import (
     chain_is_boundary,
     class_of,
     homology_basis,
-    strand_homology,
 )
 from golod_lab.massey_golod import chain_product, ternary_massey_generators
 from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal, polarize
@@ -51,17 +48,16 @@ def test_three_edges_strand_homology():
     for pair in ([0, 1], [1, 2], [0, 2]):
         assert reduced_boundary(EDGES, mask_of(pair)) == {}
     assert len(reduced_boundary(EDGES, mask_of([0, 1, 2]))) == 3
-    s = strand(EDGES, (1, 1, 1), QQ)
-    dim, classes = strand_homology(s, 2)
+    sh = _strand_homology(EDGES, QQ, (1, 1, 1))
+    dim, classes = sh.dimension(2), sh.classes(2)
     assert dim == 2 and len(classes) == 2
     for cls in classes:
         assert not cls.is_zero
 
 
 def test_minimal_generator_strand_class(example_ideal):
-    u = tuple(example_ideal.gens[0].exps)
-    s = strand(example_ideal, u, QQ)
-    dim, classes = strand_homology(s, 1)
+    sh = _strand_homology(example_ideal, QQ, tuple(example_ideal.gens[0].exps))
+    dim, classes = sh.dimension(1), sh.classes(1)
     assert dim == 1
     assert dict(classes[0].representative) == {mask_of([0]): QQ.one()}
 
@@ -113,7 +109,7 @@ def test_betti_table_render(example_ideal):
 
 
 def test_betti_generator_positions(example_ideal):
-    md = betti(example_ideal, QQ).multigraded_dict
+    md = dict(betti(example_ideal, QQ).multigraded)
     gen_degrees = {tuple(g.exps) for g in example_ideal.gens}
     found = {u for (i, u) in md if i == 1}
     assert found == gen_degrees
@@ -193,15 +189,6 @@ def test_zero_ideal_betti():
     assert bd.regularity == 0
 
 
-def _dense(s, j):
-    """Dense matrix of d_j built from the strand's sparse columns."""
-    cols = s.boundary_columns(j)
-    rows = s.dim(j - 1)
-    if not rows:
-        return Matrix.zero(s.field, 0, len(cols))
-    return Matrix.from_rows(s.field, [[c.get(r, 0) for c in cols] for r in range(rows)])
-
-
 def test_strand_homology_matches_separate_eliminations():
     """The one echelon per degree agrees with separate dense eliminations."""
     rng = random.Random(71)
@@ -212,23 +199,25 @@ def test_strand_homology_matches_separate_eliminations():
                 sh = StrandHomology(ideal, tuple(u), field)
                 s = sh.strand
                 for i in s.degrees:
-                    down, up = _dense(s, i), _dense(s, i + 1)
-                    kernel = kernel_basis(down)
-                    image = [up.column(j) for j in range(up.cols)]
-                    reps = [kernel[j] for j in extend_independent(field, image, kernel)]
+                    n, up_cols = s.dim(i), s.boundary_columns(i + 1)
+                    up = rows_of(up_cols, n)
+                    kernel = ref_kernel(field, rows_of(s.boundary_columns(i), s.dim(i - 1)), n)
+                    image = [tuple(field.of(c.get(r, 0)) for r in range(n)) for c in up_cols]
+                    reps = [kernel[j] for j in ref_extend(field, image, kernel, n)]
                     want = [tuple(sorted(s.vector_chain(i, r).items())) for r in reps]
                     assert [c.representative for c in sh.classes(i)] == want
                     for _ in range(4):
                         coeffs = [rng.randint(-2, 2) for _ in kernel]
                         cycle = tuple(field.of(sum(c * kv[k] for c, kv in zip(coeffs, kernel)))
-                                      for k in range(s.dim(i)))
-                        assert sh.coordinates_of(i, cycle) == quotient_coordinates(
+                                      for k in range(n))
+                        assert sh.coordinates_of(i, cycle) == ref_quotient(
                             field, kernel, image, cycle)
-                        x = tuple(field.of(rng.randint(-2, 2)) for _ in range(up.cols))
-                        bnd = up.apply(x)
-                        assert sh.solve_boundary(i, bnd) == solve(up, bnd)
-                        if up.cols:
-                            assert sh.solve_boundary(i, cycle) == solve(up, cycle)
+                        x = tuple(field.of(rng.randint(-2, 2)) for _ in up_cols)
+                        bnd = apply_columns(field, up_cols, x, n)
+                        assert sh.solve_boundary(i, bnd) == ref_solve(field, up, len(up_cols), bnd)
+                        if up_cols:
+                            assert sh.solve_boundary(i, cycle) == ref_solve(
+                                field, up, len(up_cols), cycle)
 
 
 def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):

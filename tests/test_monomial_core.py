@@ -8,7 +8,6 @@ from golod_lab.monomial_core import (
     MonomialIdeal,
     counterexample_generator_index,
     counterexample_ideal,
-    depolarize,
     format_ideal,
     format_monomial,
     minimalize,
@@ -121,7 +120,13 @@ def test_polarize_squarefree_identity():
 def test_polarize_roundtrip_and_idempotence():
     ideal = counterexample_ideal()
     pol, vm = polarize(ideal)
-    assert depolarize(pol, vm, ideal.variables) == ideal
+    back = []
+    for g in pol.gens:
+        exps = [0] * ideal.n_vars
+        for i, e in enumerate(g.exps):
+            exps[vm.new_to_old[i]] += e
+        back.append(Monomial(tuple(exps)))
+    assert MonomialIdeal(ideal.variables, tuple(back)) == ideal
     pol2, vm2 = polarize(pol)
     assert pol2 == pol
 

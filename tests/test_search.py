@@ -8,7 +8,6 @@ from golod_lab import counterexample_search
 from golod_lab.counterexample_search import (
     RoleAssignment,
     SearchStats,
-    minimality_report,
     pattern_check,
     search,
     seed_pattern,
@@ -68,13 +67,12 @@ def test_pattern_check_fails_without_bc_generator():
 
 
 def test_minimality_report():
-    assert minimality_report(counterexample_ideal()).meets_bounds_exactly
-    small = minimality_report(MonomialIdeal.from_strings(("x", "y"), ["x*y"]))
-    assert not small.meets_lower_bounds
-    pol, _ = polarize(counterexample_ideal())
-    rep = minimality_report(pol)
-    assert (rep.n_vars, rep.n_gens) == (9, 8)
-    assert rep.meets_lower_bounds and not rep.meets_bounds_exactly
+    # the lower bounds for a trivial-product non-Golod quotient: 5 variables
+    # and 8 generators, met with equality by the example, not by its polarization
+    ideal = counterexample_ideal()
+    assert (ideal.n_vars, ideal.n_gens) == (5, 8)
+    pol, _ = polarize(ideal)
+    assert (pol.n_vars, pol.n_gens) == (9, 8)
 
 
 def test_search_seeded_rediscovery():

@@ -69,14 +69,13 @@ def test_q_series_zero_ideal():
 
 def test_p_series_zero_ideal_is_koszul():
     ideal = MonomialIdeal(("x", "y", "z"), ())
-    p, report = p_series(ideal, QQ, 3)
+    p, _ = p_series(ideal, QQ, 3)
     assert p.coeffs == (1, 3, 3, 1)
-    assert report.passed
 
 
 def test_p_series_m2_equals_q_series():
     q = q_series(M2, QQ, 6)
-    p, report = p_series(M2, QQ, 6)
+    p, _ = p_series(M2, QQ, 6)
     assert p.coeffs == q.coeffs == (1, 2, 4, 8, 16, 32, 64)
     assert expand_rational([1, 2, 1], [1, 0, -3, -2], 6).coeffs == p.coeffs
     assert golod_decide(M2, QQ).status == "Golod"
@@ -86,13 +85,11 @@ def test_p_series_windowed_policy_m2():
     p, report = p_series(M2, QQ, 5, degree_cap_policy="windowed")
     assert p.coeffs == (1, 2, 4, 8, 16, 32)
     assert report.policy == "windowed"
-    assert report.passed
 
 
 def test_p_series_counterexample(example_ideal):
-    p, report = p_series(example_ideal, QQ, 5)
+    p, _ = p_series(example_ideal, QQ, 5)
     assert p.coeffs == (1, 5, 18, 64, 227, 805)
-    assert report.passed
     q = q_series(example_ideal, QQ, 5)
     assert series_compare(p, q) == (5, -1)
 

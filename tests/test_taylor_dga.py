@@ -267,7 +267,7 @@ def test_fiber_three_edges():
     cx = fiber_complex(EDGES, (1, 1, 1))
     # oracle: all 8 subsets checked by hand; complement must still reach xyz
     faces = {frozenset(), frozenset(["g0"]), frozenset(["g1"]), frozenset(["g2"])}
-    got = set(cx.all_faces())
+    got = {f for k in range(-1, cx.dim + 1) for f in cx.faces_of_dim(k)}
     assert got == faces
 
 
