@@ -25,10 +25,8 @@ from .monomial_core import (
     polarize,
 )
 from .series_engine import (
-    CapInsufficientError,
     SeriesTrunc,
     bar_homology_dim,
-    expand_rational,
     p_series,
     q_series,
     series_compare,

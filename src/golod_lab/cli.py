@@ -2,9 +2,9 @@
 
 Exit codes: 0 for success (and mathematically positive answers), 1 for
 mathematically negative answers (nontrivial products, nonzero Massey class,
-NotGolod, series divergence), 2 for usage and parse errors, 3 for cap or
-budget failures and honest indecision.  ``--format json`` emits the same data
-as the text renderers.
+NotGolod, series divergence), 2 for usage and parse errors, 3 for an
+exhausted search budget and for ``Undecided``.  ``--format json`` emits the
+same data as the text renderers.
 """
 
 from __future__ import annotations
@@ -291,11 +291,7 @@ def cmd_series(args):
     field = parse_field(args.field)
     n = args.trunc
     q = se.q_series(ideal, field, n)
-    try:
-        p, report = se.p_series(ideal, field, n, degree_cap_policy=args.cap_policy)
-    except se.CapInsufficientError as exc:
-        print(f"cap failure: {exc}", file=sys.stderr)
-        return 3
+    p, report = se.p_series(ideal, field, n)
     div = se.series_compare(p, q)
     payload = {
         "field": str(field),
@@ -477,7 +473,6 @@ def build_parser():
     p = sub.add_parser("series", help="resolution-side vs bound-side series")
     _add_common(p)
     p.add_argument("--trunc", type=_truncation_order, default=5)
-    p.add_argument("--cap-policy", choices=("serre", "windowed"), default="serre")
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("polarize", help="polarize an ideal to a squarefree one")

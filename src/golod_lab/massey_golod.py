@@ -189,10 +189,6 @@ class MasseyResult:
     system: tuple | None  # frozen chains (s, t) of the defining system
     obstruction: str | None = None
 
-    @property
-    def nonzero(self):
-        return self.defined and self.value_is_zero is False
-
 
 def _freeze(chain):
     return tuple(sorted((m, c) for m, c in chain.items() if c != 0))

@@ -17,37 +17,27 @@ vectors outside the span of these lifts are the new generators.
 Its dimension comes from exactness, not elimination.  Where the current map
 F_{j-1} -> F_{j-2} is onto the previous kernel K_{j-1} at u,
 dim K_j(u) = dim (F_{j-1})_u - dim K_{j-1}(u), and K_1 = m has dimension 1 at
-each nonzero standard monomial.  By construction this holds through the
-previous step's search cap, where that step's generators and lifts spanned
-its kernel.  Under the serre policy it holds through the largest cap of all:
-the series bound leaves no generator above a step's cap (the same fact the
-cap itself rests on), so each step also counts its kernel's dimensions above
-its cap for the next one.  Under "windowed" a multidegree above the previous
-search cap has no known dimension and is eliminated.  Where the dimension is
-0 nothing is built; elsewhere lifts are absorbed until they reach it, and
-only where they fall short, that is where new generators appear, is the
-kernel eliminated, with its dimension checked against exactness.
+each nonzero standard monomial.  The map is onto everywhere the table
+reaches: the series bound leaves no generator above a step's cap (the same
+fact the cap itself rests on), so each step also counts its kernel's
+dimensions above its cap for the next one.  Where the dimension is 0 nothing
+is built; elsewhere lifts are absorbed until they reach it, and only where
+they fall short, that is where new generators appear, is the kernel
+eliminated, with its dimension checked against exactness.
 
-No a-priori internal-degree bound exists in general, so each step runs under a
-cap policy.  The default policy derives a certified cap for step j from the
-coefficientwise inequality between the two series: internal degrees where the
-bound series vanishes cannot support resolution generators.  The alternative
-"windowed" policy uses the cap (max generator degree) * j + n and re-extends
-by one window, failing loudly if new generators show up there.
+No a-priori internal-degree bound exists in general, so each step's cap is
+read off the coefficientwise inequality between the two series: internal
+degrees where the bound series vanishes cannot support resolution
+generators.  ``q_series`` is the same bound summed over internal degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from .exact_linalg import Echelon, span
 from .homology_engine import betti
-
-
-class CapInsufficientError(RuntimeError):
-    """A resolution step found generators at its cap boundary; results unusable."""
 
 
 @dataclass(frozen=True)
@@ -68,25 +58,6 @@ class SeriesTrunc:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
-def expand_rational(numerator, denominator, n):
-    """Exact expansion of numerator/denominator to order n (constant term != 0)."""
-    if n < 0:
-        raise ValueError("truncation order must be non-negative")
-    den = [Fraction(c) for c in denominator]
-    num = [Fraction(c) for c in numerator]
-    if not den or den[0] == 0:
-        raise ValueError("denominator has zero constant term")
-    coeffs = []
-    for k in range(n + 1):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * coeffs[k - j]
-        coeffs.append(acc / den[0])
-    if all(c.denominator == 1 for c in coeffs):
-        coeffs = [int(c) for c in coeffs]
-    return SeriesTrunc(tuple(coeffs), n)
-
-
 def series_compare(p, q):
     """First index (up to the common order) where coefficients differ, with sign.
 
@@ -101,20 +72,12 @@ def series_compare(p, q):
 
 
 def q_series(ideal, field, n):
-    """Series bound from Koszul homology: (1+t)^vars over 1 - sum b_i t^(i+1)."""
-    bd = betti(ideal, field)
-    nv = ideal.n_vars
-    num = [0] * (nv + 1)
-    binom = 1
-    for k in range(nv + 1):
-        num[k] = binom
-        binom = binom * (nv - k) // (k + 1)
-    pd = bd.projective_dimension
-    den = [0] * (pd + 2)
-    den[0] = 1
-    for i in range(1, pd + 1):
-        den[i + 1] = -bd.total(i)
-    return expand_rational(num, den, n)
+    """Series bound from Koszul homology: (1+t)^vars over 1 - sum b_i t^(i+1),
+    as the column sums of ``_q_bigraded``."""
+    if n < 0:
+        raise ValueError("truncation order must be non-negative")
+    table = _q_bigraded(ideal, field, n)
+    return SeriesTrunc(tuple(sum(table.get(j, {}).values()) for j in range(n + 1)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +119,10 @@ class StepReport:
 
 @dataclass(frozen=True)
 class CapReport:
-    policy: str
     steps: tuple
 
     def describe(self):
-        lines = [f"cap policy: {self.policy} (passed)"]
+        lines = ["cap policy: serre (passed)"]
         for s in self.steps:
             degs = ", ".join(f"{d}:{c}" for d, c in s.degrees) or "-"
             lines.append(
@@ -218,8 +180,8 @@ def _kernel_at(field, u, here, phi, is_std, dim):
 
     ``here``: generator index -> its standard monomial at u.  Returns the
     kernel vectors, keyed by generator index, in the echelon's scalars.
-    ``dim`` is dim K(u) by exactness, or None where it is not known; a known
-    dimension the elimination does not confirm is an ``AssertionError``.
+    ``dim`` is dim K(u) by exactness; an elimination that does not confirm
+    it is an ``AssertionError``.
     """
     columns = []
     row_keys = {}
@@ -241,33 +203,29 @@ def _kernel_at(field, u, here, phi, is_std, dim):
             ech.insert(v)
         else:
             kern.append({k - nrows: x for k, x in v.items()})
-    if dim is not None and len(kern) != dim:
+    if len(kern) != dim:
         raise AssertionError(
             f"kernel at {u} has dimension {len(kern)}, exactness gives {dim}"
         )
     return kern
 
 
-def _resolution_step(field, std, gens, phi, cap, known):
+def _resolution_step(field, std, gens, phi, cap, prev):
     """One minimal-resolution step, multidegree by multidegree.
 
-    ``std``: the ``_std_table`` of the ring, through ``max(cap, upto)``.
-    ``gens``: multidegrees of the current free module F's generators.
-    ``phi``: per generator, the image as a map (previous gen index, exps) -> coeff.
-    ``known``: ``(prev, upto)``, the nonzero dimensions of the previous
-    kernel K' by multidegree (None for K' = m), consumed here, and the degree
-    through which F is onto K': the previous search cap, by construction, or
-    under serre the largest cap, on the series bound.  Through ``upto``,
-    dim K(u) = dim F_u - dim K'(u); past it (windowed only) the kernel is
-    eliminated.  Lifts reach dim K(u) except where new generators appear,
-    and only there does ``_kernel_at`` eliminate.  Past ``cap``, through
-    ``upto``, dimensions are only counted.
+    ``std``: the ``_std_table`` of the ring, through the largest cap of any
+    step, and the step walks all of it.  ``gens``: multidegrees of the
+    current free module F's generators.  ``phi``: per generator, the image
+    as a map (previous gen index, exps) -> coeff.  ``prev``: the nonzero
+    dimensions of the previous kernel K' by multidegree (None for K' = m),
+    consumed here.  F is onto K' throughout, so dim K(u) = dim F_u - dim K'(u).
+    Lifts reach dim K(u) except where new generators appear, and only there
+    does ``_kernel_at`` eliminate.  Past ``cap`` dimensions are only counted.
 
     Returns (new generator multidegrees, new phi, counts per internal degree,
     the nonzero dimensions of K by multidegree).
     """
     by_degree, is_std = std
-    prev, upto = known
     degrees = [sum(dg) for dg in gens]
 
     def dim_prev(u):
@@ -278,7 +236,7 @@ def _resolution_step(field, std, gens, phi, cap, known):
     new_gens = []
     new_phi = []
     counts = {}
-    for d in range(min(degrees), max(cap, upto) + 1):
+    for d in range(min(degrees), len(by_degree)):
         layer = {}  # multidegree -> {generator index: its standard monomial there}
         for gi, dg in enumerate(gens):
             if degrees[gi] <= d:
@@ -287,12 +245,7 @@ def _resolution_step(field, std, gens, phi, cap, known):
         below, kernels = kernels, {}  # lifts come from one degree down only
         for u in sorted(layer):
             here = layer.pop(u)  # popping lowers peak memory
-            kern = None
-            if d <= upto:
-                dim = len(here) - dim_prev(u)
-            else:
-                kern = _kernel_at(field, u, here, phi, is_std, None)
-                dim = len(kern)
+            dim = len(here) - dim_prev(u)
             if not dim:
                 continue
             dims[u] = dim
@@ -312,19 +265,17 @@ def _resolution_step(field, std, gens, phi, cap, known):
                     if len(basis) == dim:
                         break
             else:
-                if kern is None:
-                    kern = _kernel_at(field, u, here, phi, is_std, dim)
-                for vec in kern:
+                basis = _kernel_at(field, u, here, phi, is_std, dim)
+                for vec in basis:
                     if lifted.absorb(vec):
                         new_gens.append(u)
                         new_phi.append({(gi, here[gi]): c for gi, c in vec.items()})
                         counts[d] = counts.get(d, 0) + 1
-                basis = kern
             kernels[u] = basis
     return new_gens, new_phi, counts, dims
 
 
-def p_series(ideal, field, n, degree_cap_policy="serre"):
+def p_series(ideal, field, n):
     """Coefficients of the resolution-side series to order n, with a cap report.
 
     Builds the minimal graded free resolution of the residue field over the
@@ -332,21 +283,14 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
     """
     if n < 0:
         raise ValueError("truncation order must be non-negative")
-    if degree_cap_policy not in ("serre", "windowed"):
-        raise ValueError(f"unknown cap policy {degree_cap_policy!r}")
     coeffs = [1]
     steps = []
     if n == 0:
-        return SeriesTrunc((1,), 0), CapReport(degree_cap_policy, ())
-    qtable = _q_bigraded(ideal, field, n) if degree_cap_policy == "serre" else None
-    maxgen = max((g.degree for g in ideal.gens), default=1)
+        return SeriesTrunc((1,), 0), CapReport(())
+    qtable = _q_bigraded(ideal, field, n)
     nv = ideal.n_vars
-    # the table reaches the largest cap any step searches
-    if degree_cap_policy == "serre":
-        top = max(max(bound) for bound in qtable.values())
-    else:
-        top = maxgen * (n + 1) + nv
-    std = _std_table(ideal, top)
+    # the table reaches the largest cap of any step
+    std = _std_table(ideal, max(max(bound) for bound in qtable.values()))
     # first syzygy module of the residue field is the irrelevant ideal
     gens = []
     phi = []
@@ -358,47 +302,25 @@ def p_series(ideal, field, n, degree_cap_policy="serre"):
     coeffs.append(len(gens))
     steps.append(StepReport(1, 1, len(gens), ((1, len(gens)),), "ring variables"))
     dims = None  # K_1 = m: dimension 1 at each nonzero standard monomial
-    onto = top  # the variables generate m, so d_1 is onto K_1 everywhere
     for j in range(2, n + 1):
         if not gens:
             coeffs.append(0)
             steps.append(StepReport(j, 0, 0, (), "resolution already finished"))
             continue
-        if degree_cap_policy == "serre":
-            bound = qtable.get(j, {})
-            cap = max(bound) if bound else 0
-            note = "series-bound cap"
-        else:
-            cap = maxgen * j + nv
-            note = f"windowed cap, stability window +{maxgen}"
-        search_cap = cap if degree_cap_policy == "serre" else cap + maxgen
-        # The current map is onto the previous kernel through the last search
-        # cap; under serre the bound leaves no generator past any cap, so it
-        # is onto through top, and each step counts its dimensions up to there.
-        upto = top if degree_cap_policy == "serre" else min(onto, search_cap)
-        new_gens, new_phi, counts, dims = _resolution_step(
-            field, std, gens, phi, search_cap, (dims, upto)
-        )
-        if degree_cap_policy == "serre":
-            for d, c in counts.items():
-                if c > qtable.get(j, {}).get(d, 0):
-                    raise AssertionError(
-                        f"step {j} found {c} generators in degree {d}, above the series bound"
-                    )
-        else:
-            offenders = {d: c for d, c in counts.items() if d > cap}
-            if offenders:
-                raise CapInsufficientError(
-                    f"step {j}: generators appeared inside the stability window "
-                    f"beyond cap {cap}: {sorted(offenders.items())}"
+        bound = qtable.get(j, {})
+        cap = max(bound) if bound else 0
+        new_gens, new_phi, counts, dims = _resolution_step(field, std, gens, phi, cap, dims)
+        for d, c in counts.items():
+            if c > bound.get(d, 0):
+                raise AssertionError(
+                    f"step {j} found {c} generators in degree {d}, above the series bound"
                 )
         coeffs.append(len(new_gens))
         steps.append(
-            StepReport(j, cap, len(new_gens), tuple(sorted(counts.items())), note)
+            StepReport(j, cap, len(new_gens), tuple(sorted(counts.items())), "series-bound cap")
         )
         gens, phi = new_gens, new_phi
-        onto = search_cap
-    return SeriesTrunc(tuple(coeffs), n), CapReport(degree_cap_policy, tuple(steps))
+    return SeriesTrunc(tuple(coeffs), n), CapReport(tuple(steps))
 
 
 # ---------------------------------------------------------------------------

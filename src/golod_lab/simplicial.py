@@ -18,6 +18,15 @@ from .monomial_core import Monomial, MonomialIdeal
 _ENUMERATION_LIMIT = 22  # subset scans are 2^n; keep inputs desk-scale
 
 
+def _check_labels(vertices, facets):
+    vset = set(vertices)
+    if len(vset) != len(vertices):
+        raise ValueError("duplicate vertex labels")
+    for f in facets:
+        if not f <= vset:
+            raise ValueError(f"facet {sorted(f)} uses unknown vertices")
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Complex given by an ordered vertex tuple and its facets.
@@ -31,12 +40,7 @@ class SimplicialComplex:
     facets: tuple
 
     def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
-        for f in self.facets:
-            if not f <= vset:
-                raise ValueError(f"facet {sorted(f)} uses unknown vertices")
+        _check_labels(self.vertices, self.facets)
 
     @classmethod
     def from_facets(cls, vertices, facets):
@@ -48,6 +52,7 @@ class SimplicialComplex:
                 continue
             if f not in maximal:
                 maximal.append(f)
+        _check_labels(vertices, maximal)  # before the sort reads the labels
         index = {v: i for i, v in enumerate(vertices)}
         maximal.sort(key=lambda f: sorted(index[v] for v in f))
         return cls(vertices, tuple(maximal))

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from golod_lab.exact_linalg import QQ
 from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal, minimalize
+from golod_lab.series_engine import SeriesTrunc
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +56,25 @@ def ideal_corpus(count=100, seed=20260811, **kwargs):
         if ideal is not None:
             out.append(ideal)
     return out
+
+
+def expand_rational(numerator, denominator, n):
+    """Exact expansion of numerator/denominator to order n (constant term != 0)."""
+    if n < 0:
+        raise ValueError("truncation order must be non-negative")
+    den = [Fraction(c) for c in denominator]
+    num = [Fraction(c) for c in numerator]
+    if not den or den[0] == 0:
+        raise ValueError("denominator has zero constant term")
+    coeffs = []
+    for k in range(n + 1):
+        acc = num[k] if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * coeffs[k - j]
+        coeffs.append(acc / den[0])
+    if all(c.denominator == 1 for c in coeffs):
+        coeffs = [int(c) for c in coeffs]
+    return SeriesTrunc(tuple(coeffs), n)
 
 
 def apply_columns(field, columns, vec, nrows):

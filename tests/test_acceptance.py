@@ -7,7 +7,7 @@ zero).  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import json
 from itertools import combinations
 
-from conftest import ideal_corpus
+from conftest import expand_rational, ideal_corpus
 from golod_lab.cli import main
 from golod_lab.exact_linalg import GF2, GF3, QQ
 from golod_lab.homology_engine import _strand_homology, betti, homology_basis
@@ -21,7 +21,7 @@ from golod_lab.massey_golod import (
     ternary_massey_generators,
 )
 from golod_lab.monomial_core import counterexample_ideal, polarize
-from golod_lab.series_engine import expand_rational, p_series, q_series, series_compare
+from golod_lab.series_engine import p_series, q_series, series_compare
 from golod_lab.simplicial import (
     complex_of,
     reduced_cohomology_dims,

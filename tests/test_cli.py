@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import golod_lab
 from golod_lab.cli import main
 from golod_lab.monomial_core import counterexample_ideal, parse_ideal, polarize
 from golod_lab.simplicial import complex_of, parse_complex, skeleton
@@ -106,18 +111,6 @@ def test_series_agreement_exit_zero(capsys, tmp_path):
     assert code == 0
     assert payload["p"] == payload["q"] == [1, 2, 4, 8, 16]
     assert payload["first_divergence"] is None
-
-
-def test_series_cap_failure_exit_code(capsys, monkeypatch):
-    from golod_lab import cli as cli_mod
-    from golod_lab.series_engine import CapInsufficientError
-
-    def boom(*args, **kwargs):
-        raise CapInsufficientError("generators at the cap boundary")
-
-    monkeypatch.setattr(cli_mod.se, "p_series", boom)
-    code, _, err = run(capsys, "series", "--example", "paper", "--trunc", "2")
-    assert code == 3 and "cap failure" in err
 
 
 def test_negative_trunc_is_a_usage_error(capsys):
@@ -251,6 +244,21 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "betti", "--ideal", str(tmp_path / "missing.ideal"))
     assert code == 2
+
+
+def test_complex_with_unknown_vertex_is_a_parse_error(tmp_path):
+    # run as a process, so an uncaught exception would show as a traceback
+    cx = tmp_path / "bad.cx"
+    cx.write_text("vertices: a b\na c\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(golod_lab.__file__).parents[1])}
+    for argv in (["sr"], ["skeleton", "--dim", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "golod_lab.cli", *argv, "--complex", str(cx)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, argv
+        assert "facet ['a', 'c'] uses unknown vertices" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_nonminimal_ideal_file_is_a_parse_error(capsys, tmp_path):

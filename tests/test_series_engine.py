@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 import pytest
 
-from conftest import ideal_corpus
+from conftest import expand_rational, ideal_corpus
 from golod_lab import series_engine
 from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, column_relations
 from golod_lab.homology_engine import betti
@@ -14,7 +15,6 @@ from golod_lab.series_engine import (
     SeriesTrunc,
     _bar_columns,
     bar_homology_dim,
-    expand_rational,
     p_series,
     q_series,
     series_compare,
@@ -56,6 +56,25 @@ def test_q_series_counterexample(example_ideal):
     assert q_series(example_ideal, QQ, 5).coeffs == (1, 5, 18, 64, 227, 806)
 
 
+def test_q_series_matches_rational_expansion(example_ideal):
+    # q_series sums the bigraded bound the resolution's caps are read from;
+    # it must equal the rational function (1+t)^vars / (1 - sum_i b_i t^(i+1))
+    cases = [(example_ideal, field) for field in (QQ, GF2, GF3)]
+    cases += [
+        (ideal, (QQ, GF2, GF3)[k % 3])
+        for k, ideal in enumerate(ideal_corpus(100, seed=20260811))
+    ]
+    checked = 0
+    for ideal, field in cases:
+        bd = betti(ideal, field)
+        num = [comb(ideal.n_vars, k) for k in range(ideal.n_vars + 1)]
+        den = [1, 0] + [-bd.total(i) for i in range(1, bd.projective_dimension + 1)]
+        for n in range(7):
+            assert q_series(ideal, field, n) == expand_rational(num, den, n), (ideal, field, n)
+            checked += 1
+    assert checked == 721
+
+
 def test_q_series_principal():
     ideal = MonomialIdeal.from_strings(("x", "y"), ["x*y"])
     # (1+t)^2 / (1 - t^2) expanded by hand
@@ -81,22 +100,11 @@ def test_p_series_m2_equals_q_series():
     assert golod_decide(M2, QQ).status == "Golod"
 
 
-def test_p_series_windowed_policy_m2():
-    p, report = p_series(M2, QQ, 5, degree_cap_policy="windowed")
-    assert p.coeffs == (1, 2, 4, 8, 16, 32)
-    assert report.policy == "windowed"
-
-
 def test_p_series_counterexample(example_ideal):
     p, _ = p_series(example_ideal, QQ, 5)
     assert p.coeffs == (1, 5, 18, 64, 227, 805)
     q = q_series(example_ideal, QQ, 5)
     assert series_compare(p, q) == (5, -1)
-
-
-def test_p_series_unknown_policy():
-    with pytest.raises(ValueError):
-        p_series(M2, QQ, 2, degree_cap_policy="bogus")
 
 
 def test_p_series_field_choice():
@@ -106,7 +114,7 @@ def test_p_series_field_choice():
 
 def test_cap_report_contents(example_ideal):
     _, report = p_series(example_ideal, QQ, 2)
-    assert report.policy == "serre"
+    assert report.describe().splitlines()[0] == "cap policy: serre (passed)"
     assert [s.step for s in report.steps] == [1, 2]
     assert "cap" in report.describe()
 
@@ -179,7 +187,6 @@ def test_golod_verdict_implies_series_equality():
 def test_negative_truncation_order_is_rejected():
     calls = (
         lambda: p_series(M2, QQ, -1),
-        lambda: p_series(M2, QQ, -1, degree_cap_policy="windowed"),
         lambda: q_series(M2, QQ, -1),
         lambda: expand_rational([1], [1], -1),
     )
@@ -256,25 +263,23 @@ def test_resolution_step_matches_reference(monkeypatch, example_ideal):
         i for i in ideal_corpus(100, seed=20260811)
         if i.n_gens >= 2 and i.n_vars * max(g.degree for g in i.gens) <= 20
     ]
-    cases = [
-        (example_ideal, QQ, 5, "serre"),
-        (example_ideal, GF2, 4, "serre"),
-        (example_ideal, GF3, 3, "serre"),
-        (example_ideal, GF2, 2, "windowed"),
-    ]
-    for k, ideal in enumerate(rng.sample(corpus, 12)):
-        field = (QQ, GF2, GF3)[k % 3]
-        cases += [(ideal, field, 4, "serre"), (ideal, field, 2, "windowed")]
-    for ideal, field, n, policy in cases:
-        got = p_series(ideal, field, n, degree_cap_policy=policy)
+    cases = [(example_ideal, QQ, 5), (example_ideal, GF2, 4), (example_ideal, GF3, 3)]
+    picked = rng.sample(corpus, 12)
+    for k, ideal in enumerate(picked):
+        cases.append((ideal, (QQ, GF2, GF3)[k % 3], 4))
+    for k, ideal in enumerate(rng.sample([i for i in corpus if i not in picked], 13)):
+        cases.append((ideal, (QQ, GF2, GF3)[k % 3], 3))
+    assert len(cases) == 28
+    for ideal, field, n in cases:
+        got = p_series(ideal, field, n)
         with monkeypatch.context() as m:
             m.setattr(
                 series_engine,
                 "_resolution_step",
-                lambda f, std, gens, phi, cap, known: _reference_step(ideal, f, gens, phi, cap),
+                lambda f, std, gens, phi, cap, prev: _reference_step(ideal, f, gens, phi, cap),
             )
-            want = p_series(ideal, field, n, degree_cap_policy=policy)
-        assert got == want, (ideal, field, n, policy)
+            want = p_series(ideal, field, n)
+        assert got == want, (ideal, field, n)
 
 
 def test_p_series_eliminates_only_where_generators_appear(monkeypatch, example_ideal):
@@ -297,22 +302,21 @@ def test_resolution_step_checks_known_dimensions(monkeypatch):
     calls = []
     step = series_engine._resolution_step
 
-    def recording(field, std, gens, phi, cap, known):
-        prev, upto = known
-        calls.append((field, std, gens, phi, cap, None if prev is None else dict(prev), upto))
-        return step(field, std, gens, phi, cap, known)
+    def recording(field, std, gens, phi, cap, prev):
+        calls.append((field, std, gens, phi, cap, None if prev is None else dict(prev)))
+        return step(field, std, gens, phi, cap, prev)
 
     monkeypatch.setattr(series_engine, "_resolution_step", recording)
     assert p_series(M2, QQ, 3)[0].coeffs == (1, 2, 4, 8)
-    field, std, gens, phi, cap, prev, upto = calls[1]  # step 3, after K_2's dimensions
-    assert step(field, std, gens, phi, cap, (dict(prev), upto))[0].count((1, 2)) == 3
+    field, std, gens, phi, cap, prev = calls[1]  # step 3, after K_2's dimensions
+    assert step(field, std, gens, phi, cap, dict(prev))[0].count((1, 2)) == 3
     # three new generators at (1, 2): raising dim K_2 there by 1 claims one
     # kernel dimension too few, which still leaves the lifts short, so the
     # kernel is eliminated there and contradicts it
     wrong = dict(prev)
     wrong[(1, 2)] = wrong.get((1, 2), 0) + 1
     with pytest.raises(AssertionError, match=r"kernel at \(1, 2\)"):
-        step(field, std, gens, phi, cap, (wrong, upto))
+        step(field, std, gens, phi, cap, wrong)
 
 
 def test_p_series_does_not_hash_the_ideal(monkeypatch, example_ideal):
