@@ -1,5 +1,5 @@
 """Exact computation of Koszul homology products, ternary Massey products,
-and Golod criteria for monomial rings, built on the Taylor resolution."""
+and Golod decisions for monomial rings, built on the Taylor resolution."""
 
 from .exact_linalg import Field, GF2, GF3, QQ, parse_field
 from .homology_engine import BettiData, HomologyClass, betti, class_of
@@ -7,9 +7,7 @@ from .massey_golod import (
     GolodVerdict,
     MasseyResult,
     all_products_trivial,
-    class_criteria,
     golod_decide,
-    homology_product,
     pair_criterion,
     satisfies_B,
     ternary_massey,
@@ -26,7 +24,6 @@ from .monomial_core import (
 )
 from .series_engine import (
     SeriesTrunc,
-    bar_homology_dim,
     p_series,
     q_series,
     series_compare,
@@ -43,7 +40,6 @@ from .simplicial import (
 from .taylor_dga import (
     LcmLattice,
     StrandComplex,
-    chain_to_cochain,
     fiber_complex,
     lcm_lattice,
     reduced_boundary,

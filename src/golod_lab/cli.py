@@ -377,13 +377,16 @@ def cmd_skeleton(args):
     return 0
 
 
-def _parse_roles(text):
+def _parse_roles(text, n_gens):
     mapping = {}
     for part in text.split(","):
         if "=" not in part:
             raise UsageError(f"bad role token {part!r}; want name=index")
         name, idx = part.split("=", 1)
-        mapping[name.strip()] = int(idx)
+        name, idx = name.strip(), int(idx)
+        if not 0 <= idx < n_gens:
+            raise UsageError(f"role {name}={idx}: generator index out of range 0..{n_gens - 1}")
+        mapping[name] = idx
     rename = {"ab#c": "ab_sharp_c", "bc#a": "bc_sharp_a", "ca#b": "ca_sharp_b"}
     kwargs = {rename.get(k, k): v for k, v in mapping.items()}
     try:
@@ -399,7 +402,7 @@ def cmd_pattern_check(args):
         ideal = _load_ideal(args)
         if not args.roles:
             raise UsageError("pattern-check needs --roles for file ideals")
-        assignment = _parse_roles(args.roles)
+        assignment = _parse_roles(args.roles, ideal.n_gens)
     report = cxs.pattern_check(ideal, assignment)
     payload = {k: v for k, v in report.__dict__.items()}
     payload["all_ok"] = report.all_ok

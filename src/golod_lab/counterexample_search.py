@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .exact_linalg import QQ
-from .massey_golod import all_products_trivial, pair_criterion, ternary_massey_generators
+from .massey_golod import (
+    _dividing_generator,
+    all_products_trivial,
+    pair_criterion,
+    ternary_massey_generators,
+)
 from .monomial_core import Monomial, MonomialIdeal, counterexample_ideal, polarize
 
 
@@ -88,13 +93,6 @@ def _bridges(sup_ij, sup_i, sup_j):
     return sup_ij <= (sup_i | sup_j) and sup_ij & sup_i and sup_ij & sup_j
 
 
-def _sharp_exists(ideal, i, j, exclude):
-    target = ideal.gens[i].lcm(ideal.gens[j])
-    return any(
-        k not in exclude and g.divides(target) for k, g in enumerate(ideal.gens)
-    )
-
-
 def pattern_check(ideal, assignment):
     """Evaluate the role-pattern conditions on a squarefree ideal."""
     if not ideal.is_squarefree:
@@ -115,6 +113,10 @@ def pattern_check(ideal, assignment):
     a_cov = sup_ca is not None and s["a"] <= (s["ab"] | sup_ca)
     c_cov = sup_ca is not None and s["c"] <= (s["bc"] | sup_ca)
     core = set(assignment.core())
+
+    def sharp_exists(i, j):
+        return _dividing_generator(ideal, i, j, exclude=core) is not None
+
     return PatternReport(
         disjoint_abc=disjoint,
         ab_bridges=ab_br,
@@ -122,10 +124,10 @@ def pattern_check(ideal, assignment):
         ca_bridges=ca_br,
         b_covered=bool(b_cov),
         a_or_c_covered=bool(a_cov or c_cov),
-        ab_sharp_c_exists=_sharp_exists(ideal, assignment.ab, assignment.c, core),
-        bc_sharp_a_exists=_sharp_exists(ideal, assignment.bc, assignment.a, core),
+        ab_sharp_c_exists=sharp_exists(assignment.ab, assignment.c),
+        bc_sharp_a_exists=sharp_exists(assignment.bc, assignment.a),
         ca_sharp_b_exists=(
-            _sharp_exists(ideal, assignment.ca, assignment.b, core)
+            sharp_exists(assignment.ca, assignment.b)
             if assignment.ca is not None
             else False
         ),

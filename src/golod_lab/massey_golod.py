@@ -10,19 +10,18 @@ where ``sign x`` negates chains of even homological degree; once all binary
 products vanish, the ternary product is a single well-defined class, which is
 what the ``unique`` flag certifies.
 
-The decision layer combines three routes: a nonzero binary product is an
-immediate negative; purely combinatorial ring classes give immediate
-positives; otherwise, when the regularity, projective dimension, or a small
-squarefree vertex count caps the Massey arity at three, the ternary check
-decides.  Anything else falls back to comparing series truncations.
+The decision layer has one bound: a nonzero binary product is an immediate
+negative; otherwise the least of three degree bounds (regularity, through the
+source paper's theorem; projective dimension; squarefree vertex count) caps
+the Massey arity that can be nonzero.  A cap of two decides Golod, a cap of
+three hands the decision to the exhaustive ternary check, and anything larger
+falls back to comparing series truncations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .exact_linalg import QQ
 from .homology_engine import (
     HomologyClass,
     betti,
@@ -92,18 +91,6 @@ def _vector_sum(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def homology_product(ideal, field, alpha, beta):
-    """Product of two homology classes, reduced in the target strand."""
-    if alpha.field != field or beta.field != field:
-        raise ValueError("classes live over a different field")
-    if alpha.ideal != ideal or beta.ideal != ideal:
-        raise ValueError("classes live over a different ideal")
-    prod = chain_product(ideal, field, alpha.chain(), beta.chain())
-    u = _vector_sum(alpha.multidegree, beta.multidegree)
-    i = alpha.hom_degree + beta.hom_degree
-    return class_of(ideal, field, prod, multidegree=u, hom_degree=i)
-
-
 @dataclass(frozen=True)
 class ProductWitness:
     alpha: HomologyClass
@@ -166,13 +153,18 @@ def pair_criterion(ideal, a, b):
     the product a boundary; with no such generator the product spans its
     entire strand degree and survives.
     """
-    ga, gb = ideal.gens[a], ideal.gens[b]
-    if not ga.coprime(gb):
+    if not ideal.gens[a].coprime(ideal.gens[b]):
         raise ValueError("pair criterion applies to coprime generators only")
-    target = ga.lcm(gb)
-    return any(
-        k not in (a, b) and g.divides(target) for k, g in enumerate(ideal.gens)
-    )
+    return _dividing_generator(ideal, a, b, exclude=(a, b)) is not None
+
+
+def _dividing_generator(ideal, i, j, exclude):
+    """The first generator outside ``exclude`` dividing lcm(g_i, g_j), or None."""
+    target = ideal.gens[i].lcm(ideal.gens[j])
+    for k, g in enumerate(ideal.gens):
+        if k not in exclude and g.divides(target):
+            return k
+    return None
 
 
 @dataclass(frozen=True)
@@ -306,14 +298,6 @@ def ternary_massey_generators(ideal, field, a, b, c, b2_certified=False):
     return _finish_massey(ideal, field, value_chain, u, 4, s, t, b2_certified)
 
 
-def _dividing_generator(ideal, i, j, exclude):
-    target = ideal.gens[i].lcm(ideal.gens[j])
-    for k, g in enumerate(ideal.gens):
-        if k not in exclude and g.divides(target):
-            return k
-    return None
-
-
 def _triple_filler(ideal, field, i, mid, j):
     """Chain on the subset {i, mid, j} whose differential is the bar of e_i * e_j."""
     triple = mask_of([i, mid, j])
@@ -379,79 +363,6 @@ def ternary_products_vanish(ideal, field):
 
 
 @dataclass(frozen=True)
-class ClassCriteriaReport:
-    """Which purely structural Golod-deciding conditions an ideal meets."""
-
-    satisfied: tuple
-    arity_notes: tuple
-    evaluated: tuple  # (name, bool) in a fixed order
-
-    def holds(self, name):
-        return name in self.satisfied
-
-
-def class_criteria(ideal, field=QQ):
-    """Structural ring classes where trivial products already force Golod.
-
-    ``strongly-generic`` uses the strong form (no variable repeats a nonzero
-    exponent across two generators), a sufficient condition for the generic
-    deformations the class argument needs.  Regularity is read from the Betti
-    table over the given field.
-    """
-    checks = []
-    gens = ideal.gens
-    checks.append(("degree-2-generators", bool(gens) and all(g.degree == 2 for g in gens)))
-    strongly = True
-    for v in range(ideal.n_vars):
-        seen = set()
-        for g in gens:
-            e = g.exps[v]
-            if e == 0:
-                continue
-            if e in seen:
-                strongly = False
-                break
-            seen.add(e)
-        if not strongly:
-            break
-    checks.append(("strongly-generic", bool(gens) and strongly))
-    checks.append(("at-most-7-generators", ideal.n_gens <= 7))
-    checks.append(("at-most-4-variables", ideal.n_vars <= 4))
-    checks.append(("squarefree-at-most-8-variables", ideal.is_squarefree and ideal.n_vars <= 8))
-    bd = betti(ideal, field)
-    reg = bd.regularity
-    pdim = bd.projective_dimension
-    checks.append(("regularity-at-most-4", reg <= 4))
-    dim3 = ideal.is_squarefree and _complex_dimension_at_most(ideal, 3)
-    checks.append(("complex-dimension-at-most-3", dim3))
-    notes = []
-    if pdim <= 4:
-        notes.append("projective dimension <= 4 caps Massey arity at 3")
-    if (
-        ideal.is_squarefree
-        and ideal.n_vars <= 7
-        and all(g.degree >= 2 for g in gens)
-    ):
-        notes.append("squarefree on <= 7 variables with no variable generator caps Massey arity at 3")
-    return ClassCriteriaReport(
-        satisfied=tuple(name for name, ok in checks if ok),
-        arity_notes=tuple(notes),
-        evaluated=tuple(checks),
-    )
-
-
-def _complex_dimension_at_most(ideal, k):
-    """Squarefree ideal defines a complex of dimension <= k: every (k+2)-subset
-    of the variables contains a generator support."""
-    supports = [g.support for g in ideal.gens]
-    for c in combinations(range(ideal.n_vars), k + 2):
-        cset = set(c)
-        if not any(s <= cset for s in supports):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
 class GolodVerdict:
     status: str  # "Golod" | "NotGolod" | "Undecided"
     route: str
@@ -460,14 +371,42 @@ class GolodVerdict:
     series_evidence: object = None
 
 
+def _massey_arity_bound(ideal, field):
+    """The largest Massey arity that can be nonzero, with its reason.
+
+    The least of three degree bounds, the first listed winning a tie:
+
+    * regularity: the ring is Golod once every Massey product of arity
+      <= max(2, reg - 2) vanishes (the source paper's theorem);
+    * projective dimension: μ_r of classes in homological degrees >= 1 lands
+      in degree >= 2r - 2, so only r <= (pd + 2) // 2 can be nonzero;
+    * a squarefree ideal with no variable generator on n variables: every
+      class sits in a multidegree σ with |σ| >= 2, and a nonzero value needs
+      pairwise disjoint σ's, so only r <= n // 2 can be nonzero.
+    """
+    bd = betti(ideal, field)
+    reg, pdim = bd.regularity, bd.projective_dimension
+    bounds = [
+        (max(2, reg - 2), f"regularity {reg} needs Massey arity <= {max(2, reg - 2)}"),
+        ((pdim + 2) // 2, f"projective dimension {pdim} caps Massey arity at {(pdim + 2) // 2}"),
+    ]
+    if ideal.is_squarefree and all(g.degree >= 2 for g in ideal.gens):
+        n = ideal.n_vars
+        bounds.append(
+            (n // 2, f"squarefree on {n} variables without variable generators "
+                     f"caps Massey arity at {n // 2}")
+        )
+    return min(bounds, key=lambda b: b[0])
+
+
 def golod_decide(ideal, field, series_trunc=None):
     """Decide the Golod property, or report honest indecision.
 
-    Pipeline: a nonzero binary product is conclusive; then structural class
-    criteria; then the arity-3 Massey check whenever regularity <= 5,
-    projective dimension <= 4, or a small squarefree vertex count caps the
-    needed arity; otherwise compare series truncations, where only a strict
-    coefficient drop is conclusive.
+    Pipeline: a nonzero binary product is conclusive; otherwise the arity
+    bound of ``_massey_arity_bound`` decides.  At most 2, trivial products
+    make the ring Golod; at 3, the exhaustive ternary check decides; above,
+    compare series truncations, where only a strict coefficient drop is
+    conclusive.
     """
     ok, witness = all_products_trivial(ideal, field)
     if not ok:
@@ -477,37 +416,25 @@ def golod_decide(ideal, field, series_trunc=None):
             f"nonzero product on Koszul homology: {witness.describe()}",
             witness=witness,
         )
-    report = class_criteria(ideal, field)
-    if report.satisfied:
-        names = ", ".join(report.satisfied)
+    arity, basis = _massey_arity_bound(ideal, field)
+    if arity <= 2:
         return GolodVerdict(
-            "Golod",
-            f"class-criterion:{report.satisfied[0]}",
-            f"products are trivial and the ring class decides ({names})",
+            "Golod", "massey-arity-2", "all binary products vanish; " + basis
         )
-    bd = betti(ideal, field)
-    reg, pdim = bd.regularity, bd.projective_dimension
-    basis = []
-    if reg <= 5:
-        basis.append(f"regularity {reg} needs Massey arity <= {max(2, reg - 2)}")
-    if pdim <= 4:
-        basis.append(f"projective dimension {pdim} caps Massey arity at 3")
-    if ideal.is_squarefree and ideal.n_vars <= 7 and all(g.degree >= 2 for g in ideal.gens):
-        basis.append("squarefree on <= 7 variables without variable generators")
-    if basis:
+    if arity == 3:
         ok3, w3 = ternary_products_vanish(ideal, field)
         if ok3:
             return GolodVerdict(
                 "Golod",
                 "massey-arity-3",
-                "all binary and ternary Massey products vanish; " + basis[0],
+                "all binary and ternary Massey products vanish; " + basis,
             )
         alpha, beta, gamma, res = w3
         return GolodVerdict(
             "NotGolod",
             "massey-arity-3",
             "nonzero ternary Massey product μ3 in multidegree "
-            f"{res.multidegree}, homological degree {res.hom_degree}; " + basis[0],
+            f"{res.multidegree}, homological degree {res.hom_degree}; " + basis,
             witness=w3,
         )
     from .series_engine import p_series, q_series, series_compare

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .exact_linalg import Echelon, span
+from .exact_linalg import Echelon
 from .homology_engine import betti
 
 
@@ -321,67 +321,3 @@ def p_series(ideal, field, n):
         )
         gens, phi = new_gens, new_phi
     return SeriesTrunc(tuple(coeffs), n), CapReport(tuple(steps))
-
-
-# ---------------------------------------------------------------------------
-# bar-complex oracle
-
-
-def _bar_basis(ideal, j, d):
-    """Tuples of j standard monomials of positive degree with total degree d."""
-    if j == 0:
-        return [()] if d == 0 else []
-    by_degree = _std_table(ideal, d)[0]
-    out = []
-
-    def rec(parts, remaining, slots):
-        if slots == 1:
-            for m in by_degree[remaining]:
-                out.append(parts + (m,))
-            return
-        for first in range(1, remaining - slots + 2):
-            for m in by_degree[first]:
-                rec(parts + (m,), remaining - first, slots - 1)
-
-    if d >= j:
-        rec((), d, j)
-    return out
-
-
-def _bar_columns(ideal, field, j, d):
-    """Sparse columns of the bar differential from (j, d) into (j-1, d)."""
-    std = _std_table(ideal, d)[1]
-    lower = {t: k for k, t in enumerate(_bar_basis(ideal, j - 1, d))}
-    p = field.char
-    cols = []
-    for t in _bar_basis(ideal, j, d):
-        col = {}
-        sign = 1
-        for i in range(j - 1):
-            prod = tuple(a + b for a, b in zip(t[i], t[i + 1]))
-            if prod in std:
-                r = lower[t[:i] + (prod,) + t[i + 2:]]
-                col[r] = col.get(r, 0) + sign
-            sign = -sign
-        # the signs are ints: zero in the field means zero, or zero mod p
-        cols.append({r: c for r, c in col.items() if (c % p if p else c)})
-    return cols
-
-
-def bar_homology_dim(ideal, field, j, d):
-    """Dimension of the degree-d piece of the j-th bar homology of the residue field.
-
-    An independent oracle for the resolution engine; intended for small j, d.
-    """
-    if j == 0:
-        return 1 if d == 0 else 0
-    if d < j:
-        return 0
-    dim = len(_bar_basis(ideal, j, d))
-    if dim == 0:
-        return 0
-    cols_j = _bar_columns(ideal, field, j, d)
-    rank_j = len(span(field, cols_j).rows)
-    cols_up = _bar_columns(ideal, field, j + 1, d)
-    rank_up = len(span(field, cols_up).rows)
-    return dim - rank_j - rank_up

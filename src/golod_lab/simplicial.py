@@ -255,25 +255,6 @@ def reduced_cohomology_dims(cx, field):
     return dims
 
 
-def is_coboundary(cx, field, cochain, dim=None):
-    """Whether the cochain (face -> scalar map) is in the coboundary image.
-
-    The cochain dimension is inferred from its support unless given; a zero
-    cochain with no stated dimension is trivially a coboundary.
-    """
-    cochain = {frozenset(f): field.of(c) for f, c in cochain.items() if c != 0}
-    if dim is None:
-        sizes = {len(f) for f in cochain}
-        if len(sizes) > 1:
-            raise ValueError("cochain mixes dimensions")
-        if not sizes:
-            return True
-        dim = sizes.pop() - 1
-    cc = reduced_cochain_complex(cx, field)
-    vec = cc.cochain_vector(dim, cochain)
-    return span(field, cc.delta(dim - 1)).contains(dict(enumerate(vec)))
-
-
 def parse_complex(text):
     """Parse the complex text format.
 

@@ -324,36 +324,3 @@ def fiber_complex(ideal, u):
                 known.append(cset)
                 facets.append(frozenset(pos[gi] for gi in cset))
     return SimplicialComplex.from_facets(labels, facets)
-
-
-def chain_to_cochain(ideal, u, chain):
-    """Image of a homogeneous strand chain in the fiber-complex cochain model.
-
-    The subset I maps, up to sign, to the indicator cochain of the complement
-    of I among the generators below u.  The per-term sign is the parity of the
-    sum of the positions of I's members within that generator list, which
-    makes the map intertwine the strand differential with the simplicial
-    coboundary exactly.
-    """
-    u = tuple(u)
-    below = generators_below(ideal, u)
-    below_set = set(below)
-    rank_of = {gi: k for k, gi in enumerate(below)}
-    labels = fiber_vertex_labels(below)
-    label_of = {gi: labels[k] for k, gi in enumerate(below)}
-    out = {}
-    seen_card = None
-    for mask, coeff in chain.items():
-        if coeff == 0:
-            continue
-        members = mask_members(mask)
-        if subset_multidegree(ideal, mask) != u:
-            raise ValueError("chain is not homogeneous of the stated multidegree")
-        if seen_card is None:
-            seen_card = len(members)
-        elif len(members) != seen_card:
-            raise ValueError("chain mixes homological degrees")
-        sign = -1 if sum(rank_of[i] for i in members) % 2 else 1
-        face = frozenset(label_of[gi] for gi in below_set - set(members))
-        out[face] = out.get(face, 0) + sign * coeff
-    return {f: c for f, c in out.items() if c != 0}

@@ -1,11 +1,21 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
-from golod_lab.exact_linalg import QQ
+from golod_lab.exact_linalg import QQ, span
+from golod_lab.homology_engine import class_of
+from golod_lab.massey_golod import chain_product
 from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal, minimalize
-from golod_lab.series_engine import SeriesTrunc
+from golod_lab.series_engine import SeriesTrunc, _std_table
+from golod_lab.simplicial import reduced_cochain_complex
+from golod_lab.taylor_dga import (
+    fiber_vertex_labels,
+    generators_below,
+    mask_members,
+    subset_multidegree,
+)
 
 
 @pytest.fixture(scope="session")
@@ -163,3 +173,143 @@ def ref_quotient(field, cycles, boundaries, v):
     cols = list(boundaries) + [cycles[i] for i in ref_extend(field, boundaries, cycles, len(v))]
     x = ref_solve(field, rows_of([dict(enumerate(c)) for c in cols], len(v)), len(cols), v)
     return None if x is None else x[len(boundaries):]
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: independent routes the library is checked against
+
+
+def homology_product(ideal, field, alpha, beta):
+    """Product of two homology classes, reduced in the target strand."""
+    if alpha.field != field or beta.field != field:
+        raise ValueError("classes live over a different field")
+    if alpha.ideal != ideal or beta.ideal != ideal:
+        raise ValueError("classes live over a different ideal")
+    prod = chain_product(ideal, field, alpha.chain(), beta.chain())
+    u = tuple(a + b for a, b in zip(alpha.multidegree, beta.multidegree))
+    i = alpha.hom_degree + beta.hom_degree
+    return class_of(ideal, field, prod, multidegree=u, hom_degree=i)
+
+
+def chain_to_cochain(ideal, u, chain):
+    """Image of a homogeneous strand chain in the fiber-complex cochain model.
+
+    The subset I maps, up to sign, to the indicator cochain of the complement
+    of I among the generators below u.  The per-term sign is the parity of the
+    sum of the positions of I's members within that generator list, which
+    makes the map intertwine the strand differential with the simplicial
+    coboundary exactly.
+    """
+    u = tuple(u)
+    below = generators_below(ideal, u)
+    below_set = set(below)
+    rank_of = {gi: k for k, gi in enumerate(below)}
+    labels = fiber_vertex_labels(below)
+    label_of = {gi: labels[k] for k, gi in enumerate(below)}
+    out = {}
+    seen_card = None
+    for mask, coeff in chain.items():
+        if coeff == 0:
+            continue
+        members = mask_members(mask)
+        if subset_multidegree(ideal, mask) != u:
+            raise ValueError("chain is not homogeneous of the stated multidegree")
+        if seen_card is None:
+            seen_card = len(members)
+        elif len(members) != seen_card:
+            raise ValueError("chain mixes homological degrees")
+        sign = -1 if sum(rank_of[i] for i in members) % 2 else 1
+        face = frozenset(label_of[gi] for gi in below_set - set(members))
+        out[face] = out.get(face, 0) + sign * coeff
+    return {f: c for f, c in out.items() if c != 0}
+
+
+def is_coboundary(cx, field, cochain, dim=None):
+    """Whether the cochain (face -> scalar map) is in the coboundary image.
+
+    The cochain dimension is inferred from its support unless given; a zero
+    cochain with no stated dimension is trivially a coboundary.
+    """
+    cochain = {frozenset(f): field.of(c) for f, c in cochain.items() if c != 0}
+    if dim is None:
+        sizes = {len(f) for f in cochain}
+        if len(sizes) > 1:
+            raise ValueError("cochain mixes dimensions")
+        if not sizes:
+            return True
+        dim = sizes.pop() - 1
+    cc = reduced_cochain_complex(cx, field)
+    vec = cc.cochain_vector(dim, cochain)
+    return span(field, cc.delta(dim - 1)).contains(dict(enumerate(vec)))
+
+
+class BarComplex:
+    """The bar complex of the residue field over R = S/I, an oracle for the
+    resolution engine intended for small j, d: Tor^R_j(k, k) in internal
+    degree d is the homology of tuples of j standard monomials of positive
+    degree with total degree d.
+
+    Bases and ranks are kept on the object, so each differential is
+    eliminated once however many (j, d) a caller asks about.
+    """
+
+    def __init__(self, ideal, field):
+        self.ideal, self.field = ideal, field
+        self._bases, self._ranks = {}, {}
+
+    def basis(self, j, d):
+        """Tuples of j standard monomials of positive degree with total degree d."""
+        if (j, d) not in self._bases:
+            out = [()] if j == d == 0 else []
+            if j and d >= j:
+                by_degree = _std_table(self.ideal, d)[0]
+
+                def rec(parts, remaining, slots):
+                    if slots == 1:
+                        for m in by_degree[remaining]:
+                            out.append(parts + (m,))
+                        return
+                    for first in range(1, remaining - slots + 2):
+                        for m in by_degree[first]:
+                            rec(parts + (m,), remaining - first, slots - 1)
+
+                rec((), d, j)
+            self._bases[j, d] = out
+        return self._bases[j, d]
+
+    def columns(self, j, d):
+        """Sparse columns of the differential from (j, d) into (j-1, d)."""
+        std = _std_table(self.ideal, d)[1]
+        lower = {t: k for k, t in enumerate(self.basis(j - 1, d))}
+        p = self.field.char
+        cols = []
+        for t in self.basis(j, d):
+            col = {}
+            sign = 1
+            for i in range(j - 1):
+                prod = tuple(map(add, t[i], t[i + 1]))
+                if prod in std:
+                    r = lower[t[:i] + (prod,) + t[i + 2:]]
+                    col[r] = col.get(r, 0) + sign
+                sign = -sign
+            # the signs are ints: zero in the field means zero, or zero mod p
+            cols.append({r: c for r, c in col.items() if (c % p if p else c)})
+        return cols
+
+    def rank(self, j, d):
+        """Rank of the differential from (j, d), eliminated by rows: (j-1, d)
+        has far fewer tuples than (j, d)."""
+        if (j, d) not in self._ranks:
+            rows = {}
+            for k, col in enumerate(self.columns(j, d)):
+                for r, c in col.items():
+                    rows.setdefault(r, {})[k] = c
+            self._ranks[j, d] = len(span(self.field, list(rows.values())).rows)
+        return self._ranks[j, d]
+
+    def homology_dim(self, j, d):
+        """Dimension of Tor^R_j(k, k) in internal degree d."""
+        dim = len(self.basis(j, d))
+        if j == 0 or dim == 0:  # both differentials at (0, d) are zero
+            return dim
+        return dim - self.rank(j, d) - self.rank(j + 1, d)

@@ -7,7 +7,7 @@ zero).  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import json
 from itertools import combinations
 
-from conftest import expand_rational, ideal_corpus
+from conftest import expand_rational, homology_product, ideal_corpus
 from golod_lab.cli import main
 from golod_lab.exact_linalg import GF2, GF3, QQ
 from golod_lab.homology_engine import _strand_homology, betti, homology_basis
@@ -15,7 +15,6 @@ from golod_lab.massey_golod import (
     all_products_trivial,
     chain_product,
     golod_decide,
-    homology_product,
     pair_criterion,
     ternary_massey,
     ternary_massey_generators,

@@ -188,6 +188,19 @@ def test_pattern_check_roles_flag(capsys, tmp_path):
     assert code == 0 and payload["all_ok"] is True
 
 
+def test_pattern_check_roles_out_of_range(capsys, tmp_path):
+    code, payload, _ = run_json(capsys, "polarize", "--example", "paper")
+    f = tmp_path / "pol.ideal"
+    f.write_text(payload["ideal"])
+    for roles, bad in (
+        ("a=0,b=99,c=6,ab=1,bc=4,ca=7,ab#c=2,bc#a=5,ca#b=5", "b=99"),
+        ("a=-8,b=3,c=6,ab=1,bc=4,ca=7,ab#c=2,bc#a=5,ca#b=5", "a=-8"),
+    ):
+        code, out, err = run(capsys, "pattern-check", "--ideal", str(f), "--roles", roles)
+        assert code == 2 and out == "", bad
+        assert f"role {bad}: generator index out of range 0..7" in err
+
+
 def test_search_command_negative_control(capsys):
     code, out, _ = run(capsys, "search", "--vars", "4", "--max-gens", "8", "--budget", "100")
     assert code == 0

@@ -1,23 +1,24 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from conftest import ideal_corpus
+from conftest import homology_product, ideal_corpus, random_squarefree_ideal
 from golod_lab import massey_golod
 from golod_lab.exact_linalg import GF2, QQ
 from golod_lab.homology_engine import homology_basis
 from golod_lab.massey_golod import (
     ProductWitness,
+    _massey_arity_bound,
     all_products_trivial,
     chain_product,
-    class_criteria,
     golod_decide,
-    homology_product,
     pair_criterion,
     satisfies_B,
     ternary_massey,
     ternary_massey_generators,
+    ternary_products_vanish,
 )
 from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal
 from golod_lab.taylor_dga import lcm_lattice, mask_of
@@ -204,28 +205,54 @@ def test_graded_commutativity_random():
                 assert ab == want
 
 
-def test_class_criteria_counterexample(example_ideal):
-    report = class_criteria(example_ideal)
-    assert report.satisfied == ()
-    assert "projective dimension <= 4 caps Massey arity at 3" in report.arity_notes
+def test_massey_arity_bound_takes_the_least(example_ideal):
+    # the square of the maximal ideal in four variables: regularity alone
+    m2 = MonomialIdeal.from_strings(
+        ("a", "b", "c", "d"),
+        ["a^2", "a*b", "a*c", "a*d", "b^2", "b*c", "b*d", "c^2", "c*d", "d^2"],
+    )
+    assert _massey_arity_bound(m2, QQ) == (2, "regularity 1 needs Massey arity <= 2")
+    # a principal ideal of high degree: projective dimension alone
+    principal = MonomialIdeal.from_strings(("x",), ["x^7"])
+    assert _massey_arity_bound(principal, QQ) == (
+        1, "projective dimension 1 caps Massey arity at 1"
+    )
+    # a variable generator sits in a multidegree with |σ| = 1: no squarefree bound
+    variable = MonomialIdeal.from_strings(("x",), ["x"])
+    assert _massey_arity_bound(variable, QQ) == (
+        1, "projective dimension 1 caps Massey arity at 1"
+    )
+    # the boundary of a 7-simplex plus an isolated vertex (reg 7, pd 8):
+    # the squarefree vertex count alone
+    v = tuple(f"x{i}" for i in range(1, 10))
+    sphere_and_point = MonomialIdeal.from_strings(
+        v, ["*".join(v[:8])] + [f"x9*x{i}" for i in range(1, 9)]
+    )
+    assert _massey_arity_bound(sphere_and_point, QQ) == (
+        4, "squarefree on 9 variables without variable generators caps Massey arity at 4"
+    )
+    # paper: regularity 5 and projective dimension 4 both give 3; regularity names it
+    for field in (QQ, GF2):
+        assert _massey_arity_bound(example_ideal, field) == (
+            3, "regularity 5 needs Massey arity <= 3"
+        )
 
 
-def test_class_criteria_small_ideals():
-    r = class_criteria(M2)
-    assert {"at-most-7-generators", "at-most-4-variables"} <= set(r.satisfied)
-    path = MonomialIdeal.from_strings(("x1", "x2", "x3"), ["x1*x2", "x2*x3"])
-    r2 = class_criteria(path)
-    assert {
-        "degree-2-generators",
-        "at-most-7-generators",
-        "at-most-4-variables",
-    } <= set(r2.satisfied)
-
-
-def test_class_criteria_strongly_generic():
-    generic = MonomialIdeal.from_strings(("x", "y", "z"), ["x^2*y", "y^2*z", "z^2*x"])
-    assert class_criteria(generic).holds("strongly-generic")
-    assert not class_criteria(counterexample_ideal()).holds("strongly-generic")
+def test_golod_verdicts_by_arity_bound_on_corpus(example_ideal):
+    rng = random.Random(1)
+    squarefree = [random_squarefree_ideal(rng, max_vars=7) for _ in range(60)]
+    groups = {"paper": [example_ideal], "corpus": ideal_corpus(100), "squarefree": squarefree}
+    # (Golod, NotGolod) per group, the same over both fields
+    want = {"paper": (0, 1), "corpus": (50, 50), "squarefree": (35, 25)}
+    for field in (QQ, GF2):
+        for name, ideals in groups.items():
+            verdicts = [golod_decide(ideal, field) for ideal in ideals]
+            statuses = Counter(v.status for v in verdicts)
+            assert (statuses["Golod"], statuses["NotGolod"]) == want[name], (name, field)
+            for ideal, v in zip(ideals, verdicts):
+                assert v.route in ("binary-product", "massey-arity-2", "massey-arity-3")
+                if v.route == "massey-arity-2":
+                    assert ternary_products_vanish(ideal, field) == (True, None)
 
 
 def test_golod_decide_counterexample(example_ideal):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import expand_rational, ideal_corpus
+from conftest import BarComplex, expand_rational, ideal_corpus
 from golod_lab import series_engine
 from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, column_relations
 from golod_lab.homology_engine import betti
@@ -13,8 +13,6 @@ from golod_lab.massey_golod import golod_decide
 from golod_lab.monomial_core import Monomial, MonomialIdeal
 from golod_lab.series_engine import (
     SeriesTrunc,
-    _bar_columns,
-    bar_homology_dim,
     p_series,
     q_series,
     series_compare,
@@ -121,9 +119,10 @@ def test_cap_report_contents(example_ideal):
 
 def test_bar_differential_squares_to_zero():
     # compose the sparse differentials explicitly on a small ring
+    bar = BarComplex(M2, QQ)
     for (j, d) in ((3, 3), (3, 4), (4, 4)):
-        cols_j = _bar_columns(M2, QQ, j, d)
-        lower_cols = _bar_columns(M2, QQ, j - 1, d)
+        cols_j = bar.columns(j, d)
+        lower_cols = bar.columns(j - 1, d)
         for col in cols_j:
             acc = {}
             for r, c in col.items():
@@ -133,12 +132,13 @@ def test_bar_differential_squares_to_zero():
 
 
 def test_bar_dimensions_small():
-    assert bar_homology_dim(M2, QQ, 0, 0) == 1
-    assert bar_homology_dim(M2, QQ, 0, 1) == 0
-    assert bar_homology_dim(M2, QQ, 1, 1) == 2
+    bar = BarComplex(M2, QQ)
+    assert bar.homology_dim(0, 0) == 1
+    assert bar.homology_dim(0, 1) == 0
+    assert bar.homology_dim(1, 1) == 2
     # the square of the maximal ideal is zero, so Tor_2 sits in degree 2 only
-    assert bar_homology_dim(M2, QQ, 2, 3) == 0
-    assert sum(bar_homology_dim(M2, QQ, 2, d) for d in range(2, 5)) == 4
+    assert bar.homology_dim(2, 3) == 0
+    assert sum(bar.homology_dim(2, d) for d in range(2, 5)) == 4
 
 
 def test_bar_agrees_with_resolution_small_ideals():
@@ -151,13 +151,15 @@ def test_bar_agrees_with_resolution_small_ideals():
     ]
     for ideal in ideals:
         p, _ = p_series(ideal, QQ, 3)
+        bar = BarComplex(ideal, QQ)
         for j in range(4):
-            total = sum(bar_homology_dim(ideal, QQ, j, d) for d in range(j, 3 * j + 2))
+            total = sum(bar.homology_dim(j, d) for d in range(j, 3 * j + 2))
             assert total == p.coeffs[j], ideal
 
 
 def test_bar_counterexample_tor_two(example_ideal):
-    total = sum(bar_homology_dim(example_ideal, QQ, 2, d) for d in range(2, 7))
+    bar = BarComplex(example_ideal, QQ)
+    total = sum(bar.homology_dim(2, d) for d in range(2, 7))
     assert total == 18
 
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import apply_columns
+from conftest import apply_columns, is_coboundary
 from golod_lab.exact_linalg import GF2, GF3, QQ
 from golod_lab.massey_golod import all_products_trivial
 from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal, polarize
@@ -12,7 +12,6 @@ from golod_lab.simplicial import (
     complex_of,
     format_complex,
     is_2_neighborly,
-    is_coboundary,
     parse_complex,
     reduced_cochain_complex,
     reduced_cohomology_dims,

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import apply_columns, ideal_corpus
+from conftest import apply_columns, chain_to_cochain, ideal_corpus
 from golod_lab.exact_linalg import GF2, QQ
 from golod_lab.monomial_core import (
     MonomialIdeal,
@@ -19,7 +19,6 @@ from golod_lab.simplicial import (
     stanley_reisner_ideal,
 )
 from golod_lab.taylor_dga import (
-    chain_to_cochain,
     fiber_complex,
     generators_below,
     lcm_lattice,
