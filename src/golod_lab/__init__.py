@@ -9,7 +9,6 @@ from .massey_golod import (
     all_products_trivial,
     golod_decide,
     pair_criterion,
-    satisfies_B,
     ternary_massey,
     ternary_massey_generators,
 )
@@ -43,7 +42,6 @@ from .taylor_dga import (
     fiber_complex,
     lcm_lattice,
     reduced_boundary,
-    strand,
 )
 
 __version__ = "0.1.0"

@@ -186,7 +186,9 @@ def cmd_massey3(args):
     ideal = _load_ideal(args)
     field = parse_field(args.field)
     if args.all:
-        ok, witness = mg.satisfies_B(ideal, field, 3)
+        ok, witness = mg.all_products_trivial(ideal, field)
+        if ok:
+            ok, witness = mg.ternary_products_vanish(ideal, field)
         payload = {"field": str(field), "all_zero": ok}
         if ok:
             text = "every binary and ternary Massey product is defined and zero"
@@ -399,10 +401,11 @@ def cmd_pattern_check(args):
     if getattr(args, "example", None) == "paper":
         ideal, assignment = cxs.seed_pattern()
     else:
-        ideal = _load_ideal(args)
-        if not args.roles:
-            raise UsageError("pattern-check needs --roles for file ideals")
+        ideal, assignment = _load_ideal(args), None
+    if args.roles:
         assignment = _parse_roles(args.roles, ideal.n_gens)
+    elif assignment is None:
+        raise UsageError("pattern-check needs --roles for file ideals")
     report = cxs.pattern_check(ideal, assignment)
     payload = {k: v for k, v in report.__dict__.items()}
     payload["all_ok"] = report.all_ok

@@ -81,13 +81,6 @@ class PatternReport:
             values.append(self.ca_bridges)
         return all(values)
 
-    def failures(self):
-        out = []
-        for name, value in self.__dict__.items():
-            if value is False:
-                out.append(name)
-        return out
-
 
 def _bridges(sup_ij, sup_i, sup_j):
     return sup_ij <= (sup_i | sup_j) and sup_ij & sup_i and sup_ij & sup_j
@@ -147,17 +140,13 @@ class SearchHit:
     serial: int
     ideal: MonomialIdeal
     assignment: RoleAssignment
-    degree_one_products_trivial: bool
-    massey_nonzero: bool
     all_products_trivial: bool
 
     @property
     def is_counterexample(self):
-        return (
-            self.degree_one_products_trivial
-            and self.massey_nonzero
-            and self.all_products_trivial
-        )
+        # a hit already has trivial generator products and a nonzero ternary
+        # Massey product of a, b, c; the full product check is what remains
+        return self.all_products_trivial
 
 
 def seed_pattern():
@@ -191,7 +180,7 @@ def _evaluate_candidate(serial, ideal, assignment, field):
     if not res.defined or res.value_is_zero:
         return None
     full_ok, _ = all_products_trivial(ideal, field)
-    return SearchHit(serial, ideal, assignment, True, True, full_ok)
+    return SearchHit(serial, ideal, assignment, full_ok)
 
 
 def _subsets_between(universe, side1, side2):

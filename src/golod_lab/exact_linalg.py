@@ -102,7 +102,10 @@ def parse_field(text):
     if t in ("q", "qq", "0"):
         return QQ
     if t.startswith("fp:"):
-        return Field(int(t[3:]))
+        p = int(t[3:])
+        if p == 0:  # Field(0) is the rationals, which fp:<n> does not name
+            raise ValueError(f"{text!r} names no prime field; use 'q' for the rationals")
+        return Field(p)
     raise ValueError(f"unrecognized field {text!r}; use 'q' or 'fp:<prime>'")
 
 

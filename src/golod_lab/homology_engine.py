@@ -7,8 +7,9 @@ is extended by the kernel vectors of d_i that are independent of it, taken
 greedily in order; they are the homology representatives.  That one echelon
 per (strand, degree) answers every later question: the dimension, the
 coordinates of a cycle against the fixed basis (all zero exactly when it is
-a boundary), whether a vector is a cycle at all, and the pivot solution of
-d_{i+1} x = v.
+a boundary), whether a chain is a cycle at all, and the pivot solution of
+d_{i+1} x = z.  Chains (mask -> scalar) go in and come out; the basis
+positions the elimination runs on stay inside ``StrandHomology``.
 
 One rule sizes strands: one with at most ``_FULL_STRAND_LIMIT`` generators
 below u is built whole and answers every question through its
@@ -28,15 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import Echelon, LinAlgError, column_relations, span
+from .exact_linalg import Echelon, column_relations, span
 from .taylor_dga import (
     _FULL_STRAND_LIMIT,
+    StrandComplex,
     chain_degrees,
     generators_below,
     in_lattice,
     lcm_lattice,
     reduced_boundary,
-    strand,
     strand_degree_basis,
 )
 
@@ -77,7 +78,7 @@ class StrandHomology:
     """Cached homology data of one strand: dims, representatives, coordinates."""
 
     def __init__(self, ideal, u, field):
-        self.strand = strand(ideal, u, field)
+        self.strand = StrandComplex(ideal, u)
         self.field = field
         self._pending = {}
         self._data = {}
@@ -143,37 +144,40 @@ class StrandHomology:
             )
         return out
 
-    def _residual(self, i, vec):
-        ech, _, _ = self._compute(i)
-        return ech.reduce({k: x for k, x in enumerate(vec) if x != 0})
+    def _reduce(self, i, chain):
+        """The residual of a degree-i chain (mask -> scalar) in the degree-i
+        echelon, with the degree's first representative tag."""
+        index, of = self.strand.index.get(i, {}), self.field.of
+        vec = {}
+        for mask, c in chain.items():
+            if c == 0:
+                continue
+            if mask not in index:
+                raise ValueError(f"mask {mask:b} is not a degree-{i} basis element")
+            if x := of(c):
+                vec[index[mask]] = x
+        ech, first, _ = self._compute(i)
+        return ech.reduce(vec), first
 
-    def coordinates_of(self, i, vec):
-        """Coordinates of a degree-i cycle (a dense vector) in the homology basis."""
-        _, first, reps = self._compute(i)
-        w = self._residual(i, vec)
-        if w and min(w) < len(vec):
-            raise LinAlgError("vector not in the span of the cycles")
-        return tuple(self.field.of(-w.get(first + k, 0)) for k in range(len(reps)))
+    def coordinates(self, i, chain):
+        """Coordinates of a degree-i cycle (mask -> scalar) in the homology basis."""
+        w, first = self._reduce(i, chain)
+        if w and min(w) < self.strand.dim(i):
+            raise ValueError("chain is not a cycle")
+        return tuple(self.field.of(-w.get(first + k, 0)) for k in range(self.dimension(i)))
 
-    def solve_boundary(self, i, vec):
-        """Some degree-(i+1) vector whose boundary is vec, or None.
+    def bounding_chain(self, i, chain):
+        """A degree-(i+1) chain whose boundary is the degree-i chain, or None.
 
-        The pivot solution: it is supported on the columns of d_{i+1} that
-        are independent of the columns before them.
+        The pivot solution: it is supported on the masks whose columns of
+        d_{i+1} are independent of the columns before them.
         """
-        s = self.strand
-        if s.dim(i + 1) == 0:
-            if all(x == 0 for x in vec):
-                return tuple()
-            return None
-        n, first = len(vec), self._compute(i)[1]
-        w = self._residual(i, vec)
+        w, first = self._reduce(i, chain)
+        n = self.strand.dim(i)
         if w and (min(w) < n or max(w) >= first):
             return None
-        x = [self.field.zero()] * s.dim(i + 1)
-        for k, c in w.items():
-            x[k - n] = self.field.of(-c)
-        return tuple(x)
+        up = self.strand.basis.get(i + 1, [])
+        return {up[k - n]: self.field.of(-c) for k, c in sorted(w.items())}
 
 
 def _strand_homology(ideal, field, u):
@@ -218,11 +222,7 @@ def class_of(ideal, field, chain, multidegree=None, hom_degree=None):
         if chain:
             raise AssertionError("nonzero chain in a multidegree outside the lattice")
         return HomologyClass(ideal, field, u, i, (), ())
-    sh = _strand_homology(ideal, field, u)
-    try:
-        coords = sh.coordinates_of(i, sh.strand.chain_vector(i, chain))
-    except LinAlgError:
-        raise ValueError("chain is not a cycle") from None
+    coords = _strand_homology(ideal, field, u).coordinates(i, chain)
     return HomologyClass(ideal, field, u, i, _freeze_chain(chain), coords)
 
 

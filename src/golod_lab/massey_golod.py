@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .homology_engine import (
     HomologyClass,
+    _freeze_chain,
     betti,
     chain_is_boundary,
     class_of,
@@ -182,10 +183,6 @@ class MasseyResult:
     obstruction: str | None = None
 
 
-def _freeze(chain):
-    return tuple(sorted((m, c) for m, c in chain.items() if c != 0))
-
-
 def _undefined(reason):
     return MasseyResult(False, False, None, None, None, None, None, None, reason)
 
@@ -200,12 +197,12 @@ def _finish_massey(ideal, field, value_chain, u, i, s, t, b2_certified):
     return MasseyResult(
         defined=True,
         unique=bool(b2_certified),
-        value_chain=_freeze(value_chain),
+        value_chain=_freeze_chain(value_chain),
         value=value_class,
         value_is_zero=zero,
         multidegree=u,
         hom_degree=i,
-        system=(_freeze(s), _freeze(t)),
+        system=(_freeze_chain(s), _freeze_chain(t)),
     )
 
 
@@ -255,11 +252,10 @@ def _solve_boundary(ideal, field, target_chain, u, target_degree):
     sh = whole_strand(ideal, field, u)
     if sh is None:
         raise ValueError(f"strand at {u} is too big to solve for a defining system")
-    vec = sh.strand.chain_vector(target_degree, target_chain)
-    sol = sh.solve_boundary(target_degree, vec)
+    sol = sh.bounding_chain(target_degree, target_chain)
     if sol is None:
         raise AssertionError("boundary solve failed for a chain known to bound")
-    return sh.strand.vector_chain(target_degree + 1, sol)
+    return sol
 
 
 def ternary_massey_generators(ideal, field, a, b, c, b2_certified=False):
@@ -310,20 +306,6 @@ def _triple_filler(ideal, field, i, mid, j):
     assert r is not None and r[1] == pair
     coeff = field.of(r[0] * sigma)  # sigma^2 = 1, so this solves sigma * x = sign
     return {triple: coeff}
-
-
-def satisfies_B(ideal, field, r):
-    """Whether every Massey product of arity <= r is defined and zero.
-
-    Supports r in {2, 3}.  Arity two is the exhaustive binary check; arity
-    three adds ``ternary_products_vanish``.
-    """
-    if r not in (2, 3):
-        raise ValueError(f"Massey arity {r} is not supported (only 2 and 3)")
-    ok, witness = all_products_trivial(ideal, field)
-    if not ok or r == 2:
-        return ok, witness
-    return ternary_products_vanish(ideal, field)
 
 
 def ternary_products_vanish(ideal, field):

@@ -67,12 +67,6 @@ class Monomial:
         self._check(other)
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
-    def quotient(self, other):
-        """Exact quotient self / other; other must divide self."""
-        if not other.divides(self):
-            raise ValueError(f"{other.exps} does not divide {self.exps}")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
 
 def lcm_of(monomials, n_vars):
     """Componentwise maximum over a collection; the constant for empty input."""

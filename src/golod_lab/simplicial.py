@@ -222,21 +222,6 @@ class CochainComplex:
             columns.append(col)
         return columns
 
-    def cochain_vector(self, i, cochain):
-        """Coefficient vector of a cochain given as a face -> scalar mapping."""
-        idx = self._index.get(i)
-        if idx is None:
-            if cochain:
-                raise ValueError(f"no faces in dimension {i}")
-            return ()
-        vec = [self.field.zero()] * len(idx)
-        for face, c in cochain.items():
-            f = frozenset(face)
-            if f not in idx:
-                raise ValueError(f"{sorted(face)} is not a face of dimension {i}")
-            vec[idx[f]] = self.field.of(c)
-        return tuple(vec)
-
 
 def reduced_cochain_complex(cx, field):
     if cx.is_void:

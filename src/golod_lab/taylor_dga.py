@@ -136,14 +136,6 @@ class LcmLattice:
     def __len__(self):
         return len(self.elements)
 
-    def generators_below(self, u):
-        """Indices of generators whose multidegree is componentwise <= u."""
-        return generators_below(self.ideal, u)
-
-    @property
-    def top(self):
-        return tuple(lcm_of(self.ideal.gens, self.ideal.n_vars).exps)
-
 
 def lcm_lattice(ideal):
     """Lattice of subset-lcm multidegrees, computed by pairwise-join closure.
@@ -206,18 +198,19 @@ def strand_degree_basis(ideal, u, i, gens_below=None, apex=None):
 class StrandComplex:
     """The multidegree-u piece of the field-reduced Taylor complex.
 
-    Bases per homological degree are mask lists sorted ascending; boundary
-    columns are built on request and consecutive differentials compose to zero.
+    Bases per homological degree are mask lists sorted ascending, and
+    ``index[i]`` maps each mask of ``basis[i]`` to its position.  Boundary
+    columns are built on request and consecutive differentials compose to
+    zero.  Their entries are +-1, so the complex is the same over every field.
     """
 
-    def __init__(self, ideal, u, field):
+    def __init__(self, ideal, u):
         u = tuple(u)
         self.gens_below = generators_below(ideal, u)
         if not in_lattice(ideal, u, self.gens_below):
             raise ValueError(f"multidegree {u} is not in the lcm lattice")
         self.ideal = ideal
         self.u = u
-        self.field = field
         if len(self.gens_below) > _FULL_STRAND_LIMIT:
             raise ValueError(
                 f"strand at {u} has {len(self.gens_below)} generators below it; "
@@ -228,7 +221,7 @@ class StrandComplex:
             masks = strand_degree_basis(ideal, u, i, self.gens_below)
             if masks:
                 self.basis[i] = masks
-        self._index = {i: {m: k for k, m in enumerate(b)} for i, b in self.basis.items()}
+        self.index = {i: {m: k for k, m in enumerate(b)} for i, b in self.basis.items()}
 
     @property
     def degrees(self):
@@ -246,7 +239,7 @@ class StrandComplex:
         lcm is then still u.  Built afresh on each call: homology eliminates
         each differential once.
         """
-        dst_index = self._index.get(i - 1, {})
+        dst_index = self.index.get(i - 1, {})
         columns = []
         for mask in self.basis.get(i, []):
             col = {}
@@ -261,25 +254,6 @@ class StrandComplex:
                 rest ^= bit
             columns.append(col)
         return columns
-
-    def chain_vector(self, i, chain):
-        """Coefficient vector of a chain (mask -> scalar) in the degree-i basis."""
-        idx = self._index.get(i, {})
-        vec = [self.field.zero()] * len(idx)
-        for mask, c in chain.items():
-            if c == 0:
-                continue
-            if mask not in idx:
-                raise ValueError(f"mask {mask:b} is not a degree-{i} basis element")
-            vec[idx[mask]] = self.field.of(c)
-        return tuple(vec)
-
-    def vector_chain(self, i, vec):
-        return {m: c for m, c in zip(self.basis.get(i, []), vec) if c != 0}
-
-
-def strand(ideal, u, field):
-    return StrandComplex(ideal, u, field)
 
 
 def chain_degrees(ideal, chain):

@@ -176,6 +176,50 @@ def ref_quotient(field, cycles, boundaries, v):
 
 
 # ---------------------------------------------------------------------------
+# small helpers over library objects, used only by the tests
+
+
+def cochain_vector(cc, i, cochain):
+    """Coefficient vector of a cochain (face -> scalar) over the i-faces of a
+    CochainComplex, in the order of ``cc.faces(i)``."""
+    if i not in range(-1, cc.top + 1):
+        if cochain:
+            raise ValueError(f"no faces in dimension {i}")
+        return ()
+    idx = {f: k for k, f in enumerate(cc.faces(i))}
+    vec = [cc.field.zero()] * len(idx)
+    for face, c in cochain.items():
+        f = frozenset(face)
+        if f not in idx:
+            raise ValueError(f"{sorted(face)} is not a face of dimension {i}")
+        vec[idx[f]] = cc.field.of(c)
+    return tuple(vec)
+
+
+def basis_chain(basis, vec):
+    """The chain (mask -> scalar) of a dense vector over a strand basis."""
+    return {m: c for m, c in zip(basis, vec) if c != 0}
+
+
+def chain_basis_vector(field, basis, chain):
+    """The dense vector over a strand basis of a chain supported on it."""
+    assert set(chain) <= set(basis)
+    return tuple(field.of(chain.get(m, 0)) for m in basis)
+
+
+def monomial_quotient(m, other):
+    """Exact quotient m / other of monomials; other must divide m."""
+    if not other.divides(m):
+        raise ValueError(f"{other.exps} does not divide {m.exps}")
+    return Monomial(tuple(a - b for a, b in zip(m.exps, other.exps)))
+
+
+def pattern_failures(report):
+    """Names of the conditions a PatternReport fails (None is no failure)."""
+    return [name for name, value in report.__dict__.items() if value is False]
+
+
+# ---------------------------------------------------------------------------
 # reference oracles: independent routes the library is checked against
 
 
@@ -239,7 +283,7 @@ def is_coboundary(cx, field, cochain, dim=None):
             return True
         dim = sizes.pop() - 1
     cc = reduced_cochain_complex(cx, field)
-    vec = cc.cochain_vector(dim, cochain)
+    vec = cochain_vector(cc, dim, cochain)
     return span(field, cc.delta(dim - 1)).contains(dict(enumerate(vec)))
 
 

@@ -94,6 +94,13 @@ def test_golod_field_flag(capsys):
     assert code == 1 and payload["status"] == "NotGolod"
 
 
+def test_field_fp0_is_a_usage_error(capsys):
+    # fp:<n> must name a prime; fp:0 used to run silently over Q
+    code, out, err = run(capsys, "betti", "--example", "paper", "--field", "fp:0")
+    assert code == 2 and out == ""
+    assert "names no prime field" in err
+
+
 def test_series_command(capsys):
     code, payload, _ = run_json(capsys, "series", "--example", "paper", "--trunc", "5")
     assert code == 1  # divergence signals the negative answer
@@ -199,6 +206,18 @@ def test_pattern_check_roles_out_of_range(capsys, tmp_path):
         code, out, err = run(capsys, "pattern-check", "--ideal", str(f), "--roles", roles)
         assert code == 2 and out == "", bad
         assert f"role {bad}: generator index out of range 0..7" in err
+
+
+def test_pattern_check_example_takes_roles(capsys):
+    code, out, err = run(capsys, "pattern-check", "--example", "paper", "--roles", "a=99")
+    assert code == 2 and out == ""
+    assert "role a=99: generator index out of range 0..7" in err
+    seed_roles = "a=0,b=3,c=6,ab=1,bc=4,ca=7,ab#c=2,bc#a=5,ca#b=5"
+    for fmt in ("text", "json"):
+        plain = run(capsys, "pattern-check", "--example", "paper", "--format", fmt)
+        assert plain[0] == 0
+        assert run(capsys, "pattern-check", "--example", "paper", "--format", fmt,
+                   "--roles", seed_roles) == plain
 
 
 def test_search_command_negative_control(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     apply_columns,
+    basis_chain,
     columns_of,
     ideal_corpus,
     ref_extend,
@@ -45,9 +46,13 @@ def test_field_requires_prime():
 
 def test_parse_field():
     assert parse_field("q") == QQ
+    assert parse_field("qq") == parse_field("0") == QQ
     assert parse_field("fp:7").char == 7
     with pytest.raises(ValueError):
         parse_field("r")
+    # fp:<n> names a prime field; Field(0) would silently be the rationals
+    with pytest.raises(ValueError, match="no prime field"):
+        parse_field("fp:0")
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +318,7 @@ def _relation_scalars(field, ints):
 
 
 def _strand_scalars(field, ideal, rng):
-    """Every scalar that StrandHomology.coordinates_of and solve_boundary
+    """Every scalar that StrandHomology.coordinates and bounding_chain
     return for random cycles and boundaries of every strand of the ideal."""
     out = []
     for u in lcm_lattice(ideal):
@@ -326,9 +331,10 @@ def _strand_scalars(field, ideal, rng):
                 coeffs = [rng.randint(-2, 2) for _ in kernel]
                 cycle = tuple(field.of(sum(c * kv[k] for c, kv in zip(coeffs, kernel)))
                               for k in range(s.dim(i)))
-                out += sh.coordinates_of(i, cycle)
+                out += sh.coordinates(i, basis_chain(s.basis[i], cycle))
                 x = tuple(field.of(rng.randint(-2, 2)) for _ in up)
-                out += sh.solve_boundary(i, apply_columns(field, up, x, s.dim(i)))
+                bnd = apply_columns(field, up, x, s.dim(i))
+                out += sh.bounding_chain(i, basis_chain(s.basis[i], bnd)).values()
     return out
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from conftest import (
     apply_columns,
+    basis_chain,
+    chain_basis_vector,
     ideal_corpus,
     ref_extend,
     ref_kernel,
@@ -30,12 +32,12 @@ from golod_lab.simplicial import (
     stanley_reisner_ideal,
 )
 from golod_lab.taylor_dga import (
+    StrandComplex,
     fiber_complex,
     generators_below,
     lcm_lattice,
     mask_of,
     reduced_boundary,
-    strand,
     strand_degree_basis,
 )
 
@@ -160,7 +162,7 @@ def test_euler_characteristic_per_strand():
     ideals = [counterexample_ideal()] + ideal_corpus(20, seed=61)
     for ideal in ideals:
         for u in lcm_lattice(ideal):
-            s = strand(ideal, tuple(u), QQ)
+            s = StrandComplex(ideal, tuple(u))
             chi_basis = sum((-1) ** i * s.dim(i) for i in s.degrees)
             chi_hom = sum(
                 (-1) ** i * _strand_homology(ideal, QQ, tuple(u)).dimension(i)
@@ -173,7 +175,7 @@ def test_strand_homology_matches_fiber_cohomology(example_ideal):
     # dimension duality between the strand and its fiber complex
     lat = lcm_lattice(example_ideal)
     for u in lat:
-        below = lat.generators_below(u)
+        below = generators_below(example_ideal, u)
         fib = fiber_complex(example_ideal, tuple(u))
         dims = reduced_cohomology_dims(fib, QQ)
         for i in range(1, len(below) + 1):
@@ -190,7 +192,13 @@ def test_zero_ideal_betti():
 
 
 def test_strand_homology_matches_separate_eliminations():
-    """The one echelon per degree agrees with separate dense eliminations."""
+    """The one echelon per degree agrees with separate dense eliminations.
+
+    Chains go in and out of ``coordinates`` and ``bounding_chain``; the dense
+    reference works on vectors over the strand basis.  Every bounding chain
+    has the input as its boundary, and a mask outside the degree-i basis is
+    rejected.
+    """
     rng = random.Random(71)
     ideals = [counterexample_ideal()] + ideal_corpus(12, seed=72)
     for field in (QQ, GF2):
@@ -200,24 +208,33 @@ def test_strand_homology_matches_separate_eliminations():
                 s = sh.strand
                 for i in s.degrees:
                     n, up_cols = s.dim(i), s.boundary_columns(i + 1)
+                    basis, up_basis = s.basis[i], s.basis.get(i + 1, [])
                     up = rows_of(up_cols, n)
                     kernel = ref_kernel(field, rows_of(s.boundary_columns(i), s.dim(i - 1)), n)
                     image = [tuple(field.of(c.get(r, 0)) for r in range(n)) for c in up_cols]
                     reps = [kernel[j] for j in ref_extend(field, image, kernel, n)]
-                    want = [tuple(sorted(s.vector_chain(i, r).items())) for r in reps]
+                    want = [tuple(sorted(basis_chain(basis, r).items())) for r in reps]
                     assert [c.representative for c in sh.classes(i)] == want
                     for _ in range(4):
                         coeffs = [rng.randint(-2, 2) for _ in kernel]
                         cycle = tuple(field.of(sum(c * kv[k] for c, kv in zip(coeffs, kernel)))
                                       for k in range(n))
-                        assert sh.coordinates_of(i, cycle) == ref_quotient(
+                        assert sh.coordinates(i, basis_chain(basis, cycle)) == ref_quotient(
                             field, kernel, image, cycle)
                         x = tuple(field.of(rng.randint(-2, 2)) for _ in up_cols)
                         bnd = apply_columns(field, up_cols, x, n)
-                        assert sh.solve_boundary(i, bnd) == ref_solve(field, up, len(up_cols), bnd)
-                        if up_cols:
-                            assert sh.solve_boundary(i, cycle) == ref_solve(
-                                field, up, len(up_cols), cycle)
+                        for v in (bnd, cycle) if up_cols else (bnd,):
+                            got = sh.bounding_chain(i, basis_chain(basis, v))
+                            if got is not None:
+                                got = chain_basis_vector(field, up_basis, got)
+                                assert apply_columns(field, up_cols, got, n) == v
+                            assert got == ref_solve(field, up, len(up_cols), v)
+                    strays = [1 << ideal.n_gens] + [s.basis[j][0] for j in s.degrees if j != i]
+                    for mask in strays:
+                        with pytest.raises(ValueError, match="basis element"):
+                            sh.coordinates(i, {mask: 1})
+                        with pytest.raises(ValueError, match="basis element"):
+                            sh.bounding_chain(i, {mask: 1})
 
 
 def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):

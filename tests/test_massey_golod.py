@@ -15,13 +15,12 @@ from golod_lab.massey_golod import (
     chain_product,
     golod_decide,
     pair_criterion,
-    satisfies_B,
     ternary_massey,
     ternary_massey_generators,
     ternary_products_vanish,
 )
 from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal
-from golod_lab.taylor_dga import lcm_lattice, mask_of
+from golod_lab.taylor_dga import generators_below, lcm_lattice, mask_of
 
 CI = MonomialIdeal.from_strings(("x", "y"), ["x^2", "y^2"])
 M2 = MonomialIdeal.from_strings(("x", "y"), ["x^2", "x*y", "y^2"])
@@ -171,9 +170,10 @@ def test_two_linear_strand_exclusion(example_ideal):
 
 
 def test_satisfies_B(example_ideal):
-    ok2, _ = satisfies_B(example_ideal, QQ, 2)
+    # property B up to arity 3: trivial products, then vanishing ternary ones
+    ok2, _ = all_products_trivial(example_ideal, QQ)
     assert ok2
-    ok3, witness = satisfies_B(example_ideal, QQ, 3)
+    ok3, witness = ternary_products_vanish(example_ideal, QQ)
     assert not ok3
     alpha, beta, gamma, res = witness
     assert {alpha.multidegree, beta.multidegree, gamma.multidegree} == {
@@ -183,10 +183,9 @@ def test_satisfies_B(example_ideal):
     }
     assert res.value_is_zero is False
     principal = MonomialIdeal.from_strings(("x", "y"), ["x*y"])
-    ok, _ = satisfies_B(principal, QQ, 3)
-    assert ok
-    with pytest.raises(ValueError):
-        satisfies_B(example_ideal, QQ, 4)
+    ok2, _ = all_products_trivial(principal, QQ)
+    ok3, _ = ternary_products_vanish(principal, QQ)
+    assert ok2 and ok3
 
 
 def test_graded_commutativity_random():
@@ -194,7 +193,7 @@ def test_graded_commutativity_random():
         lat = lcm_lattice(ideal)
         classes = []
         for u in lat:
-            for i in range(1, len(lat.generators_below(u)) + 1):
+            for i in range(1, len(generators_below(ideal, u)) + 1):
                 classes.extend(homology_basis(ideal, QQ, tuple(u), i))
         for a in classes:
             for b in classes:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import pattern_failures
 from golod_lab import counterexample_search
 from golod_lab.counterexample_search import (
     RoleAssignment,
@@ -12,6 +13,8 @@ from golod_lab.counterexample_search import (
     search,
     seed_pattern,
 )
+from golod_lab.exact_linalg import QQ
+from golod_lab.massey_golod import ternary_massey_generators
 from golod_lab.monomial_core import (
     Monomial,
     MonomialIdeal,
@@ -45,7 +48,7 @@ def test_pattern_check_disjointness_failure():
     report = pattern_check(ideal, bad)
     assert not report.disjoint_abc
     assert not report.all_ok
-    assert "disjoint_abc" in report.failures()
+    assert "disjoint_abc" in pattern_failures(report)
 
 
 def test_pattern_check_fails_without_bc_generator():
@@ -81,7 +84,10 @@ def test_search_seeded_rediscovery():
     assert len(hits) == 1
     hit = hits[0]
     assert hit.is_counterexample
-    assert hit.massey_nonzero and hit.all_products_trivial
+    assert hit.all_products_trivial
+    roles = hit.assignment
+    res = ternary_massey_generators(hit.ideal, QQ, roles.a, roles.b, roles.c)
+    assert res.defined and res.value_is_zero is False
     assert hit.ideal.n_gens == 8 and hit.ideal.n_vars == 9
     # factors of a nonzero ternary value sit at least two above the linear strand
     for role in (hit.assignment.a, hit.assignment.b, hit.assignment.c):

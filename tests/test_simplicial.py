@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import apply_columns, is_coboundary
+from conftest import apply_columns, cochain_vector, is_coboundary
 from golod_lab.exact_linalg import GF2, GF3, QQ
 from golod_lab.massey_golod import all_products_trivial
 from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal, polarize
@@ -143,7 +143,7 @@ def test_coboundary_of_cochain_is_coboundary():
     for i in (-1, 0):
         faces = cc.faces(i)
         vec = {f: rng.randint(-2, 2) for f in faces}
-        image = apply_columns(QQ, cc.delta(i), cc.cochain_vector(i, vec), cc.n_faces(i + 1))
+        image = apply_columns(QQ, cc.delta(i), cochain_vector(cc, i, vec), cc.n_faces(i + 1))
         cochain = {f: c for f, c in zip(cc.faces(i + 1), image)}
         assert is_coboundary(TRIANGLE, QQ, cochain, dim=i + 1)
 

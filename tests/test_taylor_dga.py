@@ -3,7 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import apply_columns, chain_to_cochain, ideal_corpus
+from conftest import (
+    apply_columns,
+    chain_to_cochain,
+    cochain_vector,
+    ideal_corpus,
+    monomial_quotient,
+)
 from golod_lab.exact_linalg import GF2, QQ
 from golod_lab.monomial_core import (
     MonomialIdeal,
@@ -19,6 +25,7 @@ from golod_lab.simplicial import (
     stanley_reisner_ideal,
 )
 from golod_lab.taylor_dga import (
+    StrandComplex,
     fiber_complex,
     generators_below,
     lcm_lattice,
@@ -27,7 +34,6 @@ from golod_lab.taylor_dga import (
     product_reduced,
     product_sign,
     reduced_boundary,
-    strand,
     strand_degree_basis,
     subset_lcm,
 )
@@ -50,7 +56,7 @@ def boundary(ideal, mask):
     sign = 1
     for i in mask_members(mask):
         rest = mask & ~(1 << i)
-        out[rest] = (sign, m_I.quotient(subset_lcm(ideal, rest)))
+        out[rest] = (sign, monomial_quotient(m_I, subset_lcm(ideal, rest)))
         sign = -sign
     return out
 
@@ -65,7 +71,7 @@ def product(ideal, maskI, maskJ):
         return None
     union = maskI | maskJ
     coeff = subset_lcm(ideal, maskI) * subset_lcm(ideal, maskJ)
-    coeff = coeff.quotient(subset_lcm(ideal, union))
+    coeff = monomial_quotient(coeff, subset_lcm(ideal, union))
     return (product_sign(maskI, maskJ), coeff, union)
 
 
@@ -135,7 +141,7 @@ def test_reduced_boundary_matches_lcm_reference():
     ideals = [counterexample_ideal()] + ideal_corpus(20, seed=61)
     for ideal in ideals:
         for u in lcm_lattice(ideal):
-            s = strand(ideal, u, QQ)
+            s = StrandComplex(ideal, u)
             for i in s.degrees:
                 for mask in s.basis[i]:
                     assert reduced_boundary(ideal, mask) == _ref_reduced_boundary(ideal, mask)
@@ -195,7 +201,7 @@ def test_lcm_lattice_single_generator():
 def test_lcm_lattice_contains_top_multidegree(example_ideal):
     lat = lcm_lattice(example_ideal)
     assert (1, 2, 1, 2, 3) in lat
-    assert lat.top == (1, 2, 1, 2, 3)
+    assert lcm_of(example_ideal.gens, example_ideal.n_vars).exps == (1, 2, 1, 2, 3)
 
 
 def test_lattice_closure_matches_subset_enumeration_random():
@@ -208,31 +214,31 @@ def test_lattice_closure_matches_subset_enumeration_random():
 
 
 def test_strand_three_edges():
-    s = strand(EDGES, (1, 1, 1), QQ)
+    s = StrandComplex(EDGES, (1, 1, 1))
     assert s.dim(2) == 3 and s.dim(3) == 1
     assert s.dim(1) == 0
 
 
 def test_strand_minimal_generator():
     ideal = counterexample_ideal()
-    s = strand(ideal, tuple(ideal.gens[0].exps), QQ)
+    s = StrandComplex(ideal, tuple(ideal.gens[0].exps))
     assert s.degrees == [1]
     assert s.dim(1) == 1
 
 
 def test_strand_top_contains_all_generators(example_ideal):
-    s = strand(example_ideal, (1, 2, 1, 2, 3), QQ)
+    s = StrandComplex(example_ideal, (1, 2, 1, 2, 3))
     assert s.gens_below == list(range(8))
 
 
 def test_strand_rejects_non_lattice_degree():
     with pytest.raises(ValueError):
-        strand(EDGES, (2, 0, 0), QQ)
+        StrandComplex(EDGES, (2, 0, 0))
 
 
 def test_strand_matrices_compose_to_zero(example_ideal):
     for u in lcm_lattice(example_ideal):
-        s = strand(example_ideal, u, QQ)
+        s = StrandComplex(example_ideal, u)
         for i in s.degrees:
             lower = s.boundary_columns(i)
             for col in s.boundary_columns(i + 1):
@@ -250,8 +256,8 @@ def test_strand_basis_sizes_invariant_under_reordering():
     rng.shuffle(perm)
     reordered = MonomialIdeal(ideal.variables, tuple(ideal.gens[i] for i in perm))
     for u in lcm_lattice(ideal):
-        a = strand(ideal, u, QQ)
-        b = strand(reordered, tuple(u), QQ)
+        a = StrandComplex(ideal, u)
+        b = StrandComplex(reordered, tuple(u))
         assert {i: a.dim(i) for i in a.degrees} == {i: b.dim(i) for i in b.degrees}
 
 
@@ -344,7 +350,7 @@ def test_chain_to_cochain_rejects_mixed_chains(example_ideal):
 
 def _intertwining_holds(ideal, u, field):
     """chain_to_cochain must carry the strand differential to the coboundary."""
-    s = strand(ideal, u, field)
+    s = StrandComplex(ideal, u)
     fib = fiber_complex(ideal, u)
     cc = reduced_cochain_complex(fib, field)
     n_below = len(s.gens_below)
@@ -353,7 +359,7 @@ def _intertwining_holds(ideal, u, field):
             image = chain_to_cochain(ideal, u, dict(reduced_boundary(ideal, mask)))
             cdim = n_below - i - 1
             phi = chain_to_cochain(ideal, u, {mask: 1})
-            vec = cc.cochain_vector(cdim, phi)
+            vec = cochain_vector(cc, cdim, phi)
             image_vec = apply_columns(field, cc.delta(cdim), vec, cc.n_faces(cdim + 1))
             want = {f: c for f, c in zip(cc.faces(cdim + 1), image_vec) if c != 0}
             got = {f: field.of(c) for f, c in image.items() if c != 0}
@@ -375,7 +381,7 @@ def test_chain_to_cochain_intertwines_random():
 
 def test_strand_degree_basis_matches_full_strand(example_ideal):
     for u in list(lcm_lattice(example_ideal))[:10]:
-        s = strand(example_ideal, tuple(u), QQ)
+        s = StrandComplex(example_ideal, tuple(u))
         for i in s.degrees:
             assert strand_degree_basis(example_ideal, tuple(u), i) == s.basis[i]
 
@@ -450,7 +456,7 @@ def test_boundary_columns_match_reduced_boundary():
     for field in (QQ, GF2):
         for ideal in _basis_test_ideals():
             for u in lcm_lattice(ideal):
-                s = strand(ideal, tuple(u), field)
+                s = StrandComplex(ideal, tuple(u))
                 for i in range(1, max(s.degrees) + 2):
                     rows = {m: r for r, m in enumerate(s.basis.get(i - 1, []))}
                     want = []
