@@ -28,7 +28,7 @@ from .monomial_core import (
     parse_ideal,
     polarize,
 )
-from .taylor_dga import fiber_complex, generators_below, in_lattice, mask_members
+from .taylor_dga import fiber_complex, generators_below, mask_members
 
 
 class UsageError(Exception):
@@ -106,10 +106,13 @@ _truncation_order = _non_negative(int, "truncation order")
 
 def _add_common(p, ideal_input=True):
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--field", default="q", help="coefficients: q or fp:<prime>")
     if ideal_input:
         p.add_argument("--example", help="built-in ideal preset (paper)")
         p.add_argument("--ideal", help="ideal file")
+
+
+def _add_field(p):
+    p.add_argument("--field", default="q", help="coefficients: q or fp:<prime>")
 
 
 def cmd_betti(args):
@@ -340,10 +343,8 @@ def cmd_fiber(args):
     u = tuple(int(x) for x in args.mdeg.split(","))
     if len(u) != ideal.n_vars:
         raise UsageError(f"multidegree needs {ideal.n_vars} components")
-    below = generators_below(ideal, u)
-    if not in_lattice(ideal, u, below):
-        raise UsageError(f"multidegree {u} is not in the lcm lattice")
     cx = fiber_complex(ideal, u)
+    below = generators_below(ideal, u)
     legend = {f"g{i}": format_monomial(ideal.gens[i], ideal.variables) for i in below}
     payload = {
         "multidegree": list(u),
@@ -457,20 +458,24 @@ def build_parser():
 
     p = sub.add_parser("betti", help="multigraded and coarse Betti numbers")
     _add_common(p)
+    _add_field(p)
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("products", help="exhaustive binary product check")
     _add_common(p)
+    _add_field(p)
     p.set_defaults(fn=cmd_products)
 
     p = sub.add_parser("massey3", help="ternary Massey products")
     _add_common(p)
+    _add_field(p)
     p.add_argument("--gens", help="three generators, e.g. m_a,m_b,m_c or 0,3,6")
     p.add_argument("--all", action="store_true", help="check every ternary product")
     p.set_defaults(fn=cmd_massey3)
 
     p = sub.add_parser("golod", help="decide the Golod property")
     _add_common(p)
+    _add_field(p)
     p.add_argument(
         "--trunc", type=_truncation_order, default=5, help="series truncation for the fallback route"
     )
@@ -478,6 +483,7 @@ def build_parser():
 
     p = sub.add_parser("series", help="resolution-side vs bound-side series")
     _add_common(p)
+    _add_field(p)
     p.add_argument("--trunc", type=_truncation_order, default=5)
     p.set_defaults(fn=cmd_series)
 
@@ -512,7 +518,7 @@ def build_parser():
 
     p = sub.add_parser("search", help="pattern search for trivial-product non-Golod ideals")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--field", default="q")
+    _add_field(p)
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--max-gens", type=int, required=True)
     p.add_argument("--budget", type=_non_negative(int, "budget"), default=1000)

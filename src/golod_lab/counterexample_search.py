@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 
 from .exact_linalg import QQ
 from .massey_golod import (
@@ -41,14 +42,11 @@ class RoleAssignment:
     bc: int
     ab_sharp_c: int
     bc_sharp_a: int
-    ca: int | None = None
-    ca_sharp_b: int | None = None
+    ca: int
+    ca_sharp_b: int
 
     def core(self):
-        roles = [self.a, self.b, self.c, self.ab, self.bc]
-        if self.ca is not None:
-            roles.append(self.ca)
-        return roles
+        return [self.a, self.b, self.c, self.ab, self.bc, self.ca]
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class PatternReport:
     disjoint_abc: bool
     ab_bridges: bool
     bc_bridges: bool
-    ca_bridges: bool | None
+    ca_bridges: bool
     b_covered: bool  # support of b inside ab union bc
     a_or_c_covered: bool
     ab_sharp_c_exists: bool
@@ -67,19 +65,8 @@ class PatternReport:
 
     @property
     def all_ok(self):
-        values = [
-            self.disjoint_abc,
-            self.ab_bridges,
-            self.bc_bridges,
-            self.b_covered,
-            self.a_or_c_covered,
-            self.ab_sharp_c_exists,
-            self.bc_sharp_a_exists,
-            self.ca_sharp_b_exists,
-        ]
-        if self.ca_bridges is not None:
-            values.append(self.ca_bridges)
-        return all(values)
+        """Every condition holds."""
+        return all(self.__dict__.values())
 
 
 def _bridges(sup_ij, sup_i, sup_j):
@@ -93,18 +80,17 @@ def pattern_check(ideal, assignment):
     g = ideal.gens
     s = {name: g[idx].support for name, idx in (
         ("a", assignment.a), ("b", assignment.b), ("c", assignment.c),
-        ("ab", assignment.ab), ("bc", assignment.bc),
+        ("ab", assignment.ab), ("bc", assignment.bc), ("ca", assignment.ca),
     )}
-    sup_ca = g[assignment.ca].support if assignment.ca is not None else None
     disjoint = (
         not (s["a"] & s["b"]) and not (s["b"] & s["c"]) and not (s["a"] & s["c"])
     )
     ab_br = bool(_bridges(s["ab"], s["a"], s["b"]))
     bc_br = bool(_bridges(s["bc"], s["b"], s["c"]))
-    ca_br = bool(_bridges(sup_ca, s["c"], s["a"])) if sup_ca is not None else None
+    ca_br = bool(_bridges(s["ca"], s["c"], s["a"]))
     b_cov = s["b"] <= (s["ab"] | s["bc"])
-    a_cov = sup_ca is not None and s["a"] <= (s["ab"] | sup_ca)
-    c_cov = sup_ca is not None and s["c"] <= (s["bc"] | sup_ca)
+    a_cov = s["a"] <= (s["ab"] | s["ca"])
+    c_cov = s["c"] <= (s["bc"] | s["ca"])
     core = set(assignment.core())
 
     def sharp_exists(i, j):
@@ -119,11 +105,7 @@ def pattern_check(ideal, assignment):
         a_or_c_covered=bool(a_cov or c_cov),
         ab_sharp_c_exists=sharp_exists(assignment.ab, assignment.c),
         bc_sharp_a_exists=sharp_exists(assignment.bc, assignment.a),
-        ca_sharp_b_exists=(
-            sharp_exists(assignment.ca, assignment.b)
-            if assignment.ca is not None
-            else False
-        ),
+        ca_sharp_b_exists=sharp_exists(assignment.ca, assignment.b),
     )
 
 
@@ -264,6 +246,30 @@ def _sharp_choices(core, ab, bc, ca, a, b, c, max_gens):
                 yield (s_ab, s_bc, s_ca)
 
 
+def _pattern_ideal(n_vars, core, sharps):
+    """(ideal, assignment) of a role pattern, or None when its supports nest:
+    squarefree, one generator divides another exactly when its support is a
+    proper subset (the supports are distinct)."""
+    a, b, c, ab, bc, ca = core
+    supports = [a, ab, b, bc, c, ca]
+    for s in sharps:
+        if s not in supports:
+            supports.append(s)
+    if any(s < t for s in supports for t in supports):
+        return None
+    ideal = MonomialIdeal(
+        tuple(f"v{i}" for i in range(n_vars)), tuple(_mono(n_vars, s) for s in supports)
+    )
+    index = {s: k for k, s in enumerate(supports)}
+    return ideal, RoleAssignment(
+        a=index[a], b=index[b], c=index[c],
+        ab=index[ab], bc=index[bc], ca=index[ca],
+        ab_sharp_c=index[sharps[0]],
+        bc_sharp_a=index[sharps[1]],
+        ca_sharp_b=index[sharps[2]],
+    )
+
+
 def search(n_vars, max_gens, budget, seeds=None, field=QQ, stats=None):
     """Yield surviving candidates of the pattern search.
 
@@ -293,42 +299,19 @@ def search(n_vars, max_gens, budget, seeds=None, field=QQ, stats=None):
             max_seconds is not None and time.monotonic() - start >= max_seconds
         )
 
-    for ideal, assignment in seeds:
+    # one stream of builders, seeds first; a candidate is built after its budget test
+    stream = chain(
+        ((lambda seed=seed: seed) for seed in seeds),
+        (partial(_pattern_ideal, n_vars, *p) for p in _candidate_patterns(n_vars, max_gens)),
+    )
+    for build in stream:
         if spent():
             stats.budget_exhausted = True
             return
-        stats.candidates += 1
-        hit = _evaluate_candidate(serial, ideal, assignment, field)
-        serial += 1
-        if hit is not None:
-            stats.pattern_hits += 1
-            if hit.is_counterexample:
-                stats.survivors += 1
-            yield hit
-    for core, sharps in _candidate_patterns(n_vars, max_gens):
-        if spent():
-            stats.budget_exhausted = True
-            return
-        a, b, c, ab, bc, ca = core
-        supports = [a, ab, b, bc, c, ca]
-        for s in sharps:
-            if s not in supports:
-                supports.append(s)
-        # squarefree: one generator divides another exactly when its support
-        # is a proper subset (the supports are distinct)
-        if any(s < t for s in supports for t in supports):
+        cand = build()
+        if cand is None:
             continue  # a role would be swallowed by divisibility; not this pattern
-        ideal = MonomialIdeal(
-            tuple(f"v{i}" for i in range(n_vars)), tuple(_mono(n_vars, s) for s in supports)
-        )
-        index = {s: k for k, s in enumerate(supports)}
-        assignment = RoleAssignment(
-            a=index[a], b=index[b], c=index[c],
-            ab=index[ab], bc=index[bc], ca=index[ca],
-            ab_sharp_c=index[sharps[0]],
-            bc_sharp_a=index[sharps[1]],
-            ca_sharp_b=index[sharps[2]],
-        )
+        ideal, assignment = cand
         stats.candidates += 1
         hit = _evaluate_candidate(serial, ideal, assignment, field)
         serial += 1

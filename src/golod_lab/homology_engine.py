@@ -11,12 +11,13 @@ a boundary), whether a chain is a cycle at all, and the pivot solution of
 d_{i+1} x = z.  Chains (mask -> scalar) go in and come out; the basis
 positions the elimination runs on stay inside ``StrandHomology``.
 
-One rule sizes strands: one with at most ``_FULL_STRAND_LIMIT`` generators
-below u is built whole and answers every question through its
-``StrandHomology``.  Past that cap only boundary membership is answered,
-from the span of the boundaries of one degree.  Both are kept in
-``ideal.derived`` under (field, u) and (field, u, degree), so a later query
-reuses them, and they are freed with the ideal.
+One accessor, ``strand(ideal, field, u)``, runs the lattice test and reads
+the cap once per (field, u), and keeps the ``StrandHomology`` (None outside
+the lcm lattice) in ``ideal.derived``, freed with the ideal.  A strand with at
+most ``_FULL_STRAND_LIMIT`` generators below u is ``whole`` and answers every
+question.  Past the cap only ``is_boundary`` answers, from the span of the
+boundaries of one degree, kept per degree; the complex is built on first
+use, so the whole-strand questions raise the ``StrandComplex`` cap error.
 
 That span needs only the boundaries of the masks that contain one apex
 generator g0 below u, a cone on g0.  A mask J with lcm u that misses g0 is
@@ -28,6 +29,7 @@ the 4-skeleton's top strand the cone is a quarter of the boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact_linalg import Echelon, column_relations, span
 from .taylor_dga import (
@@ -75,13 +77,19 @@ def _freeze_chain(chain):
 
 
 class StrandHomology:
-    """Cached homology data of one strand: dims, representatives, coordinates."""
+    """The strand at u over a field: homology, coordinates, boundary membership."""
 
     def __init__(self, ideal, u, field):
-        self.strand = StrandComplex(ideal, u)
-        self.field = field
+        self.ideal, self.u, self.field = ideal, tuple(u), field
+        self.gens_below = generators_below(ideal, self.u)
+        self.whole = len(self.gens_below) <= _FULL_STRAND_LIMIT
         self._pending = {}
         self._data = {}
+        self._images = {}  # degree -> span of the apex cone's boundaries
+
+    @cached_property
+    def strand(self):
+        return StrandComplex(self.ideal, self.u)
 
     def degrees(self):
         return self.strand.degrees
@@ -134,9 +142,9 @@ class StrandHomology:
             coords = tuple(one if j == k else zero for j in range(len(reps)))
             out.append(
                 HomologyClass(
-                    self.strand.ideal,
+                    self.ideal,
                     self.field,
-                    self.strand.u,
+                    self.u,
                     i,
                     _freeze_chain({basis[j]: c for j, c in rep.items()}),
                     coords,
@@ -179,26 +187,35 @@ class StrandHomology:
         up = self.strand.basis.get(i + 1, [])
         return {up[k - n]: self.field.of(-c) for k, c in sorted(w.items())}
 
+    def is_boundary(self, i, chain):
+        """Whether a degree-i cycle (mask -> scalar) bounds, on either side of the cap.
 
-def _strand_homology(ideal, field, u):
-    """The homology of the strand at u (a tuple), built once per ideal."""
-    key = ("homology", field, u)
+        A whole strand reads the cycle's coordinates.  Past the cap the image
+        of d_{i+1} is spanned from the degree-(i+1) masks that contain the
+        apex g0, the first generator below u (the cone identity above).
+        """
+        if self.whole:
+            return not any(self.coordinates(i, chain))
+        if i not in self._images:
+            below = self.gens_below
+            masks = strand_degree_basis(self.ideal, self.u, i + 1, below, apex=below[0])
+            self._images[i] = span(self.field, [reduced_boundary(self.ideal, m) for m in masks])
+        return self._images[i].contains(chain)
+
+
+def strand(ideal, field, u):
+    """The strand at u (a tuple) over the field, made once per (field, u) and
+    kept on the ideal; None when u is outside the lcm lattice."""
+    key = ("strand", field, tuple(u))
     if key not in ideal.derived:
-        ideal.derived[key] = StrandHomology(ideal, u, field)
+        sh = StrandHomology(ideal, u, field)
+        ideal.derived[key] = sh if in_lattice(ideal, sh.u, sh.gens_below) else None
     return ideal.derived[key]
 
 
-def whole_strand(ideal, field, u):
-    """The homology of the strand at u; None when u is outside the lcm lattice
-    or the strand is past the cap on strands built whole."""
-    below = generators_below(ideal, u)
-    if len(below) > _FULL_STRAND_LIMIT or not in_lattice(ideal, u, below):
-        return None
-    return _strand_homology(ideal, field, tuple(u))
-
-
 def homology_basis(ideal, field, u, i):
-    return _strand_homology(ideal, field, tuple(u)).classes(i)
+    sh = strand(ideal, field, u)
+    return sh.classes(i) if sh else []
 
 
 def class_of(ideal, field, chain, multidegree=None, hom_degree=None):
@@ -218,38 +235,21 @@ def class_of(ideal, field, chain, multidegree=None, hom_degree=None):
         if multidegree is None or hom_degree is None:
             raise ValueError("zero chain needs an explicit multidegree and degree")
         u, i = tuple(multidegree), hom_degree
-    if not in_lattice(ideal, u, generators_below(ideal, u)):
+    sh = strand(ideal, field, u)
+    if sh is None:
         if chain:
             raise AssertionError("nonzero chain in a multidegree outside the lattice")
         return HomologyClass(ideal, field, u, i, (), ())
-    coords = _strand_homology(ideal, field, u).coordinates(i, chain)
-    return HomologyClass(ideal, field, u, i, _freeze_chain(chain), coords)
+    return HomologyClass(ideal, field, u, i, _freeze_chain(chain), sh.coordinates(i, chain))
 
 
 def chain_is_boundary(ideal, field, chain):
-    """Whether a homogeneous cycle bounds; scales to strands too large to build.
-
-    A strand built whole answers through its homology basis.  Past the cap
-    the question is membership in the image of the next boundary, kept on
-    the ideal.  That image is spanned by the boundaries of the degree-(i+1)
-    masks with lcm u that contain the apex g0, the first generator below u.
-    For such a mask J without g0, K = J + {g0} also has lcm u, and in d(K)
-    the term J survives with sign +-1 while every other term contains g0;
-    so d(d(K)) = 0 writes d(J) through boundaries of masks containing g0,
-    over every field.
-    """
+    """Whether a homogeneous cycle bounds, on either side of the strand cap."""
     chain = {m: c for m, c in chain.items() if c != 0}
     if not chain:
         return True
     u, i = chain_degrees(ideal, chain)
-    below = generators_below(ideal, u)
-    if len(below) <= _FULL_STRAND_LIMIT:
-        return class_of(ideal, field, chain).is_zero
-    key = ("image", field, u, i)
-    if key not in ideal.derived:
-        masks = strand_degree_basis(ideal, u, i + 1, below, apex=below[0])
-        ideal.derived[key] = span(field, [reduced_boundary(ideal, m) for m in masks])
-    return ideal.derived[key].contains(chain)
+    return strand(ideal, field, u).is_boundary(i, chain)
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,7 @@ def betti(ideal, field):
     """Betti numbers from strand homology over every lcm-lattice multidegree."""
     entries = {(0, (0,) * ideal.n_vars): 1}
     for u in lcm_lattice(ideal):
-        sh = _strand_homology(ideal, field, tuple(u))
+        sh = strand(ideal, field, u)
         for i in sh.degrees():
             d = sh.dimension(i)
             if d:

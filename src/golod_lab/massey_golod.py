@@ -28,11 +28,9 @@ from .homology_engine import (
     betti,
     chain_is_boundary,
     class_of,
-    homology_basis,
-    whole_strand,
+    strand,
 )
 from .taylor_dga import (
-    generators_below,
     lcm_lattice,
     mask_of,
     product_reduced,
@@ -106,12 +104,6 @@ class ProductWitness:
         )
 
 
-def _strand_classes(ideal, field, u):
-    """All positive-degree homology classes of the strand at u."""
-    below = generators_below(ideal, u)
-    return [c for i in range(1, len(below) + 1) for c in homology_basis(ideal, field, u, i)]
-
-
 def all_products_trivial(ideal, field):
     """Exhaustive binary product check over homology basis classes.
 
@@ -130,7 +122,10 @@ def all_products_trivial(ideal, field):
                 viable.append((u, v))
                 needed.add(u)
                 needed.add(v)
-    classes = {u: _strand_classes(ideal, field, u) for u in sorted(needed)}
+    classes = {}
+    for u in sorted(needed):
+        sh = strand(ideal, field, u)
+        classes[u] = [c for i in sh.degrees() for c in sh.classes(i)]
     for u, v in viable:
         cu, cv = classes[u], classes[v]
         for ai, alpha in enumerate(cu):
@@ -188,18 +183,14 @@ def _undefined(reason):
 
 
 def _finish_massey(ideal, field, value_chain, u, i, s, t, b2_certified):
-    if whole_strand(ideal, field, u) is None:
-        value_class = None
-        zero = chain_is_boundary(ideal, field, value_chain)
-    else:
-        value_class = class_of(ideal, field, value_chain, multidegree=u, hom_degree=i)
-        zero = value_class.is_zero
+    sh = strand(ideal, field, u)
+    value = class_of(ideal, field, value_chain, u, i) if sh is not None and sh.whole else None
     return MasseyResult(
         defined=True,
         unique=bool(b2_certified),
         value_chain=_freeze_chain(value_chain),
-        value=value_class,
-        value_is_zero=zero,
+        value=value,
+        value_is_zero=chain_is_boundary(ideal, field, value_chain),
         multidegree=u,
         hom_degree=i,
         system=(_freeze_chain(s), _freeze_chain(t)),
@@ -249,10 +240,7 @@ def _solve_boundary(ideal, field, target_chain, u, target_degree):
     """
     if not target_chain:
         return {}
-    sh = whole_strand(ideal, field, u)
-    if sh is None:
-        raise ValueError(f"strand at {u} is too big to solve for a defining system")
-    sol = sh.bounding_chain(target_degree, target_chain)
+    sol = strand(ideal, field, u).bounding_chain(target_degree, target_chain)
     if sol is None:
         raise AssertionError("boundary solve failed for a chain known to bound")
     return sol
@@ -316,7 +304,11 @@ def ternary_products_vanish(ideal, field):
     built whole and has no homology in the target degree.
     """
     lattice = lcm_lattice(ideal)
-    classes = {u: cs for u in lattice if (cs := _strand_classes(ideal, field, u))}
+    classes = {}
+    for u in lattice:
+        sh = strand(ideal, field, u)
+        if cs := [c for i in sh.degrees() for c in sh.classes(i)]:
+            classes[u] = cs
     support = sorted(classes)
     for ua in support:
         for ub in support:
@@ -325,12 +317,12 @@ def ternary_products_vanish(ideal, field):
                 u = _vector_sum(uab, uc)
                 if u not in lattice:
                     continue
-                sh = whole_strand(ideal, field, u)
+                sh = strand(ideal, field, u)
                 for alpha in classes[ua]:
                     for beta in classes[ub]:
                         for gamma in classes[uc]:
                             i = alpha.hom_degree + beta.hom_degree + gamma.hom_degree + 1
-                            if sh is not None and sh.dimension(i) == 0:
+                            if sh.whole and sh.dimension(i) == 0:
                                 continue
                             res = ternary_massey(
                                 ideal, field, alpha, beta, gamma, b2_certified=True

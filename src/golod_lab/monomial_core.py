@@ -108,8 +108,8 @@ class MonomialIdeal:
     call :func:`minimalize` first if the input may be redundant.  The zero
     ideal (no generators) is allowed.
 
-    ``derived`` keeps what is computed from the ideal (lcm lattice, strand
-    homology) and is freed with it; equality, hashing and repr ignore it.
+    ``derived`` keeps what is computed from the ideal (lcm lattice, strands)
+    and is freed with it; equality, hashing and repr ignore it.
     """
 
     variables: tuple

@@ -133,12 +133,8 @@ class CapReport:
 
 def _q_bigraded(ideal, field, n):
     """Coefficients of the bound series refined by internal degree: j -> {d: coeff}."""
-    bd = betti(ideal, field)
-    den_terms = {}
-    for (i, u), dim in bd.multigraded:
-        if i >= 1:
-            key = (i + 1, sum(u))
-            den_terms[key] = den_terms.get(key, 0) + dim
+    coarse = betti(ideal, field).coarse
+    den_terms = {(i + 1, j): dim for (i, j), dim in coarse.items() if i >= 1}
     inv = {(0, 0): 1}
     layer = {(0, 0): 1}
     while True:

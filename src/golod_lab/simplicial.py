@@ -178,16 +178,15 @@ def complex_of(ideal):
 
 
 class CochainComplex:
-    """Reduced simplicial cochain complex over a field.
+    """Reduced simplicial cochain complex, the same over every field.
 
     Degree -1 is the empty face.  ``delta(i)`` gives the coboundary from
     i-cochains to (i+1)-cochains as sparse columns, rows indexed by the
     (i+1)-faces.
     """
 
-    def __init__(self, cx, field):
+    def __init__(self, cx):
         self.complex = cx
-        self.field = field
         d = cx.dim
         self.top = -2 if d is None else d
         self._faces = {}
@@ -223,15 +222,15 @@ class CochainComplex:
         return columns
 
 
-def reduced_cochain_complex(cx, field):
+def reduced_cochain_complex(cx):
     if cx.is_void:
         raise ValueError("void complex has no reduced cochain complex")
-    return CochainComplex(cx, field)
+    return CochainComplex(cx)
 
 
 def reduced_cohomology_dims(cx, field):
     """Reduced cohomology dimensions as a map degree -> dim, degrees -1..dim."""
-    cc = reduced_cochain_complex(cx, field)
+    cc = reduced_cochain_complex(cx)
     ranks = {i: len(span(field, cc.delta(i)).rows) for i in range(-1, cc.top + 1)}
     dims = {}
     for i in range(-1, cc.top + 1):

@@ -160,7 +160,7 @@ def lcm_lattice(ideal):
     return lattice
 
 
-def strand_degree_basis(ideal, u, i, gens_below=None, apex=None):
+def strand_degree_basis(ideal, u, i, gens_below, apex=None):
     """Sorted masks of i-element generator subsets with lcm multidegree exactly u.
 
     Enumerates only one homological degree, which keeps large strands usable.
@@ -171,8 +171,6 @@ def strand_degree_basis(ideal, u, i, gens_below=None, apex=None):
     OR of its members' attain masks (variables k with exps[k] == u[k] > 0) is
     the support mask of u; each combination costs one OR per member.
     """
-    if gens_below is None:
-        gens_below = generators_below(ideal, u)
     u = tuple(u)
     full = mask_of(k for k, e in enumerate(u) if e)
     att = {}  # generator -> attain mask

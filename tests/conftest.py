@@ -179,20 +179,20 @@ def ref_quotient(field, cycles, boundaries, v):
 # small helpers over library objects, used only by the tests
 
 
-def cochain_vector(cc, i, cochain):
-    """Coefficient vector of a cochain (face -> scalar) over the i-faces of a
-    CochainComplex, in the order of ``cc.faces(i)``."""
+def cochain_vector(field, cc, i, cochain):
+    """Coefficient vector over the field of a cochain (face -> scalar) over the
+    i-faces of a CochainComplex, in the order of ``cc.faces(i)``."""
     if i not in range(-1, cc.top + 1):
         if cochain:
             raise ValueError(f"no faces in dimension {i}")
         return ()
     idx = {f: k for k, f in enumerate(cc.faces(i))}
-    vec = [cc.field.zero()] * len(idx)
+    vec = [field.zero()] * len(idx)
     for face, c in cochain.items():
         f = frozenset(face)
         if f not in idx:
             raise ValueError(f"{sorted(face)} is not a face of dimension {i}")
-        vec[idx[f]] = cc.field.of(c)
+        vec[idx[f]] = field.of(c)
     return tuple(vec)
 
 
@@ -282,8 +282,8 @@ def is_coboundary(cx, field, cochain, dim=None):
         if not sizes:
             return True
         dim = sizes.pop() - 1
-    cc = reduced_cochain_complex(cx, field)
-    vec = cochain_vector(cc, dim, cochain)
+    cc = reduced_cochain_complex(cx)
+    vec = cochain_vector(field, cc, dim, cochain)
     return span(field, cc.delta(dim - 1)).contains(dict(enumerate(vec)))
 
 

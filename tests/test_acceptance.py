@@ -10,7 +10,7 @@ from itertools import combinations
 from conftest import expand_rational, homology_product, ideal_corpus
 from golod_lab.cli import main
 from golod_lab.exact_linalg import GF2, GF3, QQ
-from golod_lab.homology_engine import _strand_homology, betti, homology_basis
+from golod_lab.homology_engine import betti, homology_basis, strand
 from golod_lab.massey_golod import (
     all_products_trivial,
     chain_product,
@@ -197,7 +197,7 @@ def _check_duality(ideal, field):
         below = generators_below(ideal, u)
         dims = reduced_cohomology_dims(fiber_complex(ideal, tuple(u)), field)
         for i in range(1, len(below) + 1):
-            assert _strand_homology(ideal, field, tuple(u)).dimension(i) == dims.get(
+            assert strand(ideal, field, tuple(u)).dimension(i) == dims.get(
                 len(below) - i - 1, 0
             )
 

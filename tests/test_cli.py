@@ -220,6 +220,29 @@ def test_pattern_check_example_takes_roles(capsys):
                    "--roles", seed_roles) == plain
 
 
+def test_pattern_check_roles_without_ca_are_a_usage_error(capsys):
+    # every role is required; without ca and ca#b the check could never pass
+    roles = "a=0,b=3,c=6,ab=1,bc=4,ab#c=2,bc#a=5"
+    code, out, err = run(capsys, "pattern-check", "--example", "paper", "--roles", roles)
+    assert code == 2 and out == ""
+    assert "bad role set" in err and "'ca'" in err and "'ca_sharp_b'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["polarize", "--example", "paper"],
+    ["fiber", "--example", "paper", "--mdeg", "1,2,1,2,3"],
+    ["complex", "--example", "paper"],
+    ["sr", "--complex", "delta.cx"],
+    ["skeleton", "--complex", "delta.cx", "--dim", "1"],
+    ["pattern-check", "--example", "paper"],
+])
+def test_field_is_rejected_where_it_is_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--field", "garbage"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --field garbage" in capsys.readouterr().err
+
+
 def test_search_command_negative_control(capsys):
     code, out, _ = run(capsys, "search", "--vars", "4", "--max-gens", "8", "--budget", "100")
     assert code == 0

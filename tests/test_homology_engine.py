@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,13 +18,19 @@ from golod_lab import homology_engine
 from golod_lab.exact_linalg import GF2, GF3, QQ, span
 from golod_lab.homology_engine import (
     StrandHomology,
-    _strand_homology,
     betti,
     chain_is_boundary,
     class_of,
     homology_basis,
+    strand,
 )
-from golod_lab.massey_golod import chain_product, ternary_massey_generators
+from golod_lab.massey_golod import (
+    all_products_trivial,
+    chain_product,
+    golod_decide,
+    ternary_massey,
+    ternary_massey_generators,
+)
 from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal, polarize
 from golod_lab.simplicial import (
     complex_of,
@@ -50,7 +57,7 @@ def test_three_edges_strand_homology():
     for pair in ([0, 1], [1, 2], [0, 2]):
         assert reduced_boundary(EDGES, mask_of(pair)) == {}
     assert len(reduced_boundary(EDGES, mask_of([0, 1, 2]))) == 3
-    sh = _strand_homology(EDGES, QQ, (1, 1, 1))
+    sh = strand(EDGES, QQ, (1, 1, 1))
     dim, classes = sh.dimension(2), sh.classes(2)
     assert dim == 2 and len(classes) == 2
     for cls in classes:
@@ -58,14 +65,14 @@ def test_three_edges_strand_homology():
 
 
 def test_minimal_generator_strand_class(example_ideal):
-    sh = _strand_homology(example_ideal, QQ, tuple(example_ideal.gens[0].exps))
+    sh = strand(example_ideal, QQ, tuple(example_ideal.gens[0].exps))
     dim, classes = sh.dimension(1), sh.classes(1)
     assert dim == 1
     assert dict(classes[0].representative) == {mask_of([0]): QQ.one()}
 
 
 def test_top_strand_degree_four(example_ideal):
-    assert _strand_homology(example_ideal, QQ, (1, 2, 1, 2, 3)).dimension(4) == 1
+    assert strand(example_ideal, QQ, (1, 2, 1, 2, 3)).dimension(4) == 1
 
 
 def test_betti_counterexample_table(example_ideal):
@@ -165,7 +172,7 @@ def test_euler_characteristic_per_strand():
             s = StrandComplex(ideal, tuple(u))
             chi_basis = sum((-1) ** i * s.dim(i) for i in s.degrees)
             chi_hom = sum(
-                (-1) ** i * _strand_homology(ideal, QQ, tuple(u)).dimension(i)
+                (-1) ** i * strand(ideal, QQ, tuple(u)).dimension(i)
                 for i in s.degrees
             )
             assert chi_basis == chi_hom
@@ -180,7 +187,7 @@ def test_strand_homology_matches_fiber_cohomology(example_ideal):
         dims = reduced_cohomology_dims(fib, QQ)
         for i in range(1, len(below) + 1):
             want = dims.get(len(below) - i - 1, 0)
-            assert _strand_homology(example_ideal, QQ, tuple(u)).dimension(i) == want
+            assert strand(example_ideal, QQ, tuple(u)).dimension(i) == want
 
 
 def test_zero_ideal_betti():
@@ -244,7 +251,7 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
     real = homology_engine.strand_degree_basis
     enumerated = []
 
-    def counted(ideal, u, i, gens_below=None, apex=None):
+    def counted(ideal, u, i, gens_below, apex=None):
         enumerated.append((u, i))
         return real(ideal, u, i, gens_below, apex)
 
@@ -316,7 +323,7 @@ def test_apex_cone_spans_the_boundary_image():
                     smaller += _assert_cone_spans(ideal, field, tuple(u), i, below)
         gamma, _ = _skeleton_ideal()
         top = (1,) * gamma.n_vars
-        assert len(strand_degree_basis(gamma, top, 3)) == 498
+        assert len(strand_degree_basis(gamma, top, 3, generators_below(gamma, top))) == 498
         smaller += _assert_cone_spans(gamma, field, top, 3, generators_below(gamma, top))
     assert smaller == 471  # cases where the cone leaves some mask out
 
@@ -337,3 +344,56 @@ def test_skeleton_massey_spans_only_the_cone(monkeypatch):
     res = ternary_massey_generators(gamma, QQ, a, b, c, b2_certified=True)
     assert res.defined and res.value_is_zero is False
     assert 0 < sum(columns) <= 3386
+
+
+def test_skeleton_top_strand_answers_membership_past_the_cap():
+    """After the product check and both Massey routes on the 4-skeleton ideal,
+    its top strand (20 generators, past the cap) still answers is_boundary,
+    while its whole-strand questions raise the StrandComplex cap error; the
+    ideal keeps one strand entry per (field, u)."""
+    gamma, (a, b, c) = _skeleton_ideal()
+    assert all_products_trivial(gamma, QQ)[0]
+    gens = [homology_basis(gamma, QQ, tuple(gamma.gens[k].exps), 1)[0] for k in (a, b, c)]
+    results = [ternary_massey_generators(gamma, QQ, a, b, c, b2_certified=True),
+               ternary_massey(gamma, QQ, *gens, b2_certified=True)]
+    top = (1,) * gamma.n_vars
+    sh = strand(gamma, QQ, top)
+    assert not sh.whole and len(sh.gens_below) == 20
+    for res in results:
+        assert res.multidegree == top and res.value is None and res.value_is_zero is False
+        assert sh.is_boundary(4, dict(res.value_chain)) is False
+    mask = next(m for m in strand_degree_basis(gamma, top, 5, sh.gens_below)
+                if reduced_boundary(gamma, m))
+    assert sh.is_boundary(4, {m: QQ.of(x) for m, x in reduced_boundary(gamma, mask).items()})
+    for question in (sh.dimension, sh.classes):
+        with pytest.raises(ValueError, match="has 20 generators below it"):
+            question(4)
+    keys = [k for k in gamma.derived if k != "lattice"]
+    assert keys and all(k[0] == "strand" and len(k) == 3 for k in keys)
+
+
+def test_lattice_test_runs_once_per_field_and_multidegree(monkeypatch):
+    """The strand accessor is the one place homology_engine tests lattice
+    membership: at most once per (field, u), however often a strand is asked."""
+    calls = Counter()
+    for name in ("generators_below", "in_lattice"):
+        real = getattr(homology_engine, name)
+
+        def counted(ideal, u, *rest, real=real, name=name):
+            calls[name, tuple(u)] += 1
+            return real(ideal, u, *rest)
+
+        monkeypatch.setattr(homology_engine, name, counted)
+    gamma, (a, b, c) = _skeleton_ideal()
+    paper = counterexample_ideal()
+    for field in (QQ, GF2):
+        calls.clear()
+        assert all_products_trivial(gamma, field)[0]
+        gens = [homology_basis(gamma, field, tuple(gamma.gens[k].exps), 1)[0] for k in (a, b, c)]
+        ternary_massey_generators(gamma, field, a, b, c, b2_certified=True)
+        ternary_massey(gamma, field, *gens, b2_certified=True)
+        assert golod_decide(paper, field).status == "NotGolod"
+        assert betti(paper, field).totals == (1, 8, 14, 8, 1)
+        assert class_of(paper, field, {}, (9,) * 5, 2).is_zero
+        assert class_of(paper, field, {}, (9,) * 5, 2).is_zero
+        assert calls and set(calls.values()) == {1}

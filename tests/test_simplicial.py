@@ -139,11 +139,11 @@ def test_empty_face_complex_cohomology():
 
 def test_coboundary_of_cochain_is_coboundary():
     rng = random.Random(9)
-    cc = reduced_cochain_complex(TRIANGLE, QQ)
+    cc = reduced_cochain_complex(TRIANGLE)
     for i in (-1, 0):
         faces = cc.faces(i)
         vec = {f: rng.randint(-2, 2) for f in faces}
-        image = apply_columns(QQ, cc.delta(i), cochain_vector(cc, i, vec), cc.n_faces(i + 1))
+        image = apply_columns(QQ, cc.delta(i), cochain_vector(QQ, cc, i, vec), cc.n_faces(i + 1))
         cochain = {f: c for f, c in zip(cc.faces(i + 1), image)}
         assert is_coboundary(TRIANGLE, QQ, cochain, dim=i + 1)
 
@@ -170,7 +170,7 @@ def test_delta_squared_zero_random():
     rng = random.Random(11)
     for _ in range(20):
         cx = _random_complex(rng)
-        cc = reduced_cochain_complex(cx, QQ)
+        cc = reduced_cochain_complex(cx)
         for i in range(-1, (cx.dim or 0)):
             a = cc.delta(i)
             b = cc.delta(i + 1)
