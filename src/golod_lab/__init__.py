@@ -38,7 +38,6 @@ from .simplicial import (
 )
 from .taylor_dga import (
     LcmLattice,
-    StrandComplex,
     fiber_complex,
     lcm_lattice,
     reduced_boundary,

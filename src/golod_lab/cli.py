@@ -418,9 +418,10 @@ def cmd_pattern_check(args):
 
 def cmd_search(args):
     field = parse_field(args.field)
-    budget = (args.budget, args.seconds) if args.seconds is not None else args.budget
     stats = cxs.SearchStats()
-    for hit in cxs.search(args.vars, args.max_gens, budget, field=field, stats=stats):
+    hits = cxs.search(args.vars, args.max_gens, args.budget, args.seconds,
+                      field=field, stats=stats)
+    for hit in hits:
         record = {
             "serial": hit.serial,
             "ideal": format_ideal(hit.ideal),

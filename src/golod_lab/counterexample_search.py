@@ -270,21 +270,17 @@ def _pattern_ideal(n_vars, core, sharps):
     )
 
 
-def search(n_vars, max_gens, budget, seeds=None, field=QQ, stats=None):
+def search(n_vars, max_gens, budget, seconds=None, seeds=None, field=QQ, stats=None):
     """Yield surviving candidates of the pattern search.
 
-    ``budget`` is either a candidate-count limit or a (count, seconds) pair.
-    ``seeds`` are (ideal, assignment) pairs checked before the enumeration;
-    by default the polarized built-in pattern is seeded when it fits the
-    requested size.  The stream is deterministic; stats (if given) record
-    how the budget was spent.
+    ``budget`` limits the candidate count and ``seconds``, if given, the
+    wall time.  ``seeds`` are (ideal, assignment) pairs checked before the
+    enumeration; by default the polarized built-in pattern is seeded when it
+    fits the requested size.  The stream is deterministic; stats (if given)
+    record how the budget was spent.
     """
     if stats is None:
         stats = SearchStats()
-    if isinstance(budget, tuple):
-        max_candidates, max_seconds = budget
-    else:
-        max_candidates, max_seconds = budget, None
     start = time.monotonic()
     if seeds is None:
         seeds = []
@@ -295,8 +291,8 @@ def search(n_vars, max_gens, budget, seeds=None, field=QQ, stats=None):
 
     def spent():
         """The one budget test, made before every seed and every pattern."""
-        return serial >= max_candidates or (
-            max_seconds is not None and time.monotonic() - start >= max_seconds
+        return serial >= budget or (
+            seconds is not None and time.monotonic() - start >= seconds
         )
 
     # one stream of builders, seeds first; a candidate is built after its budget test

@@ -11,13 +11,16 @@ a boundary), whether a chain is a cycle at all, and the pivot solution of
 d_{i+1} x = z.  Chains (mask -> scalar) go in and come out; the basis
 positions the elimination runs on stay inside ``StrandHomology``.
 
-One accessor, ``strand(ideal, field, u)``, runs the lattice test and reads
-the cap once per (field, u), and keeps the ``StrandHomology`` (None outside
-the lcm lattice) in ``ideal.derived``, freed with the ideal.  A strand with at
-most ``_FULL_STRAND_LIMIT`` generators below u is ``whole`` and answers every
-question.  Past the cap only ``is_boundary`` answers, from the span of the
-boundaries of one degree, kept per degree; the complex is built on first
-use, so the whole-strand questions raise the ``StrandComplex`` cap error.
+``StrandHomology`` is the one object per (field, u): it holds the strand's
+bases and boundaries as well as its homology.  One accessor,
+``strand(ideal, field, u)``, runs the lattice test and reads the cap once per
+(field, u), the only place a strand is tested either way, and keeps the
+``StrandHomology`` (None outside the lcm lattice) in ``ideal.derived``, freed
+with the ideal.  A strand with at most ``_FULL_STRAND_LIMIT`` generators below
+u is ``whole`` and answers every question.  Past the cap only ``is_boundary``
+answers, from the span of the boundaries of one degree, kept per degree; the
+bases are built on first use, so the whole-strand questions raise the cap
+error of ``StrandHomology.basis``.
 
 That span needs only the boundaries of the masks that contain one apex
 generator g0 below u, a cone on g0.  A mask J with lcm u that misses g0 is
@@ -34,7 +37,6 @@ from functools import cached_property
 from .exact_linalg import Echelon, column_relations, span
 from .taylor_dga import (
     _FULL_STRAND_LIMIT,
-    StrandComplex,
     chain_degrees,
     generators_below,
     in_lattice,
@@ -77,7 +79,14 @@ def _freeze_chain(chain):
 
 
 class StrandHomology:
-    """The strand at u over a field: homology, coordinates, boundary membership."""
+    """The strand at u over a field: bases, boundaries, homology, coordinates
+    and boundary membership.
+
+    Bases per homological degree are mask lists sorted ascending, and
+    ``index[i]`` maps each mask of ``basis[i]`` to its position; both are
+    built on first use, and only for a whole strand.  Boundary entries are
+    +-1, so the complex is the same over every field.
+    """
 
     def __init__(self, ideal, u, field):
         self.ideal, self.u, self.field = ideal, tuple(u), field
@@ -88,11 +97,52 @@ class StrandHomology:
         self._images = {}  # degree -> span of the apex cone's boundaries
 
     @cached_property
-    def strand(self):
-        return StrandComplex(self.ideal, self.u)
+    def basis(self):
+        if not self.whole:
+            raise ValueError(
+                f"strand at {self.u} has {len(self.gens_below)} generators below it; "
+                "use strand_degree_basis for degree-limited access"
+            )
+        out = {}
+        for i in range(1, len(self.gens_below) + 1):
+            if masks := strand_degree_basis(self.ideal, self.u, i, self.gens_below):
+                out[i] = masks
+        return out
+
+    @cached_property
+    def index(self):
+        return {i: {m: k for k, m in enumerate(b)} for i, b in self.basis.items()}
 
     def degrees(self):
-        return self.strand.degrees
+        return sorted(self.basis)
+
+    def dim(self, i):
+        return len(self.basis.get(i, ()))
+
+    def boundary_columns(self, i):
+        """Sparse columns of the differential from degree i to degree i-1.
+
+        Column j is the boundary of the j-th degree-i basis element, a map
+        ``row index -> sign`` with int signs +-1 over every field.  A face
+        keeps its term exactly when it is a degree-(i-1) basis element: its
+        lcm is then still u.  Built afresh on each call: homology eliminates
+        each differential once.
+        """
+        dst_index = self.index.get(i - 1, {})
+        columns = []
+        for mask in self.basis.get(i, []):
+            col = {}
+            sign = 1
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                r = dst_index.get(mask ^ bit)
+                if r is not None:
+                    col[r] = sign
+                sign = -sign
+                rest ^= bit
+            columns.append(col)
+        return columns
 
     def _take(self, part, j):
         """The ``"kernel"`` relations or the ``"image"`` echelon of d_j.
@@ -101,8 +151,8 @@ class StrandHomology:
         degree j-1 the image, each exactly once, so nothing is kept twice.
         """
         if (part, j) not in self._pending:
-            s = self.strand
-            ech, _, relations = column_relations(self.field, s.boundary_columns(j), s.dim(j - 1))
+            ech, _, relations = column_relations(
+                self.field, self.boundary_columns(j), self.dim(j - 1))
             self._pending[("kernel", j)] = relations
             self._pending[("image", j)] = ech
         return self._pending.pop((part, j))
@@ -116,9 +166,8 @@ class StrandHomology:
         """
         if i in self._data:
             return self._data[i]
-        s = self.strand
-        n, first = s.dim(i), s.dim(i) + s.dim(i + 1)
-        ech = self._take("image", i + 1) if s.dim(i + 1) else Echelon(self.field)
+        n, first = self.dim(i), self.dim(i) + self.dim(i + 1)
+        ech = self._take("image", i + 1) if self.dim(i + 1) else Echelon(self.field)
         reps = []
         if n:
             for kv in self._take("kernel", i).values():
@@ -135,7 +184,7 @@ class StrandHomology:
 
     def classes(self, i):
         _, _, reps = self._compute(i)
-        basis = self.strand.basis.get(i, [])
+        basis = self.basis.get(i, [])
         zero, one = self.field.zero(), self.field.one()
         out = []
         for k, rep in enumerate(reps):
@@ -155,7 +204,7 @@ class StrandHomology:
     def _reduce(self, i, chain):
         """The residual of a degree-i chain (mask -> scalar) in the degree-i
         echelon, with the degree's first representative tag."""
-        index, of = self.strand.index.get(i, {}), self.field.of
+        index, of = self.index.get(i, {}), self.field.of
         vec = {}
         for mask, c in chain.items():
             if c == 0:
@@ -170,7 +219,7 @@ class StrandHomology:
     def coordinates(self, i, chain):
         """Coordinates of a degree-i cycle (mask -> scalar) in the homology basis."""
         w, first = self._reduce(i, chain)
-        if w and min(w) < self.strand.dim(i):
+        if w and min(w) < self.dim(i):
             raise ValueError("chain is not a cycle")
         return tuple(self.field.of(-w.get(first + k, 0)) for k in range(self.dimension(i)))
 
@@ -181,10 +230,10 @@ class StrandHomology:
         d_{i+1} are independent of the columns before them.
         """
         w, first = self._reduce(i, chain)
-        n = self.strand.dim(i)
+        n = self.dim(i)
         if w and (min(w) < n or max(w) >= first):
             return None
-        up = self.strand.basis.get(i + 1, [])
+        up = self.basis.get(i + 1, [])
         return {up[k - n]: self.field.of(-c) for k, c in sorted(w.items())}
 
     def is_boundary(self, i, chain):

@@ -13,8 +13,10 @@ monomial coefficient is constant.
 
 A single strand needs only the generators below u (u is in the lcm lattice
 exactly when their lcm is u); the closure ``lcm_lattice``, kept on the ideal,
-is for callers that enumerate the lattice.  A strand past
-``_FULL_STRAND_LIMIT`` generators is enumerated one degree at a time.
+is for callers that enumerate the lattice.  This module keeps the DGA
+primitives; the strand itself, its bases, boundaries and homology, is
+``homology_engine.StrandHomology``, which reads ``_FULL_STRAND_LIMIT`` and
+past it enumerates one degree at a time with ``strand_degree_basis``.
 
 Inside a strand the lcm test is a bitmask test.  Every generator below u
 divides u, so the lcm of a subset of them reaches u in variable k exactly
@@ -124,7 +126,6 @@ def in_lattice(ideal, u, below):
 class LcmLattice:
     """Multidegrees of lcms of nonempty generator subsets, with join structure."""
 
-    ideal: object
     elements: frozenset
 
     def __contains__(self, u):
@@ -156,7 +157,7 @@ def lcm_lattice(ideal):
                     new.add(j)
         current |= new
         frontier = new
-    lattice = ideal.derived["lattice"] = LcmLattice(ideal, frozenset(current))
+    lattice = ideal.derived["lattice"] = LcmLattice(frozenset(current))
     return lattice
 
 
@@ -191,67 +192,6 @@ def strand_degree_basis(ideal, u, i, gens_below, apex=None):
             masks.append(mask_of(c) | bit)
     masks.sort()
     return masks
-
-
-class StrandComplex:
-    """The multidegree-u piece of the field-reduced Taylor complex.
-
-    Bases per homological degree are mask lists sorted ascending, and
-    ``index[i]`` maps each mask of ``basis[i]`` to its position.  Boundary
-    columns are built on request and consecutive differentials compose to
-    zero.  Their entries are +-1, so the complex is the same over every field.
-    """
-
-    def __init__(self, ideal, u):
-        u = tuple(u)
-        self.gens_below = generators_below(ideal, u)
-        if not in_lattice(ideal, u, self.gens_below):
-            raise ValueError(f"multidegree {u} is not in the lcm lattice")
-        self.ideal = ideal
-        self.u = u
-        if len(self.gens_below) > _FULL_STRAND_LIMIT:
-            raise ValueError(
-                f"strand at {u} has {len(self.gens_below)} generators below it; "
-                "use strand_degree_basis for degree-limited access"
-            )
-        self.basis = {}
-        for i in range(1, len(self.gens_below) + 1):
-            masks = strand_degree_basis(ideal, u, i, self.gens_below)
-            if masks:
-                self.basis[i] = masks
-        self.index = {i: {m: k for k, m in enumerate(b)} for i, b in self.basis.items()}
-
-    @property
-    def degrees(self):
-        return sorted(self.basis)
-
-    def dim(self, i):
-        return len(self.basis.get(i, ()))
-
-    def boundary_columns(self, i):
-        """Sparse columns of the differential from degree i to degree i-1.
-
-        Column j is the boundary of the j-th degree-i basis element, a map
-        ``row index -> sign`` with int signs +-1 over every field.  A face
-        keeps its term exactly when it is a degree-(i-1) basis element: its
-        lcm is then still u.  Built afresh on each call: homology eliminates
-        each differential once.
-        """
-        dst_index = self.index.get(i - 1, {})
-        columns = []
-        for mask in self.basis.get(i, []):
-            col = {}
-            sign = 1
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                r = dst_index.get(mask ^ bit)
-                if r is not None:
-                    col[r] = sign
-                sign = -sign
-                rest ^= bit
-            columns.append(col)
-        return columns
 
 
 def chain_degrees(ideal, chain):

@@ -29,7 +29,6 @@ from golod_lab.simplicial import (
 )
 from golod_lab.counterexample_search import SearchStats, search
 from golod_lab.taylor_dga import (
-    StrandComplex,
     fiber_complex,
     generators_below,
     lcm_lattice,
@@ -128,8 +127,8 @@ def test_criterion_07_golod_positive_control():
 
 def _check_boundary_squared(ideal, field):
     for u in lcm_lattice(ideal):
-        s = StrandComplex(ideal, tuple(u))
-        for i in s.degrees:
+        s = strand(ideal, QQ, tuple(u))
+        for i in s.degrees():
             lower = s.boundary_columns(i)
             for col in s.boundary_columns(i + 1):
                 acc = {}

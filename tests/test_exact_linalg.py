@@ -323,18 +323,18 @@ def _strand_scalars(field, ideal, rng):
     out = []
     for u in lcm_lattice(ideal):
         sh = StrandHomology(ideal, tuple(u), field)
-        s = sh.strand
-        for i in s.degrees:
-            _, kernel = _relations(field, rows_of(s.boundary_columns(i), s.dim(i - 1)), s.dim(i))
-            up = s.boundary_columns(i + 1)
+        for i in sh.degrees():
+            down = rows_of(sh.boundary_columns(i), sh.dim(i - 1))
+            _, kernel = _relations(field, down, sh.dim(i))
+            up = sh.boundary_columns(i + 1)
             for _ in range(2):
                 coeffs = [rng.randint(-2, 2) for _ in kernel]
                 cycle = tuple(field.of(sum(c * kv[k] for c, kv in zip(coeffs, kernel)))
-                              for k in range(s.dim(i)))
-                out += sh.coordinates(i, basis_chain(s.basis[i], cycle))
+                              for k in range(sh.dim(i)))
+                out += sh.coordinates(i, basis_chain(sh.basis[i], cycle))
                 x = tuple(field.of(rng.randint(-2, 2)) for _ in up)
-                bnd = apply_columns(field, up, x, s.dim(i))
-                out += sh.bounding_chain(i, basis_chain(s.basis[i], bnd)).values()
+                bnd = apply_columns(field, up, x, sh.dim(i))
+                out += sh.bounding_chain(i, basis_chain(sh.basis[i], bnd)).values()
     return out
 
 

@@ -14,7 +14,7 @@ from conftest import (
     ref_solve,
     rows_of,
 )
-from golod_lab import homology_engine
+from golod_lab import homology_engine, taylor_dga
 from golod_lab.exact_linalg import GF2, GF3, QQ, span
 from golod_lab.homology_engine import (
     StrandHomology,
@@ -39,7 +39,6 @@ from golod_lab.simplicial import (
     stanley_reisner_ideal,
 )
 from golod_lab.taylor_dga import (
-    StrandComplex,
     fiber_complex,
     generators_below,
     lcm_lattice,
@@ -169,11 +168,11 @@ def test_euler_characteristic_per_strand():
     ideals = [counterexample_ideal()] + ideal_corpus(20, seed=61)
     for ideal in ideals:
         for u in lcm_lattice(ideal):
-            s = StrandComplex(ideal, tuple(u))
-            chi_basis = sum((-1) ** i * s.dim(i) for i in s.degrees)
+            s = strand(ideal, QQ, tuple(u))
+            chi_basis = sum((-1) ** i * s.dim(i) for i in s.degrees())
             chi_hom = sum(
                 (-1) ** i * strand(ideal, QQ, tuple(u)).dimension(i)
-                for i in s.degrees
+                for i in s.degrees()
             )
             assert chi_basis == chi_hom
 
@@ -212,12 +211,11 @@ def test_strand_homology_matches_separate_eliminations():
         for ideal in ideals:
             for u in lcm_lattice(ideal):
                 sh = StrandHomology(ideal, tuple(u), field)
-                s = sh.strand
-                for i in s.degrees:
-                    n, up_cols = s.dim(i), s.boundary_columns(i + 1)
-                    basis, up_basis = s.basis[i], s.basis.get(i + 1, [])
+                for i in sh.degrees():
+                    n, up_cols = sh.dim(i), sh.boundary_columns(i + 1)
+                    basis, up_basis = sh.basis[i], sh.basis.get(i + 1, [])
                     up = rows_of(up_cols, n)
-                    kernel = ref_kernel(field, rows_of(s.boundary_columns(i), s.dim(i - 1)), n)
+                    kernel = ref_kernel(field, rows_of(sh.boundary_columns(i), sh.dim(i - 1)), n)
                     image = [tuple(field.of(c.get(r, 0)) for r in range(n)) for c in up_cols]
                     reps = [kernel[j] for j in ref_extend(field, image, kernel, n)]
                     want = [tuple(sorted(basis_chain(basis, r).items())) for r in reps]
@@ -236,7 +234,7 @@ def test_strand_homology_matches_separate_eliminations():
                                 got = chain_basis_vector(field, up_basis, got)
                                 assert apply_columns(field, up_cols, got, n) == v
                             assert got == ref_solve(field, up, len(up_cols), v)
-                    strays = [1 << ideal.n_gens] + [s.basis[j][0] for j in s.degrees if j != i]
+                    strays = [1 << ideal.n_gens] + [sh.basis[j][0] for j in sh.degrees() if j != i]
                     for mask in strays:
                         with pytest.raises(ValueError, match="basis element"):
                             sh.coordinates(i, {mask: 1})
@@ -245,9 +243,10 @@ def test_strand_homology_matches_separate_eliminations():
 
 
 def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
-    """With the strand cap at 0 every membership query takes the route for
-    strands past the cap; it must agree with the whole strand's homology, and
-    a second query at the same (u, i) must reuse the span kept on the ideal."""
+    """Whole strands, with the cap in force, give the wanted answers.  Then,
+    with the strand cap at 0, every membership query on a fresh twin of the
+    ideal takes the route for strands past the cap; it must agree, and a
+    second query at the same (u, i) must reuse the span kept on the twin."""
     real = homology_engine.strand_degree_basis
     enumerated = []
 
@@ -256,22 +255,25 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
         return real(ideal, u, i, gens_below, apex)
 
     monkeypatch.setattr(homology_engine, "strand_degree_basis", counted)
-    monkeypatch.setattr(homology_engine, "_FULL_STRAND_LIMIT", 0)
     answers = set()
     for field in (QQ, GF2, GF3):
         for ideal in [counterexample_ideal()] + ideal_corpus(10, seed=20260811):
             classes = [c for u in lcm_lattice(ideal) for i in range(1, ideal.n_gens + 1)
                        for c in homology_basis(ideal, field, tuple(u), i)]
-            enumerated.clear()
+            wanted = []
             for a in classes:
                 for b in classes:
                     prod = chain_product(ideal, field, a.chain(), b.chain())
-                    if not prod:
-                        continue
-                    want = class_of(ideal, field, prod).is_zero
-                    assert chain_is_boundary(ideal, field, prod) == want
+                    if prod:
+                        wanted.append((prod, class_of(ideal, field, prod).is_zero))
+            twin = MonomialIdeal(ideal.variables, ideal.gens)
+            enumerated.clear()
+            with monkeypatch.context() as capped:
+                capped.setattr(homology_engine, "_FULL_STRAND_LIMIT", 0)
+                for prod, want in wanted:
+                    assert chain_is_boundary(twin, field, prod) == want
                     seen = len(enumerated)
-                    assert chain_is_boundary(ideal, field, prod) == want
+                    assert chain_is_boundary(twin, field, prod) == want
                     assert len(enumerated) == seen
                     answers.add(want)
             assert len(enumerated) == len(set(enumerated))
@@ -349,7 +351,7 @@ def test_skeleton_massey_spans_only_the_cone(monkeypatch):
 def test_skeleton_top_strand_answers_membership_past_the_cap():
     """After the product check and both Massey routes on the 4-skeleton ideal,
     its top strand (20 generators, past the cap) still answers is_boundary,
-    while its whole-strand questions raise the StrandComplex cap error; the
+    while its whole-strand questions raise the strand cap error; the
     ideal keeps one strand entry per (field, u)."""
     gamma, (a, b, c) = _skeleton_ideal()
     assert all_products_trivial(gamma, QQ)[0]
@@ -373,17 +375,19 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
 
 
 def test_lattice_test_runs_once_per_field_and_multidegree(monkeypatch):
-    """The strand accessor is the one place homology_engine tests lattice
-    membership: at most once per (field, u), however often a strand is asked."""
+    """The strand accessor is the one place the package tests a strand's
+    lattice membership: once per (field, u), counted in taylor_dga and
+    homology_engine together, however often a strand is asked."""
     calls = Counter()
     for name in ("generators_below", "in_lattice"):
-        real = getattr(homology_engine, name)
+        real = getattr(taylor_dga, name)
 
         def counted(ideal, u, *rest, real=real, name=name):
             calls[name, tuple(u)] += 1
             return real(ideal, u, *rest)
 
-        monkeypatch.setattr(homology_engine, name, counted)
+        for module in (taylor_dga, homology_engine):
+            monkeypatch.setattr(module, name, counted)
     gamma, (a, b, c) = _skeleton_ideal()
     paper = counterexample_ideal()
     for field in (QQ, GF2):

@@ -123,6 +123,13 @@ def test_search_budget_flag():
     assert stats.budget_exhausted
 
 
+def test_search_zero_seconds_yields_nothing():
+    # the time limit is tested before the seed, so not even the seed is checked
+    stats = SearchStats()
+    assert list(search(9, 8, budget=1000, seconds=0, stats=stats)) == []
+    assert stats.budget_exhausted and stats.candidates == 0
+
+
 def test_search_keeps_no_candidate_alive(monkeypatch):
     # what is derived from a candidate lives on its ideal, so it goes with it
     refs = []
