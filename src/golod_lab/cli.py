@@ -28,7 +28,7 @@ from .monomial_core import (
     parse_ideal,
     polarize,
 )
-from .taylor_dga import fiber_complex, generators_below, mask_members
+from .taylor_dga import fiber_complex, mask_members
 
 
 class UsageError(Exception):
@@ -344,8 +344,8 @@ def cmd_fiber(args):
     if len(u) != ideal.n_vars:
         raise UsageError(f"multidegree needs {ideal.n_vars} components")
     cx = fiber_complex(ideal, u)
-    below = generators_below(ideal, u)
-    legend = {f"g{i}": format_monomial(ideal.gens[i], ideal.variables) for i in below}
+    # vertices are labeled g<index> by the generator they stand for
+    legend = {v: format_monomial(ideal.gens[int(v[1:])], ideal.variables) for v in cx.vertices}
     payload = {
         "multidegree": list(u),
         "complex": sc.format_complex(cx),

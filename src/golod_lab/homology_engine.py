@@ -5,11 +5,11 @@ the elimination yields the kernel of d_j (one vector per free column) and an
 echelon of the image of d_j.  In degree i the echelon of the image of d_{i+1}
 is extended by the kernel vectors of d_i that are independent of it, taken
 greedily in order; they are the homology representatives.  That one echelon
-per (strand, degree) answers every later question: the dimension, the
-coordinates of a cycle against the fixed basis (all zero exactly when it is
-a boundary), whether a chain is a cycle at all, and the pivot solution of
-d_{i+1} x = z.  Chains (mask -> scalar) go in and come out; the basis
-positions the elimination runs on stay inside ``StrandHomology``.
+per (strand, degree) answers every question about the homology basis: the
+dimension, the coordinates of a cycle against the fixed basis (all zero
+exactly when it is a boundary), and the pivot solution of d_{i+1} x = z.
+Chains (mask -> scalar) go in and come out; the basis positions the
+elimination runs on stay inside ``StrandHomology``.
 
 ``StrandHomology`` is the one object per (field, u): it holds the strand's
 bases and boundaries as well as its homology.  One accessor,
@@ -17,16 +17,19 @@ bases and boundaries as well as its homology.  One accessor,
 (field, u), the only place a strand is tested either way, and keeps the
 ``StrandHomology`` (None outside the lcm lattice) in ``ideal.derived``, freed
 with the ideal.  A strand with at most ``_FULL_STRAND_LIMIT`` generators below
-u is ``whole`` and answers every question.  Past the cap only ``is_boundary``
-answers, from the span of the boundaries of one degree, kept per degree; the
-bases are built on first use, so the whole-strand questions raise the cap
-error of ``StrandHomology.basis``.
+u is ``whole``: its bases are built on first use and it answers dimensions,
+classes, coordinates and bounding chains.  Past the cap those questions raise
+the cap error of ``StrandHomology.basis``.
 
-That span needs only the boundaries of the masks that contain one apex
-generator g0 below u, a cone on g0.  A mask J with lcm u that misses g0 is
-a face of K = J + {g0}, which has lcm u too, and d(d(K)) = 0 writes d(J)
-through the boundaries of the other faces of K, which all contain g0.  On
-the 4-skeleton's top strand the cone is a quarter of the boundaries.
+Whether a cycle bounds is answered one way on both sides of the cap, without
+the homology basis: ``is_boundary`` reads the span of the boundaries of one
+degree, kept per degree, with columns read off the attain masks of
+``taylor_dga.attain_masks``.  That span needs only the boundaries of the
+masks that contain one apex generator g0 below u, a cone on g0.  A mask J
+with lcm u that misses g0 is a face of K = J + {g0}, which has lcm u too, and
+d(d(K)) = 0 writes d(J) through the boundaries of the other faces of K,
+which all contain g0.  On the 4-skeleton's top strand the cone is a quarter
+of the boundaries.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from functools import cached_property
 from .exact_linalg import Echelon, column_relations, span
 from .taylor_dga import (
     _FULL_STRAND_LIMIT,
+    attain_masks,
     chain_degrees,
     generators_below,
     in_lattice,
     lcm_lattice,
-    reduced_boundary,
     strand_degree_basis,
 )
 
@@ -84,8 +87,9 @@ class StrandHomology:
 
     Bases per homological degree are mask lists sorted ascending, and
     ``index[i]`` maps each mask of ``basis[i]`` to its position; both are
-    built on first use, and only for a whole strand.  Boundary entries are
-    +-1, so the complex is the same over every field.
+    built on first use, and only for a whole strand.  ``is_boundary`` needs
+    neither.  Boundary entries are +-1, so the complex is the same over
+    every field.
     """
 
     def __init__(self, ideal, u, field):
@@ -236,19 +240,66 @@ class StrandHomology:
         up = self.basis.get(i + 1, [])
         return {up[k - n]: self.field.of(-c) for k, c in sorted(w.items())}
 
+    @cached_property
+    def _attain(self):
+        """(support mask of u, generator bit -> attain mask)."""
+        full, att = attain_masks(self.ideal, self.u, self.gens_below)
+        return full, {1 << gi: a for gi, a in att.items()}
+
+    def _faces(self, mask):
+        """The boundary of a mask with lcm u inside the strand, ``face -> sign``,
+        or None when the mask's lcm is not u.
+
+        A face keeps lcm u unless the dropped member is the sole one attaining
+        some variable, so the whole boundary costs two passes over the members.
+        """
+        full, att = self._attain
+        once = twice = 0
+        bits = []
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            a = att.get(bit)
+            if a is None:
+                return None
+            twice |= once & a
+            once |= a
+            bits.append(bit)
+            rest ^= bit
+        if once != full:
+            return None
+        sole = once & ~twice
+        out = {}
+        sign = 1
+        for bit in bits:
+            if not att[bit] & sole:
+                out[mask ^ bit] = sign
+            sign = -sign
+        return out
+
     def is_boundary(self, i, chain):
         """Whether a degree-i cycle (mask -> scalar) bounds, on either side of the cap.
 
-        A whole strand reads the cycle's coordinates.  Past the cap the image
-        of d_{i+1} is spanned from the degree-(i+1) masks that contain the
-        apex g0, the first generator below u (the cone identity above).
+        The image of d_{i+1} is spanned from the degree-(i+1) masks that
+        contain the apex g0, the first generator below u (the cone identity
+        above), and kept per degree; no homology basis is built.  The chain's
+        own boundary, by the same face rule, must vanish, or this raises.
         """
-        if self.whole:
-            return not any(self.coordinates(i, chain))
+        of = self.field.of
+        chain = {m: x for m, c in chain.items() if (x := of(c))}
+        d = {}
+        for mask, c in chain.items():
+            faces = self._faces(mask) if bin(mask).count("1") == i else None
+            if faces is None:
+                raise ValueError(f"mask {mask:b} is not a degree-{i} basis element")
+            for face, sign in faces.items():
+                d[face] = d.get(face, 0) + (c if sign > 0 else -c)
+        if any(of(x) for x in d.values()):
+            raise ValueError("chain is not a cycle")
         if i not in self._images:
             below = self.gens_below
             masks = strand_degree_basis(self.ideal, self.u, i + 1, below, apex=below[0])
-            self._images[i] = span(self.field, [reduced_boundary(self.ideal, m) for m in masks])
+            self._images[i] = span(self.field, [self._faces(m) for m in masks])
         return self._images[i].contains(chain)
 
 

@@ -21,6 +21,8 @@ falls back to comparing series truncations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
+from functools import cached_property
 
 from .homology_engine import (
     HomologyClass,
@@ -165,35 +167,50 @@ def _dividing_generator(ideal, i, j, exclude):
 
 @dataclass(frozen=True)
 class MasseyResult:
-    """Outcome of a ternary Massey product computation."""
+    """Outcome of a ternary Massey product computation.
+
+    ``value_is_zero`` comes from the boundary test alone.  ``value``, the
+    class with its coordinates, is built on first read from the result's
+    own chain, multidegree and degree; it is None when the product is
+    undefined or its strand is past the cap.  ``ring``, the (ideal, field)
+    it is read in, is left out of comparison and repr.
+    """
 
     defined: bool
     unique: bool
     value_chain: tuple | None  # frozen (mask, coeff) pairs of the representative
-    value: HomologyClass | None  # coordinates; None when the strand is too large
     value_is_zero: bool | None
     multidegree: tuple | None
     hom_degree: int | None
     system: tuple | None  # frozen chains (s, t) of the defining system
     obstruction: str | None = None
+    ring: tuple | None = dataclass_field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def value(self):
+        if not self.defined:
+            return None
+        ideal, field = self.ring
+        sh = strand(ideal, field, self.multidegree)
+        if sh is None or not sh.whole:
+            return None
+        return class_of(ideal, field, dict(self.value_chain), self.multidegree, self.hom_degree)
 
 
 def _undefined(reason):
-    return MasseyResult(False, False, None, None, None, None, None, None, reason)
+    return MasseyResult(False, False, None, None, None, None, None, reason)
 
 
 def _finish_massey(ideal, field, value_chain, u, i, s, t, b2_certified):
-    sh = strand(ideal, field, u)
-    value = class_of(ideal, field, value_chain, u, i) if sh is not None and sh.whole else None
     return MasseyResult(
         defined=True,
         unique=bool(b2_certified),
         value_chain=_freeze_chain(value_chain),
-        value=value,
         value_is_zero=chain_is_boundary(ideal, field, value_chain),
         multidegree=u,
         hom_degree=i,
         system=(_freeze_chain(s), _freeze_chain(t)),
+        ring=(ideal, field),
     )
 
 

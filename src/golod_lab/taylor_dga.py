@@ -24,7 +24,10 @@ when some member has exponent u[k] there.  With the *attain mask* of a
 generator (the variables k with exps[k] == u[k] > 0), a subset has lcm u
 exactly when the OR of its attain masks is the support mask of u.  The same
 fact makes a boundary term survive exactly when its face is in the strand's
-basis one degree down, so strand boundaries are index lookups.
+basis one degree down (a whole strand's boundaries are index lookups), that
+is, unless the dropped member is the sole one attaining some variable.
+``attain_masks`` is the one place the masks are made, for the strand bases
+here and for the boundaries of the apex cone in ``homology_engine``.
 """
 
 from __future__ import annotations
@@ -139,26 +142,46 @@ class LcmLattice:
 
 
 def lcm_lattice(ideal):
-    """Lattice of subset-lcm multidegrees, computed by pairwise-join closure.
+    """Lattice of subset-lcm multidegrees, closed by joins with single generators.
 
-    Built once per ideal and kept in ``ideal.derived``.  Only callers that
-    enumerate the lattice need it: a single strand asks ``in_lattice``.
+    Each round joins only the newest elements with the generators: the lcm
+    of a subset is a chain of joins with one generator at a time, so the
+    closure is the same as under pairwise joins, at |L| * g joins instead of
+    |L|^2.  Built once per ideal and kept in ``ideal.derived``.  Only
+    callers that enumerate the lattice need it: a single strand asks
+    ``in_lattice``.
     """
     if "lattice" in ideal.derived:
         return ideal.derived["lattice"]
-    current = {tuple(g.exps) for g in ideal.gens}
-    frontier = set(current)
+    gens = {tuple(g.exps) for g in ideal.gens}
+    current = set(gens)
+    frontier = gens
     while frontier:
         new = set()
         for u in frontier:
-            for v in current:
-                j = tuple(max(a, b) for a, b in zip(u, v))
-                if j not in current and j not in new:
+            for g in gens:
+                j = tuple(max(a, b) for a, b in zip(u, g))
+                if j not in current:
                     new.add(j)
         current |= new
         frontier = new
     lattice = ideal.derived["lattice"] = LcmLattice(frozenset(current))
     return lattice
+
+
+def attain_masks(ideal, u, gens_below):
+    """(support mask of u, generator -> attain mask) at u.
+
+    The attain mask of a generator below u holds the variables k with
+    exps[k] == u[k] > 0: a set of them has lcm u exactly when the OR of
+    their attain masks is the support mask.
+    """
+    full = mask_of(k for k, e in enumerate(u) if e)
+    att = {}
+    for gi in gens_below:
+        exps = ideal.gens[gi].exps
+        att[gi] = mask_of(k for k, e in enumerate(u) if e and exps[k] == e)
+    return full, att
 
 
 def strand_degree_basis(ideal, u, i, gens_below, apex=None):
@@ -169,15 +192,10 @@ def strand_degree_basis(ideal, u, i, gens_below, apex=None):
     enumerated: C(|G_u| - 1, i - 1) subsets instead of C(|G_u|, i).
 
     Every generator below u divides u, so a subset has lcm u exactly when the
-    OR of its members' attain masks (variables k with exps[k] == u[k] > 0) is
-    the support mask of u; each combination costs one OR per member.
+    OR of its members' attain masks (``attain_masks``) is the support mask of
+    u; each combination costs one OR per member.
     """
-    u = tuple(u)
-    full = mask_of(k for k, e in enumerate(u) if e)
-    att = {}  # generator -> attain mask
-    for gi in gens_below:
-        exps = ideal.gens[gi].exps
-        att[gi] = mask_of(k for k, e in enumerate(u) if e and exps[k] == e)
+    full, att = attain_masks(ideal, tuple(u), gens_below)
     if apex is None:
         start, bit, pool, size = 0, 0, gens_below, i
     else:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import golod_lab
+from golod_lab import cli, taylor_dga
 from golod_lab.cli import main
 from golod_lab.monomial_core import counterexample_ideal, parse_ideal, polarize
 from golod_lab.simplicial import complex_of, parse_complex, skeleton
@@ -144,14 +145,36 @@ def test_polarize_roundtrip(capsys):
     assert payload["variable_map"]["x2_1"] == "x2"
 
 
-def test_fiber_command(capsys):
+def test_fiber_command(capsys, monkeypatch):
+    """The legend comes from the fiber complex's own vertex labels: the
+    generators below u are found once, by fiber_complex."""
+    calls = []
+    real = taylor_dga.generators_below
+
+    def counted(ideal, u):
+        calls.append(tuple(u))
+        return real(ideal, u)
+
+    for module in (taylor_dga, cli):
+        monkeypatch.setattr(module, "generators_below", counted, raising=False)
     code, payload, _ = run_json(
         capsys, "fiber", "--example", "paper", "--mdeg", "1,2,1,2,3"
     )
     assert code == 0
+    assert calls == [(1, 2, 1, 2, 3)]
     cx = parse_complex(payload["complex"])
     assert "g6" in cx.ghost_vertices
-    assert payload["vertex_legend"]["g0"] == "x1*x2^2"
+    assert payload["vertex_legend"] == {
+        "g0": "x1*x2^2", "g1": "x1*x2*y1*y2", "g2": "x1*y1*z", "g3": "y1*y2^2",
+        "g4": "y2^2*z^2", "g5": "x2^2*y2^2*z", "g6": "z^3", "g7": "x2^2*z^2",
+    }
+    calls.clear()
+    code, text, _ = run(capsys, "fiber", "--example", "paper", "--mdeg", "1,2,1,2,3")
+    assert code == 0 and len(calls) == 1
+    assert text.startswith(
+        "# vertices: g0=x1*x2^2, g1=x1*x2*y1*y2, g2=x1*y1*z, g3=y1*y2^2, "
+        "g4=y2^2*z^2, g5=x2^2*y2^2*z, g6=z^3, g7=x2^2*z^2\nvertices: g0 g1 g2 g3 g4 g5 g7\n"
+    )
     code2, _, err = run(capsys, "fiber", "--example", "paper", "--mdeg", "9,9,9,9,9")
     assert code2 == 2 and "lattice" in err
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -39,6 +40,7 @@ from golod_lab.simplicial import (
     stanley_reisner_ideal,
 )
 from golod_lab.taylor_dga import (
+    chain_degrees,
     fiber_complex,
     generators_below,
     lcm_lattice,
@@ -278,6 +280,50 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
                     answers.add(want)
             assert len(enumerated) == len(set(enumerated))
     assert answers == {True, False}
+
+
+def test_cone_membership_agrees_with_coordinates_inside_the_cap():
+    """Inside the cap is_boundary (the apex cone) and coordinates (the homology
+    basis) are two routes to one answer, on every nonzero product of two basis
+    classes and every defined Massey value of the triples that
+    ternary_products_vanish runs over the first 6 classes.  A non-cycle, or
+    a mask outside the strand, raises on both sides of the cap."""
+    answers = set()
+    for field in (QQ, GF2, GF3):
+        for ideal in [counterexample_ideal()] + ideal_corpus(10, seed=20260811):
+            lattice = lcm_lattice(ideal)
+            classes = [c for u in lattice for i in strand(ideal, field, u).degrees()
+                       for c in strand(ideal, field, u).classes(i)]
+            cycles = [p for a in classes for b in classes
+                      if (p := chain_product(ideal, field, a.chain(), b.chain()))]
+            for a, b, c in product(classes[:6], repeat=3):
+                u = tuple(map(sum, zip(a.multidegree, b.multidegree, c.multidegree)))
+                i = a.hom_degree + b.hom_degree + c.hom_degree + 1
+                if u not in lattice or strand(ideal, field, u).dimension(i) == 0:
+                    continue
+                res = ternary_massey(ideal, field, a, b, c)
+                if res.defined and res.value_chain:
+                    cycles.append(dict(res.value_chain))
+            for z in cycles:
+                u, i = chain_degrees(ideal, z)
+                sh = strand(ideal, field, u)
+                assert sh.whole
+                want = not any(sh.coordinates(i, z))
+                assert sh.is_boundary(i, z) == want
+                answers.add(want)
+    assert answers == {True, False}
+    paper = counterexample_ideal()
+    top = (1, 2, 1, 2, 3)
+    gamma, _ = _skeleton_ideal()
+    for ideal, u, i in ((paper, top, 5), (gamma, (1,) * gamma.n_vars, 4)):
+        sh = strand(ideal, QQ, u)
+        mask = next(m for m in strand_degree_basis(ideal, u, i, sh.gens_below)
+                    if reduced_boundary(ideal, m))
+        with pytest.raises(ValueError, match="not a cycle"):
+            sh.is_boundary(i, {mask: 1})
+        with pytest.raises(ValueError, match="basis element"):
+            sh.is_boundary(i, {1 << ideal.n_gens: 1})
+    assert strand(paper, QQ, top).whole and not sh.whole
 
 
 def _boundary_rank(ideal, field, masks):

@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from conftest import homology_product, ideal_corpus, random_squarefree_ideal
-from golod_lab import massey_golod
+from golod_lab import homology_engine, massey_golod
+from golod_lab.counterexample_search import search, seed_pattern
 from golod_lab.exact_linalg import GF2, QQ
 from golod_lab.homology_engine import homology_basis
 from golod_lab.massey_golod import (
@@ -276,6 +278,36 @@ def test_golod_decide_checks_products_once(monkeypatch):
     verdict = golod_decide(counterexample_ideal(), QQ)
     assert (verdict.status, verdict.route) == ("NotGolod", "massey-arity-3")
     assert len(calls) == 1
+
+
+def test_massey_checks_bound_without_the_homology_basis(monkeypatch):
+    """The Massey value's boundary test spans only the apex cone; the homology
+    basis and its coordinates are eliminated only when ``value`` is read.
+    The pattern search, which reads only ``value_is_zero``, halves its
+    tagged eliminations (1,000 before the membership test was shared)."""
+    relations, spans = [], []
+    real_relations, real_span = homology_engine.column_relations, homology_engine.span
+
+    def counted_relations(field, columns, nrows):
+        relations.append(len(columns))
+        return real_relations(field, columns, nrows)
+
+    def counted_span(field, columns):
+        spans.append(len(columns))
+        return real_span(field, columns)
+
+    monkeypatch.setattr(homology_engine, "column_relations", counted_relations)
+    monkeypatch.setattr(homology_engine, "span", counted_span)
+    pol, roles = seed_pattern()
+    res = ternary_massey_generators(pol, QQ, roles.a, roles.b, roles.c, b2_certified=True)
+    assert res.defined and res.value_is_zero is False
+    assert relations == [] and spans == [18]
+    assert res.value.coordinates == (Fraction(-1),)
+    assert relations
+    relations.clear()
+    hits = list(search(7, 9, budget=150, seeds=[]))
+    assert len(hits) == 16
+    assert len(relations) <= 500
 
 
 def test_golod_decide_controls():

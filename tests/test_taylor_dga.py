@@ -213,6 +213,22 @@ def test_lattice_closure_matches_subset_enumeration_random():
         assert lcm_lattice(ideal).elements == frozenset(want)
 
 
+def test_lattice_closure_is_every_subset_lcm():
+    """Joining the frontier with single generators reaches the lcm of every
+    nonempty generator subset and nothing else: on the paper's ideal, its
+    polarization and every corpus ideal with at most 12 generators."""
+    paper = counterexample_ideal()
+    ideals = [paper, polarize(paper)[0]] + [i for i in ideal_corpus() if i.n_gens <= 12]
+    for ideal in ideals:
+        lcm = {0: (0,) * ideal.n_vars}  # subset mask -> lcm exponents
+        for mask in range(1, 1 << ideal.n_gens):
+            low = (mask & -mask).bit_length() - 1
+            rest = lcm[mask & (mask - 1)]
+            lcm[mask] = tuple(max(a, b) for a, b in zip(rest, ideal.gens[low].exps))
+        del lcm[0]
+        assert lcm_lattice(ideal).elements == frozenset(lcm.values())
+
+
 def test_strand_three_edges():
     s = strand(EDGES, QQ, (1, 1, 1))
     assert s.dim(2) == 3 and s.dim(3) == 1
