@@ -36,11 +36,6 @@ from .simplicial import (
     skeleton,
     stanley_reisner_ideal,
 )
-from .taylor_dga import (
-    LcmLattice,
-    fiber_complex,
-    lcm_lattice,
-    reduced_boundary,
-)
+from .taylor_dga import fiber_complex, lcm_lattice
 
 __version__ = "0.1.0"

@@ -470,8 +470,9 @@ def build_parser():
     p = sub.add_parser("massey3", help="ternary Massey products")
     _add_common(p)
     _add_field(p)
-    p.add_argument("--gens", help="three generators, e.g. m_a,m_b,m_c or 0,3,6")
-    p.add_argument("--all", action="store_true", help="check every ternary product")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--gens", help="three generators, e.g. m_a,m_b,m_c or 0,3,6")
+    which.add_argument("--all", action="store_true", help="check every ternary product")
     p.set_defaults(fn=cmd_massey3)
 
     p = sub.add_parser("golod", help="decide the Golod property")

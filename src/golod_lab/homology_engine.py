@@ -12,7 +12,10 @@ Chains (mask -> scalar) go in and come out; the basis positions the
 elimination runs on stay inside ``StrandHomology``.
 
 ``StrandHomology`` is the one object per (field, u): it holds the strand's
-bases and boundaries as well as its homology.  One accessor,
+bases and boundaries as well as its homology.  Its ``boundary(mask)`` is the
+package's one differential, read off the attain masks of
+``taylor_dga.attain_masks``; the boundary columns, the cycle check and the
+cone below are all built from it.  One accessor,
 ``strand(ideal, field, u)``, runs the lattice test and reads the cap once per
 (field, u), the only place a strand is tested either way, and keeps the
 ``StrandHomology`` (None outside the lcm lattice) in ``ideal.derived``, freed
@@ -23,8 +26,7 @@ the cap error of ``StrandHomology.basis``.
 
 Whether a cycle bounds is answered one way on both sides of the cap, without
 the homology basis: ``is_boundary`` reads the span of the boundaries of one
-degree, kept per degree, with columns read off the attain masks of
-``taylor_dga.attain_masks``.  That span needs only the boundaries of the
+degree, kept per degree.  That span needs only the boundaries of the
 masks that contain one apex generator g0 below u, a cone on g0.  A mask J
 with lcm u that misses g0 is a face of K = J + {g0}, which has lcm u too, and
 d(d(K)) = 0 writes d(J) through the boundaries of the other faces of K,
@@ -126,27 +128,13 @@ class StrandHomology:
     def boundary_columns(self, i):
         """Sparse columns of the differential from degree i to degree i-1.
 
-        Column j is the boundary of the j-th degree-i basis element, a map
-        ``row index -> sign`` with int signs +-1 over every field.  A face
-        keeps its term exactly when it is a degree-(i-1) basis element: its
-        lcm is then still u.  Built afresh on each call: homology eliminates
-        each differential once.
+        Column j is ``boundary`` of the j-th degree-i basis element, keyed by
+        row index, with int signs +-1 over every field.  Built afresh on each
+        call: homology eliminates each differential once.
         """
-        dst_index = self.index.get(i - 1, {})
-        columns = []
-        for mask in self.basis.get(i, []):
-            col = {}
-            sign = 1
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                r = dst_index.get(mask ^ bit)
-                if r is not None:
-                    col[r] = sign
-                sign = -sign
-                rest ^= bit
-            columns.append(col)
-        return columns
+        rows = self.index.get(i - 1, {})
+        return [{rows[face]: sign for face, sign in self.boundary(mask).items()}
+                for mask in self.basis.get(i, [])]
 
     def _take(self, part, j):
         """The ``"kernel"`` relations or the ``"image"`` echelon of d_j.
@@ -246,9 +234,10 @@ class StrandHomology:
         full, att = attain_masks(self.ideal, self.u, self.gens_below)
         return full, {1 << gi: a for gi, a in att.items()}
 
-    def _faces(self, mask):
-        """The boundary of a mask with lcm u inside the strand, ``face -> sign``,
-        or None when the mask's lcm is not u.
+    def boundary(self, mask):
+        """The differential of the field-reduced Taylor complex on a mask with
+        lcm u, ``face -> sign`` with signs +-1, or None when the mask's lcm is
+        not u; the package's one differential.
 
         A face keeps lcm u unless the dropped member is the sole one attaining
         some variable, so the whole boundary costs two passes over the members.
@@ -289,7 +278,7 @@ class StrandHomology:
         chain = {m: x for m, c in chain.items() if (x := of(c))}
         d = {}
         for mask, c in chain.items():
-            faces = self._faces(mask) if bin(mask).count("1") == i else None
+            faces = self.boundary(mask) if bin(mask).count("1") == i else None
             if faces is None:
                 raise ValueError(f"mask {mask:b} is not a degree-{i} basis element")
             for face, sign in faces.items():
@@ -299,7 +288,7 @@ class StrandHomology:
         if i not in self._images:
             below = self.gens_below
             masks = strand_degree_basis(self.ideal, self.u, i + 1, below, apex=below[0])
-            self._images[i] = span(self.field, [self._faces(m) for m in masks])
+            self._images[i] = span(self.field, [self.boundary(m) for m in masks])
         return self._images[i].contains(chain)
 
 

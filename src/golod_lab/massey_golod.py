@@ -36,8 +36,8 @@ from .taylor_dga import (
     lcm_lattice,
     mask_of,
     product_reduced,
-    reduced_boundary,
     subset_lcm,
+    support_mask,
 )
 
 
@@ -109,38 +109,30 @@ class ProductWitness:
 def all_products_trivial(ideal, field):
     """Exhaustive binary product check over homology basis classes.
 
-    Only pairs of strands whose multidegree sum stays inside the lcm lattice
-    can multiply nontrivially, so classes are enumerated per viable pair.
+    Classes multiply only across coprime multidegrees (``taylor_dga``), so
+    only the pairs u < v of coprime lcm-lattice elements are run, in lattice
+    order, and a strand's classes are built when a pair first reaches them.
     Returns (True, None) or (False, witness of the first nonzero product).
     """
     lattice = lcm_lattice(ideal)
-    elements = list(lattice)
-    viable = []
-    needed = set()
-    for a in range(len(elements)):
-        for b in range(a, len(elements)):
-            u, v = elements[a], elements[b]
-            if _vector_sum(u, v) in lattice:
-                viable.append((u, v))
-                needed.add(u)
-                needed.add(v)
+    masks = [support_mask(u) for u in lattice]
     classes = {}
-    for u in sorted(needed):
-        sh = strand(ideal, field, u)
-        classes[u] = [c for i in sh.degrees() for c in sh.classes(i)]
-    for u, v in viable:
-        cu, cv = classes[u], classes[v]
-        for ai, alpha in enumerate(cu):
-            bstart = ai if u == v else 0
-            for beta in cv[bstart:]:
-                prod = chain_product(ideal, field, alpha.chain(), beta.chain())
-                if not prod:
-                    continue
-                if not chain_is_boundary(ideal, field, prod):
-                    witness = ProductWitness(
-                        alpha, beta, tuple(sorted(prod.items()))
-                    )
-                    return False, witness
+
+    def classes_at(u):
+        if u not in classes:
+            sh = strand(ideal, field, u)
+            classes[u] = [c for i in sh.degrees() for c in sh.classes(i)]
+        return classes[u]
+
+    for a, u in enumerate(lattice):
+        for b in range(a + 1, len(lattice)):
+            if masks[a] & masks[b]:
+                continue
+            for alpha in classes_at(u):
+                for beta in classes_at(lattice[b]):
+                    prod = chain_product(ideal, field, alpha.chain(), beta.chain())
+                    if not chain_is_boundary(ideal, field, prod):
+                        return False, ProductWitness(alpha, beta, tuple(sorted(prod.items())))
     return True, None
 
 
@@ -303,7 +295,7 @@ def _triple_filler(ideal, field, i, mid, j):
     """Chain on the subset {i, mid, j} whose differential is the bar of e_i * e_j."""
     triple = mask_of([i, mid, j])
     pair = mask_of([i, j])
-    bnd = reduced_boundary(ideal, triple)
+    bnd = strand(ideal, field, subset_lcm(ideal, pair).exps).boundary(triple)
     if set(bnd) != {pair}:
         raise AssertionError("filler boundary has unexpected support")
     sigma = bnd[pair]
@@ -316,25 +308,30 @@ def _triple_filler(ideal, field, i, mid, j):
 def ternary_products_vanish(ideal, field):
     """Whether every ternary Massey product vanishes, given that all binary ones do.
 
-    Runs every ordered triple of homology basis classes whose combined
-    multidegree stays in the lcm lattice, except where the target strand is
-    built whole and has no homology in the target degree.
+    Classes multiply only across coprime multidegrees (``taylor_dga``): when
+    two of the three multidegrees share a variable, both terms of the value
+    multiply across them and vanish.  So only the pairwise coprime triples
+    of strands with classes are run, in sorted order, and their sum is in
+    the lcm lattice.  Every ordered triple of their homology basis classes
+    runs, except where the target strand is built whole and has no homology
+    in the target degree.
     """
-    lattice = lcm_lattice(ideal)
     classes = {}
-    for u in lattice:
+    for u in lcm_lattice(ideal):
         sh = strand(ideal, field, u)
         if cs := [c for i in sh.degrees() for c in sh.classes(i)]:
             classes[u] = cs
     support = sorted(classes)
+    masks = {u: support_mask(u) for u in support}
     for ua in support:
         for ub in support:
-            uab = _vector_sum(ua, ub)
+            if masks[ua] & masks[ub]:
+                continue
+            ab = masks[ua] | masks[ub]
             for uc in support:
-                u = _vector_sum(uab, uc)
-                if u not in lattice:
+                if ab & masks[uc]:
                     continue
-                sh = strand(ideal, field, u)
+                sh = strand(ideal, field, _vector_sum(_vector_sum(ua, ub), uc))
                 for alpha in classes[ua]:
                     for beta in classes[ub]:
                         for gamma in classes[uc]:

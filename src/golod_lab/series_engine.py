@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .exact_linalg import Echelon
+from .exact_linalg import Echelon, _integral, column_relations
 from .homology_engine import betti
 
 
@@ -172,12 +172,13 @@ def _q_bigraded(ideal, field, n):
 
 
 def _kernel_at(field, u, here, phi, is_std, dim):
-    """Kernel of the current map at multidegree u, by tagged reduction.
+    """Kernel of the current map at multidegree u, from ``column_relations``.
 
     ``here``: generator index -> its standard monomial at u.  Returns the
-    kernel vectors, keyed by generator index, in the echelon's scalars.
-    ``dim`` is dim K(u) by exactness; an elimination that does not confirm
-    it is an ``AssertionError``.
+    kernel vectors, keyed by generator index, with integral rationals as
+    ints: they feed the next eliminations, where a ``Fraction`` entry costs
+    a conversion each time.  ``dim`` is dim K(u) by exactness; an
+    elimination that does not confirm it is an ``AssertionError``.
     """
     columns = []
     row_keys = {}
@@ -188,22 +189,13 @@ def _kernel_at(field, u, here, phi, is_std, dim):
             if tuple(map(add, m, me)) in is_std:
                 col[row_keys.setdefault(pj, len(row_keys))] = c
         columns.append(col)
-    # Generator gi's column carries the tag nrows + gi; a column that
-    # reduces to tags alone is a kernel vector in the echelon's scalars.
-    nrows = len(row_keys)
-    ech = Echelon(field)
-    kern = []
-    for gi, col in zip(here, columns):
-        v = ech.reduce({**col, nrows + gi: 1})
-        if min(v) < nrows:
-            ech.insert(v)
-        else:
-            kern.append({k - nrows: x for k, x in v.items()})
-    if len(kern) != dim:
+    _, _, relations = column_relations(field, columns, len(row_keys))
+    if len(relations) != dim:
         raise AssertionError(
-            f"kernel at {u} has dimension {len(kern)}, exactness gives {dim}"
+            f"kernel at {u} has dimension {len(relations)}, exactness gives {dim}"
         )
-    return kern
+    gens = list(here)
+    return [{gens[k]: _integral(x) for k, x in rel.items()} for rel in relations.values()]
 
 
 def _resolution_step(field, std, gens, phi, cap, prev):

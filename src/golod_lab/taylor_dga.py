@@ -9,14 +9,23 @@ depend only on that order:
                                               with m' before m)
 
 After tensoring with the residue field, a term survives exactly when its
-monomial coefficient is constant.
+monomial coefficient is constant.  For disjoint I and J the product has
+coefficient lcm(I) * lcm(J) / lcm(I | J), constant exactly when lcm(I) and
+lcm(J) are coprime; no generator is constant, so coprime lcms also make I
+and J disjoint.  Hence the one product rule: classes multiply only across
+coprime multidegrees, and the product lands in their sum, the lcm of the
+union, always in the lcm lattice.  ``product_reduced`` applies it to basis
+elements, and the product and Massey loops of ``massey_golod`` visit only
+coprime pairs and pairwise coprime triples of lattice elements, tested with
+``support_mask``.
 
 A single strand needs only the generators below u (u is in the lcm lattice
 exactly when their lcm is u); the closure ``lcm_lattice``, kept on the ideal,
 is for callers that enumerate the lattice.  This module keeps the DGA
-primitives; the strand itself, its bases, boundaries and homology, is
-``homology_engine.StrandHomology``, which reads ``_FULL_STRAND_LIMIT`` and
-past it enumerates one degree at a time with ``strand_degree_basis``.
+primitives; the strand itself, its bases, homology and the differential
+``StrandHomology.boundary``, is ``homology_engine.StrandHomology``, which
+reads ``_FULL_STRAND_LIMIT`` and past it enumerates one degree at a time
+with ``strand_degree_basis``.
 
 Inside a strand the lcm test is a bitmask test.  Every generator below u
 divides u, so the lcm of a subset of them reaches u in variable k exactly
@@ -24,15 +33,13 @@ when some member has exponent u[k] there.  With the *attain mask* of a
 generator (the variables k with exps[k] == u[k] > 0), a subset has lcm u
 exactly when the OR of its attain masks is the support mask of u.  The same
 fact makes a boundary term survive exactly when its face is in the strand's
-basis one degree down (a whole strand's boundaries are index lookups), that
-is, unless the dropped member is the sole one attaining some variable.
-``attain_masks`` is the one place the masks are made, for the strand bases
-here and for the boundaries of the apex cone in ``homology_engine``.
+basis one degree down, that is, unless the dropped member is the sole one
+attaining some variable.  ``attain_masks`` is the one place the masks are
+made, for the strand bases here and for ``StrandHomology.boundary``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .monomial_core import lcm_of
@@ -69,28 +76,6 @@ def subset_multidegree(ideal, mask):
     return subset_lcm(ideal, mask).exps
 
 
-def reduced_boundary(ideal, mask):
-    """Differential after tensoring with the field: only constant-coefficient terms.
-
-    Dropping a generator keeps the lcm exactly when every variable in which
-    it attains the mask's maximal exponent has a second generator attaining
-    it.  Returns a map ``smaller_mask -> sign`` with sign in {1, -1}.
-    """
-    members = mask_members(mask)
-    needed = set()  # positions of the sole holders of some variable's maximum
-    for col in zip(*(ideal.gens[i].exps for i in members)):
-        top = max(col)
-        if top and col.count(top) == 1:
-            needed.add(col.index(top))
-    out = {}
-    sign = 1
-    for pos, i in enumerate(members):
-        if pos not in needed:
-            out[mask ^ (1 << i)] = sign
-        sign = -sign
-    return out
-
-
 def product_sign(maskI, maskJ):
     """Koszul sign of <I> * <J>: parity of pairs (m in I, m' in J) with m' first."""
     count = 0
@@ -102,17 +87,12 @@ def product_sign(maskI, maskJ):
 def product_reduced(ideal, maskI, maskJ):
     """Product in the field-reduced complex: ``(sign, union mask)`` or None.
 
-    Nonzero exactly when the subsets are disjoint and the lcm of the union is
-    the product of the two lcms.
+    Nonzero exactly when the lcms of the two subsets are coprime (see the
+    module docstring), which also makes the subsets disjoint.
     """
-    if maskI & maskJ:
+    if not subset_lcm(ideal, maskI).coprime(subset_lcm(ideal, maskJ)):
         return None
-    union = maskI | maskJ
-    mI = subset_lcm(ideal, maskI)
-    mJ = subset_lcm(ideal, maskJ)
-    if mI * mJ != subset_lcm(ideal, union):
-        return None
-    return (product_sign(maskI, maskJ), union)
+    return (product_sign(maskI, maskJ), maskI | maskJ)
 
 
 def generators_below(ideal, u):
@@ -125,24 +105,9 @@ def in_lattice(ideal, u, below):
     return bool(below) and lcm_of((ideal.gens[i] for i in below), ideal.n_vars).exps == tuple(u)
 
 
-@dataclass(frozen=True)
-class LcmLattice:
-    """Multidegrees of lcms of nonempty generator subsets, with join structure."""
-
-    elements: frozenset
-
-    def __contains__(self, u):
-        return tuple(u) in self.elements
-
-    def __iter__(self):
-        return iter(sorted(self.elements, key=lambda u: (sum(u), u)))
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def lcm_lattice(ideal):
-    """Lattice of subset-lcm multidegrees, closed by joins with single generators.
+    """Multidegrees of lcms of nonempty generator subsets, as a tuple sorted by
+    (total degree, multidegree): the closure under joins with single generators.
 
     Each round joins only the newest elements with the generators: the lcm
     of a subset is a chain of joins with one generator at a time, so the
@@ -165,8 +130,14 @@ def lcm_lattice(ideal):
                     new.add(j)
         current |= new
         frontier = new
-    lattice = ideal.derived["lattice"] = LcmLattice(frozenset(current))
+    lattice = ideal.derived["lattice"] = tuple(sorted(current, key=lambda u: (sum(u), u)))
     return lattice
+
+
+def support_mask(u):
+    """Bit mask of the variables where the multidegree u is positive; two
+    multidegrees are coprime exactly when their masks share no bit."""
+    return mask_of(k for k, e in enumerate(u) if e)
 
 
 def attain_masks(ideal, u, gens_below):
@@ -176,7 +147,7 @@ def attain_masks(ideal, u, gens_below):
     exps[k] == u[k] > 0: a set of them has lcm u exactly when the OR of
     their attain masks is the support mask.
     """
-    full = mask_of(k for k, e in enumerate(u) if e)
+    full = support_mask(u)
     att = {}
     for gi in gens_below:
         exps = ideal.gens[gi].exps

@@ -14,6 +14,7 @@ from golod_lab.taylor_dga import (
     fiber_vertex_labels,
     generators_below,
     mask_members,
+    subset_lcm,
     subset_multidegree,
 )
 
@@ -221,6 +222,21 @@ def pattern_failures(report):
 
 # ---------------------------------------------------------------------------
 # reference oracles: independent routes the library is checked against
+
+
+def reduced_boundary(ideal, mask):
+    """The field-reduced Taylor differential by its definition: the terms of
+    the full differential whose monomial coefficient lcm(I) / lcm(I - m) is
+    constant, that is, whose face keeps the lcm.  ``face -> sign``."""
+    out = {}
+    m_I = subset_lcm(ideal, mask)
+    sign = 1
+    for i in mask_members(mask):
+        rest = mask & ~(1 << i)
+        if subset_lcm(ideal, rest) == m_I:
+            out[rest] = sign
+        sign = -sign
+    return out
 
 
 def homology_product(ideal, field, alpha, beta):

@@ -7,7 +7,7 @@ zero).  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import json
 from itertools import combinations
 
-from conftest import expand_rational, homology_product, ideal_corpus
+from conftest import expand_rational, homology_product, ideal_corpus, reduced_boundary
 from golod_lab.cli import main
 from golod_lab.exact_linalg import GF2, GF3, QQ
 from golod_lab.homology_engine import betti, homology_basis, strand
@@ -33,7 +33,6 @@ from golod_lab.taylor_dga import (
     generators_below,
     lcm_lattice,
     product_reduced,
-    reduced_boundary,
 )
 
 EXPECTED_COARSE = {

@@ -79,6 +79,14 @@ def test_massey3_requires_gens_or_all(capsys):
     assert code == 2 and "gens" in err
 
 
+def test_massey3_gens_with_all_is_a_usage_error(capsys):
+    # --all used to win silently over --gens
+    with pytest.raises(SystemExit) as exc:
+        main(["massey3", "--example", "paper", "--gens", "m_a,m_b,m_c", "--all"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_golod_exit_codes(capsys, tmp_path):
     code, payload, _ = run_json(capsys, "golod", "--example", "paper")
     assert code == 1

@@ -13,6 +13,7 @@ from conftest import (
     ref_kernel,
     ref_quotient,
     ref_solve,
+    reduced_boundary,
     rows_of,
 )
 from golod_lab import homology_engine, taylor_dga
@@ -45,7 +46,6 @@ from golod_lab.taylor_dga import (
     generators_below,
     lcm_lattice,
     mask_of,
-    reduced_boundary,
     strand_degree_basis,
 )
 

@@ -9,7 +9,7 @@ from conftest import homology_product, ideal_corpus, random_squarefree_ideal
 from golod_lab import homology_engine, massey_golod
 from golod_lab.counterexample_search import search, seed_pattern
 from golod_lab.exact_linalg import GF2, QQ
-from golod_lab.homology_engine import homology_basis
+from golod_lab.homology_engine import homology_basis, strand
 from golod_lab.massey_golod import (
     ProductWitness,
     _massey_arity_bound,
@@ -21,7 +21,7 @@ from golod_lab.massey_golod import (
     ternary_massey_generators,
     ternary_products_vanish,
 )
-from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal
+from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal
 from golod_lab.taylor_dga import generators_below, lcm_lattice, mask_of
 
 CI = MonomialIdeal.from_strings(("x", "y"), ["x^2", "y^2"])
@@ -204,6 +204,50 @@ def test_graded_commutativity_random():
                 sign = (-1) ** (a.hom_degree * b.hom_degree)
                 want = {m: QQ.of(sign) * c for m, c in ba.items()}
                 assert ab == want
+
+
+def test_coprime_loops_match_brute_force():
+    """The product and ternary loops run only coprime multidegrees; over Q and
+    F_2 they answer as brute force over every pair and triple of classes.
+
+    On the paper's ideal, ideal_corpus(30) and 20 random squarefree ideals:
+    chain_product of two basis classes is nonzero exactly when their
+    multidegrees are coprime; all_products_trivial agrees with
+    homology_product over every ordered pair, and its witness product is
+    nonzero; where products are trivial, ternary_products_vanish agrees with
+    ternary_massey over every ordered triple (the paper's 31 classes over Q
+    only, for time).
+    """
+    rng = random.Random(20261018)
+    paper = counterexample_ideal()
+    ideals = [paper] + ideal_corpus(30) + [random_squarefree_ideal(rng) for _ in range(20)]
+    verdicts = Counter()
+    for field in (QQ, GF2):
+        for ideal in ideals:
+            classes = [c for u in lcm_lattice(ideal) for i in strand(ideal, field, u).degrees()
+                       for c in strand(ideal, field, u).classes(i)]
+            for a in classes:
+                for b in classes:
+                    coprime = Monomial(a.multidegree).coprime(Monomial(b.multidegree))
+                    assert bool(chain_product(ideal, field, a.chain(), b.chain())) == coprime
+            trivial = all(homology_product(ideal, field, a, b).is_zero
+                          for a in classes for b in classes)
+            ok, witness = all_products_trivial(ideal, field)
+            assert ok == trivial
+            if not ok:
+                assert not homology_product(ideal, field, witness.alpha, witness.beta).is_zero
+                verdicts["binary"] += 1
+                continue
+            if ideal is paper and field != QQ:
+                continue
+            values = [ternary_massey(ideal, field, a, b, c, b2_certified=True)
+                      for a in classes for b in classes for c in classes]
+            assert all(res.defined for res in values)
+            ok3, _ = ternary_products_vanish(ideal, field)
+            assert ok3 == all(res.value_is_zero for res in values)
+            verdicts["ternary" if ok3 else "nonzero ternary"] += 1
+    assert verdicts["binary"] > 10 and verdicts["ternary"] > 10
+    assert verdicts["nonzero ternary"] == 1  # the paper's ideal
 
 
 def test_massey_arity_bound_takes_the_least(example_ideal):

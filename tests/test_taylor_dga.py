@@ -9,6 +9,7 @@ from conftest import (
     cochain_vector,
     ideal_corpus,
     monomial_quotient,
+    reduced_boundary,
 )
 from golod_lab.exact_linalg import GF2, QQ
 from golod_lab.homology_engine import strand
@@ -33,16 +34,17 @@ from golod_lab.taylor_dga import (
     mask_of,
     product_reduced,
     product_sign,
-    reduced_boundary,
     strand_degree_basis,
     subset_lcm,
+    subset_multidegree,
 )
 
 EDGES = MonomialIdeal.from_strings(("x", "y", "z"), ["x*y", "y*z", "z*x"])
 
 
-# Test-only references: the full-coefficient Taylor differential and product,
-# and the lcm-comparison definition of the field-reduced differential.
+# Test-only references: the full-coefficient Taylor differential and product.
+# The lcm-comparison definition of the field-reduced differential is
+# conftest's reduced_boundary.
 
 
 def boundary(ideal, mask):
@@ -75,19 +77,6 @@ def product(ideal, maskI, maskJ):
     return (product_sign(maskI, maskJ), coeff, union)
 
 
-def _ref_reduced_boundary(ideal, mask):
-    """The terms of ``boundary`` whose monomial coefficient is constant."""
-    out = {}
-    m_I = subset_lcm(ideal, mask)
-    sign = 1
-    for i in mask_members(mask):
-        rest = mask & ~(1 << i)
-        if subset_lcm(ideal, rest) == m_I:
-            out[rest] = sign
-        sign = -sign
-    return out
-
-
 def test_boundary_two_edges():
     # m_I = xyz: dropping xy leaves coefficient x, dropping yz leaves z
     out = boundary(EDGES, mask_of([0, 1]))
@@ -118,40 +107,51 @@ def test_boundary_squared_zero_counterexample():
         assert _full_boundary_of_chain(ideal, first) == {}
 
 
+def _strand_boundary(ideal, mask):
+    """StrandHomology.boundary of a mask, read in the strand at its own lcm."""
+    return strand(ideal, QQ, subset_multidegree(ideal, mask)).boundary(mask)
+
+
 def test_reduced_boundary_all_edges():
-    out = reduced_boundary(EDGES, mask_of([0, 1, 2]))
-    assert set(out) == {mask_of([1, 2]), mask_of([0, 2]), mask_of([0, 1])}
-    assert out[mask_of([1, 2])] == 1
-    assert out[mask_of([0, 2])] == -1
-    assert out[mask_of([0, 1])] == 1
+    want = {mask_of([1, 2]): 1, mask_of([0, 2]): -1, mask_of([0, 1]): 1}
+    assert _strand_boundary(EDGES, mask_of([0, 1, 2])) == want
+    assert reduced_boundary(EDGES, mask_of([0, 1, 2])) == want
 
 
 def test_reduced_boundary_two_edges_vanishes():
+    assert _strand_boundary(EDGES, mask_of([0, 1])) == {}
     assert reduced_boundary(EDGES, mask_of([0, 1])) == {}
 
 
 def test_reduced_boundary_filler_sign():
     # indices: a=0, ab=1, b=3; dropping ab keeps the lcm and carries one sign
     ideal = counterexample_ideal()
-    out = reduced_boundary(ideal, mask_of([0, 1, 3]))
-    assert out == {mask_of([0, 3]): -1}
+    assert _strand_boundary(ideal, mask_of([0, 1, 3])) == {mask_of([0, 3]): -1}
+    assert reduced_boundary(ideal, mask_of([0, 1, 3])) == {mask_of([0, 3]): -1}
 
 
 def test_reduced_boundary_matches_lcm_reference():
+    """StrandHomology.boundary, the package's one differential, is the lcm
+    comparison term for term on every strand basis mask, and on random masks
+    of the 4-skeleton ideal, read in the strand at their lcm (mostly past the
+    cap); the strand of any other lcm answers None."""
     ideals = [counterexample_ideal()] + ideal_corpus(20, seed=61)
     for ideal in ideals:
         for u in lcm_lattice(ideal):
             s = strand(ideal, QQ, u)
             for i in s.degrees():
                 for mask in s.basis[i]:
-                    assert reduced_boundary(ideal, mask) == _ref_reduced_boundary(ideal, mask)
+                    assert s.boundary(mask) == reduced_boundary(ideal, mask)
     pol, _ = polarize(counterexample_ideal())
     gamma = stanley_reisner_ideal(skeleton(complex_of(pol), 4))
     assert gamma.n_gens == 20
+    top = strand(gamma, QQ, (1,) * gamma.n_vars)
     rng = random.Random(62)
     for _ in range(200):
         mask = rng.randrange(1, 1 << gamma.n_gens)
-        assert reduced_boundary(gamma, mask) == _ref_reduced_boundary(gamma, mask)
+        assert _strand_boundary(gamma, mask) == reduced_boundary(gamma, mask)
+        if subset_multidegree(gamma, mask) != top.u:
+            assert top.boundary(mask) is None
 
 
 def test_product_self_zero():
@@ -189,7 +189,7 @@ def test_lcm_lattice_three_edges():
     for r in range(1, 4):
         for c in combinations(range(3), r):
             want.add(tuple(lcm_of([EDGES.gens[i] for i in c], 3).exps))
-    assert lat.elements == frozenset(want)
+    assert lat == tuple(sorted(want, key=lambda u: (sum(u), u)))
     assert len(lat) == 4
 
 
@@ -210,7 +210,7 @@ def test_lattice_closure_matches_subset_enumeration_random():
         for r in range(1, ideal.n_gens + 1):
             for c in combinations(range(ideal.n_gens), r):
                 want.add(tuple(lcm_of([ideal.gens[i] for i in c], ideal.n_vars).exps))
-        assert lcm_lattice(ideal).elements == frozenset(want)
+        assert frozenset(lcm_lattice(ideal)) == frozenset(want)
 
 
 def test_lattice_closure_is_every_subset_lcm():
@@ -226,7 +226,7 @@ def test_lattice_closure_is_every_subset_lcm():
             rest = lcm[mask & (mask - 1)]
             lcm[mask] = tuple(max(a, b) for a, b in zip(rest, ideal.gens[low].exps))
         del lcm[0]
-        assert lcm_lattice(ideal).elements == frozenset(lcm.values())
+        assert frozenset(lcm_lattice(ideal)) == frozenset(lcm.values())
 
 
 def test_strand_three_edges():
@@ -465,9 +465,10 @@ def test_strand_degree_basis_skeleton_counts():
 
 
 def test_boundary_columns_match_reduced_boundary():
-    """Strand boundaries keep a face when it is a basis element one degree
-    down; that must be reduced_boundary's exponent rule, term for term and
-    sign for sign, so no surviving term ever leaves its strand."""
+    """StrandHomology.boundary and the boundary_columns built from it keep a
+    face exactly when it is a basis element one degree down; that must be
+    reduced_boundary's lcm comparison, term for term and sign for sign, so
+    no surviving term ever leaves its strand."""
     nonzero = 0
     for field in (QQ, GF2):
         for ideal in _basis_test_ideals():
@@ -478,6 +479,7 @@ def test_boundary_columns_match_reduced_boundary():
                     want = []
                     for mask in s.basis.get(i, []):
                         terms = reduced_boundary(ideal, mask)
+                        assert s.boundary(mask) == terms
                         assert set(terms) <= set(rows)
                         want.append({rows[m]: sign for m, sign in terms.items()})
                     got = s.boundary_columns(i)
