@@ -19,7 +19,7 @@ from . import massey_golod as mg
 from . import series_engine as se
 from . import simplicial as sc
 from .exact_linalg import parse_field
-from .homology_engine import betti
+from .homology_engine import betti, homology_basis
 from .monomial_core import (
     counterexample_generator_index,
     counterexample_ideal,
@@ -247,8 +247,6 @@ def cmd_massey3(args):
 
 
 def _generator_class(ideal, field, idx):
-    from .homology_engine import homology_basis
-
     # a generator is the single degree-1 basis element of its own strand
     u = tuple(ideal.gens[idx].exps)
     classes = homology_basis(ideal, field, u, 1)

@@ -165,16 +165,15 @@ def _evaluate_candidate(serial, ideal, assignment, field):
     return SearchHit(serial, ideal, assignment, full_ok)
 
 
-def _subsets_between(universe, side1, side2):
-    """Subsets of the union meeting both sides, largest first (generic first)."""
+def _subsets_between(side1, side2):
+    """Subsets of the union meeting both sides, largest first (generic first),
+    yielded one at a time: the union can have 2^(n-2) subsets."""
     u = sorted(side1 | side2)
-    out = []
     for size in range(len(u), 1, -1):
         for c in combinations(u, size):
             cs = frozenset(c)
             if cs & side1 and cs & side2 and cs != side1 | side2:
-                out.append(cs)
-    return out
+                yield cs
 
 
 def _mono(n, sup):
@@ -185,27 +184,29 @@ def _candidate_patterns(n_vars, max_gens):
     """Deterministic stream of role patterns over canonical variable blocks.
 
     Blocks a, b, c take the first variables in order; bridge and extra roles
-    range over subsets.  Size splits are enumerated largest-first, matching
-    the make-everything-as-generic-as-possible heuristic.
+    range over subsets, generated lazily.  Size splits are enumerated
+    largest-first, matching the make-everything-as-generic-as-possible
+    heuristic.  A one-variable c yields no pattern (any bc meeting c contains
+    it), so c has at least two variables.
     """
     if max_gens < 8:
         return
     sizes = []
-    for na in range(n_vars - 2, 1, -1):
-        for nb in range(n_vars - na - 1, 1, -1):
-            for nc in range(n_vars - na - nb, 0, -1):
+    for na in range(n_vars - 4, 1, -1):
+        for nb in range(n_vars - na - 2, 1, -1):
+            for nc in range(n_vars - na - nb, 1, -1):
                 sizes.append((na, nb, nc))
     for na, nb, nc in sizes:
         a = frozenset(range(na))
         b = frozenset(range(na, na + nb))
         c = frozenset(range(na + nb, na + nb + nc))
-        for ab in _subsets_between(a | b, a, b):
+        for ab in _subsets_between(a, b):
             if a <= ab or b <= ab:
                 continue
-            for bc in _subsets_between(b | c, b, c):
+            for bc in _subsets_between(b, c):
                 if b <= bc or c <= bc or not b <= (ab | bc):
                     continue
-                for ca in _subsets_between(c | a, c, a):
+                for ca in _subsets_between(c, a):
                     if c <= ca or a <= ca:
                         continue
                     if not (a <= (ab | ca) or c <= (bc | ca)):
@@ -222,16 +223,12 @@ def _sharp_choices(core, ab, bc, ca, a, b, c, max_gens):
     core_set = set(core)
 
     def options(bridge, corner):
-        out = []
         union = sorted(bridge | corner)
         for size in range(len(union) - 1, 1, -1):
             for comb in combinations(union, size):
                 cs = frozenset(comb)
-                if cs in core_set:
-                    continue
-                if cs & bridge and cs & corner:
-                    out.append(cs)
-        return out
+                if cs not in core_set and cs & bridge and cs & corner:
+                    yield cs
 
     for s_ab in options(ab, c):
         for s_bc in options(bc, a):

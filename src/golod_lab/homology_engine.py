@@ -1,15 +1,15 @@
 """Strand homology with explicit representatives, and Betti data derived from it.
 
-Each boundary d_j of a strand is eliminated once, as tagged sparse columns:
-the elimination yields the kernel of d_j (one vector per free column) and an
-echelon of the image of d_j.  In degree i the echelon of the image of d_{i+1}
-is extended by the kernel vectors of d_i that are independent of it, taken
-greedily in order; they are the homology representatives.  That one echelon
-per (strand, degree) answers every question about the homology basis: the
-dimension, the coordinates of a cycle against the fixed basis (all zero
-exactly when it is a boundary), and the pivot solution of d_{i+1} x = z.
-Chains (mask -> scalar) go in and come out; the basis positions the
-elimination runs on stay inside ``StrandHomology``.
+The image of d_{i+1} in degree i has one echelon, spanned from the apex cone
+below and kept per degree; it answers boundary membership and, with the
+image of d_i, the dimension dim C_i - rank d_i - rank d_{i+1}, with no
+kernel built.  The homology basis extends a shallow copy of that echelon by
+the kernel vectors of d_i that are independent of it, taken greedily in
+order; they are the representatives, and the extended echelon gives the
+coordinates of a cycle against them.  Each d_j is eliminated at most once as
+tagged sparse columns, for its kernel and for the pivot solutions of
+d_j x = z.  Every echelon is keyed by mask, with tags at ``top`` and above,
+so chains (mask -> scalar) go in and come out as they are.
 
 ``StrandHomology`` is the one object per (field, u): it holds the strand's
 bases and boundaries as well as its homology.  Its ``boundary(mask)`` is the
@@ -24,14 +24,12 @@ u is ``whole``: its bases are built on first use and it answers dimensions,
 classes, coordinates and bounding chains.  Past the cap those questions raise
 the cap error of ``StrandHomology.basis``.
 
-Whether a cycle bounds is answered one way on both sides of the cap, without
-the homology basis: ``is_boundary`` reads the span of the boundaries of one
-degree, kept per degree.  That span needs only the boundaries of the
-masks that contain one apex generator g0 below u, a cone on g0.  A mask J
-with lcm u that misses g0 is a face of K = J + {g0}, which has lcm u too, and
-d(d(K)) = 0 writes d(J) through the boundaries of the other faces of K,
-which all contain g0.  On the 4-skeleton's top strand the cone is a quarter
-of the boundaries.
+The image needs only the boundaries of the masks that contain one apex
+generator g0 below u, a cone on g0, so ``is_boundary`` answers one way on
+both sides of the cap.  A mask J with lcm u that misses g0 is a face of
+K = J + {g0}, which has lcm u too, and d(d(K)) = 0 writes d(J) through the
+boundaries of the other faces of K, which all contain g0.  On the
+4-skeleton's top strand the cone is a quarter of the boundaries.
 """
 
 from __future__ import annotations
@@ -87,20 +85,20 @@ class StrandHomology:
     """The strand at u over a field: bases, boundaries, homology, coordinates
     and boundary membership.
 
-    Bases per homological degree are mask lists sorted ascending, and
-    ``index[i]`` maps each mask of ``basis[i]`` to its position; both are
-    built on first use, and only for a whole strand.  ``is_boundary`` needs
-    neither.  Boundary entries are +-1, so the complex is the same over
-    every field.
+    Bases per homological degree are mask lists sorted ascending, built on
+    first use and only for a whole strand; ``is_boundary`` needs none.
+    Boundary entries are +-1, so the complex is the same over every field.
+    Echelons are keyed by mask; their tags start at ``top``, above every mask.
     """
 
     def __init__(self, ideal, u, field):
         self.ideal, self.u, self.field = ideal, tuple(u), field
         self.gens_below = generators_below(ideal, self.u)
         self.whole = len(self.gens_below) <= _FULL_STRAND_LIMIT
-        self._pending = {}
-        self._data = {}
-        self._images = {}  # degree -> span of the apex cone's boundaries
+        self.top = 1 << ideal.n_gens
+        self._images = {}  # degree i -> span of the apex cone's boundaries, image of d_{i+1}
+        self._eliminations = {}  # j -> (tagged echelon of d_j, kernel vectors of d_j)
+        self._homologies = {}  # degree i -> (image echelon extended by representatives, reps)
 
     @cached_property
     def basis(self):
@@ -115,10 +113,6 @@ class StrandHomology:
                 out[i] = masks
         return out
 
-    @cached_property
-    def index(self):
-        return {i: {m: k for k, m in enumerate(b)} for i, b in self.basis.items()}
-
     def degrees(self):
         return sorted(self.basis)
 
@@ -126,94 +120,94 @@ class StrandHomology:
         return len(self.basis.get(i, ()))
 
     def boundary_columns(self, i):
-        """Sparse columns of the differential from degree i to degree i-1.
+        """Sparse columns of the differential from degree i to degree i-1:
+        ``boundary`` of each degree-i basis mask, ``face -> sign`` with int
+        signs +-1 over every field."""
+        return [self.boundary(mask) for mask in self.basis.get(i, [])]
 
-        Column j is ``boundary`` of the j-th degree-i basis element, keyed by
-        row index, with int signs +-1 over every field.  Built afresh on each
-        call: homology eliminates each differential once.
-        """
-        rows = self.index.get(i - 1, {})
-        return [{rows[face]: sign for face, sign in self.boundary(mask).items()}
-                for mask in self.basis.get(i, [])]
+    def _image(self, i):
+        """Echelon of the image of d_{i+1}, spanned from the boundaries of the
+        degree-(i+1) masks that contain the apex g0, the first generator below
+        u (the cone identity above); built once per degree, on either side of
+        the cap.  ``_image(0)`` is empty, since d_1 = 0."""
+        if i not in self._images:
+            below = self.gens_below
+            masks = strand_degree_basis(self.ideal, self.u, i + 1, below, apex=below[0])
+            self._images[i] = span(self.field, [self.boundary(m) for m in masks])
+        return self._images[i]
 
-    def _take(self, part, j):
-        """The ``"kernel"`` relations or the ``"image"`` echelon of d_j.
-
-        One column_relations call yields both; degree j takes the kernel and
-        degree j-1 the image, each exactly once, so nothing is kept twice.
-        """
-        if (part, j) not in self._pending:
+    def _elimination(self, j):
+        """(tagged echelon, kernel vectors) of d_j, from its one tagged
+        elimination: column k carries the tag ``top + k``, and each kernel
+        vector is a chain (mask -> scalar)."""
+        if j not in self._eliminations:
+            up = self.basis.get(j, [])
             ech, _, relations = column_relations(
-                self.field, self.boundary_columns(j), self.dim(j - 1))
-            self._pending[("kernel", j)] = relations
-            self._pending[("image", j)] = ech
-        return self._pending.pop((part, j))
+                self.field, self.boundary_columns(j), self.top)
+            kernel = [{up[k]: x for k, x in kv.items()} for kv in relations.values()]
+            self._eliminations[j] = ech, kernel
+        return self._eliminations[j]
 
-    def _compute(self, i):
-        """(echelon, first representative tag, representatives) in degree i.
-
-        Row keys of the echelon are the degree-i basis indices below n; the
-        tag n + j marks column j of d_{i+1}, and the tag ``first + k`` the
-        k-th representative, a sparse kernel vector of d_i.
-        """
-        if i in self._data:
-            return self._data[i]
-        n, first = self.dim(i), self.dim(i) + self.dim(i + 1)
-        ech = self._take("image", i + 1) if self.dim(i + 1) else Echelon(self.field)
-        reps = []
-        if n:
-            for kv in self._take("kernel", i).values():
-                w = ech.reduce({**kv, first + len(reps): 1})
-                if min(w) < n:
+    def _homology(self, i):
+        """(echelon, representatives) in degree i: a shallow copy of the image
+        echelon, extended by each kernel vector of d_i independent of it under
+        the tag ``top + k`` of the k-th representative.  Rows are only ever
+        added, never changed, so the copy shares them safely."""
+        if i not in self._homologies:
+            ech = Echelon(self.field)
+            ech.rows = dict(self._image(i).rows)
+            reps = []
+            for kv in self._elimination(i)[1]:
+                w = ech.reduce({**kv, self.top + len(reps): 1})
+                if min(w) < self.top:
                     ech.insert(w)
                     reps.append(kv)
-        entry = (ech, first, reps)
-        self._data[i] = entry
-        return entry
+            self._homologies[i] = ech, reps
+        return self._homologies[i]
 
     def dimension(self, i):
-        return len(self._compute(i)[2])
+        """dim C_i - rank d_i - rank d_{i+1}, both ranks read off the cones."""
+        return self.dim(i) - len(self._image(i - 1).rows) - len(self._image(i).rows)
 
     def classes(self, i):
-        _, _, reps = self._compute(i)
-        basis = self.basis.get(i, [])
+        reps = self._homology(i)[1]
         zero, one = self.field.zero(), self.field.one()
         out = []
         for k, rep in enumerate(reps):
             coords = tuple(one if j == k else zero for j in range(len(reps)))
             out.append(
-                HomologyClass(
-                    self.ideal,
-                    self.field,
-                    self.u,
-                    i,
-                    _freeze_chain({basis[j]: c for j, c in rep.items()}),
-                    coords,
-                )
+                HomologyClass(self.ideal, self.field, self.u, i, _freeze_chain(rep), coords)
             )
         return out
 
-    def _reduce(self, i, chain):
-        """The residual of a degree-i chain (mask -> scalar) in the degree-i
-        echelon, with the degree's first representative tag."""
-        index, of = self.index.get(i, {}), self.field.of
-        vec = {}
+    def _vector(self, i, chain):
+        """(the nonzero field entries of a degree-i chain, whether it is a cycle).
+
+        The one cell rule: a mask is a degree-i cell when it has i members and
+        ``boundary`` is not None (its lcm is u); any other mask raises.
+        """
+        of = self.field.of
+        vec, d = {}, {}
         for mask, c in chain.items():
             if c == 0:
                 continue
-            if mask not in index:
+            faces = self.boundary(mask) if bin(mask).count("1") == i else None
+            if faces is None:
                 raise ValueError(f"mask {mask:b} is not a degree-{i} basis element")
             if x := of(c):
-                vec[index[mask]] = x
-        ech, first, _ = self._compute(i)
-        return ech.reduce(vec), first
+                vec[mask] = x
+                for face, sign in faces.items():
+                    d[face] = d.get(face, 0) + (x if sign > 0 else -x)
+        return vec, not any(of(y) for y in d.values())
 
     def coordinates(self, i, chain):
         """Coordinates of a degree-i cycle (mask -> scalar) in the homology basis."""
-        w, first = self._reduce(i, chain)
-        if w and min(w) < self.dim(i):
+        vec, cycle = self._vector(i, chain)
+        if not cycle:
             raise ValueError("chain is not a cycle")
-        return tuple(self.field.of(-w.get(first + k, 0)) for k in range(self.dimension(i)))
+        ech, reps = self._homology(i)
+        w = ech.reduce(vec)
+        return tuple(self.field.of(-w.get(self.top + k, 0)) for k in range(len(reps)))
 
     def bounding_chain(self, i, chain):
         """A degree-(i+1) chain whose boundary is the degree-i chain, or None.
@@ -221,12 +215,11 @@ class StrandHomology:
         The pivot solution: it is supported on the masks whose columns of
         d_{i+1} are independent of the columns before them.
         """
-        w, first = self._reduce(i, chain)
-        n = self.dim(i)
-        if w and (min(w) < n or max(w) >= first):
+        w = self._elimination(i + 1)[0].reduce(self._vector(i, chain)[0])
+        if w and min(w) < self.top:
             return None
         up = self.basis.get(i + 1, [])
-        return {up[k - n]: self.field.of(-c) for k, c in sorted(w.items())}
+        return {up[k - self.top]: self.field.of(-c) for k, c in sorted(w.items())}
 
     @cached_property
     def _attain(self):
@@ -269,27 +262,13 @@ class StrandHomology:
     def is_boundary(self, i, chain):
         """Whether a degree-i cycle (mask -> scalar) bounds, on either side of the cap.
 
-        The image of d_{i+1} is spanned from the degree-(i+1) masks that
-        contain the apex g0, the first generator below u (the cone identity
-        above), and kept per degree; no homology basis is built.  The chain's
-        own boundary, by the same face rule, must vanish, or this raises.
+        Reads the image echelon ``_image(i)``; no homology basis is built.
+        The chain's own boundary must vanish, or this raises.
         """
-        of = self.field.of
-        chain = {m: x for m, c in chain.items() if (x := of(c))}
-        d = {}
-        for mask, c in chain.items():
-            faces = self.boundary(mask) if bin(mask).count("1") == i else None
-            if faces is None:
-                raise ValueError(f"mask {mask:b} is not a degree-{i} basis element")
-            for face, sign in faces.items():
-                d[face] = d.get(face, 0) + (c if sign > 0 else -c)
-        if any(of(x) for x in d.values()):
+        vec, cycle = self._vector(i, chain)
+        if not cycle:
             raise ValueError("chain is not a cycle")
-        if i not in self._images:
-            below = self.gens_below
-            masks = strand_degree_basis(self.ideal, self.u, i + 1, below, apex=below[0])
-            self._images[i] = span(self.field, [self.boundary(m) for m in masks])
-        return self._images[i].contains(chain)
+        return not self._image(i).reduce(vec)
 
 
 def strand(ideal, field, u):

@@ -32,6 +32,7 @@ from .homology_engine import (
     class_of,
     strand,
 )
+from .series_engine import p_series, q_series, series_compare
 from .taylor_dga import (
     lcm_lattice,
     mask_of,
@@ -425,8 +426,6 @@ def golod_decide(ideal, field, series_trunc=None):
             f"{res.multidegree}, homological degree {res.hom_degree}; " + basis,
             witness=w3,
         )
-    from .series_engine import p_series, q_series, series_compare
-
     n = 5 if series_trunc is None else series_trunc
     q = q_series(ideal, field, n)
     p, cap_report = p_series(ideal, field, n)

@@ -114,6 +114,14 @@ def rows_of(columns, nrows):
     return [[c.get(r, 0) for c in columns] for r in range(nrows)]
 
 
+def positional_columns(sh, i):
+    """The mask-keyed ``boundary_columns(i)`` of a strand, keyed by row
+    position in the degree-(i-1) basis, the layout the dense references read.
+    A face outside that basis raises KeyError."""
+    rows = {m: r for r, m in enumerate(sh.basis.get(i - 1, []))}
+    return [{rows[face]: sign for face, sign in col.items()} for col in sh.boundary_columns(i)]
+
+
 def ref_rref(field, rows, ncols):
     """(rank, pivots, reduced rows); the first nonzero entry from the top wins."""
     R = [[field.of(x) for x in r] for r in rows]

@@ -7,7 +7,13 @@ zero).  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import json
 from itertools import combinations
 
-from conftest import expand_rational, homology_product, ideal_corpus, reduced_boundary
+from conftest import (
+    expand_rational,
+    homology_product,
+    ideal_corpus,
+    positional_columns,
+    reduced_boundary,
+)
 from golod_lab.cli import main
 from golod_lab.exact_linalg import GF2, GF3, QQ
 from golod_lab.homology_engine import betti, homology_basis, strand
@@ -128,8 +134,8 @@ def _check_boundary_squared(ideal, field):
     for u in lcm_lattice(ideal):
         s = strand(ideal, QQ, tuple(u))
         for i in s.degrees():
-            lower = s.boundary_columns(i)
-            for col in s.boundary_columns(i + 1):
+            lower = positional_columns(s, i)
+            for col in positional_columns(s, i + 1):
                 acc = {}
                 for r, x in col.items():
                     for q, y in lower[r].items():

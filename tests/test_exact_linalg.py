@@ -10,6 +10,7 @@ from conftest import (
     basis_chain,
     columns_of,
     ideal_corpus,
+    positional_columns,
     ref_extend,
     ref_kernel,
     ref_quotient,
@@ -324,9 +325,9 @@ def _strand_scalars(field, ideal, rng):
     for u in lcm_lattice(ideal):
         sh = StrandHomology(ideal, tuple(u), field)
         for i in sh.degrees():
-            down = rows_of(sh.boundary_columns(i), sh.dim(i - 1))
+            down = rows_of(positional_columns(sh, i), sh.dim(i - 1))
             _, kernel = _relations(field, down, sh.dim(i))
-            up = sh.boundary_columns(i + 1)
+            up = positional_columns(sh, i + 1)
             for _ in range(2):
                 coeffs = [rng.randint(-2, 2) for _ in kernel]
                 cycle = tuple(field.of(sum(c * kv[k] for c, kv in zip(coeffs, kernel)))

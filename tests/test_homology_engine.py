@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,6 +9,7 @@ from conftest import (
     basis_chain,
     chain_basis_vector,
     ideal_corpus,
+    positional_columns,
     ref_extend,
     ref_kernel,
     ref_quotient,
@@ -214,10 +215,11 @@ def test_strand_homology_matches_separate_eliminations():
             for u in lcm_lattice(ideal):
                 sh = StrandHomology(ideal, tuple(u), field)
                 for i in sh.degrees():
-                    n, up_cols = sh.dim(i), sh.boundary_columns(i + 1)
+                    n, up_cols = sh.dim(i), positional_columns(sh, i + 1)
                     basis, up_basis = sh.basis[i], sh.basis.get(i + 1, [])
                     up = rows_of(up_cols, n)
-                    kernel = ref_kernel(field, rows_of(sh.boundary_columns(i), sh.dim(i - 1)), n)
+                    down = rows_of(positional_columns(sh, i), sh.dim(i - 1))
+                    kernel = ref_kernel(field, down, n)
                     image = [tuple(field.of(c.get(r, 0)) for r in range(n)) for c in up_cols]
                     reps = [kernel[j] for j in ref_extend(field, image, kernel, n)]
                     want = [tuple(sorted(basis_chain(basis, r).items())) for r in reps]
@@ -447,3 +449,79 @@ def test_lattice_test_runs_once_per_field_and_multidegree(monkeypatch):
         assert class_of(paper, field, {}, (9,) * 5, 2).is_zero
         assert class_of(paper, field, {}, (9,) * 5, 2).is_zero
         assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_dimension_from_cone_ranks_counts_the_classes(field):
+    """dim C_i - rank d_i - rank d_{i+1}, with both ranks read off the apex
+    cones, is the number of representatives ``classes(i)`` finds, whichever
+    of the two is asked first."""
+    for ideal in [counterexample_ideal()] + ideal_corpus(10):
+        for u in lcm_lattice(ideal):
+            ranks_first = StrandHomology(ideal, tuple(u), field)
+            classes_first = StrandHomology(ideal, tuple(u), field)
+            for i in ranks_first.degrees():
+                d = ranks_first.dimension(i)
+                assert d == len(ranks_first.classes(i))
+                assert len(classes_first.classes(i)) == classes_first.dimension(i) == d
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_is_boundary_unchanged_by_building_classes(field):
+    """The homology echelon extends a shallow copy of the image echelon, so
+    building a strand's classes and coordinates leaves ``is_boundary`` as it
+    was.  Every nonzero product of two classes is asked on a fresh copy of the
+    ideal before and after, and bounds exactly when its coordinates vanish."""
+    outcomes = Counter()
+    for ideal in [counterexample_ideal()] + ideal_corpus(10):
+        lattice = lcm_lattice(ideal)
+        classes = [[c for i in strand(ideal, field, u).degrees()
+                    for c in strand(ideal, field, u).classes(i)] for u in lattice]
+        products = []
+        for a, b in combinations(range(len(lattice)), 2):
+            for alpha, beta in product(classes[a], classes[b]):
+                if prod := chain_product(ideal, field, alpha.chain(), beta.chain()):
+                    products.append((*chain_degrees(ideal, prod), prod))
+        fresh = MonomialIdeal(ideal.variables, ideal.gens)
+        before = [strand(fresh, field, w).is_boundary(i, prod) for w, i, prod in products]
+        for (w, i, prod), was in zip(products, before):
+            sh = strand(fresh, field, w)
+            sh.classes(i)
+            coords = sh.coordinates(i, prod)
+            assert sh.is_boundary(i, prod) == was == (not any(coords))
+            outcomes[was] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatch):
+    """``betti`` reads both ranks off the apex cones and eliminates no
+    differential.  ``golod_decide`` on the paper's ideal eliminates each d_j
+    once for its kernel and its boundary solves, 82 eliminations over 255
+    columns, and spans each (strand, degree) cone once."""
+    columns, differentials, cones = [], Counter(), Counter()
+    real_relations = homology_engine.column_relations
+    real_columns = StrandHomology.boundary_columns
+    real_basis = homology_engine.strand_degree_basis
+
+    def relations(field, cols, nrows):
+        columns.append(len(cols))
+        return real_relations(field, cols, nrows)
+
+    def boundary_columns(self, i):
+        differentials[self.u, i] += 1
+        return real_columns(self, i)
+
+    def degree_basis(ideal, u, i, below, apex=None):
+        if apex is not None:
+            cones[tuple(u), i] += 1
+        return real_basis(ideal, u, i, below, apex=apex)
+
+    monkeypatch.setattr(homology_engine, "column_relations", relations)
+    monkeypatch.setattr(StrandHomology, "boundary_columns", boundary_columns)
+    monkeypatch.setattr(homology_engine, "strand_degree_basis", degree_basis)
+    assert betti(counterexample_ideal(), QQ).totals == (1, 8, 14, 8, 1)
+    assert columns == [] and cones and set(cones.values()) == {1}
+    cones.clear()
+    assert golod_decide(counterexample_ideal(), QQ).route == "massey-arity-3"
+    assert (len(columns), sum(columns)) == (82, 255)
+    assert set(differentials.values()) == {1} and set(cones.values()) == {1}

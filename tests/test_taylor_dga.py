@@ -9,6 +9,7 @@ from conftest import (
     cochain_vector,
     ideal_corpus,
     monomial_quotient,
+    positional_columns,
     reduced_boundary,
 )
 from golod_lab.exact_linalg import GF2, QQ
@@ -255,8 +256,8 @@ def test_strand_matrices_compose_to_zero(example_ideal):
     for u in lcm_lattice(example_ideal):
         s = strand(example_ideal, QQ, u)
         for i in s.degrees():
-            lower = s.boundary_columns(i)
-            for col in s.boundary_columns(i + 1):
+            lower = positional_columns(s, i)
+            for col in positional_columns(s, i + 1):
                 acc = {}
                 for r, x in col.items():
                     for q, y in lower[r].items():
@@ -476,13 +477,15 @@ def test_boundary_columns_match_reduced_boundary():
                 s = strand(ideal, QQ, tuple(u))
                 for i in range(1, max(s.degrees()) + 2):
                     rows = {m: r for r, m in enumerate(s.basis.get(i - 1, []))}
-                    want = []
+                    want, by_mask = [], []
                     for mask in s.basis.get(i, []):
                         terms = reduced_boundary(ideal, mask)
                         assert s.boundary(mask) == terms
                         assert set(terms) <= set(rows)
                         want.append({rows[m]: sign for m, sign in terms.items()})
-                    got = s.boundary_columns(i)
+                        by_mask.append(terms)
+                    assert s.boundary_columns(i) == by_mask
+                    got = positional_columns(s, i)
                     assert got == want
                     nonzero += sum(map(len, got))
     assert nonzero > 1000
