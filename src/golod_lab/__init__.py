@@ -2,7 +2,7 @@
 and Golod decisions for monomial rings, built on the Taylor resolution."""
 
 from .exact_linalg import Field, GF2, GF3, QQ, parse_field
-from .homology_engine import BettiData, HomologyClass, betti, class_of
+from .homology_engine import BettiData, HomologyClass, betti
 from .massey_golod import (
     GolodVerdict,
     MasseyResult,

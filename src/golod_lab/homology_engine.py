@@ -11,18 +11,23 @@ tagged sparse columns, for its kernel and for the pivot solutions of
 d_j x = z.  Every echelon is keyed by mask, with tags at ``top`` and above,
 so chains (mask -> scalar) go in and come out as they are.
 
-``StrandHomology`` is the one object per (field, u): it holds the strand's
-bases and boundaries as well as its homology.  Its ``boundary(mask)`` is the
-package's one differential, read off the attain masks of
-``taylor_dga.attain_masks``; the boundary columns, the cycle check and the
-cone below are all built from it.  One accessor,
-``strand(ideal, field, u)``, runs the lattice test and reads the cap once per
-(field, u), the only place a strand is tested either way, and keeps the
-``StrandHomology`` (None outside the lcm lattice) in ``ideal.derived``, freed
-with the ideal.  A strand with at most ``_FULL_STRAND_LIMIT`` generators below
-u is ``whole``: its bases are built on first use and it answers dimensions,
-classes, coordinates and bounding chains.  Past the cap those questions raise
-the cap error of ``StrandHomology.basis``.
+``StrandHomology`` is the one object per (field, u): it owns the strand's
+cells, bases and boundaries as well as its homology.  Every generator below u
+divides u, so a set of them has lcm u exactly when the OR of their *attain
+masks* (the variables k with exps[k] == u[k] > 0) is ``full``, the support
+mask of u.  The strand makes these masks once and reads off them its cells
+(``cells``), the lattice test and ``boundary(mask)``, the package's one
+differential; the boundary columns, the cycle check and the cone below are
+all built from ``boundary``.  One accessor, ``strand(ideal, field, u)``, runs
+the lattice test and reads the cap once per (field, u), the only place a
+strand is tested either way, and keeps the ``StrandHomology`` (None outside
+the lcm lattice) in ``ideal.derived``, freed with the ideal.  Callers ask the
+strand at the (u, i) they already hold: a chain's degrees are never derived
+from its masks, and a mask that is not a degree-i cell with lcm u raises.  A
+strand with at most ``_FULL_STRAND_LIMIT`` generators below u is ``whole``:
+its bases are built on first use and it answers dimensions, classes,
+coordinates and bounding chains.  Past the cap those questions raise
+``StrandTooLarge`` from ``StrandHomology.basis``.
 
 The image needs only the boundaries of the masks that contain one apex
 generator g0 below u, a cone on g0, so ``is_boundary`` answers one way on
@@ -35,17 +40,18 @@ boundaries of the other faces of K, which all contain g0.  On the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations
+from operator import or_
 
 from .exact_linalg import Echelon, column_relations, span
 from .taylor_dga import (
     _FULL_STRAND_LIMIT,
-    attain_masks,
-    chain_degrees,
+    StrandTooLarge,
     generators_below,
-    in_lattice,
     lcm_lattice,
-    strand_degree_basis,
+    mask_of,
+    support_mask,
 )
 
 
@@ -85,16 +91,23 @@ class StrandHomology:
     """The strand at u over a field: bases, boundaries, homology, coordinates
     and boundary membership.
 
-    Bases per homological degree are mask lists sorted ascending, built on
-    first use and only for a whole strand; ``is_boundary`` needs none.
-    Boundary entries are +-1, so the complex is the same over every field.
-    Echelons are keyed by mask; their tags start at ``top``, above every mask.
+    ``full`` is the support mask of u and ``attain`` maps each generator
+    below u, as its bit, to its attain mask.  Bases per homological degree
+    are mask lists sorted ascending, built on first use and only for a whole
+    strand; ``is_boundary`` needs none.  Boundary entries are +-1, so the
+    complex is the same over every field.  Echelons are keyed by mask; their
+    tags start at ``top``, above every mask.
     """
 
     def __init__(self, ideal, u, field):
         self.ideal, self.u, self.field = ideal, tuple(u), field
         self.gens_below = generators_below(ideal, self.u)
         self.whole = len(self.gens_below) <= _FULL_STRAND_LIMIT
+        self.full = support_mask(self.u)
+        self.attain = {}
+        for gi in self.gens_below:
+            exps = ideal.gens[gi].exps
+            self.attain[1 << gi] = mask_of(k for k, e in enumerate(self.u) if e and exps[k] == e)
         self.top = 1 << ideal.n_gens
         self._images = {}  # degree i -> span of the apex cone's boundaries, image of d_{i+1}
         self._eliminations = {}  # j -> (tagged echelon of d_j, kernel vectors of d_j)
@@ -103,15 +116,39 @@ class StrandHomology:
     @cached_property
     def basis(self):
         if not self.whole:
-            raise ValueError(
+            raise StrandTooLarge(
                 f"strand at {self.u} has {len(self.gens_below)} generators below it; "
-                "use strand_degree_basis for degree-limited access"
+                "past the cap only boundary membership is answered"
             )
         out = {}
         for i in range(1, len(self.gens_below) + 1):
-            if masks := strand_degree_basis(self.ideal, self.u, i, self.gens_below):
+            if masks := self.cells(i):
                 out[i] = masks
         return out
+
+    def cells(self, i, apex=None):
+        """Sorted masks of the i-element sets of generators below u with lcm u,
+        one OR of attain masks per member.
+
+        With ``apex``, a generator below u, only the masks that contain it are
+        enumerated: C(|G_u| - 1, i - 1) subsets instead of C(|G_u|, i).
+        """
+        att, full = self.attain, self.full
+        if apex is None:
+            start, bit, pool, size = 0, 0, list(att), i
+        else:
+            bit = 1 << apex
+            start, size = att[bit], i - 1
+            pool = [b for b in att if b != bit]
+        masks = []
+        for c in combinations(pool, size):
+            acc = start
+            for b in c:
+                acc |= att[b]
+            if acc == full:
+                masks.append(sum(c) | bit)
+        masks.sort()
+        return masks
 
     def degrees(self):
         return sorted(self.basis)
@@ -131,8 +168,7 @@ class StrandHomology:
         u (the cone identity above); built once per degree, on either side of
         the cap.  ``_image(0)`` is empty, since d_1 = 0."""
         if i not in self._images:
-            below = self.gens_below
-            masks = strand_degree_basis(self.ideal, self.u, i + 1, below, apex=below[0])
+            masks = self.cells(i + 1, apex=self.gens_below[0])
             self._images[i] = span(self.field, [self.boundary(m) for m in masks])
         return self._images[i]
 
@@ -200,6 +236,12 @@ class StrandHomology:
                     d[face] = d.get(face, 0) + (x if sign > 0 else -x)
         return vec, not any(of(y) for y in d.values())
 
+    def class_of(self, i, chain):
+        """The homology class of a degree-i cycle (mask -> scalar)."""
+        return HomologyClass(
+            self.ideal, self.field, self.u, i, _freeze_chain(chain), self.coordinates(i, chain)
+        )
+
     def coordinates(self, i, chain):
         """Coordinates of a degree-i cycle (mask -> scalar) in the homology basis."""
         vec, cycle = self._vector(i, chain)
@@ -221,12 +263,6 @@ class StrandHomology:
         up = self.basis.get(i + 1, [])
         return {up[k - self.top]: self.field.of(-c) for k, c in sorted(w.items())}
 
-    @cached_property
-    def _attain(self):
-        """(support mask of u, generator bit -> attain mask)."""
-        full, att = attain_masks(self.ideal, self.u, self.gens_below)
-        return full, {1 << gi: a for gi, a in att.items()}
-
     def boundary(self, mask):
         """The differential of the field-reduced Taylor complex on a mask with
         lcm u, ``face -> sign`` with signs +-1, or None when the mask's lcm is
@@ -235,7 +271,7 @@ class StrandHomology:
         A face keeps lcm u unless the dropped member is the sole one attaining
         some variable, so the whole boundary costs two passes over the members.
         """
-        full, att = self._attain
+        att = self.attain
         once = twice = 0
         bits = []
         rest = mask
@@ -248,7 +284,7 @@ class StrandHomology:
             once |= a
             bits.append(bit)
             rest ^= bit
-        if once != full:
+        if once != self.full:
             return None
         sole = once & ~twice
         out = {}
@@ -273,51 +309,19 @@ class StrandHomology:
 
 def strand(ideal, field, u):
     """The strand at u (a tuple) over the field, made once per (field, u) and
-    kept on the ideal; None when u is outside the lcm lattice."""
+    kept on the ideal; None when u is outside the lcm lattice, that is, when
+    no generator is below u or their attain masks miss part of u's support."""
     key = ("strand", field, tuple(u))
     if key not in ideal.derived:
         sh = StrandHomology(ideal, u, field)
-        ideal.derived[key] = sh if in_lattice(ideal, sh.u, sh.gens_below) else None
+        reached = sh.gens_below and reduce(or_, sh.attain.values()) == sh.full
+        ideal.derived[key] = sh if reached else None
     return ideal.derived[key]
 
 
 def homology_basis(ideal, field, u, i):
     sh = strand(ideal, field, u)
     return sh.classes(i) if sh else []
-
-
-def class_of(ideal, field, chain, multidegree=None, hom_degree=None):
-    """Homology class of a homogeneous cycle given as a mask -> coefficient map.
-
-    The zero class of a stated (multidegree, degree) is returned for an empty
-    chain or for a multidegree outside the lcm lattice.
-    """
-    chain = {m: c for m, c in chain.items() if c != 0}
-    if chain:
-        u, i = chain_degrees(ideal, chain)
-        if multidegree is not None and tuple(multidegree) != u:
-            raise ValueError("chain multidegree does not match the stated one")
-        if hom_degree is not None and hom_degree != i:
-            raise ValueError("chain homological degree does not match the stated one")
-    else:
-        if multidegree is None or hom_degree is None:
-            raise ValueError("zero chain needs an explicit multidegree and degree")
-        u, i = tuple(multidegree), hom_degree
-    sh = strand(ideal, field, u)
-    if sh is None:
-        if chain:
-            raise AssertionError("nonzero chain in a multidegree outside the lattice")
-        return HomologyClass(ideal, field, u, i, (), ())
-    return HomologyClass(ideal, field, u, i, _freeze_chain(chain), sh.coordinates(i, chain))
-
-
-def chain_is_boundary(ideal, field, chain):
-    """Whether a homogeneous cycle bounds, on either side of the strand cap."""
-    chain = {m: c for m, c in chain.items() if c != 0}
-    if not chain:
-        return True
-    u, i = chain_degrees(ideal, chain)
-    return strand(ideal, field, u).is_boundary(i, chain)
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property
 
-from .homology_engine import (
-    HomologyClass,
-    _freeze_chain,
-    betti,
-    chain_is_boundary,
-    class_of,
-    strand,
-)
+from .homology_engine import HomologyClass, _freeze_chain, betti, strand
 from .series_engine import p_series, q_series, series_compare
 from .taylor_dga import (
     lcm_lattice,
@@ -112,8 +105,9 @@ def all_products_trivial(ideal, field):
 
     Classes multiply only across coprime multidegrees (``taylor_dga``), so
     only the pairs u < v of coprime lcm-lattice elements are run, in lattice
-    order, and a strand's classes are built when a pair first reaches them.
-    Returns (True, None) or (False, witness of the first nonzero product).
+    order, and a strand's classes are built when a pair first reaches them;
+    each product is tested in the strand at u + v.  Returns (True, None) or
+    (False, witness of the first nonzero product).
     """
     lattice = lcm_lattice(ideal)
     masks = [support_mask(u) for u in lattice]
@@ -129,10 +123,12 @@ def all_products_trivial(ideal, field):
         for b in range(a + 1, len(lattice)):
             if masks[a] & masks[b]:
                 continue
+            w = _vector_sum(u, lattice[b])
             for alpha in classes_at(u):
                 for beta in classes_at(lattice[b]):
                     prod = chain_product(ideal, field, alpha.chain(), beta.chain())
-                    if not chain_is_boundary(ideal, field, prod):
+                    i = alpha.hom_degree + beta.hom_degree
+                    if prod and not strand(ideal, field, w).is_boundary(i, prod):
                         return False, ProductWitness(alpha, beta, tuple(sorted(prod.items())))
     return True, None
 
@@ -187,7 +183,7 @@ class MasseyResult:
         sh = strand(ideal, field, self.multidegree)
         if sh is None or not sh.whole:
             return None
-        return class_of(ideal, field, dict(self.value_chain), self.multidegree, self.hom_degree)
+        return sh.class_of(self.hom_degree, dict(self.value_chain))
 
 
 def _undefined(reason):
@@ -195,11 +191,13 @@ def _undefined(reason):
 
 
 def _finish_massey(ideal, field, value_chain, u, i, s, t, b2_certified):
+    """The defined result whose value chain lives in the strand at (u, i);
+    an empty value chain is zero without asking a strand."""
     return MasseyResult(
         defined=True,
         unique=bool(b2_certified),
         value_chain=_freeze_chain(value_chain),
-        value_is_zero=chain_is_boundary(ideal, field, value_chain),
+        value_is_zero=not value_chain or strand(ideal, field, u).is_boundary(i, value_chain),
         multidegree=u,
         hom_degree=i,
         system=(_freeze_chain(s), _freeze_chain(t)),
@@ -224,9 +222,9 @@ def ternary_massey(ideal, field, alpha, beta, gamma, b2_certified=False):
     p2 = chain_product(ideal, field, _bar_chain(field, rb, ib), rc)
     u_ab = _vector_sum(alpha.multidegree, beta.multidegree)
     u_bc = _vector_sum(beta.multidegree, gamma.multidegree)
-    if p1 and not chain_is_boundary(ideal, field, p1):
+    if p1 and not strand(ideal, field, u_ab).is_boundary(ia + ib, p1):
         return _undefined("the product of the first two classes is nonzero")
-    if p2 and not chain_is_boundary(ideal, field, p2):
+    if p2 and not strand(ideal, field, u_bc).is_boundary(ib + ic, p2):
         return _undefined("the product of the last two classes is nonzero")
     s = _solve_boundary(ideal, field, p1, u_ab, ia + ib)
     t = _solve_boundary(ideal, field, p2, u_bc, ib + ic)

@@ -19,23 +19,14 @@ elements, and the product and Massey loops of ``massey_golod`` visit only
 coprime pairs and pairwise coprime triples of lattice elements, tested with
 ``support_mask``.
 
-A single strand needs only the generators below u (u is in the lcm lattice
-exactly when their lcm is u); the closure ``lcm_lattice``, kept on the ideal,
-is for callers that enumerate the lattice.  This module keeps the DGA
-primitives; the strand itself, its bases, homology and the differential
-``StrandHomology.boundary``, is ``homology_engine.StrandHomology``, which
-reads ``_FULL_STRAND_LIMIT`` and past it enumerates one degree at a time
-with ``strand_degree_basis``.
-
-Inside a strand the lcm test is a bitmask test.  Every generator below u
-divides u, so the lcm of a subset of them reaches u in variable k exactly
-when some member has exponent u[k] there.  With the *attain mask* of a
-generator (the variables k with exps[k] == u[k] > 0), a subset has lcm u
-exactly when the OR of its attain masks is the support mask of u.  The same
-fact makes a boundary term survive exactly when its face is in the strand's
-basis one degree down, that is, unless the dropped member is the sole one
-attaining some variable.  ``attain_masks`` is the one place the masks are
-made, for the strand bases here and for ``StrandHomology.boundary``.
+A single strand needs only the generators below u; the closure
+``lcm_lattice``, kept on the ideal, is for callers that enumerate the lattice.
+This module keeps the DGA primitives and the one strand cap,
+``_FULL_STRAND_LIMIT``, with its error ``StrandTooLarge``.  The strand itself,
+its cells, bases, homology and the differential ``StrandHomology.boundary``,
+is ``homology_engine.StrandHomology``, which also decides lattice membership.
+``fiber_complex``, the independent fiber model that the strand is checked
+against, keeps its own lcm test, ``in_lattice``.
 """
 
 from __future__ import annotations
@@ -46,6 +37,10 @@ from .monomial_core import lcm_of
 from .simplicial import SimplicialComplex
 
 _FULL_STRAND_LIMIT = 18  # most generators below u for a whole strand (2^|G_u| subsets)
+
+
+class StrandTooLarge(ValueError):
+    """A whole-strand question past ``_FULL_STRAND_LIMIT`` generators below u."""
 
 
 def mask_members(mask):
@@ -70,10 +65,6 @@ def mask_of(indices):
 def subset_lcm(ideal, mask):
     """lcm monomial of the generators in the mask (constant for the empty mask)."""
     return lcm_of((ideal.gens[i] for i in mask_members(mask)), ideal.n_vars)
-
-
-def subset_multidegree(ideal, mask):
-    return subset_lcm(ideal, mask).exps
 
 
 def product_sign(maskI, maskJ):
@@ -113,8 +104,8 @@ def lcm_lattice(ideal):
     of a subset is a chain of joins with one generator at a time, so the
     closure is the same as under pairwise joins, at |L| * g joins instead of
     |L|^2.  Built once per ideal and kept in ``ideal.derived``.  Only
-    callers that enumerate the lattice need it: a single strand asks
-    ``in_lattice``.
+    callers that enumerate the lattice need it: a single strand reads its
+    membership off its own attain masks (``homology_engine.strand``).
     """
     if "lattice" in ideal.derived:
         return ideal.derived["lattice"]
@@ -140,59 +131,6 @@ def support_mask(u):
     return mask_of(k for k, e in enumerate(u) if e)
 
 
-def attain_masks(ideal, u, gens_below):
-    """(support mask of u, generator -> attain mask) at u.
-
-    The attain mask of a generator below u holds the variables k with
-    exps[k] == u[k] > 0: a set of them has lcm u exactly when the OR of
-    their attain masks is the support mask.
-    """
-    full = support_mask(u)
-    att = {}
-    for gi in gens_below:
-        exps = ideal.gens[gi].exps
-        att[gi] = mask_of(k for k, e in enumerate(u) if e and exps[k] == e)
-    return full, att
-
-
-def strand_degree_basis(ideal, u, i, gens_below, apex=None):
-    """Sorted masks of i-element generator subsets with lcm multidegree exactly u.
-
-    Enumerates only one homological degree, which keeps large strands usable.
-    With ``apex``, a generator below u, only the masks that contain it are
-    enumerated: C(|G_u| - 1, i - 1) subsets instead of C(|G_u|, i).
-
-    Every generator below u divides u, so a subset has lcm u exactly when the
-    OR of its members' attain masks (``attain_masks``) is the support mask of
-    u; each combination costs one OR per member.
-    """
-    full, att = attain_masks(ideal, tuple(u), gens_below)
-    if apex is None:
-        start, bit, pool, size = 0, 0, gens_below, i
-    else:
-        start, bit, size = att[apex], 1 << apex, i - 1
-        pool = [gi for gi in gens_below if gi != apex]
-    masks = []
-    for c in combinations(pool, size):
-        acc = start
-        for gi in c:
-            acc |= att[gi]
-        if acc == full:
-            masks.append(mask_of(c) | bit)
-    masks.sort()
-    return masks
-
-
-def chain_degrees(ideal, chain):
-    """(multidegree, homological degree) of a homogeneous chain; errors otherwise."""
-    degs = {(subset_multidegree(ideal, m), bin(m).count("1")) for m in chain if chain[m] != 0}
-    if not degs:
-        raise ValueError("zero chain has no well-defined degrees")
-    if len(degs) > 1:
-        raise ValueError(f"chain is not homogeneous: degrees {sorted(degs)}")
-    return degs.pop()
-
-
 def fiber_vertex_labels(gens_below):
     return tuple(f"g{i}" for i in gens_below)
 
@@ -209,7 +147,7 @@ def fiber_complex(ideal, u):
     if not in_lattice(ideal, u, below):
         raise ValueError(f"multidegree {u} is not in the lcm lattice")
     if len(below) > _FULL_STRAND_LIMIT:
-        raise ValueError(f"fiber complex at {u} would have {len(below)} vertices")
+        raise StrandTooLarge(f"fiber complex at {u} would have {len(below)} vertices")
     labels = fiber_vertex_labels(below)
     pos = {gi: labels[k] for k, gi in enumerate(below)}
     facets = []

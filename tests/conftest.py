@@ -5,7 +5,7 @@ from operator import add
 import pytest
 
 from golod_lab.exact_linalg import QQ, span
-from golod_lab.homology_engine import class_of
+from golod_lab.homology_engine import HomologyClass, strand
 from golod_lab.massey_golod import chain_product
 from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal, minimalize
 from golod_lab.series_engine import SeriesTrunc, _std_table
@@ -15,7 +15,6 @@ from golod_lab.taylor_dga import (
     generators_below,
     mask_members,
     subset_lcm,
-    subset_multidegree,
 )
 
 
@@ -226,6 +225,46 @@ def monomial_quotient(m, other):
 def pattern_failures(report):
     """Names of the conditions a PatternReport fails (None is no failure)."""
     return [name for name, value in report.__dict__.items() if value is False]
+
+
+def subset_multidegree(ideal, mask):
+    """Multidegree of the lcm of the generators in a mask."""
+    return subset_lcm(ideal, mask).exps
+
+
+def chain_degrees(ideal, chain):
+    """(multidegree, homological degree) of a homogeneous chain, read off the
+    lcms of its masks; errors otherwise.  The library never derives these:
+    its callers hold them."""
+    degs = {(subset_multidegree(ideal, m), bin(m).count("1")) for m in chain if chain[m] != 0}
+    if not degs:
+        raise ValueError("zero chain has no well-defined degrees")
+    if len(degs) > 1:
+        raise ValueError(f"chain is not homogeneous: degrees {sorted(degs)}")
+    return degs.pop()
+
+
+def class_of(ideal, field, chain, multidegree=None, hom_degree=None):
+    """Homology class of a cycle (mask -> scalar) in the strand at the stated
+    (multidegree, degree), or, when none is stated, at the degrees read off
+    its masks; the zero class of an empty chain outside the lcm lattice."""
+    if multidegree is None:
+        multidegree, hom_degree = chain_degrees(ideal, chain)
+    sh = strand(ideal, field, multidegree)
+    if sh is None:
+        assert not any(chain.values()), "nonzero chain outside the lcm lattice"
+        return HomologyClass(ideal, field, tuple(multidegree), hom_degree, (), ())
+    return sh.class_of(hom_degree, chain)
+
+
+def chain_is_boundary(ideal, field, chain):
+    """Whether a homogeneous cycle bounds, asked in the strand at the degrees
+    read off its masks; the empty chain bounds."""
+    chain = {m: c for m, c in chain.items() if c != 0}
+    if not chain:
+        return True
+    u, i = chain_degrees(ideal, chain)
+    return strand(ideal, field, u).is_boundary(i, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,9 @@ def test_fiber_command(capsys, monkeypatch):
     assert code2 == 2 and "lattice" in err
 
 
-def test_complex_sr_skeleton_pipeline(capsys, tmp_path):
+def _skeleton_pipeline(capsys, tmp_path):
+    """The 4-skeleton ideal built through the CLI (polarize, complex,
+    skeleton --dim 4, sr): returns the polarized ideal's file and its own."""
     code, payload, _ = run_json(capsys, "polarize", "--example", "paper")
     pol_file = tmp_path / "pol.ideal"
     pol_file.write_text(payload["ideal"])
@@ -201,7 +203,14 @@ def test_complex_sr_skeleton_pipeline(capsys, tmp_path):
     sk_file.write_text(payload["complex"])
     code, payload, _ = run_json(capsys, "sr", "--complex", str(sk_file))
     assert code == 0
-    gamma = parse_ideal(payload["ideal"])
+    gamma_file = tmp_path / "gamma.ideal"
+    gamma_file.write_text(payload["ideal"])
+    return pol_file, gamma_file
+
+
+def test_complex_sr_skeleton_pipeline(capsys, tmp_path):
+    pol_file, gamma_file = _skeleton_pipeline(capsys, tmp_path)
+    gamma = parse_ideal(gamma_file.read_text())
     pol = parse_ideal(pol_file.read_text())
     direct = complex_of(pol)
     assert gamma.n_gens == 20
@@ -209,6 +218,23 @@ def test_complex_sr_skeleton_pipeline(capsys, tmp_path):
     from golod_lab.simplicial import stanley_reisner_ideal
 
     assert gamma == stanley_reisner_ideal(skeleton(direct, 4))
+
+
+def test_past_the_strand_cap_exits_3(capsys, tmp_path):
+    """The 4-skeleton ideal's top strand has 20 generators below it, past the
+    cap: every command that needs the whole strand, and its fiber complex,
+    ends in exit 3 with the cap error on stderr and nothing on stdout."""
+    _, gamma_file = _skeleton_pipeline(capsys, tmp_path)
+    for argv, message in (
+        (["betti"], "has 20 generators below it"),
+        (["golod"], "has 20 generators below it"),
+        (["massey3", "--all"], "has 20 generators below it"),
+        (["series"], "has 20 generators below it"),
+        (["fiber", "--mdeg", ",".join(["1"] * 9)], "would have 20 vertices"),
+    ):
+        code, out, err = run(capsys, *argv, "--ideal", str(gamma_file))
+        assert (code, out) == (3, ""), argv
+        assert message in err, argv
 
 
 def test_pattern_check_command(capsys):

@@ -8,6 +8,9 @@ from conftest import (
     apply_columns,
     basis_chain,
     chain_basis_vector,
+    chain_degrees,
+    chain_is_boundary,
+    class_of,
     ideal_corpus,
     positional_columns,
     ref_extend,
@@ -22,8 +25,6 @@ from golod_lab.exact_linalg import GF2, GF3, QQ, span
 from golod_lab.homology_engine import (
     StrandHomology,
     betti,
-    chain_is_boundary,
-    class_of,
     homology_basis,
     strand,
 )
@@ -42,12 +43,10 @@ from golod_lab.simplicial import (
     stanley_reisner_ideal,
 )
 from golod_lab.taylor_dga import (
-    chain_degrees,
     fiber_complex,
     generators_below,
     lcm_lattice,
     mask_of,
-    strand_degree_basis,
 )
 
 EDGES = MonomialIdeal.from_strings(("x", "y", "z"), ["x*y", "y*z", "z*x"])
@@ -159,6 +158,20 @@ def test_class_of_rejects_mixed_chain(example_ideal):
         class_of(example_ideal, QQ, {mask_of([0]): 1, mask_of([0, 3]): 1})
 
 
+def test_wrong_degrees_raise_instead_of_being_rederived(example_ideal):
+    """A strand takes a chain at the (u, i) its caller states and never
+    re-derives them: the generator chain e_0 asked in the strand of g_1, or in
+    its own strand at degree 2, raises for both class_of and is_boundary."""
+    g0, g1 = (tuple(g.exps) for g in example_ideal.gens[:2])
+    chain = {mask_of([0]): 1}
+    for u, i in ((g1, 1), (g0, 2)):
+        sh = strand(example_ideal, QQ, u)
+        for ask in (sh.class_of, sh.is_boundary):
+            with pytest.raises(ValueError, match=f"not a degree-{i} basis element"):
+                ask(i, chain)
+    assert not strand(example_ideal, QQ, g0).class_of(1, chain).is_zero
+
+
 def test_multigraded_sums_match_coarse(example_ideal):
     bd = betti(example_ideal, QQ)
     for i in range(bd.projective_dimension + 1):
@@ -251,14 +264,14 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
     with the strand cap at 0, every membership query on a fresh twin of the
     ideal takes the route for strands past the cap; it must agree, and a
     second query at the same (u, i) must reuse the span kept on the twin."""
-    real = homology_engine.strand_degree_basis
+    real = StrandHomology.cells
     enumerated = []
 
-    def counted(ideal, u, i, gens_below, apex=None):
-        enumerated.append((u, i))
-        return real(ideal, u, i, gens_below, apex)
+    def counted(self, i, apex=None):
+        enumerated.append((self.u, i))
+        return real(self, i, apex)
 
-    monkeypatch.setattr(homology_engine, "strand_degree_basis", counted)
+    monkeypatch.setattr(StrandHomology, "cells", counted)
     answers = set()
     for field in (QQ, GF2, GF3):
         for ideal in [counterexample_ideal()] + ideal_corpus(10, seed=20260811):
@@ -319,8 +332,7 @@ def test_cone_membership_agrees_with_coordinates_inside_the_cap():
     gamma, _ = _skeleton_ideal()
     for ideal, u, i in ((paper, top, 5), (gamma, (1,) * gamma.n_vars, 4)):
         sh = strand(ideal, QQ, u)
-        mask = next(m for m in strand_degree_basis(ideal, u, i, sh.gens_below)
-                    if reduced_boundary(ideal, m))
+        mask = next(m for m in sh.cells(i) if reduced_boundary(ideal, m))
         with pytest.raises(ValueError, match="not a cycle"):
             sh.is_boundary(i, {mask: 1})
         with pytest.raises(ValueError, match="basis element"):
@@ -336,12 +348,12 @@ def _assert_cone_spans(ideal, field, u, i, apexes):
     """For each apex, the degree-i masks with lcm u that contain it are exactly
     the ones enumerated with that apex, and their boundaries span the image
     of d_i.  Returns how many apexes left out some mask."""
-    below = generators_below(ideal, u)
-    full = strand_degree_basis(ideal, u, i, below)
+    sh = strand(ideal, field, u)
+    full = sh.cells(i)
     want = _boundary_rank(ideal, field, full)
     smaller = 0
     for g in apexes:
-        cone = strand_degree_basis(ideal, u, i, below, apex=g)
+        cone = sh.cells(i, apex=g)
         assert cone == [m for m in full if m >> g & 1]
         assert _boundary_rank(ideal, field, cone) == want
         smaller += len(cone) < len(full)
@@ -360,7 +372,7 @@ def _skeleton_ideal():
 
 
 def test_apex_cone_spans_the_boundary_image():
-    """Past the strand cap chain_is_boundary spans only the boundaries of the
+    """Past the strand cap is_boundary spans only the boundaries of the
     masks containing one apex generator.  Within the cap, for every strand,
     degree and apex, that cone must span what all boundaries of the degree
     span; and in the top strand of the 4-skeleton in degree 2."""
@@ -373,7 +385,7 @@ def test_apex_cone_spans_the_boundary_image():
                     smaller += _assert_cone_spans(ideal, field, tuple(u), i, below)
         gamma, _ = _skeleton_ideal()
         top = (1,) * gamma.n_vars
-        assert len(strand_degree_basis(gamma, top, 3, generators_below(gamma, top))) == 498
+        assert len(strand(gamma, field, top).cells(3)) == 498
         smaller += _assert_cone_spans(gamma, field, top, 3, generators_below(gamma, top))
     assert smaller == 471  # cases where the cone leaves some mask out
 
@@ -412,8 +424,7 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
     for res in results:
         assert res.multidegree == top and res.value is None and res.value_is_zero is False
         assert sh.is_boundary(4, dict(res.value_chain)) is False
-    mask = next(m for m in strand_degree_basis(gamma, top, 5, sh.gens_below)
-                if reduced_boundary(gamma, m))
+    mask = next(m for m in sh.cells(5) if reduced_boundary(gamma, m))
     assert sh.is_boundary(4, {m: QQ.of(x) for m, x in reduced_boundary(gamma, mask).items()})
     for question in (sh.dimension, sh.classes):
         with pytest.raises(ValueError, match="has 20 generators below it"):
@@ -424,18 +435,18 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
 
 def test_lattice_test_runs_once_per_field_and_multidegree(monkeypatch):
     """The strand accessor is the one place the package tests a strand's
-    lattice membership: once per (field, u), counted in taylor_dga and
-    homology_engine together, however often a strand is asked."""
+    lattice membership: once per (field, u), counted as the generators below
+    u, in taylor_dga and homology_engine together, however often a strand
+    is asked."""
     calls = Counter()
-    for name in ("generators_below", "in_lattice"):
-        real = getattr(taylor_dga, name)
+    real = taylor_dga.generators_below
 
-        def counted(ideal, u, *rest, real=real, name=name):
-            calls[name, tuple(u)] += 1
-            return real(ideal, u, *rest)
+    def counted(ideal, u):
+        calls[tuple(u)] += 1
+        return real(ideal, u)
 
-        for module in (taylor_dga, homology_engine):
-            monkeypatch.setattr(module, name, counted)
+    for module in (taylor_dga, homology_engine):
+        monkeypatch.setattr(module, "generators_below", counted)
     gamma, (a, b, c) = _skeleton_ideal()
     paper = counterexample_ideal()
     for field in (QQ, GF2):
@@ -446,8 +457,8 @@ def test_lattice_test_runs_once_per_field_and_multidegree(monkeypatch):
         ternary_massey(gamma, field, *gens, b2_certified=True)
         assert golod_decide(paper, field).status == "NotGolod"
         assert betti(paper, field).totals == (1, 8, 14, 8, 1)
-        assert class_of(paper, field, {}, (9,) * 5, 2).is_zero
-        assert class_of(paper, field, {}, (9,) * 5, 2).is_zero
+        assert strand(paper, field, (9,) * 5) is None
+        assert strand(paper, field, (9,) * 5) is None
         assert calls and set(calls.values()) == {1}
 
 
@@ -501,7 +512,7 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
     columns, differentials, cones = [], Counter(), Counter()
     real_relations = homology_engine.column_relations
     real_columns = StrandHomology.boundary_columns
-    real_basis = homology_engine.strand_degree_basis
+    real_cells = StrandHomology.cells
 
     def relations(field, cols, nrows):
         columns.append(len(cols))
@@ -511,14 +522,14 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
         differentials[self.u, i] += 1
         return real_columns(self, i)
 
-    def degree_basis(ideal, u, i, below, apex=None):
+    def cells(self, i, apex=None):
         if apex is not None:
-            cones[tuple(u), i] += 1
-        return real_basis(ideal, u, i, below, apex=apex)
+            cones[self.u, i] += 1
+        return real_cells(self, i, apex)
 
     monkeypatch.setattr(homology_engine, "column_relations", relations)
     monkeypatch.setattr(StrandHomology, "boundary_columns", boundary_columns)
-    monkeypatch.setattr(homology_engine, "strand_degree_basis", degree_basis)
+    monkeypatch.setattr(StrandHomology, "cells", cells)
     assert betti(counterexample_ideal(), QQ).totals == (1, 8, 14, 8, 1)
     assert columns == [] and cones and set(cones.values()) == {1}
     cones.clear()

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from itertools import product as cartesian_product
 
 import pytest
 
@@ -11,9 +12,10 @@ from conftest import (
     monomial_quotient,
     positional_columns,
     reduced_boundary,
+    subset_multidegree,
 )
 from golod_lab.exact_linalg import GF2, QQ
-from golod_lab.homology_engine import strand
+from golod_lab.homology_engine import StrandHomology, strand
 from golod_lab.monomial_core import (
     MonomialIdeal,
     counterexample_ideal,
@@ -35,9 +37,7 @@ from golod_lab.taylor_dga import (
     mask_of,
     product_reduced,
     product_sign,
-    strand_degree_basis,
     subset_lcm,
-    subset_multidegree,
 )
 
 EDGES = MonomialIdeal.from_strings(("x", "y", "z"), ["x*y", "y*z", "z*x"])
@@ -214,6 +214,17 @@ def test_lattice_closure_matches_subset_enumeration_random():
         assert frozenset(lcm_lattice(ideal)) == frozenset(want)
 
 
+def _subset_lcms(ideal):
+    """The lcm exponents of every nonempty generator subset, by brute force."""
+    lcm = {0: (0,) * ideal.n_vars}  # subset mask -> lcm exponents
+    for mask in range(1, 1 << ideal.n_gens):
+        low = (mask & -mask).bit_length() - 1
+        rest = lcm[mask & (mask - 1)]
+        lcm[mask] = tuple(max(a, b) for a, b in zip(rest, ideal.gens[low].exps))
+    del lcm[0]
+    return frozenset(lcm.values())
+
+
 def test_lattice_closure_is_every_subset_lcm():
     """Joining the frontier with single generators reaches the lcm of every
     nonempty generator subset and nothing else: on the paper's ideal, its
@@ -221,13 +232,27 @@ def test_lattice_closure_is_every_subset_lcm():
     paper = counterexample_ideal()
     ideals = [paper, polarize(paper)[0]] + [i for i in ideal_corpus() if i.n_gens <= 12]
     for ideal in ideals:
-        lcm = {0: (0,) * ideal.n_vars}  # subset mask -> lcm exponents
-        for mask in range(1, 1 << ideal.n_gens):
-            low = (mask & -mask).bit_length() - 1
-            rest = lcm[mask & (mask - 1)]
-            lcm[mask] = tuple(max(a, b) for a, b in zip(rest, ideal.gens[low].exps))
-        del lcm[0]
-        assert frozenset(lcm_lattice(ideal)) == frozenset(lcm.values())
+        assert frozenset(lcm_lattice(ideal)) == _subset_lcms(ideal)
+
+
+def test_strand_lattice_test_matches_every_subset_lcm():
+    """``strand`` reads lattice membership off the attain masks: on every
+    multidegree of the box from 0 to the lcm of all generators (144 for the
+    paper's ideal), it is None exactly when u is the lcm of no nonempty
+    generator subset.  ``fiber_complex``, with its own lcm test, rejects
+    the same multidegrees."""
+    paper = counterexample_ideal()
+    for ideal in [paper] + ideal_corpus(10):
+        lcms = _subset_lcms(ideal)
+        box = list(cartesian_product(*(range(e + 1) for e in lcm_of(ideal.gens, ideal.n_vars).exps)))
+        assert len(box) == 144 or ideal is not paper
+        for u in box:
+            assert (strand(ideal, QQ, u) is None) == (u not in lcms)
+            if u in lcms:
+                fiber_complex(ideal, u)
+            else:
+                with pytest.raises(ValueError, match="not in the lcm lattice"):
+                    fiber_complex(ideal, u)
 
 
 def test_strand_three_edges():
@@ -399,9 +424,8 @@ def test_strand_degree_basis_matches_full_strand(example_ideal):
     for u in list(lcm_lattice(example_ideal))[:10]:
         u = tuple(u)
         s = strand(example_ideal, QQ, u)
-        below = generators_below(example_ideal, u)
         for i in s.degrees():
-            assert strand_degree_basis(example_ideal, u, i, below) == s.basis[i]
+            assert StrandHomology(example_ideal, u, QQ).cells(i) == s.basis[i]
 
 
 def _ref_strand_degree_basis(ideal, u, i, apex=None):
@@ -439,14 +463,13 @@ def test_strand_degree_basis_matches_exponent_reference():
     for ideal in _basis_test_ideals():
         for u in lcm_lattice(ideal):
             u = tuple(u)
-            below = generators_below(ideal, u)
-            for i in range(len(below) + 1):
+            s = strand(ideal, QQ, u)
+            for i in range(len(s.gens_below) + 1):
                 want = _ref_strand_degree_basis(ideal, u, i)
-                assert strand_degree_basis(ideal, u, i, below) == want
+                assert s.cells(i) == want
                 masks += len(want)
-                for g in below if i else ():
-                    assert strand_degree_basis(ideal, u, i, below, apex=g) == \
-                        _ref_strand_degree_basis(ideal, u, i, apex=g)
+                for g in s.gens_below if i else ():
+                    assert s.cells(i, apex=g) == _ref_strand_degree_basis(ideal, u, i, apex=g)
     assert masks > 400
 
 
@@ -457,11 +480,12 @@ def test_strand_degree_basis_skeleton_counts():
     pol, _ = polarize(counterexample_ideal())
     gamma = stanley_reisner_ideal(skeleton(complex_of(pol), 4))
     top = (1,) * gamma.n_vars
-    below = generators_below(gamma, top)
+    s = strand(gamma, QQ, top)
+    below = s.gens_below
     assert len(below) == 20
-    three = strand_degree_basis(gamma, top, 3, below)
+    three = s.cells(3)
     assert len(three) == 498 and three == _ref_strand_degree_basis(gamma, top, 3)
-    cone = strand_degree_basis(gamma, top, 5, below, apex=below[0])
+    cone = s.cells(5, apex=below[0])
     assert len(cone) == 3386 and cone == _ref_strand_degree_basis(gamma, top, 5, below[0])
 
 
