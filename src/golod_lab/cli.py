@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import counterexample_search as cxs
 from . import massey_golod as mg
@@ -37,9 +36,9 @@ class UsageError(Exception):
 
 
 def _scalar(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    return int(x)
+    """A field element (``Field.of``'s format) for JSON: an int, or a
+    non-integral rational as its string."""
+    return x if isinstance(x, int) else str(x)
 
 
 def _chain_json(chain):

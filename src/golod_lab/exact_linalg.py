@@ -12,13 +12,13 @@ Callers that need coordinates tag each vector with a unit entry at its own
 key above every row key; the tags of a residual hold the combination that
 was subtracted.  Callers that need only rank or membership add no tags.
 
-At the API boundary, scalars are ``fractions.Fraction`` over the rationals
-and canonical integers in ``[0, p)`` over a prime field.  Inside the kernel
-a rational stays a plain ``int`` while it is integral; a ``Fraction``
-appears only when a non-unit pivot forces one.  Strand boundaries have
-entries +-1, so their elimination never leaves the integers.  Relations
-are converted on the way out; rank and membership answers need no
-conversion.
+Scalars have one format, the one ``Field.of`` produces: over the rationals
+an ``int`` when integral and a reduced ``fractions.Fraction`` otherwise, over
+a prime field an ``int`` in ``[0, p)``.  The kernel keeps it: a ``Fraction``
+appears only when a non-unit pivot forces one, and a residual leaves
+``reduce`` in the format, so relations, coordinates and chains pass between
+modules as they are.  Strand boundaries have entries +-1, so their
+elimination never leaves the integers.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import index
 
 
 class LinAlgError(ValueError):
@@ -44,48 +45,43 @@ def _is_prime(p):
     return True
 
 
+_CHAR_LIMIT = 2**31  # trial division up to sqrt(p) stays fast below it
+
+
 @dataclass(frozen=True)
 class Field:
-    """Coefficient field: the rationals (``char == 0``) or F_p for prime p."""
+    """Coefficient field: the rationals (``char == 0``) or F_p for a prime p
+    below 2^31."""
 
     char: int = 0
 
     def __post_init__(self):
+        if self.char >= _CHAR_LIMIT:
+            raise ValueError(
+                f"field characteristic must be below 2^31 = {_CHAR_LIMIT}, got {self.char}"
+            )
         if self.char != 0 and not _is_prime(self.char):
             raise ValueError(f"field characteristic must be 0 or a prime, got {self.char}")
 
     def of(self, x):
-        """Coerce an int or Fraction to a canonical element of this field."""
+        """An int or Fraction as an element of this field, in the one format:
+        over Q an int when integral and a reduced Fraction otherwise, over
+        F_p an int in [0, p)."""
         p = self.char
-        if p == 0:
-            return x if isinstance(x, Fraction) else Fraction(x)
         if isinstance(x, Fraction):
+            if not p:
+                return x.numerator if x.denominator == 1 else x
             if x.denominator % p == 0:
                 raise LinAlgError(f"denominator of {x} is not invertible mod {p}")
             return x.numerator * pow(x.denominator, -1, p) % p
-        return int(x) % p
-
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
-
-    def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
-
-    def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
-
-    def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
+        return index(x) % p if p else index(x)  # a float raises TypeError
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.char:
             return pow(a, -1, self.char)
-        return 1 / a if isinstance(a, Fraction) else Fraction(1, a)
+        return self.of(1 / Fraction(a))
 
     def __str__(self):
         return "Q" if self.char == 0 else f"F_{self.char}"
@@ -109,23 +105,6 @@ def parse_field(text):
     raise ValueError(f"unrecognized field {text!r}; use 'q' or 'fp:<prime>'")
 
 
-def _integral(x):
-    """A rational as an int when its denominator is 1 (ints pass through)."""
-    return x.numerator if x.denominator == 1 else x
-
-
-_UNITS = {1: Fraction(1), -1: Fraction(-1)}  # immutable, so safe to share
-
-
-def _canonical(field, vec):
-    """vec with API-boundary scalars: Fractions over Q, residues in [0, p) over F_p."""
-    p = field.char
-    if p:
-        return {k: x % p for k, x in vec.items()}
-    return {k: x if x.__class__ is Fraction else _UNITS.get(x) or Fraction(x)
-            for k, x in vec.items()}
-
-
 class Echelon:
     """Span of sparse vectors in echelon form; the package's one elimination loop.
 
@@ -135,11 +114,11 @@ class Echelon:
     key, so clearing leads from the least key upwards decides membership:
     a vector lies in the span exactly when it reduces to zero.
 
-    Input scalars are nonzero: ints or Fractions over Q, and over F_p ints
-    that are nonzero mod p, such as canonical residues or the signs +-1.
-    Over Q, ``reduce`` turns integral Fractions into ints; over F_p every
-    entry a row operation touches is reduced mod p, and a row is scaled to
-    canonical residues unless its lead is already 1.
+    Input scalars are nonzero and in the format of ``Field.of``, or the
+    signs +-1 over F_p.  Over Q, a lead coefficient and every entry of a
+    residual are put in the format; over F_p every entry a row operation
+    touches is reduced mod p, and a row is scaled to residues unless its
+    lead is already 1.
     """
 
     def __init__(self, field):
@@ -148,11 +127,8 @@ class Echelon:
 
     def reduce(self, vec):
         """The residual of vec, a new dict: rows are subtracted while its least key is a lead."""
-        rows, p = self.rows, self.field.char
-        if p:
-            v = dict(vec)
-        else:  # _integral, inlined
-            v = {k: x.numerator if x.denominator == 1 else x for k, x in vec.items()}
+        rows, p, of = self.rows, self.field.char, self.field.of
+        v = dict(vec)
         heap = sorted(v)  # every key of v, possibly with stale extras
         while heap:
             lead = heappop(heap)
@@ -175,7 +151,7 @@ class Echelon:
                         del v[k]
             else:
                 if c.__class__ is Fraction:
-                    c = _integral(c)
+                    c = of(c)
                 for k, x in row.items():
                     y = v.get(k)
                     if y is None:
@@ -185,6 +161,10 @@ class Echelon:
                         v[k] = y
                     else:
                         del v[k]
+        if not p:  # Fraction arithmetic can leave integral Fractions
+            for k, x in v.items():
+                if x.__class__ is Fraction:
+                    v[k] = of(x)
         return v
 
     def insert(self, residual):
@@ -199,8 +179,8 @@ class Echelon:
             elif c == -1:
                 residual = {k: -x for k, x in residual.items()}
             else:
-                inv = self.field.inv(c)
-                residual = {k: _integral(x * inv) for k, x in residual.items()}
+                of, inv = self.field.of, self.field.inv(c)
+                residual = {k: of(x * inv) for k, x in residual.items()}
         self.rows[lead] = residual
 
     def contains(self, vec):
@@ -223,8 +203,7 @@ def column_relations(field, columns, nrows):
     columns, the pivot columns (those independent of the columns before
     them, i.e. the RREF pivots) and, for every other column j, its relation:
     the kernel vector keyed by column index with 1 at j and minus the
-    coefficients of the earlier pivot columns that sum to column j.  The
-    relations carry API-boundary scalars; the echelon keeps the kernel's.
+    coefficients of the earlier pivot columns that sum to column j.
     """
     ech = Echelon(field)
     pivots, relations = [], {}
@@ -234,7 +213,7 @@ def column_relations(field, columns, nrows):
             ech.insert(v)
             pivots.append(j)
         else:
-            relations[j] = _canonical(field, {k - nrows: x for k, x in v.items()})
+            relations[j] = {k - nrows: x for k, x in v.items()}
     return ech, pivots, relations
 
 

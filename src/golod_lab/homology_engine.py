@@ -207,10 +207,9 @@ class StrandHomology:
 
     def classes(self, i):
         reps = self._homology(i)[1]
-        zero, one = self.field.zero(), self.field.one()
         out = []
         for k, rep in enumerate(reps):
-            coords = tuple(one if j == k else zero for j in range(len(reps)))
+            coords = tuple(int(j == k) for j in range(len(reps)))
             out.append(
                 HomologyClass(self.ideal, self.field, self.u, i, _freeze_chain(rep), coords)
             )

@@ -26,20 +26,13 @@ from functools import cached_property
 
 from .homology_engine import HomologyClass, _freeze_chain, betti, strand
 from .series_engine import p_series, q_series, series_compare
-from .taylor_dga import (
-    lcm_lattice,
-    mask_of,
-    product_reduced,
-    subset_lcm,
-    support_mask,
-)
+from .taylor_dga import lcm_lattice, mask_of, product_sign, support_mask
 
 
 def _scale_chain(field, chain, scalar):
     if scalar == 1:
         return dict(chain)
-    s = field.of(scalar)
-    return {m: field.mul(s, c) for m, c in chain.items()}
+    return {m: field.of(scalar * c) for m, c in chain.items()}
 
 
 def _bar_chain(field, chain, hom_degree):
@@ -50,7 +43,7 @@ def _bar_chain(field, chain, hom_degree):
 def _add_chains(field, a, b):
     out = dict(a)
     for m, c in b.items():
-        v = field.add(out.get(m, field.zero()), c)
+        v = field.of(out.get(m, 0) + c)
         if v == 0:
             out.pop(m, None)
         else:
@@ -58,27 +51,21 @@ def _add_chains(field, a, b):
     return out
 
 
-def chain_product(ideal, field, ca, cb):
-    """Product of two chains in the field-reduced Taylor algebra."""
+def chain_product(ideal, field, ca, cb, ua, ub):
+    """Product of two chains of the strands at ua and ub in the field-reduced
+    Taylor algebra.
+
+    Zero unless ua and ub are coprime (``taylor_dga``); then every pair of
+    terms survives, and each union of masks arises from one pair only,
+    since no generator divides both multidegrees.
+    """
+    if support_mask(ua) & support_mask(ub):
+        return {}
     out = {}
     for mi, x in ca.items():
-        if x == 0:
-            continue
         for mj, y in cb.items():
-            if y == 0:
-                continue
-            r = product_reduced(ideal, mi, mj)
-            if r is None:
-                continue
-            sign, union = r
-            term = field.mul(x, y)
-            if sign < 0:
-                term = field.neg(term)
-            v = field.add(out.get(union, field.zero()), term)
-            if v == 0:
-                out.pop(union, None)
-            else:
-                out[union] = v
+            if v := field.of(product_sign(mi, mj) * x * y):
+                out[mi | mj] = v
     return out
 
 
@@ -126,7 +113,9 @@ def all_products_trivial(ideal, field):
             w = _vector_sum(u, lattice[b])
             for alpha in classes_at(u):
                 for beta in classes_at(lattice[b]):
-                    prod = chain_product(ideal, field, alpha.chain(), beta.chain())
+                    prod = chain_product(
+                        ideal, field, alpha.chain(), beta.chain(), u, lattice[b]
+                    )
                     i = alpha.hom_degree + beta.hom_degree
                     if prod and not strand(ideal, field, w).is_boundary(i, prod):
                         return False, ProductWitness(alpha, beta, tuple(sorted(prod.items())))
@@ -218,10 +207,11 @@ def ternary_massey(ideal, field, alpha, beta, gamma, b2_certified=False):
             raise ValueError("classes do not match the ideal/field")
     ia, ib, ic = alpha.hom_degree, beta.hom_degree, gamma.hom_degree
     ra, rb, rc = alpha.chain(), beta.chain(), gamma.chain()
-    p1 = chain_product(ideal, field, _bar_chain(field, ra, ia), rb)
-    p2 = chain_product(ideal, field, _bar_chain(field, rb, ib), rc)
-    u_ab = _vector_sum(alpha.multidegree, beta.multidegree)
-    u_bc = _vector_sum(beta.multidegree, gamma.multidegree)
+    ua, ub, uc = alpha.multidegree, beta.multidegree, gamma.multidegree
+    p1 = chain_product(ideal, field, _bar_chain(field, ra, ia), rb, ua, ub)
+    p2 = chain_product(ideal, field, _bar_chain(field, rb, ib), rc, ub, uc)
+    u_ab = _vector_sum(ua, ub)
+    u_bc = _vector_sum(ub, uc)
     if p1 and not strand(ideal, field, u_ab).is_boundary(ia + ib, p1):
         return _undefined("the product of the first two classes is nonzero")
     if p2 and not strand(ideal, field, u_bc).is_boundary(ib + ic, p2):
@@ -231,10 +221,10 @@ def ternary_massey(ideal, field, alpha, beta, gamma, b2_certified=False):
     deg_s = ia + ib + 1
     value_chain = _add_chains(
         field,
-        chain_product(ideal, field, _bar_chain(field, ra, ia), t),
-        chain_product(ideal, field, _bar_chain(field, s, deg_s), rc),
+        chain_product(ideal, field, _bar_chain(field, ra, ia), t, ua, u_bc),
+        chain_product(ideal, field, _bar_chain(field, s, deg_s), rc, u_ab, uc),
     )
-    u = _vector_sum(_vector_sum(alpha.multidegree, beta.multidegree), gamma.multidegree)
+    u = _vector_sum(u_ab, uc)
     return _finish_massey(
         ideal, field, value_chain, u, ia + ib + ic + 1, s, t, b2_certified
     )
@@ -278,30 +268,30 @@ def ternary_massey_generators(ideal, field, a, b, c, b2_certified=False):
         )
     s = _triple_filler(ideal, field, a, ab, b)
     t = _triple_filler(ideal, field, b, bc, c)
-    field_one = field.one()
-    ra = {mask_of([a]): field_one}
-    rc = {mask_of([c]): field_one}
+    ra = {mask_of([a]): 1}
+    rc = {mask_of([c]): 1}
+    gab, gbc = ga.lcm(gb), gb.lcm(gc)
     value_chain = _add_chains(
         field,
-        chain_product(ideal, field, _bar_chain(field, ra, 1), t),
-        chain_product(ideal, field, _bar_chain(field, s, 3), rc),
+        chain_product(ideal, field, _bar_chain(field, ra, 1), t, ga.exps, gbc.exps),
+        chain_product(ideal, field, _bar_chain(field, s, 3), rc, gab.exps, gc.exps),
     )
-    u = tuple(subset_lcm(ideal, mask_of([a, b, c])).exps)
+    u = gab.lcm(gc).exps
     return _finish_massey(ideal, field, value_chain, u, 4, s, t, b2_certified)
 
 
 def _triple_filler(ideal, field, i, mid, j):
-    """Chain on the subset {i, mid, j} whose differential is the bar of e_i * e_j."""
+    """Chain on the subset {i, mid, j} whose differential is the bar of e_i * e_j,
+    for coprime generators i and j with generator mid dividing their lcm."""
     triple = mask_of([i, mid, j])
     pair = mask_of([i, j])
-    bnd = strand(ideal, field, subset_lcm(ideal, pair).exps).boundary(triple)
+    bnd = strand(ideal, field, ideal.gens[i].lcm(ideal.gens[j]).exps).boundary(triple)
     if set(bnd) != {pair}:
         raise AssertionError("filler boundary has unexpected support")
     sigma = bnd[pair]
-    r = product_reduced(ideal, mask_of([i]), mask_of([j]))
-    assert r is not None and r[1] == pair
-    coeff = field.of(r[0] * sigma)  # sigma^2 = 1, so this solves sigma * x = sign
-    return {triple: coeff}
+    sign = product_sign(mask_of([i]), mask_of([j]))
+    # sigma^2 = 1, so this solves sigma * x = sign
+    return {triple: field.of(sign * sigma)}
 
 
 def ternary_products_vanish(ideal, field):

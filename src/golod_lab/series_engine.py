@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .exact_linalg import Echelon, _integral, column_relations
+from .exact_linalg import Echelon, column_relations
 from .homology_engine import betti
 
 
@@ -175,10 +175,10 @@ def _kernel_at(field, u, here, phi, is_std, dim):
     """Kernel of the current map at multidegree u, from ``column_relations``.
 
     ``here``: generator index -> its standard monomial at u.  Returns the
-    kernel vectors, keyed by generator index, with integral rationals as
-    ints: they feed the next eliminations, where a ``Fraction`` entry costs
-    a conversion each time.  ``dim`` is dim K(u) by exactness; an
-    elimination that does not confirm it is an ``AssertionError``.
+    kernel vectors keyed by generator index, their scalars in ``Field.of``'s
+    format as the next eliminations read them.  ``dim`` is dim K(u) by
+    exactness; an elimination that does not confirm it is an
+    ``AssertionError``.
     """
     columns = []
     row_keys = {}
@@ -195,7 +195,7 @@ def _kernel_at(field, u, here, phi, is_std, dim):
             f"kernel at {u} has dimension {len(relations)}, exactness gives {dim}"
         )
     gens = list(here)
-    return [{gens[k]: _integral(x) for k, x in rel.items()} for rel in relations.values()]
+    return [{gens[k]: x for k, x in rel.items()} for rel in relations.values()]
 
 
 def _resolution_step(field, std, gens, phi, cap, prev):
@@ -286,7 +286,7 @@ def p_series(ideal, field, n):
         e = tuple(1 if k == v else 0 for k in range(nv))
         if e in std[1]:  # the set of every standard monomial
             gens.append(e)
-            phi.append({(0, e): field.one()})
+            phi.append({(0, e): 1})
     coeffs.append(len(gens))
     steps.append(StepReport(1, 1, len(gens), ((1, len(gens)),), "ring variables"))
     dims = None  # K_1 = m: dimension 1 at each nonzero standard monomial

@@ -14,10 +14,10 @@ coefficient lcm(I) * lcm(J) / lcm(I | J), constant exactly when lcm(I) and
 lcm(J) are coprime; no generator is constant, so coprime lcms also make I
 and J disjoint.  Hence the one product rule: classes multiply only across
 coprime multidegrees, and the product lands in their sum, the lcm of the
-union, always in the lcm lattice.  ``product_reduced`` applies it to basis
-elements, and the product and Massey loops of ``massey_golod`` visit only
-coprime pairs and pairwise coprime triples of lattice elements, tested with
-``support_mask``.
+union, always in the lcm lattice.  ``massey_golod.chain_product`` applies it
+once per pair of chains, to the multidegrees of their strands, and its
+product and Massey loops visit only coprime pairs and pairwise coprime
+triples of lattice elements, all tested with ``support_mask``.
 
 A single strand needs only the generators below u; the closure
 ``lcm_lattice``, kept on the ideal, is for callers that enumerate the lattice.
@@ -62,28 +62,12 @@ def mask_of(indices):
     return m
 
 
-def subset_lcm(ideal, mask):
-    """lcm monomial of the generators in the mask (constant for the empty mask)."""
-    return lcm_of((ideal.gens[i] for i in mask_members(mask)), ideal.n_vars)
-
-
 def product_sign(maskI, maskJ):
     """Koszul sign of <I> * <J>: parity of pairs (m in I, m' in J) with m' first."""
     count = 0
     for i in mask_members(maskI):
         count += bin(maskJ & ((1 << i) - 1)).count("1")
     return -1 if count % 2 else 1
-
-
-def product_reduced(ideal, maskI, maskJ):
-    """Product in the field-reduced complex: ``(sign, union mask)`` or None.
-
-    Nonzero exactly when the lcms of the two subsets are coprime (see the
-    module docstring), which also makes the subsets disjoint.
-    """
-    if not subset_lcm(ideal, maskI).coprime(subset_lcm(ideal, maskJ)):
-        return None
-    return (product_sign(maskI, maskJ), maskI | maskJ)
 
 
 def generators_below(ideal, u):

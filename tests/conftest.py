@@ -7,14 +7,20 @@ import pytest
 from golod_lab.exact_linalg import QQ, span
 from golod_lab.homology_engine import HomologyClass, strand
 from golod_lab.massey_golod import chain_product
-from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal, minimalize
+from golod_lab.monomial_core import (
+    Monomial,
+    MonomialIdeal,
+    counterexample_ideal,
+    lcm_of,
+    minimalize,
+)
 from golod_lab.series_engine import SeriesTrunc, _std_table
 from golod_lab.simplicial import reduced_cochain_complex
 from golod_lab.taylor_dga import (
     fiber_vertex_labels,
     generators_below,
     mask_members,
-    subset_lcm,
+    product_sign,
 )
 
 
@@ -89,10 +95,10 @@ def expand_rational(numerator, denominator, n):
 
 def apply_columns(field, columns, vec, nrows):
     """Dense image of vec under the map whose sparse columns are given."""
-    out = [field.zero()] * nrows
+    out = [0] * nrows
     for col, x in zip(columns, vec):
         for r, c in col.items():
-            out[r] = field.add(out[r], field.mul(field.of(c), x))
+            out[r] = field.of(out[r] + field.of(c) * x)
     return tuple(out)
 
 
@@ -132,11 +138,11 @@ def ref_rref(field, rows, ncols):
             continue
         R[pr], R[pv] = R[pv], R[pr]
         inv = field.inv(R[pr][c])
-        R[pr] = [field.mul(inv, x) for x in R[pr]]
+        R[pr] = [field.of(inv * x) for x in R[pr]]
         for r in range(len(R)):
             if r != pr and R[r][c] != 0:
                 fac = R[r][c]
-                R[r] = [field.add(x, field.neg(field.mul(fac, y))) for x, y in zip(R[r], R[pr])]
+                R[r] = [field.of(x - fac * y) for x, y in zip(R[r], R[pr])]
         pivots.append(c)
         pr += 1
     return len(pivots), tuple(pivots), tuple(tuple(r) for r in R)
@@ -149,10 +155,10 @@ def ref_kernel(field, rows, ncols):
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [field.zero()] * ncols
-        v[free] = field.one()
+        v = [0] * ncols
+        v[free] = 1
         for i, p in enumerate(pivots):
-            v[p] = field.neg(R[i][free])
+            v[p] = field.of(-R[i][free])
         basis.append(tuple(v))
     return basis
 
@@ -162,7 +168,7 @@ def ref_solve(field, rows, ncols, rhs):
     _, pivots, R = ref_rref(field, [list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
     if ncols in pivots:
         return None
-    x = [field.zero()] * ncols
+    x = [0] * ncols
     for i, p in enumerate(pivots):
         x[p] = R[i][ncols]
     return tuple(x)
@@ -195,7 +201,7 @@ def cochain_vector(field, cc, i, cochain):
             raise ValueError(f"no faces in dimension {i}")
         return ()
     idx = {f: k for k, f in enumerate(cc.faces(i))}
-    vec = [field.zero()] * len(idx)
+    vec = [0] * len(idx)
     for face, c in cochain.items():
         f = frozenset(face)
         if f not in idx:
@@ -225,6 +231,11 @@ def monomial_quotient(m, other):
 def pattern_failures(report):
     """Names of the conditions a PatternReport fails (None is no failure)."""
     return [name for name, value in report.__dict__.items() if value is False]
+
+
+def subset_lcm(ideal, mask):
+    """lcm monomial of the generators in the mask (constant for the empty mask)."""
+    return lcm_of((ideal.gens[i] for i in mask_members(mask)), ideal.n_vars)
 
 
 def subset_multidegree(ideal, mask):
@@ -286,13 +297,25 @@ def reduced_boundary(ideal, mask):
     return out
 
 
+def product_reduced(ideal, maskI, maskJ):
+    """Product of two basis elements in the field-reduced complex, by its
+    definition: ``(sign, union mask)``, or None when the monomial coefficient
+    lcm(I) * lcm(J) / lcm(I | J) is not constant, that is, when the lcms of
+    the two subsets are not coprime."""
+    if not subset_lcm(ideal, maskI).coprime(subset_lcm(ideal, maskJ)):
+        return None
+    return (product_sign(maskI, maskJ), maskI | maskJ)
+
+
 def homology_product(ideal, field, alpha, beta):
     """Product of two homology classes, reduced in the target strand."""
     if alpha.field != field or beta.field != field:
         raise ValueError("classes live over a different field")
     if alpha.ideal != ideal or beta.ideal != ideal:
         raise ValueError("classes live over a different ideal")
-    prod = chain_product(ideal, field, alpha.chain(), beta.chain())
+    prod = chain_product(
+        ideal, field, alpha.chain(), beta.chain(), alpha.multidegree, beta.multidegree
+    )
     u = tuple(a + b for a, b in zip(alpha.multidegree, beta.multidegree))
     i = alpha.hom_degree + beta.hom_degree
     return class_of(ideal, field, prod, multidegree=u, hom_degree=i)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,18 @@ def test_field_fp0_is_a_usage_error(capsys):
     code, out, err = run(capsys, "betti", "--example", "paper", "--field", "fp:0")
     assert code == 2 and out == ""
     assert "names no prime field" in err
+
+
+def test_field_characteristic_below_2_31(capsys):
+    # primality is trial division: fp:<2^61 - 1> used to run for minutes
+    code, payload, _ = run_json(capsys, "betti", "--example", "paper", "--field", "fp:2147483647")
+    assert code == 0 and payload["field"] == "F_2147483647"
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "betti", "--example", "paper", "--field", "fp:2305843009213693951"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "2^31" in err
 
 
 def test_series_command(capsys):

@@ -18,7 +18,16 @@ from conftest import (
     ref_solve,
     rows_of,
 )
-from golod_lab.exact_linalg import GF2, GF3, QQ, Field, column_relations, parse_field, span
+from golod_lab.exact_linalg import (
+    GF2,
+    GF3,
+    QQ,
+    Field,
+    LinAlgError,
+    column_relations,
+    parse_field,
+    span,
+)
 from golod_lab.homology_engine import StrandHomology
 from golod_lab.monomial_core import counterexample_ideal
 from golod_lab.taylor_dga import lcm_lattice
@@ -31,6 +40,18 @@ def test_field_elements_canonical():
     x = QQ.of(Fraction(4, -6))
     assert (x.numerator, x.denominator) == (-2, 3)
     assert GF3.of(Fraction(1, 2)) == 2  # inverse of 2 mod 3
+    # the one format: an int when integral, a Fraction otherwise, residues mod p
+    assert type(QQ.of(Fraction(4, 2))) is int and QQ.of(Fraction(4, 2)) == 2
+    assert type(QQ.of(Fraction(1, 2))) is Fraction
+    assert type(QQ.inv(Fraction(1, 2))) is int and type(QQ.inv(-1)) is int
+    for field in (QQ, GF2, GF3, Field(7)):
+        for x in (0, 1, -1, 5, -12, Fraction(1, 5), Fraction(-4, 10), Fraction(8, 4)):
+            y = field.of(x)
+            assert field.of(y) == y and type(field.of(y)) is type(y)
+    with pytest.raises(LinAlgError):
+        GF3.of(Fraction(1, 3))
+    with pytest.raises(TypeError):  # never rounded: all arithmetic is exact
+        QQ.of(0.5)
 
 
 def test_field_inverse_is_exact():
@@ -67,8 +88,7 @@ def _rank(field, rows, ncols):
 def _relations(field, rows, ncols):
     """(pivots, kernel basis as dense tuples) from column_relations."""
     _, pivots, relations = column_relations(field, columns_of(field, rows, ncols), len(rows))
-    zero = field.zero()
-    return pivots, [tuple(rel.get(k, zero) for k in range(ncols)) for rel in relations.values()]
+    return pivots, [tuple(rel.get(k, 0) for k in range(ncols)) for rel in relations.values()]
 
 
 def _pivot_solution(field, rows, ncols, rhs):
@@ -78,7 +98,7 @@ def _pivot_solution(field, rows, ncols, rhs):
     w = ech.reduce({k: y for k, x in enumerate(rhs) if (y := field.of(x))})
     if w and min(w) < n:
         return None
-    x = [field.zero()] * ncols
+    x = [0] * ncols
     for k, c in w.items():
         x[k - n] = field.of(-c)
     return tuple(x)
@@ -288,7 +308,7 @@ def test_kernel_matches_dense_reference_random():
                 want = ref_solve(field, m, cols, b)
                 assert ech.contains(dict(enumerate(b))) == (want is not None)
                 assert _pivot_solution(field, m, cols, b) == want
-            dense = [tuple(c.get(i, field.zero()) for i in range(rows)) for c in columns]
+            dense = [tuple(c.get(i, 0) for i in range(rows)) for c in columns]
             split = rng.randint(0, cols)
             base, candidates = dense[:split], dense[split:]
             assert [p - split for p in pivots if p >= split] == ref_extend(
@@ -305,7 +325,8 @@ def test_kernel_matches_dense_reference_random():
 
 
 # ---------------------------------------------------------------------------
-# scalars at the API boundary: Fractions over Q, canonical residues over F_p
+# scalars at the API boundary: the one format of Field.of, ints when integral
+# and Fractions otherwise over Q, canonical residues over F_p
 
 
 def _relation_scalars(field, ints):
@@ -356,7 +377,7 @@ def test_scalars_at_the_api_boundary():
         for x in scalars:
             if field.char:
                 assert type(x) is int and 0 <= x < field.char
-            else:
-                assert type(x) is Fraction
-                non_integral += x.denominator != 1
+            elif type(x) is not int:
+                assert type(x) is Fraction and x.denominator > 1
+                non_integral += 1
     assert non_integral  # the seeded matrices force non-unit pivots

@@ -5,10 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import homology_product, ideal_corpus, random_squarefree_ideal
+from conftest import homology_product, ideal_corpus, product_reduced, random_squarefree_ideal
 from golod_lab import homology_engine, massey_golod
 from golod_lab.counterexample_search import search, seed_pattern
-from golod_lab.exact_linalg import GF2, QQ
+from golod_lab.exact_linalg import GF2, GF3, QQ
 from golod_lab.homology_engine import homology_basis, strand
 from golod_lab.massey_golod import (
     ProductWitness,
@@ -22,7 +22,7 @@ from golod_lab.massey_golod import (
     ternary_products_vanish,
 )
 from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal
-from golod_lab.taylor_dga import generators_below, lcm_lattice, mask_of
+from golod_lab.taylor_dga import generators_below, lcm_lattice, mask_of, support_mask
 
 CI = MonomialIdeal.from_strings(("x", "y"), ["x^2", "y^2"])
 M2 = MonomialIdeal.from_strings(("x", "y"), ["x^2", "x*y", "y^2"])
@@ -50,7 +50,44 @@ def test_overlapping_multidegrees_vanish_for_squarefree():
     ideal = MonomialIdeal.from_strings(("x", "y", "z"), ["x*y", "y*z"])
     a = generator_class(ideal, QQ, 0)
     b = generator_class(ideal, QQ, 1)
-    assert homology_product(ideal, QQ, a, b).is_zero
+    # by the definition: the coefficient x*y * y*z / (x*y*z) = y is not constant
+    assert product_reduced(ideal, mask_of([0]), mask_of([1])) is None
+    assert chain_product(ideal, QQ, a.chain(), b.chain(), a.multidegree, b.multidegree) == {}
+
+
+def _per_term_product(ideal, field, ca, cb):
+    """The product of two chains by the definition: ``product_reduced`` on
+    every pair of terms, summed."""
+    out = {}
+    for mi, x in ca.items():
+        for mj, y in cb.items():
+            if (r := product_reduced(ideal, mi, mj)) is not None:
+                sign, union = r
+                out[union] = field.of(out.get(union, 0) + sign * x * y)
+    return {m: c for m, c in out.items() if c}
+
+
+def test_chain_product_matches_the_per_term_reference():
+    """chain_product tests the multidegrees of its two strands once; it
+    agrees with the per-term reference on every ordered pair of homology
+    basis classes of the paper's ideal and the 100 corpus ideals, over Q,
+    F_2 and F_3, and both are empty on non-coprime pairs."""
+    pairs = Counter()
+    for field in (QQ, GF2, GF3):
+        for ideal in [counterexample_ideal()] + ideal_corpus():
+            classes = [c for u in lcm_lattice(ideal) for i in strand(ideal, field, u).degrees()
+                       for c in strand(ideal, field, u).classes(i)]
+            for a in classes:
+                for b in classes:
+                    want = _per_term_product(ideal, field, a.chain(), b.chain())
+                    got = chain_product(
+                        ideal, field, a.chain(), b.chain(), a.multidegree, b.multidegree
+                    )
+                    assert got == want
+                    coprime = not support_mask(a.multidegree) & support_mask(b.multidegree)
+                    assert coprime or not want
+                    pairs[coprime] += 1
+    assert pairs[True] and pairs[False]
 
 
 def test_all_products_trivial_verdicts(example_ideal):
@@ -199,8 +236,8 @@ def test_graded_commutativity_random():
                 classes.extend(homology_basis(ideal, QQ, tuple(u), i))
         for a in classes:
             for b in classes:
-                ab = chain_product(ideal, QQ, a.chain(), b.chain())
-                ba = chain_product(ideal, QQ, b.chain(), a.chain())
+                ab = chain_product(ideal, QQ, a.chain(), b.chain(), a.multidegree, b.multidegree)
+                ba = chain_product(ideal, QQ, b.chain(), a.chain(), b.multidegree, a.multidegree)
                 sign = (-1) ** (a.hom_degree * b.hom_degree)
                 want = {m: QQ.of(sign) * c for m, c in ba.items()}
                 assert ab == want
@@ -229,7 +266,10 @@ def test_coprime_loops_match_brute_force():
             for a in classes:
                 for b in classes:
                     coprime = Monomial(a.multidegree).coprime(Monomial(b.multidegree))
-                    assert bool(chain_product(ideal, field, a.chain(), b.chain())) == coprime
+                    prod = chain_product(
+                        ideal, field, a.chain(), b.chain(), a.multidegree, b.multidegree
+                    )
+                    assert bool(prod) == coprime
             trivial = all(homology_product(ideal, field, a, b).is_zero
                           for a in classes for b in classes)
             ok, witness = all_products_trivial(ideal, field)

@@ -11,7 +11,9 @@ from conftest import (
     ideal_corpus,
     monomial_quotient,
     positional_columns,
+    product_reduced,
     reduced_boundary,
+    subset_lcm,
     subset_multidegree,
 )
 from golod_lab.exact_linalg import GF2, QQ
@@ -35,9 +37,7 @@ from golod_lab.taylor_dga import (
     lcm_lattice,
     mask_members,
     mask_of,
-    product_reduced,
     product_sign,
-    subset_lcm,
 )
 
 EDGES = MonomialIdeal.from_strings(("x", "y", "z"), ["x*y", "y*z", "z*x"])
