@@ -114,6 +114,11 @@ class Echelon:
     key, so clearing leads from the least key upwards decides membership:
     a vector lies in the span exactly when it reduces to zero.
 
+    ``reduce`` copies its input and no stored row is mutated after
+    insertion, so a row dict may be shared between echelons, and rows
+    already in this form, with distinct leads, may be placed in ``rows``
+    directly.
+
     Input scalars are nonzero and in the format of ``Field.of``, or the
     signs +-1 over F_p.  Over Q, a lead coefficient and every entry of a
     residual are put in the format; over F_p every entry a row operation

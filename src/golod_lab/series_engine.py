@@ -12,7 +12,11 @@ reads it, and nothing is cached between calls.  A step walks its multidegrees
 one internal degree at a time and keeps only the current and the previous
 degree.  At a multidegree u the kernel K(u) of the current map is lifted
 from below: x_v K(u - e_v) lies in K(u) for every variable v, and the kernel
-vectors outside the span of these lifts are the new generators.
+vectors outside the span of these lifts are the new generators.  K(u) is
+kept as echelon rows.  Multiplying by x_v only drops the generators whose
+monomial leaves the ring, so a row whose lead survives keeps its leading
+structure and enters K(u) unreduced; most multidegrees take all of K(u)
+that way.
 
 Its dimension comes from exactness, not elimination.  Where the current map
 F_{j-1} -> F_{j-2} is onto the previous kernel K_{j-1} at u,
@@ -21,9 +25,10 @@ each nonzero standard monomial.  The map is onto everywhere the table
 reaches: the series bound leaves no generator above a step's cap (the same
 fact the cap itself rests on), so each step also counts its kernel's
 dimensions above its cap for the next one.  Where the dimension is 0 nothing
-is built; elsewhere lifts are absorbed until they reach it, and only where
-they fall short, that is where new generators appear, is the kernel
-eliminated, with its dimension checked against exactness.
+is built; elsewhere the unreduced rows, then the other lifts, are taken
+until they reach it, and only where they fall short, that is where new
+generators appear, is the kernel eliminated, with its dimension checked
+against exactness.
 
 No a-priori internal-degree bound exists in general, so each step's cap is
 read off the coefficientwise inequality between the two series: internal
@@ -88,18 +93,23 @@ def _std_table(ideal, top):
     """Standard monomials of degree 0..top: a list of sorted exponent tuples per
     degree, and the set of them all.
 
-    Degree d is grown from degree d-1 (every divisor of a standard monomial is
-    standard), so monomials inside the ideal are never enumerated in bulk.
+    Degree d is grown from degree d-1, so monomials inside the ideal are never
+    enumerated in bulk.  A monomial m is standard exactly when it is not a
+    generator and every m - e_v with m_v > 0 is standard (a generator dividing
+    m properly divides one of them), that is when it is grown from as many
+    standard monomials as its support has variables.
     """
-    gens = [g.exps for g in ideal.gens]
+    gens = {g.exps for g in ideal.gens}
     n = ideal.n_vars
     layer = [(0,) * n]
     by_degree = [layer]
     for _ in range(top):
-        grown = {m[:v] + (m[v] + 1,) + m[v + 1:] for m in layer for v in range(n)}
-        layer = sorted(
-            m for m in grown if not any(all(a <= b for a, b in zip(g, m)) for g in gens)
-        )
+        grown = {}
+        for m in layer:
+            for v in range(n):
+                g = m[:v] + (m[v] + 1,) + m[v + 1:]
+                grown[g] = grown.get(g, 0) + 1
+        layer = sorted(m for m, k in grown.items() if k == n - m.count(0) and m not in gens)
         by_degree.append(layer)
     return by_degree, {m for ms in by_degree for m in ms}
 
@@ -198,6 +208,39 @@ def _kernel_at(field, u, here, phi, is_std, dim):
     return [{gens[k]: x for k, x in rel.items()} for rel in relations.values()]
 
 
+def _lift(field, here, dim, belows):
+    """The echelon of the lifts x_v K(u - e_v) in K(u), stopped at ``dim`` rows.
+
+    ``belows``: the echelon rows of each nonzero K(u - e_v).  A row whose lead
+    survives x_v (lies in ``here``) restricts to an echelon row of K(u) with
+    the same lead, so such rows go in unreduced, from the directions that keep
+    the most leads first, and a row none of whose keys dies is shared, not
+    copied.  Only when they fall short are the other lifts reduced; the
+    result is then short only if every lift has entered.
+    """
+    lifted = Echelon(field)
+    rows = lifted.rows
+    kept = sorted(((b.keys() & here.keys(), b) for b in belows), key=lambda t: -len(t[0]))
+    placed = []
+    for leads, b in kept:
+        fresh = leads - rows.keys()
+        for lead in fresh:
+            row = b[lead]
+            rows[lead] = row if row.keys() <= here.keys() else {
+                gi: c for gi, c in row.items() if gi in here
+            }
+            if len(rows) == dim:
+                return lifted
+        placed.append(fresh)
+    for (_, b), fresh in zip(kept, placed):
+        for lead, row in b.items():
+            if lead not in fresh:
+                w = {gi: c for gi, c in row.items() if gi in here}
+                if w and lifted.absorb(w) and len(rows) == dim:
+                    return lifted
+    return lifted
+
+
 def _resolution_step(field, std, gens, phi, cap, prev):
     """One minimal-resolution step, multidegree by multidegree.
 
@@ -207,8 +250,9 @@ def _resolution_step(field, std, gens, phi, cap, prev):
     as a map (previous gen index, exps) -> coeff.  ``prev``: the nonzero
     dimensions of the previous kernel K' by multidegree (None for K' = m),
     consumed here.  F is onto K' throughout, so dim K(u) = dim F_u - dim K'(u).
-    Lifts reach dim K(u) except where new generators appear, and only there
-    does ``_kernel_at`` eliminate.  Past ``cap`` dimensions are only counted.
+    Lifts (``_lift``) reach dim K(u) except where new generators appear, and
+    only there does ``_kernel_at`` eliminate.  Past ``cap`` dimensions are
+    only counted.
 
     Returns (new generator multidegrees, new phi, counts per internal degree,
     the nonzero dimensions of K by multidegree).
@@ -220,7 +264,7 @@ def _resolution_step(field, std, gens, phi, cap, prev):
         return (u in is_std) if prev is None else prev.pop(u, 0)
 
     dims = {}
-    kernels = {}  # multidegree of the current degree -> a basis of K(u)
+    kernels = {}  # multidegree of the current degree -> the echelon rows of K(u)
     new_gens = []
     new_phi = []
     counts = {}
@@ -239,27 +283,18 @@ def _resolution_step(field, std, gens, phi, cap, prev):
             dims[u] = dim
             if d > cap:
                 continue  # counted, not visited
-            lifts = (
-                {gi: c for gi, c in kv.items() if gi in here}
-                for v in range(len(u))
-                for kv in below.get(u[:v] + (u[v] - 1,) + u[v + 1:], ())
-            )
-            lifted = Echelon(field)
-            basis = []
-            for w in lifts:
-                # once the lifts span K(u), u has no new generator
-                if lifted.absorb(w):
-                    basis.append(w)
-                    if len(basis) == dim:
-                        break
-            else:
-                basis = _kernel_at(field, u, here, phi, is_std, dim)
-                for vec in basis:
+            lifted = _lift(field, here, dim, [
+                b for v in range(len(u)) if (b := below.get(u[:v] + (u[v] - 1,) + u[v + 1:]))
+            ])
+            if len(lifted.rows) < dim:  # new generators at u
+                for vec in _kernel_at(field, u, here, phi, is_std, dim):
                     if lifted.absorb(vec):
                         new_gens.append(u)
                         new_phi.append({(gi, here[gi]): c for gi, c in vec.items()})
                         counts[d] = counts.get(d, 0) + 1
-            kernels[u] = basis
+                        if len(lifted.rows) == dim:
+                            break
+            kernels[u] = lifted.rows
     return new_gens, new_phi, counts, dims
 
 

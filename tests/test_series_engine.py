@@ -260,6 +260,8 @@ def _reference_step(ideal, field, gens, phi, cap):
 
 
 def test_resolution_step_matches_reference(monkeypatch, example_ideal):
+    # every step's new generators, their images and counts equal the
+    # reference step's on the same inputs, and so do the series and cap report
     rng = random.Random(20261018)
     corpus = [
         i for i in ideal_corpus(100, seed=20260811)
@@ -272,14 +274,25 @@ def test_resolution_step_matches_reference(monkeypatch, example_ideal):
     for k, ideal in enumerate(rng.sample([i for i in corpus if i not in picked], 13)):
         cases.append((ideal, (QQ, GF2, GF3)[k % 3], 3))
     assert len(cases) == 28
+    step = series_engine._resolution_step
     for ideal, field, n in cases:
-        got = p_series(ideal, field, n)
+        steps = []
+
+        def checked(f, std, gens, phi, cap, prev):
+            out = step(f, std, gens, phi, cap, prev)
+            ref = _reference_step(ideal, f, gens, phi, cap)
+            assert out[:3] == ref[:3], (ideal, field, n, len(steps) + 2)
+            steps.append(ref)
+            return out
+
         with monkeypatch.context() as m:
-            m.setattr(
-                series_engine,
-                "_resolution_step",
-                lambda f, std, gens, phi, cap, prev: _reference_step(ideal, f, gens, phi, cap),
-            )
+            m.setattr(series_engine, "_resolution_step", checked)
+            got = p_series(ideal, field, n)
+        assert len(steps) == sum(s.generators > 0 for s in got[1].steps[:-1]), (ideal, field, n)
+        # the reference's steps, in order, are the reference resolution
+        replay = iter(steps)
+        with monkeypatch.context() as m:
+            m.setattr(series_engine, "_resolution_step", lambda *args: next(replay))
             want = p_series(ideal, field, n)
         assert got == want, (ideal, field, n)
 
@@ -287,17 +300,28 @@ def test_resolution_step_matches_reference(monkeypatch, example_ideal):
 def test_p_series_eliminates_only_where_generators_appear(monkeypatch, example_ideal):
     # The resolution to order 5 visits 6,574 multidegrees; at all but these
     # the kernel dimension comes from exactness and the lifts span the kernel.
+    # Most take K(u) from rows whose lead survives x_v, with no reduction;
+    # absorbing every lift in turn until the rank is reached needs 60,036.
+    betti(example_ideal, GF2)  # only the resolution's reductions are counted
     eliminated = []
+    reductions = []
     kernel_at = series_engine._kernel_at
+    reduce = Echelon.reduce
 
     def counting(field, u, *rest):
         eliminated.append(u)
         return kernel_at(field, u, *rest)
 
+    def counting_reduce(self, vec):
+        reductions.append(1)
+        return reduce(self, vec)
+
     monkeypatch.setattr(series_engine, "_kernel_at", counting)
+    monkeypatch.setattr(Echelon, "reduce", counting_reduce)
     p, _ = p_series(example_ideal, GF2, 5)
     assert p.coeffs == (1, 5, 18, 64, 227, 805)
     assert len(eliminated) == 491
+    assert len(reductions) == 12065
 
 
 def test_resolution_step_checks_known_dimensions(monkeypatch):
