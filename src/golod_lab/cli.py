@@ -225,10 +225,7 @@ def cmd_massey3(args):
         )
         general = mg.ternary_massey(ideal, field, alpha, beta, gamma, b2_certified=b2)
         payload["general"] = _massey_payload(general)
-        if res.value is not None and general.value is not None:
-            agree = res.value.coordinates == general.value.coordinates
-        else:
-            agree = res.value_is_zero == general.value_is_zero
+        agree = res.value.coordinates == general.value.coordinates
         payload["routes_agree"] = agree
     if not res.defined:
         text = f"not defined / preconditions fail: {res.obstruction}"

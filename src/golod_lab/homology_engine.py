@@ -1,15 +1,25 @@
 """Strand homology with explicit representatives, and Betti data derived from it.
 
-The image of d_{i+1} in degree i has one echelon, spanned from the apex cone
-below and kept per degree; it answers boundary membership and, with the
-image of d_i, the dimension dim C_i - rank d_i - rank d_{i+1}, with no
-kernel built.  The homology basis extends a shallow copy of that echelon by
-the kernel vectors of d_i that are independent of it, taken greedily in
-order; they are the representatives, and the extended echelon gives the
-coordinates of a cycle against them.  Each d_j is eliminated at most once as
-tagged sparse columns, for its kernel and for the pivot solutions of
-d_j x = z.  Every echelon is keyed by mask, with tags at ``top`` and above,
-so chains (mask -> scalar) go in and come out as they are.
+Each differential d_j is read on one column set, its apex cone: the degree-j
+masks that contain g0, the first generator below u, enumerated once per
+degree.  The image of d_{i+1} has one untagged echelon of the cone's
+boundaries; it answers boundary membership and, with the image of d_i, the
+dimension dim C_i - rank d_i - rank d_{i+1}.  Each d_j is eliminated at most
+once more, on the same columns tagged, for its kernel and the pivot
+solutions of d_j x = z.  The representatives are the kernel vectors of d_i
+that greedily extend a shallow copy of the image echelon, and that extended
+echelon gives a cycle's coordinates.  Echelons are keyed by mask, with tags
+at ``top`` and above, so chains (mask -> scalar) go in and come out as is.
+
+The cone loses nothing.  A mask J with lcm u that misses g0 is a face of
+K = J + {g0}, also of lcm u, and d(K) = +-J + sum +-(K - m); each K - m
+drops some m > g0 for the least bit g0, a cone mask below J.  So d(d(K)) = 0
+writes d(J) through cone columns below J, and in ascending mask order the
+cone spans the image of d_j; no other column is a pivot, so the pivot
+solutions are the ones all columns give; and the relation of J is +-d(K), a
+boundary, plus a cycle on earlier columns, so the greedy extension never
+picks it and the representatives and coordinates are unchanged too.  On
+the 4-skeleton's top strand the cone is a quarter of the boundaries.
 
 ``StrandHomology`` is the one object per (field, u): it owns the strand's
 cells, bases and boundaries as well as its homology.  Every generator below u
@@ -17,24 +27,16 @@ divides u, so a set of them has lcm u exactly when the OR of their *attain
 masks* (the variables k with exps[k] == u[k] > 0) is ``full``, the support
 mask of u.  The strand makes these masks once and reads off them its cells
 (``cells``), the lattice test and ``boundary(mask)``, the package's one
-differential; the boundary columns, the cycle check and the cone below are
-all built from ``boundary``.  One accessor, ``strand(ideal, field, u)``, runs
-the lattice test and reads the cap once per (field, u), the only place a
-strand is tested either way, and keeps the ``StrandHomology`` (None outside
-the lcm lattice) in ``ideal.derived``, freed with the ideal.  Callers ask the
-strand at the (u, i) they already hold: a chain's degrees are never derived
-from its masks, and a mask that is not a degree-i cell with lcm u raises.  A
-strand with at most ``_FULL_STRAND_LIMIT`` generators below u is ``whole``:
-its bases are built on first use and it answers dimensions, classes,
-coordinates and bounding chains.  Past the cap those questions raise
-``StrandTooLarge`` from ``StrandHomology.basis``.
-
-The image needs only the boundaries of the masks that contain one apex
-generator g0 below u, a cone on g0, so ``is_boundary`` answers one way on
-both sides of the cap.  A mask J with lcm u that misses g0 is a face of
-K = J + {g0}, which has lcm u too, and d(d(K)) = 0 writes d(J) through the
-boundaries of the other faces of K, which all contain g0.  On the
-4-skeleton's top strand the cone is a quarter of the boundaries.
+differential.  One accessor, ``strand(ideal, field, u)``, runs the lattice
+test and reads the cap once per (field, u), the only place a strand is
+tested either way, and keeps the ``StrandHomology`` (None outside the lcm
+lattice) in ``ideal.derived``, freed with the ideal.  Callers ask the strand
+at the (u, i) they already hold; a mask that is not a degree-i cell with
+lcm u raises.  Classes, coordinates, bounding chains and membership read
+only the cones, so they answer on every strand.  The cap guards only what
+walks every degree: a strand with at most ``_FULL_STRAND_LIMIT`` generators
+below u is ``whole`` and has ``basis``, so ``degrees``, ``dim`` and
+``dimension`` (and ``betti``); past the cap these raise ``StrandTooLarge``.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ class HomologyClass:
     representative: tuple  # sorted ((mask, coeff), ...) pairs
     coordinates: tuple
 
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coordinates)
-
     def chain(self):
         return dict(self.representative)
 
@@ -94,7 +92,8 @@ class StrandHomology:
     ``full`` is the support mask of u and ``attain`` maps each generator
     below u, as its bit, to its attain mask.  Bases per homological degree
     are mask lists sorted ascending, built on first use and only for a whole
-    strand; ``is_boundary`` needs none.  Boundary entries are +-1, so the
+    strand; homology, coordinates, boundary solves and ``is_boundary`` read
+    only the apex cones and need none.  Boundary entries are +-1, so the
     complex is the same over every field.  Echelons are keyed by mask; their
     tags start at ``top``, above every mask.
     """
@@ -109,6 +108,7 @@ class StrandHomology:
             exps = ideal.gens[gi].exps
             self.attain[1 << gi] = mask_of(k for k, e in enumerate(self.u) if e and exps[k] == e)
         self.top = 1 << ideal.n_gens
+        self._cones = {}  # degree j -> sorted degree-j masks that contain the apex g0
         self._images = {}  # degree i -> span of the apex cone's boundaries, image of d_{i+1}
         self._eliminations = {}  # j -> (tagged echelon of d_j, kernel vectors of d_j)
         self._homologies = {}  # degree i -> (image echelon extended by representatives, reps)
@@ -118,7 +118,8 @@ class StrandHomology:
         if not self.whole:
             raise StrandTooLarge(
                 f"strand at {self.u} has {len(self.gens_below)} generators below it; "
-                "past the cap only boundary membership is answered"
+                "past the cap nothing that needs every degree is answered "
+                "(Betti numbers, the class tables)"
             )
         out = {}
         for i in range(1, len(self.gens_below) + 1):
@@ -156,31 +157,32 @@ class StrandHomology:
     def dim(self, i):
         return len(self.basis.get(i, ()))
 
-    def boundary_columns(self, i):
-        """Sparse columns of the differential from degree i to degree i-1:
-        ``boundary`` of each degree-i basis mask, ``face -> sign`` with int
-        signs +-1 over every field."""
-        return [self.boundary(mask) for mask in self.basis.get(i, [])]
+    def _cone(self, j):
+        """Sorted degree-j masks that contain the apex g0, the first generator
+        below u: the columns of d_j that both ``_image(j - 1)`` and
+        ``_elimination(j)`` read, enumerated once per degree."""
+        if j not in self._cones:
+            self._cones[j] = self.cells(j, apex=self.gens_below[0])
+        return self._cones[j]
 
     def _image(self, i):
         """Echelon of the image of d_{i+1}, spanned from the boundaries of the
-        degree-(i+1) masks that contain the apex g0, the first generator below
-        u (the cone identity above); built once per degree, on either side of
-        the cap.  ``_image(0)`` is empty, since d_1 = 0."""
+        apex cone ``_cone(i + 1)``, which span it (module docstring), untagged
+        since its callers need only rank and membership; built once per degree.
+        ``_image(0)`` is empty, since d_1 = 0."""
         if i not in self._images:
-            masks = self.cells(i + 1, apex=self.gens_below[0])
-            self._images[i] = span(self.field, [self.boundary(m) for m in masks])
+            self._images[i] = span(self.field, [self.boundary(m) for m in self._cone(i + 1)])
         return self._images[i]
 
     def _elimination(self, j):
-        """(tagged echelon, kernel vectors) of d_j, from its one tagged
-        elimination: column k carries the tag ``top + k``, and each kernel
-        vector is a chain (mask -> scalar)."""
+        """(tagged echelon, kernel vectors) of d_j on the apex cone, from its
+        one tagged elimination: the k-th cone mask carries the tag ``top + k``,
+        and each kernel vector is a chain (mask -> scalar)."""
         if j not in self._eliminations:
-            up = self.basis.get(j, [])
+            cone = self._cone(j)
             ech, _, relations = column_relations(
-                self.field, self.boundary_columns(j), self.top)
-            kernel = [{up[k]: x for k, x in kv.items()} for kv in relations.values()]
+                self.field, [self.boundary(m) for m in cone], self.top)
+            kernel = [{cone[k]: x for k, x in kv.items()} for kv in relations.values()]
             self._eliminations[j] = ech, kernel
         return self._eliminations[j]
 
@@ -253,14 +255,14 @@ class StrandHomology:
     def bounding_chain(self, i, chain):
         """A degree-(i+1) chain whose boundary is the degree-i chain, or None.
 
-        The pivot solution: it is supported on the masks whose columns of
-        d_{i+1} are independent of the columns before them.
+        The pivot solution: it is supported on the cone masks whose columns
+        of d_{i+1} are independent of the columns before them.
         """
         w = self._elimination(i + 1)[0].reduce(self._vector(i, chain)[0])
         if w and min(w) < self.top:
             return None
-        up = self.basis.get(i + 1, [])
-        return {up[k - self.top]: self.field.of(-c) for k, c in sorted(w.items())}
+        cone = self._cone(i + 1)
+        return {cone[k - self.top]: self.field.of(-c) for k, c in sorted(w.items())}
 
     def boundary(self, mask):
         """The differential of the field-reduced Taylor complex on a mask with

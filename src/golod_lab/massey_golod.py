@@ -8,7 +8,9 @@ the target strand.  Ternary Massey products follow the defining-system recipe
 
 where ``sign x`` negates chains of even homological degree; once all binary
 products vanish, the ternary product is a single well-defined class, which is
-what the ``unique`` flag certifies.
+what the ``unique`` flag certifies.  Products and Massey products ask their
+strands nothing that the strand cap stops; only the Betti numbers behind
+the degree bounds below do.
 
 The decision layer has one bound: a nonzero binary product is an immediate
 negative; otherwise the least of three degree bounds (regularity, through the
@@ -87,6 +89,18 @@ class ProductWitness:
         )
 
 
+class _ClassTable(dict):
+    """The homology basis classes of each strand, built when first looked up."""
+
+    def __init__(self, ideal, field):
+        self.ideal, self.field = ideal, field
+
+    def __missing__(self, u):
+        sh = strand(self.ideal, self.field, u)
+        out = self[u] = [c for i in sh.degrees() for c in sh.classes(i)]
+        return out
+
+
 def all_products_trivial(ideal, field):
     """Exhaustive binary product check over homology basis classes.
 
@@ -98,21 +112,14 @@ def all_products_trivial(ideal, field):
     """
     lattice = lcm_lattice(ideal)
     masks = [support_mask(u) for u in lattice]
-    classes = {}
-
-    def classes_at(u):
-        if u not in classes:
-            sh = strand(ideal, field, u)
-            classes[u] = [c for i in sh.degrees() for c in sh.classes(i)]
-        return classes[u]
-
+    classes = _ClassTable(ideal, field)
     for a, u in enumerate(lattice):
         for b in range(a + 1, len(lattice)):
             if masks[a] & masks[b]:
                 continue
             w = _vector_sum(u, lattice[b])
-            for alpha in classes_at(u):
-                for beta in classes_at(lattice[b]):
+            for alpha in classes[u]:
+                for beta in classes[lattice[b]]:
                     prod = chain_product(
                         ideal, field, alpha.chain(), beta.chain(), u, lattice[b]
                     )
@@ -149,9 +156,9 @@ class MasseyResult:
 
     ``value_is_zero`` comes from the boundary test alone.  ``value``, the
     class with its coordinates, is built on first read from the result's
-    own chain, multidegree and degree; it is None when the product is
-    undefined or its strand is past the cap.  ``ring``, the (ideal, field)
-    it is read in, is left out of comparison and repr.
+    own chain, multidegree and degree, on either side of the strand cap; it
+    is None only when the product is undefined.  ``ring``, the (ideal,
+    field) it is read in, is left out of comparison and repr.
     """
 
     defined: bool
@@ -169,10 +176,8 @@ class MasseyResult:
         if not self.defined:
             return None
         ideal, field = self.ring
-        sh = strand(ideal, field, self.multidegree)
-        if sh is None or not sh.whole:
-            return None
-        return sh.class_of(self.hom_degree, dict(self.value_chain))
+        return strand(ideal, field, self.multidegree).class_of(
+            self.hom_degree, dict(self.value_chain))
 
 
 def _undefined(reason):
@@ -300,33 +305,24 @@ def ternary_products_vanish(ideal, field):
     Classes multiply only across coprime multidegrees (``taylor_dga``): when
     two of the three multidegrees share a variable, both terms of the value
     multiply across them and vanish.  So only the pairwise coprime triples
-    of strands with classes are run, in sorted order, and their sum is in
-    the lcm lattice.  Every ordered triple of their homology basis classes
-    runs, except where the target strand is built whole and has no homology
-    in the target degree.
+    of lattice elements are run, in sorted order, and their sum is in the
+    lcm lattice; a strand's classes are built when a triple first reaches
+    it, and every ordered triple of their homology basis classes runs.
     """
-    classes = {}
-    for u in lcm_lattice(ideal):
-        sh = strand(ideal, field, u)
-        if cs := [c for i in sh.degrees() for c in sh.classes(i)]:
-            classes[u] = cs
-    support = sorted(classes)
-    masks = {u: support_mask(u) for u in support}
-    for ua in support:
-        for ub in support:
+    lattice = sorted(lcm_lattice(ideal))
+    masks = {u: support_mask(u) for u in lattice}
+    classes = _ClassTable(ideal, field)
+    for ua in lattice:
+        for ub in lattice:
             if masks[ua] & masks[ub]:
                 continue
             ab = masks[ua] | masks[ub]
-            for uc in support:
+            for uc in lattice:
                 if ab & masks[uc]:
                     continue
-                sh = strand(ideal, field, _vector_sum(_vector_sum(ua, ub), uc))
                 for alpha in classes[ua]:
                     for beta in classes[ub]:
                         for gamma in classes[uc]:
-                            i = alpha.hom_degree + beta.hom_degree + gamma.hom_degree + 1
-                            if sh.whole and sh.dimension(i) == 0:
-                                continue
                             res = ternary_massey(
                                 ideal, field, alpha, beta, gamma, b2_certified=True
                             )

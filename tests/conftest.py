@@ -120,11 +120,13 @@ def rows_of(columns, nrows):
 
 
 def positional_columns(sh, i):
-    """The mask-keyed ``boundary_columns(i)`` of a strand, keyed by row
-    position in the degree-(i-1) basis, the layout the dense references read.
-    A face outside that basis raises KeyError."""
+    """The columns of d_i on a whole strand: ``sh.boundary(m)`` of each
+    degree-i basis mask, keyed by row position in the degree-(i-1) basis, the
+    layout the dense references read.  A face outside that basis raises
+    KeyError."""
     rows = {m: r for r, m in enumerate(sh.basis.get(i - 1, []))}
-    return [{rows[face]: sign for face, sign in col.items()} for col in sh.boundary_columns(i)]
+    return [{rows[face]: sign for face, sign in sh.boundary(m).items()}
+            for m in sh.basis.get(i, [])]
 
 
 def ref_rref(field, rows, ncols):

@@ -188,7 +188,8 @@ def _check_pair_criterion(ideal, field):
             continue
         a = _gen_class(ideal, field, i)
         b = _gen_class(ideal, field, j)
-        assert pair_criterion(ideal, i, j) == homology_product(ideal, field, a, b).is_zero
+        vanish = not any(homology_product(ideal, field, a, b).coordinates)
+        assert pair_criterion(ideal, i, j) == vanish
 
 
 def _check_duality(ideal, field):

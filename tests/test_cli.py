@@ -235,19 +235,26 @@ def test_complex_sr_skeleton_pipeline(capsys, tmp_path):
 
 def test_past_the_strand_cap_exits_3(capsys, tmp_path):
     """The 4-skeleton ideal's top strand has 20 generators below it, past the
-    cap: every command that needs the whole strand, and its fiber complex,
-    ends in exit 3 with the cap error on stderr and nothing on stdout."""
+    cap: every command that needs every degree of it, and its fiber complex,
+    ends in exit 3 with the cap error on stderr and nothing on stdout, while
+    ``massey3 --all``, which asks the strand only for boundaries and
+    classes, finds the ternary witness there (exit 1)."""
     _, gamma_file = _skeleton_pipeline(capsys, tmp_path)
     for argv, message in (
         (["betti"], "has 20 generators below it"),
         (["golod"], "has 20 generators below it"),
-        (["massey3", "--all"], "has 20 generators below it"),
         (["series"], "has 20 generators below it"),
         (["fiber", "--mdeg", ",".join(["1"] * 9)], "would have 20 vertices"),
     ):
         code, out, err = run(capsys, *argv, "--ideal", str(gamma_file))
         assert (code, out) == (3, ""), argv
         assert message in err, argv
+    code, payload, err = run_json(capsys, "massey3", "--all", "--ideal", str(gamma_file))
+    assert (code, err) == (1, "") and payload["all_zero"] is False
+    witness = payload["witness"]
+    assert witness["kind"] == "ternary"
+    assert witness["massey"]["multidegree"] == [1] * 9
+    assert witness["massey"]["zero"] is False
 
 
 def test_pattern_check_command(capsys):

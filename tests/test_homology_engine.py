@@ -62,7 +62,7 @@ def test_three_edges_strand_homology():
     dim, classes = sh.dimension(2), sh.classes(2)
     assert dim == 2 and len(classes) == 2
     for cls in classes:
-        assert not cls.is_zero
+        assert any(cls.coordinates)
 
 
 def test_minimal_generator_strand_class(example_ideal):
@@ -130,19 +130,19 @@ def test_betti_generator_positions(example_ideal):
 def test_class_of_boundary_is_zero(example_ideal):
     chain = {m: QQ.of(s) for m, s in reduced_boundary(example_ideal, mask_of([0, 1, 3])).items()}
     cls = class_of(example_ideal, QQ, chain)
-    assert cls.is_zero
+    assert not any(cls.coordinates)
     assert chain_is_boundary(example_ideal, QQ, chain)
 
 
 def test_class_of_generator_nonzero(example_ideal):
     cls = class_of(example_ideal, QQ, {mask_of([2]): 1})
-    assert not cls.is_zero
+    assert any(cls.coordinates)
 
 
 def test_class_of_massey_representative_nonzero(example_ideal):
     chain = {mask_of([0, 1, 3, 6]): -1, mask_of([0, 3, 4, 6]): -1}
     cls = class_of(example_ideal, QQ, chain)
-    assert not cls.is_zero
+    assert any(cls.coordinates)
     assert cls.hom_degree == 4
     assert cls.multidegree == (1, 2, 1, 2, 3)
     assert len(cls.coordinates) == 1
@@ -169,7 +169,7 @@ def test_wrong_degrees_raise_instead_of_being_rederived(example_ideal):
         for ask in (sh.class_of, sh.is_boundary):
             with pytest.raises(ValueError, match=f"not a degree-{i} basis element"):
                 ask(i, chain)
-    assert not strand(example_ideal, QQ, g0).class_of(1, chain).is_zero
+    assert any(strand(example_ideal, QQ, g0).class_of(1, chain).coordinates)
 
 
 def test_multigraded_sums_match_coarse(example_ideal):
@@ -284,7 +284,7 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
                         ideal, field, a.chain(), b.chain(), a.multidegree, b.multidegree
                     )
                     if prod:
-                        wanted.append((prod, class_of(ideal, field, prod).is_zero))
+                        wanted.append((prod, not any(class_of(ideal, field, prod).coordinates)))
             twin = MonomialIdeal(ideal.variables, ideal.gens)
             enumerated.clear()
             with monkeypatch.context() as capped:
@@ -413,9 +413,11 @@ def test_skeleton_massey_spans_only_the_cone(monkeypatch):
 
 def test_skeleton_top_strand_answers_membership_past_the_cap():
     """After the product check and both Massey routes on the 4-skeleton ideal,
-    its top strand (20 generators, past the cap) still answers is_boundary,
-    while its whole-strand questions raise the strand cap error; the
-    ideal keeps one strand entry per (field, u)."""
+    its top strand (20 generators, past the cap) answers is_boundary, its
+    13 classes in degree 4 (beta_4 of the totals (1, 20, 50, 44, 13)), equal
+    nonzero coordinates for both Massey values and bounding chains, all from
+    the apex cones; only the questions that walk every degree raise the
+    strand cap error.  The ideal keeps one strand entry per (field, u)."""
     gamma, (a, b, c) = _skeleton_ideal()
     assert all_products_trivial(gamma, QQ)[0]
     gens = [homology_basis(gamma, QQ, tuple(gamma.gens[k].exps), 1)[0] for k in (a, b, c)]
@@ -424,14 +426,27 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
     top = (1,) * gamma.n_vars
     sh = strand(gamma, QQ, top)
     assert not sh.whole and len(sh.gens_below) == 20
+    assert len(sh.classes(4)) == 13
     for res in results:
-        assert res.multidegree == top and res.value is None and res.value_is_zero is False
+        assert res.multidegree == top and res.value_is_zero is False
         assert sh.is_boundary(4, dict(res.value_chain)) is False
+        assert len(res.value.coordinates) == 13 and any(res.value.coordinates)
+    assert results[0].value.coordinates == results[1].value.coordinates
     mask = next(m for m in sh.cells(5) if reduced_boundary(gamma, m))
-    assert sh.is_boundary(4, {m: QQ.of(x) for m, x in reduced_boundary(gamma, mask).items()})
-    for question in (sh.dimension, sh.classes):
+    target = {m: QQ.of(x) for m, x in reduced_boundary(gamma, mask).items()}
+    assert sh.is_boundary(4, target)
+    assert not any(sh.coordinates(4, target))
+    chain = sh.bounding_chain(4, target)
+    got = {}
+    for m, x in chain.items():
+        assert bin(m).count("1") == 5
+        for face, sign in sh.boundary(m).items():
+            got[face] = got.get(face, 0) + sign * x
+    assert {m: x for m, x in got.items() if x} == target
+    assert sh.bounding_chain(4, dict(results[0].value_chain)) is None
+    for question in (lambda: sh.dimension(4), sh.degrees):
         with pytest.raises(ValueError, match="has 20 generators below it"):
-            question(4)
+            question()
     keys = [k for k in gamma.derived if k != "lattice"]
     assert keys and all(k[0] == "strand" and len(k) == 3 for k in keys)
 
@@ -511,20 +526,23 @@ def test_is_boundary_unchanged_by_building_classes(field):
 def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatch):
     """``betti`` reads both ranks off the apex cones and eliminates no
     differential.  ``golod_decide`` on the paper's ideal eliminates each d_j
-    once for its kernel and its boundary solves, 82 eliminations over 255
-    columns, and spans each (strand, degree) cone once."""
+    it asks once for its kernel and its boundary solves, on the apex cone:
+    18 eliminations over 18 columns, since the ternary check builds classes
+    only in the triples it runs.  The class tables of every strand take 82
+    eliminations over 180 columns (255 on all cells).  Each (strand, degree)
+    cone is enumerated once, for its elimination and the image together."""
     columns, differentials, cones = [], Counter(), Counter()
     real_relations = homology_engine.column_relations
-    real_columns = StrandHomology.boundary_columns
+    real_elimination = StrandHomology._elimination
     real_cells = StrandHomology.cells
 
     def relations(field, cols, nrows):
         columns.append(len(cols))
         return real_relations(field, cols, nrows)
 
-    def boundary_columns(self, i):
-        differentials[self.u, i] += 1
-        return real_columns(self, i)
+    def elimination(self, j):
+        differentials[self.u, j] += j not in self._eliminations
+        return real_elimination(self, j)
 
     def cells(self, i, apex=None):
         if apex is not None:
@@ -532,11 +550,22 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
         return real_cells(self, i, apex)
 
     monkeypatch.setattr(homology_engine, "column_relations", relations)
-    monkeypatch.setattr(StrandHomology, "boundary_columns", boundary_columns)
+    monkeypatch.setattr(StrandHomology, "_elimination", elimination)
     monkeypatch.setattr(StrandHomology, "cells", cells)
     assert betti(counterexample_ideal(), QQ).totals == (1, 8, 14, 8, 1)
     assert columns == [] and cones and set(cones.values()) == {1}
     cones.clear()
     assert golod_decide(counterexample_ideal(), QQ).route == "massey-arity-3"
-    assert (len(columns), sum(columns)) == (82, 255)
-    assert set(differentials.values()) == {1} and set(cones.values()) == {1}
+    assert (len(columns), sum(columns)) == (18, 18)
+    assert len(differentials) == 18 and set(differentials.values()) == {1}
+    assert set(cones.values()) == {1}
+    for counts in (columns, differentials, cones):
+        counts.clear()
+    paper = counterexample_ideal()
+    for u in lcm_lattice(paper):
+        sh = strand(paper, QQ, u)
+        for i in sh.degrees():
+            sh.classes(i)
+    assert (len(columns), sum(columns)) == (82, 180)
+    assert len(differentials) == 82 and set(differentials.values()) == {1}
+    assert set(cones.values()) == {1}

@@ -490,8 +490,8 @@ def test_strand_degree_basis_skeleton_counts():
 
 
 def test_boundary_columns_match_reduced_boundary():
-    """StrandHomology.boundary and the boundary_columns built from it keep a
-    face exactly when it is a basis element one degree down; that must be
+    """StrandHomology.boundary and the positional columns built from it keep
+    a face exactly when it is a basis element one degree down; that must be
     reduced_boundary's lcm comparison, term for term and sign for sign, so
     no surviving term ever leaves its strand."""
     nonzero = 0
@@ -501,14 +501,12 @@ def test_boundary_columns_match_reduced_boundary():
                 s = strand(ideal, QQ, tuple(u))
                 for i in range(1, max(s.degrees()) + 2):
                     rows = {m: r for r, m in enumerate(s.basis.get(i - 1, []))}
-                    want, by_mask = [], []
+                    want = []
                     for mask in s.basis.get(i, []):
                         terms = reduced_boundary(ideal, mask)
                         assert s.boundary(mask) == terms
                         assert set(terms) <= set(rows)
                         want.append({rows[m]: sign for m, sign in terms.items()})
-                        by_mask.append(terms)
-                    assert s.boundary_columns(i) == by_mask
                     got = positional_columns(s, i)
                     assert got == want
                     nonzero += sum(map(len, got))
