@@ -302,6 +302,11 @@ def _triple_filler(ideal, field, i, mid, j):
 def ternary_products_vanish(ideal, field):
     """Whether every ternary Massey product vanishes, given that all binary ones do.
 
+    Precondition: every binary product on Koszul homology vanishes (as
+    ``all_products_trivial`` finds), so that every ternary product is
+    defined.  A triple whose product turns out undefined raises
+    ``ValueError``; the other triples are not checked against it.
+
     Classes multiply only across coprime multidegrees (``taylor_dga``): when
     two of the three multidegrees share a variable, both terms of the value
     multiply across them and vanish.  So only the pairwise coprime triples
@@ -327,8 +332,10 @@ def ternary_products_vanish(ideal, field):
                                 ideal, field, alpha, beta, gamma, b2_certified=True
                             )
                             if not res.defined:
-                                raise AssertionError(
-                                    "ternary product undefined although binary products vanish"
+                                raise ValueError(
+                                    "ternary_products_vanish needs every binary product to "
+                                    f"vanish; the product at {ua}, {ub}, {uc} is undefined: "
+                                    f"{res.obstruction}"
                                 )
                             if not res.value_is_zero:
                                 return False, (alpha, beta, gamma, res)

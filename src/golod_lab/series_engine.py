@@ -6,17 +6,28 @@ over the quotient ring is built step by step, splitting every kernel by
 multidegree (each multidegree piece involves at most one standard monomial per
 free generator, which keeps the exact linear algebra tiny).
 
+Only the multidegrees u <= w are resolved, w the lcm of the generators, and
+the rest of the series is read off them (Berglund, "Poincare series of
+monomial rings", J. Algebra 295, 2006).  There P = prod_i (1 + x_i t) / b_R,
+and every monomial of the polynomial b_R is an lcm of generators, so lies in
+the box B = {u <= w}.  The resolution's piece at u reads only monomials
+dividing u, so the box resolution gives P_B, the truncation of P to B,
+exactly.  Truncation to B and truncation mod t^(n+1) are ring maps, P_B is a
+unit and b_R has only box monomials, so b_R = N * P_B^-1 in the box, with
+N = prod over w_v > 0 of (1 + x_v t), and P = (1 + y t)^vars / b_R(y, t) once
+x^u is graded by its total degree y^|u| (``p_series`` spells this out).
+
 Each ``p_series`` call builds one table of the ring's standard monomials, per
-degree and as a set, up to the largest degree any step reaches; every step
-reads it, and nothing is cached between calls.  A step walks its multidegrees
-one internal degree at a time and keeps only the current and the previous
-degree.  At a multidegree u the kernel K(u) of the current map is lifted
-from below: x_v K(u - e_v) lies in K(u) for every variable v, and the kernel
-vectors outside the span of these lifts are the new generators.  K(u) is
-kept as echelon rows.  Multiplying by x_v only drops the generators whose
-monomial leaves the ring, so a row whose lead survives keeps its leading
-structure and enters K(u) unreduced; most multidegrees take all of K(u)
-that way.
+degree and as a set, up to the largest degree any step reaches in the box;
+every step reads it, and nothing is cached between calls.  A step walks its
+box multidegrees one internal degree at a time and keeps only the current and
+the previous degree.  At a multidegree u the kernel K(u) of the current map
+is lifted from below: x_v K(u - e_v) lies in K(u) for every variable v, and
+the kernel vectors outside the span of these lifts are the new generators.
+K(u) is kept as echelon rows.  Multiplying by x_v only drops the generators
+whose monomial leaves the ring, so a row whose lead survives keeps its
+leading structure and enters K(u) unreduced; most multidegrees take all of
+K(u) that way.
 
 Its dimension comes from exactness, not elimination.  Where the current map
 F_{j-1} -> F_{j-2} is onto the previous kernel K_{j-1} at u,
@@ -34,15 +45,23 @@ No a-priori internal-degree bound exists in general, so each step's cap is
 read off the coefficientwise inequality between the two series: internal
 degrees where the bound series vanishes cannot support resolution
 generators.  ``q_series`` is the same bound summed over internal degrees.
+The box alone is finite (a step-j generator has internal degree at least j,
+so the box is resolved by step |w|), but resolving all of it costs far more
+than its steps up to the order asked, and the caps trim those further; so
+the steps stop at the order and keep their caps, and the divided counts are
+still checked against the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from itertools import combinations
+from math import comb
+from operator import add, le, sub
 
 from .exact_linalg import Echelon, column_relations
 from .homology_engine import betti
+from .monomial_core import lcm_of
 
 
 @dataclass(frozen=True)
@@ -241,24 +260,26 @@ def _lift(field, here, dim, belows):
     return lifted
 
 
-def _resolution_step(field, std, gens, phi, cap, prev):
-    """One minimal-resolution step, multidegree by multidegree.
+def _resolution_step(field, std, box, gens, phi, cap, prev):
+    """One minimal-resolution step, multidegree by multidegree, inside the box.
 
     ``std``: the ``_std_table`` of the ring, through the largest cap of any
-    step, and the step walks all of it.  ``gens``: multidegrees of the
-    current free module F's generators.  ``phi``: per generator, the image
-    as a map (previous gen index, exps) -> coeff.  ``prev``: the nonzero
-    dimensions of the previous kernel K' by multidegree (None for K' = m),
-    consumed here.  F is onto K' throughout, so dim K(u) = dim F_u - dim K'(u).
-    Lifts (``_lift``) reach dim K(u) except where new generators appear, and
-    only there does ``_kernel_at`` eliminate.  Past ``cap`` dimensions are
-    only counted.
+    step or the degree of ``box``, whichever is less; the step walks all of
+    it but keeps only the multidegrees u <= ``box``.  ``gens``: multidegrees
+    of the current free module F's generators.  ``phi``: per generator, the
+    image as a map (previous gen index, exps) -> coeff.  ``prev``: the
+    nonzero dimensions of the previous kernel K' by multidegree (None for
+    K' = m), consumed here.  F is onto K' throughout, so
+    dim K(u) = dim F_u - dim K'(u).  Lifts (``_lift``) reach dim K(u) except
+    where new generators appear, and only there does ``_kernel_at``
+    eliminate.  Past ``cap`` dimensions are only counted.
 
-    Returns (new generator multidegrees, new phi, counts per internal degree,
-    the nonzero dimensions of K by multidegree).
+    Returns (new generator multidegrees, new phi, the nonzero dimensions of
+    K by multidegree).
     """
     by_degree, is_std = std
     degrees = [sum(dg) for dg in gens]
+    rooms = [tuple(map(sub, box, dg)) for dg in gens]  # m fits when m <= room
 
     def dim_prev(u):
         return (u in is_std) if prev is None else prev.pop(u, 0)
@@ -267,13 +288,14 @@ def _resolution_step(field, std, gens, phi, cap, prev):
     kernels = {}  # multidegree of the current degree -> the echelon rows of K(u)
     new_gens = []
     new_phi = []
-    counts = {}
     for d in range(min(degrees), len(by_degree)):
         layer = {}  # multidegree -> {generator index: its standard monomial there}
         for gi, dg in enumerate(gens):
             if degrees[gi] <= d:
+                room = rooms[gi]
                 for m in by_degree[d - degrees[gi]]:
-                    layer.setdefault(tuple(map(add, dg, m)), {})[gi] = m
+                    if all(map(le, m, room)):
+                        layer.setdefault(tuple(map(add, dg, m)), {})[gi] = m
         below, kernels = kernels, {}  # lifts come from one degree down only
         for u in sorted(layer):
             here = layer.pop(u)  # popping lowers peak memory
@@ -291,56 +313,111 @@ def _resolution_step(field, std, gens, phi, cap, prev):
                     if lifted.absorb(vec):
                         new_gens.append(u)
                         new_phi.append({(gi, here[gi]): c for gi, c in vec.items()})
-                        counts[d] = counts.get(d, 0) + 1
                         if len(lifted.rows) == dim:
                             break
             kernels[u] = lifted.rows
-    return new_gens, new_phi, counts, dims
+    return new_gens, new_phi, dims
+
+
+def _box_product(a, b, box):
+    """The product of two polynomials in x (multidegree -> coefficient),
+    truncated to the multidegrees u <= ``box``."""
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            s = tuple(map(add, u, v))
+            if all(map(le, s, box)):
+                out[s] = out.get(s, 0) + x * y
+    return out
 
 
 def p_series(ideal, field, n):
     """Coefficients of the resolution-side series to order n, with a cap report.
 
-    Builds the minimal graded free resolution of the residue field over the
-    quotient ring; the coefficient of t^j is the rank of the j-th free module.
+    The coefficient of t^j is the rank of the j-th free module in the minimal
+    graded free resolution of the residue field over R = S/I.  Only the
+    resolution's piece in the box B = {u <= w}, w the lcm of the generators,
+    is built; the rest of P follows by one division (Berglund, "Poincare
+    series of monomial rings", J. Algebra 295, 2006):
+
+    * P = prod_i (1 + x_i t) / b_R(x, t), where every monomial of the
+      polynomial b_R is an lcm of generators, so lies in B.
+    * P_u for u <= w reads only monomials dividing u: the resolution's
+      generators, kernels and lifts at u all sit at multidegrees <= u.  So
+      the box resolution gives P_B, the truncation of P to B, exactly.
+    * Truncation to B (the quotient by x_i^(w_i + 1)) and truncation mod
+      t^(n+1) are both ring maps, so P_B * b_R = N in the truncated ring,
+      with N = prod over w_i > 0 of (1 + x_i t); the other factors are 1
+      there.
+    * P_B has constant term 1, so it is a unit, and b_R has only box
+      monomials, so b_R = N * P_B^-1 there, by the t-graded recursion
+      b_j = N_j - sum_{i=1..j} P_i * b_(j-i).
+
+    Grading x^u by its total degree y^|u| is a ring map too, so
+    P(y, t) = (1 + y t)^vars / b_R(y, t) mod t^(n+1), and its coefficient of
+    y^d t^j counts the step-j generators in internal degree d.  The steps
+    stop at n and keep their Serre caps (see the module docstring), and the
+    divided counts are checked against the series bound.
     """
     if n < 0:
         raise ValueError("truncation order must be non-negative")
-    coeffs = [1]
-    steps = []
     if n == 0:
         return SeriesTrunc((1,), 0), CapReport(())
     qtable = _q_bigraded(ideal, field, n)
     nv = ideal.n_vars
-    # the table reaches the largest cap of any step
-    std = _std_table(ideal, max(max(bound) for bound in qtable.values()))
+    box = lcm_of(ideal.gens, nv).exps
+    # the table reaches the largest cap of any step, or the box's degree
+    std = _std_table(ideal, min(sum(box), max(max(bound) for bound in qtable.values())))
     # first syzygy module of the residue field is the irrelevant ideal
-    gens = []
-    phi = []
-    for v in range(nv):
-        e = tuple(1 if k == v else 0 for k in range(nv))
-        if e in std[1]:  # the set of every standard monomial
-            gens.append(e)
-            phi.append({(0, e): 1})
-    coeffs.append(len(gens))
-    steps.append(StepReport(1, 1, len(gens), ((1, len(gens)),), "ring variables"))
+    support = [v for v in range(nv) if box[v]]
+    gens = [e for v in support if (e := tuple(int(k == v) for k in range(nv))) in std[1]]
+    phi = [{(0, e): 1} for e in gens]
+    levels = [{(0,) * nv: 1}, dict.fromkeys(gens, 1)]  # P_B: t^j -> {u: count}
     dims = None  # K_1 = m: dimension 1 at each nonzero standard monomial
     for j in range(2, n + 1):
         if not gens:
-            coeffs.append(0)
+            break
+        bound = qtable.get(j, {})
+        cap = max(bound) if bound else 0
+        gens, phi, dims = _resolution_step(field, std, box, gens, phi, cap, dims)
+        level = {}
+        for u in gens:
+            level[u] = level.get(u, 0) + 1
+        levels.append(level)
+    levels += [{}] * (n + 1 - len(levels))
+    b = []  # b_R = N * P_B^-1 in the box: t^j -> {u: coefficient}
+    for j in range(n + 1):
+        # N = prod over the box's variables of (1 + x_v t): the j-subsets at t^j
+        bj = {tuple(int(v in pick) for v in range(nv)): 1 for pick in combinations(support, j)}
+        for i in range(1, j + 1):
+            for u, c in _box_product(levels[i], b[j - i], box).items():
+                bj[u] = bj.get(u, 0) - c
+        b.append(bj)
+    den = []  # b_R(y, t): t^j -> {total degree: coefficient}
+    for bj in b:
+        dj = {}
+        for u, c in bj.items():
+            dj[sum(u)] = dj.get(sum(u), 0) + c
+        den.append(dj)
+    by_t = []  # P(y, t) = (1 + y t)^vars / b_R(y, t): t^j -> {internal degree: count}
+    for j in range(n + 1):
+        pj = {j: comb(nv, j)}
+        for i in range(1, j + 1):
+            for d, c in den[i].items():
+                for e, x in by_t[j - i].items():
+                    pj[d + e] = pj.get(d + e, 0) - c * x
+        by_t.append({d: c for d, c in pj.items() if c})
+    steps = [StepReport(1, 1, by_t[1].get(1, 0), ((1, by_t[1].get(1, 0)),), "ring variables")]
+    for j in range(2, n + 1):
+        if not by_t[j - 1]:
             steps.append(StepReport(j, 0, 0, (), "resolution already finished"))
             continue
         bound = qtable.get(j, {})
-        cap = max(bound) if bound else 0
-        new_gens, new_phi, counts, dims = _resolution_step(field, std, gens, phi, cap, dims)
-        for d, c in counts.items():
+        for d, c in by_t[j].items():
             if c > bound.get(d, 0):
                 raise AssertionError(
                     f"step {j} found {c} generators in degree {d}, above the series bound"
                 )
-        coeffs.append(len(new_gens))
-        steps.append(
-            StepReport(j, cap, len(new_gens), tuple(sorted(counts.items())), "series-bound cap")
-        )
-        gens, phi = new_gens, new_phi
-    return SeriesTrunc(tuple(coeffs), n), CapReport(tuple(steps))
+        steps.append(StepReport(j, max(bound) if bound else 0, sum(by_t[j].values()),
+                                tuple(sorted(by_t[j].items())), "series-bound cap"))
+    return SeriesTrunc(tuple(sum(pj.values()) for pj in by_t), n), CapReport(tuple(steps))

@@ -14,7 +14,14 @@ from golod_lab.monomial_core import (
     lcm_of,
     minimalize,
 )
-from golod_lab.series_engine import SeriesTrunc, _std_table
+from golod_lab import series_engine
+from golod_lab.series_engine import (
+    CapReport,
+    SeriesTrunc,
+    StepReport,
+    _q_bigraded,
+    _std_table,
+)
 from golod_lab.simplicial import reduced_cochain_complex
 from golod_lab.taylor_dga import (
     fiber_vertex_labels,
@@ -373,6 +380,50 @@ def is_coboundary(cx, field, cochain, dim=None):
     cc = reduced_cochain_complex(cx)
     vec = cochain_vector(field, cc, dim, cochain)
     return span(field, cc.delta(dim - 1)).contains(dict(enumerate(vec)))
+
+
+def reference_p_series(ideal, field, n):
+    """The resolution-side series with no box: every step walks all of its
+    multidegrees up to the largest cap of any step, and the generators it
+    finds are counted directly, as ``p_series`` did before it read P off the
+    lcm box.  ``p_series`` must match its coefficients and cap report."""
+    if n < 0:
+        raise ValueError("truncation order must be non-negative")
+    if n == 0:
+        return SeriesTrunc((1,), 0), CapReport(())
+    qtable = _q_bigraded(ideal, field, n)
+    nv = ideal.n_vars
+    top = max(max(bound) for bound in qtable.values())
+    std = _std_table(ideal, top)
+    everywhere = (top,) * nv  # a box around every multidegree the table reaches
+    gens = [e for v in range(nv) if (e := tuple(int(k == v) for k in range(nv))) in std[1]]
+    phi = [{(0, e): 1} for e in gens]
+    coeffs = [1, len(gens)]
+    steps = [StepReport(1, 1, len(gens), ((1, len(gens)),), "ring variables")]
+    dims = None
+    for j in range(2, n + 1):
+        if not gens:
+            coeffs.append(0)
+            steps.append(StepReport(j, 0, 0, (), "resolution already finished"))
+            continue
+        bound = qtable.get(j, {})
+        cap = max(bound) if bound else 0
+        gens, phi, dims = series_engine._resolution_step(
+            field, std, everywhere, gens, phi, cap, dims
+        )
+        counts = {}
+        for u in gens:
+            counts[sum(u)] = counts.get(sum(u), 0) + 1
+        for d, c in counts.items():
+            if c > bound.get(d, 0):
+                raise AssertionError(
+                    f"step {j} found {c} generators in degree {d}, above the series bound"
+                )
+        coeffs.append(len(gens))
+        steps.append(
+            StepReport(j, cap, len(gens), tuple(sorted(counts.items())), "series-bound cap")
+        )
+    return SeriesTrunc(tuple(coeffs), n), CapReport(tuple(steps))
 
 
 class BarComplex:

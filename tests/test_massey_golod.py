@@ -26,6 +26,11 @@ from golod_lab.taylor_dga import generators_below, lcm_lattice, mask_of, support
 
 CI = MonomialIdeal.from_strings(("x", "y"), ["x^2", "y^2"])
 M2 = MonomialIdeal.from_strings(("x", "y"), ["x^2", "x*y", "y^2"])
+# the boundary of a 7-simplex plus an isolated vertex (reg 7, pd 8)
+_V9 = tuple(f"x{i}" for i in range(1, 10))
+SPHERE_AND_POINT = MonomialIdeal.from_strings(
+    _V9, ["*".join(_V9[:8])] + [f"x9*x{i}" for i in range(1, 9)]
+)
 
 
 def generator_class(ideal, field, idx):
@@ -324,13 +329,9 @@ def test_massey_arity_bound_takes_the_least(example_ideal):
     assert _massey_arity_bound(variable, QQ) == (
         1, "projective dimension 1 caps Massey arity at 1"
     )
-    # the boundary of a 7-simplex plus an isolated vertex (reg 7, pd 8):
-    # the squarefree vertex count alone
-    v = tuple(f"x{i}" for i in range(1, 10))
-    sphere_and_point = MonomialIdeal.from_strings(
-        v, ["*".join(v[:8])] + [f"x9*x{i}" for i in range(1, 9)]
-    )
-    assert _massey_arity_bound(sphere_and_point, QQ) == (
+    # the boundary of a 7-simplex plus an isolated vertex: the squarefree
+    # vertex count alone
+    assert _massey_arity_bound(SPHERE_AND_POINT, QQ) == (
         4, "squarefree on 9 variables without variable generators caps Massey arity at 4"
     )
     # paper: regularity 5 and projective dimension 4 both give 3; regularity names it
@@ -417,6 +418,25 @@ def test_golod_decide_controls():
     ci = golod_decide(CI, QQ)
     assert ci.status == "NotGolod" and ci.route == "binary-product"
     assert golod_decide(M2, QQ).status == "Golod"
+
+
+def test_golod_decide_sphere_and_point_is_undecided():
+    # products are trivial and the arity bound is 4, so the verdict rests on
+    # the series to order 5; they agree, and the resolution of the lcm box
+    # gives P in about a second
+    verdict = golod_decide(SPHERE_AND_POINT, QQ)
+    assert (verdict.status, verdict.route) == ("Undecided", "series-agree")
+    p, q, idx = verdict.series_evidence
+    assert p.coeffs == q.coeffs == (1, 9, 45, 194, 848, 3751) and idx is None
+
+
+def test_ternary_products_vanish_names_its_precondition():
+    # corpus ideal 30 has the variable generator v2, whose class multiplies
+    # nontrivially, so some ternary product is undefined
+    ideal = ideal_corpus(100, seed=20260811)[30]
+    assert not all_products_trivial(ideal, QQ)[0]
+    with pytest.raises(ValueError, match="needs every binary product to vanish"):
+        ternary_products_vanish(ideal, QQ)
 
 
 def test_golod_field_consistency(example_ideal):

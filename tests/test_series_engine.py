@@ -2,15 +2,16 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import comb
+from operator import add, le
 
 import pytest
 
-from conftest import BarComplex, expand_rational, ideal_corpus
+from conftest import BarComplex, expand_rational, ideal_corpus, reference_p_series
 from golod_lab import series_engine
 from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, column_relations
 from golod_lab.homology_engine import betti
 from golod_lab.massey_golod import golod_decide
-from golod_lab.monomial_core import Monomial, MonomialIdeal
+from golod_lab.monomial_core import Monomial, MonomialIdeal, lcm_of
 from golod_lab.series_engine import (
     SeriesTrunc,
     p_series,
@@ -108,6 +109,18 @@ def test_p_series_counterexample(example_ideal):
 def test_p_series_field_choice():
     p2, _ = p_series(M2, GF2, 4)
     assert p2.coeffs == (1, 2, 4, 8, 16)
+
+
+def test_p_series_matches_the_unboxed_resolution(example_ideal):
+    # the box resolution and the division give the unboxed resolution's
+    # coefficients and cap report, on the whole corpus and past order 5
+    for ideal in ideal_corpus(100, seed=20260811):
+        got, want = p_series(ideal, QQ, 4), reference_p_series(ideal, QQ, 4)
+        assert got == want and got[1].describe() == want[1].describe(), ideal
+    for field in (QQ, GF2):
+        got, want = p_series(example_ideal, field, 6), reference_p_series(example_ideal, field, 6)
+        assert got == want and got[1].describe() == want[1].describe(), field
+        assert got[0].coeffs == (1, 5, 18, 64, 227, 805, 2855)
 
 
 def test_cap_report_contents(example_ideal):
@@ -210,10 +223,11 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _reference_step(ideal, field, gens, phi, cap):
+def _reference_step(ideal, field, box, gens, phi, cap):
     """The resolution step with no shortcut: standard monomials by enumeration
     and a divisibility test, kernels from column_relations, and every lift
-    x_v K(u - e_v) absorbed before the kernel vectors at u are tried."""
+    x_v K(u - e_v) absorbed before the kernel vectors at u are tried, at every
+    multidegree u <= box up to the cap."""
 
     @cache
     def is_std(exps):
@@ -227,8 +241,10 @@ def _reference_step(ideal, field, gens, phi, cap):
     for gi, dg in enumerate(gens):
         for d in range(cap - sum(dg) + 1):
             for m in std_monomials(d):
-                by_u.setdefault(tuple(a + b for a, b in zip(dg, m)), []).append(gi)
-    kernels, new_gens, new_phi, counts = {}, [], [], {}
+                u = tuple(a + b for a, b in zip(dg, m))
+                if all(a <= b for a, b in zip(u, box)):
+                    by_u.setdefault(u, []).append(gi)
+    kernels, new_gens, new_phi = {}, [], []
     for u in sorted(by_u, key=lambda t: (sum(t), t)):
         basis = by_u[u]
         columns, row_keys = [], {}
@@ -254,14 +270,13 @@ def _reference_step(ideal, field, gens, phi, cap):
                 new_gens.append(u)
                 new_phi.append({(gi, tuple(a - b for a, b in zip(u, gens[gi]))): c
                                 for gi, c in vec.items()})
-                counts[sum(u)] = counts.get(sum(u), 0) + 1
     dims = {u: len(kern) for u, kern in kernels.items() if kern}
-    return new_gens, new_phi, counts, dims
+    return new_gens, new_phi, dims
 
 
 def test_resolution_step_matches_reference(monkeypatch, example_ideal):
-    # every step's new generators, their images and counts equal the
-    # reference step's on the same inputs, and so do the series and cap report
+    # every step's new generators and their images equal the reference
+    # step's on the same inputs and box, and so do the series and cap report
     rng = random.Random(20261018)
     corpus = [
         i for i in ideal_corpus(100, seed=20260811)
@@ -278,17 +293,25 @@ def test_resolution_step_matches_reference(monkeypatch, example_ideal):
     for ideal, field, n in cases:
         steps = []
 
-        def checked(f, std, gens, phi, cap, prev):
-            out = step(f, std, gens, phi, cap, prev)
-            ref = _reference_step(ideal, f, gens, phi, cap)
-            assert out[:3] == ref[:3], (ideal, field, n, len(steps) + 2)
+        def checked(f, std, box, gens, phi, cap, prev):
+            out = step(f, std, box, gens, phi, cap, prev)
+            ref = _reference_step(ideal, f, box, gens, phi, cap)
+            assert out[:2] == ref[:2], (ideal, field, n, len(steps) + 2)
             steps.append(ref)
             return out
 
         with monkeypatch.context() as m:
             m.setattr(series_engine, "_resolution_step", checked)
             got = p_series(ideal, field, n)
-        assert len(steps) == sum(s.generators > 0 for s in got[1].steps[:-1]), (ideal, field, n)
+        # step j runs, up to n, exactly when step j - 1 found generators in the
+        # box; step 1's are the variables of the box that are not generators
+        box = lcm_of(ideal.gens, ideal.n_vars).exps
+        nv = ideal.n_vars
+        found = [any(box[v] and Monomial(tuple(int(k == v) for k in range(nv))) not in ideal.gens
+                     for v in range(nv))]
+        found += [bool(s[0]) for s in steps]
+        assert all(found[:len(steps)]), (ideal, field, n)
+        assert len(steps) == n - 1 or not found[len(steps)], (ideal, field, n)
         # the reference's steps, in order, are the reference resolution
         replay = iter(steps)
         with monkeypatch.context() as m:
@@ -298,15 +321,19 @@ def test_resolution_step_matches_reference(monkeypatch, example_ideal):
 
 
 def test_p_series_eliminates_only_where_generators_appear(monkeypatch, example_ideal):
-    # The resolution to order 5 visits 6,574 multidegrees; at all but these
-    # the kernel dimension comes from exactness and the lifts span the kernel.
-    # Most take K(u) from rows whose lead survives x_v, with no reduction;
-    # absorbing every lift in turn until the rank is reached needs 60,036.
+    # A multidegree is visited when a step walks it below its cap; at all but
+    # the eliminated ones the kernel dimension comes from exactness and the
+    # lifts span the kernel.  Most take K(u) from rows whose lead survives
+    # x_v, with no reduction; absorbing every lift in turn until the rank is
+    # reached needs 60,036 reductions without the box.  The box (1, 2, 1, 2, 3)
+    # holds 144 multidegrees, so each step visits at most that many.
     betti(example_ideal, GF2)  # only the resolution's reductions are counted
     eliminated = []
     reductions = []
+    visited = []
     kernel_at = series_engine._kernel_at
     reduce = Echelon.reduce
+    step = series_engine._resolution_step
 
     def counting(field, u, *rest):
         eliminated.append(u)
@@ -316,33 +343,46 @@ def test_p_series_eliminates_only_where_generators_appear(monkeypatch, example_i
         reductions.append(1)
         return reduce(self, vec)
 
+    def visiting(field, std, box, gens, phi, cap, prev):
+        # every u = g + m below the cap and in the box, m a standard monomial
+        visited.append(len({
+            u for g in gens for ms in std[0] for m in ms
+            if sum(u := tuple(map(add, g, m))) <= cap and all(map(le, u, box))
+        }))
+        return step(field, std, box, gens, phi, cap, prev)
+
     monkeypatch.setattr(series_engine, "_kernel_at", counting)
     monkeypatch.setattr(Echelon, "reduce", counting_reduce)
-    p, _ = p_series(example_ideal, GF2, 5)
-    assert p.coeffs == (1, 5, 18, 64, 227, 805)
-    assert len(eliminated) == 491
-    assert len(reductions) == 12065
+    monkeypatch.setattr(series_engine, "_resolution_step", visiting)
+    counted = {}
+    for name, series in (("box", p_series), ("unboxed", reference_p_series)):
+        eliminated.clear(), reductions.clear(), visited.clear()
+        p, _ = series(example_ideal, GF2, 5)
+        assert p.coeffs == (1, 5, 18, 64, 227, 805)
+        counted[name] = (len(eliminated), len(reductions), sum(visited))
+    assert counted == {"box": (128, 2119, 388), "unboxed": (491, 12065, 6574)}
 
 
 def test_resolution_step_checks_known_dimensions(monkeypatch):
     calls = []
     step = series_engine._resolution_step
 
-    def recording(field, std, gens, phi, cap, prev):
-        calls.append((field, std, gens, phi, cap, None if prev is None else dict(prev)))
-        return step(field, std, gens, phi, cap, prev)
+    def recording(field, std, box, gens, phi, cap, prev):
+        calls.append((field, std, box, gens, phi, cap, None if prev is None else dict(prev)))
+        return step(field, std, box, gens, phi, cap, prev)
 
     monkeypatch.setattr(series_engine, "_resolution_step", recording)
     assert p_series(M2, QQ, 3)[0].coeffs == (1, 2, 4, 8)
-    field, std, gens, phi, cap, prev = calls[1]  # step 3, after K_2's dimensions
-    assert step(field, std, gens, phi, cap, dict(prev))[0].count((1, 2)) == 3
+    field, std, box, gens, phi, cap, prev = calls[1]  # step 3, after K_2's dimensions
+    assert box == (2, 2)
+    assert step(field, std, box, gens, phi, cap, dict(prev))[0].count((1, 2)) == 3
     # three new generators at (1, 2): raising dim K_2 there by 1 claims one
     # kernel dimension too few, which still leaves the lifts short, so the
     # kernel is eliminated there and contradicts it
     wrong = dict(prev)
     wrong[(1, 2)] = wrong.get((1, 2), 0) + 1
     with pytest.raises(AssertionError, match=r"kernel at \(1, 2\)"):
-        step(field, std, gens, phi, cap, wrong)
+        step(field, std, box, gens, phi, cap, wrong)
 
 
 def test_p_series_does_not_hash_the_ideal(monkeypatch, example_ideal):
