@@ -298,7 +298,7 @@ def cmd_series(args):
         "p": [_scalar(c) for c in p.coeffs],
         "q": [_scalar(c) for c in q.coeffs],
         "first_divergence": None if div is None else div[0],
-        "cap_report": report.describe(),
+        "resolution_report": report.describe(),
     }
     lines = [
         f"P (resolution side): {p}",

@@ -419,7 +419,7 @@ def golod_decide(ideal, field, series_trunc=None):
         )
     n = 5 if series_trunc is None else series_trunc
     q = q_series(ideal, field, n)
-    p, cap_report = p_series(ideal, field, n)
+    p, _ = p_series(ideal, field, n)
     div = series_compare(p, q)
     if div is not None:
         idx, cmp = div

@@ -1,6 +1,6 @@
 """Truncated Poincare-Betti series: the Koszul-side bound and the resolution side.
 
-The bound series comes straight from the Betti numbers.  The resolution side
+The bound series comes straight from the Betti totals.  The resolution side
 is computed honestly: a minimal graded free resolution of the residue field
 over the quotient ring is built step by step, splitting every kernel by
 multidegree (each multidegree piece involves at most one standard monomial per
@@ -18,9 +18,9 @@ N = prod over w_v > 0 of (1 + x_v t), and P = (1 + y t)^vars / b_R(y, t) once
 x^u is graded by its total degree y^|u| (``p_series`` spells this out).
 
 Each ``p_series`` call builds one table of the ring's standard monomials, per
-degree and as a set, up to the largest degree any step reaches in the box;
-every step reads it, and nothing is cached between calls.  A step walks its
-box multidegrees one internal degree at a time and keeps only the current and
+degree and as a set, up to |w|, the largest degree in the box; every step
+reads it, and nothing is cached between calls.  A step walks its box
+multidegrees one internal degree at a time and keeps only the current and
 the previous degree.  At a multidegree u the kernel K(u) of the current map
 is lifted from below: x_v K(u - e_v) lies in K(u) for every variable v, and
 the kernel vectors outside the span of these lifts are the new generators.
@@ -32,24 +32,14 @@ K(u) that way.
 Its dimension comes from exactness, not elimination.  Where the current map
 F_{j-1} -> F_{j-2} is onto the previous kernel K_{j-1} at u,
 dim K_j(u) = dim (F_{j-1})_u - dim K_{j-1}(u), and K_1 = m has dimension 1 at
-each nonzero standard monomial.  The map is onto everywhere the table
-reaches: the series bound leaves no generator above a step's cap (the same
-fact the cap itself rests on), so each step also counts its kernel's
-dimensions above its cap for the next one.  Where the dimension is 0 nothing
-is built; elsewhere the unreduced rows, then the other lifts, are taken
-until they reach it, and only where they fall short, that is where new
+each nonzero standard monomial.  The map is onto in the box by construction:
+every step walks every multidegree of the box and takes new generators
+wherever the lifts fall short of its kernel.  Where the dimension is 0
+nothing is built; elsewhere the unreduced rows, then the other lifts, are
+taken until they reach it, and only where they fall short, that is where new
 generators appear, is the kernel eliminated, with its dimension checked
-against exactness.
-
-No a-priori internal-degree bound exists in general, so each step's cap is
-read off the coefficientwise inequality between the two series: internal
-degrees where the bound series vanishes cannot support resolution
-generators.  ``q_series`` is the same bound summed over internal degrees.
-The box alone is finite (a step-j generator has internal degree at least j,
-so the box is resolved by step |w|), but resolving all of it costs far more
-than its steps up to the order asked, and the caps trim those further; so
-the steps stop at the order and keep their caps, and the divided counts are
-still checked against the bound.
+against exactness.  The box is finite, so no internal-degree bound is needed;
+the steps stop at the order asked.
 """
 
 from __future__ import annotations
@@ -97,11 +87,16 @@ def series_compare(p, q):
 
 def q_series(ideal, field, n):
     """Series bound from Koszul homology: (1+t)^vars over 1 - sum b_i t^(i+1),
-    as the column sums of ``_q_bigraded``."""
+    b_i the Betti totals of the ring for i >= 1."""
     if n < 0:
         raise ValueError("truncation order must be non-negative")
-    table = _q_bigraded(ideal, field, n)
-    return SeriesTrunc(tuple(sum(table.get(j, {}).values()) for j in range(n + 1)), n)
+    totals = betti(ideal, field).totals
+    q = []
+    for j in range(n + 1):
+        q.append(comb(ideal.n_vars, j) + sum(
+            totals[i] * q[j - i - 1] for i in range(1, min(len(totals), j))
+        ))
+    return SeriesTrunc(tuple(q), n)
 
 
 # ---------------------------------------------------------------------------
@@ -140,64 +135,20 @@ def _std_table(ideal, top):
 @dataclass(frozen=True)
 class StepReport:
     step: int
-    cap: int
     generators: int
     degrees: tuple  # (internal degree, count) pairs
-    note: str
 
 
 @dataclass(frozen=True)
-class CapReport:
+class ResolutionReport:
     steps: tuple
 
     def describe(self):
-        lines = ["cap policy: serre (passed)"]
+        lines = ["minimal resolution of the residue field:"]
         for s in self.steps:
             degs = ", ".join(f"{d}:{c}" for d, c in s.degrees) or "-"
-            lines.append(
-                f"  step {s.step}: cap {s.cap}, {s.generators} generators (by degree {degs}); {s.note}"
-            )
+            lines.append(f"  step {s.step}: {s.generators} generators (by degree {degs})")
         return "\n".join(lines)
-
-
-def _q_bigraded(ideal, field, n):
-    """Coefficients of the bound series refined by internal degree: j -> {d: coeff}."""
-    coarse = betti(ideal, field).coarse
-    den_terms = {(i + 1, j): dim for (i, j), dim in coarse.items() if i >= 1}
-    inv = {(0, 0): 1}
-    layer = {(0, 0): 1}
-    while True:
-        nxt = {}
-        for (tj, yd), c in layer.items():
-            for (ti, yi), b in den_terms.items():
-                t2 = tj + ti
-                if t2 > n:
-                    continue
-                key = (t2, yd + yi)
-                nxt[key] = nxt.get(key, 0) + c * b
-        if not nxt:
-            break
-        for k, c in nxt.items():
-            inv[k] = inv.get(k, 0) + c
-        layer = nxt
-    nv = ideal.n_vars
-    out = {}
-    binom = 1
-    num = []
-    for k in range(nv + 1):
-        num.append(binom)
-        binom = binom * (nv - k) // (k + 1)
-    for (tj, yd), c in inv.items():
-        for k in range(nv + 1):
-            if tj + k > n:
-                continue
-            key = (tj + k, yd + k)
-            out[key] = out.get(key, 0) + c * num[k]
-    table = {}
-    for (tj, yd), c in out.items():
-        if c:
-            table.setdefault(tj, {})[yd] = c
-    return table
 
 
 def _kernel_at(field, u, here, phi, is_std, dim):
@@ -260,19 +211,18 @@ def _lift(field, here, dim, belows):
     return lifted
 
 
-def _resolution_step(field, std, box, gens, phi, cap, prev):
+def _resolution_step(field, std, box, gens, phi, prev):
     """One minimal-resolution step, multidegree by multidegree, inside the box.
 
-    ``std``: the ``_std_table`` of the ring, through the largest cap of any
-    step or the degree of ``box``, whichever is less; the step walks all of
-    it but keeps only the multidegrees u <= ``box``.  ``gens``: multidegrees
-    of the current free module F's generators.  ``phi``: per generator, the
-    image as a map (previous gen index, exps) -> coeff.  ``prev``: the
-    nonzero dimensions of the previous kernel K' by multidegree (None for
-    K' = m), consumed here.  F is onto K' throughout, so
-    dim K(u) = dim F_u - dim K'(u).  Lifts (``_lift``) reach dim K(u) except
-    where new generators appear, and only there does ``_kernel_at``
-    eliminate.  Past ``cap`` dimensions are only counted.
+    ``std``: the ``_std_table`` of the ring through the degree of ``box``;
+    the step walks all of it but keeps only the multidegrees u <= ``box``.
+    ``gens``: multidegrees of the current free module F's generators.
+    ``phi``: per generator, the image as a map (previous gen index, exps) ->
+    coeff.  ``prev``: the nonzero dimensions of the previous kernel K' by
+    multidegree (None for K' = m), consumed here.  F is onto K' throughout
+    the box, so dim K(u) = dim F_u - dim K'(u).  Lifts (``_lift``) reach
+    dim K(u) except where new generators appear, and only there does
+    ``_kernel_at`` eliminate.
 
     Returns (new generator multidegrees, new phi, the nonzero dimensions of
     K by multidegree).
@@ -303,8 +253,6 @@ def _resolution_step(field, std, box, gens, phi, cap, prev):
             if not dim:
                 continue
             dims[u] = dim
-            if d > cap:
-                continue  # counted, not visited
             lifted = _lift(field, here, dim, [
                 b for v in range(len(u)) if (b := below.get(u[:v] + (u[v] - 1,) + u[v + 1:]))
             ])
@@ -332,7 +280,8 @@ def _box_product(a, b, box):
 
 
 def p_series(ideal, field, n):
-    """Coefficients of the resolution-side series to order n, with a cap report.
+    """Coefficients of the resolution-side series to order n, with a report of
+    each step's generators by internal degree.
 
     The coefficient of t^j is the rank of the j-th free module in the minimal
     graded free resolution of the residue field over R = S/I.  Only the
@@ -356,18 +305,17 @@ def p_series(ideal, field, n):
     Grading x^u by its total degree y^|u| is a ring map too, so
     P(y, t) = (1 + y t)^vars / b_R(y, t) mod t^(n+1), and its coefficient of
     y^d t^j counts the step-j generators in internal degree d.  The steps
-    stop at n and keep their Serre caps (see the module docstring), and the
-    divided counts are checked against the series bound.
+    stop at n; each is onto its predecessor's kernel in the box by
+    construction (see the module docstring), so no internal-degree cap and
+    no Koszul homology enter.
     """
     if n < 0:
         raise ValueError("truncation order must be non-negative")
     if n == 0:
-        return SeriesTrunc((1,), 0), CapReport(())
-    qtable = _q_bigraded(ideal, field, n)
+        return SeriesTrunc((1,), 0), ResolutionReport(())
     nv = ideal.n_vars
     box = lcm_of(ideal.gens, nv).exps
-    # the table reaches the largest cap of any step, or the box's degree
-    std = _std_table(ideal, min(sum(box), max(max(bound) for bound in qtable.values())))
+    std = _std_table(ideal, sum(box))
     # first syzygy module of the residue field is the irrelevant ideal
     support = [v for v in range(nv) if box[v]]
     gens = [e for v in support if (e := tuple(int(k == v) for k in range(nv))) in std[1]]
@@ -377,9 +325,7 @@ def p_series(ideal, field, n):
     for j in range(2, n + 1):
         if not gens:
             break
-        bound = qtable.get(j, {})
-        cap = max(bound) if bound else 0
-        gens, phi, dims = _resolution_step(field, std, box, gens, phi, cap, dims)
+        gens, phi, dims = _resolution_step(field, std, box, gens, phi, dims)
         level = {}
         for u in gens:
             level[u] = level.get(u, 0) + 1
@@ -407,17 +353,8 @@ def p_series(ideal, field, n):
                 for e, x in by_t[j - i].items():
                     pj[d + e] = pj.get(d + e, 0) - c * x
         by_t.append({d: c for d, c in pj.items() if c})
-    steps = [StepReport(1, 1, by_t[1].get(1, 0), ((1, by_t[1].get(1, 0)),), "ring variables")]
-    for j in range(2, n + 1):
-        if not by_t[j - 1]:
-            steps.append(StepReport(j, 0, 0, (), "resolution already finished"))
-            continue
-        bound = qtable.get(j, {})
-        for d, c in by_t[j].items():
-            if c > bound.get(d, 0):
-                raise AssertionError(
-                    f"step {j} found {c} generators in degree {d}, above the series bound"
-                )
-        steps.append(StepReport(j, max(bound) if bound else 0, sum(by_t[j].values()),
-                                tuple(sorted(by_t[j].items())), "series-bound cap"))
-    return SeriesTrunc(tuple(sum(pj.values()) for pj in by_t), n), CapReport(tuple(steps))
+    steps = tuple(
+        StepReport(j, sum(by_t[j].values()), tuple(sorted(by_t[j].items())))
+        for j in range(1, n + 1)
+    )
+    return SeriesTrunc(tuple(sum(pj.values()) for pj in by_t), n), ResolutionReport(steps)

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 from operator import add
 
 import pytest
 
 from golod_lab.exact_linalg import QQ, span
-from golod_lab.homology_engine import HomologyClass, strand
+from golod_lab.homology_engine import HomologyClass, betti, strand
 from golod_lab.massey_golod import chain_product
 from golod_lab.monomial_core import (
     Monomial,
@@ -16,10 +17,9 @@ from golod_lab.monomial_core import (
 )
 from golod_lab import series_engine
 from golod_lab.series_engine import (
-    CapReport,
+    ResolutionReport,
     SeriesTrunc,
     StepReport,
-    _q_bigraded,
     _std_table,
 )
 from golod_lab.simplicial import reduced_cochain_complex
@@ -382,16 +382,55 @@ def is_coboundary(cx, field, cochain, dim=None):
     return span(field, cc.delta(dim - 1)).contains(dict(enumerate(vec)))
 
 
+def q_bigraded(ideal, field, n):
+    """Coefficients of the series bound refined by internal degree:
+    j -> {d: coeff}, the expansion of (1 + y t)^vars over
+    1 - sum_(i >= 1, d) b_(i,d) y^d t^(i+1).  Its column sums are
+    ``q_series``, and the resolution's step-j generators in internal degree
+    d never outnumber its (j, d) coefficient."""
+    coarse = betti(ideal, field).coarse
+    den_terms = {(i + 1, j): dim for (i, j), dim in coarse.items() if i >= 1}
+    inv = {(0, 0): 1}
+    layer = {(0, 0): 1}
+    while True:
+        nxt = {}
+        for (tj, yd), c in layer.items():
+            for (ti, yi), b in den_terms.items():
+                t2 = tj + ti
+                if t2 > n:
+                    continue
+                key = (t2, yd + yi)
+                nxt[key] = nxt.get(key, 0) + c * b
+        if not nxt:
+            break
+        for k, c in nxt.items():
+            inv[k] = inv.get(k, 0) + c
+        layer = nxt
+    nv = ideal.n_vars
+    out = {}
+    for (tj, yd), c in inv.items():
+        for k in range(min(nv, n - tj) + 1):
+            key = (tj + k, yd + k)
+            out[key] = out.get(key, 0) + c * comb(nv, k)
+    table = {}
+    for (tj, yd), c in out.items():
+        if c:
+            table.setdefault(tj, {})[yd] = c
+    return table
+
+
 def reference_p_series(ideal, field, n):
     """The resolution-side series with no box: every step walks all of its
-    multidegrees up to the largest cap of any step, and the generators it
-    finds are counted directly, as ``p_series`` did before it read P off the
-    lcm box.  ``p_series`` must match its coefficients and cap report."""
+    multidegrees up to the largest internal degree where the bigraded bound
+    (``q_bigraded``) is nonzero, and the generators it finds are counted
+    directly, as ``p_series`` did before it read P off the lcm box, and
+    checked against that bound.  ``p_series`` must match its coefficients
+    and report."""
     if n < 0:
         raise ValueError("truncation order must be non-negative")
     if n == 0:
-        return SeriesTrunc((1,), 0), CapReport(())
-    qtable = _q_bigraded(ideal, field, n)
+        return SeriesTrunc((1,), 0), ResolutionReport(())
+    qtable = q_bigraded(ideal, field, n)
     nv = ideal.n_vars
     top = max(max(bound) for bound in qtable.values())
     std = _std_table(ideal, top)
@@ -399,31 +438,26 @@ def reference_p_series(ideal, field, n):
     gens = [e for v in range(nv) if (e := tuple(int(k == v) for k in range(nv))) in std[1]]
     phi = [{(0, e): 1} for e in gens]
     coeffs = [1, len(gens)]
-    steps = [StepReport(1, 1, len(gens), ((1, len(gens)),), "ring variables")]
+    steps = [StepReport(1, len(gens), ((1, len(gens)),) if gens else ())]
     dims = None
     for j in range(2, n + 1):
         if not gens:
             coeffs.append(0)
-            steps.append(StepReport(j, 0, 0, (), "resolution already finished"))
+            steps.append(StepReport(j, 0, ()))
             continue
-        bound = qtable.get(j, {})
-        cap = max(bound) if bound else 0
-        gens, phi, dims = series_engine._resolution_step(
-            field, std, everywhere, gens, phi, cap, dims
-        )
+        gens, phi, dims = series_engine._resolution_step(field, std, everywhere, gens, phi, dims)
         counts = {}
         for u in gens:
             counts[sum(u)] = counts.get(sum(u), 0) + 1
+        bound = qtable.get(j, {})
         for d, c in counts.items():
             if c > bound.get(d, 0):
                 raise AssertionError(
                     f"step {j} found {c} generators in degree {d}, above the series bound"
                 )
         coeffs.append(len(gens))
-        steps.append(
-            StepReport(j, cap, len(gens), tuple(sorted(counts.items())), "series-bound cap")
-        )
-    return SeriesTrunc(tuple(coeffs), n), CapReport(tuple(steps))
+        steps.append(StepReport(j, len(gens), tuple(sorted(counts.items()))))
+    return SeriesTrunc(tuple(coeffs), n), ResolutionReport(tuple(steps))
 
 
 class BarComplex:

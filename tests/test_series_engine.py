@@ -6,12 +6,13 @@ from operator import add, le
 
 import pytest
 
-from conftest import BarComplex, expand_rational, ideal_corpus, reference_p_series
-from golod_lab import series_engine
+from conftest import BarComplex, expand_rational, ideal_corpus, q_bigraded, reference_p_series
+from golod_lab import homology_engine, series_engine
 from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, column_relations
 from golod_lab.homology_engine import betti
 from golod_lab.massey_golod import golod_decide
-from golod_lab.monomial_core import Monomial, MonomialIdeal, lcm_of
+from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal, lcm_of, polarize
+from golod_lab.simplicial import complex_of, skeleton, stanley_reisner_ideal
 from golod_lab.series_engine import (
     SeriesTrunc,
     p_series,
@@ -56,8 +57,9 @@ def test_q_series_counterexample(example_ideal):
 
 
 def test_q_series_matches_rational_expansion(example_ideal):
-    # q_series sums the bigraded bound the resolution's caps are read from;
-    # it must equal the rational function (1+t)^vars / (1 - sum_i b_i t^(i+1))
+    # q_series must equal the rational function
+    # (1+t)^vars / (1 - sum_i b_i t^(i+1)), and so must the column sums of
+    # the bigraded bound the resolution's steps are checked against
     cases = [(example_ideal, field) for field in (QQ, GF2, GF3)]
     cases += [
         (ideal, (QQ, GF2, GF3)[k % 3])
@@ -69,7 +71,10 @@ def test_q_series_matches_rational_expansion(example_ideal):
         num = [comb(ideal.n_vars, k) for k in range(ideal.n_vars + 1)]
         den = [1, 0] + [-bd.total(i) for i in range(1, bd.projective_dimension + 1)]
         for n in range(7):
-            assert q_series(ideal, field, n) == expand_rational(num, den, n), (ideal, field, n)
+            want = expand_rational(num, den, n)
+            assert q_series(ideal, field, n) == want, (ideal, field, n)
+            table = q_bigraded(ideal, field, n)
+            assert tuple(sum(table.get(j, {}).values()) for j in range(n + 1)) == want.coeffs
             checked += 1
     assert checked == 721
 
@@ -113,7 +118,7 @@ def test_p_series_field_choice():
 
 def test_p_series_matches_the_unboxed_resolution(example_ideal):
     # the box resolution and the division give the unboxed resolution's
-    # coefficients and cap report, on the whole corpus and past order 5
+    # coefficients and report, on the whole corpus and past order 5
     for ideal in ideal_corpus(100, seed=20260811):
         got, want = p_series(ideal, QQ, 4), reference_p_series(ideal, QQ, 4)
         assert got == want and got[1].describe() == want[1].describe(), ideal
@@ -123,11 +128,25 @@ def test_p_series_matches_the_unboxed_resolution(example_ideal):
         assert got[0].coeffs == (1, 5, 18, 64, 227, 805, 2855)
 
 
-def test_cap_report_contents(example_ideal):
+def test_resolution_report_contents(example_ideal):
     _, report = p_series(example_ideal, QQ, 2)
-    assert report.describe().splitlines()[0] == "cap policy: serre (passed)"
-    assert [s.step for s in report.steps] == [1, 2]
-    assert "cap" in report.describe()
+    assert [(s.step, s.generators, s.degrees) for s in report.steps] == [
+        (1, 5, ((1, 5),)),
+        (2, 18, ((2, 10), (3, 4), (4, 3), (5, 1))),
+    ]
+    assert report.describe().splitlines() == [
+        "minimal resolution of the residue field:",
+        "  step 1: 5 generators (by degree 1:5)",
+        "  step 2: 18 generators (by degree 2:10, 3:4, 4:3, 5:1)",
+    ]
+    assert "cap" not in report.describe()
+    # k[x, y]/(x) = k[y] is regular: its resolution ends after step 1
+    _, report = p_series(MonomialIdeal.from_strings(("x", "y"), ["x"]), QQ, 3)
+    assert report.describe().splitlines()[1:] == [
+        "  step 1: 1 generators (by degree 1:1)",
+        "  step 2: 0 generators (by degree -)",
+        "  step 3: 0 generators (by degree -)",
+    ]
 
 
 def test_bar_differential_squares_to_zero():
@@ -176,13 +195,38 @@ def test_bar_counterexample_tor_two(example_ideal):
     assert total == 18
 
 
-def test_serre_inequality_on_corpus():
-    # resolution side never exceeds the bound side, coefficient by coefficient
-    corpus = ideal_corpus(100, seed=20260811)
-    for ideal in corpus[::7]:
-        q = q_series(ideal, QQ, 4)
-        p, _ = p_series(ideal, QQ, 4)
-        assert all(a <= b for a, b in zip(p.coeffs, q.coeffs))
+def test_serre_inequality_on_corpus(example_ideal):
+    # the resolution never has more step-j generators in internal degree d
+    # than the bigraded bound's (j, d) coefficient, so never more than Q at t^j
+    checked = 0
+    for ideal in ideal_corpus(100, seed=20260811) + [example_ideal]:
+        for field in (QQ, GF2):
+            table = q_bigraded(ideal, field, 5)
+            p, report = p_series(ideal, field, 5)
+            for s in report.steps:
+                bound = table.get(s.step, {})
+                for d, c in s.degrees:
+                    assert c <= bound.get(d, 0), (ideal, field, s)
+                    checked += 1
+            assert all(a <= b for a, b in zip(p.coeffs, q_series(ideal, field, 5).coeffs))
+    assert checked > 1000
+
+
+def test_p_series_reads_no_koszul_homology(monkeypatch):
+    # the box resolution needs no Betti numbers, so it answers where the
+    # strand cap stops them: the 4-skeleton ideal has 20 generators below
+    # its top multidegree
+    def no_strand(*args):
+        raise AssertionError("p_series asked for a strand")
+
+    monkeypatch.setattr(homology_engine, "strand", no_strand)
+    p, _ = p_series(counterexample_ideal(), GF2, 5)
+    assert p.coeffs == (1, 5, 18, 64, 227, 805)
+    pol, _ = polarize(counterexample_ideal())
+    gamma = stanley_reisner_ideal(skeleton(complex_of(pol), 4))
+    assert gamma.n_gens == 20
+    p, _ = p_series(gamma, QQ, 5)
+    assert p.coeffs == (1, 9, 56, 314, 1740, 9614)
 
 
 def test_golod_verdict_implies_series_equality():
@@ -223,11 +267,11 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _reference_step(ideal, field, box, gens, phi, cap):
+def _reference_step(ideal, field, box, gens, phi):
     """The resolution step with no shortcut: standard monomials by enumeration
     and a divisibility test, kernels from column_relations, and every lift
     x_v K(u - e_v) absorbed before the kernel vectors at u are tried, at every
-    multidegree u <= box up to the cap."""
+    multidegree u <= box."""
 
     @cache
     def is_std(exps):
@@ -239,7 +283,7 @@ def _reference_step(ideal, field, box, gens, phi, cap):
 
     by_u = {}
     for gi, dg in enumerate(gens):
-        for d in range(cap - sum(dg) + 1):
+        for d in range(sum(box) - sum(dg) + 1):
             for m in std_monomials(d):
                 u = tuple(a + b for a, b in zip(dg, m))
                 if all(a <= b for a, b in zip(u, box)):
@@ -276,7 +320,7 @@ def _reference_step(ideal, field, box, gens, phi, cap):
 
 def test_resolution_step_matches_reference(monkeypatch, example_ideal):
     # every step's new generators and their images equal the reference
-    # step's on the same inputs and box, and so do the series and cap report
+    # step's on the same inputs and box, and so do the series and report
     rng = random.Random(20261018)
     corpus = [
         i for i in ideal_corpus(100, seed=20260811)
@@ -293,9 +337,9 @@ def test_resolution_step_matches_reference(monkeypatch, example_ideal):
     for ideal, field, n in cases:
         steps = []
 
-        def checked(f, std, box, gens, phi, cap, prev):
-            out = step(f, std, box, gens, phi, cap, prev)
-            ref = _reference_step(ideal, f, box, gens, phi, cap)
+        def checked(f, std, box, gens, phi, prev):
+            out = step(f, std, box, gens, phi, prev)
+            ref = _reference_step(ideal, f, box, gens, phi)
             assert out[:2] == ref[:2], (ideal, field, n, len(steps) + 2)
             steps.append(ref)
             return out
@@ -321,7 +365,7 @@ def test_resolution_step_matches_reference(monkeypatch, example_ideal):
 
 
 def test_p_series_eliminates_only_where_generators_appear(monkeypatch, example_ideal):
-    # A multidegree is visited when a step walks it below its cap; at all but
+    # A multidegree is visited when a step walks it; at all but
     # the eliminated ones the kernel dimension comes from exactness and the
     # lifts span the kernel.  Most take K(u) from rows whose lead survives
     # x_v, with no reduction; absorbing every lift in turn until the rank is
@@ -343,13 +387,14 @@ def test_p_series_eliminates_only_where_generators_appear(monkeypatch, example_i
         reductions.append(1)
         return reduce(self, vec)
 
-    def visiting(field, std, box, gens, phi, cap, prev):
-        # every u = g + m below the cap and in the box, m a standard monomial
+    def visiting(field, std, box, gens, phi, prev):
+        # every u = g + m in the box and within the table's degrees, m a
+        # standard monomial
         visited.append(len({
             u for g in gens for ms in std[0] for m in ms
-            if sum(u := tuple(map(add, g, m))) <= cap and all(map(le, u, box))
+            if all(map(le, u := tuple(map(add, g, m)), box)) and sum(u) < len(std[0])
         }))
-        return step(field, std, box, gens, phi, cap, prev)
+        return step(field, std, box, gens, phi, prev)
 
     monkeypatch.setattr(series_engine, "_kernel_at", counting)
     monkeypatch.setattr(Echelon, "reduce", counting_reduce)
@@ -360,29 +405,29 @@ def test_p_series_eliminates_only_where_generators_appear(monkeypatch, example_i
         p, _ = series(example_ideal, GF2, 5)
         assert p.coeffs == (1, 5, 18, 64, 227, 805)
         counted[name] = (len(eliminated), len(reductions), sum(visited))
-    assert counted == {"box": (128, 2119, 388), "unboxed": (491, 12065, 6574)}
+    assert counted == {"box": (128, 2124, 413), "unboxed": (491, 12070, 11507)}
 
 
 def test_resolution_step_checks_known_dimensions(monkeypatch):
     calls = []
     step = series_engine._resolution_step
 
-    def recording(field, std, box, gens, phi, cap, prev):
-        calls.append((field, std, box, gens, phi, cap, None if prev is None else dict(prev)))
-        return step(field, std, box, gens, phi, cap, prev)
+    def recording(field, std, box, gens, phi, prev):
+        calls.append((field, std, box, gens, phi, None if prev is None else dict(prev)))
+        return step(field, std, box, gens, phi, prev)
 
     monkeypatch.setattr(series_engine, "_resolution_step", recording)
     assert p_series(M2, QQ, 3)[0].coeffs == (1, 2, 4, 8)
-    field, std, box, gens, phi, cap, prev = calls[1]  # step 3, after K_2's dimensions
+    field, std, box, gens, phi, prev = calls[1]  # step 3, after K_2's dimensions
     assert box == (2, 2)
-    assert step(field, std, box, gens, phi, cap, dict(prev))[0].count((1, 2)) == 3
+    assert step(field, std, box, gens, phi, dict(prev))[0].count((1, 2)) == 3
     # three new generators at (1, 2): raising dim K_2 there by 1 claims one
     # kernel dimension too few, which still leaves the lifts short, so the
     # kernel is eliminated there and contradicts it
     wrong = dict(prev)
     wrong[(1, 2)] = wrong.get((1, 2), 0) + 1
     with pytest.raises(AssertionError, match=r"kernel at \(1, 2\)"):
-        step(field, std, box, gens, phi, cap, wrong)
+        step(field, std, box, gens, phi, wrong)
 
 
 def test_p_series_does_not_hash_the_ideal(monkeypatch, example_ideal):
