@@ -5,12 +5,13 @@ module, so there is deliberately no floating point anywhere.
 
 All elimination runs through one kernel, ``Echelon``, on sparse vectors:
 dicts ``key -> nonzero scalar``.  ``span`` builds the echelon of a list of
-columns; its number of rows is their rank and ``contains`` decides
-membership.  ``column_relations`` reduces columns in order and returns the
-pivot columns and the relation of every other column, a kernel basis.
-Callers that need coordinates tag each vector with a unit entry at its own
-key above every row key; the tags of a residual hold the combination that
-was subtracted.  Callers that need only rank or membership add no tags.
+columns; its number of rows is their rank, and a vector lies in it exactly
+when it reduces to zero.  ``column_relations`` reduces columns given by key
+and returns their echelon and the relation of every dependent column, a
+kernel basis keyed by the caller's own column keys.  Callers that need
+coordinates tag each vector with a unit entry at its own key above every
+row key; the tags of a residual hold the combination that was subtracted.
+Callers that need only rank or membership add no tags.
 
 Scalars have one format, the one ``Field.of`` produces: over the rationals
 an ``int`` when integral and a reduced ``fractions.Fraction`` otherwise, over
@@ -188,11 +189,6 @@ class Echelon:
                 residual = {k: of(x * inv) for k, x in residual.items()}
         self.rows[lead] = residual
 
-    def contains(self, vec):
-        """Whether vec, with any scalars ``field.of`` takes (zeros too), lies in the span."""
-        of = self.field.of
-        return not self.reduce({k: y for k, x in vec.items() if (y := of(x))})
-
     def absorb(self, vec):
         """Add vec to the span; True when it was independent of the rows so far."""
         v = self.reduce(vec)
@@ -204,22 +200,22 @@ class Echelon:
 def column_relations(field, columns, nrows):
     """Tagged reduction of sparse columns whose row keys all lie below nrows.
 
-    Column j gets the tag key ``nrows + j``.  Returns the echelon of the
-    columns, the pivot columns (those independent of the columns before
-    them, i.e. the RREF pivots) and, for every other column j, its relation:
-    the kernel vector keyed by column index with 1 at j and minus the
-    coefficients of the earlier pivot columns that sum to column j.
+    ``columns`` maps a key k >= 0 to its column, which gets the tag key
+    ``nrows + k``; the columns are reduced in dict order.  Returns the echelon
+    of the columns and, for every column dependent on the columns before it
+    (the others are the RREF pivots), its relation: the kernel vector keyed
+    by column key with 1 at its own key and minus the coefficients of the
+    earlier pivot columns that sum to it.
     """
     ech = Echelon(field)
-    pivots, relations = [], {}
-    for j, col in enumerate(columns):
-        v = ech.reduce({**col, nrows + j: 1})
+    relations = {}
+    for k, col in columns.items():
+        v = ech.reduce({**col, nrows + k: 1})
         if min(v) < nrows:
             ech.insert(v)
-            pivots.append(j)
         else:
-            relations[j] = {k - nrows: x for k, x in v.items()}
-    return ech, pivots, relations
+            relations[k] = {t - nrows: x for t, x in v.items()}
+    return ech, relations
 
 
 def span(field, columns):

@@ -1,15 +1,16 @@
 """Strand homology with explicit representatives, and Betti data derived from it.
 
 Each differential d_j is read on one column set, its apex cone: the degree-j
-masks that contain g0, the first generator below u, enumerated once per
-degree.  The image of d_{i+1} has one untagged echelon of the cone's
-boundaries; it answers boundary membership and, with the image of d_i, the
-dimension dim C_i - rank d_i - rank d_{i+1}.  Each d_j is eliminated at most
-once more, on the same columns tagged, for its kernel and the pivot
-solutions of d_j x = z.  The representatives are the kernel vectors of d_i
-that greedily extend a shallow copy of the image echelon, and that extended
-echelon gives a cycle's coordinates.  Echelons are keyed by mask, with tags
-at ``top`` and above, so chains (mask -> scalar) go in and come out as is.
+masks that contain g0, the first generator below u, enumerated for each
+echelon built from them and not kept.  The image of d_{i+1} has one untagged
+echelon of the cone's boundaries; it answers boundary membership and, with
+the image of d_i, the dimension dim C_i - rank d_i - rank d_{i+1}.  Each d_j
+is eliminated at most once more, on the same columns tagged, for its kernel
+and the pivot solutions of d_j x = z.  The representatives are the kernel
+vectors of d_i that greedily extend a shallow copy of the image echelon, and
+that extended echelon gives a cycle's coordinates.  Echelons are keyed by
+mask and the cone mask m is tagged ``top + m``, above every mask, so chains
+(mask -> scalar) go in and come out as is.
 
 The cone loses nothing.  A mask J with lcm u that misses g0 is a face of
 K = J + {g0}, also of lcm u, and d(K) = +-J + sum +-(K - m); each K - m
@@ -108,7 +109,6 @@ class StrandHomology:
             exps = ideal.gens[gi].exps
             self.attain[1 << gi] = mask_of(k for k, e in enumerate(self.u) if e and exps[k] == e)
         self.top = 1 << ideal.n_gens
-        self._cones = {}  # degree j -> sorted degree-j masks that contain the apex g0
         self._images = {}  # degree i -> span of the apex cone's boundaries, image of d_{i+1}
         self._eliminations = {}  # j -> (tagged echelon of d_j, kernel vectors of d_j)
         self._homologies = {}  # degree i -> (image echelon extended by representatives, reps)
@@ -159,11 +159,9 @@ class StrandHomology:
 
     def _cone(self, j):
         """Sorted degree-j masks that contain the apex g0, the first generator
-        below u: the columns of d_j that both ``_image(j - 1)`` and
-        ``_elimination(j)`` read, enumerated once per degree."""
-        if j not in self._cones:
-            self._cones[j] = self.cells(j, apex=self.gens_below[0])
-        return self._cones[j]
+        below u: the columns of d_j that ``_image(j - 1)`` and
+        ``_elimination(j)`` read, enumerated by each when it is built."""
+        return self.cells(j, apex=self.gens_below[0])
 
     def _image(self, i):
         """Echelon of the image of d_{i+1}, spanned from the boundaries of the
@@ -176,14 +174,12 @@ class StrandHomology:
 
     def _elimination(self, j):
         """(tagged echelon, kernel vectors) of d_j on the apex cone, from its
-        one tagged elimination: the k-th cone mask carries the tag ``top + k``,
-        and each kernel vector is a chain (mask -> scalar)."""
+        one tagged elimination: the cone mask m carries the tag ``top + m``,
+        so each kernel vector comes back as a chain (mask -> scalar)."""
         if j not in self._eliminations:
-            cone = self._cone(j)
-            ech, _, relations = column_relations(
-                self.field, [self.boundary(m) for m in cone], self.top)
-            kernel = [{cone[k]: x for k, x in kv.items()} for kv in relations.values()]
-            self._eliminations[j] = ech, kernel
+            ech, relations = column_relations(
+                self.field, {m: self.boundary(m) for m in self._cone(j)}, self.top)
+            self._eliminations[j] = ech, list(relations.values())
         return self._eliminations[j]
 
     def _homology(self, i):
@@ -253,16 +249,19 @@ class StrandHomology:
         return tuple(self.field.of(-w.get(self.top + k, 0)) for k in range(len(reps)))
 
     def bounding_chain(self, i, chain):
-        """A degree-(i+1) chain whose boundary is the degree-i chain, or None.
+        """A degree-(i+1) chain whose boundary is the degree-i cycle, or None
+        when the cycle does not bound; a chain that is not a cycle raises.
 
         The pivot solution: it is supported on the cone masks whose columns
         of d_{i+1} are independent of the columns before them.
         """
-        w = self._elimination(i + 1)[0].reduce(self._vector(i, chain)[0])
+        vec, cycle = self._vector(i, chain)
+        if not cycle:
+            raise ValueError("chain is not a cycle")
+        w = self._elimination(i + 1)[0].reduce(vec)
         if w and min(w) < self.top:
             return None
-        cone = self._cone(i + 1)
-        return {cone[k - self.top]: self.field.of(-c) for k, c in sorted(w.items())}
+        return {k - self.top: self.field.of(-c) for k, c in sorted(w.items())}
 
     def boundary(self, mask):
         """The differential of the field-reduced Taylor complex on a mask with

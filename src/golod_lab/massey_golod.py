@@ -217,12 +217,12 @@ def ternary_massey(ideal, field, alpha, beta, gamma, b2_certified=False):
     p2 = chain_product(ideal, field, _bar_chain(field, rb, ib), rc, ub, uc)
     u_ab = _vector_sum(ua, ub)
     u_bc = _vector_sum(ub, uc)
-    if p1 and not strand(ideal, field, u_ab).is_boundary(ia + ib, p1):
+    s = strand(ideal, field, u_ab).bounding_chain(ia + ib, p1) if p1 else {}
+    if s is None:
         return _undefined("the product of the first two classes is nonzero")
-    if p2 and not strand(ideal, field, u_bc).is_boundary(ib + ic, p2):
+    t = strand(ideal, field, u_bc).bounding_chain(ib + ic, p2) if p2 else {}
+    if t is None:
         return _undefined("the product of the last two classes is nonzero")
-    s = _solve_boundary(ideal, field, p1, u_ab, ia + ib)
-    t = _solve_boundary(ideal, field, p2, u_bc, ib + ic)
     deg_s = ia + ib + 1
     value_chain = _add_chains(
         field,
@@ -233,20 +233,6 @@ def ternary_massey(ideal, field, alpha, beta, gamma, b2_certified=False):
     return _finish_massey(
         ideal, field, value_chain, u, ia + ib + ic + 1, s, t, b2_certified
     )
-
-
-def _solve_boundary(ideal, field, target_chain, u, target_degree):
-    """A chain of degree target_degree + 1 whose differential is the target.
-
-    The target is known to be a boundary; free variables of the linear system
-    are set to zero, so the result is deterministic.
-    """
-    if not target_chain:
-        return {}
-    sol = strand(ideal, field, u).bounding_chain(target_degree, target_chain)
-    if sol is None:
-        raise AssertionError("boundary solve failed for a chain known to bound")
-    return sol
 
 
 def ternary_massey_generators(ideal, field, a, b, c, b2_certified=False):

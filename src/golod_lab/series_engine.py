@@ -160,22 +160,20 @@ def _kernel_at(field, u, here, phi, is_std, dim):
     exactness; an elimination that does not confirm it is an
     ``AssertionError``.
     """
-    columns = []
+    columns = {}
     row_keys = {}
     for gi, m in here.items():
-        col = {}
+        col = columns[gi] = {}
         for (pj, me), c in phi[gi].items():
             # m * me is u - prev_degrees[pj]; dead when it leaves the ring
             if tuple(map(add, m, me)) in is_std:
                 col[row_keys.setdefault(pj, len(row_keys))] = c
-        columns.append(col)
-    _, _, relations = column_relations(field, columns, len(row_keys))
+    _, relations = column_relations(field, columns, len(row_keys))
     if len(relations) != dim:
         raise AssertionError(
             f"kernel at {u} has dimension {len(relations)}, exactness gives {dim}"
         )
-    gens = list(here)
-    return [{gens[k]: x for k, x in rel.items()} for rel in relations.values()]
+    return list(relations.values())
 
 
 def _lift(field, here, dim, belows):

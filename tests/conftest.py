@@ -100,6 +100,13 @@ def expand_rational(numerator, denominator, n):
     return SeriesTrunc(tuple(coeffs), n)
 
 
+def in_span(ech, vec):
+    """Whether vec, with any scalars ``field.of`` takes (zeros too), lies in
+    the span of the echelon ``ech``."""
+    of = ech.field.of
+    return not ech.reduce({k: y for k, x in vec.items() if (y := of(x))})
+
+
 def apply_columns(field, columns, vec, nrows):
     """Dense image of vec under the map whose sparse columns are given."""
     out = [0] * nrows
@@ -379,7 +386,7 @@ def is_coboundary(cx, field, cochain, dim=None):
         dim = sizes.pop() - 1
     cc = reduced_cochain_complex(cx)
     vec = cochain_vector(field, cc, dim, cochain)
-    return span(field, cc.delta(dim - 1)).contains(dict(enumerate(vec)))
+    return in_span(span(field, cc.delta(dim - 1)), dict(enumerate(vec)))
 
 
 def q_bigraded(ideal, field, n):

@@ -10,6 +10,7 @@ from conftest import (
     basis_chain,
     columns_of,
     ideal_corpus,
+    in_span,
     positional_columns,
     ref_extend,
     ref_kernel,
@@ -86,15 +87,18 @@ def _rank(field, rows, ncols):
 
 
 def _relations(field, rows, ncols):
-    """(pivots, kernel basis as dense tuples) from column_relations."""
-    _, pivots, relations = column_relations(field, columns_of(field, rows, ncols), len(rows))
+    """(pivots, kernel basis as dense tuples) from column_relations; the
+    pivots are the column keys without a relation."""
+    columns = dict(enumerate(columns_of(field, rows, ncols)))
+    _, relations = column_relations(field, columns, len(rows))
+    pivots = [k for k in columns if k not in relations]
     return pivots, [tuple(rel.get(k, 0) for k in range(ncols)) for rel in relations.values()]
 
 
 def _pivot_solution(field, rows, ncols, rhs):
     """The solution read off the column tags of column_relations' echelon, or None."""
     n = len(rows)
-    ech, _, _ = column_relations(field, columns_of(field, rows, ncols), n)
+    ech, _ = column_relations(field, dict(enumerate(columns_of(field, rows, ncols))), n)
     w = ech.reduce({k: y for k, x in enumerate(rhs) if (y := field.of(x))})
     if w and min(w) < n:
         return None
@@ -144,12 +148,12 @@ def test_kernel_f2_all_ones_vs_enumeration():
 
 
 def test_solve_identity_and_zero():
-    assert span(QQ, columns_of(QQ, _identity(3), 3)).contains({0: 1, 1: 2, 2: 3})
+    assert in_span(span(QQ, columns_of(QQ, _identity(3), 3)), {0: 1, 1: 2, 2: 3})
     assert _pivot_solution(QQ, _identity(3), 3, (1, 2, 3)) == (1, 2, 3)
     zero = [[0, 0], [0, 0]]
-    assert not span(QQ, columns_of(QQ, zero, 2)).contains({0: 1})
+    assert not in_span(span(QQ, columns_of(QQ, zero, 2)), {0: 1})
     assert _pivot_solution(QQ, zero, 2, (1, 0)) is None
-    assert span(QQ, columns_of(QQ, zero, 2)).contains({})
+    assert in_span(span(QQ, columns_of(QQ, zero, 2)), {})
     assert _pivot_solution(QQ, zero, 2, (0, 0)) == (Fraction(0), Fraction(0))
 
 
@@ -161,7 +165,7 @@ def test_quotient_coordinates_boundary_is_zero():
     cycles = [(1, 0), (0, 1)]
     boundaries = [(1, 1)]
     assert ref_quotient(QQ, cycles, boundaries, (2, 2)) == (0,)
-    assert span(QQ, [dict(enumerate(b)) for b in boundaries]).contains({0: 2, 1: 2})
+    assert in_span(span(QQ, [dict(enumerate(b)) for b in boundaries]), {0: 2, 1: 2})
 
 
 def test_quotient_coordinates_no_boundaries():
@@ -174,11 +178,11 @@ def test_quotient_coordinates_one_dimensional():
     cycles = [{0: 1}, {1: 1}]
     boundaries = [{0: 1, 1: 1}]
     assert len(span(QQ, cycles + boundaries).rows) - len(span(QQ, boundaries).rows) == 1
-    assert not span(QQ, boundaries).contains({0: 1})
+    assert not in_span(span(QQ, boundaries), {0: 1})
 
 
 def test_quotient_coordinates_outside_span():
-    assert not span(QQ, [{0: 1}]).contains({1: 1})
+    assert not in_span(span(QQ, [{0: 1}]), {1: 1})
 
 
 def _random_rows(rng, rows, cols, lo=-4, hi=4):
@@ -207,7 +211,7 @@ def test_solve_agrees_with_rank_test_random():
             rhs = tuple(field.of(rng.randint(-3, 3)) for _ in range(rows))
             aug = [list(r) + [b] for r, b in zip(m, rhs)]
             x = _pivot_solution(field, m, cols, rhs)
-            inside = span(field, columns_of(field, m, cols)).contains(dict(enumerate(rhs)))
+            inside = in_span(span(field, columns_of(field, m, cols)), dict(enumerate(rhs)))
             if _rank(field, aug, cols + 1) == _rank(field, m, cols):
                 assert inside
                 assert x is not None
@@ -266,7 +270,7 @@ def test_sparse_in_span_matches_dense():
                 if v:
                     rhs[r] = field.of(v)
             want = ref_solve(field, rows_of(cols, nrows), ncols, [rhs.get(r, 0) for r in range(nrows)])
-            assert span(field, cols).contains(rhs) == (want is not None)
+            assert in_span(span(field, cols), rhs) == (want is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +310,7 @@ def test_kernel_matches_dense_reference_random():
             other = tuple(field.of(rng.randint(-2, 2)) for _ in range(rows))
             for b in (rhs, other):
                 want = ref_solve(field, m, cols, b)
-                assert ech.contains(dict(enumerate(b))) == (want is not None)
+                assert in_span(ech, dict(enumerate(b))) == (want is not None)
                 assert _pivot_solution(field, m, cols, b) == want
             dense = [tuple(c.get(i, 0) for i in range(rows)) for c in columns]
             split = rng.randint(0, cols)
@@ -319,9 +323,42 @@ def test_kernel_matches_dense_reference_random():
             in_base = span(field, columns[:split])
             for v in (rhs, other):
                 want = ref_quotient(field, candidates, base, v)
-                assert ech.contains(dict(enumerate(v))) == (want is not None)
-                assert in_base.contains(dict(enumerate(v))) == (
+                assert in_span(ech, dict(enumerate(v))) == (want is not None)
+                assert in_span(in_base, dict(enumerate(v))) == (
                     want is not None and not any(want))
+
+
+def test_column_relations_answers_in_the_callers_keys():
+    """Columns under the non-contiguous keys 3, 5, 6, 9 are reduced in dict
+    order and tagged ``nrows + key``: the relations, the pivots (the keys
+    without a relation) and the pivot solutions read off the tags are the
+    dense reference's, with position p renamed to keys[p]."""
+    rng = random.Random(24)
+    keys = (3, 5, 6, 9)
+    for field in (QQ, GF2):
+        solved = 0
+        for _ in range(40):
+            rows = rng.randint(0, 5)
+            m = _random_low_rank(rng, rows, len(keys))
+            columns = dict(zip(keys, columns_of(field, m, len(keys))))
+            ech, relations = column_relations(field, columns, rows)
+            _, ref_pivots, _ = ref_rref(field, m, len(keys))
+            assert [k for k in keys if k not in relations] == [keys[p] for p in ref_pivots]
+            assert [tuple(rel.get(k, 0) for k in keys) for rel in relations.values()] == (
+                ref_kernel(field, m, len(keys)))
+            assert all(rel.keys() <= set(keys) for rel in relations.values())
+            inside = apply_columns(field, list(columns.values()),
+                                   [rng.randint(-2, 2) for _ in keys], rows)
+            other = tuple(field.of(rng.randint(-2, 2)) for _ in range(rows))
+            for b in (inside, other):
+                w = ech.reduce({r: x for r, x in enumerate(b) if x})
+                want = ref_solve(field, m, len(keys), b)
+                if w and min(w) < rows:
+                    assert want is None
+                else:
+                    assert tuple(field.of(-w.get(rows + k, 0)) for k in keys) == want
+                    solved += 1
+        assert solved
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +372,7 @@ def _relation_scalars(field, ints):
     as raw ints, other entries as field elements."""
     raw = [{i: row[j] if row[j] in (1, -1) else field.of(row[j])
             for i, row in enumerate(ints) if field.of(row[j])} for j in range(len(ints[0]))]
-    _, _, relations = column_relations(field, raw, len(ints))
+    _, relations = column_relations(field, dict(enumerate(raw)), len(ints))
     return [x for rel in relations.values() for x in rel.values()]
 
 

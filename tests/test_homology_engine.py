@@ -451,6 +451,55 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
     assert keys and all(k[0] == "strand" and len(k) == 3 for k in keys)
 
 
+def _boundary_of(sh, chain):
+    """The boundary of a chain (mask -> scalar) of the strand, without zeros."""
+    out = {}
+    for m, x in chain.items():
+        for face, sign in sh.boundary(m).items():
+            out[face] = sh.field.of(out.get(face, 0) + sign * x)
+    return {m: x for m, x in out.items() if x}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_bounding_chain_answers_as_is_boundary(field):
+    """A cycle bounds exactly when ``bounding_chain`` finds a chain, and that
+    chain's boundary is the cycle: on every class representative and up to
+    six boundaries per (strand, degree) of the paper's ideal and 10 corpus
+    ideals, and on the 4-skeleton's degree-4 Massey value at (1, ..., 1),
+    past the cap.  A chain that is not a cycle raises in both."""
+    rng = random.Random(24)
+    answers = Counter()
+
+    def ask(sh, i, z):
+        chain = sh.bounding_chain(i, z)
+        assert sh.is_boundary(i, z) == (chain is not None)
+        if chain is not None:
+            assert _boundary_of(sh, chain) == {m: x for m, c in z.items() if (x := field.of(c))}
+        answers[chain is not None] += 1
+
+    for ideal in [counterexample_ideal()] + ideal_corpus(10):
+        for u in lcm_lattice(ideal):
+            sh = strand(ideal, field, u)
+            for i in sh.degrees():
+                for c in sh.classes(i):
+                    ask(sh, i, c.chain())
+                above = sh.basis.get(i + 1, [])
+                for _ in range(6 if above else 0):
+                    if z := _boundary_of(sh, {m: rng.randint(-2, 2) for m in above}):
+                        ask(sh, i, z)
+    gamma, (a, b, c) = _skeleton_ideal()
+    res = ternary_massey_generators(gamma, field, a, b, c, b2_certified=True)
+    top = (1,) * gamma.n_vars
+    sh = strand(gamma, field, top)
+    assert (res.multidegree, res.hom_degree, sh.whole) == (top, 4, False)
+    ask(sh, 4, dict(res.value_chain))
+    assert answers[True] and answers[False]
+    mask = next(m for m in sh.cells(4) if reduced_boundary(gamma, m))
+    for question in (sh.is_boundary, sh.bounding_chain):
+        with pytest.raises(ValueError, match="not a cycle"):
+            question(4, {mask: 1})
+
+
 def test_lattice_test_runs_once_per_field_and_multidegree(monkeypatch):
     """The strand accessor is the one place the package tests a strand's
     lattice membership: once per (field, u), counted as the generators below
@@ -529,8 +578,9 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
     it asks once for its kernel and its boundary solves, on the apex cone:
     18 eliminations over 18 columns, since the ternary check builds classes
     only in the triples it runs.  The class tables of every strand take 82
-    eliminations over 180 columns (255 on all cells).  Each (strand, degree)
-    cone is enumerated once, for its elimination and the image together."""
+    eliminations over 180 columns (255 on all cells).  No cone is kept: each
+    (strand, degree) cone is enumerated once per echelon built from it, once
+    for the image it spans and once for the elimination it tags."""
     columns, differentials, cones = [], Counter(), Counter()
     real_relations = homology_engine.column_relations
     real_elimination = StrandHomology._elimination
@@ -549,16 +599,26 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
             cones[self.u, i] += 1
         return real_cells(self, i, apex)
 
+    def enumerations(ideal):
+        """How many cones were enumerated once and twice, each count checked
+        against the echelons its strand built from the cone."""
+        for (u, i), n in cones.items():
+            sh = strand(ideal, QQ, u)
+            assert n == (i - 1 in sh._images) + (i in sh._eliminations), (u, i)
+        return sorted(Counter(cones.values()).items())
+
     monkeypatch.setattr(homology_engine, "column_relations", relations)
     monkeypatch.setattr(StrandHomology, "_elimination", elimination)
     monkeypatch.setattr(StrandHomology, "cells", cells)
-    assert betti(counterexample_ideal(), QQ).totals == (1, 8, 14, 8, 1)
-    assert columns == [] and cones and set(cones.values()) == {1}
+    paper = counterexample_ideal()
+    assert betti(paper, QQ).totals == (1, 8, 14, 8, 1)
+    assert columns == [] and enumerations(paper) == [(1, 125)]
     cones.clear()
-    assert golod_decide(counterexample_ideal(), QQ).route == "massey-arity-3"
+    paper = counterexample_ideal()
+    assert golod_decide(paper, QQ).route == "massey-arity-3"
     assert (len(columns), sum(columns)) == (18, 18)
     assert len(differentials) == 18 and set(differentials.values()) == {1}
-    assert set(cones.values()) == {1}
+    assert enumerations(paper) == [(1, 107), (2, 18)]
     for counts in (columns, differentials, cones):
         counts.clear()
     paper = counterexample_ideal()
@@ -568,4 +628,4 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
             sh.classes(i)
     assert (len(columns), sum(columns)) == (82, 180)
     assert len(differentials) == 82 and set(differentials.values()) == {1}
-    assert set(cones.values()) == {1}
+    assert enumerations(paper) == [(1, 86), (2, 39)]

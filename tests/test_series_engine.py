@@ -298,7 +298,7 @@ def _reference_step(ideal, field, box, gens, phi):
                 if is_std(tuple(a + b - g for a, b, g in zip(u, me, gens[gi]))):
                     col[row_keys.setdefault(pj, len(row_keys))] = c
             columns.append(col)
-        _, _, relations = column_relations(field, columns, len(row_keys))
+        _, relations = column_relations(field, dict(enumerate(columns)), len(row_keys))
         kern = [{basis[k]: c for k, c in rel.items()} for rel in relations.values()]
         lifted = Echelon(field)
         for v in range(ideal.n_vars):
