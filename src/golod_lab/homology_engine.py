@@ -8,9 +8,16 @@ the image of d_i, the dimension dim C_i - rank d_i - rank d_{i+1}.  Each d_j
 is eliminated at most once more, on the same columns tagged, for its kernel
 and the pivot solutions of d_j x = z.  The representatives are the kernel
 vectors of d_i that greedily extend a shallow copy of the image echelon, and
-that extended echelon gives a cycle's coordinates.  Echelons are keyed by
-mask and the cone mask m is tagged ``top + m``, above every mask, so chains
-(mask -> scalar) go in and come out as is.
+that extended echelon gives a cycle's coordinates.  The cone mask m is
+tagged ``top + m``, so kernel vectors and solutions come out as chains.
+
+Each cone column K leads at its private face: K - g0 is its only face
+without g0, so no other cone column holds it (the Morse matching K <-> K - g0,
+Batzies & Welker 2002).  Row keys put a mask m without g0 at ``m - top``,
+below every cone mask, so a column whose K - g0 has lcm u enters each
+echelon unreduced and only the others are eliminated.  Key order changes no
+output: pivots, relations, representatives, coordinates and solutions
+depend on the span and the column order alone.
 
 The cone loses nothing.  A mask J with lcm u that misses g0 is a face of
 K = J + {g0}, also of lcm u, and d(K) = +-J + sum +-(K - m); each K - m
@@ -95,8 +102,8 @@ class StrandHomology:
     are mask lists sorted ascending, built on first use and only for a whole
     strand; homology, coordinates, boundary solves and ``is_boundary`` read
     only the apex cones and need none.  Boundary entries are +-1, so the
-    complex is the same over every field.  Echelons are keyed by mask; their
-    tags start at ``top``, above every mask.
+    complex is the same over every field.  Echelon rows are keyed by mask, a
+    mask without the apex g0 shifted below zero; tags start at ``top``.
     """
 
     def __init__(self, ideal, u, field):
@@ -109,6 +116,7 @@ class StrandHomology:
             exps = ideal.gens[gi].exps
             self.attain[1 << gi] = mask_of(k for k, e in enumerate(self.u) if e and exps[k] == e)
         self.top = 1 << ideal.n_gens
+        self.apex = 1 << self.gens_below[0] if self.gens_below else 0
         self._images = {}  # degree i -> span of the apex cone's boundaries, image of d_{i+1}
         self._eliminations = {}  # j -> (tagged echelon of d_j, kernel vectors of d_j)
         self._homologies = {}  # degree i -> (image echelon extended by representatives, reps)
@@ -163,13 +171,20 @@ class StrandHomology:
         ``_elimination(j)`` read, enumerated by each when it is built."""
         return self.cells(j, apex=self.gens_below[0])
 
+    def _column(self, m):
+        """``boundary(m)`` of a cone mask, its private face m - g0 keyed below 0."""
+        col = self.boundary(m)
+        if (x := col.pop(m ^ self.apex, None)) is not None:
+            col[(m ^ self.apex) - self.top] = x
+        return col
+
     def _image(self, i):
         """Echelon of the image of d_{i+1}, spanned from the boundaries of the
         apex cone ``_cone(i + 1)``, which span it (module docstring), untagged
         since its callers need only rank and membership; built once per degree.
         ``_image(0)`` is empty, since d_1 = 0."""
         if i not in self._images:
-            self._images[i] = span(self.field, [self.boundary(m) for m in self._cone(i + 1)])
+            self._images[i] = span(self.field, [self._column(m) for m in self._cone(i + 1)])
         return self._images[i]
 
     def _elimination(self, j):
@@ -178,7 +193,7 @@ class StrandHomology:
         so each kernel vector comes back as a chain (mask -> scalar)."""
         if j not in self._eliminations:
             ech, relations = column_relations(
-                self.field, {m: self.boundary(m) for m in self._cone(j)}, self.top)
+                self.field, {m: self._column(m) for m in self._cone(j)}, self.top)
             self._eliminations[j] = ech, list(relations.values())
         return self._eliminations[j]
 
@@ -228,7 +243,7 @@ class StrandHomology:
             if faces is None:
                 raise ValueError(f"mask {mask:b} is not a degree-{i} basis element")
             if x := of(c):
-                vec[mask] = x
+                vec[mask if mask & self.apex else mask - self.top] = x
                 for face, sign in faces.items():
                     d[face] = d.get(face, 0) + (x if sign > 0 else -x)
         return vec, not any(of(y) for y in d.values())

@@ -21,7 +21,7 @@ from conftest import (
     rows_of,
 )
 from golod_lab import homology_engine, taylor_dga
-from golod_lab.exact_linalg import GF2, GF3, QQ, span
+from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, span
 from golod_lab.homology_engine import (
     StrandHomology,
     betti,
@@ -629,3 +629,83 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
     assert (len(columns), sum(columns)) == (82, 180)
     assert len(differentials) == 82 and set(differentials.values()) == {1}
     assert enumerations(paper) == [(1, 86), (2, 39)]
+
+
+def _unreduced_row(field, column):
+    """A column as ``Echelon.insert`` stores it unreduced: scaled to 1 at its
+    lead, every entry in the format of ``Field.of``."""
+    sign = column[min(column)]
+    return {k: field.of(sign * x) for k, x in column.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_cone_columns_lead_at_their_private_faces(field):
+    """In every strand and degree, each cone column d(K) whose face K - g0 is
+    a cell sits in the image echelon and in the tagged elimination unreduced,
+    led by the key of K - g0 (below zero, under every cone mask); no other
+    row leads below zero.  A u below no generator still gives no strand."""
+    private = 0
+    for ideal in [counterexample_ideal()] + ideal_corpus(10):
+        assert strand(ideal, field, (0,) * ideal.n_vars) is None
+        for u in lcm_lattice(ideal):
+            sh = strand(ideal, field, tuple(u))
+            assert sh.apex == 1 << sh.gens_below[0]
+            for j in range(1, len(sh.gens_below) + 1):
+                image, elimination = sh._image(j - 1), sh._elimination(j)[0]
+                leads = set()
+                for k in sh._cone(j):
+                    col = sh.boundary(k)
+                    if k ^ sh.apex not in col:
+                        continue
+                    lead = (k ^ sh.apex) - sh.top
+                    keyed = {lead if f == k ^ sh.apex else f: x for f, x in col.items()}
+                    untagged = {x: field.of(y) for x, y in image.rows[lead].items()}
+                    tagged = {x: field.of(y) for x, y in elimination.rows[lead].items()}
+                    assert untagged == _unreduced_row(field, keyed)
+                    assert tagged == _unreduced_row(field, {**keyed, sh.top + k: 1})
+                    leads.add(lead)
+                for ech in (image, elimination):
+                    assert {k for k in ech.rows if k < 0} == leads
+                private += len(leads)
+    assert private > 0
+
+
+class _CountingRows(dict):
+    """Echelon rows that count each row ``Echelon.reduce`` subtracts, and the
+    entries of those rows."""
+
+    subtracted = entries = 0
+
+    def get(self, key, default=None):
+        row = super().get(key, default)
+        if row is not None:
+            _CountingRows.subtracted += 1
+            _CountingRows.entries += len(row)
+        return row
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_skeleton_top_strand_eliminates_only_the_columns_without_private_faces(
+        field, monkeypatch):
+    """On the 4-skeleton's top strand, 3,053 of the 3,386 cone columns of d_5
+    lead at their private faces, out of rank 3,191, so the image of d_5 and
+    its tagged elimination reduce only the other 333: over Q, 4,356 row
+    subtractions over both, against 219,925 when each column led at its least
+    face."""
+    real_init = Echelon.__init__
+
+    def init(self, field):
+        real_init(self, field)
+        self.rows = _CountingRows()
+
+    monkeypatch.setattr(Echelon, "__init__", init)
+    monkeypatch.setattr(_CountingRows, "subtracted", 0)
+    monkeypatch.setattr(_CountingRows, "entries", 0)
+    gamma, _ = _skeleton_ideal()
+    sh = strand(gamma, field, (1,) * gamma.n_vars)
+    image = sh._image(4)
+    sh._elimination(5)
+    assert len(sh._cone(5)) == 3386 and len(image.rows) == 3191
+    assert sum(k < 0 for k in image.rows) == 3053
+    assert _CountingRows.subtracted <= 5000
+    assert _CountingRows.entries <= 30000
