@@ -3,7 +3,7 @@
 Exit codes: 0 for success (and mathematically positive answers), 1 for
 mathematically negative answers (nontrivial products, nonzero Massey class,
 NotGolod, series divergence), 2 for usage and parse errors, 3 for an
-exhausted search budget, for ``Undecided`` and for input past the strand cap
+exhausted search budget and for input past the strand cap
 (``StrandTooLarge``, with nothing on standard output).  ``--format json``
 emits the same data as the text renderers.
 """
@@ -99,9 +99,6 @@ def _non_negative(convert, what):
         return x
 
     return parse
-
-
-_truncation_order = _non_negative(int, "truncation order")
 
 
 def _add_common(p, ideal_input=True):
@@ -263,27 +260,16 @@ def _chain_text(chain):
 def cmd_golod(args):
     ideal = _load_ideal(args)
     field = parse_field(args.field)
-    verdict = mg.golod_decide(ideal, field, series_trunc=args.trunc)
+    verdict = mg.golod_decide(ideal, field)
     payload = {
         "field": str(field),
         "status": verdict.status,
         "route": verdict.route,
         "reason": verdict.reason,
     }
-    if verdict.series_evidence is not None:
-        p, q, idx = verdict.series_evidence
-        payload["series"] = {
-            "p": [_scalar(c) for c in p.coeffs],
-            "q": [_scalar(c) for c in q.coeffs],
-            "first_divergence": idx,
-        }
     text = f"{verdict.status} [{verdict.route}]\n  {verdict.reason}"
     _emit(args, payload, text)
-    if verdict.status == "Golod":
-        return 0
-    if verdict.status == "NotGolod":
-        return 1
-    return 3
+    return 0 if verdict.status == "Golod" else 1
 
 
 def cmd_series(args):
@@ -473,15 +459,12 @@ def build_parser():
     p = sub.add_parser("golod", help="decide the Golod property")
     _add_common(p)
     _add_field(p)
-    p.add_argument(
-        "--trunc", type=_truncation_order, default=5, help="series truncation for the fallback route"
-    )
     p.set_defaults(fn=cmd_golod)
 
     p = sub.add_parser("series", help="resolution-side vs bound-side series")
     _add_common(p)
     _add_field(p)
-    p.add_argument("--trunc", type=_truncation_order, default=5)
+    p.add_argument("--trunc", type=_non_negative(int, "truncation order"), default=5)
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("polarize", help="polarize an ideal to a squarefree one")

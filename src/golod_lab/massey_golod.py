@@ -10,14 +10,10 @@ where ``sign x`` negates chains of even homological degree; once all binary
 products vanish, the ternary product is a single well-defined class, which is
 what the ``unique`` flag certifies.  Products and Massey products ask their
 strands nothing that the strand cap stops; only the Betti numbers behind
-the degree bounds below do.
+the Golod decision do.
 
-The decision layer has one bound: a nonzero binary product is an immediate
-negative; otherwise the least of three degree bounds (regularity, through the
-source paper's theorem; projective dimension; squarefree vertex count) caps
-the Massey arity that can be nonzero.  A cap of two decides Golod, a cap of
-three hands the decision to the exhaustive ternary check, and anything larger
-falls back to comparing series truncations.
+The Golod decision, ``golod_decide``, reads one Massey-arity bound and, past
+arity 3, compares P with its Koszul bound Q exactly on the lcm box.
 """
 
 from __future__ import annotations
@@ -27,7 +23,8 @@ from dataclasses import field as dataclass_field
 from functools import cached_property
 
 from .homology_engine import HomologyClass, _freeze_chain, betti, strand
-from .series_engine import p_series, q_series, series_compare
+from .monomial_core import lcm_of
+from .series_engine import box_series
 from .taylor_dga import lcm_lattice, mask_of, product_sign, support_mask
 
 
@@ -330,15 +327,15 @@ def ternary_products_vanish(ideal, field):
 
 @dataclass(frozen=True)
 class GolodVerdict:
-    status: str  # "Golod" | "NotGolod" | "Undecided"
+    status: str  # "Golod" | "NotGolod"
     route: str
     reason: str
     witness: object = None
-    series_evidence: object = None
 
 
-def _massey_arity_bound(ideal, field):
-    """The largest Massey arity that can be nonzero, with its reason.
+def _massey_arity_bound(ideal, bd):
+    """The largest Massey arity that can be nonzero, with its reason, from the
+    ring's Betti numbers ``bd``.
 
     The least of three degree bounds, the first listed winning a tie:
 
@@ -350,7 +347,6 @@ def _massey_arity_bound(ideal, field):
       class sits in a multidegree σ with |σ| >= 2, and a nonzero value needs
       pairwise disjoint σ's, so only r <= n // 2 can be nonzero.
     """
-    bd = betti(ideal, field)
     reg, pdim = bd.regularity, bd.projective_dimension
     bounds = [
         (max(2, reg - 2), f"regularity {reg} needs Massey arity <= {max(2, reg - 2)}"),
@@ -365,14 +361,46 @@ def _massey_arity_bound(ideal, field):
     return min(bounds, key=lambda b: b[0])
 
 
-def golod_decide(ideal, field, series_trunc=None):
-    """Decide the Golod property, or report honest indecision.
+def _box_deficit(ideal, field, bd):
+    """The least (u, j, P_u, Q_u) in (j, u) order with P_u != Q_u in the lcm
+    box, or None; ``bd`` holds Q's Betti numbers (see ``golod_decide``)."""
+    n = sum(lcm_of(ideal.gens, ideal.n_vars).exps) + 1
+    levels, b = box_series(ideal, field, n)
+    for (i, u), beta in bd.multigraded:  # b becomes b_R - D; both are 1 at t^0
+        if i:
+            b[i + 1][u] = b[i + 1].get(u, 0) + beta
+    for j in range(1, n + 1):
+        if differ := [u for u, c in b[j].items() if c]:
+            u = min(differ)
+            p = levels[j].get(u, 0)
+            q = p + b[j][u]
+            if p > q:
+                raise AssertionError(f"P > Q at {u}, t^{j}: {p} against {q}, past Serre's bound")
+            return u, j, p, q
+    return None
 
-    Pipeline: a nonzero binary product is conclusive; otherwise the arity
-    bound of ``_massey_arity_bound`` decides.  At most 2, trivial products
-    make the ring Golod; at 3, the exhaustive ternary check decides; above,
-    compare series truncations, where only a strict coefficient drop is
-    conclusive.
+
+def golod_decide(ideal, field):
+    """Decide the Golod property.
+
+    A nonzero binary product is conclusive; otherwise the arity bound of
+    ``_massey_arity_bound`` decides.  At most 2, trivial products make the
+    ring Golod; at 3, the exhaustive ternary check decides.  Above, the lcm
+    box B = {u <= w}, w the lcm of the generators, decides exactly:
+
+    * P = prod_i (1 + x_i t) / b_R and Q = prod_i (1 + x_i t) / D, with
+      D = 1 - sum_(i >= 1) beta_(i,u) x^u t^(i+1) (one read of the Betti
+      numbers serves the bound and D).  Every monomial of b_R (Berglund 2006,
+      see ``p_series``) and of D is an lcm of generators, so lies in B.
+    * Resolution steps raise internal degree, so neither P_B nor
+      b_R = N * P_B^-1 has a term x^u t^j with j > |u|, and beta_(i,u) = 0
+      for i > |u|.  So ``box_series`` to order |w| + 1 holds all of b_R, and
+      b_R = D gives P = Q, the definition of Golod (``box-agree``).
+    * Otherwise, at the least differing x^u t^j in (j, u) order, minimal
+      under divisibility, P - Q = N (D - b_R) / (b_R D) has coefficient
+      D_u - b_u, as N / (b_R D) has constant term 1.  P_u < Q_u there is
+      NotGolod (``box-deficit``, witness (u, j, P_u, Q_u)); P_u > Q_u would
+      break Serre's bound P <= Q.  The Massey routes come first.
     """
     ok, witness = all_products_trivial(ideal, field)
     if not ok:
@@ -382,7 +410,8 @@ def golod_decide(ideal, field, series_trunc=None):
             f"nonzero product on Koszul homology: {witness.describe()}",
             witness=witness,
         )
-    arity, basis = _massey_arity_bound(ideal, field)
+    bd = betti(ideal, field)
+    arity, basis = _massey_arity_bound(ideal, bd)
     if arity <= 2:
         return GolodVerdict(
             "Golod", "massey-arity-2", "all binary products vanish; " + basis
@@ -403,23 +432,10 @@ def golod_decide(ideal, field, series_trunc=None):
             f"{res.multidegree}, homological degree {res.hom_degree}; " + basis,
             witness=w3,
         )
-    n = 5 if series_trunc is None else series_trunc
-    q = q_series(ideal, field, n)
-    p, _ = p_series(ideal, field, n)
-    div = series_compare(p, q)
-    if div is not None:
-        idx, cmp = div
-        if cmp < 0:
-            return GolodVerdict(
-                "NotGolod",
-                "series-divergence",
-                f"series truncations diverge at degree {idx} (resolution strictly below the bound)",
-                series_evidence=(p, q, idx),
-            )
-        raise AssertionError("series bound violated; this contradicts the coefficientwise inequality")
+    deficit = _box_deficit(ideal, field, bd)
+    if deficit is None:
+        return GolodVerdict("Golod", "box-agree", "b_R = D on the lcm box, so P = Q")
+    u, j, p, q = deficit
     return GolodVerdict(
-        "Undecided",
-        "series-agree",
-        f"series truncations agree through degree {n}; higher Massey products would be needed",
-        series_evidence=(p, q, None),
+        "NotGolod", "box-deficit", f"P < Q at {u}, t^{j}: {p} against {q}", witness=deficit
     )

@@ -6,18 +6,12 @@ over the quotient ring is built step by step, splitting every kernel by
 multidegree (each multidegree piece involves at most one standard monomial per
 free generator, which keeps the exact linear algebra tiny).
 
-Only the multidegrees u <= w are resolved, w the lcm of the generators, and
-the rest of the series is read off them (Berglund, "Poincare series of
-monomial rings", J. Algebra 295, 2006).  There P = prod_i (1 + x_i t) / b_R,
-and every monomial of the polynomial b_R is an lcm of generators, so lies in
-the box B = {u <= w}.  The resolution's piece at u reads only monomials
-dividing u, so the box resolution gives P_B, the truncation of P to B,
-exactly.  Truncation to B and truncation mod t^(n+1) are ring maps, P_B is a
-unit and b_R has only box monomials, so b_R = N * P_B^-1 in the box, with
-N = prod over w_v > 0 of (1 + x_v t), and P = (1 + y t)^vars / b_R(y, t) once
-x^u is graded by its total degree y^|u| (``p_series`` spells this out).
+Only the multidegrees u <= w are resolved, w the lcm of the generators:
+``box_series`` gives P_B, P truncated to that box, and b_R = N * P_B^-1, from
+which ``p_series`` reads all of P (Berglund, "Poincare series of monomial
+rings", J. Algebra 295, 2006; ``p_series`` spells this out).
 
-Each ``p_series`` call builds one table of the ring's standard monomials, per
+Each ``box_series`` call builds one table of the ring's standard monomials, per
 degree and as a set, up to |w|, the largest degree in the box; every step
 reads it, and nothing is cached between calls.  A step walks its box
 multidegrees one internal degree at a time and keeps only the current and
@@ -277,6 +271,39 @@ def _box_product(a, b, box):
     return out
 
 
+def box_series(ideal, field, n):
+    """P_B and b_R = N * P_B^-1 to order n, each a list over t^j of
+    {u: nonzero coefficient} for the u <= w, w the lcm of the generators
+    (``p_series`` gives the argument)."""
+    nv = ideal.n_vars
+    box = lcm_of(ideal.gens, nv).exps
+    std = _std_table(ideal, sum(box))
+    # first syzygy module of the residue field is the irrelevant ideal
+    support = [v for v in range(nv) if box[v]]
+    gens = [e for v in support if (e := tuple(int(k == v) for k in range(nv))) in std[1]]
+    phi = [{(0, e): 1} for e in gens]
+    levels = [{(0,) * nv: 1}, dict.fromkeys(gens, 1)][: n + 1]  # P_B: t^j -> {u: count}
+    dims = None  # K_1 = m: dimension 1 at each nonzero standard monomial
+    for j in range(2, n + 1):
+        if not gens:
+            break
+        gens, phi, dims = _resolution_step(field, std, box, gens, phi, dims)
+        level = {}
+        for u in gens:
+            level[u] = level.get(u, 0) + 1
+        levels.append(level)
+    levels += [{}] * (n + 1 - len(levels))
+    b = []  # b_R = N * P_B^-1 in the box: t^j -> {u: coefficient}
+    for j in range(n + 1):
+        # N = prod over the box's variables of (1 + x_v t): the j-subsets at t^j
+        bj = {tuple(int(v in pick) for v in range(nv)): 1 for pick in combinations(support, j)}
+        for i in range(1, j + 1):
+            for u, c in _box_product(levels[i], b[j - i], box).items():
+                bj[u] = bj.get(u, 0) - c
+        b.append({u: c for u, c in bj.items() if c})
+    return levels, b
+
+
 def p_series(ideal, field, n):
     """Coefficients of the resolution-side series to order n, with a report of
     each step's generators by internal degree.
@@ -309,34 +336,8 @@ def p_series(ideal, field, n):
     """
     if n < 0:
         raise ValueError("truncation order must be non-negative")
-    if n == 0:
-        return SeriesTrunc((1,), 0), ResolutionReport(())
     nv = ideal.n_vars
-    box = lcm_of(ideal.gens, nv).exps
-    std = _std_table(ideal, sum(box))
-    # first syzygy module of the residue field is the irrelevant ideal
-    support = [v for v in range(nv) if box[v]]
-    gens = [e for v in support if (e := tuple(int(k == v) for k in range(nv))) in std[1]]
-    phi = [{(0, e): 1} for e in gens]
-    levels = [{(0,) * nv: 1}, dict.fromkeys(gens, 1)]  # P_B: t^j -> {u: count}
-    dims = None  # K_1 = m: dimension 1 at each nonzero standard monomial
-    for j in range(2, n + 1):
-        if not gens:
-            break
-        gens, phi, dims = _resolution_step(field, std, box, gens, phi, dims)
-        level = {}
-        for u in gens:
-            level[u] = level.get(u, 0) + 1
-        levels.append(level)
-    levels += [{}] * (n + 1 - len(levels))
-    b = []  # b_R = N * P_B^-1 in the box: t^j -> {u: coefficient}
-    for j in range(n + 1):
-        # N = prod over the box's variables of (1 + x_v t): the j-subsets at t^j
-        bj = {tuple(int(v in pick) for v in range(nv)): 1 for pick in combinations(support, j)}
-        for i in range(1, j + 1):
-            for u, c in _box_product(levels[i], b[j - i], box).items():
-                bj[u] = bj.get(u, 0) - c
-        b.append(bj)
+    _, b = box_series(ideal, field, n)
     den = []  # b_R(y, t): t^j -> {total degree: coefficient}
     for bj in b:
         dj = {}

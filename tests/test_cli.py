@@ -143,18 +143,42 @@ def test_series_agreement_exit_zero(capsys, tmp_path):
 
 
 def test_negative_trunc_is_a_usage_error(capsys):
-    for command in ("series", "golod"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--example", "paper", "--trunc", "-1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err and "truncation order must be non-negative" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--example", "paper", "--trunc", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "truncation order must be non-negative" in err
     with pytest.raises(SystemExit) as exc:
         main(["series", "--example", "paper", "--trunc", "five"])
     assert exc.value.code == 2
     assert "invalid int value: 'five'" in capsys.readouterr().err
     code, payload, _ = run_json(capsys, "series", "--example", "paper", "--trunc", "0")
     assert code == 0 and payload["p"] == payload["q"] == [1]
+
+
+def test_golod_takes_no_trunc(capsys):
+    # the lcm box decides Golod exactly, so there is no truncation to set
+    for order in ("5", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["golod", "--example", "paper", "--trunc", order])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --trunc" in err
+
+
+def test_golod_box_agree_exits_zero(capsys, tmp_path):
+    # the boundary of a 7-simplex plus an isolated vertex: arity bound 4,
+    # decided on the lcm box; the payload carries no series
+    sphere = tmp_path / "sphere.ideal"
+    sphere.write_text(
+        "vars: " + " ".join(f"x{i}" for i in range(1, 10)) + "\n"
+        + "*".join(f"x{i}" for i in range(1, 9)) + "\n"
+        + "".join(f"x9*x{i}\n" for i in range(1, 9))
+    )
+    code, payload, _ = run_json(capsys, "golod", "--ideal", str(sphere), "--field", "fp:2")
+    assert code == 0
+    assert payload == {"field": "F_2", "status": "Golod", "route": "box-agree",
+                       "reason": "b_R = D on the lcm box, so P = Q"}
 
 
 def test_polarize_roundtrip(capsys):

@@ -9,9 +9,10 @@ from conftest import homology_product, ideal_corpus, product_reduced, random_squ
 from golod_lab import homology_engine, massey_golod
 from golod_lab.counterexample_search import search, seed_pattern
 from golod_lab.exact_linalg import GF2, GF3, QQ
-from golod_lab.homology_engine import homology_basis, strand
+from golod_lab.homology_engine import BettiData, betti, homology_basis, strand
 from golod_lab.massey_golod import (
     ProductWitness,
+    _box_deficit,
     _massey_arity_bound,
     all_products_trivial,
     chain_product,
@@ -21,7 +22,8 @@ from golod_lab.massey_golod import (
     ternary_massey_generators,
     ternary_products_vanish,
 )
-from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal
+from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal, lcm_of
+from golod_lab.series_engine import _box_product, box_series, p_series, q_series
 from golod_lab.taylor_dga import generators_below, lcm_lattice, mask_of, support_mask
 
 CI = MonomialIdeal.from_strings(("x", "y"), ["x^2", "y^2"])
@@ -312,31 +314,35 @@ def test_coprime_loops_match_brute_force():
     assert verdicts["nonzero ternary"] == 1  # the paper's ideal
 
 
+def arity_bound(ideal, field):
+    return _massey_arity_bound(ideal, betti(ideal, field))
+
+
 def test_massey_arity_bound_takes_the_least(example_ideal):
     # the square of the maximal ideal in four variables: regularity alone
     m2 = MonomialIdeal.from_strings(
         ("a", "b", "c", "d"),
         ["a^2", "a*b", "a*c", "a*d", "b^2", "b*c", "b*d", "c^2", "c*d", "d^2"],
     )
-    assert _massey_arity_bound(m2, QQ) == (2, "regularity 1 needs Massey arity <= 2")
+    assert arity_bound(m2, QQ) == (2, "regularity 1 needs Massey arity <= 2")
     # a principal ideal of high degree: projective dimension alone
     principal = MonomialIdeal.from_strings(("x",), ["x^7"])
-    assert _massey_arity_bound(principal, QQ) == (
+    assert arity_bound(principal, QQ) == (
         1, "projective dimension 1 caps Massey arity at 1"
     )
     # a variable generator sits in a multidegree with |σ| = 1: no squarefree bound
     variable = MonomialIdeal.from_strings(("x",), ["x"])
-    assert _massey_arity_bound(variable, QQ) == (
+    assert arity_bound(variable, QQ) == (
         1, "projective dimension 1 caps Massey arity at 1"
     )
     # the boundary of a 7-simplex plus an isolated vertex: the squarefree
     # vertex count alone
-    assert _massey_arity_bound(SPHERE_AND_POINT, QQ) == (
+    assert arity_bound(SPHERE_AND_POINT, QQ) == (
         4, "squarefree on 9 variables without variable generators caps Massey arity at 4"
     )
     # paper: regularity 5 and projective dimension 4 both give 3; regularity names it
     for field in (QQ, GF2):
-        assert _massey_arity_bound(example_ideal, field) == (
+        assert arity_bound(example_ideal, field) == (
             3, "regularity 5 needs Massey arity <= 3"
         )
 
@@ -420,14 +426,81 @@ def test_golod_decide_controls():
     assert golod_decide(M2, QQ).status == "Golod"
 
 
-def test_golod_decide_sphere_and_point_is_undecided():
-    # products are trivial and the arity bound is 4, so the verdict rests on
-    # the series to order 5; they agree, and the resolution of the lcm box
-    # gives P in about a second
+def test_golod_decide_sphere_and_point_is_golod_on_the_box():
+    # products are trivial and the arity bound is 4, so the lcm box decides:
+    # b_R = D there, so P = Q, and the series agree at every order
+    # (over F_2 through the CLI, in test_cli)
     verdict = golod_decide(SPHERE_AND_POINT, QQ)
-    assert (verdict.status, verdict.route) == ("Undecided", "series-agree")
-    p, q, idx = verdict.series_evidence
-    assert p.coeffs == q.coeffs == (1, 9, 45, 194, 848, 3751) and idx is None
+    assert (verdict.status, verdict.route, verdict.witness) == ("Golod", "box-agree", None)
+    p, _ = p_series(SPHERE_AND_POINT, QQ, 5)
+    assert p.coeffs == q_series(SPHERE_AND_POINT, QQ, 5).coeffs == (1, 9, 45, 194, 848, 3751)
+
+
+def test_box_deficit_on_paper_is_the_massey_witness(monkeypatch, example_ideal):
+    # with the ternary route skipped, the box finds the least deficit at the
+    # Massey witness's multidegree, at t^(degree + 1): 10 generators against 11
+    massey = golod_decide(example_ideal, QQ).witness[3]
+    assert (massey.multidegree, massey.hom_degree) == ((1, 2, 1, 2, 3), 4)
+    monkeypatch.setattr(massey_golod, "_massey_arity_bound", lambda ideal, bd: (4, "forced"))
+    for field in (QQ, GF2, GF3):
+        verdict = golod_decide(example_ideal, field)
+        assert (verdict.status, verdict.route) == ("NotGolod", "box-deficit")
+        assert verdict.witness == ((1, 2, 1, 2, 3), 5, 10, 11)
+        assert verdict.reason == "P < Q at (1, 2, 1, 2, 3), t^5: 10 against 11"
+
+
+def test_box_deficit_rejects_p_above_q():
+    # dropping beta_(1, x^2) from M2's Betti numbers raises D above b_R at
+    # x^2 t^2, so P would exceed its Koszul bound there
+    bd = betti(M2, QQ)
+    assert _box_deficit(M2, QQ, bd) is None
+    doctored = BettiData(QQ, 2, tuple(e for e in bd.multigraded if e[0] != (1, (2, 0))))
+    with pytest.raises(AssertionError, match=r"P > Q at \(2, 0\), t\^2"):
+        _box_deficit(M2, QQ, doctored)
+
+
+def least_box_difference(ideal, field, bd):
+    """The least (u, j, P_u, Q_u) in (j, u) order with P_u != Q_u, reading Q_B
+    off D by division in the box, Q_B = N * D^-1, and P_B off the resolution."""
+    w = lcm_of(ideal.gens, ideal.n_vars).exps
+    n = sum(w) + 1
+    levels, _ = box_series(ideal, field, n)
+    d = [{} for _ in range(n + 1)]
+    for (i, u), beta in bd.multigraded:
+        if i:
+            d[i + 1][u] = -beta
+    support = [v for v in range(ideal.n_vars) if w[v]]
+    q = []
+    for j in range(n + 1):
+        qj = {tuple(int(v in pick) for v in range(ideal.n_vars)): 1
+              for pick in combinations(support, j)}
+        for i in range(1, j + 1):
+            for u, c in _box_product(d[i], q[j - i], w).items():
+                qj[u] = qj.get(u, 0) - c
+        q.append(qj)
+    for j in range(n + 1):
+        if differ := [u for u in levels[j].keys() | q[j].keys()
+                      if levels[j].get(u, 0) != q[j].get(u, 0)]:
+            u = min(differ)
+            return u, j, levels[j].get(u, 0), q[j].get(u, 0)
+    return None
+
+
+def test_box_agrees_exactly_on_golod_corpus_ideals():
+    # the exceptions are the polynomial rings presented with a variable
+    # generator, k[x, y]/(x) and the like: Golod, but their Q counts the
+    # variable generator's exterior factor, so the box shows a deficit
+    corpus = ideal_corpus(100)
+    for field in (QQ, GF2):
+        odd = set()
+        for k, ideal in enumerate(corpus):
+            bd = betti(ideal, field)
+            deficit = _box_deficit(ideal, field, bd)
+            if (deficit is None) != (golod_decide(ideal, field).status == "Golod"):
+                odd.add(k)
+            if field == QQ:
+                assert deficit == least_box_difference(ideal, field, bd), k
+        assert odd == {65, 80, 86, 98}, field
 
 
 def test_ternary_products_vanish_names_its_precondition():
