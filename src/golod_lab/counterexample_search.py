@@ -191,11 +191,10 @@ def _candidate_patterns(n_vars, max_gens):
     """
     if max_gens < 8:
         return
-    sizes = []
-    for na in range(n_vars - 4, 1, -1):
-        for nb in range(n_vars - na - 2, 1, -1):
-            for nc in range(n_vars - na - nb, 1, -1):
-                sizes.append((na, nb, nc))
+    # lazily: there are O(n_vars^3) splits, and the budget is tested per pattern
+    sizes = ((na, nb, nc) for na in range(n_vars - 4, 1, -1)
+             for nb in range(n_vars - na - 2, 1, -1)
+             for nc in range(n_vars - na - nb, 1, -1))
     for na, nb, nc in sizes:
         a = frozenset(range(na))
         b = frozenset(range(na, na + nb))

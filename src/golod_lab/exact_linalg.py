@@ -135,6 +135,8 @@ class Echelon:
         """The residual of vec, a new dict: rows are subtracted while its least key is a lead."""
         rows, p, of = self.rows, self.field.char, self.field.of
         v = dict(vec)
+        if not v or min(v) not in rows:  # nothing to subtract: vec is its own residual
+            return v
         heap = sorted(v)  # every key of v, possibly with stale extras
         while heap:
             lead = heappop(heap)

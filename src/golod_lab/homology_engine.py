@@ -4,7 +4,8 @@ Each differential d_j is read on one column set, its apex cone: the degree-j
 masks that contain g0, the first generator below u, enumerated for each
 echelon built from them and not kept.  The image of d_{i+1} has one untagged
 echelon of the cone's boundaries; it answers boundary membership and, with
-the image of d_i, the dimension dim C_i - rank d_i - rank d_{i+1}.  Each d_j
+the image of d_i and the size of the cone, the dimension of H_i (the count
+is in ``dimension``), so no degree's cells are ever enumerated whole.  Each d_j
 is eliminated at most once more, on the same columns tagged, for its kernel
 and the pivot solutions of d_j x = z.  The representatives are the kernel
 vectors of d_i that greedily extend a shallow copy of the image echelon, and
@@ -30,27 +31,28 @@ picks it and the representatives and coordinates are unchanged too.  On
 the 4-skeleton's top strand the cone is a quarter of the boundaries.
 
 ``StrandHomology`` is the one object per (field, u): it owns the strand's
-cells, bases and boundaries as well as its homology.  Every generator below u
+cones and boundaries as well as its homology.  Every generator below u
 divides u, so a set of them has lcm u exactly when the OR of their *attain
 masks* (the variables k with exps[k] == u[k] > 0) is ``full``, the support
-mask of u.  The strand makes these masks once and reads off them its cells
-(``cells``), the lattice test and ``boundary(mask)``, the package's one
+mask of u.  The strand makes these masks once and reads off them its cones
+(``_cone``), the lattice test and ``boundary(mask)``, the package's one
 differential.  One accessor, ``strand(ideal, field, u)``, runs the lattice
 test and reads the cap once per (field, u), the only place a strand is
 tested either way, and keeps the ``StrandHomology`` (None outside the lcm
 lattice) in ``ideal.derived``, freed with the ideal.  Callers ask the strand
 at the (u, i) they already hold; a mask that is not a degree-i cell with
-lcm u raises.  Classes, coordinates, bounding chains and membership read
-only the cones, so they answer on every strand.  The cap guards only what
-walks every degree: a strand with at most ``_FULL_STRAND_LIMIT`` generators
-below u is ``whole`` and has ``basis``, so ``degrees``, ``dim`` and
-``dimension`` (and ``betti``); past the cap these raise ``StrandTooLarge``.
+lcm u raises.  Classes, coordinates, bounding chains, membership and
+``dimension`` read only the cones, so they answer on every strand.  The cap
+guards only what walks every degree: a strand with at most
+``_FULL_STRAND_LIMIT`` generators below u is ``whole``, and ``degrees``, the
+one reader of the cap, lists its degrees for ``betti`` and the class tables;
+past the cap it raises ``StrandTooLarge``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations
 from operator import or_
 
@@ -94,14 +96,11 @@ def _freeze_chain(chain):
 
 
 class StrandHomology:
-    """The strand at u over a field: bases, boundaries, homology, coordinates
-    and boundary membership.
+    """The strand at u over a field: boundaries, homology, coordinates and
+    boundary membership, all read off the apex cones.
 
     ``full`` is the support mask of u and ``attain`` maps each generator
-    below u, as its bit, to its attain mask.  Bases per homological degree
-    are mask lists sorted ascending, built on first use and only for a whole
-    strand; homology, coordinates, boundary solves and ``is_boundary`` read
-    only the apex cones and need none.  Boundary entries are +-1, so the
+    below u, as its bit, to its attain mask.  Boundary entries are +-1, so the
     complex is the same over every field.  Echelon rows are keyed by mask, a
     mask without the apex g0 shifted below zero; tags start at ``top``.
     """
@@ -121,36 +120,28 @@ class StrandHomology:
         self._eliminations = {}  # j -> (tagged echelon of d_j, kernel vectors of d_j)
         self._homologies = {}  # degree i -> (image echelon extended by representatives, reps)
 
-    @cached_property
-    def basis(self):
+    def degrees(self):
+        """The homological degrees 1 ... |G_u| a cell can have, for the questions
+        that walk every degree (``betti`` and the class tables); the one place
+        the cap is read: past it this raises ``StrandTooLarge``."""
         if not self.whole:
             raise StrandTooLarge(
                 f"strand at {self.u} has {len(self.gens_below)} generators below it; "
                 "past the cap nothing that needs every degree is answered "
                 "(Betti numbers, the class tables)"
             )
-        out = {}
-        for i in range(1, len(self.gens_below) + 1):
-            if masks := self.cells(i):
-                out[i] = masks
-        return out
+        return list(range(1, len(self.gens_below) + 1))
 
-    def cells(self, i, apex=None):
-        """Sorted masks of the i-element sets of generators below u with lcm u,
-        one OR of attain masks per member.
-
-        With ``apex``, a generator below u, only the masks that contain it are
-        enumerated: C(|G_u| - 1, i - 1) subsets instead of C(|G_u|, i).
-        """
-        att, full = self.attain, self.full
-        if apex is None:
-            start, bit, pool, size = 0, 0, list(att), i
-        else:
-            bit = 1 << apex
-            start, size = att[bit], i - 1
-            pool = [b for b in att if b != bit]
+    def _cone(self, j):
+        """Sorted degree-j masks that contain the apex g0, one OR of attain masks
+        per member: C(|G_u| - 1, j - 1) subsets, the columns of d_j that
+        ``_image(j - 1)`` and ``_elimination(j)`` read, enumerated by each
+        when it is built; the strand's one enumeration of cells."""
+        att, full, bit = self.attain, self.full, self.apex
+        start = att[bit]
+        pool = [b for b in att if b != bit]
         masks = []
-        for c in combinations(pool, size):
+        for c in combinations(pool, j - 1):
             acc = start
             for b in c:
                 acc |= att[b]
@@ -158,18 +149,6 @@ class StrandHomology:
                 masks.append(sum(c) | bit)
         masks.sort()
         return masks
-
-    def degrees(self):
-        return sorted(self.basis)
-
-    def dim(self, i):
-        return len(self.basis.get(i, ()))
-
-    def _cone(self, j):
-        """Sorted degree-j masks that contain the apex g0, the first generator
-        below u: the columns of d_j that ``_image(j - 1)`` and
-        ``_elimination(j)`` read, enumerated by each when it is built."""
-        return self.cells(j, apex=self.gens_below[0])
 
     def _column(self, m):
         """``boundary(m)`` of a cone mask, its private face m - g0 keyed below 0."""
@@ -203,10 +182,12 @@ class StrandHomology:
         the tag ``top + k`` of the k-th representative.  Rows are only ever
         added, never changed, so the copy shares them safely."""
         if i not in self._homologies:
+            kernel = self._elimination(i)[1]
             ech = Echelon(self.field)
-            ech.rows = dict(self._image(i).rows)
+            if kernel:  # no cycles, no classes: the image is not spanned
+                ech.rows = dict(self._image(i).rows)
             reps = []
-            for kv in self._elimination(i)[1]:
+            for kv in kernel:
                 w = ech.reduce({**kv, self.top + len(reps): 1})
                 if min(w) < self.top:
                     ech.insert(w)
@@ -215,8 +196,20 @@ class StrandHomology:
         return self._homologies[i]
 
     def dimension(self, i):
-        """dim C_i - rank d_i - rank d_{i+1}, both ranks read off the cones."""
-        return self.dim(i) - len(self._image(i - 1).rows) - len(self._image(i).rows)
+        """dim C_i - rank d_i - rank d_{i+1}, read off the cones alone, on
+        either side of the cap.
+
+        A degree-i cell J without g0 matches the cone cell K = J + g0 of
+        degree i + 1, whose column leads at its private face J (keyed below
+        0): no other cone column holds J, so K enters ``_image(i)`` unreduced
+        as a row with a negative lead.  A column whose K - g0 is not a cell
+        has only keys >= 0 and is reduced only by rows leading at them, so
+        no other row leads below 0.  Hence dim C_i = |cone_i| + (rows of
+        ``_image(i)`` with lead < 0), and subtracting rank d_{i+1}, all the
+        rows, leaves |cone_i| - (rows with lead >= 0).
+        """
+        upper = sum(1 for lead in self._image(i).rows if lead >= 0)
+        return len(self._cone(i)) - len(self._image(i - 1).rows) - upper
 
     def classes(self, i):
         reps = self._homology(i)[1]

@@ -23,11 +23,12 @@ A single strand needs only the generators below u; the closure
 ``lcm_lattice``, kept on the ideal, is for callers that enumerate the lattice.
 This module keeps the DGA primitives and the one strand cap,
 ``_FULL_STRAND_LIMIT``, with its error ``StrandTooLarge``.  The strand itself,
-its cells, bases, homology and the differential ``StrandHomology.boundary``,
-is ``homology_engine.StrandHomology``, which also decides lattice membership.
-It answers classes, coordinates and boundaries on every strand from one apex
-cone per differential and reads the cap only for the questions that walk
-every degree (its ``basis``, and so Betti numbers).  ``fiber_complex``, the
+its apex cones, homology and the differential ``StrandHomology.boundary``, is
+``homology_engine.StrandHomology``, which also decides lattice membership.
+It answers classes, coordinates, boundaries and homology dimensions on every
+strand from one apex cone per differential and reads the cap only for the
+questions that walk every degree (its ``degrees``, and so Betti numbers and
+the class tables).  ``fiber_complex``, the
 independent fiber model that the strand is checked against, keeps its own
 lcm test, ``in_lattice``, and its own cap check.
 """

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from math import comb
-from operator import add
+from operator import add, or_
 
 import pytest
 
@@ -133,14 +135,34 @@ def rows_of(columns, nrows):
     return [[c.get(r, 0) for c in columns] for r in range(nrows)]
 
 
+def strand_cells(sh, i):
+    """Sorted degree-i cells of the strand sh: the i-element sets of generators
+    below u whose attain masks OR to u's support.  The library enumerates
+    only apex cones; this is the whole degree, the basis the dense
+    references read."""
+    att, full = sh.attain, sh.full
+    return sorted(sum(c) for c in combinations(att, i)
+                  if reduce(or_, (att[b] for b in c), 0) == full)
+
+
+def cone_cells(sh, i, apex):
+    """Sorted degree-i cells of the strand sh that contain the generator
+    ``apex`` (an index below u), by the attain-mask rule; ``sh._cone(i)`` is
+    this at the strand's own apex g0."""
+    att, full, bit = sh.attain, sh.full, 1 << apex
+    pool = [b for b in att if b != bit]
+    return sorted(sum(c) | bit for c in combinations(pool, i - 1)
+                  if reduce(or_, (att[b] for b in c), att[bit]) == full)
+
+
 def positional_columns(sh, i):
     """The columns of d_i on a whole strand: ``sh.boundary(m)`` of each
-    degree-i basis mask, keyed by row position in the degree-(i-1) basis, the
-    layout the dense references read.  A face outside that basis raises
+    degree-i cell, keyed by row position in the degree-(i-1) cells, the
+    layout the dense references read.  A face outside those cells raises
     KeyError."""
-    rows = {m: r for r, m in enumerate(sh.basis.get(i - 1, []))}
+    rows = {m: r for r, m in enumerate(strand_cells(sh, i - 1))}
     return [{rows[face]: sign for face, sign in sh.boundary(m).items()}
-            for m in sh.basis.get(i, [])]
+            for m in strand_cells(sh, i)]
 
 
 def ref_rref(field, rows, ncols):

@@ -18,6 +18,7 @@ from conftest import (
     ref_rref,
     ref_solve,
     rows_of,
+    strand_cells,
 )
 from golod_lab.exact_linalg import (
     GF2,
@@ -383,17 +384,18 @@ def _strand_scalars(field, ideal, rng):
     for u in lcm_lattice(ideal):
         sh = StrandHomology(ideal, tuple(u), field)
         for i in sh.degrees():
-            down = rows_of(positional_columns(sh, i), sh.dim(i - 1))
-            _, kernel = _relations(field, down, sh.dim(i))
+            basis = strand_cells(sh, i)
+            down = rows_of(positional_columns(sh, i), len(strand_cells(sh, i - 1)))
+            _, kernel = _relations(field, down, len(basis))
             up = positional_columns(sh, i + 1)
             for _ in range(2):
                 coeffs = [rng.randint(-2, 2) for _ in kernel]
                 cycle = tuple(field.of(sum(c * kv[k] for c, kv in zip(coeffs, kernel)))
-                              for k in range(sh.dim(i)))
-                out += sh.coordinates(i, basis_chain(sh.basis[i], cycle))
+                              for k in range(len(basis)))
+                out += sh.coordinates(i, basis_chain(basis, cycle))
                 x = tuple(field.of(rng.randint(-2, 2)) for _ in up)
-                bnd = apply_columns(field, up, x, sh.dim(i))
-                out += sh.bounding_chain(i, basis_chain(sh.basis[i], bnd)).values()
+                bnd = apply_columns(field, up, x, len(basis))
+                out += sh.bounding_chain(i, basis_chain(basis, bnd)).values()
     return out
 
 

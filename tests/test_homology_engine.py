@@ -11,6 +11,7 @@ from conftest import (
     chain_degrees,
     chain_is_boundary,
     class_of,
+    cone_cells,
     ideal_corpus,
     positional_columns,
     ref_extend,
@@ -19,6 +20,7 @@ from conftest import (
     ref_solve,
     reduced_boundary,
     rows_of,
+    strand_cells,
 )
 from golod_lab import homology_engine, taylor_dga
 from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, span
@@ -185,7 +187,7 @@ def test_euler_characteristic_per_strand():
     for ideal in ideals:
         for u in lcm_lattice(ideal):
             s = strand(ideal, QQ, tuple(u))
-            chi_basis = sum((-1) ** i * s.dim(i) for i in s.degrees())
+            chi_basis = sum((-1) ** i * len(strand_cells(s, i)) for i in s.degrees())
             chi_hom = sum(
                 (-1) ** i * strand(ideal, QQ, tuple(u)).dimension(i)
                 for i in s.degrees()
@@ -228,10 +230,10 @@ def test_strand_homology_matches_separate_eliminations():
             for u in lcm_lattice(ideal):
                 sh = StrandHomology(ideal, tuple(u), field)
                 for i in sh.degrees():
-                    n, up_cols = sh.dim(i), positional_columns(sh, i + 1)
-                    basis, up_basis = sh.basis[i], sh.basis.get(i + 1, [])
+                    basis, up_basis = strand_cells(sh, i), strand_cells(sh, i + 1)
+                    n, up_cols = len(basis), positional_columns(sh, i + 1)
                     up = rows_of(up_cols, n)
-                    down = rows_of(positional_columns(sh, i), sh.dim(i - 1))
+                    down = rows_of(positional_columns(sh, i), len(strand_cells(sh, i - 1)))
                     kernel = ref_kernel(field, down, n)
                     image = [tuple(field.of(c.get(r, 0)) for r in range(n)) for c in up_cols]
                     reps = [kernel[j] for j in ref_extend(field, image, kernel, n)]
@@ -251,7 +253,8 @@ def test_strand_homology_matches_separate_eliminations():
                                 got = chain_basis_vector(field, up_basis, got)
                                 assert apply_columns(field, up_cols, got, n) == v
                             assert got == ref_solve(field, up, len(up_cols), v)
-                    strays = [1 << ideal.n_gens] + [sh.basis[j][0] for j in sh.degrees() if j != i]
+                    strays = [1 << ideal.n_gens] + [
+                        cells[0] for j in sh.degrees() if j != i and (cells := strand_cells(sh, j))]
                     for mask in strays:
                         with pytest.raises(ValueError, match="basis element"):
                             sh.coordinates(i, {mask: 1})
@@ -264,14 +267,14 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
     with the strand cap at 0, every membership query on a fresh twin of the
     ideal takes the route for strands past the cap; it must agree, and a
     second query at the same (u, i) must reuse the span kept on the twin."""
-    real = StrandHomology.cells
+    real = StrandHomology._cone
     enumerated = []
 
-    def counted(self, i, apex=None):
-        enumerated.append((self.u, i))
-        return real(self, i, apex)
+    def counted(self, j):
+        enumerated.append((self.u, j))
+        return real(self, j)
 
-    monkeypatch.setattr(StrandHomology, "cells", counted)
+    monkeypatch.setattr(StrandHomology, "_cone", counted)
     answers = set()
     for field in (QQ, GF2, GF3):
         for ideal in [counterexample_ideal()] + ideal_corpus(10, seed=20260811):
@@ -335,7 +338,7 @@ def test_cone_membership_agrees_with_coordinates_inside_the_cap():
     gamma, _ = _skeleton_ideal()
     for ideal, u, i in ((paper, top, 5), (gamma, (1,) * gamma.n_vars, 4)):
         sh = strand(ideal, QQ, u)
-        mask = next(m for m in sh.cells(i) if reduced_boundary(ideal, m))
+        mask = next(m for m in strand_cells(sh, i) if reduced_boundary(ideal, m))
         with pytest.raises(ValueError, match="not a cycle"):
             sh.is_boundary(i, {mask: 1})
         with pytest.raises(ValueError, match="basis element"):
@@ -352,11 +355,11 @@ def _assert_cone_spans(ideal, field, u, i, apexes):
     the ones enumerated with that apex, and their boundaries span the image
     of d_i.  Returns how many apexes left out some mask."""
     sh = strand(ideal, field, u)
-    full = sh.cells(i)
+    full = strand_cells(sh, i)
     want = _boundary_rank(ideal, field, full)
     smaller = 0
     for g in apexes:
-        cone = sh.cells(i, apex=g)
+        cone = cone_cells(sh, i, g)
         assert cone == [m for m in full if m >> g & 1]
         assert _boundary_rank(ideal, field, cone) == want
         smaller += len(cone) < len(full)
@@ -388,7 +391,7 @@ def test_apex_cone_spans_the_boundary_image():
                     smaller += _assert_cone_spans(ideal, field, tuple(u), i, below)
         gamma, _ = _skeleton_ideal()
         top = (1,) * gamma.n_vars
-        assert len(strand(gamma, field, top).cells(3)) == 498
+        assert len(strand_cells(strand(gamma, field, top), 3)) == 498
         smaller += _assert_cone_spans(gamma, field, top, 3, generators_below(gamma, top))
     assert smaller == 471  # cases where the cone leaves some mask out
 
@@ -416,8 +419,10 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
     its top strand (20 generators, past the cap) answers is_boundary, its
     13 classes in degree 4 (beta_4 of the totals (1, 20, 50, 44, 13)), equal
     nonzero coordinates for both Massey values and bounding chains, all from
-    the apex cones; only the questions that walk every degree raise the
-    strand cap error.  The ideal keeps one strand entry per (field, u)."""
+    the apex cones, and dimension(4) counts the same 13 off the cones; only
+    ``degrees``, which lists every degree for Betti numbers and the class
+    tables, raises the strand cap error.  The ideal keeps one strand entry
+    per (field, u)."""
     gamma, (a, b, c) = _skeleton_ideal()
     assert all_products_trivial(gamma, QQ)[0]
     gens = [homology_basis(gamma, QQ, tuple(gamma.gens[k].exps), 1)[0] for k in (a, b, c)]
@@ -432,7 +437,7 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
         assert sh.is_boundary(4, dict(res.value_chain)) is False
         assert len(res.value.coordinates) == 13 and any(res.value.coordinates)
     assert results[0].value.coordinates == results[1].value.coordinates
-    mask = next(m for m in sh.cells(5) if reduced_boundary(gamma, m))
+    mask = next(m for m in strand_cells(sh, 5) if reduced_boundary(gamma, m))
     target = {m: QQ.of(x) for m, x in reduced_boundary(gamma, mask).items()}
     assert sh.is_boundary(4, target)
     assert not any(sh.coordinates(4, target))
@@ -444,9 +449,9 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
             got[face] = got.get(face, 0) + sign * x
     assert {m: x for m, x in got.items() if x} == target
     assert sh.bounding_chain(4, dict(results[0].value_chain)) is None
-    for question in (lambda: sh.dimension(4), sh.degrees):
-        with pytest.raises(ValueError, match="has 20 generators below it"):
-            question()
+    assert sh.dimension(4) == len(sh.classes(4)) == 13
+    with pytest.raises(ValueError, match="has 20 generators below it"):
+        sh.degrees()
     keys = [k for k in gamma.derived if k != "lattice"]
     assert keys and all(k[0] == "strand" and len(k) == 3 for k in keys)
 
@@ -483,7 +488,7 @@ def test_bounding_chain_answers_as_is_boundary(field):
             for i in sh.degrees():
                 for c in sh.classes(i):
                     ask(sh, i, c.chain())
-                above = sh.basis.get(i + 1, [])
+                above = strand_cells(sh, i + 1)
                 for _ in range(6 if above else 0):
                     if z := _boundary_of(sh, {m: rng.randint(-2, 2) for m in above}):
                         ask(sh, i, z)
@@ -494,7 +499,7 @@ def test_bounding_chain_answers_as_is_boundary(field):
     assert (res.multidegree, res.hom_degree, sh.whole) == (top, 4, False)
     ask(sh, 4, dict(res.value_chain))
     assert answers[True] and answers[False]
-    mask = next(m for m in sh.cells(4) if reduced_boundary(gamma, m))
+    mask = next(m for m in strand_cells(sh, 4) if reduced_boundary(gamma, m))
     for question in (sh.is_boundary, sh.bounding_chain):
         with pytest.raises(ValueError, match="not a cycle"):
             question(4, {mask: 1})
@@ -576,15 +581,21 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
     """``betti`` reads both ranks off the apex cones and eliminates no
     differential.  ``golod_decide`` on the paper's ideal eliminates each d_j
     it asks once for its kernel and its boundary solves, on the apex cone:
-    18 eliminations over 18 columns, since the ternary check builds classes
-    only in the triples it runs.  The class tables of every strand take 82
-    eliminations over 180 columns (255 on all cells).  No cone is kept: each
-    (strand, degree) cone is enumerated once per echelon built from it, once
-    for the image it spans and once for the elimination it tags."""
-    columns, differentials, cones = [], Counter(), Counter()
+    18 columns, since the ternary check builds classes only in the triples
+    it runs.  The class tables of every strand eliminate 180 columns (255 on
+    all cells).  ``degrees`` lists every degree 1 ... |G_u|, so both also
+    take empty eliminations, of the degrees whose cone has no cell (9 of 27
+    and 49 of 127; 4 of the class tables' 82 when ``degrees`` listed only
+    the degrees with cells), which reduce nothing and span no image.  No
+    cone is kept: each (strand, degree) cone is enumerated once per echelon
+    built from it, once for the image it spans and once for the elimination
+    it tags, and once more for each ``dimension`` asked in its degree, which
+    counts it."""
+    columns, differentials, cones, sized = [], Counter(), Counter(), Counter()
     real_relations = homology_engine.column_relations
     real_elimination = StrandHomology._elimination
-    real_cells = StrandHomology.cells
+    real_cone = StrandHomology._cone
+    real_dimension = StrandHomology.dimension
 
     def relations(field, cols, nrows):
         columns.append(len(cols))
@@ -594,41 +605,47 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
         differentials[self.u, j] += j not in self._eliminations
         return real_elimination(self, j)
 
-    def cells(self, i, apex=None):
-        if apex is not None:
-            cones[self.u, i] += 1
-        return real_cells(self, i, apex)
+    def cone(self, j):
+        cones[self.u, j] += 1
+        return real_cone(self, j)
+
+    def dimension(self, i):
+        sized[self.u, i] += 1
+        return real_dimension(self, i)
 
     def enumerations(ideal):
         """How many cones were enumerated once and twice, each count checked
         against the echelons its strand built from the cone."""
         for (u, i), n in cones.items():
             sh = strand(ideal, QQ, u)
-            assert n == (i - 1 in sh._images) + (i in sh._eliminations), (u, i)
+            built = (i - 1 in sh._images) + (i in sh._eliminations)
+            assert n == built + sized[u, i], (u, i)
         return sorted(Counter(cones.values()).items())
 
     monkeypatch.setattr(homology_engine, "column_relations", relations)
     monkeypatch.setattr(StrandHomology, "_elimination", elimination)
-    monkeypatch.setattr(StrandHomology, "cells", cells)
+    monkeypatch.setattr(StrandHomology, "_cone", cone)
+    monkeypatch.setattr(StrandHomology, "dimension", dimension)
     paper = counterexample_ideal()
     assert betti(paper, QQ).totals == (1, 8, 14, 8, 1)
-    assert columns == [] and enumerations(paper) == [(1, 125)]
+    assert columns == [] and enumerations(paper) == [(1, 43), (2, 127)]
     cones.clear()
+    sized.clear()
     paper = counterexample_ideal()
     assert golod_decide(paper, QQ).route == "massey-arity-3"
-    assert (len(columns), sum(columns)) == (18, 18)
-    assert len(differentials) == 18 and set(differentials.values()) == {1}
-    assert enumerations(paper) == [(1, 107), (2, 18)]
-    for counts in (columns, differentials, cones):
+    assert (len(columns), columns.count(0), sum(columns)) == (27, 9, 18)
+    assert len(differentials) == 27 and set(differentials.values()) == {1}
+    assert enumerations(paper) == [(1, 43), (2, 100), (3, 27)]
+    for counts in (columns, differentials, cones, sized):
         counts.clear()
     paper = counterexample_ideal()
     for u in lcm_lattice(paper):
         sh = strand(paper, QQ, u)
         for i in sh.degrees():
             sh.classes(i)
-    assert (len(columns), sum(columns)) == (82, 180)
-    assert len(differentials) == 82 and set(differentials.values()) == {1}
-    assert enumerations(paper) == [(1, 86), (2, 39)]
+    assert (len(columns), columns.count(0), sum(columns)) == (127, 49, 180)
+    assert len(differentials) == 127 and set(differentials.values()) == {1}
+    assert enumerations(paper) == [(1, 121), (2, 28)]
 
 
 def _unreduced_row(field, column):
@@ -668,6 +685,28 @@ def test_cone_columns_lead_at_their_private_faces(field):
                     assert {k for k in ech.rows if k < 0} == leads
                 private += len(leads)
     assert private > 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_each_cell_off_the_cone_leads_one_image_row(field):
+    """The count behind ``dimension``: in every strand and degree of the
+    paper's ideal and 10 corpus ideals, each degree-i cell J without g0 leads
+    exactly one row of ``_image(i)``, at its key J - top, and no other row
+    leads below zero.  So dimension(i) is dim C_i - rank d_i - rank d_{i+1}
+    with dim C_i counted over the whole degree.  The 75 cells off the cone
+    are all the paper's: the corpus strands have none."""
+    off = 0
+    for ideal in [counterexample_ideal()] + ideal_corpus(10):
+        for u in lcm_lattice(ideal):
+            sh = strand(ideal, field, tuple(u))
+            for i in sh.degrees():
+                cells, image = strand_cells(sh, i), sh._image(i)
+                negative = sorted(k + sh.top for k in image.rows if k < 0)
+                assert negative == [m for m in cells if not m & sh.apex]
+                off += len(negative)
+                ranks = len(sh._image(i - 1).rows) + len(image.rows)
+                assert sh.dimension(i) == len(cells) - ranks
+    assert off == 75
 
 
 class _CountingRows(dict):

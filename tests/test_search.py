@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import time
 import tracemalloc
 import weakref
 from itertools import combinations, islice
@@ -281,3 +282,21 @@ def test_first_pattern_of_many_variables_is_cheap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_search_keeps_its_time_budget_on_many_variables():
+    """The block sizes are yielded one at a time, so the budget test comes
+    before any O(n_vars^3) list of them: on 200 variables a half-second
+    search stops near half a second, with a small allocation peak."""
+    stats = SearchStats()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        hits = list(search(200, 9, budget=5, seconds=0.5, seeds=[], stats=stats))
+        wall = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.budget_exhausted and len(hits) <= 5
+    assert peak < 8 << 20
+    assert wall < 1.5
