@@ -11,9 +11,9 @@ Only the multidegrees u <= w are resolved, w the lcm of the generators:
 which ``p_series`` reads all of P (Berglund, "Poincare series of monomial
 rings", J. Algebra 295, 2006; ``p_series`` spells this out).
 
-Each ``box_series`` call builds one table of the ring's standard monomials, per
-degree and as a set, up to |w|, the largest degree in the box; every step
-reads it, and nothing is cached between calls.  A step walks its box
+Each ``box_series`` call builds one table of the ring's standard monomials in
+the box, per degree and as a set; every step reads it, and nothing is cached
+between calls.  A step walks its box
 multidegrees one internal degree at a time and keeps only the current and
 the previous degree.  At a multidegree u the kernel K(u) of the current map
 is lifted from below: x_v K(u - e_v) lies in K(u) for every variable v, and
@@ -97,26 +97,28 @@ def q_series(ideal, field, n):
 # standard monomials of the quotient ring
 
 
-def _std_table(ideal, top):
-    """Standard monomials of degree 0..top: a list of sorted exponent tuples per
-    degree, and the set of them all.
+def _std_table(ideal, box):
+    """Standard monomials m <= box: a list of sorted exponent tuples per degree
+    0..|box|, and the set of them all.
 
-    Degree d is grown from degree d-1, so monomials inside the ideal are never
-    enumerated in bulk.  A monomial m is standard exactly when it is not a
-    generator and every m - e_v with m_v > 0 is standard (a generator dividing
-    m properly divides one of them), that is when it is grown from as many
-    standard monomials as its support has variables.
+    Degree d is grown from degree d-1 inside the box (closed under m - e_v),
+    so monomials inside the ideal are never enumerated in bulk.  A monomial m
+    is standard exactly when it is not a generator and every m - e_v with
+    m_v > 0 is standard (a generator dividing m properly divides one of
+    them), that is when it is grown from as many standard monomials as its
+    support has variables.
     """
     gens = {g.exps for g in ideal.gens}
     n = ideal.n_vars
     layer = [(0,) * n]
     by_degree = [layer]
-    for _ in range(top):
+    for _ in range(sum(box)):
         grown = {}
         for m in layer:
             for v in range(n):
-                g = m[:v] + (m[v] + 1,) + m[v + 1:]
-                grown[g] = grown.get(g, 0) + 1
+                if m[v] < box[v]:
+                    g = m[:v] + (m[v] + 1,) + m[v + 1:]
+                    grown[g] = grown.get(g, 0) + 1
         layer = sorted(m for m, k in grown.items() if k == n - m.count(0) and m not in gens)
         by_degree.append(layer)
     return by_degree, {m for ms in by_degree for m in ms}
@@ -206,8 +208,9 @@ def _lift(field, here, dim, belows):
 def _resolution_step(field, std, box, gens, phi, prev):
     """One minimal-resolution step, multidegree by multidegree, inside the box.
 
-    ``std``: the ``_std_table`` of the ring through the degree of ``box``;
-    the step walks all of it but keeps only the multidegrees u <= ``box``.
+    ``std``: a table of the ring's standard monomials, per degree and as a
+    set, through the degree of ``box`` (``_std_table``); the step walks all
+    of it but keeps only the multidegrees u <= ``box``.
     ``gens``: multidegrees of the current free module F's generators.
     ``phi``: per generator, the image as a map (previous gen index, exps) ->
     coeff.  ``prev``: the nonzero dimensions of the previous kernel K' by
@@ -277,7 +280,7 @@ def box_series(ideal, field, n):
     (``p_series`` gives the argument)."""
     nv = ideal.n_vars
     box = lcm_of(ideal.gens, nv).exps
-    std = _std_table(ideal, sum(box))
+    std = _std_table(ideal, box)
     # first syzygy module of the residue field is the irrelevant ideal
     support = [v for v in range(nv) if box[v]]
     gens = [e for v in support if (e := tuple(int(k == v) for k in range(nv))) in std[1]]

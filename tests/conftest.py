@@ -7,8 +7,8 @@ from operator import add, or_
 
 import pytest
 
-from golod_lab.exact_linalg import QQ, span
-from golod_lab.homology_engine import HomologyClass, betti, strand
+from golod_lab.exact_linalg import QQ, Echelon, column_relations, span
+from golod_lab.homology_engine import HomologyClass, _freeze_chain, betti, strand
 from golod_lab.massey_golod import chain_product
 from golod_lab.monomial_core import (
     Monomial,
@@ -22,7 +22,6 @@ from golod_lab.series_engine import (
     ResolutionReport,
     SeriesTrunc,
     StepReport,
-    _std_table,
 )
 from golod_lab.simplicial import reduced_cochain_complex
 from golod_lab.taylor_dga import (
@@ -153,6 +152,84 @@ def cone_cells(sh, i, apex):
     pool = [b for b in att if b != bit]
     return sorted(sum(c) | bit for c in combinations(pool, i - 1)
                   if reduce(or_, (att[b] for b in c), att[bit]) == full)
+
+
+class EagerStrand:
+    """The strand ``sh`` solved on its whole apex cone, matched rows built: the
+    reference for the library, which spans only the critical cells and
+    applies the matched rows to each chain it is asked about.
+
+    Every cone column d(K), K containing the apex g0, is spanned with its
+    face K - g0, when that face is a cell, keyed ``(K - g0) - top``, below
+    every cone mask, so each matched column sits in the image echelon and
+    the tagged elimination as an unreduced row; a chain's cells without g0
+    are keyed the same way and cleared by those rows.  ``dimension`` counts
+    the whole degree's cells against these ranks.
+    """
+
+    def __init__(self, sh):
+        self.sh, self.field, self.top, self.apex = sh, sh.field, sh.top, sh.apex
+        self._images, self._eliminations, self._homologies = {}, {}, {}
+
+    def cone(self, j):
+        return cone_cells(self.sh, j, self.sh.gens_below[0])
+
+    def column(self, m):
+        col = self.sh.boundary(m)
+        if (x := col.pop(m ^ self.apex, None)) is not None:
+            col[(m ^ self.apex) - self.top] = x
+        return col
+
+    def image(self, i):
+        if i not in self._images:
+            self._images[i] = span(self.field, [self.column(m) for m in self.cone(i + 1)])
+        return self._images[i]
+
+    def elimination(self, j):
+        if j not in self._eliminations:
+            ech, relations = column_relations(
+                self.field, {m: self.column(m) for m in self.cone(j)}, self.top)
+            self._eliminations[j] = ech, list(relations.values())
+        return self._eliminations[j]
+
+    def homology(self, i):
+        """(image echelon extended by the representatives, representatives)."""
+        if i not in self._homologies:
+            ech = Echelon(self.field)
+            ech.rows = dict(self.image(i).rows)
+            reps = []
+            for kv in self.elimination(i)[1]:
+                w = ech.reduce({**kv, self.top + len(reps): 1})
+                if min(w) < self.top:
+                    ech.insert(w)
+                    reps.append(kv)
+            self._homologies[i] = ech, reps
+        return self._homologies[i]
+
+    def vector(self, chain):
+        of = self.field.of
+        return {m if m & self.apex else m - self.top: y
+                for m, c in chain.items() if (y := of(c))}
+
+    def dimension(self, i):
+        return len(strand_cells(self.sh, i)) - len(self.image(i - 1).rows) - len(self.image(i).rows)
+
+    def representatives(self, i):
+        return [_freeze_chain(kv) for kv in self.homology(i)[1]]
+
+    def is_boundary(self, i, chain):
+        return not self.image(i).reduce(self.vector(chain))
+
+    def coordinates(self, i, chain):
+        ech, reps = self.homology(i)
+        w = ech.reduce(self.vector(chain))
+        return tuple(self.field.of(-w.get(self.top + k, 0)) for k in range(len(reps)))
+
+    def bounding_chain(self, i, chain):
+        w = self.elimination(i + 1)[0].reduce(self.vector(chain))
+        if w and min(w) < self.top:
+            return None
+        return {k - self.top: self.field.of(-c) for k, c in sorted(w.items())}
 
 
 def positional_columns(sh, i):
@@ -320,6 +397,25 @@ def chain_is_boundary(ideal, field, chain):
 # reference oracles: independent routes the library is checked against
 
 
+def std_table(ideal, top):
+    """Standard monomials of degree 0..top with no box: a list of sorted
+    exponent tuples per degree, and the set of them all, grown degree by
+    degree as ``series_engine._std_table`` grows them inside its box."""
+    gens = {g.exps for g in ideal.gens}
+    n = ideal.n_vars
+    layer = [(0,) * n]
+    by_degree = [layer]
+    for _ in range(top):
+        grown = {}
+        for m in layer:
+            for v in range(n):
+                g = m[:v] + (m[v] + 1,) + m[v + 1:]
+                grown[g] = grown.get(g, 0) + 1
+        layer = sorted(m for m, k in grown.items() if k == n - m.count(0) and m not in gens)
+        by_degree.append(layer)
+    return by_degree, {m for ms in by_degree for m in ms}
+
+
 def reduced_boundary(ideal, mask):
     """The field-reduced Taylor differential by its definition: the terms of
     the full differential whose monomial coefficient lcm(I) / lcm(I - m) is
@@ -462,7 +558,7 @@ def reference_p_series(ideal, field, n):
     qtable = q_bigraded(ideal, field, n)
     nv = ideal.n_vars
     top = max(max(bound) for bound in qtable.values())
-    std = _std_table(ideal, top)
+    std = std_table(ideal, top)
     everywhere = (top,) * nv  # a box around every multidegree the table reaches
     gens = [e for v in range(nv) if (e := tuple(int(k == v) for k in range(nv))) in std[1]]
     phi = [{(0, e): 1} for e in gens]
@@ -508,7 +604,7 @@ class BarComplex:
         if (j, d) not in self._bases:
             out = [()] if j == d == 0 else []
             if j and d >= j:
-                by_degree = _std_table(self.ideal, d)[0]
+                by_degree = std_table(self.ideal, d)[0]
 
                 def rec(parts, remaining, slots):
                     if slots == 1:
@@ -525,7 +621,7 @@ class BarComplex:
 
     def columns(self, j, d):
         """Sparse columns of the differential from (j, d) into (j-1, d)."""
-        std = _std_table(self.ideal, d)[1]
+        std = std_table(self.ideal, d)[1]
         lower = {t: k for k, t in enumerate(self.basis(j - 1, d))}
         p = self.field.char
         cols = []

@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import (
+    EagerStrand,
     apply_columns,
     basis_chain,
     chain_basis_vector,
@@ -578,24 +579,23 @@ def test_is_boundary_unchanged_by_building_classes(field):
 
 
 def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatch):
-    """``betti`` reads both ranks off the apex cones and eliminates no
+    """``betti`` reads both ranks off the critical cells and eliminates no
     differential.  ``golod_decide`` on the paper's ideal eliminates each d_j
-    it asks once for its kernel and its boundary solves, on the apex cone:
-    18 columns, since the ternary check builds classes only in the triples
-    it runs.  The class tables of every strand eliminate 180 columns (255 on
-    all cells).  ``degrees`` lists every degree 1 ... |G_u|, so both also
-    take empty eliminations, of the degrees whose cone has no cell (9 of 27
-    and 49 of 127; 4 of the class tables' 82 when ``degrees`` listed only
-    the degrees with cells), which reduce nothing and span no image.  No
-    cone is kept: each (strand, degree) cone is enumerated once per echelon
-    built from it, once for the image it spans and once for the elimination
-    it tags, and once more for each ``dimension`` asked in its degree, which
-    counts it."""
-    columns, differentials, cones, sized = [], Counter(), Counter(), Counter()
+    it asks once for its kernel and its boundary solves, on the critical
+    cells: 18 columns, since the ternary check builds classes only in the
+    triples it runs.  The class tables of every strand eliminate 105
+    critical columns (180 on the whole apex cones, 255 on all cells).  A
+    degree with no critical cell has no kernel and is not eliminated: 66
+    eliminations where eliminating every degree took 127, 49 of them on no
+    column, and 18 where ``golod_decide`` took 27, 9 on no column.  Each
+    (strand, degree) enumerates its critical cells once and keeps them, and
+    every elimination reads a kept list: 170 lists under ``betti`` and
+    ``golod_decide`` (297 enumerations and 324 when each echelon and each
+    ``dimension`` enumerated its own cone), 149 for the class tables (177)."""
+    columns, differentials, cones = [], Counter(), Counter()
     real_relations = homology_engine.column_relations
     real_elimination = StrandHomology._elimination
     real_cone = StrandHomology._cone
-    real_dimension = StrandHomology.dimension
 
     def relations(field, cols, nrows):
         columns.append(len(cols))
@@ -606,46 +606,38 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
         return real_elimination(self, j)
 
     def cone(self, j):
-        cones[self.u, j] += 1
+        cones[self.u, j] += j not in self._cones
         return real_cone(self, j)
 
-    def dimension(self, i):
-        sized[self.u, i] += 1
-        return real_dimension(self, i)
-
-    def enumerations(ideal):
-        """How many cones were enumerated once and twice, each count checked
-        against the echelons its strand built from the cone."""
-        for (u, i), n in cones.items():
-            sh = strand(ideal, QQ, u)
-            built = (i - 1 in sh._images) + (i in sh._eliminations)
-            assert n == built + sized[u, i], (u, i)
-        return sorted(Counter(cones.values()).items())
+    def enumerated(ideal):
+        """How many (strand, degree) lists were enumerated, each once, with
+        every eliminated degree's list kept on its strand."""
+        assert set(cones.values()) <= {1}
+        assert all(j in strand(ideal, QQ, u)._cones for u, j in differentials)
+        return len(cones)
 
     monkeypatch.setattr(homology_engine, "column_relations", relations)
     monkeypatch.setattr(StrandHomology, "_elimination", elimination)
     monkeypatch.setattr(StrandHomology, "_cone", cone)
-    monkeypatch.setattr(StrandHomology, "dimension", dimension)
     paper = counterexample_ideal()
     assert betti(paper, QQ).totals == (1, 8, 14, 8, 1)
-    assert columns == [] and enumerations(paper) == [(1, 43), (2, 127)]
+    assert columns == [] and enumerated(paper) == 170
     cones.clear()
-    sized.clear()
     paper = counterexample_ideal()
     assert golod_decide(paper, QQ).route == "massey-arity-3"
-    assert (len(columns), columns.count(0), sum(columns)) == (27, 9, 18)
-    assert len(differentials) == 27 and set(differentials.values()) == {1}
-    assert enumerations(paper) == [(1, 43), (2, 100), (3, 27)]
-    for counts in (columns, differentials, cones, sized):
+    assert (len(columns), columns.count(0), sum(columns)) == (18, 0, 18)
+    assert len(differentials) == 18 and set(differentials.values()) == {1}
+    assert enumerated(paper) == 170
+    for counts in (columns, differentials, cones):
         counts.clear()
     paper = counterexample_ideal()
     for u in lcm_lattice(paper):
         sh = strand(paper, QQ, u)
         for i in sh.degrees():
             sh.classes(i)
-    assert (len(columns), columns.count(0), sum(columns)) == (127, 49, 180)
-    assert len(differentials) == 127 and set(differentials.values()) == {1}
-    assert enumerations(paper) == [(1, 121), (2, 28)]
+    assert (len(columns), columns.count(0), sum(columns)) == (66, 0, 105)
+    assert len(differentials) == 66 and set(differentials.values()) == {1}
+    assert enumerated(paper) == 149
 
 
 def _unreduced_row(field, column):
@@ -658,22 +650,30 @@ def _unreduced_row(field, column):
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
 def test_cone_columns_lead_at_their_private_faces(field):
     """In every strand and degree, each cone column d(K) whose face K - g0 is
-    a cell sits in the image echelon and in the tagged elimination unreduced,
-    led by the key of K - g0 (below zero, under every cone mask); no other
-    row leads below zero.  A u below no generator still gives no strand."""
+    a cell, a matched cell, sits in the image echelon and in the tagged
+    elimination of the whole cone (``EagerStrand``) unreduced, led by the key
+    of K - g0 (below zero, under every cone mask), with sign +1 in d(K) since
+    g0 is K's least member; no other row leads below zero, and the other
+    rows are exactly the library's, which spans only the critical cells, the
+    cone cells that are not matched.  A u below no generator still gives no
+    strand."""
     private = 0
     for ideal in [counterexample_ideal()] + ideal_corpus(10):
         assert strand(ideal, field, (0,) * ideal.n_vars) is None
         for u in lcm_lattice(ideal):
             sh = strand(ideal, field, tuple(u))
+            ref = EagerStrand(sh)
             assert sh.apex == 1 << sh.gens_below[0]
             for j in range(1, len(sh.gens_below) + 1):
-                image, elimination = sh._image(j - 1), sh._elimination(j)[0]
+                image, elimination = ref.image(j - 1), ref.elimination(j)[0]
+                critical = set(sh._cone(j))
                 leads = set()
-                for k in sh._cone(j):
+                for k in ref.cone(j):
                     col = sh.boundary(k)
                     if k ^ sh.apex not in col:
+                        assert k in critical
                         continue
+                    assert k not in critical and col[k ^ sh.apex] == 1  # the first face
                     lead = (k ^ sh.apex) - sh.top
                     keyed = {lead if f == k ^ sh.apex else f: x for f, x in col.items()}
                     untagged = {x: field.of(y) for x, y in image.rows[lead].items()}
@@ -681,8 +681,10 @@ def test_cone_columns_lead_at_their_private_faces(field):
                     assert untagged == _unreduced_row(field, keyed)
                     assert tagged == _unreduced_row(field, {**keyed, sh.top + k: 1})
                     leads.add(lead)
-                for ech in (image, elimination):
+                lazy = (sh._image(j - 1), sh._elimination(j)[0])
+                for ech, rows in zip((image, elimination), lazy):
                     assert {k for k in ech.rows if k < 0} == leads
+                    assert {k: r for k, r in ech.rows.items() if k >= 0} == rows.rows
                 private += len(leads)
     assert private > 0
 
@@ -691,20 +693,24 @@ def test_cone_columns_lead_at_their_private_faces(field):
 def test_each_cell_off_the_cone_leads_one_image_row(field):
     """The count behind ``dimension``: in every strand and degree of the
     paper's ideal and 10 corpus ideals, each degree-i cell J without g0 leads
-    exactly one row of ``_image(i)``, at its key J - top, and no other row
-    leads below zero.  So dimension(i) is dim C_i - rank d_i - rank d_{i+1}
-    with dim C_i counted over the whole degree.  The 75 cells off the cone
-    are all the paper's: the corpus strands have none."""
+    exactly one row of the whole cone's image of d_{i+1} (``EagerStrand``),
+    at its key J - top, and no other row leads below zero; the others are
+    the library's critical rows.  So dimension(i), read off the critical
+    cells, is dim C_i - rank d_i - rank d_{i+1} with dim C_i counted over
+    the whole degree.  The 75 cells off the cone are all the paper's: the
+    corpus strands have none."""
     off = 0
     for ideal in [counterexample_ideal()] + ideal_corpus(10):
         for u in lcm_lattice(ideal):
             sh = strand(ideal, field, tuple(u))
+            ref = EagerStrand(sh)
             for i in sh.degrees():
-                cells, image = strand_cells(sh, i), sh._image(i)
+                cells, image = strand_cells(sh, i), ref.image(i)
                 negative = sorted(k + sh.top for k in image.rows if k < 0)
                 assert negative == [m for m in cells if not m & sh.apex]
+                assert len(image.rows) - len(negative) == len(sh._image(i).rows)
                 off += len(negative)
-                ranks = len(sh._image(i - 1).rows) + len(image.rows)
+                ranks = len(ref.image(i - 1).rows) + len(image.rows)
                 assert sh.dimension(i) == len(cells) - ranks
     assert off == 75
 
@@ -728,9 +734,14 @@ def test_skeleton_top_strand_eliminates_only_the_columns_without_private_faces(
         field, monkeypatch):
     """On the 4-skeleton's top strand, 3,053 of the 3,386 cone columns of d_5
     lead at their private faces, out of rank 3,191, so the image of d_5 and
-    its tagged elimination reduce only the other 333: over Q, 4,356 row
-    subtractions over both, against 219,925 when each column led at its least
-    face."""
+    its tagged elimination span, reduce and keep only the other 333, the
+    critical cells: over Q, 4,356 row subtractions over both, against
+    219,925 when each column led at its least face."""
+    gamma, _ = _skeleton_ideal()
+    sh = strand(gamma, field, (1,) * gamma.n_vars)
+    ref = EagerStrand(sh)
+    cone, whole = ref.cone(5), ref.image(4)
+    matched = sum(k < 0 for k in whole.rows)
     real_init = Echelon.__init__
 
     def init(self, field):
@@ -740,11 +751,72 @@ def test_skeleton_top_strand_eliminates_only_the_columns_without_private_faces(
     monkeypatch.setattr(Echelon, "__init__", init)
     monkeypatch.setattr(_CountingRows, "subtracted", 0)
     monkeypatch.setattr(_CountingRows, "entries", 0)
-    gamma, _ = _skeleton_ideal()
-    sh = strand(gamma, field, (1,) * gamma.n_vars)
     image = sh._image(4)
     sh._elimination(5)
-    assert len(sh._cone(5)) == 3386 and len(image.rows) == 3191
-    assert sum(k < 0 for k in image.rows) == 3053
+    assert len(cone) == 3386 and len(whole.rows) == 3191 and matched == 3053
+    assert len(sh._cone(5)) == 333 == len(cone) - matched
+    assert len(image.rows) == 3191 - 3053
     assert _CountingRows.subtracted <= 5000
     assert _CountingRows.entries <= 30000
+
+
+def _combination(field, chains, rng):
+    """A sum of the chains with random nonzero scalars up to +-2, without zeros."""
+    out = {}
+    for chain in chains:
+        s = rng.choice((-2, -1, 1, 2))
+        for m, x in chain.items():
+            out[m] = field.of(out.get(m, 0) + s * x)
+    return {m: x for m, x in out.items() if x}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_critical_cells_answer_as_the_eager_cone(field):
+    """The library spans only the critical cells and clears each cell of a
+    chain that misses g0 with its matched row, tag included, when the chain
+    is asked about; ``EagerStrand`` spans every cone column with
+    the matched rows built.  ``dimension``, the representatives,
+    ``is_boundary``, ``coordinates`` and ``bounding_chain`` agree on every
+    strand and degree of the paper's ideal and 10 corpus ideals, asked about
+    each representative, the boundary of each cell of the degree above and
+    random sums of them, and on the 4-skeleton's top strand in degree 4,
+    past the cap, asked about its Massey value, its 13 representatives and
+    the boundaries of 40 degree-5 cells, half of them without g0.  That
+    strand has 3,386 cone cells in degree 5: 3,053 matched, 333 critical."""
+    rng = random.Random(28)
+    seen = Counter()
+
+    def agree(sh, ref, i, probes):
+        assert sh.dimension(i) == ref.dimension(i)
+        assert [c.representative for c in sh.classes(i)] == ref.representatives(i)
+        for z in probes + [_combination(sh.field, rng.sample(probes, 3), rng) for _ in range(4)
+                           if len(probes) >= 3]:
+            if not z:
+                continue
+            want = ref.bounding_chain(i, z)
+            assert sh.bounding_chain(i, z) == want
+            assert sh.is_boundary(i, z) == ref.is_boundary(i, z) == (want is not None)
+            assert sh.coordinates(i, z) == ref.coordinates(i, z)
+            seen[want is not None, all(m & sh.apex for m in z)] += 1
+
+    for ideal in [counterexample_ideal()] + ideal_corpus(10):
+        for u in lcm_lattice(ideal):
+            sh = strand(ideal, field, u)
+            ref = EagerStrand(sh)
+            for i in sh.degrees():
+                reps = [dict(r) for r in ref.representatives(i)]
+                agree(sh, ref, i, reps + [_boundary_of(sh, {m: 1})
+                                          for m in strand_cells(sh, i + 1)])
+    assert all(seen[key] for key in product((True, False), repeat=2))
+    gamma, (a, b, c) = _skeleton_ideal()
+    res = ternary_massey_generators(gamma, field, a, b, c, b2_certified=True)
+    sh = strand(gamma, field, (1,) * gamma.n_vars)
+    ref = EagerStrand(sh)
+    assert len(ref.cone(5)) == 3386 and len(sh._cone(5)) == 333
+    assert sum(k < 0 for k in ref.image(4).rows) == 3053
+    above = strand_cells(sh, 5)
+    off = [m for m in above if not m & sh.apex]
+    cells = rng.sample(off, 20) + rng.sample([m for m in above if m & sh.apex], 20)
+    reps = [dict(r) for r in ref.representatives(4)]
+    assert len(reps) == 13
+    agree(sh, ref, 4, [dict(res.value_chain)] + reps + [_boundary_of(sh, {m: 1}) for m in cells])

@@ -389,8 +389,9 @@ def test_golod_decide_checks_products_once(monkeypatch):
 
 
 def test_massey_checks_bound_without_the_homology_basis(monkeypatch):
-    """The Massey value's boundary test spans only the apex cone; the homology
-    basis and its coordinates are eliminated only when ``value`` is read.
+    """The Massey value's boundary test spans only the critical cells of the
+    apex cone, 7 of its 18 columns; the homology basis and its coordinates
+    are eliminated only when ``value`` is read.
     The pattern search, which reads only ``value_is_zero``, halves its
     tagged eliminations (1,000 before the membership test was shared)."""
     relations, spans = [], []
@@ -409,7 +410,7 @@ def test_massey_checks_bound_without_the_homology_basis(monkeypatch):
     pol, roles = seed_pattern()
     res = ternary_massey_generators(pol, QQ, roles.a, roles.b, roles.c, b2_certified=True)
     assert res.defined and res.value_is_zero is False
-    assert relations == [] and spans == [18]
+    assert relations == [] and spans == [7]
     assert res.value.coordinates == (Fraction(-1),)
     assert relations
     relations.clear()

@@ -6,7 +6,14 @@ from operator import add, le
 
 import pytest
 
-from conftest import BarComplex, expand_rational, ideal_corpus, q_bigraded, reference_p_series
+from conftest import (
+    BarComplex,
+    expand_rational,
+    ideal_corpus,
+    q_bigraded,
+    reference_p_series,
+    std_table,
+)
 from golod_lab import homology_engine, series_engine
 from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, column_relations
 from golod_lab.homology_engine import betti
@@ -15,6 +22,7 @@ from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_idea
 from golod_lab.simplicial import complex_of, skeleton, stanley_reisner_ideal
 from golod_lab.series_engine import (
     SeriesTrunc,
+    _std_table,
     p_series,
     q_series,
     series_compare,
@@ -126,6 +134,22 @@ def test_p_series_matches_the_unboxed_resolution(example_ideal):
         got, want = p_series(example_ideal, field, 6), reference_p_series(example_ideal, field, 6)
         assert got == want and got[1].describe() == want[1].describe(), field
         assert got[0].coeffs == (1, 5, 18, 64, 227, 805, 2855)
+
+
+def test_std_table_grows_only_inside_the_box(example_ideal):
+    """The box series reads standard monomials only inside the lcm box, and
+    grows only those: per degree, the unboxed table cut to the box, on the
+    paper's ideal (56 of its 519 standard monomials of degree <= 9) and the
+    corpus."""
+    sizes = []
+    for ideal in [example_ideal] + ideal_corpus(100, seed=20260811):
+        box = lcm_of(ideal.gens, ideal.n_vars).exps
+        by_degree, is_std = _std_table(ideal, box)
+        every, _ = std_table(ideal, sum(box))
+        assert by_degree == [[m for m in ms if all(map(le, m, box))] for ms in every]
+        assert is_std == {m for ms in by_degree for m in ms}
+        sizes.append((len(is_std), sum(map(len, every))))
+    assert sizes[0] == (56, 519)
 
 
 def test_resolution_report_contents(example_ideal):

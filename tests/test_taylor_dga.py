@@ -424,13 +424,14 @@ def test_chain_to_cochain_intertwines_random():
 
 
 def test_strand_degree_basis_matches_full_strand(example_ideal):
-    """The apex cone of a fresh strand is the part of each whole degree that
-    contains g0."""
+    """The critical cells of a fresh strand are the part of each whole degree
+    that contains g0 and whose face without g0 is no cell."""
     for u in list(lcm_lattice(example_ideal))[:10]:
         u = tuple(u)
         s = strand(example_ideal, QQ, u)
         for i in s.degrees():
-            want = [m for m in strand_cells(s, i) if m & s.apex]
+            lower = set(strand_cells(s, i - 1))
+            want = [m for m in strand_cells(s, i) if m & s.apex and m ^ s.apex not in lower]
             assert StrandHomology(example_ideal, u, QQ)._cone(i) == want
 
 
@@ -478,14 +479,17 @@ def test_strand_degree_basis_matches_exponent_reference():
                     assert cone_cells(s, i, g) == _ref_strand_degree_basis(ideal, u, i, apex=g)
                 if i:
                     apex = s.gens_below[0]
-                    assert s._cone(i) == _ref_strand_degree_basis(ideal, u, i, apex=apex)
+                    lower = set(_ref_strand_degree_basis(ideal, u, i - 1))
+                    cone = _ref_strand_degree_basis(ideal, u, i, apex=apex)
+                    assert s._cone(i) == [m for m in cone if m ^ 1 << apex not in lower]
     assert masks > 400
 
 
 def test_strand_degree_basis_skeleton_counts():
     """The 4-skeleton's top strand (20 generators): 498 masks in degree 3 and
     the 3,386-mask apex cone in degree 5 that its Massey value is tested
-    against, both as the exponent reference enumerates them."""
+    against, 333 of them critical (their face without g0 is not in degree 4),
+    all as the exponent reference enumerates them."""
     pol, _ = polarize(counterexample_ideal())
     gamma = stanley_reisner_ideal(skeleton(complex_of(pol), 4))
     top = (1,) * gamma.n_vars
@@ -494,8 +498,10 @@ def test_strand_degree_basis_skeleton_counts():
     assert len(below) == 20
     three = strand_cells(s, 3)
     assert len(three) == 498 and three == _ref_strand_degree_basis(gamma, top, 3)
-    cone = s._cone(5)
-    assert len(cone) == 3386 and cone == _ref_strand_degree_basis(gamma, top, 5, below[0])
+    cone = _ref_strand_degree_basis(gamma, top, 5, below[0])
+    assert len(cone) == 3386 and cone == cone_cells(s, 5, below[0])
+    four = set(_ref_strand_degree_basis(gamma, top, 4))
+    assert s._cone(5) == [m for m in cone if m ^ s.apex not in four] and len(s._cone(5)) == 333
 
 
 def test_boundary_columns_match_reduced_boundary():
