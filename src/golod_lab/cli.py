@@ -3,9 +3,9 @@
 Exit codes: 0 for success (and mathematically positive answers), 1 for
 mathematically negative answers (nontrivial products, nonzero Massey class,
 NotGolod, series divergence), 2 for usage and parse errors, 3 for an
-exhausted search budget and for input past the strand cap
-(``StrandTooLarge``, with nothing on standard output).  ``--format json``
-emits the same data as the text renderers.
+exhausted search budget and for input too large to enumerate (``TooLarge``:
+a strand degree, complex or fiber past its bound; nothing on standard
+output).  ``--format json`` emits the same data as the text renderers.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import simplicial as sc
 from .exact_linalg import parse_field
 from .homology_engine import betti, homology_basis
 from .monomial_core import (
+    TooLarge,
     counterexample_generator_index,
     counterexample_ideal,
     format_ideal,
@@ -28,7 +29,7 @@ from .monomial_core import (
     parse_ideal,
     polarize,
 )
-from .taylor_dga import StrandTooLarge, fiber_complex, mask_members
+from .taylor_dga import fiber_complex, mask_members
 
 
 class UsageError(Exception):
@@ -516,7 +517,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StrandTooLarge as exc:
+    except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:

@@ -42,16 +42,18 @@ masks* (the variables k with exps[k] == u[k] > 0) is ``full``, the support
 mask of u.  The strand makes these masks once and reads off them its
 critical cells (``_cone``), the lattice test and ``boundary(mask)``, the
 package's one differential.  One accessor, ``strand(ideal, field, u)``, runs
-the lattice test and reads the cap once per (field, u), the only place a
-strand is tested either way, and keeps the ``StrandHomology`` (None outside
-the lcm lattice) in ``ideal.derived``, freed with the ideal.  Callers ask the
-strand at the (u, i) they already hold; a mask that is not a degree-i cell
-with lcm u raises.  Classes, coordinates, bounding chains, membership and
-``dimension`` read only the critical cells, so they answer on every strand.
-The cap guards only what walks every degree: a strand with at most
-``_FULL_STRAND_LIMIT`` generators below u is ``whole``, and ``degrees``, the
-one reader of the cap, lists its degrees for ``betti`` and the class tables;
-past the cap it raises ``StrandTooLarge``.
+the lattice test once per (field, u), the only place a strand is tested,
+and keeps the ``StrandHomology`` (None outside the lcm lattice) in
+``ideal.derived``, freed with the ideal.  Callers ask the strand at the
+(u, i) they already hold; a mask that is not a degree-i cell with lcm u
+raises.
+
+The strand layer's one size rule sits on its one exponential loop:
+``_cone(j)`` scans C(|G_u| - 1, j - 1) subsets and, past ``_CONE_BOUND`` =
+C(17, 8) = 24,310 (the most any degree of an 18-generator strand scans),
+raises ``TooLarge`` before it scans one.  Each question scans only its own
+degrees: i and i + 1, or every degree for ``betti`` and the class tables,
+which so raise on each strand with 19 or more generators below u.
 """
 
 from __future__ import annotations
@@ -59,17 +61,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import or_
 
 from .exact_linalg import Echelon, column_relations, span
-from .taylor_dga import (
-    _FULL_STRAND_LIMIT,
-    StrandTooLarge,
-    generators_below,
-    lcm_lattice,
-    mask_of,
-    support_mask,
-)
+from .monomial_core import TooLarge
+from .taylor_dga import generators_below, lcm_lattice, mask_of, support_mask
+
+_CONE_BOUND = comb(17, 8)  # most subsets one degree's cells may scan: 24,310
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,6 @@ class StrandHomology:
     def __init__(self, ideal, u, field):
         self.ideal, self.u, self.field = ideal, tuple(u), field
         self.gens_below = generators_below(ideal, self.u)
-        self.whole = len(self.gens_below) <= _FULL_STRAND_LIMIT
         self.full = support_mask(self.u)
         self.attain = {}
         for gi in self.gens_below:
@@ -128,22 +126,20 @@ class StrandHomology:
 
     def degrees(self):
         """The homological degrees 1 ... |G_u| a cell can have, for the questions
-        that walk every degree (``betti`` and the class tables); the one place
-        the cap is read: past it this raises ``StrandTooLarge``."""
-        if not self.whole:
-            raise StrandTooLarge(
-                f"strand at {self.u} has {len(self.gens_below)} generators below it; "
-                "past the cap nothing that needs every degree is answered "
-                "(Betti numbers, the class tables)"
-            )
+        that walk every degree (``betti`` and the class tables)."""
         return list(range(1, len(self.gens_below) + 1))
 
     def _cone(self, j):
         """Sorted critical degree-j masks K: g0 in K, lcm(K) = u, lcm(K - g0) != u.
         C(|G_u| - 1, j - 1) subsets, one OR of attain masks per member; the
         strand's one enumeration of cells, kept for the columns of d_j and
-        for ``dimension``."""
+        for ``dimension``, and its one size test: past ``_CONE_BOUND`` subsets
+        it raises ``TooLarge`` before it scans any."""
         if j not in self._cones:
+            n = len(self.gens_below)
+            if (subsets := comb(n - 1, j - 1)) > _CONE_BOUND:
+                raise TooLarge(f"strand at {self.u} has {n} generators below it; degree {j} "
+                               f"would scan {subsets:,} subsets, past {_CONE_BOUND:,}")
             att, full, bit = self.attain, self.full, self.apex
             apex = att[bit]
             masks = []
@@ -160,9 +156,12 @@ class StrandHomology:
     def _image(self, i):
         """Critical rows of the image of d_{i+1}, the span of the boundaries of
         ``_cone(i + 1)``, untagged since its callers need only rank and
-        membership; built once per degree.  ``_image(0)`` is empty (d_1 = 0)."""
+        membership; built once per degree, with no elimination when that cone
+        is empty.  ``_image(0)`` is empty (d_1 = 0)."""
         if i not in self._images:
-            self._images[i] = span(self.field, [self.boundary(m) for m in self._cone(i + 1)])
+            cone = self._cone(i + 1)
+            self._images[i] = (span(self.field, [self.boundary(m) for m in cone])
+                               if cone else Echelon(self.field))
         return self._images[i]
 
     def _elimination(self, j):
@@ -196,7 +195,7 @@ class StrandHomology:
         return self._homologies[i]
 
     def dimension(self, i):
-        """dim C_i - rank d_i - rank d_{i+1}, on either side of the cap.
+        """dim C_i - rank d_i - rank d_{i+1}.
 
         Degree i has the critical cells, the matched cone cells M_i and the
         cells without g0, one per cell of M_{i+1}.  Each matched cell is one
@@ -306,7 +305,7 @@ class StrandHomology:
         return out
 
     def is_boundary(self, i, chain):
-        """Whether a degree-i cycle (mask -> scalar) bounds, on either side of the cap.
+        """Whether a degree-i cycle (mask -> scalar) bounds.
 
         Reads the image echelon ``_image(i)``; no homology basis is built.
         The chain's own boundary must vanish, or this raises.

@@ -8,9 +8,10 @@ the target strand.  Ternary Massey products follow the defining-system recipe
 
 where ``sign x`` negates chains of even homological degree; once all binary
 products vanish, the ternary product is a single well-defined class, which is
-what the ``unique`` flag certifies.  Products and Massey products ask their
-strands nothing that the strand cap stops; only the Betti numbers behind
-the Golod decision do.
+what the ``unique`` flag certifies.  Products and Massey products ask each
+strand only about the degrees they hold, and the Betti numbers behind the
+Golod decision ask every degree; each is bounded by the cell enumerations
+it runs, the strand layer's one size rule (``homology_engine``).
 
 The Golod decision, ``golod_decide``, reads one Massey-arity bound and, past
 arity 3, compares P with its Koszul bound Q exactly on the lcm box.
@@ -153,8 +154,8 @@ class MasseyResult:
 
     ``value_is_zero`` comes from the boundary test alone.  ``value``, the
     class with its coordinates, is built on first read from the result's
-    own chain, multidegree and degree, on either side of the strand cap; it
-    is None only when the product is undefined.  ``ring``, the (ideal,
+    own chain, multidegree and degree; it is None only when the product is
+    undefined.  ``ring``, the (ideal,
     field) it is read in, is left out of comparison and repr.
     """
 

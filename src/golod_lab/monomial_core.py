@@ -16,6 +16,11 @@ class AmbientMismatchError(ValueError):
     """Operands live over different variable sets."""
 
 
+class TooLarge(ValueError):
+    """An exhaustive enumeration past its bound: one degree of a strand, the
+    faces of a complex, a fiber complex.  The CLI answers it with exit 3."""
+
+
 @dataclass(frozen=True)
 class Monomial:
     """Exponent vector of fixed length; the constant monomial is all zeros."""
@@ -80,24 +85,23 @@ def lcm_of(monomials, n_vars):
     return Monomial(tuple(acc))
 
 
+def _divisor(gens, i):
+    """Index of the first generator that makes gens[i] redundant (divides it
+    and differs from it or comes first), or None: the first of equals stays."""
+    g = gens[i]
+    for j, h in enumerate(gens):
+        if j != i and h.divides(g) and (h != g or j < i):
+            return j
+    return None
+
+
 def minimalize(gens):
     """Divisibility-minimal sublist, first occurrence kept; idempotent."""
     gens = list(gens)
     for g in gens:
         if g.is_constant:
             raise ValueError("constant monomial generates the whole ring")
-    out = []
-    for i, g in enumerate(gens):
-        redundant = False
-        for j, h in enumerate(gens):
-            if i == j:
-                continue
-            if h.divides(g) and (h != g or j < i):
-                redundant = True
-                break
-        if not redundant:
-            out.append(g)
-    return out
+    return [g for i, g in enumerate(gens) if _divisor(gens, i) is None]
 
 
 @dataclass(frozen=True)
@@ -127,12 +131,11 @@ class MonomialIdeal:
             if g.is_constant:
                 raise ValueError("constant monomial generates the whole ring")
         for i, g in enumerate(self.gens):
-            for j, h in enumerate(self.gens):
-                if i != j and h.divides(g) and (h != g or j < i):
-                    raise ValueError(
-                        f"generators are not minimal: {self.format_monomial(h)} divides "
-                        f"{self.format_monomial(g)}; run minimalize first"
-                    )
+            if (j := _divisor(self.gens, i)) is not None:
+                raise ValueError(
+                    f"generators are not minimal: {self.format_monomial(self.gens[j])} "
+                    f"divides {self.format_monomial(g)}; run minimalize first"
+                )
 
     @classmethod
     def from_exponents(cls, variables, exp_rows):

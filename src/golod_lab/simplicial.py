@@ -4,7 +4,8 @@ A complex stores an ordered vertex set independently of its faces, so a
 vertex may belong to no face at all (a "ghost").  Fiber complexes of
 multidegree strands need this.  Orientation is fixed by the vertex order:
 faces are written with vertices ascending and coboundary signs come from
-insertion position parity.
+insertion position parity.  Face and non-face scans cover 2^n subsets:
+past ``_ENUMERATION_LIMIT`` vertices they raise ``TooLarge`` (CLI exit 3).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .exact_linalg import span
-from .monomial_core import Monomial, MonomialIdeal
+from .monomial_core import Monomial, MonomialIdeal, TooLarge
 
 _ENUMERATION_LIMIT = 22  # subset scans are 2^n; keep inputs desk-scale
 
@@ -133,7 +134,7 @@ def stanley_reisner_ideal(cx):
         raise ValueError("the void complex has no Stanley-Reisner ideal")
     n = len(cx.vertices)
     if n > _ENUMERATION_LIMIT:
-        raise ValueError(f"too many vertices ({n}) for non-face enumeration")
+        raise TooLarge(f"too many vertices ({n}) for non-face enumeration")
     index = {v: i for i, v in enumerate(cx.vertices)}
     minimal = []
     for size in range(1, n + 1):
@@ -162,7 +163,7 @@ def complex_of(ideal):
         raise ValueError(f"ideal is not squarefree: {ideal.format_monomial(bad)}")
     n = ideal.n_vars
     if n > _ENUMERATION_LIMIT:
-        raise ValueError(f"too many variables ({n}) for face enumeration")
+        raise TooLarge(f"too many variables ({n}) for face enumeration")
     supports = [g.support for g in ideal.gens]
     faces = []
     for size in range(n, -1, -1):

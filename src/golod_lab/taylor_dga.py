@@ -21,30 +21,23 @@ triples of lattice elements, all tested with ``support_mask``.
 
 A single strand needs only the generators below u; the closure
 ``lcm_lattice``, kept on the ideal, is for callers that enumerate the lattice.
-This module keeps the DGA primitives and the one strand cap,
-``_FULL_STRAND_LIMIT``, with its error ``StrandTooLarge``.  The strand itself,
-its apex cones, homology and the differential ``StrandHomology.boundary``, is
-``homology_engine.StrandHomology``, which also decides lattice membership.
-It answers classes, coordinates, boundaries and homology dimensions on every
-strand from one apex cone per differential and reads the cap only for the
-questions that walk every degree (its ``degrees``, and so Betti numbers and
-the class tables).  ``fiber_complex``, the
-independent fiber model that the strand is checked against, keeps its own
-lcm test, ``in_lattice``, and its own cap check.
+This module keeps the DGA primitives.  The strand itself, its critical
+cells, homology and the differential ``StrandHomology.boundary``, is
+``homology_engine.StrandHomology``, which also decides lattice membership
+and holds the strand layer's one size rule, on its one cell enumeration.
+``fiber_complex``, the independent fiber model that the strand is checked
+against, keeps its own lcm test, ``in_lattice``, and its own size check,
+``_FIBER_LIMIT`` generators below u (it scans all 2^|G_u| subsets).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .monomial_core import lcm_of
+from .monomial_core import TooLarge, lcm_of
 from .simplicial import SimplicialComplex
 
-_FULL_STRAND_LIMIT = 18  # most generators below u for a whole strand (2^|G_u| subsets)
-
-
-class StrandTooLarge(ValueError):
-    """A whole-strand question past ``_FULL_STRAND_LIMIT`` generators below u."""
+_FIBER_LIMIT = 18  # most generators below u for a fiber complex (2^|G_u| subsets)
 
 
 def mask_members(mask):
@@ -134,8 +127,8 @@ def fiber_complex(ideal, u):
     below = generators_below(ideal, u)
     if not in_lattice(ideal, u, below):
         raise ValueError(f"multidegree {u} is not in the lcm lattice")
-    if len(below) > _FULL_STRAND_LIMIT:
-        raise StrandTooLarge(f"fiber complex at {u} would have {len(below)} vertices")
+    if len(below) > _FIBER_LIMIT:
+        raise TooLarge(f"fiber complex at {u} would have {len(below)} vertices")
     labels = fiber_vertex_labels(below)
     pos = {gi: labels[k] for k, gi in enumerate(below)}
     facets = []

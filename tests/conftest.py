@@ -545,22 +545,27 @@ def q_bigraded(ideal, field, n):
 
 
 def reference_p_series(ideal, field, n):
-    """The resolution-side series with no box: every step walks all of its
-    multidegrees up to the largest internal degree where the bigraded bound
-    (``q_bigraded``) is nonzero, and the generators it finds are counted
-    directly, as ``p_series`` did before it read P off the lcm box, and
-    checked against that bound.  ``p_series`` must match its coefficients
-    and report."""
+    """The resolution-side series with no box: the generators each step finds
+    are counted directly, as ``p_series`` did before it read P off the lcm
+    box, and checked against the bigraded bound (``q_bigraded``).
+    ``p_series`` must match its coefficients and report.
+
+    Step j walks its multidegrees up to ``reach[j]``, the largest internal
+    degree where the bound is nonzero at step j: by Serre's inequality no
+    step-j generator lies above it.  So above it the kernel of step j has
+    dim K(u) = dim F_u - dim K'(u), counted without elimination up to the
+    highest degree a later step walks."""
     if n < 0:
         raise ValueError("truncation order must be non-negative")
     if n == 0:
         return SeriesTrunc((1,), 0), ResolutionReport(())
     qtable = q_bigraded(ideal, field, n)
     nv = ideal.n_vars
-    top = max(max(bound) for bound in qtable.values())
-    std = std_table(ideal, top)
+    reach = [max(qtable.get(j, {0: 0})) for j in range(n + 1)]
+    top = max(reach)
+    by_degree, is_std = std_table(ideal, top)
     everywhere = (top,) * nv  # a box around every multidegree the table reaches
-    gens = [e for v in range(nv) if (e := tuple(int(k == v) for k in range(nv))) in std[1]]
+    gens = [e for v in range(nv) if (e := tuple(int(k == v) for k in range(nv))) in is_std]
     phi = [{(0, e): 1} for e in gens]
     coeffs = [1, len(gens)]
     steps = [StepReport(1, len(gens), ((1, len(gens)),) if gens else ())]
@@ -570,7 +575,18 @@ def reference_p_series(ideal, field, n):
             coeffs.append(0)
             steps.append(StepReport(j, 0, ()))
             continue
-        gens, phi, dims = series_engine._resolution_step(field, std, everywhere, gens, phi, dims)
+        free, prev = gens, dims
+        gens, phi, dims = series_engine._resolution_step(
+            field, (by_degree[:reach[j] + 1], is_std), everywhere, gens, phi, prev)
+        for d in range(reach[j] + 1, max(reach[j + 1:], default=0) + 1):
+            ranks = {}  # multidegree -> dim F_u
+            for dg in free:
+                for m in by_degree[d - sum(dg)] if sum(dg) <= d else ():
+                    u = tuple(map(add, dg, m))
+                    ranks[u] = ranks.get(u, 0) + 1
+            for u, f in ranks.items():
+                if k := f - ((u in is_std) if prev is None else prev.get(u, 0)):
+                    dims[u] = k
         counts = {}
         for u in gens:
             counts[sum(u)] = counts.get(sum(u), 0) + 1

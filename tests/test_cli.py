@@ -258,9 +258,10 @@ def test_complex_sr_skeleton_pipeline(capsys, tmp_path):
 
 
 def test_past_the_strand_cap_exits_3(capsys, tmp_path):
-    """The 4-skeleton ideal's top strand has 20 generators below it, past the
-    cap: every command that needs every degree of it, and its fiber complex,
-    ends in exit 3 with the cap error on stderr and nothing on stdout, while
+    """The 4-skeleton ideal's top strand has 20 generators below it, so its
+    middle degrees are past the strand bound: every command that needs every
+    degree of it, and its fiber complex, ends in exit 3 with the error on
+    stderr and nothing on stdout, while
     ``massey3 --all``, which asks the strand only for boundaries and
     classes, finds the ternary witness there (exit 1)."""
     _, gamma_file = _skeleton_pipeline(capsys, tmp_path)
@@ -279,6 +280,24 @@ def test_past_the_strand_cap_exits_3(capsys, tmp_path):
     assert witness["kind"] == "ternary"
     assert witness["massey"]["multidegree"] == [1] * 9
     assert witness["massey"]["zero"] is False
+
+
+def test_too_large_complex_and_sr_exit_3(capsys, tmp_path):
+    """A 23-variable squarefree ideal has too many supports to enumerate its
+    faces, and a 23-vertex complex too many subsets to find its non-faces:
+    ``complex`` and ``sr`` exit 3 with nothing on stdout, like a strand past
+    its bound."""
+    names = [f"x{i}" for i in range(23)]
+    ideal_file = tmp_path / "wide.ideal"
+    ideal_file.write_text("vars: " + " ".join(names) + "\nx0*x1\n")
+    cx_file = tmp_path / "wide.cx"
+    cx_file.write_text("vertices: " + " ".join(names) + "\nx0 x1\n")
+    for argv, message in ((["complex", "--ideal", str(ideal_file)], "too many variables (23)"),
+                          (["sr", "--complex", str(cx_file)], "too many vertices (23)")):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, out) == (3, ""), argv
+            assert message in err, argv
 
 
 def test_pattern_check_command(capsys):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -38,7 +39,7 @@ from golod_lab.massey_golod import (
     ternary_massey,
     ternary_massey_generators,
 )
-from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal, polarize
+from golod_lab.monomial_core import MonomialIdeal, TooLarge, counterexample_ideal, polarize
 from golod_lab.simplicial import (
     complex_of,
     reduced_cohomology_dims,
@@ -264,9 +265,9 @@ def test_strand_homology_matches_separate_eliminations():
 
 
 def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
-    """Whole strands, with the cap in force, give the wanted answers.  Then,
-    with the strand cap at 0, every membership query on a fresh twin of the
-    ideal takes the route for strands past the cap; it must agree, and a
+    """The homology bases of every degree give the wanted answers.  Then,
+    with ``degrees`` raising, every membership query on a fresh twin of the
+    ideal must answer without walking a strand's degrees and agree, and a
     second query at the same (u, i) must reuse the span kept on the twin."""
     real = StrandHomology._cone
     enumerated = []
@@ -292,7 +293,7 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
             twin = MonomialIdeal(ideal.variables, ideal.gens)
             enumerated.clear()
             with monkeypatch.context() as capped:
-                capped.setattr(homology_engine, "_FULL_STRAND_LIMIT", 0)
+                capped.setattr(StrandHomology, "degrees", _no_degree_walk)
                 for prod, want in wanted:
                     assert chain_is_boundary(twin, field, prod) == want
                     seen = len(enumerated)
@@ -301,6 +302,10 @@ def test_degree_limited_membership_agrees_with_whole_strands(monkeypatch):
                     answers.add(want)
             assert len(enumerated) == len(set(enumerated))
     assert answers == {True, False}
+
+
+def _no_degree_walk(self):
+    raise AssertionError("a membership query walked every degree of a strand")
 
 
 def test_cone_membership_agrees_with_coordinates_inside_the_cap():
@@ -329,7 +334,7 @@ def test_cone_membership_agrees_with_coordinates_inside_the_cap():
             for z in cycles:
                 u, i = chain_degrees(ideal, z)
                 sh = strand(ideal, field, u)
-                assert sh.whole
+                assert len(sh.gens_below) <= 18
                 want = not any(sh.coordinates(i, z))
                 assert sh.is_boundary(i, z) == want
                 answers.add(want)
@@ -344,7 +349,7 @@ def test_cone_membership_agrees_with_coordinates_inside_the_cap():
             sh.is_boundary(i, {mask: 1})
         with pytest.raises(ValueError, match="basis element"):
             sh.is_boundary(i, {1 << ideal.n_gens: 1})
-    assert strand(paper, QQ, top).whole and not sh.whole
+    assert len(strand(paper, QQ, top).gens_below) <= 18 < len(sh.gens_below)
 
 
 def _boundary_rank(ideal, field, masks):
@@ -421,9 +426,9 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
     13 classes in degree 4 (beta_4 of the totals (1, 20, 50, 44, 13)), equal
     nonzero coordinates for both Massey values and bounding chains, all from
     the apex cones, and dimension(4) counts the same 13 off the cones; only
-    ``degrees``, which lists every degree for Betti numbers and the class
-    tables, raises the strand cap error.  The ideal keeps one strand entry
-    per (field, u)."""
+    the walk over every degree, as for Betti numbers and the class tables,
+    raises the strand bound's error, in degree 6, whose ranks need the 27,132
+    subsets of degree 7.  The ideal keeps one strand entry per (field, u)."""
     gamma, (a, b, c) = _skeleton_ideal()
     assert all_products_trivial(gamma, QQ)[0]
     gens = [homology_basis(gamma, QQ, tuple(gamma.gens[k].exps), 1)[0] for k in (a, b, c)]
@@ -431,7 +436,7 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
                ternary_massey(gamma, QQ, *gens, b2_certified=True)]
     top = (1,) * gamma.n_vars
     sh = strand(gamma, QQ, top)
-    assert not sh.whole and len(sh.gens_below) == 20
+    assert len(sh.gens_below) == 20 > 18
     assert len(sh.classes(4)) == 13
     for res in results:
         assert res.multidegree == top and res.value_is_zero is False
@@ -451,10 +456,62 @@ def test_skeleton_top_strand_answers_membership_past_the_cap():
     assert {m: x for m, x in got.items() if x} == target
     assert sh.bounding_chain(4, dict(results[0].value_chain)) is None
     assert sh.dimension(4) == len(sh.classes(4)) == 13
-    with pytest.raises(ValueError, match="has 20 generators below it"):
-        sh.degrees()
+    assert sh.degrees() == list(range(1, 21))
+    with pytest.raises(TooLarge, match="has 20 generators below it; degree 7 "):
+        [sh.dimension(i) for i in sh.degrees()]
     keys = [k for k in gamma.derived if k != "lattice"]
     assert keys and all(k[0] == "strand" and len(k) == 3 for k in keys)
+
+
+def _star(n):
+    """<x_i * y : i < n>.  Its top strand has n generators below it and one
+    cell, all of them, so its degree-j cells are the scan alone."""
+    names = tuple(f"x{i}" for i in range(n)) + ("y",)
+    return MonomialIdeal.from_exponents(names, [[int(k == i) for k in range(n)] + [1]
+                                                for i in range(n)])
+
+
+def test_oversized_strand_raises_before_it_enumerates(monkeypatch):
+    """A middle-degree question on a strand past the bound raises before the
+    cell enumeration draws one subset: ``dimension(12)`` with 24 generators
+    below u would scan C(23, 11) = 1,352,078 of them."""
+    draws = 0
+    real = homology_engine.combinations
+
+    def counted(items, r):
+        nonlocal draws
+        for c in real(items, r):
+            draws += 1
+            yield c
+
+    monkeypatch.setattr(homology_engine, "combinations", counted)
+    sh = strand(_star(24), QQ, (1,) * 25)
+    with pytest.raises(TooLarge, match="has 24 generators below it; degree 12 would "
+                                       "scan 1,352,078 subsets, past 24,310"):
+        sh.dimension(12)
+    assert draws == 0
+    assert sh.dimension(24) == 1 and draws == 1
+
+
+def test_strand_bound_admits_every_degree_of_18_generators():
+    """The bound is C(17, 8) = 24,310, the largest degree of a strand with 18
+    generators below u: such a strand answers every degree.  A 19-generator
+    strand answers each degree whose scan C(18, j - 1) is within the bound,
+    and raises from the first past it, degree 8 (31,824 subsets), through
+    degree 12."""
+    sh = strand(_star(18), QQ, (1,) * 19)
+    assert max(comb(17, j - 1) for j in sh.degrees()) == homology_engine._CONE_BOUND == 24310
+    assert [sh.dimension(j) for j in sh.degrees()] == [0] * 17 + [1]
+    sh = strand(_star(19), QQ, (1,) * 20)
+    answered, raised = [], []
+    for j in sh.degrees():
+        try:
+            answered.append(len(sh.classes(j)))
+        except TooLarge as exc:
+            assert f"degree {j} would scan {comb(18, j - 1):,} subsets" in str(exc)
+            raised.append(j)
+    assert raised == [8, 9, 10, 11, 12]
+    assert answered == [0] * 13 + [1]
 
 
 def _boundary_of(sh, chain):
@@ -497,7 +554,7 @@ def test_bounding_chain_answers_as_is_boundary(field):
     res = ternary_massey_generators(gamma, field, a, b, c, b2_certified=True)
     top = (1,) * gamma.n_vars
     sh = strand(gamma, field, top)
-    assert (res.multidegree, res.hom_degree, sh.whole) == (top, 4, False)
+    assert (res.multidegree, res.hom_degree, len(sh.gens_below)) == (top, 4, 20)
     ask(sh, 4, dict(res.value_chain))
     assert answers[True] and answers[False]
     mask = next(m for m in strand_cells(sh, 4) if reduced_boundary(gamma, m))
@@ -591,15 +648,21 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
     (strand, degree) enumerates its critical cells once and keeps them, and
     every elimination reads a kept list: 170 lists under ``betti`` and
     ``golod_decide`` (297 enumerations and 324 when each echelon and each
-    ``dimension`` enumerated its own cone), 149 for the class tables (177)."""
-    columns, differentials, cones = [], Counter(), Counter()
-    real_relations = homology_engine.column_relations
+    ``dimension`` enumerated its own cone), 149 for the class tables (177).
+    An image whose cone is empty is not spanned: ``betti`` spans 66 images,
+    none on no column (170, 104 on no column, when every image was spanned)."""
+    columns, differentials, cones, spans = [], Counter(), Counter(), []
+    real_relations, real_span = homology_engine.column_relations, homology_engine.span
     real_elimination = StrandHomology._elimination
     real_cone = StrandHomology._cone
 
     def relations(field, cols, nrows):
         columns.append(len(cols))
         return real_relations(field, cols, nrows)
+
+    def counted_span(field, cols):
+        spans.append(len(cols))
+        return real_span(field, cols)
 
     def elimination(self, j):
         differentials[self.u, j] += j not in self._eliminations
@@ -617,11 +680,13 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
         return len(cones)
 
     monkeypatch.setattr(homology_engine, "column_relations", relations)
+    monkeypatch.setattr(homology_engine, "span", counted_span)
     monkeypatch.setattr(StrandHomology, "_elimination", elimination)
     monkeypatch.setattr(StrandHomology, "_cone", cone)
     paper = counterexample_ideal()
     assert betti(paper, QQ).totals == (1, 8, 14, 8, 1)
     assert columns == [] and enumerated(paper) == 170
+    assert len(spans) == 66 and 0 not in spans
     cones.clear()
     paper = counterexample_ideal()
     assert golod_decide(paper, QQ).route == "massey-arity-3"

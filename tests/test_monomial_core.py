@@ -86,6 +86,27 @@ def test_ideal_requires_minimal_generators():
         MonomialIdeal.from_strings(("x", "y"), ["x", "x*y"])
 
 
+def test_ideal_and_minimalize_share_one_minimality_rule():
+    """The constructor rejects exactly the lists minimalize shortens, naming
+    the first redundant generator and its first divisor; of equal
+    generators the first is kept."""
+    with pytest.raises(ValueError, match=r"not minimal: x divides x\*y;"):
+        MonomialIdeal.from_strings(("x", "y"), ["x*y", "y^2", "x"])
+    with pytest.raises(ValueError, match="not minimal: y divides y;"):
+        MonomialIdeal.from_strings(("x", "y"), ["y", "x", "y"])
+    rng = random.Random(7)
+    for _ in range(300):
+        gens = [Monomial(tuple(rng.randint(0, 2) for _ in range(3))) for _ in range(5)]
+        gens = [g for g in gens if not g.is_constant]
+        kept = minimalize(gens)
+        assert MonomialIdeal(("x", "y", "z"), tuple(kept)).gens == tuple(kept)
+        assert kept == [g for k, g in enumerate(gens) if g not in gens[:k]
+                        and not any(h.divides(g) and h != g for h in gens)]
+        if kept != gens:
+            with pytest.raises(ValueError, match="not minimal"):
+                MonomialIdeal(("x", "y", "z"), tuple(gens))
+
+
 def test_counterexample_ideal_shape():
     ideal = counterexample_ideal()
     assert ideal.n_gens == 8
