@@ -143,11 +143,8 @@ def seed_pattern():
 
 def _degree_one_products_trivial(ideal):
     """All products of generator classes vanish, by the combinatorial tests."""
-    for i, j in combinations(range(ideal.n_gens), 2):
-        if ideal.gens[i].coprime(ideal.gens[j]):
-            if not pair_criterion(ideal, i, j):
-                return False
-    return True
+    return all(pair_criterion(ideal, i, j) for i, j in combinations(range(ideal.n_gens), 2)
+               if ideal.gens[i].coprime(ideal.gens[j]))
 
 
 def _evaluate_candidate(serial, ideal, assignment, field):
@@ -245,13 +242,13 @@ def _sharp_choices(core, ab, bc, ca, a, b, c, max_gens):
 def _pattern_ideal(n_vars, core, sharps):
     """(ideal, assignment) of a role pattern, or None when its supports nest:
     squarefree, one generator divides another exactly when its support is a
-    proper subset (the supports are distinct)."""
+    proper subset, so a smaller one (the supports are distinct)."""
     a, b, c, ab, bc, ca = core
     supports = [a, ab, b, bc, c, ca]
     for s in sharps:
         if s not in supports:
             supports.append(s)
-    if any(s < t for s in supports for t in supports):
+    if any(s < t for s, t in combinations(sorted(supports, key=len), 2)):
         return None
     ideal = MonomialIdeal(
         tuple(f"v{i}" for i in range(n_vars)), tuple(_mono(n_vars, s) for s in supports)

@@ -5,13 +5,14 @@ module, so there is deliberately no floating point anywhere.
 
 All elimination runs through one kernel, ``Echelon``, on sparse vectors:
 dicts ``key -> nonzero scalar``.  ``span`` builds the echelon of a list of
-columns; its number of rows is their rank, and a vector lies in it exactly
-when it reduces to zero.  ``column_relations`` reduces columns given by key
-and returns their echelon and the relation of every dependent column, a
-kernel basis keyed by the caller's own column keys.  Callers that need
-coordinates tag each vector with a unit entry at its own key above every
-row key; the tags of a residual hold the combination that was subtracted.
-Callers that need only rank or membership add no tags.
+columns, absorbed in ``sparse_first`` order; its number of rows is their
+rank, and a vector lies in it exactly when it reduces to zero.
+``column_relations`` reduces columns given by key and returns their echelon
+and the relation of every dependent column, a kernel basis keyed by the
+caller's own column keys.  Callers that need coordinates tag each vector
+with a unit entry at its own key above every row key; the tags of a residual
+hold the combination that was subtracted.  Callers that need only rank or
+membership add no tags.
 
 Scalars have one format, the one ``Field.of`` produces: over the rationals
 an ``int`` when integral and a reduced ``fractions.Fraction`` otherwise, over
@@ -176,7 +177,8 @@ class Echelon:
         return v
 
     def insert(self, residual):
-        """Store a nonzero residual of ``reduce`` under its lead, scaled to a unit lead."""
+        """Store a nonzero residual of ``reduce`` under its lead, scaled to a unit
+        lead, and return the stored row."""
         lead = min(residual)
         c = residual[lead]
         p = self.field.char
@@ -190,6 +192,7 @@ class Echelon:
                 of, inv = self.field.of, self.field.inv(c)
                 residual = {k: of(x * inv) for k, x in residual.items()}
         self.rows[lead] = residual
+        return residual
 
     def absorb(self, vec):
         """Add vec to the span; True when it was independent of the rows so far."""
@@ -220,10 +223,14 @@ def column_relations(field, columns, nrows):
     return ech, relations
 
 
+def sparse_first(columns):
+    """Columns sparse first, then by least key: ``span``'s order, which sets fill, not span."""
+    return sorted(columns, key=lambda c: (len(c), min(c) if c else 0))
+
+
 def span(field, columns):
     """Echelon of the span of sparse columns (dicts key -> coeff, zeros allowed)."""
     ech = Echelon(field)
-    # sparse columns first: the order changes the rows' fill, never the span
-    for col in sorted(columns, key=lambda c: (len(c), min(c) if c else 0)):
+    for col in sparse_first(columns):
         ech.absorb({k: x for k, x in col.items() if x != 0})
     return ech

@@ -3,13 +3,18 @@
 Each differential d_j is read on the *critical* cells of its apex cone: the
 degree-j masks K that contain g0, the first generator below u, whose face
 K - g0 has lcm below u, enumerated once per degree and kept.  The image of
-d_{i+1} has one untagged echelon of their boundaries; it answers boundary
-membership and, with the image of d_i, the dimension of H_i (the count is
-in ``dimension``).  Each d_j is eliminated at most once more, on the same
-columns tagged ``top + m``, for its kernel and the pivot solutions of
-d_j x = z, which so come out as chains.  The representatives are the kernel
-vectors of d_i that greedily extend a shallow copy of the image echelon,
-and that extended echelon gives a cycle's coordinates.
+d_{i+1} has one untagged echelon of their boundaries, absorbed lazily in
+``sparse_first`` order; ``dimension`` reads its rank, drained to the rows
+``span`` builds.  ``is_boundary`` absorbs columns only while the chain's
+residual is nonzero, reducing it again when a new row leads at its least
+key: that key is never a lead, and only a new row can make it one, so a
+residual nonzero after the last column is outside the span (each nonzero
+vector there has a lead as least key).  Each d_j is eliminated at most
+once more, on the same columns tagged ``top + m``, for its kernel and the
+pivot solutions of d_j x = z, which so come out as chains.  The
+representatives are the kernel vectors of d_i that greedily extend a
+shallow copy of the image echelon, and that extended echelon gives a
+cycle's coordinates.
 
 A cone cell K = J + g0 whose face J has lcm u is *matched* (the Morse
 matching K <-> K - g0 of Batzies & Welker 2002; the algebraic Morse complex
@@ -64,9 +69,9 @@ from itertools import combinations
 from math import comb
 from operator import or_
 
-from .exact_linalg import Echelon, column_relations, span
+from .exact_linalg import Echelon, column_relations, sparse_first
 from .monomial_core import TooLarge
-from .taylor_dga import generators_below, lcm_lattice, mask_of, support_mask
+from .taylor_dga import generators_below, lcm_lattice, mask_members, mask_of, support_mask
 
 _CONE_BOUND = comb(17, 8)  # most subsets one degree's cells may scan: 24,310
 
@@ -88,10 +93,9 @@ class HomologyClass:
     def describe(self):
         parts = []
         for m, c in self.representative:
-            idx = [i for i in range(m.bit_length()) if m >> i & 1]
             coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
             prefix = "+ " if parts and not str(coeff).startswith("-") else ""
-            parts.append(f"{prefix}{coeff}e{{{','.join(map(str, idx))}}}")
+            parts.append(f"{prefix}{coeff}e{{{','.join(map(str, mask_members(m)))}}}")
         return " ".join(parts) if parts else "0"
 
 
@@ -120,7 +124,7 @@ class StrandHomology:
         self.top = 1 << ideal.n_gens
         self.apex = 1 << self.gens_below[0] if self.gens_below else 0
         self._cones = {}  # degree j -> sorted critical degree-j masks
-        self._images = {}  # degree i -> critical rows of the image of d_{i+1}
+        self._images = {}  # degree i -> (echelon of the image of d_{i+1}, its new rows to come)
         self._eliminations = {}  # j -> (tagged echelon of d_j, kernel vectors of d_j)
         self._homologies = {}  # degree i -> (image echelon extended by representatives, reps)
 
@@ -153,16 +157,23 @@ class StrandHomology:
             self._cones[j] = masks
         return self._cones[j]
 
-    def _image(self, i):
-        """Critical rows of the image of d_{i+1}, the span of the boundaries of
-        ``_cone(i + 1)``, untagged since its callers need only rank and
-        membership; built once per degree, with no elimination when that cone
-        is empty.  ``_image(0)`` is empty (d_1 = 0)."""
+    def _pending(self, i):
+        """(echelon, new rows) of the image of d_{i+1}, the span of the boundaries
+        of ``_cone(i + 1)``, untagged for rank and membership.  The strand's one
+        absorb point: drawing a new row absorbs the columns, in ``sparse_first``
+        order, up to the next independent one.  ``_image(0)`` is empty (d_1 = 0)."""
         if i not in self._images:
-            cone = self._cone(i + 1)
-            self._images[i] = (span(self.field, [self.boundary(m) for m in cone])
-                               if cone else Echelon(self.field))
+            ech, cone = Echelon(self.field), self._cone(i + 1)
+            cols = sparse_first(map(self.boundary, cone)) if cone else ()  # none to sort
+            self._images[i] = ech, (ech.insert(r) for c in cols if (r := ech.reduce(c)))
         return self._images[i]
+
+    def _image(self, i):
+        """The critical image rows of d_{i+1}, all columns absorbed: ``span``'s rows."""
+        ech, new_rows = self._pending(i)
+        for _ in new_rows:
+            pass
+        return ech
 
     def _elimination(self, j):
         """(tagged echelon, kernel vectors) of d_j on the critical cells, from
@@ -307,13 +318,18 @@ class StrandHomology:
     def is_boundary(self, i, chain):
         """Whether a degree-i cycle (mask -> scalar) bounds.
 
-        Reads the image echelon ``_image(i)``; no homology basis is built.
-        The chain's own boundary must vanish, or this raises.
+        Absorbs image columns only until its residual empties or none is left;
+        no homology basis is built.  A chain that is not a cycle raises.
         """
         vec, cycle = self._vector(i, chain)
         if not cycle:
             raise ValueError("chain is not a cycle")
-        return not self._image(i).reduce(vec)
+        ech, new_rows = self._pending(i)
+        w = ech.reduce(vec)
+        while w and (row := next(new_rows, None)) is not None:
+            if min(row) == min(w):  # the residual's least key became a lead
+                w = ech.reduce(w)
+        return not w
 
 
 def strand(ideal, field, u):

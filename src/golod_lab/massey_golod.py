@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property
+from operator import le
 
 from .homology_engine import HomologyClass, _freeze_chain, betti, strand
 from .monomial_core import lcm_of
@@ -141,9 +142,9 @@ def pair_criterion(ideal, a, b):
 
 def _dividing_generator(ideal, i, j, exclude):
     """The first generator outside ``exclude`` dividing lcm(g_i, g_j), or None."""
-    target = ideal.gens[i].lcm(ideal.gens[j])
+    target = tuple(map(max, ideal.gens[i].exps, ideal.gens[j].exps))
     for k, g in enumerate(ideal.gens):
-        if k not in exclude and g.divides(target):
+        if k not in exclude and all(map(le, g.exps, target)):
             return k
     return None
 

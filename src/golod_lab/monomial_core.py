@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, le, mul
 
 
 class AmbientMismatchError(ValueError):
@@ -28,7 +29,7 @@ class Monomial:
     exps: tuple
 
     def __post_init__(self):
-        if any(e < 0 for e in self.exps):
+        if min(self.exps, default=0) < 0:
             raise ValueError(f"negative exponent in {self.exps}")
 
     def __len__(self):
@@ -58,39 +59,38 @@ class Monomial:
 
     def lcm(self, other):
         self._check(other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(max, self.exps, other.exps)))
 
     def divides(self, other):
         self._check(other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
 
     def coprime(self, other):
         self._check(other)
-        return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))
+        return not any(map(mul, self.exps, other.exps))  # exponents are never negative
 
     def __mul__(self, other):
         self._check(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(add, self.exps, other.exps)))
 
 
 def lcm_of(monomials, n_vars):
     """Componentwise maximum over a collection; the constant for empty input."""
-    acc = [0] * n_vars
+    acc = (0,) * n_vars
     for m in monomials:
         if len(m.exps) != n_vars:
             raise AmbientMismatchError("monomial length mismatch in lcm")
-        for i, e in enumerate(m.exps):
-            if e > acc[i]:
-                acc[i] = e
-    return Monomial(tuple(acc))
+        acc = tuple(map(max, acc, m.exps))
+    return Monomial(acc)
 
 
 def _divisor(gens, i):
     """Index of the first generator that makes gens[i] redundant (divides it
-    and differs from it or comes first), or None: the first of equals stays."""
-    g = gens[i]
+    and differs from it or comes first), or None: the first of equals stays.
+    All of gens have one length."""
+    g = gens[i].exps
     for j, h in enumerate(gens):
-        if j != i and h.divides(g) and (h != g or j < i):
+        if j != i and all(map(le, h.exps, g)) and (h.exps != g or j < i):
             return j
     return None
 
@@ -98,9 +98,10 @@ def _divisor(gens, i):
 def minimalize(gens):
     """Divisibility-minimal sublist, first occurrence kept; idempotent."""
     gens = list(gens)
+    if any(g.is_constant for g in gens):
+        raise ValueError("constant monomial generates the whole ring")
     for g in gens:
-        if g.is_constant:
-            raise ValueError("constant monomial generates the whole ring")
+        g._check(gens[0])
     return [g for i, g in enumerate(gens) if _divisor(gens, i) is None]
 
 
@@ -245,11 +246,7 @@ def polarize(ideal):
     squarefree ideal polarizes to itself.  Generator count and order are
     preserved.
     """
-    maxexp = [0] * ideal.n_vars
-    for g in ideal.gens:
-        for i, e in enumerate(g.exps):
-            if e > maxexp[i]:
-                maxexp[i] = e
+    maxexp = lcm_of(ideal.gens, ideal.n_vars).exps
     new_vars = []
     new_to_old = []
     slots = []  # per original variable: list of new indices

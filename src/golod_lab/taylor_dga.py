@@ -33,6 +33,7 @@ against, keeps its own lcm test, ``in_lattice``, and its own size check,
 from __future__ import annotations
 
 from itertools import combinations
+from operator import le
 
 from .monomial_core import TooLarge, lcm_of
 from .simplicial import SimplicialComplex
@@ -42,14 +43,7 @@ _FIBER_LIMIT = 18  # most generators below u for a fiber complex (2^|G_u| subset
 
 def mask_members(mask):
     """Generator indices contained in a subset mask, ascending."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def mask_of(indices):
@@ -61,15 +55,13 @@ def mask_of(indices):
 
 def product_sign(maskI, maskJ):
     """Koszul sign of <I> * <J>: parity of pairs (m in I, m' in J) with m' first."""
-    count = 0
-    for i in mask_members(maskI):
-        count += bin(maskJ & ((1 << i) - 1)).count("1")
+    count = sum(bin(maskJ & ((1 << i) - 1)).count("1") for i in mask_members(maskI))
     return -1 if count % 2 else 1
 
 
 def generators_below(ideal, u):
     """Indices of generators whose multidegree is componentwise <= u."""
-    return [i for i, g in enumerate(ideal.gens) if all(a <= b for a, b in zip(g.exps, u))]
+    return [i for i, g in enumerate(ideal.gens) if all(map(le, g.exps, u))]
 
 
 def in_lattice(ideal, u, below):
@@ -97,7 +89,7 @@ def lcm_lattice(ideal):
         new = set()
         for u in frontier:
             for g in gens:
-                j = tuple(max(a, b) for a, b in zip(u, g))
+                j = tuple(map(max, u, g))
                 if j not in current:
                     new.add(j)
         current |= new

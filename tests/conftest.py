@@ -7,6 +7,7 @@ from operator import add, or_
 
 import pytest
 
+from golod_lab import homology_engine
 from golod_lab.exact_linalg import QQ, Echelon, column_relations, span
 from golod_lab.homology_engine import HomologyClass, _freeze_chain, betti, strand
 from golod_lab.massey_golod import chain_product
@@ -82,6 +83,39 @@ def ideal_corpus(count=100, seed=20260811, **kwargs):
     return out
 
 
+# ---------------------------------------------------------------------------
+# monomial kernels by their definitions, one exponent pair at a time
+
+
+def ref_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def ref_coprime(a, b):
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def ref_product(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_generators_below(ideal, u):
+    return [i for i, g in enumerate(ideal.gens) if ref_divides(g.exps, u)]
+
+
+def ref_lcm_lattice(ideal):
+    """The closure of the generators' exponents under pairwise joins, sorted
+    by (total degree, multidegree)."""
+    current = {g.exps for g in ideal.gens}
+    while new := {ref_lcm(u, v) for u in current for v in current} - current:
+        current |= new
+    return tuple(sorted(current, key=lambda u: (sum(u), u)))
+
+
 def expand_rational(numerator, denominator, n):
     """Exact expansion of numerator/denominator to order n (constant term != 0)."""
     if n < 0:
@@ -106,6 +140,28 @@ def in_span(ech, vec):
     the span of the echelon ``ech``."""
     of = ech.field.of
     return not ech.reduce({k: y for k, x in vec.items() if (y := of(x))})
+
+
+def absorbed_columns(monkeypatch):
+    """A list that gets one ``[columns, absorbed]`` pair per image of d_{i+1}
+    the strand layer makes, in the order made: how many columns wait in it
+    and how many its one absorb point has drawn and reduced so far."""
+    images = []
+    real = homology_engine.sparse_first
+
+    def counted(columns):
+        cols = real(columns)
+        image = [len(cols), 0]
+        images.append(image)
+
+        def draw():
+            for col in cols:
+                image[1] += 1
+                yield col
+        return draw()
+
+    monkeypatch.setattr(homology_engine, "sparse_first", counted)
+    return images
 
 
 def apply_columns(field, columns, vec, nrows):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     EagerStrand,
+    absorbed_columns,
     apply_columns,
     basis_chain,
     chain_basis_vector,
@@ -405,19 +406,15 @@ def test_apex_cone_spans_the_boundary_image():
 def test_skeleton_massey_spans_only_the_cone(monkeypatch):
     """The Massey value of the 4-skeleton bounds or not in a strand past the
     cap; its membership test eliminates only the apex cone's boundaries
-    (3,386 columns; all 14,169 boundaries of that degree span the same)."""
+    (3,386 columns; all 14,169 boundaries of that degree span the same), and
+    of those only the critical ones.  The value is nonzero, so its test
+    absorbs every one of them: 333 in the one image it makes."""
     gamma, (a, b, c) = _skeleton_ideal()
-    columns = []
-    real = homology_engine.span
-
-    def counted(field, cols):
-        columns.append(len(cols))
-        return real(field, cols)
-
-    monkeypatch.setattr(homology_engine, "span", counted)
+    images = absorbed_columns(monkeypatch)
     res = ternary_massey_generators(gamma, QQ, a, b, c, b2_certified=True)
     assert res.defined and res.value_is_zero is False
-    assert 0 < sum(columns) <= 3386
+    critical = len(strand(gamma, QQ, res.multidegree)._cone(5))
+    assert images == [[critical, critical]] and 0 < critical == 333 <= 3386
 
 
 def test_skeleton_top_strand_answers_membership_past_the_cap():
@@ -649,20 +646,17 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
     every elimination reads a kept list: 170 lists under ``betti`` and
     ``golod_decide`` (297 enumerations and 324 when each echelon and each
     ``dimension`` enumerated its own cone), 149 for the class tables (177).
-    An image whose cone is empty is not spanned: ``betti`` spans 66 images,
-    none on no column (170, 104 on no column, when every image was spanned)."""
-    columns, differentials, cones, spans = [], Counter(), Counter(), []
-    real_relations, real_span = homology_engine.column_relations, homology_engine.span
+    An image whose cone is empty makes no column list: ``betti`` makes 66
+    images, none on no column (170, 104 on no column, when every image was
+    spanned), and absorbs every column of each, 105 in all."""
+    columns, differentials, cones = [], Counter(), Counter()
+    real_relations = homology_engine.column_relations
     real_elimination = StrandHomology._elimination
     real_cone = StrandHomology._cone
 
     def relations(field, cols, nrows):
         columns.append(len(cols))
         return real_relations(field, cols, nrows)
-
-    def counted_span(field, cols):
-        spans.append(len(cols))
-        return real_span(field, cols)
 
     def elimination(self, j):
         differentials[self.u, j] += j not in self._eliminations
@@ -680,13 +674,14 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
         return len(cones)
 
     monkeypatch.setattr(homology_engine, "column_relations", relations)
-    monkeypatch.setattr(homology_engine, "span", counted_span)
+    images = absorbed_columns(monkeypatch)
     monkeypatch.setattr(StrandHomology, "_elimination", elimination)
     monkeypatch.setattr(StrandHomology, "_cone", cone)
     paper = counterexample_ideal()
     assert betti(paper, QQ).totals == (1, 8, 14, 8, 1)
     assert columns == [] and enumerated(paper) == 170
-    assert len(spans) == 66 and 0 not in spans
+    assert len(images) == 66 and all(0 < n == drawn for n, drawn in images)
+    assert sum(n for n, _ in images) == 105
     cones.clear()
     paper = counterexample_ideal()
     assert golod_decide(paper, QQ).route == "massey-arity-3"
@@ -778,6 +773,44 @@ def test_each_cell_off_the_cone_leads_one_image_row(field):
                 ranks = len(ref.image(i - 1).rows) + len(image.rows)
                 assert sh.dimension(i) == len(cells) - ranks
     assert off == 75
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+@pytest.mark.parametrize("dimension_first", [False, True], ids=["asked-first", "after-dimension"])
+def test_early_exit_membership_agrees_with_the_full_span(field, dimension_first, monkeypatch):
+    """``is_boundary`` absorbs image columns only until its answer is known,
+    and agrees with membership in the whole apex cone's span
+    (``EagerStrand``), on every strand and degree of the paper's ideal and 10
+    corpus ideals: for each kernel vector of d_i, each boundary of a degree
+    i + 1 cell, and their sums.  Asked first, the queries of some degrees
+    leave columns pending; asked after ``dimension``, they find the image
+    drained.  Either way the completed ``_image(i)`` is ``span`` of the
+    critical columns row for row, in the same order."""
+    outcomes, images, pending = Counter(), absorbed_columns(monkeypatch), 0
+    for ideal in [counterexample_ideal()] + ideal_corpus(10):
+        fresh = MonomialIdeal(ideal.variables, ideal.gens)  # no strand kept yet
+        for u in lcm_lattice(fresh):
+            sh = strand(fresh, field, tuple(u))
+            ref = EagerStrand(sh)
+            for i in sh.degrees():
+                if dimension_first:
+                    sh.dimension(i)
+                cycles = sh._elimination(i)[1] if sh._cone(i) else []
+                bounding = [sh.boundary(m) for m in strand_cells(sh, i + 1)]
+                sums = [{m: cycle.get(m, 0) + b.get(m, 0) for m in {*cycle, *b}}
+                        for cycle, b in zip(cycles, bounding)]
+                made = len(images)
+                for chain in cycles + bounding + sums:
+                    if any(chain.values()):
+                        answer = sh.is_boundary(i, chain)
+                        assert answer == ref.is_boundary(i, chain)
+                        outcomes[answer] += 1
+                pending += sum(n - drawn for n, drawn in images[made:])
+                full = span(field, [sh.boundary(m) for m in sh._cone(i + 1)])
+                assert list(sh._image(i).rows.items()) == list(full.rows.items())
+                assert sh.dimension(i) == ref.dimension(i)
+    assert outcomes[True] and outcomes[False]
+    assert (pending == 0) == dimension_first
 
 
 class _CountingRows(dict):

@@ -5,7 +5,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import homology_product, ideal_corpus, product_reduced, random_squarefree_ideal
+from conftest import (
+    absorbed_columns,
+    homology_product,
+    ideal_corpus,
+    product_reduced,
+    random_squarefree_ideal,
+)
 from golod_lab import homology_engine, massey_golod
 from golod_lab.counterexample_search import search, seed_pattern
 from golod_lab.exact_linalg import GF2, GF3, QQ
@@ -389,38 +395,40 @@ def test_golod_decide_checks_products_once(monkeypatch):
 
 
 def test_massey_checks_bound_without_the_homology_basis(monkeypatch):
-    """The Massey value's boundary test spans only the critical cells of the
-    apex cone, 7 of its 18 columns; the homology basis and its coordinates
-    are eliminated only when ``value`` is read.
+    """The Massey value's boundary test reads only the critical cells of the
+    apex cone, 7 of its 18 columns, and absorbs all 7, since the value is
+    nonzero; the homology basis and its coordinates are eliminated only when
+    ``value`` is read.
     The pattern search, which reads only ``value_is_zero``, halves its
     tagged eliminations (1,000 before the membership test was shared), and
-    spans no image whose cone is empty: 284 spans, where spanning those too
-    took 442, 158 of them on no column."""
-    relations, spans = [], []
-    real_relations, real_span = homology_engine.column_relations, homology_engine.span
+    makes no image whose cone is empty: 284 images, where spanning those too
+    took 442, 158 of them on no column.  Its 299 membership tests, 267 of
+    which bound, stop at their answers: they absorb 2,722 columns and the
+    class tables 7 more, 2,729 of the 5,952 columns of those images, all of
+    which were spanned before (6,049 counted once per test)."""
+    relations = []
+    real_relations = homology_engine.column_relations
 
     def counted_relations(field, columns, nrows):
         relations.append(len(columns))
         return real_relations(field, columns, nrows)
 
-    def counted_span(field, columns):
-        spans.append(len(columns))
-        return real_span(field, columns)
-
     monkeypatch.setattr(homology_engine, "column_relations", counted_relations)
-    monkeypatch.setattr(homology_engine, "span", counted_span)
+    images = absorbed_columns(monkeypatch)
     pol, roles = seed_pattern()
     res = ternary_massey_generators(pol, QQ, roles.a, roles.b, roles.c, b2_certified=True)
     assert res.defined and res.value_is_zero is False
-    assert relations == [] and spans == [7]
+    assert relations == [] and images == [[7, 7]]
     assert res.value.coordinates == (Fraction(-1),)
     assert relations
     relations.clear()
-    spans.clear()
+    images.clear()
     hits = list(search(7, 9, budget=150, seeds=[]))
     assert len(hits) == 16
     assert len(relations) <= 500
-    assert len(spans) == 284 and 0 not in spans
+    assert len(images) == 284 and all(n for n, _ in images)
+    assert sum(n for n, _ in images) == 5952
+    assert sum(drawn for _, drawn in images) == 2729
 
 
 def test_golod_decide_controls():

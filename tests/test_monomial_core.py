@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import ref_coprime, ref_divides, ref_lcm, ref_product
 from golod_lab.monomial_core import (
     AmbientMismatchError,
     Monomial,
@@ -57,6 +58,51 @@ def test_coprime_and_divides():
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatchError):
         Monomial((1, 0)).lcm(Monomial((1, 0, 0)))
+
+
+def test_monomial_kernels_match_their_definitions():
+    """lcm, divides, coprime and the product agree with their pairwise
+    definitions on seeded exponent vectors with many zeros, with both
+    answers of each test drawn; operands of different lengths and negative
+    exponents still raise, with their messages."""
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(0, 6)
+        a = tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n))
+        b = tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n))
+        if rng.random() < 0.3:  # a multiple of a, so that a divides b
+            b = ref_product(a, b)
+        ma, mb = Monomial(a), Monomial(b)
+        assert ma.lcm(mb) == Monomial(ref_lcm(a, b))
+        assert (ma * mb) == Monomial(ref_product(a, b))
+        assert ma.divides(mb) is ref_divides(a, b)
+        assert ma.coprime(mb) is ref_coprime(a, b)
+        seen.update({("divides", ma.divides(mb)), ("coprime", ma.coprime(mb))})
+        longer = Monomial(b + (rng.randint(0, 2),))
+        for op in (ma.lcm, ma.divides, ma.coprime, ma.__mul__):
+            with pytest.raises(AmbientMismatchError,
+                               match=f"^monomials over {n} and {n + 1} variables$"):
+                op(longer)
+        if n:
+            neg = list(a)
+            neg[rng.randrange(n)] = -rng.randint(1, 3)
+            with pytest.raises(ValueError, match=r"^negative exponent in \("):
+                Monomial(tuple(neg))
+    assert seen == {(k, v) for k in ("divides", "coprime") for v in (True, False)}
+
+
+def test_minimalize_rejects_mixed_lengths():
+    """The first generator whose length differs from the first one's is named
+    against it, whatever the order of divisibility."""
+    x, xy, z = Monomial((1, 0)), Monomial((1, 1)), Monomial((0, 0, 1))
+    for gens in ([x, z], [xy, x, z], [x, xy, z, Monomial((1,))]):
+        with pytest.raises(AmbientMismatchError, match="^monomials over 3 and 2 variables$"):
+            minimalize(gens)
+    with pytest.raises(AmbientMismatchError, match="^monomials over 2 and 3 variables$"):
+        minimalize([z, x])
+    with pytest.raises(ValueError, match="constant monomial"):
+        minimalize([x, z, Monomial((0, 0))])
 
 
 def test_support_and_degree():

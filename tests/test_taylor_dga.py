@@ -14,6 +14,8 @@ from conftest import (
     positional_columns,
     product_reduced,
     reduced_boundary,
+    ref_generators_below,
+    ref_lcm_lattice,
     strand_cells,
     subset_lcm,
     subset_multidegree,
@@ -214,6 +216,17 @@ def test_lattice_closure_matches_subset_enumeration_random():
             for c in combinations(range(ideal.n_gens), r):
                 want.add(tuple(lcm_of([ideal.gens[i] for i in c], ideal.n_vars).exps))
         assert frozenset(lcm_lattice(ideal)) == frozenset(want)
+
+
+def test_lattice_and_generators_below_match_their_definitions():
+    """The frontier closure is the pairwise-join closure, in the same order,
+    and the generators below each of its elements are the ones that divide
+    it, on the paper's ideal and the corpus."""
+    for ideal in [counterexample_ideal(), *ideal_corpus()]:
+        lattice = lcm_lattice(ideal)
+        assert lattice == ref_lcm_lattice(ideal)
+        for u in lattice:
+            assert generators_below(ideal, u) == ref_generators_below(ideal, u)
 
 
 def _subset_lcms(ideal):
