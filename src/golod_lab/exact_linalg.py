@@ -5,8 +5,8 @@ module, so there is deliberately no floating point anywhere.
 
 All elimination runs through one kernel, ``Echelon``, on sparse vectors:
 dicts ``key -> nonzero scalar``.  ``span`` builds the echelon of a list of
-columns, absorbed in ``sparse_first`` order; its number of rows is their
-rank, and a vector lies in it exactly when it reduces to zero.
+columns, absorbed in the order given; its number of rows is their rank,
+and a vector lies in it exactly when it reduces to zero.
 ``column_relations`` reduces columns given by key and returns their echelon
 and the relation of every dependent column, a kernel basis keyed by the
 caller's own column keys.  Callers that need coordinates tag each vector
@@ -223,14 +223,9 @@ def column_relations(field, columns, nrows):
     return ech, relations
 
 
-def sparse_first(columns):
-    """Columns sparse first, then by least key: ``span``'s order, which sets fill, not span."""
-    return sorted(columns, key=lambda c: (len(c), min(c) if c else 0))
-
-
 def span(field, columns):
-    """Echelon of the span of sparse columns (dicts key -> coeff, zeros allowed)."""
+    """Echelon of the span of sparse columns (dicts key -> coeff, zeros allowed), in order."""
     ech = Echelon(field)
-    for col in sparse_first(columns):
+    for col in columns:
         ech.absorb({k: x for k, x in col.items() if x != 0})
     return ech

@@ -3,15 +3,17 @@
 Each differential d_j is read on the *critical* cells of its apex cone: the
 degree-j masks K that contain g0, the first generator below u, whose face
 K - g0 has lcm below u, enumerated once per degree and kept.  The image of
-d_{i+1} has one untagged echelon of their boundaries, absorbed lazily in
-``sparse_first`` order; ``dimension`` reads its rank, drained to the rows
-``span`` builds.  ``is_boundary`` absorbs columns only while the chain's
-residual is nonzero, reducing it again when a new row leads at its least
-key: that key is never a lead, and only a new row can make it one, so a
-residual nonzero after the last column is outside the span (each nonzero
-vector there has a lead as least key).  Each d_j is eliminated at most
-once more, on the same columns tagged ``top + m``, for its kernel and the
-pivot solutions of d_j x = z, which so come out as chains.  The
+d_{i+1} has one untagged echelon of their boundaries, each built and
+absorbed when drawn, largest mask first: a column's least key then mostly
+lies below every lead so far, so it enters unreduced; no answer depends on
+the row basis.  ``dimension`` reads its rank, drained to the rows ``span``
+builds.  ``is_boundary`` absorbs columns only while the chain's residual is
+nonzero, reducing it again when a new row leads at its least key: that key
+is never a lead, and only a new row can make it one, so a residual nonzero
+after the last column is outside the span (each nonzero vector there has a
+lead as least key).  Each d_j is eliminated at most once more, on the same
+columns tagged ``top + m`` in ascending order, for its kernel and the
+printed pivot solutions of d_j x = z, which so come out as chains.  The
 representatives are the kernel vectors of d_i that greedily extend a
 shallow copy of the image echelon, and that extended echelon gives a
 cycle's coordinates.
@@ -69,7 +71,7 @@ from itertools import combinations
 from math import comb
 from operator import or_
 
-from .exact_linalg import Echelon, column_relations, sparse_first
+from .exact_linalg import Echelon, column_relations
 from .monomial_core import TooLarge
 from .taylor_dga import generators_below, lcm_lattice, mask_members, mask_of, support_mask
 
@@ -160,16 +162,16 @@ class StrandHomology:
     def _pending(self, i):
         """(echelon, new rows) of the image of d_{i+1}, the span of the boundaries
         of ``_cone(i + 1)``, untagged for rank and membership.  The strand's one
-        absorb point: drawing a new row absorbs the columns, in ``sparse_first``
-        order, up to the next independent one.  ``_image(0)`` is empty (d_1 = 0)."""
+        absorb point: drawing a new row builds and absorbs the boundaries, largest
+        mask first, up to the next independent one.  ``_image(0)`` is empty (d_1 = 0)."""
         if i not in self._images:
-            ech, cone = Echelon(self.field), self._cone(i + 1)
-            cols = sparse_first(map(self.boundary, cone)) if cone else ()  # none to sort
+            ech = Echelon(self.field)
+            cols = map(self.boundary, reversed(self._cone(i + 1)))
             self._images[i] = ech, (ech.insert(r) for c in cols if (r := ech.reduce(c)))
         return self._images[i]
 
     def _image(self, i):
-        """The critical image rows of d_{i+1}, all columns absorbed: ``span``'s rows."""
+        """The critical image rows of d_{i+1}: ``span`` of the cone, largest mask first."""
         ech, new_rows = self._pending(i)
         for _ in new_rows:
             pass
@@ -398,9 +400,11 @@ class BettiData:
 
 
 def betti(ideal, field):
-    """Betti numbers from strand homology over every lcm-lattice multidegree."""
+    """Betti numbers from strand homology over every lcm-lattice multidegree,
+    from the top w down: each G_u lies in G_w, so a too-large input raises
+    ``TooLarge`` at the top strand, before any other strand is made."""
     entries = {(0, (0,) * ideal.n_vars): 1}
-    for u in lcm_lattice(ideal):
+    for u in reversed(lcm_lattice(ideal)):
         sh = strand(ideal, field, u)
         for i in sh.degrees():
             d = sh.dimension(i)

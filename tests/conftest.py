@@ -7,9 +7,8 @@ from operator import add, or_
 
 import pytest
 
-from golod_lab import homology_engine
 from golod_lab.exact_linalg import QQ, Echelon, column_relations, span
-from golod_lab.homology_engine import HomologyClass, _freeze_chain, betti, strand
+from golod_lab.homology_engine import HomologyClass, StrandHomology, _freeze_chain, betti, strand
 from golod_lab.massey_golod import chain_product
 from golod_lab.monomial_core import (
     Monomial,
@@ -144,23 +143,32 @@ def in_span(ech, vec):
 
 def absorbed_columns(monkeypatch):
     """A list that gets one ``[columns, absorbed]`` pair per image of d_{i+1}
-    the strand layer makes, in the order made: how many columns wait in it
-    and how many its one absorb point has drawn and reduced so far."""
+    the strand layer makes, in the order made: how many cone columns wait in
+    it and how many its one absorb point has drawn so far.  The absorb point
+    walks its cone from the largest mask down, and nothing else in the
+    library walks a cone in reverse, so each kept cone is wrapped to count
+    the draws of each reverse walk."""
     images = []
-    real = homology_engine.sparse_first
+    real = StrandHomology._cone
 
-    def counted(columns):
-        cols = real(columns)
-        image = [len(cols), 0]
-        images.append(image)
+    class Cone(list):
+        def __reversed__(self):
+            image = [len(self), 0]
+            images.append(image)
 
-        def draw():
-            for col in cols:
-                image[1] += 1
-                yield col
-        return draw()
+            def draw():
+                for mask in list.__reversed__(self):
+                    image[1] += 1
+                    yield mask
+            return draw()
 
-    monkeypatch.setattr(homology_engine, "sparse_first", counted)
+    def cone(self, j):
+        masks = real(self, j)
+        if masks.__class__ is list:
+            masks = self._cones[j] = Cone(masks)
+        return masks
+
+    monkeypatch.setattr(StrandHomology, "_cone", cone)
     return images
 
 
@@ -219,8 +227,11 @@ class EagerStrand:
     face K - g0, when that face is a cell, keyed ``(K - g0) - top``, below
     every cone mask, so each matched column sits in the image echelon and
     the tagged elimination as an unreduced row; a chain's cells without g0
-    are keyed the same way and cleared by those rows.  ``dimension`` counts
-    the whole degree's cells against these ranks.
+    are keyed the same way and cleared by those rows.  The image absorbs
+    the cone largest mask first, as the library's does, so its rows at keys
+    >= 0 are the library's row for row; the tagged elimination takes it in
+    ascending order.  ``dimension`` counts the whole degree's cells against
+    these ranks.
     """
 
     def __init__(self, sh):
@@ -238,7 +249,7 @@ class EagerStrand:
 
     def image(self, i):
         if i not in self._images:
-            self._images[i] = span(self.field, [self.column(m) for m in self.cone(i + 1)])
+            self._images[i] = span(self.field, [self.column(m) for m in self.cone(i + 1)[::-1]])
         return self._images[i]
 
     def elimination(self, j):
@@ -712,13 +723,14 @@ class BarComplex:
 
     def rank(self, j, d):
         """Rank of the differential from (j, d), eliminated by rows: (j-1, d)
-        has far fewer tuples than (j, d)."""
+        has far fewer tuples than (j, d).  The rows are absorbed last made
+        first, the fastest order tried on these complexes."""
         if (j, d) not in self._ranks:
             rows = {}
             for k, col in enumerate(self.columns(j, d)):
                 for r, c in col.items():
                     rows.setdefault(r, {})[k] = c
-            self._ranks[j, d] = len(span(self.field, list(rows.values())).rows)
+            self._ranks[j, d] = len(span(self.field, list(rows.values())[::-1]).rows)
         return self._ranks[j, d]
 
     def homology_dim(self, j, d):

@@ -42,6 +42,7 @@ from golod_lab.massey_golod import (
 )
 from golod_lab.monomial_core import MonomialIdeal, TooLarge, counterexample_ideal, polarize
 from golod_lab.simplicial import (
+    SimplicialComplex,
     complex_of,
     reduced_cohomology_dims,
     skeleton,
@@ -417,6 +418,18 @@ def test_skeleton_massey_spans_only_the_cone(monkeypatch):
     assert images == [[critical, critical]] and 0 < critical == 333 <= 3386
 
 
+def test_betti_raises_at_the_top_strand_before_making_another():
+    """``betti`` walks the lcm lattice from its top, whose strand holds every
+    generator below any u, so on the 4-skeleton ideal the size rule raises
+    there first: the ideal keeps the top strand alone, where walking the
+    lattice upwards kept 78 strands before it raised."""
+    gamma, _ = _skeleton_ideal()
+    with pytest.raises(TooLarge, match="generators below it"):
+        betti(gamma, QQ)
+    kept = [key for key in gamma.derived if key[0] == "strand"]
+    assert kept == [("strand", QQ, (1,) * gamma.n_vars)]
+
+
 def test_skeleton_top_strand_answers_membership_past_the_cap():
     """After the product check and both Massey routes on the 4-skeleton ideal,
     its top strand (20 generators, past the cap) answers is_boundary, its
@@ -646,10 +659,10 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
     every elimination reads a kept list: 170 lists under ``betti`` and
     ``golod_decide`` (297 enumerations and 324 when each echelon and each
     ``dimension`` enumerated its own cone), 149 for the class tables (177).
-    An image whose cone is empty makes no column list: ``betti`` makes 66
-    images, none on no column (170, 104 on no column, when every image was
-    spanned), and absorbs every column of each, 105 in all."""
+    ``betti`` makes 170 images, 104 of them on an empty cone, which build
+    nothing, and absorbs every column of the other 66, 105 in all."""
     columns, differentials, cones = [], Counter(), Counter()
+    images = absorbed_columns(monkeypatch)  # wraps _cone before it is read below
     real_relations = homology_engine.column_relations
     real_elimination = StrandHomology._elimination
     real_cone = StrandHomology._cone
@@ -674,14 +687,13 @@ def test_each_differential_eliminated_once_and_each_cone_spanned_once(monkeypatc
         return len(cones)
 
     monkeypatch.setattr(homology_engine, "column_relations", relations)
-    images = absorbed_columns(monkeypatch)
     monkeypatch.setattr(StrandHomology, "_elimination", elimination)
     monkeypatch.setattr(StrandHomology, "_cone", cone)
     paper = counterexample_ideal()
     assert betti(paper, QQ).totals == (1, 8, 14, 8, 1)
     assert columns == [] and enumerated(paper) == 170
-    assert len(images) == 66 and all(0 < n == drawn for n, drawn in images)
-    assert sum(n for n, _ in images) == 105
+    assert len(images) == 170 and sum(not n for n, _ in images) == 104
+    assert all(n == drawn for n, drawn in images) and sum(n for n, _ in images) == 105
     cones.clear()
     paper = counterexample_ideal()
     assert golod_decide(paper, QQ).route == "massey-arity-3"
@@ -806,7 +818,7 @@ def test_early_exit_membership_agrees_with_the_full_span(field, dimension_first,
                         assert answer == ref.is_boundary(i, chain)
                         outcomes[answer] += 1
                 pending += sum(n - drawn for n, drawn in images[made:])
-                full = span(field, [sh.boundary(m) for m in sh._cone(i + 1)])
+                full = span(field, [sh.boundary(m) for m in sh._cone(i + 1)[::-1]])
                 assert list(sh._image(i).rows.items()) == list(full.rows.items())
                 assert sh.dimension(i) == ref.dimension(i)
     assert outcomes[True] and outcomes[False]
@@ -827,19 +839,8 @@ class _CountingRows(dict):
         return row
 
 
-@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
-def test_skeleton_top_strand_eliminates_only_the_columns_without_private_faces(
-        field, monkeypatch):
-    """On the 4-skeleton's top strand, 3,053 of the 3,386 cone columns of d_5
-    lead at their private faces, out of rank 3,191, so the image of d_5 and
-    its tagged elimination span, reduce and keep only the other 333, the
-    critical cells: over Q, 4,356 row subtractions over both, against
-    219,925 when each column led at its least face."""
-    gamma, _ = _skeleton_ideal()
-    sh = strand(gamma, field, (1,) * gamma.n_vars)
-    ref = EagerStrand(sh)
-    cone, whole = ref.cone(5), ref.image(4)
-    matched = sum(k < 0 for k in whole.rows)
+def _count_rows(monkeypatch):
+    """Make every echelon count into ``_CountingRows``, from zero."""
     real_init = Echelon.__init__
 
     def init(self, field):
@@ -849,6 +850,38 @@ def test_skeleton_top_strand_eliminates_only_the_columns_without_private_faces(
     monkeypatch.setattr(Echelon, "__init__", init)
     monkeypatch.setattr(_CountingRows, "subtracted", 0)
     monkeypatch.setattr(_CountingRows, "entries", 0)
+
+
+def test_sr16_betti_enters_most_image_columns_unreduced(monkeypatch):
+    """Each image absorbs its cone from the largest mask down, so a column's
+    least key mostly lies below every lead so far and the column enters
+    unreduced.  ``betti`` over Q on the SR ideal of the 8-vertex complex
+    (16 generators) makes 12,852 row subtractions touching 63,399 row
+    entries; sorting each image's columns sparse first took 35,595 and
+    623,316."""
+    facets = ["0126", "0345", "0347", "0367", "1237", "2345"]
+    ideal = stanley_reisner_ideal(SimplicialComplex.from_facets("01234567", facets))
+    assert (ideal.n_gens, ideal.n_vars) == (16, 8)
+    _count_rows(monkeypatch)
+    assert betti(ideal, QQ).totals == (1, 16, 44, 52, 31, 9, 1)
+    assert _CountingRows.entries <= 100_000
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_skeleton_top_strand_eliminates_only_the_columns_without_private_faces(
+        field, monkeypatch):
+    """On the 4-skeleton's top strand, 3,053 of the 3,386 cone columns of d_5
+    lead at their private faces, out of rank 3,191, so the image of d_5 and
+    its tagged elimination span, reduce and keep only the other 333, the
+    critical cells: over Q, 3,408 row subtractions over both, the image
+    absorbing from its largest mask down (4,356 when it sorted its columns
+    sparse first), against 219,925 when each column led at its least face."""
+    gamma, _ = _skeleton_ideal()
+    sh = strand(gamma, field, (1,) * gamma.n_vars)
+    ref = EagerStrand(sh)
+    cone, whole = ref.cone(5), ref.image(4)
+    matched = sum(k < 0 for k in whole.rows)
+    _count_rows(monkeypatch)
     image = sh._image(4)
     sh._elimination(5)
     assert len(cone) == 3386 and len(whole.rows) == 3191 and matched == 3053

@@ -401,11 +401,12 @@ def test_massey_checks_bound_without_the_homology_basis(monkeypatch):
     ``value`` is read.
     The pattern search, which reads only ``value_is_zero``, halves its
     tagged eliminations (1,000 before the membership test was shared), and
-    makes no image whose cone is empty: 284 images, where spanning those too
-    took 442, 158 of them on no column.  Its 299 membership tests, 267 of
-    which bound, stop at their answers: they absorb 2,722 columns and the
-    class tables 7 more, 2,729 of the 5,952 columns of those images, all of
-    which were spanned before (6,049 counted once per test)."""
+    makes 442 images, 158 of them on an empty cone, which build nothing.
+    Its 299 membership tests, 267 of which bound, stop at their answers:
+    drawing from each cone's largest mask down, they absorb 3,286 columns
+    and the class tables 7 more, 3,293 of the 5,952 columns of the other
+    284 images, all of which were spanned before (6,049 counted once per
+    test)."""
     relations = []
     real_relations = homology_engine.column_relations
 
@@ -426,9 +427,9 @@ def test_massey_checks_bound_without_the_homology_basis(monkeypatch):
     hits = list(search(7, 9, budget=150, seeds=[]))
     assert len(hits) == 16
     assert len(relations) <= 500
-    assert len(images) == 284 and all(n for n, _ in images)
+    assert len(images) == 442 and sum(not n for n, _ in images) == 158
     assert sum(n for n, _ in images) == 5952
-    assert sum(drawn for _, drawn in images) == 2729
+    assert sum(drawn for _, drawn in images) == 3293
 
 
 def test_golod_decide_controls():

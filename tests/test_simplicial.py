@@ -5,7 +5,8 @@ import pytest
 
 from conftest import apply_columns, cochain_vector, is_coboundary
 from golod_lab.exact_linalg import GF2, GF3, QQ
-from golod_lab.massey_golod import all_products_trivial
+from golod_lab.homology_engine import betti, strand
+from golod_lab.massey_golod import all_products_trivial, golod_decide
 from golod_lab.monomial_core import MonomialIdeal, counterexample_ideal, polarize
 from golod_lab.simplicial import (
     SimplicialComplex,
@@ -19,6 +20,8 @@ from golod_lab.simplicial import (
     skeleton,
     stanley_reisner_ideal,
 )
+from golod_lab.series_engine import p_series, q_series
+from golod_lab.taylor_dga import fiber_complex, generators_below, lcm_lattice
 
 TRIANGLE = SimplicialComplex.from_facets("abc", ["ab", "bc", "ac"])
 
@@ -190,6 +193,35 @@ def test_cohomology_field_independence_small():
         d2 = reduced_cohomology_dims(cx, GF2)
         d3 = reduced_cohomology_dims(cx, GF3)
         assert dq == d2 == d3
+
+
+RP2 = SimplicialComplex.from_facets(
+    "123456", "124 126 135 136 145 234 235 256 346 456".split())
+
+
+def test_rp2_answers_depend_on_the_field():
+    """The 6-vertex real projective plane has torsion in H_1, so its SR ideal
+    (10 cubic generators) has Betti totals (1, 10, 15, 6) over Q and F_3 but
+    (1, 10, 15, 7, 1) over F_2.  Over each field every strand is dual to
+    its fiber complex's reduced cohomology, the ring is Golod with P = Q to
+    order 6, and the complex is 2-neighborly, as the paper's theorem asks of
+    a Golod manifold orientable over the field: RP^2 is orientable over F_2."""
+    ideal = stanley_reisner_ideal(RP2)
+    assert ideal.n_gens == 10 and {sum(g.exps) for g in ideal.gens} == {3}
+    assert is_2_neighborly(RP2)
+    odd = (1, 10, 15, 6), (1, 6, 25, 95, 361, 1367, 5186)
+    want = {QQ: odd, GF3: odd, GF2: ((1, 10, 15, 7, 1), (1, 6, 25, 95, 362, 1374, 5227))}
+    for field, (totals, series) in want.items():
+        assert betti(ideal, field).totals == totals
+        for u in lcm_lattice(ideal):
+            n = len(generators_below(ideal, u))
+            dims = reduced_cohomology_dims(fiber_complex(ideal, u), field)
+            sh = strand(ideal, field, u)
+            assert [sh.dimension(i) for i in range(1, n + 1)] == [
+                dims.get(n - i - 1, 0) for i in range(1, n + 1)]
+        verdict = golod_decide(ideal, field)
+        assert (verdict.status, verdict.route) == ("Golod", "massey-arity-2")
+        assert p_series(ideal, field, 6)[0].coeffs == q_series(ideal, field, 6).coeffs == series
 
 
 def test_trivial_products_inherited_by_restrictions():
