@@ -5,7 +5,9 @@ mathematically negative answers (nontrivial products, nonzero Massey class,
 NotGolod, series divergence), 2 for usage and parse errors, 3 for an
 exhausted search budget and for input too large to enumerate (``TooLarge``:
 a strand degree, complex or fiber past its bound; nothing on standard
-output).  ``--format json`` emits the same data as the text renderers.
+output), and 4 for a failed internal invariant (an ``AssertionError``,
+reported on one line of standard error).  ``--format json`` emits the same
+data as the text renderers.
 """
 
 from __future__ import annotations
@@ -523,6 +525,9 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

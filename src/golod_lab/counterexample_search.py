@@ -77,32 +77,19 @@ def pattern_check(ideal, assignment):
     """Evaluate the role-pattern conditions on a squarefree ideal."""
     if not ideal.is_squarefree:
         raise ValueError("pattern check applies to squarefree ideals")
-    g = ideal.gens
-    s = {name: g[idx].support for name, idx in (
-        ("a", assignment.a), ("b", assignment.b), ("c", assignment.c),
-        ("ab", assignment.ab), ("bc", assignment.bc), ("ca", assignment.ca),
-    )}
-    disjoint = (
-        not (s["a"] & s["b"]) and not (s["b"] & s["c"]) and not (s["a"] & s["c"])
-    )
-    ab_br = bool(_bridges(s["ab"], s["a"], s["b"]))
-    bc_br = bool(_bridges(s["bc"], s["b"], s["c"]))
-    ca_br = bool(_bridges(s["ca"], s["c"], s["a"]))
-    b_cov = s["b"] <= (s["ab"] | s["bc"])
-    a_cov = s["a"] <= (s["ab"] | s["ca"])
-    c_cov = s["c"] <= (s["bc"] | s["ca"])
+    a, b, c, ab, bc, ca = (ideal.gens[k].support for k in assignment.core())
     core = set(assignment.core())
 
     def sharp_exists(i, j):
         return _dividing_generator(ideal, i, j, exclude=core) is not None
 
     return PatternReport(
-        disjoint_abc=disjoint,
-        ab_bridges=ab_br,
-        bc_bridges=bc_br,
-        ca_bridges=ca_br,
-        b_covered=bool(b_cov),
-        a_or_c_covered=bool(a_cov or c_cov),
+        disjoint_abc=not (a & b or b & c or a & c),
+        ab_bridges=bool(_bridges(ab, a, b)),
+        bc_bridges=bool(_bridges(bc, b, c)),
+        ca_bridges=bool(_bridges(ca, c, a)),
+        b_covered=b <= ab | bc,
+        a_or_c_covered=a <= ab | ca or c <= bc | ca,
         ab_sharp_c_exists=sharp_exists(assignment.ab, assignment.c),
         bc_sharp_a_exists=sharp_exists(assignment.bc, assignment.a),
         ca_sharp_b_exists=sharp_exists(assignment.ca, assignment.b),
@@ -148,9 +135,6 @@ def _degree_one_products_trivial(ideal):
 
 
 def _evaluate_candidate(serial, ideal, assignment, field):
-    report = pattern_check(ideal, assignment)
-    if not report.all_ok:
-        return None
     if not _degree_one_products_trivial(ideal):
         return None
     res = ternary_massey_generators(
@@ -185,6 +169,13 @@ def _candidate_patterns(n_vars, max_gens):
     largest-first, matching the make-everything-as-generic-as-possible
     heuristic.  A one-variable c yields no pattern (any bc meeting c contains
     it), so c has at least two variables.
+
+    Every pattern meets the nine conditions of ``pattern_check`` by
+    construction, so the search does not re-check them: ``disjoint_abc`` by
+    the disjoint blocks; the three bridges by ``_subsets_between``;
+    ``b_covered`` and ``a_or_c_covered`` by the two cover ``continue``s; the
+    three sharps by ``options()``, which draws each from bridge | corner,
+    meeting both, outside the core.
     """
     if max_gens < 8:
         return
@@ -269,8 +260,12 @@ def search(n_vars, max_gens, budget, seconds=None, seeds=None, field=QQ, stats=N
     ``budget`` limits the candidate count and ``seconds``, if given, the
     wall time.  ``seeds`` are (ideal, assignment) pairs checked before the
     enumeration; by default the polarized built-in pattern is seeded when it
-    fits the requested size.  The stream is deterministic; stats (if given)
-    record how the budget was spent.
+    fits the requested size.  The enumerated patterns meet the role pattern
+    by construction (``_candidate_patterns``), and a caller-supplied seed is
+    not checked against it: every candidate is judged by the homological
+    tests alone (trivial generator products, a nonzero ternary Massey
+    product of a, b, c), which are what define a hit.  The stream is
+    deterministic; stats (if given) record how the budget was spent.
     """
     if stats is None:
         stats = SearchStats()

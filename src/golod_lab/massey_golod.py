@@ -239,9 +239,9 @@ def ternary_massey_generators(ideal, field, a, b, c, b2_certified=False):
 
     Requires the generators to be pairwise coprime with further generators
     dividing lcm(a, b) and lcm(b, c); the first such divisors (in generator
-    order) enter the defining system, whose members are single subsets, so the
-    representative is written down directly rather than solved for.  Failures
-    of the preconditions are reported, not raised.
+    order) enter the defining system, whose members are single subsets written
+    down by ``_triple_filler``, so a strand is asked only whether the value
+    bounds.  Failures of the preconditions are reported, not raised.
     """
     ga, gb, gc = ideal.gens[a], ideal.gens[b], ideal.gens[c]
     if not (ga.coprime(gb) and gb.coprime(gc) and ga.coprime(gc)):
@@ -256,8 +256,8 @@ def ternary_massey_generators(ideal, field, a, b, c, b2_certified=False):
         return _undefined(
             "no further generator divides lcm of the last two; their product is nonzero"
         )
-    s = _triple_filler(ideal, field, a, ab, b)
-    t = _triple_filler(ideal, field, b, bc, c)
+    s = _triple_filler(field, a, ab, b)
+    t = _triple_filler(field, b, bc, c)
     ra = {mask_of([a]): 1}
     rc = {mask_of([c]): 1}
     gab, gbc = ga.lcm(gb), gb.lcm(gc)
@@ -270,18 +270,16 @@ def ternary_massey_generators(ideal, field, a, b, c, b2_certified=False):
     return _finish_massey(ideal, field, value_chain, u, 4, s, t, b2_certified)
 
 
-def _triple_filler(ideal, field, i, mid, j):
-    """Chain on the subset {i, mid, j} whose differential is the bar of e_i * e_j,
-    for coprime generators i and j with generator mid dividing their lcm."""
-    triple = mask_of([i, mid, j])
-    pair = mask_of([i, j])
-    bnd = strand(ideal, field, ideal.gens[i].lcm(ideal.gens[j]).exps).boundary(triple)
-    if set(bnd) != {pair}:
-        raise AssertionError("filler boundary has unexpected support")
-    sigma = bnd[pair]
-    sign = product_sign(mask_of([i]), mask_of([j]))
-    # sigma^2 = 1, so this solves sigma * x = sign
-    return {triple: field.of(sign * sigma)}
+def _triple_filler(field, i, mid, j):
+    """Chain on {i, mid, j} whose differential is the bar of e_i * e_j, for
+    coprime generators i and j and a further generator mid dividing their lcm
+    u.  In the strand at u, dropping mid keeps lcm u; dropping i would leave
+    g_mid to attain g_i (g_j is coprime to it), so g_i | g_mid, which
+    minimality forbids, and likewise for j.  The differential is thus sigma *
+    e_{i, j}, sigma = -1 when mid lies between i and j and +1 otherwise, and
+    as sigma^2 = 1 the coefficient is sigma times the sign of e_i * e_j."""
+    sigma = -1 if min(i, j) < mid < max(i, j) else 1
+    return {mask_of([i, mid, j]): field.of(sigma * product_sign(mask_of([i]), mask_of([j])))}
 
 
 def ternary_products_vanish(ideal, field):

@@ -9,6 +9,8 @@ import pytest
 
 import golod_lab
 from golod_lab import cli, taylor_dga
+from golod_lab import massey_golod as mg
+from golod_lab import series_engine as se
 from golod_lab.cli import main
 from golod_lab.monomial_core import counterexample_ideal, parse_ideal, polarize
 from golod_lab.simplicial import complex_of, parse_complex, skeleton
@@ -434,6 +436,25 @@ def test_complex_with_unknown_vertex_is_a_parse_error(tmp_path):
         assert proc.returncode == 2, argv
         assert "facet ['a', 'c'] uses unknown vertices" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (mg, "golod_decide", ["golod", "--example", "paper"]),
+    (se, "p_series", ["series", "--example", "paper", "--trunc", "2"]),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_internal_invariant_failure_exits_4(capsys, monkeypatch, module, name, argv, fmt):
+    """A failed internal invariant is neither a negative answer (exit 1) nor
+    a usage error (exit 2): it exits 4 with one line on standard error,
+    nothing on standard output and no traceback."""
+    def broken(*args):
+        raise AssertionError("P > Q at (2, 0), t^2")
+
+    monkeypatch.setattr(module, name, broken)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err == "error: internal invariant failed: P > Q at (2, 0), t^2\n"
+    assert "Traceback" not in err
 
 
 def test_nonminimal_ideal_file_is_a_parse_error(capsys, tmp_path):

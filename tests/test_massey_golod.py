@@ -12,7 +12,7 @@ from conftest import (
     product_reduced,
     random_squarefree_ideal,
 )
-from golod_lab import homology_engine, massey_golod
+from golod_lab import counterexample_search, homology_engine, massey_golod
 from golod_lab.counterexample_search import search, seed_pattern
 from golod_lab.exact_linalg import GF2, GF3, QQ
 from golod_lab.homology_engine import BettiData, betti, homology_basis, strand
@@ -28,9 +28,22 @@ from golod_lab.massey_golod import (
     ternary_massey_generators,
     ternary_products_vanish,
 )
-from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal, lcm_of
+from golod_lab.monomial_core import (
+    Monomial,
+    MonomialIdeal,
+    counterexample_ideal,
+    lcm_of,
+    polarize,
+)
 from golod_lab.series_engine import _box_product, box_series, p_series, q_series
-from golod_lab.taylor_dga import generators_below, lcm_lattice, mask_of, support_mask
+from golod_lab.simplicial import complex_of, skeleton, stanley_reisner_ideal
+from golod_lab.taylor_dga import (
+    generators_below,
+    lcm_lattice,
+    mask_of,
+    product_sign,
+    support_mask,
+)
 
 CI = MonomialIdeal.from_strings(("x", "y"), ["x^2", "y^2"])
 M2 = MonomialIdeal.from_strings(("x", "y"), ["x^2", "x*y", "y^2"])
@@ -208,6 +221,76 @@ def test_combinatorial_route_precondition_reports():
     assert "coprime" in res.obstruction
     res2 = ternary_massey_generators(CI, QQ, 0, 1, 1)
     assert not res2.defined
+
+
+def _ref_triple_filler(ideal, field, i, mid, j):
+    """The filler as the strand at lcm(g_i, g_j) solves it: the boundary of
+    {i, mid, j} there is sigma * e_{i, j}, and sigma^2 = 1."""
+    triple = mask_of([i, mid, j])
+    pair = mask_of([i, j])
+    bnd = strand(ideal, field, ideal.gens[i].lcm(ideal.gens[j]).exps).boundary(triple)
+    if set(bnd) != {pair}:
+        raise AssertionError("filler boundary has unexpected support")
+    sign = product_sign(mask_of([i]), mask_of([j]))
+    return {triple: field.of(sign * bnd[pair])}
+
+
+def test_triple_filler_is_the_strands_solution(monkeypatch):
+    """The written-down filler is the one the strand's differential solves,
+    on every (a, ab, b) and (b, bc, c) the combinatorial route reaches: on
+    the paper's ideal, its polarization, reorderings of both (where the
+    bridge also falls outside its pair), the 4-skeleton ideal with roles
+    0, 2, 3 and the 150 candidates of the pattern search, over Q, F_2, F_3."""
+    reached = []
+    ring = []
+    real_generators = massey_golod.ternary_massey_generators
+    real_filler = massey_golod._triple_filler
+
+    def generators(ideal, field, a, b, c, b2_certified=False):
+        ring[:] = [ideal]
+        return real_generators(ideal, field, a, b, c, b2_certified)
+
+    def filler(field, i, mid, j):
+        reached.append((ring[0], i, mid, j))
+        return real_filler(field, i, mid, j)
+
+    monkeypatch.setattr(massey_golod, "_triple_filler", filler)
+    monkeypatch.setattr(counterexample_search, "ternary_massey_generators", generators)
+    pol, roles = seed_pattern()
+    cases = [(counterexample_ideal(), (0, 3, 6)), (pol, (roles.a, roles.b, roles.c))]
+    for ideal, abc in list(cases):
+        for seed in range(4):
+            perm = list(range(ideal.n_gens))
+            random.Random(seed).shuffle(perm)
+            shuffled = MonomialIdeal(ideal.variables, tuple(ideal.gens[k] for k in perm))
+            cases.append((shuffled, tuple(perm.index(k) for k in abc)))
+    cases.append((stanley_reisner_ideal(skeleton(complex_of(pol), 4)), (0, 2, 3)))
+    for ideal, abc in cases:
+        assert generators(ideal, QQ, *abc).value_is_zero is False
+    assert len(list(counterexample_search.search(7, 9, budget=150, seeds=[]))) == 16
+    assert len(reached) > 2 * len(cases)
+    assert {min(i, j) < mid < max(i, j) for _, i, mid, j in reached} == {True, False}
+    for field in (QQ, GF2, GF3):
+        for ideal, i, mid, j in reached:
+            assert real_filler(field, i, mid, j) == _ref_triple_filler(ideal, field, i, mid, j)
+
+
+def test_combinatorial_route_asks_one_strand(monkeypatch):
+    """The fillers are written down, so the combinatorial route asks a strand
+    only for its value's boundary test: once, where it asked three times
+    while each filler read its sign off a strand."""
+    asked = []
+    real = homology_engine.strand
+
+    def counted(ideal, field, u):
+        asked.append(u)
+        return real(ideal, field, u)
+
+    monkeypatch.setattr(homology_engine, "strand", counted)
+    monkeypatch.setattr(massey_golod, "strand", counted)
+    res = ternary_massey_generators(counterexample_ideal(), QQ, 0, 3, 6)
+    assert res.value_is_zero is False
+    assert asked == [(1, 2, 1, 2, 3)]
 
 
 def test_massey_stable_under_generator_reordering(example_ideal):

@@ -8,7 +8,7 @@ from itertools import combinations, islice
 import pytest
 
 from conftest import pattern_failures
-from golod_lab import counterexample_search
+from golod_lab import counterexample_search, homology_engine
 from golod_lab.counterexample_search import (
     RoleAssignment,
     SearchStats,
@@ -70,6 +70,21 @@ def test_pattern_check_fails_without_bc_generator():
         )
         report = pattern_check(ideal, assignment)
         assert not (report.b_covered and report.bc_bridges)
+
+
+@pytest.mark.parametrize("n_vars, max_gens, count", [(7, 9, 3000), (8, 8, 3000), (6, 9, None)])
+def test_generated_candidates_meet_the_role_pattern(n_vars, max_gens, count):
+    """The search does not re-check the role pattern: every candidate built
+    from the generator's patterns meets all nine conditions by construction
+    (``_candidate_patterns`` names what enforces each), and so does the seed."""
+    assert pattern_check(*seed_pattern()).all_ok
+    built = 0
+    for core, sharps in islice(counterexample_search._candidate_patterns(n_vars, max_gens), count):
+        cand = counterexample_search._pattern_ideal(n_vars, core, sharps)
+        if cand is not None:
+            assert pattern_failures(pattern_check(*cand)) == [], (core, sharps)
+            built += 1
+    assert built
 
 
 def test_minimality_report():
@@ -148,6 +163,22 @@ def test_search_keeps_no_candidate_alive(monkeypatch):
     del hits
     gc.collect()
     assert sum(r() is not None for r in refs) == 0
+
+
+def test_search_builds_one_strand_per_asked_multidegree(monkeypatch):
+    """The combinatorial fillers are written down, so the 150-candidate
+    search builds strands only for its homological questions: 442 of them,
+    720 while each filler read its sign off a strand of its own."""
+    built = []
+    real_init = homology_engine.StrandHomology.__init__
+
+    def counted_init(self, *args):
+        built.append(args[1])
+        real_init(self, *args)
+
+    monkeypatch.setattr(homology_engine.StrandHomology, "__init__", counted_init)
+    assert len(list(search(7, 9, budget=150, seeds=[]))) == 16
+    assert len(built) <= 442
 
 
 def _reference_candidates(n_vars, max_gens):
