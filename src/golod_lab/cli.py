@@ -502,8 +502,8 @@ def build_parser():
     p = sub.add_parser("search", help="pattern search for trivial-product non-Golod ideals")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_field(p)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--max-gens", type=int, required=True)
+    p.add_argument("--vars", type=_non_negative(int, "variable count"), required=True)
+    p.add_argument("--max-gens", type=_non_negative(int, "generator count"), required=True)
     p.add_argument("--budget", type=_non_negative(int, "budget"), default=1000)
     p.add_argument("--seconds", type=_non_negative(float, "seconds"), default=None)
     p.set_defaults(fn=cmd_search)

@@ -18,12 +18,7 @@ from functools import partial
 from itertools import chain, combinations
 
 from .exact_linalg import QQ
-from .massey_golod import (
-    _dividing_generator,
-    all_products_trivial,
-    pair_criterion,
-    ternary_massey_generators,
-)
+from .massey_golod import all_products_trivial, pair_criterion, ternary_massey_generators
 from .monomial_core import Monomial, MonomialIdeal, counterexample_ideal, polarize
 
 
@@ -77,11 +72,13 @@ def pattern_check(ideal, assignment):
     """Evaluate the role-pattern conditions on a squarefree ideal."""
     if not ideal.is_squarefree:
         raise ValueError("pattern check applies to squarefree ideals")
-    a, b, c, ab, bc, ca = (ideal.gens[k].support for k in assignment.core())
+    g = ideal.gens
+    a, b, c, ab, bc, ca = (g[k].support for k in assignment.core())
     core = set(assignment.core())
 
-    def sharp_exists(i, j):
-        return _dividing_generator(ideal, i, j, exclude=core) is not None
+    def sharp_exists(sharp, i, j):
+        """The named generator is outside the core and divides lcm(g_i, g_j)."""
+        return sharp not in core and g[sharp].divides(g[i].lcm(g[j]))
 
     return PatternReport(
         disjoint_abc=not (a & b or b & c or a & c),
@@ -90,9 +87,9 @@ def pattern_check(ideal, assignment):
         ca_bridges=bool(_bridges(ca, c, a)),
         b_covered=b <= ab | bc,
         a_or_c_covered=a <= ab | ca or c <= bc | ca,
-        ab_sharp_c_exists=sharp_exists(assignment.ab, assignment.c),
-        bc_sharp_a_exists=sharp_exists(assignment.bc, assignment.a),
-        ca_sharp_b_exists=sharp_exists(assignment.ca, assignment.b),
+        ab_sharp_c_exists=sharp_exists(assignment.ab_sharp_c, assignment.ab, assignment.c),
+        bc_sharp_a_exists=sharp_exists(assignment.bc_sharp_a, assignment.bc, assignment.a),
+        ca_sharp_b_exists=sharp_exists(assignment.ca_sharp_b, assignment.ca, assignment.b),
     )
 
 
@@ -146,14 +143,18 @@ def _evaluate_candidate(serial, ideal, assignment, field):
     return SearchHit(serial, ideal, assignment, full_ok)
 
 
-def _subsets_between(side1, side2):
-    """Subsets of the union meeting both sides, largest first (generic first),
-    yielded one at a time: the union can have 2^(n-2) subsets."""
-    u = sorted(side1 | side2)
+def _subsets_between(*pairs, avoid=()):
+    """Subsets of the intersection of the pairs' unions, largest first (generic
+    first), yielded one at a time: a union can have 2^(n-2) subsets.  Each is
+    smaller than every union, meets both sides of every pair, and nests with
+    no support in ``avoid`` (neither ``s <= t`` nor ``t <= s``)."""
+    unions = [p | q for p, q in pairs]
+    u = sorted(frozenset.intersection(*unions))
     for size in range(len(u), 1, -1):
         for c in combinations(u, size):
             cs = frozenset(c)
-            if cs & side1 and cs & side2 and cs != side1 | side2:
+            if (cs not in unions and all(cs & p and cs & q for p, q in pairs)
+                    and not any(cs <= t or t <= cs for t in avoid)):
                 yield cs
 
 
@@ -174,8 +175,16 @@ def _candidate_patterns(n_vars, max_gens):
     construction, so the search does not re-check them: ``disjoint_abc`` by
     the disjoint blocks; the three bridges by ``_subsets_between``;
     ``b_covered`` and ``a_or_c_covered`` by the two cover ``continue``s; the
-    three sharps by ``options()``, which draws each from bridge | corner,
-    meeting both, outside the core.
+    three sharps by ``_subsets_between``, which draws each from bridge |
+    corner, meeting both.
+
+    No two supports of a pattern nest, so every pattern is an ideal's
+    minimal generating set (squarefree, one generator divides another exactly
+    when its support is a subset).  The core cannot nest: the blocks are
+    disjoint, each bridge avoids its own two blocks and is disjoint from the
+    third, and two bridges each meet a block the other misses.  Each sharp
+    avoids everything drawn before it, except that bc#a and ca#b may coincide:
+    with 8 generators they must, and the one shared sharp is drawn once.
     """
     if max_gens < 8:
         return
@@ -187,60 +196,33 @@ def _candidate_patterns(n_vars, max_gens):
         a = frozenset(range(na))
         b = frozenset(range(na, na + nb))
         c = frozenset(range(na + nb, na + nb + nc))
-        for ab in _subsets_between(a, b):
-            if a <= ab or b <= ab:
-                continue
-            for bc in _subsets_between(b, c):
-                if b <= bc or c <= bc or not b <= (ab | bc):
+        for ab in _subsets_between((a, b), avoid=(a, b)):
+            for bc in _subsets_between((b, c), avoid=(b, c)):
+                if not b <= (ab | bc):
                     continue
-                for ca in _subsets_between(c, a):
-                    if c <= ca or a <= ca:
-                        continue
+                for ca in _subsets_between((c, a), avoid=(c, a)):
                     if not (a <= (ab | ca) or c <= (bc | ca)):
                         continue
                     core = [a, b, c, ab, bc, ca]
-                    if len(set(core)) != 6:
-                        continue
-                    for sharps in _sharp_choices(core, ab, bc, ca, a, b, c, max_gens):
-                        yield core, sharps
-
-
-def _sharp_choices(core, ab, bc, ca, a, b, c, max_gens):
-    """Choices of the three forced extra generators (two may coincide)."""
-    core_set = set(core)
-
-    def options(bridge, corner):
-        union = sorted(bridge | corner)
-        for size in range(len(union) - 1, 1, -1):
-            for comb in combinations(union, size):
-                cs = frozenset(comb)
-                if cs not in core_set and cs & bridge and cs & corner:
-                    yield cs
-
-    for s_ab in options(ab, c):
-        for s_bc in options(bc, a):
-            if s_bc == s_ab:
-                continue
-            for s_ca in options(ca, b):
-                if s_ca == s_ab:
-                    continue
-                gens = {s_ab, s_bc, s_ca}
-                if len(core_set | gens) > max_gens:
-                    continue
-                yield (s_ab, s_bc, s_ca)
+                    for s_ab in _subsets_between((ab, c), avoid=core):
+                        drawn = [*core, s_ab]
+                        if max_gens == 8:
+                            for s in _subsets_between((bc, a), (ca, b), avoid=drawn):
+                                yield core, (s_ab, s, s)
+                            continue
+                        for s_bc in _subsets_between((bc, a), avoid=drawn):
+                            for s_ca in _subsets_between((ca, b), avoid=drawn):
+                                if not (s_ca < s_bc or s_bc < s_ca):
+                                    yield core, (s_ab, s_bc, s_ca)
 
 
 def _pattern_ideal(n_vars, core, sharps):
-    """(ideal, assignment) of a role pattern, or None when its supports nest:
-    squarefree, one generator divides another exactly when its support is a
-    proper subset, so a smaller one (the supports are distinct)."""
+    """(ideal, assignment) of a role pattern (``_candidate_patterns``)."""
     a, b, c, ab, bc, ca = core
     supports = [a, ab, b, bc, c, ca]
     for s in sharps:
         if s not in supports:
             supports.append(s)
-    if any(s < t for s, t in combinations(sorted(supports, key=len), 2)):
-        return None
     ideal = MonomialIdeal(
         tuple(f"v{i}" for i in range(n_vars)), tuple(_mono(n_vars, s) for s in supports)
     )
@@ -292,10 +274,7 @@ def search(n_vars, max_gens, budget, seconds=None, seeds=None, field=QQ, stats=N
         if spent():
             stats.budget_exhausted = True
             return
-        cand = build()
-        if cand is None:
-            continue  # a role would be swallowed by divisibility; not this pattern
-        ideal, assignment = cand
+        ideal, assignment = build()
         stats.candidates += 1
         hit = _evaluate_candidate(serial, ideal, assignment, field)
         serial += 1

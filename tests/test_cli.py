@@ -342,6 +342,18 @@ def test_pattern_check_example_takes_roles(capsys):
                    "--roles", seed_roles) == plain
 
 
+def test_pattern_check_reads_the_named_sharps(capsys):
+    # a core generator named as every sharp fails the three sharp conditions,
+    # although other generators divide each lcm(bridge, corner)
+    roles = "a=0,b=3,c=6,ab=1,bc=4,ca=7,ab#c=0,bc#a=0,ca#b=0"
+    code, payload, _ = run_json(capsys, "pattern-check", "--example", "paper", "--roles", roles)
+    assert code == 1 and payload["all_ok"] is False
+    assert [k for k, v in payload.items() if v is False] == [
+        "ab_sharp_c_exists", "all_ok", "bc_sharp_a_exists", "ca_sharp_b_exists"]
+    code, out, _ = run(capsys, "pattern-check", "--example", "paper", "--roles", roles)
+    assert code == 1 and out.endswith("all conditions hold: False\n")
+
+
 def test_pattern_check_roles_without_ca_are_a_usage_error(capsys):
     # every role is required; without ca and ca#b the check could never pass
     roles = "a=0,b=3,c=6,ab=1,bc=4,ab#c=2,bc#a=5"
@@ -401,6 +413,8 @@ def test_search_seconds_zero_skips_the_seeds(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--seconds", "-1", "seconds must be non-negative"),
     ("--budget", "-5", "budget must be non-negative"),
+    ("--vars", "-3", "variable count must be non-negative"),
+    ("--max-gens", "-1", "generator count must be non-negative"),
 ])
 def test_search_negative_budget_is_a_usage_error(capsys, flag, value, message):
     with pytest.raises(SystemExit) as exc:
@@ -408,6 +422,21 @@ def test_search_negative_budget_is_a_usage_error(capsys, flag, value, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and message in err
+
+
+def test_search_keeps_its_time_budget_at_eight_generators():
+    """With 8 generators bc#a and ca#b are one support, drawn once, so no
+    loop between two budget tests scans choices it must reject: a one-second
+    search on 30 variables ends with its summary, well inside the timeout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(golod_lab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "golod_lab.cli", "search", "--vars", "30", "--max-gens", "8",
+         "--seconds", "1", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])["summary"]
+    assert summary["budget_exhausted"] is True
 
 
 def test_usage_errors(capsys, tmp_path):

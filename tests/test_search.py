@@ -3,6 +3,7 @@ import hashlib
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 from itertools import combinations, islice
 
 import pytest
@@ -72,18 +73,42 @@ def test_pattern_check_fails_without_bc_generator():
         assert not (report.b_covered and report.bc_bridges)
 
 
+def test_pattern_check_reads_the_named_sharps():
+    """Each sharp condition is about the generator named for it: outside the
+    core, and dividing lcm(bridge, corner).  On the seed only generators 2
+    and 5 lie outside the core, so swapping them breaks all three, and so
+    does naming a core generator (a, which divides lcm(bc, a))."""
+    ideal, good = seed_pattern()
+    sharps = ["ab_sharp_c_exists", "bc_sharp_a_exists", "ca_sharp_b_exists"]
+    swapped = replace(good, ab_sharp_c=5, bc_sharp_a=2, ca_sharp_b=2)
+    in_core = replace(good, ab_sharp_c=good.a, bc_sharp_a=good.a, ca_sharp_b=good.a)
+    for bad in (swapped, in_core):
+        assert pattern_failures(pattern_check(ideal, bad)) == sharps, bad
+
+
+def _supports(core, sharps):
+    """The pattern's supports as its ideal lists them, a shared sharp once."""
+    a, b, c, ab, bc, ca = core
+    return list(dict.fromkeys([a, ab, b, bc, c, ca, *sharps]))
+
+
+def _nest(s, t):
+    return s < t or t < s
+
+
 @pytest.mark.parametrize("n_vars, max_gens, count", [(7, 9, 3000), (8, 8, 3000), (6, 9, None)])
 def test_generated_candidates_meet_the_role_pattern(n_vars, max_gens, count):
     """The search does not re-check the role pattern: every candidate built
     from the generator's patterns meets all nine conditions by construction
-    (``_candidate_patterns`` names what enforces each), and so does the seed."""
+    (``_candidate_patterns`` names what enforces each), and so does the seed.
+    No two supports of a pattern nest, so every pattern is built."""
     assert pattern_check(*seed_pattern()).all_ok
     built = 0
     for core, sharps in islice(counterexample_search._candidate_patterns(n_vars, max_gens), count):
+        assert not any(_nest(s, t) for s, t in combinations(_supports(core, sharps), 2))
         cand = counterexample_search._pattern_ideal(n_vars, core, sharps)
-        if cand is not None:
-            assert pattern_failures(pattern_check(*cand)) == [], (core, sharps)
-            built += 1
+        assert pattern_failures(pattern_check(*cand)) == [], (core, sharps)
+        built += 1
     assert built
 
 
@@ -182,36 +207,23 @@ def test_search_builds_one_strand_per_asked_multidegree(monkeypatch):
 
 
 def _reference_candidates(n_vars, max_gens):
-    """Seeds, then each role pattern whose generators minimalize keeps whole,
-    with the generators built as Monomials.  minimalize drops a generator
-    exactly when another one divides it, so a list keeps every role exactly
-    when each pair does; each pair of supports is asked once."""
+    """Seeds, then each role pattern with its generators built as Monomials
+    and passed through minimalize, which must keep every role: it drops a
+    generator exactly when another one divides it."""
     pol, assignment = seed_pattern()
     if pol.n_vars <= n_vars and pol.n_gens <= max_gens:
         yield pol, assignment
     variables = tuple(f"v{i}" for i in range(n_vars))
     mono = {}
-    pair_kept = {}
 
     def monomial(s):
         if s not in mono:
             mono[s] = Monomial(tuple(1 if k in s else 0 for k in range(n_vars)))
         return mono[s]
 
-    def kept(pair):
-        if pair not in pair_kept:
-            pair_kept[pair] = len(minimalize([monomial(s) for s in pair])) == 2
-        return pair_kept[pair]
-
     for core, sharps in counterexample_search._candidate_patterns(n_vars, max_gens):
         a, b, c, ab, bc, ca = core
-        supports = [a, ab, b, bc, c, ca]
-        for s in sharps:
-            if s not in supports:
-                supports.append(s)
-        if not all(map(kept, combinations(supports, 2))):
-            yield None  # a role is swallowed; the budget is still checked here
-            continue
+        supports = _supports(core, sharps)
         gens = minimalize([monomial(s) for s in supports])
         assert len(gens) == len(supports)
         index = {g.support: k for k, g in enumerate(gens)}
@@ -233,8 +245,6 @@ def _reference_search(n_vars, max_gens, budget, evaluate):
         if serial >= budget:
             stats.budget_exhausted = True
             break
-        if cand is None:
-            continue
         ideal, assignment = cand
         stats.candidates += 1
         hit = evaluate(serial, ideal, assignment)
@@ -248,10 +258,11 @@ def _reference_search(n_vars, max_gens, budget, evaluate):
 
 @pytest.mark.parametrize("n_vars, max_gens, budget", [(7, 9, 150), (9, 9, 3)])
 def test_search_stream_matches_minimalize_reference(monkeypatch, n_vars, max_gens, budget):
-    """Patterns are rejected on their supports before any generator is built;
-    the hits, the SearchStats and every evaluated candidate must be those of
-    the route that builds Monomials and asks minimalize.  The reference reuses
-    the evaluation of each candidate only after checking its inputs agree."""
+    """No pattern is rejected after it is drawn, and a candidate is built only
+    after its budget test; the hits, the SearchStats and every evaluated
+    candidate must be those of the route that builds Monomials and asks
+    minimalize.  The reference reuses the evaluation of each candidate only
+    after checking its inputs agree."""
     evaluated = []
     real = counterexample_search._evaluate_candidate
 
@@ -290,16 +301,105 @@ def _canonical_pattern(pattern):
     return tuple(tuple(sorted(s)) for s in core), tuple(tuple(sorted(s)) for s in sharps)
 
 
+def _between(side1, side2):
+    """Subsets of side1 | side2 meeting both sides, largest first, the union
+    itself left out."""
+    u = sorted(side1 | side2)
+    for size in range(len(u) - 1, 1, -1):
+        for comb in combinations(u, size):
+            cs = frozenset(comb)
+            if cs & side1 and cs & side2:
+                yield cs
+
+
+def _reference_patterns(n_vars, max_gens):
+    """The role-pattern stream as it was enumerated before nesting was
+    pruned, with the patterns whose supports nest dropped after the fact.
+
+    Each role is drawn from its own union with no regard to the others, the
+    blocks' containment rejected per bridge, and each sharp drawn from
+    bridge | corner outside the core; the generator count is tested after
+    all three sharps are drawn, which is what makes bc#a = ca#b at 8
+    generators.  A pattern is dropped exactly when two of its supports nest
+    (a shared sharp is one support), so each pair is tested as soon as its
+    later role is drawn: that drops the same patterns as testing the
+    assembled list, without walking the millions of patterns that extend a
+    nested pair (5.8 M before the 3,000th kept one on 12 variables)."""
+    if max_gens < 8:
+        return
+    sizes = ((na, nb, nc) for na in range(n_vars - 4, 1, -1)
+             for nb in range(n_vars - na - 2, 1, -1)
+             for nc in range(n_vars - na - nb, 1, -1))
+    for na, nb, nc in sizes:
+        a = frozenset(range(na))
+        b = frozenset(range(na, na + nb))
+        c = frozenset(range(na + nb, na + nb + nc))
+        for ab in _between(a, b):
+            if a <= ab or b <= ab:
+                continue
+            for bc in _between(b, c):
+                if b <= bc or c <= bc or not b <= (ab | bc):
+                    continue
+                for ca in _between(c, a):
+                    if c <= ca or a <= ca:
+                        continue
+                    if not (a <= (ab | ca) or c <= (bc | ca)):
+                        continue
+                    core = [a, b, c, ab, bc, ca]
+                    if len(set(core)) != 6 or any(_nest(s, t) for s, t in combinations(core, 2)):
+                        continue
+                    for sharps in _reference_sharps(core, max_gens):
+                        yield core, sharps
+
+
+def _reference_sharps(core, max_gens):
+    """The three sharps, each from bridge | corner outside the core; two may
+    coincide, and the generator count is tested last."""
+    a, b, c, ab, bc, ca = core
+
+    def options(bridge, corner, drawn):
+        for cs in _between(bridge, corner):
+            if cs not in core and not any(_nest(cs, t) for t in drawn):
+                yield cs
+
+    ca_options = list(options(ca, b, core))
+    for s_ab in options(ab, c, core):
+        for s_bc in options(bc, a, [*core, s_ab]):
+            if s_bc == s_ab:
+                continue
+            for s_ca in ca_options:
+                if s_ca == s_ab or _nest(s_ca, s_ab) or _nest(s_ca, s_bc):
+                    continue
+                if len(set(core) | {s_ab, s_bc, s_ca}) > max_gens:
+                    continue
+                yield s_ab, s_bc, s_ca
+
+
+@pytest.mark.parametrize("n_vars, max_gens, count", [
+    (6, 9, None), (7, 8, None),
+    (8, 8, 3000), (9, 9, 3000), (10, 8, 3000), (12, 9, 3000),
+])
+def test_candidate_patterns_are_the_unpruned_stream_without_nesting(n_vars, max_gens, count):
+    """One subset rule draws every role, so the generator yields exactly the
+    patterns the unpruned enumeration kept, in its order."""
+    want = list(islice(_reference_patterns(n_vars, max_gens), count))
+    got = list(islice(counterexample_search._candidate_patterns(n_vars, max_gens), count))
+    assert got == want
+    assert len(want) == (count or len(want)) > 0
+
+
 def test_candidate_patterns_stream_is_pinned():
-    """The pattern stream is lazy, but its order is the one it always had:
-    the count for (6, 9) and a digest of the first 2,000 patterns for (9, 9)
-    were taken from the list-building enumeration."""
-    assert sum(1 for _ in counterexample_search._candidate_patterns(6, 9)) == 9944
+    """The pattern stream is lazy, but its order is the one it always had,
+    with the patterns whose supports nest dropped: the count for (6, 9) and a
+    digest of the first 2,000 patterns for (9, 9) were taken from the
+    list-building enumeration with that rule applied (9,944 patterns for
+    (6, 9) before nested ones were dropped)."""
+    assert sum(1 for _ in counterexample_search._candidate_patterns(6, 9)) == 920
     head = [_canonical_pattern(p)
             for p in islice(counterexample_search._candidate_patterns(9, 9), 2000)]
     assert len(head) == 2000
     assert hashlib.sha256(repr(head).encode()).hexdigest() == (
-        "2c8b55e8ec062137670b6ff6dfa56ba3101672824ad8c143c15c9f1f60be75c3")
+        "902519ef97eaef9f310d0bf736f56bea54a904c09ba381338a9540e285ba7e65")
 
 
 def test_first_pattern_of_many_variables_is_cheap():
