@@ -81,10 +81,11 @@ def _load_complex(args):
 
 
 def _emit(args, payload, text):
+    """Print the payload as JSON or ``text()``, so text is built only to be printed."""
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _non_negative(convert, what):
@@ -132,11 +133,10 @@ def cmd_betti(args):
         "regularity": bd.regularity,
         "projective_dimension": bd.projective_dimension,
     }
-    text = (
+    _emit(args, payload, lambda: (
         f"Betti table over {field}\n{bd.table_str()}\n"
         f"regularity {bd.regularity}, projective dimension {bd.projective_dimension}"
-    )
-    _emit(args, payload, text)
+    ))
     return 0
 
 
@@ -151,12 +151,11 @@ def cmd_products(args):
             "beta": _class_json(witness.beta),
             "product": _chain_json(witness.product_chain),
         }
-    text = (
+    _emit(args, payload, lambda: (
         "all products of positive-degree homology classes vanish"
         if ok
         else "nontrivial product found:\n  " + witness.describe()
-    )
-    _emit(args, payload, text)
+    ))
     return 0 if ok else 1
 
 
@@ -194,14 +193,14 @@ def cmd_massey3(args):
             ok, witness = mg.ternary_products_vanish(ideal, field)
         payload = {"field": str(field), "all_zero": ok}
         if ok:
-            text = "every binary and ternary Massey product is defined and zero"
+            text = lambda: "every binary and ternary Massey product is defined and zero"
         elif isinstance(witness, mg.ProductWitness):
             payload["witness"] = {"kind": "binary", "detail": witness.describe()}
-            text = "a binary product is already nonzero:\n  " + witness.describe()
+            text = lambda: "a binary product is already nonzero:\n  " + witness.describe()
         else:
             alpha, beta, gamma, res = witness
             payload["witness"] = {"kind": "ternary", "massey": _massey_payload(res)}
-            text = (
+            text = lambda: (
                 "nonzero ternary Massey product at multidegree "
                 f"{res.multidegree}, homological degree {res.hom_degree}"
             )
@@ -228,11 +227,11 @@ def cmd_massey3(args):
         agree = res.value.coordinates == general.value.coordinates
         payload["routes_agree"] = agree
     if not res.defined:
-        text = f"not defined / preconditions fail: {res.obstruction}"
+        text = lambda: f"not defined / preconditions fail: {res.obstruction}"
         code = 0
     else:
         state = "zero" if res.value_is_zero else "NONZERO"
-        text = (
+        text = lambda: (
             f"ternary Massey product: defined, {'unique' if res.unique else 'one member of the set'}, {state}\n"
             f"  multidegree {res.multidegree}, homological degree {res.hom_degree}\n"
             f"  representative: {_chain_text(res.value_chain)}\n"
@@ -270,8 +269,7 @@ def cmd_golod(args):
         "route": verdict.route,
         "reason": verdict.reason,
     }
-    text = f"{verdict.status} [{verdict.route}]\n  {verdict.reason}"
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: f"{verdict.status} [{verdict.route}]\n  {verdict.reason}")
     return 0 if verdict.status == "Golod" else 1
 
 
@@ -289,7 +287,7 @@ def cmd_series(args):
         "first_divergence": None if div is None else div[0],
         "resolution_report": report.describe(),
     }
-    lines = [
+    _emit(args, payload, lambda: "\n".join([
         f"P (resolution side): {p}",
         f"Q (Koszul bound):    {q}",
         (
@@ -298,8 +296,7 @@ def cmd_series(args):
             else f"first divergence at index {div[0]} (P {'<' if div[1] < 0 else '>'} Q)"
         ),
         report.describe(),
-    ]
-    _emit(args, payload, "\n".join(lines))
+    ]))
     return 0 if div is None else 1
 
 
@@ -313,12 +310,10 @@ def cmd_polarize(args):
             for i, o in enumerate(varmap.new_to_old)
         },
     }
-    lines = ["# polarization; variable origins: " + ", ".join(
+    _emit(args, payload, lambda: "# polarization; variable origins: " + ", ".join(
         f"{pol.variables[i]}<-{ideal.variables[o]}"
         for i, o in enumerate(varmap.new_to_old)
-    )]
-    lines.append(format_ideal(pol).rstrip())
-    _emit(args, payload, "\n".join(lines))
+    ) + "\n" + format_ideal(pol).rstrip())
     return 0
 
 
@@ -335,32 +330,31 @@ def cmd_fiber(args):
         "complex": sc.format_complex(cx),
         "vertex_legend": legend,
     }
-    text = (
+    _emit(args, payload, lambda: (
         "# vertices: " + ", ".join(f"{k}={v}" for k, v in legend.items()) + "\n"
         + sc.format_complex(cx).rstrip()
-    )
-    _emit(args, payload, text)
+    ))
     return 0
 
 
 def cmd_complex(args):
     ideal = _load_ideal(args)
     cx = sc.complex_of(ideal)
-    _emit(args, {"complex": sc.format_complex(cx)}, sc.format_complex(cx).rstrip())
+    _emit(args, {"complex": sc.format_complex(cx)}, lambda: sc.format_complex(cx).rstrip())
     return 0
 
 
 def cmd_sr(args):
     cx = _load_complex(args)
     ideal = sc.stanley_reisner_ideal(cx)
-    _emit(args, {"ideal": format_ideal(ideal)}, format_ideal(ideal).rstrip())
+    _emit(args, {"ideal": format_ideal(ideal)}, lambda: format_ideal(ideal).rstrip())
     return 0
 
 
 def cmd_skeleton(args):
     cx = _load_complex(args)
     sk = sc.skeleton(cx, args.dim)
-    _emit(args, {"complex": sc.format_complex(sk)}, sc.format_complex(sk).rstrip())
+    _emit(args, {"complex": sc.format_complex(sk)}, lambda: sc.format_complex(sk).rstrip())
     return 0
 
 
@@ -394,9 +388,9 @@ def cmd_pattern_check(args):
     report = cxs.pattern_check(ideal, assignment)
     payload = {k: v for k, v in report.__dict__.items()}
     payload["all_ok"] = report.all_ok
-    lines = [f"{k}: {v}" for k, v in report.__dict__.items()]
-    lines.append(f"all conditions hold: {report.all_ok}")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(
+        [*(f"{k}: {v}" for k, v in report.__dict__.items()),
+         f"all conditions hold: {report.all_ok}"]))
     return 0 if report.all_ok else 1
 
 

@@ -128,7 +128,7 @@ def seed_pattern():
 def _degree_one_products_trivial(ideal):
     """All products of generator classes vanish, by the combinatorial tests."""
     return all(pair_criterion(ideal, i, j) for i, j in combinations(range(ideal.n_gens), 2)
-               if ideal.gens[i].coprime(ideal.gens[j]))
+               if not ideal.codes[i] & ideal.codes[j])
 
 
 def _evaluate_candidate(serial, ideal, assignment, field):

@@ -45,10 +45,14 @@ picks it and the representatives and coordinates are unchanged too.
 ``StrandHomology`` is the one object per (field, u): it owns the strand's
 cones and boundaries as well as its homology.  Every generator below u
 divides u, so a set of them has lcm u exactly when the OR of their *attain
-masks* (the variables k with exps[k] == u[k] > 0) is ``full``, the support
-mask of u.  The strand makes these masks once and reads off them its
-critical cells (``_cone``), the lattice test and ``boundary(mask)``, the
-package's one differential.  One accessor, ``strand(ideal, field, u)``, runs
+masks* (the variables k with exps[k] == u[k] > 0) is ``full``, one bit per
+variable of u's support.  On unary codes (``monomial_core``) g attains u_k
+exactly when its code holds the top bit of u's field k, so ``full`` is
+``ideal.tops(u)`` and an attain mask is ``code(g) & full``; a u outside the
+box gets a bit of ``full`` that no code has, so it is outside the lattice.
+The strand makes these masks once and reads off them its critical cells
+(``_cone``), the lattice test and ``boundary(mask)``, the package's one
+differential.  One accessor, ``strand(ideal, field, u)``, runs
 the lattice test once per (field, u), the only place a strand is tested,
 and keeps the ``StrandHomology`` (None outside the lcm lattice) in
 ``ideal.derived``, freed with the ideal.  Callers ask the strand at the
@@ -73,7 +77,7 @@ from operator import or_
 
 from .exact_linalg import Echelon, column_relations
 from .monomial_core import TooLarge
-from .taylor_dga import generators_below, lcm_lattice, mask_members, mask_of, support_mask
+from .taylor_dga import generators_below, lcm_lattice, mask_members
 
 _CONE_BOUND = comb(17, 8)  # most subsets one degree's cells may scan: 24,310
 
@@ -109,20 +113,17 @@ class StrandHomology:
     """The strand at u over a field: boundaries, homology, coordinates and
     boundary membership, all read off the critical cells of the apex cones.
 
-    ``full`` is the support mask of u and ``attain`` maps each generator
-    below u, as its bit, to its attain mask.  Boundary entries are +-1, so the
-    complex is the same over every field.  Echelon rows are keyed by mask;
-    tags start at ``top``.
+    ``full`` is ``ideal.tops(u)`` and ``attain`` maps each generator below
+    u, as its bit, to its attain mask, cut from its code.  Boundary entries
+    are +-1, so the complex is the same over every field.  Echelon rows are
+    keyed by mask; tags start at ``top``.
     """
 
     def __init__(self, ideal, u, field):
         self.ideal, self.u, self.field = ideal, tuple(u), field
         self.gens_below = generators_below(ideal, self.u)
-        self.full = support_mask(self.u)
-        self.attain = {}
-        for gi in self.gens_below:
-            exps = ideal.gens[gi].exps
-            self.attain[1 << gi] = mask_of(k for k, e in enumerate(self.u) if e and exps[k] == e)
+        self.full = ideal.tops(self.u)
+        self.attain = {1 << gi: ideal.codes[gi] & self.full for gi in self.gens_below}
         self.top = 1 << ideal.n_gens
         self.apex = 1 << self.gens_below[0] if self.gens_below else 0
         self._cones = {}  # degree j -> sorted critical degree-j masks

@@ -22,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property
-from operator import le
 
 from .homology_engine import HomologyClass, _freeze_chain, betti, strand
-from .monomial_core import lcm_of
 from .series_engine import box_series
 from .taylor_dga import lcm_lattice, mask_of, product_sign, support_mask
 
@@ -135,16 +133,17 @@ def pair_criterion(ideal, a, b):
     the product a boundary; with no such generator the product spans its
     entire strand degree and survives.
     """
-    if not ideal.gens[a].coprime(ideal.gens[b]):
+    if ideal.codes[a] & ideal.codes[b]:
         raise ValueError("pair criterion applies to coprime generators only")
     return _dividing_generator(ideal, a, b, exclude=(a, b)) is not None
 
 
 def _dividing_generator(ideal, i, j, exclude):
-    """The first generator outside ``exclude`` dividing lcm(g_i, g_j), or None."""
-    target = tuple(map(max, ideal.gens[i].exps, ideal.gens[j].exps))
-    for k, g in enumerate(ideal.gens):
-        if k not in exclude and all(map(le, g.exps, target)):
+    """The first generator outside ``exclude`` dividing lcm(g_i, g_j), or None:
+    on unary codes (``monomial_core``), the first with no bit outside the OR."""
+    outside = ~(ideal.codes[i] | ideal.codes[j])
+    for k, g in enumerate(ideal.codes):
+        if k not in exclude and not g & outside:
             return k
     return None
 
@@ -243,8 +242,8 @@ def ternary_massey_generators(ideal, field, a, b, c, b2_certified=False):
     down by ``_triple_filler``, so a strand is asked only whether the value
     bounds.  Failures of the preconditions are reported, not raised.
     """
-    ga, gb, gc = ideal.gens[a], ideal.gens[b], ideal.gens[c]
-    if not (ga.coprime(gb) and gb.coprime(gc) and ga.coprime(gc)):
+    ca, cb, cc = ideal.codes[a], ideal.codes[b], ideal.codes[c]
+    if ca & cb or cb & cc or ca & cc:
         return _undefined("generators are not pairwise coprime")
     ab = _dividing_generator(ideal, a, b, exclude=(a, b, c))
     if ab is None:
@@ -260,13 +259,13 @@ def ternary_massey_generators(ideal, field, a, b, c, b2_certified=False):
     t = _triple_filler(field, b, bc, c)
     ra = {mask_of([a]): 1}
     rc = {mask_of([c]): 1}
-    gab, gbc = ga.lcm(gb), gb.lcm(gc)
+    ua, uc = ideal.gens[a].exps, ideal.gens[c].exps
     value_chain = _add_chains(
         field,
-        chain_product(ideal, field, _bar_chain(field, ra, 1), t, ga.exps, gbc.exps),
-        chain_product(ideal, field, _bar_chain(field, s, 3), rc, gab.exps, gc.exps),
+        chain_product(ideal, field, _bar_chain(field, ra, 1), t, ua, ideal.decode(cb | cc)),
+        chain_product(ideal, field, _bar_chain(field, s, 3), rc, ideal.decode(ca | cb), uc),
     )
-    u = gab.lcm(gc).exps
+    u = ideal.decode(ca | cb | cc)
     return _finish_massey(ideal, field, value_chain, u, 4, s, t, b2_certified)
 
 
@@ -364,7 +363,7 @@ def _massey_arity_bound(ideal, bd):
 def _box_deficit(ideal, field, bd):
     """The least (u, j, P_u, Q_u) in (j, u) order with P_u != Q_u in the lcm
     box, or None; ``bd`` holds Q's Betti numbers (see ``golod_decide``)."""
-    n = sum(lcm_of(ideal.gens, ideal.n_vars).exps) + 1
+    n = sum(ideal.box) + 1
     levels, b = box_series(ideal, field, n)
     for (i, u), beta in bd.multigraded:  # b becomes b_R - D; both are 1 at t^0
         if i:

@@ -3,6 +3,16 @@
 A monomial is an exponent vector; variable names live on the ideal.  The
 generator order of an ideal is fixed at construction and never permuted,
 because all Taylor-complex signs downstream depend on it.
+
+An ideal answers order tests on its generators with one integer operation
+each, on the *unary code* of a multidegree u <= w, w = ``box`` the lcm of
+the generators: variable k owns bits off_k .. off_k + w_k - 1, off_k =
+w_0 + ... + w_(k-1), and u sets the lowest u_k of them, so bit off_k + j - 1
+is the polarized variable x_(k,j).  Polarization keeps the lcm lattice and
+divisibility (Gasharov, Peeva & Welker 1999), and on codes, for a, b <= w:
+a | b iff ``a & ~b == 0``, lcm(a, b) is ``a | b`` and a, b are coprime iff
+``a & b == 0``.  Every generator lies in the box, so g <= u exactly when
+g <= min(u, w): ``code(u)`` clamps u to the box and ``decode`` inverts it.
 """
 
 from __future__ import annotations
@@ -10,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, le, mul
+from itertools import accumulate
+from operator import add, gt, le, mul
 
 
 class AmbientMismatchError(ValueError):
@@ -84,13 +95,22 @@ def lcm_of(monomials, n_vars):
     return Monomial(acc)
 
 
-def _divisor(gens, i):
-    """Index of the first generator that makes gens[i] redundant (divides it
-    and differs from it or comes first), or None: the first of equals stays.
-    All of gens have one length."""
-    g = gens[i].exps
-    for j, h in enumerate(gens):
-        if j != i and all(map(le, h.exps, g)) and (h.exps != g or j < i):
+def _unary_codes(gens, n_vars):
+    """(box, field offsets, codes) of the unary code of monomials of length
+    ``n_vars`` (module docstring); the last offset is the box's bit width."""
+    box = lcm_of(gens, n_vars).exps
+    offsets = tuple(accumulate(box, initial=0))
+    return box, offsets, tuple(sum(((1 << e) - 1) << o for e, o in zip(g.exps, offsets))
+                               for g in gens)
+
+
+def _divisor(codes, i):
+    """Index of the first generator that makes generator i redundant (divides
+    it and differs from it or comes first), or None: the first of equals
+    stays.  ``codes`` are the generators' unary codes."""
+    g = codes[i]
+    for j, h in enumerate(codes):
+        if j != i and not h & ~g and (h != g or j < i):
             return j
     return None
 
@@ -102,7 +122,8 @@ def minimalize(gens):
         raise ValueError("constant monomial generates the whole ring")
     for g in gens:
         g._check(gens[0])
-    return [g for i, g in enumerate(gens) if _divisor(gens, i) is None]
+    codes = _unary_codes(gens, len(gens[0]) if gens else 0)[2]
+    return [g for i, g in enumerate(gens) if _divisor(codes, i) is None]
 
 
 @dataclass(frozen=True)
@@ -114,7 +135,9 @@ class MonomialIdeal:
     ideal (no generators) is allowed.
 
     ``derived`` keeps what is computed from the ideal (lcm lattice, strands)
-    and is freed with it; equality, hashing and repr ignore it.
+    and is freed with it; ``box``, the lcm of the generators, and ``codes``,
+    their unary codes (module docstring), are made at construction.
+    Equality, hashing and repr ignore all three.
     """
 
     variables: tuple
@@ -131,8 +154,10 @@ class MonomialIdeal:
                 )
             if g.is_constant:
                 raise ValueError("constant monomial generates the whole ring")
+        box, offsets, codes = _unary_codes(self.gens, n)
+        self.__dict__.update(box=box, _offsets=offsets, codes=codes)
         for i, g in enumerate(self.gens):
-            if (j := _divisor(self.gens, i)) is not None:
+            if (j := _divisor(self.codes, i)) is not None:
                 raise ValueError(
                     f"generators are not minimal: {self.format_monomial(self.gens[j])} "
                     f"divides {self.format_monomial(g)}; run minimalize first"
@@ -150,6 +175,30 @@ class MonomialIdeal:
     @cached_property
     def derived(self):
         return {}
+
+    def _clamp(self, u):
+        if len(u) != len(self.box):
+            raise AmbientMismatchError(
+                f"multidegree {tuple(u)} does not match {len(self.box)} variables")
+        return list(map(min, u, self.box))
+
+    def code(self, u):
+        """The unary code of min(u, box); 0, below no generator, when u has a
+        negative entry."""
+        v = self._clamp(u)
+        if min(v, default=0) < 0:
+            return 0
+        return sum(((1 << e) - 1) << o for e, o in zip(v, self._offsets))
+
+    def tops(self, u):
+        """The top bit of each field of ``code(u)``; for a u outside the box
+        also the bit above it, which no code has."""
+        out = 1 << self._offsets[-1] if any(map(gt, u, self.box)) else 0
+        return out | sum(1 << (o + e - 1) for e, o in zip(self._clamp(u), self._offsets) if e > 0)
+
+    def decode(self, c):
+        """The multidegree whose unary code is c: each field's bit length."""
+        return tuple((c >> o & (1 << w) - 1).bit_length() for o, w in zip(self._offsets, self.box))
 
     @property
     def n_vars(self):
@@ -246,7 +295,7 @@ def polarize(ideal):
     squarefree ideal polarizes to itself.  Generator count and order are
     preserved.
     """
-    maxexp = lcm_of(ideal.gens, ideal.n_vars).exps
+    maxexp = ideal.box
     new_vars = []
     new_to_old = []
     slots = []  # per original variable: list of new indices

@@ -45,7 +45,6 @@ from operator import add, le, sub
 
 from .exact_linalg import Echelon, column_relations
 from .homology_engine import betti
-from .monomial_core import lcm_of
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,7 @@ def box_series(ideal, field, n):
     {u: nonzero coefficient} for the u <= w, w the lcm of the generators
     (``p_series`` gives the argument)."""
     nv = ideal.n_vars
-    box = lcm_of(ideal.gens, nv).exps
+    box = ideal.box
     std = _std_table(ideal, box)
     # first syzygy module of the residue field is the irrelevant ideal
     support = [v for v in range(nv) if box[v]]

@@ -33,7 +33,6 @@ against, keeps its own lcm test, ``in_lattice``, and its own size check,
 from __future__ import annotations
 
 from itertools import combinations
-from operator import le
 
 from .monomial_core import TooLarge, lcm_of
 from .simplicial import SimplicialComplex
@@ -60,8 +59,10 @@ def product_sign(maskI, maskJ):
 
 
 def generators_below(ideal, u):
-    """Indices of generators whose multidegree is componentwise <= u."""
-    return [i for i, g in enumerate(ideal.gens) if all(map(le, g.exps, u))]
+    """Indices of generators whose multidegree is componentwise <= u: one AND
+    of unary codes each (``monomial_core``)."""
+    outside = ~ideal.code(u)
+    return [i for i, g in enumerate(ideal.codes) if not g & outside]
 
 
 def in_lattice(ideal, u, below):
@@ -76,26 +77,22 @@ def lcm_lattice(ideal):
     Each round joins only the newest elements with the generators: the lcm
     of a subset is a chain of joins with one generator at a time, so the
     closure is the same as under pairwise joins, at |L| * g joins instead of
-    |L|^2.  Built once per ideal and kept in ``ideal.derived``.  Only
-    callers that enumerate the lattice need it: a single strand reads its
-    membership off its own attain masks (``homology_engine.strand``).
+    |L|^2.  A join is the OR of unary codes (``monomial_core``), and each
+    element is decoded once.  Built once per ideal and kept in
+    ``ideal.derived``.  Only callers that enumerate the lattice need it: a
+    single strand reads its membership off its own attain masks
+    (``homology_engine.strand``).
     """
     if "lattice" in ideal.derived:
         return ideal.derived["lattice"]
-    gens = {tuple(g.exps) for g in ideal.gens}
+    gens = set(ideal.codes)
     current = set(gens)
     frontier = gens
     while frontier:
-        new = set()
-        for u in frontier:
-            for g in gens:
-                j = tuple(map(max, u, g))
-                if j not in current:
-                    new.add(j)
-        current |= new
-        frontier = new
-    lattice = ideal.derived["lattice"] = tuple(sorted(current, key=lambda u: (sum(u), u)))
-    return lattice
+        frontier = {u | g for u in frontier for g in gens} - current
+        current |= frontier
+    ideal.derived["lattice"] = tuple(sorted(map(ideal.decode, current), key=lambda u: (sum(u), u)))
+    return ideal.derived["lattice"]
 
 
 def support_mask(u):

@@ -16,6 +16,7 @@ from golod_lab.monomial_core import (
     counterexample_ideal,
     lcm_of,
     minimalize,
+    polarize,
 )
 from golod_lab import series_engine
 from golod_lab.series_engine import (
@@ -23,7 +24,7 @@ from golod_lab.series_engine import (
     SeriesTrunc,
     StepReport,
 )
-from golod_lab.simplicial import reduced_cochain_complex
+from golod_lab.simplicial import complex_of, reduced_cochain_complex, skeleton, stanley_reisner_ideal
 from golod_lab.taylor_dga import (
     fiber_vertex_labels,
     generators_below,
@@ -104,6 +105,34 @@ def ref_product(a, b):
 
 def ref_generators_below(ideal, u):
     return [i for i, g in enumerate(ideal.gens) if ref_divides(g.exps, u)]
+
+
+def ref_divisor(gens, i):
+    """The minimality rule on exponent tuples: the index of the first
+    generator that divides gens[i] and differs from it or comes first."""
+    g = gens[i].exps
+    for j, h in enumerate(gens):
+        if j != i and ref_divides(h.exps, g) and (h.exps != g or j < i):
+            return j
+    return None
+
+
+def reference_lcm_lattice(ideal):
+    """The frontier closure on exponent tuples: each round joins only its new
+    elements with the generators, sorted by (total degree, multidegree)."""
+    gens = {g.exps for g in ideal.gens}
+    current, frontier = set(gens), gens
+    while frontier:
+        frontier = {ref_lcm(u, g) for u in frontier for g in gens} - current
+        current |= frontier
+    return tuple(sorted(current, key=lambda u: (sum(u), u)))
+
+
+def skeleton_ideal():
+    """The Stanley-Reisner ideal of the 4-skeleton of the polarized paper
+    ideal's complex: 20 generators in 9 variables."""
+    pol, _ = polarize(counterexample_ideal())
+    return stanley_reisner_ideal(skeleton(complex_of(pol), 4))
 
 
 def ref_lcm_lattice(ideal):

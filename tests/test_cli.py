@@ -12,6 +12,7 @@ from golod_lab import cli, taylor_dga
 from golod_lab import massey_golod as mg
 from golod_lab import series_engine as se
 from golod_lab.cli import main
+from golod_lab.homology_engine import BettiData
 from golod_lab.monomial_core import counterexample_ideal, parse_ideal, polarize
 from golod_lab.simplicial import complex_of, parse_complex, skeleton
 
@@ -224,6 +225,20 @@ def test_fiber_command(capsys, monkeypatch):
     )
     code2, _, err = run(capsys, "fiber", "--example", "paper", "--mdeg", "9,9,9,9,9")
     assert code2 == 2 and "lattice" in err
+    code3, out, err = run(capsys, "fiber", "--example", "paper", "--mdeg", "1,1")
+    assert (code3, out, err) == (2, "", "error: multidegree needs 5 components\n")
+
+
+def test_json_output_builds_no_text(capsys, monkeypatch):
+    """The text of a command is built only when it is printed: with the Betti
+    table unbuildable, betti in JSON still answers, and in text it fails."""
+    def unbuildable(self):
+        raise AssertionError("table_str called")
+
+    monkeypatch.setattr(BettiData, "table_str", unbuildable)
+    code, payload, _ = run_json(capsys, "betti", "--example", "paper")
+    assert code == 0 and payload["totals"] == [1, 8, 14, 8, 1]
+    assert run(capsys, "betti", "--example", "paper")[0] == 4
 
 
 def _skeleton_pipeline(capsys, tmp_path):

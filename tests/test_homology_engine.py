@@ -22,6 +22,7 @@ from conftest import (
     ref_quotient,
     ref_solve,
     reduced_boundary,
+    skeleton_ideal,
     rows_of,
     strand_cells,
 )
@@ -40,12 +41,10 @@ from golod_lab.massey_golod import (
     ternary_massey,
     ternary_massey_generators,
 )
-from golod_lab.monomial_core import MonomialIdeal, TooLarge, counterexample_ideal, polarize
+from golod_lab.monomial_core import MonomialIdeal, TooLarge, counterexample_ideal
 from golod_lab.simplicial import (
     SimplicialComplex,
-    complex_of,
     reduced_cohomology_dims,
-    skeleton,
     stanley_reisner_ideal,
 )
 from golod_lab.taylor_dga import (
@@ -376,8 +375,7 @@ def _assert_cone_spans(ideal, field, u, i, apexes):
 
 def _skeleton_ideal():
     """The 4-skeleton ideal and its generators a, b, c of the Massey product."""
-    pol, _ = polarize(counterexample_ideal())
-    gamma = stanley_reisner_ideal(skeleton(complex_of(pol), 4))
+    gamma = skeleton_ideal()
     roles = []
     for sup in ({"x1", "x2_1", "x2_2"}, {"y1", "y2_1", "y2_2"}, {"z_1", "z_2", "z_3"}):
         roles += [k for k, g in enumerate(gamma.gens)

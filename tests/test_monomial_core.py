@@ -1,8 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 
-from conftest import ref_coprime, ref_divides, ref_lcm, ref_product
+from conftest import (
+    ideal_corpus,
+    ref_coprime,
+    ref_divides,
+    ref_divisor,
+    ref_lcm,
+    ref_product,
+    skeleton_ideal,
+)
 from golod_lab.monomial_core import (
     AmbientMismatchError,
     Monomial,
@@ -11,6 +20,7 @@ from golod_lab.monomial_core import (
     counterexample_ideal,
     format_ideal,
     format_monomial,
+    lcm_of,
     minimalize,
     parse_ideal,
     parse_monomial,
@@ -225,3 +235,89 @@ def test_parse_monomial_forms():
     assert parse_monomial("x*x", ("x",)) == Monomial((2,))
     with pytest.raises(ValueError):
         parse_monomial("x$2", ("x",))
+
+
+def _assert_codes_answer(ideal, a, b):
+    """Subset, OR and disjointness of the codes of a, b <= box answer
+    divides, lcm and coprime as the exponent tuples do."""
+    ca, cb = ideal.code(a), ideal.code(b)
+    assert (not ca & ~cb) is ref_divides(a, b)
+    assert ideal.decode(ca | cb) == ref_lcm(a, b)
+    assert (not ca & cb) is ref_coprime(a, b)
+    return ref_divides(a, b), ref_coprime(a, b)
+
+
+def test_codes_answer_divides_lcm_and_coprime_on_generator_pairs():
+    """On every generator pair of the paper's ideal, its polarization, the
+    4-skeleton ideal and the 100-ideal corpus: the box is the lcm of the
+    generators, each code is the generator's and decodes back to it, and
+    the codes answer divides, lcm and coprime."""
+    paper = counterexample_ideal()
+    seen = set()
+    for ideal in [paper, polarize(paper)[0], skeleton_ideal(), *ideal_corpus()]:
+        assert ideal.box == lcm_of(ideal.gens, ideal.n_vars).exps
+        assert len(ideal.codes) == ideal.n_gens
+        for g, c in zip(ideal.gens, ideal.codes):
+            assert ideal.code(g.exps) == c and ideal.decode(c) == g.exps
+        for g, h in product(ideal.gens, repeat=2):
+            seen.add(_assert_codes_answer(ideal, g.exps, h.exps))
+    assert seen == {(False, False), (False, True), (True, False)}
+
+
+def test_codes_answer_on_random_monomials_up_to_exponent_5():
+    """Random non-squarefree multidegrees with exponents up to 5 in boxes of
+    random widths, a variable of width 0 among them: the codes answer
+    divides, lcm and coprime, decode inverts code, and code clamps a
+    multidegree past the box to the box."""
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        box = [rng.choice((0, 1, 2, 3, 4, 5, 5)) for _ in range(n)]
+        if not any(box):
+            continue
+        rows = [tuple(w * (j == k) for j in range(n)) for k, w in enumerate(box) if w]
+        ideal = MonomialIdeal.from_exponents([f"x{k}" for k in range(n)], rows)
+        assert ideal.box == tuple(box)
+        for _ in range(10):
+            a = tuple(rng.randint(0, w) for w in box)
+            b = tuple(rng.randint(0, w) for w in box)
+            if rng.random() < 0.3:  # a divisor of b
+                a = tuple(rng.randint(0, e) for e in b)
+            seen.add(_assert_codes_answer(ideal, a, b))
+            assert ideal.decode(ideal.code(a)) == a
+            past = tuple(e + rng.randint(0, 3) for e in a)
+            assert ideal.code(past) == ideal.code(tuple(map(min, past, box)))
+    assert seen == {(d, c) for d in (True, False) for c in (True, False)}
+
+
+def test_minimality_matches_the_exponent_reference():
+    """minimalize keeps exactly the generators the exponent-tuple rule keeps,
+    and the constructor names the same first redundant generator and its
+    first divisor, on random lists with duplicates and multiples."""
+    rng = random.Random(20261021)
+    rejected = 0
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        pool = [Monomial(tuple(rng.randint(0, 5) for _ in range(n))) for _ in range(4)]
+        pool = [g for g in pool if not g.is_constant]
+        if not pool:
+            continue
+        gens = pool + rng.choices(pool, k=2)
+        gens += [g * Monomial(tuple(rng.randint(0, 1) for _ in range(n))) for g in pool[:2]]
+        rng.shuffle(gens)
+        assert minimalize(gens) == [g for i, g in enumerate(gens) if ref_divisor(gens, i) is None]
+        variables = tuple(f"x{k}" for k in range(n))
+        first = next((i for i in range(len(gens)) if ref_divisor(gens, i) is not None), None)
+        if first is None:
+            assert MonomialIdeal(variables, tuple(gens)).gens == tuple(gens)
+            continue
+        rejected += 1
+        j = ref_divisor(gens, first)
+        with pytest.raises(ValueError) as info:
+            MonomialIdeal(variables, tuple(gens))
+        assert str(info.value) == (
+            f"generators are not minimal: {format_monomial(gens[j], variables)} "
+            f"divides {format_monomial(gens[first], variables)}; run minimalize first"
+        )
+    assert rejected > 400

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations
 from itertools import product as cartesian_product
 
@@ -16,13 +17,16 @@ from conftest import (
     reduced_boundary,
     ref_generators_below,
     ref_lcm_lattice,
+    reference_lcm_lattice,
+    skeleton_ideal,
     strand_cells,
     subset_lcm,
     subset_multidegree,
 )
 from golod_lab.exact_linalg import GF2, QQ
-from golod_lab.homology_engine import StrandHomology, strand
+from golod_lab.homology_engine import StrandHomology, homology_basis, strand
 from golod_lab.monomial_core import (
+    AmbientMismatchError,
     MonomialIdeal,
     counterexample_ideal,
     lcm_of,
@@ -219,14 +223,52 @@ def test_lattice_closure_matches_subset_enumeration_random():
 
 
 def test_lattice_and_generators_below_match_their_definitions():
-    """The frontier closure is the pairwise-join closure, in the same order,
-    and the generators below each of its elements are the ones that divide
-    it, on the paper's ideal and the corpus."""
-    for ideal in [counterexample_ideal(), *ideal_corpus()]:
+    """The closure joined on codes is the frontier closure on exponent tuples
+    and the pairwise-join closure, the same tuple in the same order; the
+    generators below each of its elements, and below multidegrees past the
+    box or with a negative entry, are the ones that divide them: on the
+    paper's ideal, its polarization, the 4-skeleton ideal and the corpus."""
+    paper = counterexample_ideal()
+    rng = random.Random(20261022)
+    for ideal in [paper, polarize(paper)[0], skeleton_ideal(), *ideal_corpus()]:
         lattice = lcm_lattice(ideal)
-        assert lattice == ref_lcm_lattice(ideal)
+        assert lattice == reference_lcm_lattice(ideal) == ref_lcm_lattice(ideal)
         for u in lattice:
             assert generators_below(ideal, u) == ref_generators_below(ideal, u)
+            k = rng.randrange(ideal.n_vars)
+            for e in (u[k] + 1 + rng.randint(0, 2), -1):
+                v = u[:k] + (e,) + u[k + 1:]
+                assert generators_below(ideal, v) == ref_generators_below(ideal, v)
+            past = tuple(e + rng.randint(0, 2) for e in u)
+            assert generators_below(ideal, past) == ref_generators_below(ideal, past)
+
+
+def test_a_multidegree_of_the_wrong_length_raises():
+    """A multidegree with fewer or more components than the ideal has
+    variables is rejected by the code, and so by every question asked at
+    it, before any strand is made; ``fiber --mdeg`` checks its length first."""
+    paper = counterexample_ideal()
+    for u in [(1, 2), (1, 2, 1, 2, 3, 0), ()]:
+        for ask in (paper.code, paper.tops, partial(generators_below, paper),
+                    partial(strand, paper, QQ), partial(homology_basis, paper, QQ, i=1)):
+            with pytest.raises(AmbientMismatchError, match="does not match 5 variables"):
+                ask(u)
+    assert not any(key[0] == "strand" for key in paper.derived)
+
+
+def test_strand_is_none_past_the_box():
+    """A multidegree past the box, where no generator can attain it, is
+    outside the lcm lattice even though generators lie below it; the fiber
+    model agrees."""
+    paper = counterexample_ideal()
+    top = paper.box
+    for k in range(paper.n_vars):
+        u = top[:k] + (top[k] + 1,) + top[k + 1:]
+        assert generators_below(paper, u) == list(range(paper.n_gens))
+        assert strand(paper, QQ, u) is None
+        with pytest.raises(ValueError, match="not in the lcm lattice"):
+            fiber_complex(paper, u)
+    assert strand(paper, QQ, top) is not None
 
 
 def _subset_lcms(ideal):
