@@ -45,19 +45,17 @@ picks it and the representatives and coordinates are unchanged too.
 ``StrandHomology`` is the one object per (field, u): it owns the strand's
 cones and boundaries as well as its homology.  Every generator below u
 divides u, so a set of them has lcm u exactly when the OR of their *attain
-masks* (the variables k with exps[k] == u[k] > 0) is ``full``, one bit per
-variable of u's support.  On unary codes (``monomial_core``) g attains u_k
-exactly when its code holds the top bit of u's field k, so ``full`` is
-``ideal.tops(u)`` and an attain mask is ``code(g) & full``; a u outside the
-box gets a bit of ``full`` that no code has, so it is outside the lattice.
-The strand makes these masks once and reads off them its critical cells
-(``_cone``), the lattice test and ``boundary(mask)``, the package's one
-differential.  One accessor, ``strand(ideal, field, u)``, runs
-the lattice test once per (field, u), the only place a strand is tested,
-and keeps the ``StrandHomology`` (None outside the lcm lattice) in
-``ideal.derived``, freed with the ideal.  Callers ask the strand at the
-(u, i) they already hold; a mask that is not a degree-i cell with lcm u
-raises.
+masks* (the variables k with exps[k] == u[k] > 0) is ``full``: on unary
+codes (``monomial_core``) ``ideal.tops(u)``, the bit of each u_k's rank,
+and an attain mask is ``code(g) & full``; a u_k no generator has, as past
+the box, gets a bit no code has, so u is outside the lattice.  The strand
+makes these masks once and reads off them its critical cells (``_cone``),
+the lattice test and ``boundary(mask)``, the package's one differential.
+One accessor, ``strand(ideal, field, u)``, runs the lattice test once per
+(field, u), the only place a strand is tested, and keeps the
+``StrandHomology`` (None outside the lcm lattice) in ``ideal.derived``,
+freed with the ideal.  Callers ask the strand at the (u, i) they already
+hold; a mask that is not a degree-i cell with lcm u raises.
 
 The strand layer's one size rule sits on its one exponential loop:
 ``_cone(j)`` scans C(|G_u| - 1, j - 1) subsets and, past ``_CONE_BOUND`` =

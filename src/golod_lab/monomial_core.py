@@ -5,23 +5,26 @@ generator order of an ideal is fixed at construction and never permuted,
 because all Taylor-complex signs downstream depend on it.
 
 An ideal answers order tests on its generators with one integer operation
-each, on the *unary code* of a multidegree u <= w, w = ``box`` the lcm of
-the generators: variable k owns bits off_k .. off_k + w_k - 1, off_k =
-w_0 + ... + w_(k-1), and u sets the lowest u_k of them, so bit off_k + j - 1
-is the polarized variable x_(k,j).  Polarization keeps the lcm lattice and
-divisibility (Gasharov, Peeva & Welker 1999), and on codes, for a, b <= w:
-a | b iff ``a & ~b == 0``, lcm(a, b) is ``a | b`` and a, b are coprime iff
-``a & b == 0``.  Every generator lies in the box, so g <= u exactly when
-g <= min(u, w): ``code(u)`` clamps u to the box and ``decode`` inverts it.
+each, on the *unary code* of a multidegree.  If variable k has r_k distinct
+positive exponents e_(k,1) < ... < e_(k,r_k) among the generators, it owns
+bits off_k .. off_k + r_k - 1 (off_k = r_0 + ... + r_(k-1)), and u sets the
+lowest #{j : e_(k,j) <= u_k} of them.  On the lcm lattice, whose exponents
+are all some e_(k,j) or 0, this is the polarization with each exponent
+replaced by its rank, and only that order shapes the lattice (Gasharov,
+Peeva & Welker 1999): a | b iff ``a & ~b == 0``, lcm(a, b) is ``a | b``, a
+and b are coprime iff ``a & b == 0``, and ``decode`` inverts ``code``.  A
+generator g lies below any u iff ``g & ~code(u) == 0``.  A code has at most
+n_vars * n_gens bits however large the exponents.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
-from operator import add, gt, le, mul
+from operator import add, le, mul, or_
 
 
 class AmbientMismatchError(ValueError):
@@ -96,18 +99,18 @@ def lcm_of(monomials, n_vars):
 
 
 def _unary_codes(gens, n_vars):
-    """(box, field offsets, codes) of the unary code of monomials of length
-    ``n_vars`` (module docstring); the last offset is the box's bit width."""
-    box = lcm_of(gens, n_vars).exps
-    offsets = tuple(accumulate(box, initial=0))
-    return box, offsets, tuple(sum(((1 << e) - 1) << o for e, o in zip(g.exps, offsets))
-                               for g in gens)
+    """(ranks, field offsets, codes) of ``gens`` (module docstring); ranks[k]
+    numbers variable k's positive exponents 1, 2, ... in ascending order."""
+    cols = zip(*(g.exps for g in gens)) if gens else [()] * n_vars
+    ranks = [{e: r for r, e in enumerate(sorted(set(c) - {0}), 1)} for c in cols]
+    offsets = tuple(accumulate(map(len, ranks), initial=0))
+    return ranks, offsets, tuple(sum(((1 << rk.get(e, 0)) - 1) << o
+                                     for e, rk, o in zip(g.exps, ranks, offsets)) for g in gens)
 
 
 def _divisor(codes, i):
-    """Index of the first generator that makes generator i redundant (divides
-    it and differs from it or comes first), or None: the first of equals
-    stays.  ``codes`` are the generators' unary codes."""
+    """Index of the first generator, by unary ``codes``, that makes generator i
+    redundant (divides it and differs from it or comes first), or None."""
     g = codes[i]
     for j, h in enumerate(codes):
         if j != i and not h & ~g and (h != g or j < i):
@@ -154,8 +157,9 @@ class MonomialIdeal:
                 )
             if g.is_constant:
                 raise ValueError("constant monomial generates the whole ring")
-        box, offsets, codes = _unary_codes(self.gens, n)
-        self.__dict__.update(box=box, _offsets=offsets, codes=codes)
+        ranks, offsets, codes = _unary_codes(self.gens, n)
+        self.__dict__.update(box=tuple(max(rk, default=0) for rk in ranks), codes=codes,
+                             _ranks=ranks, _levels=[tuple(rk) for rk in ranks], _offsets=offsets)
         for i, g in enumerate(self.gens):
             if (j := _divisor(self.codes, i)) is not None:
                 raise ValueError(
@@ -176,29 +180,29 @@ class MonomialIdeal:
     def derived(self):
         return {}
 
-    def _clamp(self, u):
+    def _check_length(self, u):
         if len(u) != len(self.box):
             raise AmbientMismatchError(
                 f"multidegree {tuple(u)} does not match {len(self.box)} variables")
-        return list(map(min, u, self.box))
 
     def code(self, u):
-        """The unary code of min(u, box); 0, below no generator, when u has a
-        negative entry."""
-        v = self._clamp(u)
-        if min(v, default=0) < 0:
-            return 0
-        return sum(((1 << e) - 1) << o for e, o in zip(v, self._offsets))
+        """The unary code of u; 0, below no generator, if u has a negative entry."""
+        self._check_length(u)
+        return 0 if min(u, default=0) < 0 else sum(
+            ((1 << bisect(lv, e)) - 1) << o for e, lv, o in zip(u, self._levels, self._offsets))
 
     def tops(self, u):
-        """The top bit of each field of ``code(u)``; for a u outside the box
-        also the bit above it, which no code has."""
-        out = 1 << self._offsets[-1] if any(map(gt, u, self.box)) else 0
-        return out | sum(1 << (o + e - 1) for e, o in zip(self._clamp(u), self._offsets) if e > 0)
+        """Per variable k of u's support the bit of u_k's rank, which a generator
+        below u holds iff its exponent is u_k; for a u_k no generator has, a bit
+        no code has."""
+        self._check_length(u)
+        return reduce(or_, (1 << (o + rk[e] - 1 if e in rk else self._offsets[-1])
+                            for e, rk, o in zip(u, self._ranks, self._offsets) if e > 0), 0)
 
     def decode(self, c):
-        """The multidegree whose unary code is c: each field's bit length."""
-        return tuple((c >> o & (1 << w) - 1).bit_length() for o, w in zip(self._offsets, self.box))
+        """The multidegree of a lattice element's code; a field's bit length is a rank."""
+        return tuple(lv[r - 1] if (r := (c >> o & (1 << len(lv)) - 1).bit_length()) else 0
+                     for o, lv in zip(self._offsets, self._levels))
 
     @property
     def n_vars(self):

@@ -77,11 +77,10 @@ def lcm_lattice(ideal):
     Each round joins only the newest elements with the generators: the lcm
     of a subset is a chain of joins with one generator at a time, so the
     closure is the same as under pairwise joins, at |L| * g joins instead of
-    |L|^2.  A join is the OR of unary codes (``monomial_core``), and each
-    element is decoded once.  Built once per ideal and kept in
-    ``ideal.derived``.  Only callers that enumerate the lattice need it: a
-    single strand reads its membership off its own attain masks
-    (``homology_engine.strand``).
+    |L|^2, each an OR of unary codes (``monomial_core``); each element is
+    decoded once.  Built once per ideal and kept in ``ideal.derived``.  Only
+    callers that enumerate the lattice need it: a single strand reads its
+    membership off its own attain masks (``homology_engine.strand``).
     """
     if "lattice" in ideal.derived:
         return ideal.derived["lattice"]

@@ -117,17 +117,6 @@ def ref_divisor(gens, i):
     return None
 
 
-def reference_lcm_lattice(ideal):
-    """The frontier closure on exponent tuples: each round joins only its new
-    elements with the generators, sorted by (total degree, multidegree)."""
-    gens = {g.exps for g in ideal.gens}
-    current, frontier = set(gens), gens
-    while frontier:
-        frontier = {ref_lcm(u, g) for u in frontier for g in gens} - current
-        current |= frontier
-    return tuple(sorted(current, key=lambda u: (sum(u), u)))
-
-
 def skeleton_ideal():
     """The Stanley-Reisner ideal of the 4-skeleton of the polarized paper
     ideal's complex: 20 generators in 9 variables."""

@@ -241,6 +241,21 @@ def test_json_output_builds_no_text(capsys, monkeypatch):
     assert run(capsys, "betti", "--example", "paper")[0] == 4
 
 
+def test_exponents_of_10_to_the_12_answer_at_once(capsys, tmp_path):
+    """The order tests read only the order of the exponents, so an ideal with
+    exponents of 10^12 answers products, golod, massey3 and betti in JSON
+    as one with small exponents does."""
+    wide = tmp_path / "wide.ideal"
+    wide.write_text("vars: x y\nx^1000000000000\nx*y\ny^1000000000000\n")
+    code, payload, _ = run_json(capsys, "products", "--ideal", str(wide))
+    assert code == 0 and payload["trivial"] is True
+    code, payload, _ = run_json(capsys, "golod", "--ideal", str(wide))
+    assert (code, payload["status"], payload["route"]) == (0, "Golod", "massey-arity-2")
+    assert run(capsys, "massey3", "--all", "--ideal", str(wide))[0] == 0
+    code, payload, _ = run_json(capsys, "betti", "--ideal", str(wide))
+    assert code == 0 and payload["totals"] == [1, 3, 2]
+
+
 def _skeleton_pipeline(capsys, tmp_path):
     """The 4-skeleton ideal built through the CLI (polarize, complex,
     skeleton --dim 4, sr): returns the polarized ideal's file and its own."""

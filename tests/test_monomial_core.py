@@ -8,7 +8,9 @@ from conftest import (
     ref_coprime,
     ref_divides,
     ref_divisor,
+    ref_generators_below,
     ref_lcm,
+    ref_lcm_lattice,
     ref_product,
     skeleton_ideal,
 )
@@ -238,8 +240,8 @@ def test_parse_monomial_forms():
 
 
 def _assert_codes_answer(ideal, a, b):
-    """Subset, OR and disjointness of the codes of a, b <= box answer
-    divides, lcm and coprime as the exponent tuples do."""
+    """Subset, OR and disjointness of the codes of lattice elements a, b
+    answer divides, lcm and coprime as the exponent tuples do."""
     ca, cb = ideal.code(a), ideal.code(b)
     assert (not ca & ~cb) is ref_divides(a, b)
     assert ideal.decode(ca | cb) == ref_lcm(a, b)
@@ -265,30 +267,46 @@ def test_codes_answer_divides_lcm_and_coprime_on_generator_pairs():
 
 
 def test_codes_answer_on_random_monomials_up_to_exponent_5():
-    """Random non-squarefree multidegrees with exponents up to 5 in boxes of
-    random widths, a variable of width 0 among them: the codes answer
-    divides, lcm and coprime, decode inverts code, and code clamps a
-    multidegree past the box to the box."""
+    """Ideals of random non-squarefree monomials with exponents up to 5, a
+    variable of width 0 among them: on every pair of lattice elements and
+    the constant, the codes answer divides, lcm and coprime and decode
+    inverts code; at random multidegrees, past the box too, a code lies
+    below exactly the generators that divide it, and code clamps to the box."""
     rng = random.Random(20261020)
     seen = set()
-    for _ in range(400):
+    for _ in range(150):
         n = rng.randint(1, 5)
-        box = [rng.choice((0, 1, 2, 3, 4, 5, 5)) for _ in range(n)]
-        if not any(box):
+        pool = [Monomial(tuple(rng.choice((0, 0, 1, 2, 3, 4, 5)) if k else 0 for k in range(n)))
+                for _ in range(rng.randint(1, 6))]
+        gens = minimalize([g for g in pool if not g.is_constant])
+        if not gens:
             continue
-        rows = [tuple(w * (j == k) for j in range(n)) for k, w in enumerate(box) if w]
-        ideal = MonomialIdeal.from_exponents([f"x{k}" for k in range(n)], rows)
-        assert ideal.box == tuple(box)
-        for _ in range(10):
-            a = tuple(rng.randint(0, w) for w in box)
-            b = tuple(rng.randint(0, w) for w in box)
-            if rng.random() < 0.3:  # a divisor of b
-                a = tuple(rng.randint(0, e) for e in b)
+        ideal = MonomialIdeal(tuple(f"x{k}" for k in range(n)), tuple(gens))
+        elements = [(0,) * n, *ref_lcm_lattice(ideal)]
+        for a, b in product(elements, repeat=2):
             seen.add(_assert_codes_answer(ideal, a, b))
-            assert ideal.decode(ideal.code(a)) == a
-            past = tuple(e + rng.randint(0, 3) for e in a)
-            assert ideal.code(past) == ideal.code(tuple(map(min, past, box)))
+        assert all(ideal.decode(ideal.code(a)) == a for a in elements)
+        for _ in range(10):
+            u = tuple(rng.randint(0, 7) for _ in range(n))
+            outside = ~ideal.code(u)
+            assert [i for i, c in enumerate(ideal.codes) if not c & outside] == \
+                ref_generators_below(ideal, u)
+            assert ideal.code(u) == ideal.code(tuple(map(min, u, ideal.box)))
     assert seen == {(d, c) for d in (True, False) for c in (True, False)}
+
+
+def test_codes_stay_narrow_however_large_the_exponents():
+    """A code has one bit per distinct positive exponent of each variable,
+    so exponents of 10^12 cost no more than exponents of 1, and the order
+    tests on them still answer as the exponent tuples do."""
+    big = 10**12
+    ideal = MonomialIdeal.from_exponents(
+        ("x", "y", "z"), [(big, 0, 0), (1, 1, 0), (0, big, big + 1), (3, 0, big // 2)])
+    assert max(ideal.codes).bit_length() <= ideal.n_vars * ideal.n_gens
+    assert ideal.box == (big, big, big + 1)
+    for a, b in product(ref_lcm_lattice(ideal), repeat=2):
+        _assert_codes_answer(ideal, a, b)
+    assert ideal.code((big, big, big)).bit_length() <= ideal.n_vars * ideal.n_gens
 
 
 def test_minimality_matches_the_exponent_reference():
