@@ -78,6 +78,7 @@ from .monomial_core import TooLarge
 from .taylor_dga import generators_below, lcm_lattice, mask_members
 
 _CONE_BOUND = comb(17, 8)  # most subsets one degree's cells may scan: 24,310
+_TABLE_BOUND = 2**22  # most rows a text Betti table may have: 4,194,304
 
 
 @dataclass(frozen=True)
@@ -383,10 +384,15 @@ class BettiData:
         return max(j - i for (i, j) in self.coarse)
 
     def table_str(self):
-        """Betti diagram with rows indexed by (internal - homological) degree."""
+        """Betti diagram with rows indexed by (internal - homological) degree,
+        one per degree up to the regularity; past ``_TABLE_BOUND`` rows it
+        raises ``TooLarge`` before it builds any."""
         coarse = self.coarse
         pd = self.projective_dimension
         maxrow = self.regularity
+        if maxrow + 1 > _TABLE_BOUND:
+            raise TooLarge(f"the Betti table would have {maxrow + 1:,} rows, past "
+                           f"{_TABLE_BOUND:,}; --format json lists the nonzero entries")
         lines = ["    " + "".join(f"{i:>6}" for i in range(pd + 1))]
         for row in range(maxrow + 1):
             cells = []

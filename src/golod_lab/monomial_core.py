@@ -33,7 +33,8 @@ class AmbientMismatchError(ValueError):
 
 class TooLarge(ValueError):
     """An exhaustive enumeration past its bound: one degree of a strand, the
-    faces of a complex, a fiber complex.  The CLI answers it with exit 3."""
+    faces of a complex, a fiber complex, an lcm box, the rows of a Betti
+    table.  The CLI answers it with exit 3."""
 
 
 @dataclass(frozen=True)

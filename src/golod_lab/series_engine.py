@@ -33,18 +33,22 @@ nothing is built; elsewhere the unreduced rows, then the other lifts, are
 taken until they reach it, and only where they fall short, that is where new
 generators appear, is the kernel eliminated, with its dimension checked
 against exactness.  The box is finite, so no internal-degree bound is needed;
-the steps stop at the order asked.
+the steps stop at the order asked.  Its size is bounded instead: past
+``_BOX_BOUND`` multidegrees ``box_series`` raises ``TooLarge``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from operator import add, le, sub
 
 from .exact_linalg import Echelon, column_relations
 from .homology_engine import betti
+from .monomial_core import TooLarge
+
+_BOX_BOUND = 2**18  # most multidegrees an lcm box may hold: 262,144
 
 
 @dataclass(frozen=True)
@@ -276,9 +280,12 @@ def _box_product(a, b, box):
 def box_series(ideal, field, n):
     """P_B and b_R = N * P_B^-1 to order n, each a list over t^j of
     {u: nonzero coefficient} for the u <= w, w the lcm of the generators
-    (``p_series`` gives the argument)."""
+    (``p_series`` gives the argument).  Past ``_BOX_BOUND`` multidegrees in
+    the box it raises ``TooLarge`` before it enumerates any."""
     nv = ideal.n_vars
     box = ideal.box
+    if (size := prod(w + 1 for w in box)) > _BOX_BOUND:
+        raise TooLarge(f"lcm box {box} has {size:,} multidegrees, past {_BOX_BOUND:,}")
     std = _std_table(ideal, box)
     # first syzygy module of the residue field is the irrelevant ideal
     support = [v for v in range(nv) if box[v]]

@@ -256,6 +256,25 @@ def test_exponents_of_10_to_the_12_answer_at_once(capsys, tmp_path):
     assert code == 0 and payload["totals"] == [1, 3, 2]
 
 
+def test_wide_boxes_and_tables_exit_3(capsys, tmp_path):
+    """``series`` on a box of 2 * 10^12 multidegrees and ``betti`` in text on
+    a table of 10^12 rows end in exit 3 at once, with nothing on stdout;
+    ``betti`` in JSON still answers on the second."""
+    box = tmp_path / "box.ideal"
+    box.write_text("vars: x y z\nx^1000000\nx*y\ny^3*z^7\nx^3*z^500000\n")
+    rows = tmp_path / "rows.ideal"
+    rows.write_text("vars: x y\nx^1000000000000\nx*y\ny^1000000000000\n")
+    for argv, message in ((["series", "--trunc", "2", "--ideal", str(box)],
+                           "has 2,000,006,000,004 multidegrees, past 262,144"),
+                          (["betti", "--ideal", str(rows)],
+                           "would have 1,000,000,000,000 rows, past 4,194,304")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert message in err, argv
+    code, payload, _ = run_json(capsys, "betti", "--ideal", str(rows))
+    assert code == 0 and payload["regularity"] == 999999999999
+
+
 def _skeleton_pipeline(capsys, tmp_path):
     """The 4-skeleton ideal built through the CLI (polarize, complex,
     skeleton --dim 4, sr): returns the polarized ideal's file and its own."""
@@ -467,6 +486,60 @@ def test_search_keeps_its_time_budget_at_eight_generators():
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.splitlines()[-1])["summary"]
     assert summary["budget_exhausted"] is True
+
+
+def _run_child(script):
+    """Run ``script`` in a fresh interpreter, so that the collector's state
+    (frozen objects, automatic collection) is its own, not pytest's."""
+    env = {**os.environ, "PYTHONPATH": str(Path(golod_lab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+PRODUCTS = '["products", "--example", "paper", "--format", "json"]'
+
+
+def test_main_freezes_the_import_graph_once():
+    """The first call freezes what exists, so the exit collection skips the
+    import graph; a second call freezes nothing more.  Both get one argv
+    list and both counts are read inside the redirection, so that no object
+    the first call froze dies between the two counts."""
+    _run_child(f"""
+import contextlib, gc, io
+from golod_lab import cli
+argv = {PRODUCTS}
+assert gc.get_freeze_count() == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    cli.main(argv)
+    assert gc.get_freeze_count() == frozen
+""")
+
+
+def test_main_leaves_a_previous_call_collectable():
+    """The ideal of one call, kept alive only by its own cycles (its derived
+    strands), is freed by a collection after a later call: the later call
+    does not freeze it."""
+    _run_child(f"""
+import contextlib, gc, io, weakref
+from golod_lab import cli
+gc.disable()
+refs = []
+build = cli.counterexample_ideal
+def recording():
+    ideal = build()
+    refs.append(weakref.ref(ideal))
+    return ideal
+cli.counterexample_ideal = recording
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main({PRODUCTS})
+    cli.main({PRODUCTS})
+gc.collect()
+assert refs[0]() is None
+""")
 
 
 def test_usage_errors(capsys, tmp_path):

@@ -123,6 +123,17 @@ def test_betti_table_render(example_ideal):
     assert lines[7].split() == ["tot:", "1", "8", "14", "8", "1"]
 
 
+def test_betti_table_bound_counts_rows(example_ideal, monkeypatch):
+    """The paper's table has 6 rows (regularity 5): it renders with the
+    bound at 6 and raises ``TooLarge`` at 5, naming the JSON format."""
+    bd = betti(example_ideal, QQ)
+    monkeypatch.setattr(homology_engine, "_TABLE_BOUND", 6)
+    assert len(bd.table_str().splitlines()) == 8
+    monkeypatch.setattr(homology_engine, "_TABLE_BOUND", 5)
+    with pytest.raises(TooLarge, match="6 rows, past 5; --format json"):
+        bd.table_str()
+
+
 def test_betti_generator_positions(example_ideal):
     md = dict(betti(example_ideal, QQ).multigraded)
     gen_degrees = {tuple(g.exps) for g in example_ideal.gens}

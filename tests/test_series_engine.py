@@ -18,7 +18,7 @@ from golod_lab import homology_engine, series_engine
 from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, column_relations
 from golod_lab.homology_engine import betti
 from golod_lab.massey_golod import golod_decide
-from golod_lab.monomial_core import Monomial, MonomialIdeal, counterexample_ideal, lcm_of, polarize
+from golod_lab.monomial_core import Monomial, MonomialIdeal, TooLarge, counterexample_ideal, lcm_of, polarize
 from golod_lab.simplicial import complex_of, skeleton, stanley_reisner_ideal
 from golod_lab.series_engine import (
     SeriesTrunc,
@@ -117,6 +117,22 @@ def test_p_series_counterexample(example_ideal):
     assert p.coeffs == (1, 5, 18, 64, 227, 805)
     q = q_series(example_ideal, QQ, 5)
     assert series_compare(p, q) == (5, -1)
+
+
+def test_box_bound_counts_multidegrees(example_ideal, monkeypatch):
+    """The paper's lcm box (1, 2, 1, 2, 3) holds 2 * 3 * 2 * 3 * 4 = 144
+    multidegrees: the series answers with the bound at 144 and raises
+    ``TooLarge`` at 143, before it enumerates the box."""
+    monkeypatch.setattr(series_engine, "_BOX_BOUND", 144)
+    assert p_series(example_ideal, QQ, 5)[0].coeffs[-1] == 805
+    monkeypatch.setattr(series_engine, "_BOX_BOUND", 143)
+
+    def unreachable(*args):
+        raise AssertionError("the box was enumerated")
+
+    monkeypatch.setattr(series_engine, "_std_table", unreachable)
+    with pytest.raises(TooLarge, match=r"lcm box \(1, 2, 1, 2, 3\) has 144 multidegrees, past 143"):
+        p_series(example_ideal, QQ, 5)
 
 
 def test_p_series_field_choice():
