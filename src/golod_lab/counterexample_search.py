@@ -8,18 +8,21 @@ ones; covering conditions b inside ab|bc and a inside ab|ca (or the mirror
 for c); and, because bridges are coprime to the opposite corner, one further
 generator per bridge-corner pair.  The search enumerates such patterns with
 canonical variable blocks and runs the full homological pipeline on matches.
+Supports are int masks over the variables, as an ideal's unary codes are
+(``monomial_core``): a union is an OR and s lies in t iff ``s & ~t == 0``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, combinations
+from operator import and_
 
 from .exact_linalg import QQ
 from .massey_golod import all_products_trivial, pair_criterion, ternary_massey_generators
-from .monomial_core import Monomial, MonomialIdeal, counterexample_ideal, polarize
+from .monomial_core import MonomialIdeal, counterexample_ideal, polarize
 
 
 @dataclass(frozen=True)
@@ -64,29 +67,33 @@ class PatternReport:
         return all(self.__dict__.values())
 
 
-def _bridges(sup_ij, sup_i, sup_j):
-    return sup_ij <= (sup_i | sup_j) and sup_ij & sup_i and sup_ij & sup_j
+def _bridges(ij, i, j):
+    return not ij & ~(i | j) and bool(ij & i and ij & j)
 
 
 def pattern_check(ideal, assignment):
-    """Evaluate the role-pattern conditions on a squarefree ideal."""
+    """Evaluate the role-pattern conditions on a squarefree ideal, where a
+    generator's code is its support with unused variables squeezed out."""
     if not ideal.is_squarefree:
         raise ValueError("pattern check applies to squarefree ideals")
-    g = ideal.gens
-    a, b, c, ab, bc, ca = (g[k].support for k in assignment.core())
+    for role, k in vars(assignment).items():
+        if not 0 <= k < ideal.n_gens:
+            raise ValueError(f"role {role}={k}: generator index out of range 0..{ideal.n_gens - 1}")
+    g = ideal.codes
+    a, b, c, ab, bc, ca = (g[k] for k in assignment.core())
     core = set(assignment.core())
 
     def sharp_exists(sharp, i, j):
         """The named generator is outside the core and divides lcm(g_i, g_j)."""
-        return sharp not in core and g[sharp].divides(g[i].lcm(g[j]))
+        return sharp not in core and not g[sharp] & ~(g[i] | g[j])
 
     return PatternReport(
         disjoint_abc=not (a & b or b & c or a & c),
-        ab_bridges=bool(_bridges(ab, a, b)),
-        bc_bridges=bool(_bridges(bc, b, c)),
-        ca_bridges=bool(_bridges(ca, c, a)),
-        b_covered=b <= ab | bc,
-        a_or_c_covered=a <= ab | ca or c <= bc | ca,
+        ab_bridges=_bridges(ab, a, b),
+        bc_bridges=_bridges(bc, b, c),
+        ca_bridges=_bridges(ca, c, a),
+        b_covered=not b & ~(ab | bc),
+        a_or_c_covered=not a & ~(ab | ca) or not c & ~(bc | ca),
         ab_sharp_c_exists=sharp_exists(assignment.ab_sharp_c, assignment.ab, assignment.c),
         bc_sharp_a_exists=sharp_exists(assignment.bc_sharp_a, assignment.bc, assignment.a),
         ca_sharp_b_exists=sharp_exists(assignment.ca_sharp_b, assignment.ca, assignment.b),
@@ -143,23 +150,35 @@ def _evaluate_candidate(serial, ideal, assignment, field):
     return SearchHit(serial, ideal, assignment, full_ok)
 
 
+def _drops(bits, k, lo=0):
+    """ORs of k of ``bits[lo:]``, in reverse lex order of their positions."""
+    if k < 2:
+        yield from reversed(bits[lo:]) if k else (0,)
+        return
+    for i in range(len(bits) - k, lo - 1, -1):
+        for rest in _drops(bits, k - 1, i + 1):
+            yield bits[i] | rest
+
+
 def _subsets_between(*pairs, avoid=()):
-    """Subsets of the intersection of the pairs' unions, largest first (generic
-    first), yielded one at a time: a union can have 2^(n-2) subsets.  Each is
-    smaller than every union, meets both sides of every pair, and nests with
-    no support in ``avoid`` (neither ``s <= t`` nor ``t <= s``)."""
+    """Subsets of the AND u of the pairs' unions, largest first (generic first)
+    and in lex order within a size, yielded one at a time: u can have 2^(n-2).
+    Each is smaller than every union, meets both sides of every pair, and
+    nests with no support t in ``avoid``.  A subset is u less a drop, walked
+    smallest first in reverse lex order, and each test reads the drop: t lies
+    in the subset iff t lies in u and misses the drop, the subset in t iff
+    the drop holds u outside t, and it meets p unless the drop holds u & p."""
     unions = [p | q for p, q in pairs]
-    u = sorted(frozenset.intersection(*unions))
-    for size in range(len(u), 1, -1):
-        for c in combinations(u, size):
-            cs = frozenset(c)
-            if (cs not in unions and all(cs & p and cs & q for p, q in pairs)
-                    and not any(cs <= t or t <= cs for t in avoid)):
-                yield cs
-
-
-def _mono(n, sup):
-    return Monomial(tuple(1 if i in sup else 0 for i in range(n)))
+    u = reduce(and_, unions)
+    bits = [1 << k for k in range(u.bit_length()) if u >> k & 1]
+    inside = [t for t in avoid if not t & ~u]
+    outside = [u & ~t for t in avoid]
+    sides = [u & p for pair in pairs for p in pair]
+    for k in range(len(bits) - 1):
+        for drop in _drops(bits, k):
+            if (all(t & drop for t in inside) and all(o & ~drop for o in outside)
+                    and all(x & ~drop for x in sides) and (s := u ^ drop) not in unions):
+                yield s
 
 
 def _candidate_patterns(n_vars, max_gens):
@@ -193,15 +212,15 @@ def _candidate_patterns(n_vars, max_gens):
              for nb in range(n_vars - na - 2, 1, -1)
              for nc in range(n_vars - na - nb, 1, -1))
     for na, nb, nc in sizes:
-        a = frozenset(range(na))
-        b = frozenset(range(na, na + nb))
-        c = frozenset(range(na + nb, na + nb + nc))
+        a = (1 << na) - 1
+        b = ((1 << nb) - 1) << na
+        c = ((1 << nc) - 1) << (na + nb)
         for ab in _subsets_between((a, b), avoid=(a, b)):
             for bc in _subsets_between((b, c), avoid=(b, c)):
-                if not b <= (ab | bc):
+                if b & ~(ab | bc):
                     continue
                 for ca in _subsets_between((c, a), avoid=(c, a)):
-                    if not (a <= (ab | ca) or c <= (bc | ca)):
+                    if a & ~(ab | ca) and c & ~(bc | ca):
                         continue
                     core = [a, b, c, ab, bc, ca]
                     for s_ab in _subsets_between((ab, c), avoid=core):
@@ -212,28 +231,20 @@ def _candidate_patterns(n_vars, max_gens):
                             continue
                         for s_bc in _subsets_between((bc, a), avoid=drawn):
                             for s_ca in _subsets_between((ca, b), avoid=drawn):
-                                if not (s_ca < s_bc or s_bc < s_ca):
+                                if s_ca == s_bc or (s_ca & ~s_bc and s_bc & ~s_ca):
                                     yield core, (s_ab, s_bc, s_ca)
 
 
 def _pattern_ideal(n_vars, core, sharps):
     """(ideal, assignment) of a role pattern (``_candidate_patterns``)."""
     a, b, c, ab, bc, ca = core
-    supports = [a, ab, b, bc, c, ca]
-    for s in sharps:
-        if s not in supports:
-            supports.append(s)
-    ideal = MonomialIdeal(
-        tuple(f"v{i}" for i in range(n_vars)), tuple(_mono(n_vars, s) for s in supports)
-    )
-    index = {s: k for k, s in enumerate(supports)}
+    supports = list(dict.fromkeys([a, ab, b, bc, c, ca, *sharps]))
+    ideal = MonomialIdeal.from_exponents(
+        [f"v{i}" for i in range(n_vars)], [[s >> i & 1 for i in range(n_vars)] for s in supports])
+    at = supports.index
     return ideal, RoleAssignment(
-        a=index[a], b=index[b], c=index[c],
-        ab=index[ab], bc=index[bc], ca=index[ca],
-        ab_sharp_c=index[sharps[0]],
-        bc_sharp_a=index[sharps[1]],
-        ca_sharp_b=index[sharps[2]],
-    )
+        a=at(a), b=at(b), c=at(c), ab=at(ab), bc=at(bc), ca=at(ca),
+        ab_sharp_c=at(sharps[0]), bc_sharp_a=at(sharps[1]), ca_sharp_b=at(sharps[2]))
 
 
 def search(n_vars, max_gens, budget, seconds=None, seeds=None, field=QQ, stats=None):

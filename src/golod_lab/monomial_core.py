@@ -1,8 +1,8 @@
 """Monomials, monomial ideals, polarization, and the built-in example ideal.
 
-A monomial is an exponent vector; variable names live on the ideal.  The
-generator order of an ideal is fixed at construction and never permuted,
-because all Taylor-complex signs downstream depend on it.
+A monomial is an exponent vector; variable names and order tests live on
+the ideal.  The generator order of an ideal is fixed at construction and
+never permuted, because all Taylor-complex signs downstream depend on it.
 
 An ideal answers order tests on its generators with one integer operation
 each, on the *unary code* of a multidegree.  If variable k has r_k distinct
@@ -24,7 +24,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
-from operator import add, le, mul, or_
+from operator import or_
 
 
 class AmbientMismatchError(ValueError):
@@ -66,28 +66,6 @@ class Monomial:
     def is_squarefree(self):
         return all(e <= 1 for e in self.exps)
 
-    def _check(self, other):
-        if len(self.exps) != len(other.exps):
-            raise AmbientMismatchError(
-                f"monomials over {len(self.exps)} and {len(other.exps)} variables"
-            )
-
-    def lcm(self, other):
-        self._check(other)
-        return Monomial(tuple(map(max, self.exps, other.exps)))
-
-    def divides(self, other):
-        self._check(other)
-        return all(map(le, self.exps, other.exps))
-
-    def coprime(self, other):
-        self._check(other)
-        return not any(map(mul, self.exps, other.exps))  # exponents are never negative
-
-    def __mul__(self, other):
-        self._check(other)
-        return Monomial(tuple(map(add, self.exps, other.exps)))
-
 
 def lcm_of(monomials, n_vars):
     """Componentwise maximum over a collection; the constant for empty input."""
@@ -125,7 +103,8 @@ def minimalize(gens):
     if any(g.is_constant for g in gens):
         raise ValueError("constant monomial generates the whole ring")
     for g in gens:
-        g._check(gens[0])
+        if len(g) != len(gens[0]):
+            raise AmbientMismatchError(f"monomials over {len(g)} and {len(gens[0])} variables")
     codes = _unary_codes(gens, len(gens[0]) if gens else 0)[2]
     return [g for i, g in enumerate(gens) if _divisor(codes, i) is None]
 

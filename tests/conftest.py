@@ -423,7 +423,7 @@ def chain_basis_vector(field, basis, chain):
 
 def monomial_quotient(m, other):
     """Exact quotient m / other of monomials; other must divide m."""
-    if not other.divides(m):
+    if not ref_divides(other.exps, m.exps):
         raise ValueError(f"{other.exps} does not divide {m.exps}")
     return Monomial(tuple(a - b for a, b in zip(m.exps, other.exps)))
 
@@ -521,7 +521,7 @@ def product_reduced(ideal, maskI, maskJ):
     definition: ``(sign, union mask)``, or None when the monomial coefficient
     lcm(I) * lcm(J) / lcm(I | J) is not constant, that is, when the lcms of
     the two subsets are not coprime."""
-    if not subset_lcm(ideal, maskI).coprime(subset_lcm(ideal, maskJ)):
+    if not ref_coprime(subset_lcm(ideal, maskI).exps, subset_lcm(ideal, maskJ).exps):
         return None
     return (product_sign(maskI, maskJ), maskI | maskJ)
 

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -37,46 +38,85 @@ def m5(text):
 
 
 def test_lcm_disjoint_supports_multiply():
-    assert m5("x1*x2^2").lcm(m5("y1*y2^2")) == m5("x1*x2^2*y1*y2^2")
+    """m_a and m_b of the paper's ideal have disjoint codes, and the OR of
+    their codes decodes to their product, the lcm of coprime monomials."""
+    ideal = counterexample_ideal()
+    (a, b), (ea, eb) = (ideal.codes[0], ideal.codes[3]), (ideal.gens[0].exps, ideal.gens[3].exps)
+    assert not a & b
+    assert ideal.decode(a | b) == ref_product(ea, eb) == m5("x1*x2^2*y1*y2^2").exps
 
 
 def test_lcm_idempotent():
-    m = m5("x1*x2*y1")
-    assert m.lcm(m) == m
+    """The OR of a lattice element's code with itself decodes to the element;
+    off the lattice, code rounds each exponent down to the largest exponent
+    of that variable among the generators, and the rounding is idempotent,
+    past the box too."""
+    ideal = counterexample_ideal()
+    for u in ref_lcm_lattice(ideal):
+        assert ideal.decode(ideal.code(u) | ideal.code(u)) == u
+    rng = random.Random(11)
+    for _ in range(200):
+        u = tuple(rng.randint(0, 4) for _ in range(ideal.n_vars))
+        low = ideal.decode(ideal.code(u))
+        assert low == tuple(max((g.exps[k] for g in ideal.gens if g.exps[k] <= u[k]), default=0)
+                            for k in range(ideal.n_vars))
+        assert ideal.code(low) == ideal.code(u)
 
 
 def test_lcm_example_generators():
-    assert m5("x1*x2^2").lcm(m5("x1*x2*y1*y2")) == m5("x1*x2^2*y1*y2")
+    ideal = counterexample_ideal()
+    assert ideal.decode(ideal.codes[0] | ideal.codes[1]) == m5("x1*x2^2*y1*y2").exps
 
 
 def test_lcm_properties_random():
+    """On random ideals in 4 variables, the OR of two lattice codes is the code
+    of their lcm, so joins chain on codes: decoding the OR of three codes
+    gives the lcm in either bracketing, and each operand divides it."""
     rng = random.Random(10)
     for _ in range(50):
-        a, b, c = (
-            Monomial(tuple(rng.randint(0, 3) for _ in range(4))) for _ in range(3)
-        )
-        assert a.lcm(b) == b.lcm(a)
-        assert a.lcm(b.lcm(c)) == a.lcm(b).lcm(c)
-        assert a.divides(a.lcm(b))
+        pool = [Monomial(tuple(rng.randint(0, 3) for _ in range(4))) for _ in range(4)]
+        gens = minimalize([g for g in pool if not g.is_constant])
+        ideal = MonomialIdeal(("x", "y", "z", "w"), tuple(gens))
+        lattice = ref_lcm_lattice(ideal)
+        for _ in range(10):
+            a, b, c = (rng.choice(lattice) for _ in range(3))
+            ca, cb, cc = map(ideal.code, (a, b, c))
+            assert ideal.code(ref_lcm(a, b)) == ca | cb
+            assert ideal.decode(ca | cb | cc) == ref_lcm(a, ref_lcm(b, c)) == ref_lcm(ref_lcm(a, b), c)
+            assert ref_divides(a, ideal.decode(ca | cb))
 
 
 def test_coprime_and_divides():
-    assert m5("x1*x2^2").coprime(m5("y1*y2^2"))
-    assert not m5("x1*x2^2").coprime(m5("x1*x2*y1*y2"))
-    assert m5("x1*y1*z").divides(m5("x1*x2^2*y1*y2^2*z^3"))
-    assert not m5("x1^2").divides(m5("x1"))
+    """On the paper's ideal: m_a and m_b have disjoint codes, m_a and m_ab do
+    not; the code of m_ab#c lies inside the box's, and that of x2^2 not
+    inside x2's."""
+    ideal = counterexample_ideal()
+    g = ideal.codes
+    assert not g[0] & g[3]
+    assert g[0] & g[1]
+    assert not g[2] & ~ideal.code(m5("x1*x2^2*y1*y2^2*z^3").exps)
+    assert ideal.code(m5("x2^2").exps) & ~ideal.code(m5("x2").exps)
 
 
 def test_ambient_mismatch():
-    with pytest.raises(AmbientMismatchError):
-        Monomial((1, 0)).lcm(Monomial((1, 0, 0)))
+    """code and tops reject a multidegree of the wrong length, and the
+    constructor a generator of the wrong length, with their messages."""
+    ideal = counterexample_ideal()
+    for u in ((1, 0), (1, 0, 0, 0, 0, 0)):
+        for op in (ideal.code, ideal.tops):
+            with pytest.raises(AmbientMismatchError,
+                               match=re.escape(f"multidegree {u} does not match 5 variables")):
+                op(u)
+    with pytest.raises(AmbientMismatchError, match=r"^generator \(1, 0, 0\) does not match 2"):
+        MonomialIdeal(("x", "y"), (Monomial((1, 0, 0)),))
 
 
 def test_monomial_kernels_match_their_definitions():
-    """lcm, divides, coprime and the product agree with their pairwise
-    definitions on seeded exponent vectors with many zeros, with both
-    answers of each test drawn; operands of different lengths and negative
-    exponents still raise, with their messages."""
+    """On seeded exponent vectors a, b with many zeros, each exponent of a
+    and b an exponent of the generators (a, 1, 0) and (b, 0, 1): the codes
+    of a and b answer divides, lcm and coprime as the exponent tuples do,
+    with both answers of each test drawn; code rejects a multidegree of the
+    wrong length and a negative exponent still raises, with their messages."""
     rng = random.Random(20261019)
     seen = set()
     for _ in range(2000):
@@ -85,17 +125,13 @@ def test_monomial_kernels_match_their_definitions():
         b = tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n))
         if rng.random() < 0.3:  # a multiple of a, so that a divides b
             b = ref_product(a, b)
-        ma, mb = Monomial(a), Monomial(b)
-        assert ma.lcm(mb) == Monomial(ref_lcm(a, b))
-        assert (ma * mb) == Monomial(ref_product(a, b))
-        assert ma.divides(mb) is ref_divides(a, b)
-        assert ma.coprime(mb) is ref_coprime(a, b)
-        seen.update({("divides", ma.divides(mb)), ("coprime", ma.coprime(mb))})
-        longer = Monomial(b + (rng.randint(0, 2),))
-        for op in (ma.lcm, ma.divides, ma.coprime, ma.__mul__):
-            with pytest.raises(AmbientMismatchError,
-                               match=f"^monomials over {n} and {n + 1} variables$"):
-                op(longer)
+        ideal = MonomialIdeal.from_exponents([f"x{k}" for k in range(n + 2)],
+                                             [a + (1, 0), b + (0, 1)])
+        divides, coprime = _assert_codes_answer(ideal, a + (0, 0), b + (0, 0))
+        seen.update({("divides", divides), ("coprime", coprime)})
+        with pytest.raises(AmbientMismatchError,
+                           match=re.escape(f"multidegree {b + (0, 0, 0)} does not match {n + 2} ")):
+            ideal.code(b + (0, 0, 0))
         if n:
             neg = list(a)
             neg[rng.randrange(n)] = -rng.randint(1, 3)
@@ -159,7 +195,7 @@ def test_ideal_and_minimalize_share_one_minimality_rule():
         kept = minimalize(gens)
         assert MonomialIdeal(("x", "y", "z"), tuple(kept)).gens == tuple(kept)
         assert kept == [g for k, g in enumerate(gens) if g not in gens[:k]
-                        and not any(h.divides(g) and h != g for h in gens)]
+                        and not any(ref_divides(h.exps, g.exps) and h != g for h in gens)]
         if kept != gens:
             with pytest.raises(ValueError, match="not minimal"):
                 MonomialIdeal(("x", "y", "z"), tuple(gens))
@@ -322,7 +358,8 @@ def test_minimality_matches_the_exponent_reference():
         if not pool:
             continue
         gens = pool + rng.choices(pool, k=2)
-        gens += [g * Monomial(tuple(rng.randint(0, 1) for _ in range(n))) for g in pool[:2]]
+        gens += [Monomial(ref_product(g.exps, tuple(rng.randint(0, 1) for _ in range(n))))
+                 for g in pool[:2]]
         rng.shuffle(gens)
         assert minimalize(gens) == [g for i, g in enumerate(gens) if ref_divisor(gens, i) is None]
         variables = tuple(f"x{k}" for k in range(n))

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 import time
 import tracemalloc
 import weakref
@@ -11,6 +12,7 @@ import pytest
 from conftest import pattern_failures
 from golod_lab import counterexample_search, homology_engine
 from golod_lab.counterexample_search import (
+    PatternReport,
     RoleAssignment,
     SearchStats,
     pattern_check,
@@ -27,6 +29,7 @@ from golod_lab.monomial_core import (
     minimalize,
     polarize,
 )
+from golod_lab.taylor_dga import mask_members
 
 
 def test_pattern_check_polarized_example():
@@ -86,6 +89,76 @@ def test_pattern_check_reads_the_named_sharps():
         assert pattern_failures(pattern_check(ideal, bad)) == sharps, bad
 
 
+def test_pattern_check_rejects_a_role_outside_the_generators():
+    """Every role must name a generator: an index past the last one raises,
+    and so does a negative one, which would read a generator from the end."""
+    ideal, good = seed_pattern()
+    for role in vars(good):
+        for index in (-1, ideal.n_gens):
+            with pytest.raises(ValueError,
+                               match=f"^role {role}={index}: generator index out of range 0..7$"):
+                pattern_check(ideal, replace(good, **{role: index}))
+
+
+def _pattern_check_by_supports(ideal, r):
+    """The nine conditions as defined, on generator supports as frozensets."""
+    sup = [g.support for g in ideal.gens]
+    a, b, c, ab, bc, ca = (sup[k] for k in r.core())
+    core = set(r.core())
+
+    def bridges(ij, i, j):
+        return ij <= i | j and bool(ij & i) and bool(ij & j)
+
+    def sharp(k, i, j):
+        return k not in core and sup[k] <= sup[i] | sup[j]
+
+    return PatternReport(
+        disjoint_abc=not (a & b or b & c or a & c),
+        ab_bridges=bridges(ab, a, b),
+        bc_bridges=bridges(bc, b, c),
+        ca_bridges=bridges(ca, c, a),
+        b_covered=b <= ab | bc,
+        a_or_c_covered=a <= ab | ca or c <= bc | ca,
+        ab_sharp_c_exists=sharp(r.ab_sharp_c, r.ab, r.c),
+        bc_sharp_a_exists=sharp(r.bc_sharp_a, r.bc, r.a),
+        ca_sharp_b_exists=sharp(r.ca_sharp_b, r.ca, r.b),
+    )
+
+
+def test_pattern_check_on_codes_matches_the_support_definition():
+    """pattern_check reads the generators' unary codes, which on a squarefree
+    ideal are the supports with unused variables squeezed out.  On seeded
+    random squarefree ideals with at least one variable no generator uses,
+    and random role indices (bc#a = ca#b half of the time), it gives the
+    report of the support-set definition, each condition both true and false."""
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(3, 9)
+        unused, density = rng.randrange(n), rng.choice((0.2, 0.35, 0.5))
+        pool = [Monomial(tuple(int(k != unused and rng.random() < density) for k in range(n)))
+                for _ in range(rng.randint(3, 10))]
+        gens = minimalize([g for g in pool if not g.is_constant])
+        if not gens:
+            continue
+        ideal = MonomialIdeal(tuple(f"x{k}" for k in range(n)), tuple(gens))
+        assignment = RoleAssignment(*(rng.randrange(ideal.n_gens) for _ in range(9)))
+        if rng.random() < 0.5:
+            assignment = replace(assignment, ca_sharp_b=assignment.bc_sharp_a)
+        report = pattern_check(ideal, assignment)
+        assert report == _pattern_check_by_supports(ideal, assignment), (ideal, assignment)
+        seen.update(vars(report).items())
+    assert seen == {(name, v) for name in vars(report) for v in (True, False)}
+
+
+def _decode(pattern):
+    """A pattern of the generator with each support mask as the frozenset of
+    its variables."""
+    core, sharps = pattern
+    return ([frozenset(mask_members(s)) for s in core],
+            tuple(frozenset(mask_members(s)) for s in sharps))
+
+
 def _supports(core, sharps):
     """The pattern's supports as its ideal lists them, a shared sharp once."""
     a, b, c, ab, bc, ca = core
@@ -104,10 +177,10 @@ def test_generated_candidates_meet_the_role_pattern(n_vars, max_gens, count):
     No two supports of a pattern nest, so every pattern is built."""
     assert pattern_check(*seed_pattern()).all_ok
     built = 0
-    for core, sharps in islice(counterexample_search._candidate_patterns(n_vars, max_gens), count):
-        assert not any(_nest(s, t) for s, t in combinations(_supports(core, sharps), 2))
-        cand = counterexample_search._pattern_ideal(n_vars, core, sharps)
-        assert pattern_failures(pattern_check(*cand)) == [], (core, sharps)
+    for pattern in islice(counterexample_search._candidate_patterns(n_vars, max_gens), count):
+        assert not any(_nest(s, t) for s, t in combinations(_supports(*_decode(pattern)), 2))
+        cand = counterexample_search._pattern_ideal(n_vars, *pattern)
+        assert pattern_failures(pattern_check(*cand)) == [], _decode(pattern)
         built += 1
     assert built
 
@@ -207,9 +280,9 @@ def test_search_builds_one_strand_per_asked_multidegree(monkeypatch):
 
 
 def _reference_candidates(n_vars, max_gens):
-    """Seeds, then each role pattern with its generators built as Monomials
-    and passed through minimalize, which must keep every role: it drops a
-    generator exactly when another one divides it."""
+    """Seeds, then each role pattern, decoded to sets, with its generators
+    built as Monomials and passed through minimalize, which must keep every
+    role: it drops a generator exactly when another one divides it."""
     pol, assignment = seed_pattern()
     if pol.n_vars <= n_vars and pol.n_gens <= max_gens:
         yield pol, assignment
@@ -221,7 +294,8 @@ def _reference_candidates(n_vars, max_gens):
             mono[s] = Monomial(tuple(1 if k in s else 0 for k in range(n_vars)))
         return mono[s]
 
-    for core, sharps in counterexample_search._candidate_patterns(n_vars, max_gens):
+    for pattern in counterexample_search._candidate_patterns(n_vars, max_gens):
+        core, sharps = _decode(pattern)
         a, b, c, ab, bc, ca = core
         supports = _supports(core, sharps)
         gens = minimalize([monomial(s) for s in supports])
@@ -272,20 +346,22 @@ def test_search_stream_matches_minimalize_reference(monkeypatch, n_vars, max_gen
         return hit
 
     built = []
-    real_mono = counterexample_search._mono
+    real_build = counterexample_search._pattern_ideal
 
-    def counted_mono(n, sup):
-        built.append(sup)
-        return real_mono(n, sup)
+    def counted_build(*args):
+        built.append(args)
+        return real_build(*args)
 
     monkeypatch.setattr(counterexample_search, "_evaluate_candidate", recording)
-    monkeypatch.setattr(counterexample_search, "_mono", counted_mono)
+    monkeypatch.setattr(counterexample_search, "_pattern_ideal", counted_build)
     stats = SearchStats()
     stream = [(h.serial, format_ideal(h.ideal), h.assignment)
               for h in search(n_vars, max_gens, budget=budget, stats=stats)]
     assert stats.candidates == len(evaluated) and stats.budget_exhausted
-    # reject before build: only the candidates' own generators are built
-    assert len(built) <= max_gens * stats.candidates
+    # reject before build: a pattern is built only as a candidate, after the seed if it fits
+    pol = seed_pattern()[0]
+    seeded = pol.n_vars <= n_vars and pol.n_gens <= max_gens
+    assert len(built) == stats.candidates - seeded
 
     def replay(serial, ideal, assignment):
         want_serial, want_ideal, want_assignment, hit = evaluated[serial]
@@ -383,7 +459,7 @@ def test_candidate_patterns_are_the_unpruned_stream_without_nesting(n_vars, max_
     """One subset rule draws every role, so the generator yields exactly the
     patterns the unpruned enumeration kept, in its order."""
     want = list(islice(_reference_patterns(n_vars, max_gens), count))
-    got = list(islice(counterexample_search._candidate_patterns(n_vars, max_gens), count))
+    got = [_decode(p) for p in islice(counterexample_search._candidate_patterns(n_vars, max_gens), count)]
     assert got == want
     assert len(want) == (count or len(want)) > 0
 
@@ -395,7 +471,7 @@ def test_candidate_patterns_stream_is_pinned():
     list-building enumeration with that rule applied (9,944 patterns for
     (6, 9) before nested ones were dropped)."""
     assert sum(1 for _ in counterexample_search._candidate_patterns(6, 9)) == 920
-    head = [_canonical_pattern(p)
+    head = [_canonical_pattern(_decode(p))
             for p in islice(counterexample_search._candidate_patterns(9, 9), 2000)]
     assert len(head) == 2000
     assert hashlib.sha256(repr(head).encode()).hexdigest() == (
@@ -413,6 +489,15 @@ def test_first_pattern_of_many_variables_is_cheap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_first_thousand_patterns_of_600_variables_are_quick():
+    """A subset is examined with a few int operations on its dropped
+    variables, so the first 1,000 patterns on 600 variables, which examine
+    about 130,000 subsets, take well under half a second."""
+    start = time.perf_counter()
+    assert sum(1 for _ in islice(counterexample_search._candidate_patterns(600, 9), 1000)) == 1000
+    assert time.perf_counter() - start < 0.5
 
 
 def test_search_keeps_its_time_budget_on_many_variables():
