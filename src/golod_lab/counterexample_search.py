@@ -15,7 +15,6 @@ Supports are int masks over the variables, as an ideal's unary codes are
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, combinations
 from operator import and_
@@ -23,43 +22,36 @@ from operator import and_
 from .exact_linalg import QQ
 from .massey_golod import all_products_trivial, pair_criterion, ternary_massey_generators
 from .monomial_core import MonomialIdeal, counterexample_ideal, polarize
+from .record import Record
 
 
-@dataclass(frozen=True)
-class RoleAssignment:
+class RoleAssignment(Record):
     """Generator indices playing the named roles in a squarefree ideal.
 
     ``bc_sharp_a`` and ``ca_sharp_b`` may refer to the same generator; all
     other roles must be distinct.
     """
 
-    a: int
-    b: int
-    c: int
-    ab: int
-    bc: int
-    ab_sharp_c: int
-    bc_sharp_a: int
-    ca: int
-    ca_sharp_b: int
+    _fields = ("a", "b", "c", "ab", "bc", "ab_sharp_c", "bc_sharp_a", "ca", "ca_sharp_b")
+
+    def __init__(self, a, b, c, ab, bc, ab_sharp_c, bc_sharp_a, ca, ca_sharp_b):
+        self._fill(a, b, c, ab, bc, ab_sharp_c, bc_sharp_a, ca, ca_sharp_b)
 
     def core(self):
         return [self.a, self.b, self.c, self.ab, self.bc, self.ca]
 
 
-@dataclass(frozen=True)
-class PatternReport:
-    """Per-condition outcome of the role-pattern check."""
+class PatternReport(Record):
+    """Per-condition outcome of the role-pattern check; ``b_covered`` is the
+    support of b inside ab union bc."""
 
-    disjoint_abc: bool
-    ab_bridges: bool
-    bc_bridges: bool
-    ca_bridges: bool
-    b_covered: bool  # support of b inside ab union bc
-    a_or_c_covered: bool
-    ab_sharp_c_exists: bool
-    bc_sharp_a_exists: bool
-    ca_sharp_b_exists: bool
+    _fields = ("disjoint_abc", "ab_bridges", "bc_bridges", "ca_bridges", "b_covered",
+               "a_or_c_covered", "ab_sharp_c_exists", "bc_sharp_a_exists", "ca_sharp_b_exists")
+
+    def __init__(self, disjoint_abc, ab_bridges, bc_bridges, ca_bridges, b_covered,
+                 a_or_c_covered, ab_sharp_c_exists, bc_sharp_a_exists, ca_sharp_b_exists):
+        self._fill(disjoint_abc, ab_bridges, bc_bridges, ca_bridges, b_covered, a_or_c_covered,
+                   ab_sharp_c_exists, bc_sharp_a_exists, ca_sharp_b_exists)
 
     @property
     def all_ok(self):
@@ -100,20 +92,22 @@ def pattern_check(ideal, assignment):
     )
 
 
-@dataclass
-class SearchStats:
-    candidates: int = 0
-    pattern_hits: int = 0
-    survivors: int = 0
-    budget_exhausted: bool = False
+class SearchStats(Record):
+    """Counts a search updates as it runs, so the one mutable record."""
+
+    __slots__ = _fields = ("candidates", "pattern_hits", "survivors", "budget_exhausted")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, candidates=0, pattern_hits=0, survivors=0, budget_exhausted=False):
+        self._fill(candidates, pattern_hits, survivors, budget_exhausted)
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    serial: int
-    ideal: MonomialIdeal
-    assignment: RoleAssignment
-    all_products_trivial: bool
+class SearchHit(Record):
+    __slots__ = _fields = ("serial", "ideal", "assignment", "all_products_trivial")
+
+    def __init__(self, serial, ideal, assignment, all_products_trivial):
+        self._fill(serial, ideal, assignment, all_products_trivial)
 
     @property
     def is_counterexample(self):

@@ -25,10 +25,11 @@ elimination never leaves the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import index
+
+from .record import Record
 
 
 class LinAlgError(ValueError):
@@ -50,20 +51,18 @@ def _is_prime(p):
 _CHAR_LIMIT = 2**31  # trial division up to sqrt(p) stays fast below it
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """Coefficient field: the rationals (``char == 0``) or F_p for a prime p
     below 2^31."""
 
-    char: int = 0
+    __slots__ = _fields = ("char",)
 
-    def __post_init__(self):
-        if self.char >= _CHAR_LIMIT:
-            raise ValueError(
-                f"field characteristic must be below 2^31 = {_CHAR_LIMIT}, got {self.char}"
-            )
-        if self.char != 0 and not _is_prime(self.char):
-            raise ValueError(f"field characteristic must be 0 or a prime, got {self.char}")
+    def __init__(self, char=0):
+        if char >= _CHAR_LIMIT:
+            raise ValueError(f"field characteristic must be below 2^31 = {_CHAR_LIMIT}, got {char}")
+        if char != 0 and not _is_prime(char):
+            raise ValueError(f"field characteristic must be 0 or a prime, got {char}")
+        self._fill(char)
 
     def of(self, x):
         """An int or Fraction as an element of this field, in the one format:

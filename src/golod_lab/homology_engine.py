@@ -67,7 +67,6 @@ which so raise on each strand with 19 or more generators below u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb
@@ -75,22 +74,22 @@ from operator import or_
 
 from .exact_linalg import Echelon, column_relations
 from .monomial_core import TooLarge
+from .record import Record
 from .taylor_dga import generators_below, lcm_lattice, mask_members
 
 _CONE_BOUND = comb(17, 8)  # most subsets one degree's cells may scan: 24,310
 _TABLE_BOUND = 2**22  # most rows a text Betti table may have: 4,194,304
 
 
-@dataclass(frozen=True)
-class HomologyClass:
-    """A strand homology element: representative chain plus basis coordinates."""
+class HomologyClass(Record):
+    """A strand homology element: representative chain, as sorted (mask,
+    coeff) pairs, plus basis coordinates."""
 
-    ideal: object
-    field: object
-    multidegree: tuple
-    hom_degree: int
-    representative: tuple  # sorted ((mask, coeff), ...) pairs
-    coordinates: tuple
+    __slots__ = _fields = ("ideal", "field", "multidegree", "hom_degree", "representative",
+                           "coordinates")
+
+    def __init__(self, ideal, field, multidegree, hom_degree, representative, coordinates):
+        self._fill(ideal, field, multidegree, hom_degree, representative, coordinates)
 
     def chain(self):
         return dict(self.representative)
@@ -351,13 +350,14 @@ def homology_basis(ideal, field, u, i):
     return sh.classes(i) if sh else []
 
 
-@dataclass(frozen=True)
-class BettiData:
-    """Multigraded and coarse Betti numbers of the quotient ring."""
+class BettiData(Record):
+    """Multigraded and coarse Betti numbers of the quotient ring; ``multigraded``
+    holds the nonzero ones as sorted ((i, multidegree), dim) pairs."""
 
-    field: object
-    n_vars: int
-    multigraded: tuple  # sorted ((i, multidegree), dim) pairs, nonzero only
+    __slots__ = _fields = ("field", "n_vars", "multigraded")
+
+    def __init__(self, field, n_vars, multigraded):
+        self._fill(field, n_vars, multigraded)
 
     @property
     def coarse(self):

@@ -19,11 +19,10 @@ arity 3, compares P with its Koszul bound Q exactly on the lcm box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from functools import cached_property
 
-from .homology_engine import HomologyClass, _freeze_chain, betti, strand
+from .homology_engine import _freeze_chain, betti, strand
+from .record import Record
 from .series_engine import box_series
 from .taylor_dga import lcm_lattice, mask_of, product_sign, support_mask
 
@@ -72,11 +71,11 @@ def _vector_sum(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class ProductWitness:
-    alpha: HomologyClass
-    beta: HomologyClass
-    product_chain: tuple
+class ProductWitness(Record):
+    __slots__ = _fields = ("alpha", "beta", "product_chain")
+
+    def __init__(self, alpha, beta, product_chain):
+        self._fill(alpha, beta, product_chain)
 
     def describe(self):
         return (
@@ -148,26 +147,26 @@ def _dividing_generator(ideal, i, j, exclude):
     return None
 
 
-@dataclass(frozen=True)
-class MasseyResult:
+class MasseyResult(Record):
     """Outcome of a ternary Massey product computation.
 
     ``value_is_zero`` comes from the boundary test alone.  ``value``, the
     class with its coordinates, is built on first read from the result's
     own chain, multidegree and degree; it is None only when the product is
-    undefined.  ``ring``, the (ideal,
-    field) it is read in, is left out of comparison and repr.
+    undefined.  ``value_chain`` and ``system`` hold the frozen (mask, coeff)
+    pairs of the representative and of the defining system's chains (s, t).
+    ``ring``, the (ideal, field) it is read in, is left out of comparison and
+    repr.
     """
 
-    defined: bool
-    unique: bool
-    value_chain: tuple | None  # frozen (mask, coeff) pairs of the representative
-    value_is_zero: bool | None
-    multidegree: tuple | None
-    hom_degree: int | None
-    system: tuple | None  # frozen chains (s, t) of the defining system
-    obstruction: str | None = None
-    ring: tuple | None = dataclass_field(default=None, compare=False, repr=False)
+    _fields = ("defined", "unique", "value_chain", "value_is_zero", "multidegree", "hom_degree",
+               "system", "obstruction")
+
+    def __init__(self, defined, unique, value_chain, value_is_zero, multidegree, hom_degree,
+                 system, obstruction=None, ring=None):
+        self._fill(defined, unique, value_chain, value_is_zero, multidegree, hom_degree, system,
+                   obstruction)
+        self.__dict__["ring"] = ring
 
     @cached_property
     def value(self):
@@ -324,12 +323,13 @@ def ternary_products_vanish(ideal, field):
     return True, None
 
 
-@dataclass(frozen=True)
-class GolodVerdict:
-    status: str  # "Golod" | "NotGolod"
-    route: str
-    reason: str
-    witness: object = None
+class GolodVerdict(Record):
+    """``status`` is "Golod" or "NotGolod", decided by ``route``."""
+
+    __slots__ = _fields = ("status", "route", "reason", "witness")
+
+    def __init__(self, status, route, reason, witness=None):
+        self._fill(status, route, reason, witness)
 
 
 def _massey_arity_bound(ideal, bd):

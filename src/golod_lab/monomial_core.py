@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
 from operator import or_
+
+from .record import Record
 
 
 class AmbientMismatchError(ValueError):
@@ -37,15 +38,15 @@ class TooLarge(ValueError):
     table.  The CLI answers it with exit 3."""
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Exponent vector of fixed length; the constant monomial is all zeros."""
 
-    exps: tuple
+    __slots__ = _fields = ("exps",)
 
-    def __post_init__(self):
-        if min(self.exps, default=0) < 0:
-            raise ValueError(f"negative exponent in {self.exps}")
+    def __init__(self, exps):
+        if min(exps, default=0) < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        self._fill(exps)
 
     def __len__(self):
         return len(self.exps)
@@ -109,8 +110,7 @@ def minimalize(gens):
     return [g for i, g in enumerate(gens) if _divisor(codes, i) is None]
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Monomial ideal given by an ordered minimal generating set.
 
     The constructor insists on minimality (no generator divides another);
@@ -123,24 +123,24 @@ class MonomialIdeal:
     Equality, hashing and repr ignore all three.
     """
 
-    variables: tuple
-    gens: tuple
+    _fields = ("variables", "gens")
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, variables, gens):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        n = len(self.variables)
-        for g in self.gens:
+        n = len(variables)
+        for g in gens:
             if len(g.exps) != n:
                 raise AmbientMismatchError(
                     f"generator {g.exps} does not match {n} variables"
                 )
             if g.is_constant:
                 raise ValueError("constant monomial generates the whole ring")
-        ranks, offsets, codes = _unary_codes(self.gens, n)
+        ranks, offsets, codes = _unary_codes(gens, n)
+        self._fill(variables, gens)
         self.__dict__.update(box=tuple(max(rk, default=0) for rk in ranks), codes=codes,
                              _ranks=ranks, _levels=[tuple(rk) for rk in ranks], _offsets=offsets)
-        for i, g in enumerate(self.gens):
+        for i, g in enumerate(gens):
             if (j := _divisor(self.codes, i)) is not None:
                 raise ValueError(
                     f"generators are not minimal: {self.format_monomial(self.gens[j])} "
@@ -263,11 +263,14 @@ def format_ideal(ideal):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class PolarizationMap:
-    """Mapping from polarized variables back to the original ones."""
+class PolarizationMap(Record):
+    """Mapping from polarized variables back to the original ones:
+    ``new_to_old`` holds the index of the original variable per new variable."""
 
-    new_to_old: tuple  # index of the original variable per new variable
+    __slots__ = _fields = ("new_to_old",)
+
+    def __init__(self, new_to_old):
+        self._fill(new_to_old)
 
 
 def polarize(ideal):

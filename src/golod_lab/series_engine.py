@@ -39,7 +39,6 @@ the steps stop at the order asked.  Its size is bounded instead: past
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 from operator import add, le, sub
@@ -47,20 +46,20 @@ from operator import add, le, sub
 from .exact_linalg import Echelon, column_relations
 from .homology_engine import betti
 from .monomial_core import TooLarge
+from .record import Record
 
 _BOX_BOUND = 2**18  # most multidegrees an lcm box may hold: 262,144
 
 
-@dataclass(frozen=True)
-class SeriesTrunc:
+class SeriesTrunc(Record):
     """Truncated power series in one variable with exact coefficients."""
 
-    coeffs: tuple
-    order: int
+    __slots__ = _fields = ("coeffs", "order")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, coeffs, order):
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient count does not match the order")
+        self._fill(coeffs, order)
 
     def __getitem__(self, i):
         return self.coeffs[i]
@@ -131,16 +130,21 @@ def _std_table(ideal, box):
 # the resolution engine
 
 
-@dataclass(frozen=True)
-class StepReport:
-    step: int
-    generators: int
-    degrees: tuple  # (internal degree, count) pairs
+class StepReport(Record):
+    """The generators one resolution step found, with ``degrees`` their
+    (internal degree, count) pairs."""
+
+    __slots__ = _fields = ("step", "generators", "degrees")
+
+    def __init__(self, step, generators, degrees):
+        self._fill(step, generators, degrees)
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
-    steps: tuple
+class ResolutionReport(Record):
+    __slots__ = _fields = ("steps",)
+
+    def __init__(self, steps):
+        self._fill(steps)
 
     def describe(self):
         lines = ["minimal resolution of the residue field:"]

@@ -10,11 +10,11 @@ past ``_ENUMERATION_LIMIT`` vertices they raise ``TooLarge`` (CLI exit 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .exact_linalg import span
 from .monomial_core import Monomial, MonomialIdeal, TooLarge
+from .record import Record
 
 _ENUMERATION_LIMIT = 22  # subset scans are 2^n; keep inputs desk-scale
 
@@ -28,8 +28,7 @@ def _check_labels(vertices, facets):
             raise ValueError(f"facet {sorted(f)} uses unknown vertices")
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Complex given by an ordered vertex tuple and its facets.
 
     ``facets == ()`` is the void complex (no faces); ``facets == (frozenset(),)``
@@ -37,11 +36,11 @@ class SimplicialComplex:
     deduplicated; the face set is their downward closure.
     """
 
-    vertices: tuple
-    facets: tuple
+    __slots__ = _fields = ("vertices", "facets")
 
-    def __post_init__(self):
-        _check_labels(self.vertices, self.facets)
+    def __init__(self, vertices, facets):
+        _check_labels(vertices, facets)
+        self._fill(vertices, facets)
 
     @classmethod
     def from_facets(cls, vertices, facets):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import add, or_
+from operator import add, le, or_, sub
 
 import pytest
 
@@ -482,10 +482,11 @@ def chain_is_boundary(ideal, field, chain):
 # reference oracles: independent routes the library is checked against
 
 
-def std_table(ideal, top):
-    """Standard monomials of degree 0..top with no box: a list of sorted
-    exponent tuples per degree, and the set of them all, grown degree by
-    degree as ``series_engine._std_table`` grows them inside its box."""
+def std_table(ideal, top, box=None):
+    """Standard monomials of degree 0..top, with no box unless one is given:
+    a list of sorted exponent tuples per degree, and the set of them all,
+    grown degree by degree as ``series_engine._std_table`` grows them inside
+    its box."""
     gens = {g.exps for g in ideal.gens}
     n = ideal.n_vars
     layer = [(0,) * n]
@@ -494,8 +495,9 @@ def std_table(ideal, top):
         grown = {}
         for m in layer:
             for v in range(n):
-                g = m[:v] + (m[v] + 1,) + m[v + 1:]
-                grown[g] = grown.get(g, 0) + 1
+                if box is None or m[v] < box[v]:
+                    g = m[:v] + (m[v] + 1,) + m[v + 1:]
+                    grown[g] = grown.get(g, 0) + 1
         layer = sorted(m for m, k in grown.items() if k == n - m.count(0) and m not in gens)
         by_degree.append(layer)
     return by_degree, {m for ms in by_degree for m in ms}
@@ -629,17 +631,42 @@ def q_bigraded(ideal, field, n):
     return table
 
 
+def serre_boxes(ideal, field, n):
+    """Per step j <= n, the least box holding every multidegree where the
+    multigraded bound prod_v (1 + x_v t) / (1 - sum_(i >= 1, u) b_(i,u) x^u
+    t^(i+1)) has a nonzero t^j coefficient; all -1 where it has none.  The
+    bound's terms carry no sign, so a coefficient is nonzero exactly where
+    some product of terms lands.  Serre's inequality holds multidegree by
+    multidegree for a monomial ring (the Eagon resolution is multigraded),
+    so every step-j generator of the residue field's resolution lies in
+    box j."""
+    nv = ideal.n_vars
+    terms = [(i + 1, u) for (i, u), _ in betti(ideal, field).multigraded if i >= 1]
+    tops = [(0,) * nv]  # per t-degree k, the box of the products of terms; None if none
+    for k in range(1, n + 1):
+        ends = [tuple(map(add, tops[k - s], u)) for s, u in terms if s <= k and tops[k - s]]
+        tops.append(tuple(map(max, zip(*ends))) if ends else None)
+    boxes = []
+    for j in range(n + 1):
+        # j - k of the t's come from distinct variables, each raising its x by one
+        ends = [tuple(x + (k < j) for x in tops[k]) for k in range(j + 1)
+                if tops[k] and j - k <= nv]
+        boxes.append(tuple(map(max, zip(*ends))) if ends else (-1,) * nv)
+    return boxes
+
+
 def reference_p_series(ideal, field, n):
-    """The resolution-side series with no box: the generators each step finds
-    are counted directly, as ``p_series`` did before it read P off the lcm
-    box, and checked against the bigraded bound (``q_bigraded``).
+    """The resolution-side series with no lcm box: the generators each step
+    finds are counted directly, as ``p_series`` did before it read P off the
+    lcm box, and checked against the bigraded bound (``q_bigraded``).
     ``p_series`` must match its coefficients and report.
 
     Step j walks its multidegrees up to ``reach[j]``, the largest internal
-    degree where the bound is nonzero at step j: by Serre's inequality no
-    step-j generator lies above it.  So above it the kernel of step j has
-    dim K(u) = dim F_u - dim K'(u), counted without elimination up to the
-    highest degree a later step walks."""
+    degree where the bound is nonzero at step j, and inside ``boxes[j]``
+    (``serre_boxes``): by Serre's inequality no step-j generator lies
+    outside either.  Outside that walk, the kernel of step j has
+    dim K(u) = dim F_u - dim K'(u), counted without elimination wherever a
+    later step walks or counts."""
     if n < 0:
         raise ValueError("truncation order must be non-negative")
     if n == 0:
@@ -647,9 +674,9 @@ def reference_p_series(ideal, field, n):
     qtable = q_bigraded(ideal, field, n)
     nv = ideal.n_vars
     reach = [max(qtable.get(j, {0: 0})) for j in range(n + 1)]
-    top = max(reach)
-    by_degree, is_std = std_table(ideal, top)
-    everywhere = (top,) * nv  # a box around every multidegree the table reaches
+    boxes = serre_boxes(ideal, field, n)
+    later = [tuple(map(max, zip(*boxes[j:]))) for j in range(n + 1)]  # where steps >= j look
+    by_degree, is_std = std_table(ideal, max(reach), later[1])
     gens = [e for v in range(nv) if (e := tuple(int(k == v) for k in range(nv))) in is_std]
     phi = [{(0, e): 1} for e in gens]
     coeffs = [1, len(gens)]
@@ -660,18 +687,20 @@ def reference_p_series(ideal, field, n):
             coeffs.append(0)
             steps.append(StepReport(j, 0, ()))
             continue
-        free, prev = gens, dims
+        free, prev, box = gens, dims, boxes[j]
         gens, phi, dims = series_engine._resolution_step(
-            field, (by_degree[:reach[j] + 1], is_std), everywhere, gens, phi, prev)
-        for d in range(reach[j] + 1, max(reach[j + 1:], default=0) + 1):
-            ranks = {}  # multidegree -> dim F_u
-            for dg in free:
-                for m in by_degree[d - sum(dg)] if sum(dg) <= d else ():
+            field, (by_degree[:reach[j] + 1], is_std), box, gens, phi, prev)
+        ranks = {}  # multidegree -> dim F_u, outside the walk and where a later step looks
+        for dg in free if j < n else ():
+            room = tuple(map(sub, later[j + 1], dg))
+            for d in range(sum(dg), max(reach[j + 1:]) + 1):
+                for m in by_degree[d - sum(dg)]:
                     u = tuple(map(add, dg, m))
-                    ranks[u] = ranks.get(u, 0) + 1
-            for u, f in ranks.items():
-                if k := f - ((u in is_std) if prev is None else prev.get(u, 0)):
-                    dims[u] = k
+                    if all(map(le, m, room)) and not (d <= reach[j] and all(map(le, u, box))):
+                        ranks[u] = ranks.get(u, 0) + 1
+        for u, f in ranks.items():
+            if k := f - ((u in is_std) if prev is None else prev.get(u, 0)):
+                dims[u] = k
         counts = {}
         for u in gens:
             counts[sum(u)] = counts.get(sum(u), 0) + 1

@@ -488,16 +488,50 @@ def test_search_keeps_its_time_budget_at_eight_generators():
     assert summary["budget_exhausted"] is True
 
 
-def _run_child(script):
+def _run_child(script, *flags):
     """Run ``script`` in a fresh interpreter, so that the collector's state
-    (frozen objects, automatic collection) is its own, not pytest's."""
+    (frozen objects, automatic collection) and its imports are its own, not
+    pytest's."""
     env = {**os.environ, "PYTHONPATH": str(Path(golod_lab.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
 PRODUCTS = '["products", "--example", "paper", "--format", "json"]'
+UNLOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "golod_lab.counterexample_search")
+
+
+def test_imports_load_neither_dataclasses_nor_the_search():
+    """Importing the package, and then its CLI, loads no ``dataclasses`` and
+    nothing it pulls in, nor the search module no ``paper`` command runs.
+    The interpreter runs without ``site``, whose start-up files are not ours."""
+    _run_child(f"""
+import sys
+def loaded():
+    return sorted(sys.modules.keys() & set({UNLOADED!r}))
+import golod_lab
+assert not loaded(), loaded()
+import golod_lab.cli
+assert not loaded(), loaded()
+""", "-S")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["pattern-check", "--example", "paper"], 0),
+    (["search", "--vars", "7", "--max-gens", "9", "--budget", "3"], 3),
+    (["search", "--vars", "3", "--max-gens", "3", "--budget", "5"], 0),
+])
+def test_search_commands_load_the_search_module_on_demand(argv, code):
+    _run_child(f"""
+import contextlib, io, sys
+from golod_lab import cli
+assert "golod_lab.counterexample_search" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+assert code == {code}, code
+assert "golod_lab.counterexample_search" in sys.modules
+""", "-S")
 
 
 def test_main_freezes_the_import_graph_once():

@@ -4,7 +4,6 @@ import random
 import time
 import tracemalloc
 import weakref
-from dataclasses import replace
 from itertools import combinations, islice
 
 import pytest
@@ -83,8 +82,9 @@ def test_pattern_check_reads_the_named_sharps():
     does naming a core generator (a, which divides lcm(bc, a))."""
     ideal, good = seed_pattern()
     sharps = ["ab_sharp_c_exists", "bc_sharp_a_exists", "ca_sharp_b_exists"]
-    swapped = replace(good, ab_sharp_c=5, bc_sharp_a=2, ca_sharp_b=2)
-    in_core = replace(good, ab_sharp_c=good.a, bc_sharp_a=good.a, ca_sharp_b=good.a)
+    swapped = RoleAssignment(**{**vars(good), "ab_sharp_c": 5, "bc_sharp_a": 2, "ca_sharp_b": 2})
+    in_core = RoleAssignment(**{**vars(good), "ab_sharp_c": good.a, "bc_sharp_a": good.a,
+                                "ca_sharp_b": good.a})
     for bad in (swapped, in_core):
         assert pattern_failures(pattern_check(ideal, bad)) == sharps, bad
 
@@ -97,7 +97,7 @@ def test_pattern_check_rejects_a_role_outside_the_generators():
         for index in (-1, ideal.n_gens):
             with pytest.raises(ValueError,
                                match=f"^role {role}={index}: generator index out of range 0..7$"):
-                pattern_check(ideal, replace(good, **{role: index}))
+                pattern_check(ideal, RoleAssignment(**{**vars(good), role: index}))
 
 
 def _pattern_check_by_supports(ideal, r):
@@ -144,7 +144,8 @@ def test_pattern_check_on_codes_matches_the_support_definition():
         ideal = MonomialIdeal(tuple(f"x{k}" for k in range(n)), tuple(gens))
         assignment = RoleAssignment(*(rng.randrange(ideal.n_gens) for _ in range(9)))
         if rng.random() < 0.5:
-            assignment = replace(assignment, ca_sharp_b=assignment.bc_sharp_a)
+            assignment = RoleAssignment(**{**vars(assignment),
+                                           "ca_sharp_b": assignment.bc_sharp_a})
         report = pattern_check(ideal, assignment)
         assert report == _pattern_check_by_supports(ideal, assignment), (ideal, assignment)
         seen.update(vars(report).items())
