@@ -30,9 +30,6 @@ from .series_engine import (
 from .simplicial import (
     SimplicialComplex,
     complex_of,
-    is_2_neighborly,
-    reduced_cohomology_dims,
-    restriction,
     skeleton,
     stanley_reisner_ideal,
 )

@@ -4,10 +4,11 @@ Exit codes: 0 for success (and mathematically positive answers), 1 for
 mathematically negative answers (nontrivial products, nonzero Massey class,
 NotGolod, series divergence), 2 for usage and parse errors, 3 for an
 exhausted search budget and for input too large to enumerate (``TooLarge``:
-a strand degree, complex or fiber past its bound; nothing on standard
-output), and 4 for a failed internal invariant (an ``AssertionError``,
-reported on one line of standard error).  ``--format json`` emits the same
-data as the text renderers.
+a strand degree, fiber complex, ``complex`` or ``sr`` input, lcm box
+(``series``, and ``golod`` on its box route) or text Betti table past its
+bound; nothing on standard output), and 4 for a failed internal invariant
+(an ``AssertionError``, reported on one line of standard error).
+``--format json`` emits the same data as the text renderers.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Every rank, kernel, and membership test in this package runs through this
 module, so there is deliberately no floating point anywhere.
 
 All elimination runs through one kernel, ``Echelon``, on sparse vectors:
-dicts ``key -> nonzero scalar``.  ``span`` builds the echelon of a list of
-columns, absorbed in the order given; its number of rows is their rank,
-and a vector lies in it exactly when it reduces to zero.
+dicts ``key -> nonzero scalar``.  ``Echelon.absorb`` adds one vector to a
+span, so absorbing columns in order gives their echelon: its number of
+rows is their rank, and a vector lies in it exactly when it reduces to zero.
 ``column_relations`` reduces columns given by key and returns their echelon
 and the relation of every dependent column, a kernel basis keyed by the
 caller's own column keys.  Callers that need coordinates tag each vector
@@ -221,10 +221,3 @@ def column_relations(field, columns, nrows):
             relations[k] = {t - nrows: x for t, x in v.items()}
     return ech, relations
 
-
-def span(field, columns):
-    """Echelon of the span of sparse columns (dicts key -> coeff, zeros allowed), in order."""
-    ech = Echelon(field)
-    for col in columns:
-        ech.absorb({k: x for k, x in col.items() if x != 0})
-    return ech

@@ -6,17 +6,17 @@ K - g0 has lcm below u, enumerated once per degree and kept.  The image of
 d_{i+1} has one untagged echelon of their boundaries, each built and
 absorbed when drawn, largest mask first: a column's least key then mostly
 lies below every lead so far, so it enters unreduced; no answer depends on
-the row basis.  ``dimension`` reads its rank, drained to the rows ``span``
-builds.  ``is_boundary`` absorbs columns only while the chain's residual is
-nonzero, reducing it again when a new row leads at its least key: that key
-is never a lead, and only a new row can make it one, so a residual nonzero
-after the last column is outside the span (each nonzero vector there has a
-lead as least key).  Each d_j is eliminated at most once more, on the same
-columns tagged ``top + m`` in ascending order, for its kernel and the
-printed pivot solutions of d_j x = z, which so come out as chains.  The
-representatives are the kernel vectors of d_i that greedily extend a
-shallow copy of the image echelon, and that extended echelon gives a
-cycle's coordinates.
+the row basis.  ``dimension`` reads its rank, drained to the rows that
+absorbing every column in that order gives.  ``is_boundary`` absorbs
+columns only while the chain's residual is nonzero, reducing it again when
+a new row leads at its least key: that key is never a lead, and only a new
+row can make it one, so a residual nonzero after the last column is
+outside the span (each nonzero vector there has a lead as least key).
+Each d_j is eliminated at most once more, on the same columns tagged
+``top + m`` in ascending order, for its kernel and the printed pivot
+solutions of d_j x = z, which so come out as chains.  The representatives
+are the kernel vectors of d_i that greedily extend a shallow copy of the
+image echelon, and that extended echelon gives a cycle's coordinates.
 
 A cone cell K = J + g0 whose face J has lcm u is *matched* (the Morse
 matching K <-> K - g0 of Batzies & Welker 2002; the algebraic Morse complex
@@ -170,7 +170,7 @@ class StrandHomology:
         return self._images[i]
 
     def _image(self, i):
-        """The critical image rows of d_{i+1}: ``span`` of the cone, largest mask first."""
+        """The critical image rows of d_{i+1}: the echelon of the cone, largest mask first."""
         ech, new_rows = self._pending(i)
         for _ in new_rows:
             pass
@@ -354,10 +354,10 @@ class BettiData(Record):
     """Multigraded and coarse Betti numbers of the quotient ring; ``multigraded``
     holds the nonzero ones as sorted ((i, multidegree), dim) pairs."""
 
-    __slots__ = _fields = ("field", "n_vars", "multigraded")
+    __slots__ = _fields = ("field", "multigraded")
 
-    def __init__(self, field, n_vars, multigraded):
-        self._fill(field, n_vars, multigraded)
+    def __init__(self, field, multigraded):
+        self._fill(field, multigraded)
 
     @property
     def coarse(self):
@@ -416,5 +416,5 @@ def betti(ideal, field):
             if d:
                 entries[(i, tuple(u))] = d
     ordered = tuple(sorted(entries.items(), key=lambda kv: (kv[0][0], kv[0][1])))
-    return BettiData(field, ideal.n_vars, ordered)
+    return BettiData(field, ordered)
 

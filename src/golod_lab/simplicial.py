@@ -1,18 +1,19 @@
-"""Simplicial complexes with ghost vertices and their reduced cochain algebra.
+"""Simplicial complexes with ghost vertices, their skeleta and Stanley-Reisner
+translation, and the complex text format.
 
 A complex stores an ordered vertex set independently of its faces, so a
 vertex may belong to no face at all (a "ghost").  Fiber complexes of
-multidegree strands need this.  Orientation is fixed by the vertex order:
-faces are written with vertices ascending and coboundary signs come from
-insertion position parity.  Face and non-face scans cover 2^n subsets:
+multidegree strands need this.  Faces are written with vertices in the
+order of the vertex set.  Face and non-face scans cover 2^n subsets:
 past ``_ENUMERATION_LIMIT`` vertices they raise ``TooLarge`` (CLI exit 3).
+The reduced cochain complexes the strands are checked against, with
+restriction and the 2-neighborly test, are in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .exact_linalg import span
 from .monomial_core import Monomial, MonomialIdeal, TooLarge
 from .record import Record
 
@@ -62,13 +63,6 @@ class SimplicialComplex(Record):
         return not self.facets
 
     @property
-    def dim(self):
-        """Dimension; -1 for the empty-face-only complex, None for void."""
-        if self.is_void:
-            return None
-        return max(len(f) for f in self.facets) - 1
-
-    @property
     def ghost_vertices(self):
         used = set().union(*self.facets) if self.facets else set()
         return tuple(v for v in self.vertices if v not in used)
@@ -76,30 +70,6 @@ class SimplicialComplex(Record):
     def has_face(self, s):
         s = frozenset(s)
         return any(s <= f for f in self.facets)
-
-    def faces_of_dim(self, k):
-        """Faces of dimension k, sorted by vertex order (k = -1 is the empty face)."""
-        if self.is_void:
-            return []
-        if k == -1:
-            return [frozenset()]
-        index = {v: i for i, v in enumerate(self.vertices)}
-        seen = set()
-        for f in self.facets:
-            for c in combinations(sorted(f, key=index.get), k + 1):
-                seen.add(frozenset(c))
-        return sorted(seen, key=lambda f: sorted(index[v] for v in f))
-
-
-def restriction(cx, vertex_subset):
-    """Full subcomplex on the given vertices (which become the vertex set)."""
-    u = set(vertex_subset)
-    if not u <= set(cx.vertices):
-        raise ValueError("restriction vertices are not a subset of the vertex set")
-    verts = tuple(v for v in cx.vertices if v in u)
-    if cx.is_void:
-        return SimplicialComplex(verts, ())
-    return SimplicialComplex.from_facets(verts, [f & u for f in cx.facets])
 
 
 def skeleton(cx, k):
@@ -118,11 +88,6 @@ def skeleton(cx, k):
                 frozenset(c) for c in combinations(sorted(f, key=index.get), k + 1)
             )
     return SimplicialComplex.from_facets(cx.vertices, facets)
-
-
-def is_2_neighborly(cx):
-    """Every pair of vertices (ghosts included) spans an edge."""
-    return all(cx.has_face(p) for p in combinations(cx.vertices, 2))
 
 
 def stanley_reisner_ideal(cx):
@@ -175,68 +140,6 @@ def complex_of(ideal):
             faces.append(cset)
     facets = [frozenset(ideal.variables[i] for i in f) for f in faces]
     return SimplicialComplex.from_facets(ideal.variables, facets)
-
-
-class CochainComplex:
-    """Reduced simplicial cochain complex, the same over every field.
-
-    Degree -1 is the empty face.  ``delta(i)`` gives the coboundary from
-    i-cochains to (i+1)-cochains as sparse columns, rows indexed by the
-    (i+1)-faces.
-    """
-
-    def __init__(self, cx):
-        self.complex = cx
-        d = cx.dim
-        self.top = -2 if d is None else d
-        self._faces = {}
-        self._index = {}
-        for k in range(-1, self.top + 1):
-            faces = cx.faces_of_dim(k)
-            self._faces[k] = faces
-            self._index[k] = {f: i for i, f in enumerate(faces)}
-
-    def faces(self, k):
-        return self._faces.get(k, [])
-
-    def n_faces(self, k):
-        return len(self.faces(k))
-
-    def delta(self, i):
-        """Sparse columns of the coboundary C^i -> C^(i+1).
-
-        Column j is the coboundary of the j-th i-face, a map ``row index ->
-        sign`` with int signs +-1 over every field, as the strand boundaries.
-        """
-        vorder = {v: j for j, v in enumerate(self.complex.vertices)}
-        dst_index = self._index.get(i + 1, {})
-        columns = []
-        for f in self.faces(i):
-            col = {}
-            for v in self.complex.vertices:
-                r = dst_index.get(f | {v})  # None for v in f: f is no (i+1)-face
-                if r is not None:
-                    pos = sum(1 for w in f if vorder[w] < vorder[v])
-                    col[r] = -1 if pos % 2 else 1
-            columns.append(col)
-        return columns
-
-
-def reduced_cochain_complex(cx):
-    if cx.is_void:
-        raise ValueError("void complex has no reduced cochain complex")
-    return CochainComplex(cx)
-
-
-def reduced_cohomology_dims(cx, field):
-    """Reduced cohomology dimensions as a map degree -> dim, degrees -1..dim."""
-    cc = reduced_cochain_complex(cx)
-    ranks = {i: len(span(field, cc.delta(i)).rows) for i in range(-1, cc.top + 1)}
-    dims = {}
-    for i in range(-1, cc.top + 1):
-        below = ranks.get(i - 1, 0)
-        dims[i] = cc.n_faces(i) - ranks[i] - below
-    return dims
 
 
 def parse_complex(text):

@@ -7,7 +7,7 @@ from operator import add, le, or_, sub
 
 import pytest
 
-from golod_lab.exact_linalg import QQ, Echelon, column_relations, span
+from golod_lab.exact_linalg import QQ, Echelon, column_relations
 from golod_lab.homology_engine import HomologyClass, StrandHomology, _freeze_chain, betti, strand
 from golod_lab.massey_golod import chain_product
 from golod_lab.monomial_core import (
@@ -24,7 +24,7 @@ from golod_lab.series_engine import (
     SeriesTrunc,
     StepReport,
 )
-from golod_lab.simplicial import complex_of, reduced_cochain_complex, skeleton, stanley_reisner_ideal
+from golod_lab.simplicial import SimplicialComplex, complex_of, skeleton, stanley_reisner_ideal
 from golod_lab.taylor_dga import (
     fiber_vertex_labels,
     generators_below,
@@ -157,6 +157,14 @@ def in_span(ech, vec):
     the span of the echelon ``ech``."""
     of = ech.field.of
     return not ech.reduce({k: y for k, x in vec.items() if (y := of(x))})
+
+
+def span(field, columns):
+    """Echelon of the span of sparse columns (dicts key -> coeff, zeros allowed), in order."""
+    ech = Echelon(field)
+    for col in columns:
+        ech.absorb({k: x for k, x in col.items() if x != 0})
+    return ech
 
 
 def absorbed_columns(monkeypatch):
@@ -387,6 +395,113 @@ def ref_quotient(field, cycles, boundaries, v):
     cols = list(boundaries) + [cycles[i] for i in ref_extend(field, boundaries, cycles, len(v))]
     x = ref_solve(field, rows_of([dict(enumerate(c)) for c in cols], len(v)), len(cols), v)
     return None if x is None else x[len(boundaries):]
+
+
+# ---------------------------------------------------------------------------
+# the reduced cochain algebra of a simplicial complex: the fiber model the
+# strands are checked against, and the paper's 2-neighborly criterion
+#
+# Orientation is fixed by the vertex order: faces are written with vertices
+# ascending and coboundary signs come from insertion position parity.
+
+
+def complex_dim(cx):
+    """Dimension; -1 for the empty-face-only complex, None for void."""
+    if cx.is_void:
+        return None
+    return max(len(f) for f in cx.facets) - 1
+
+
+def faces_of_dim(cx, k):
+    """Faces of dimension k, sorted by vertex order (k = -1 is the empty face)."""
+    if cx.is_void:
+        return []
+    if k == -1:
+        return [frozenset()]
+    index = {v: i for i, v in enumerate(cx.vertices)}
+    seen = set()
+    for f in cx.facets:
+        for c in combinations(sorted(f, key=index.get), k + 1):
+            seen.add(frozenset(c))
+    return sorted(seen, key=lambda f: sorted(index[v] for v in f))
+
+
+def restriction(cx, vertex_subset):
+    """Full subcomplex on the given vertices (which become the vertex set)."""
+    u = set(vertex_subset)
+    if not u <= set(cx.vertices):
+        raise ValueError("restriction vertices are not a subset of the vertex set")
+    verts = tuple(v for v in cx.vertices if v in u)
+    if cx.is_void:
+        return SimplicialComplex(verts, ())
+    return SimplicialComplex.from_facets(verts, [f & u for f in cx.facets])
+
+
+def is_2_neighborly(cx):
+    """Every pair of vertices (ghosts included) spans an edge."""
+    return all(cx.has_face(p) for p in combinations(cx.vertices, 2))
+
+
+class CochainComplex:
+    """Reduced simplicial cochain complex, the same over every field.
+
+    Degree -1 is the empty face.  ``delta(i)`` gives the coboundary from
+    i-cochains to (i+1)-cochains as sparse columns, rows indexed by the
+    (i+1)-faces.
+    """
+
+    def __init__(self, cx):
+        self.complex = cx
+        d = complex_dim(cx)
+        self.top = -2 if d is None else d
+        self._faces = {}
+        self._index = {}
+        for k in range(-1, self.top + 1):
+            faces = faces_of_dim(cx, k)
+            self._faces[k] = faces
+            self._index[k] = {f: i for i, f in enumerate(faces)}
+
+    def faces(self, k):
+        return self._faces.get(k, [])
+
+    def n_faces(self, k):
+        return len(self.faces(k))
+
+    def delta(self, i):
+        """Sparse columns of the coboundary C^i -> C^(i+1).
+
+        Column j is the coboundary of the j-th i-face, a map ``row index ->
+        sign`` with int signs +-1 over every field, as the strand boundaries.
+        """
+        vorder = {v: j for j, v in enumerate(self.complex.vertices)}
+        dst_index = self._index.get(i + 1, {})
+        columns = []
+        for f in self.faces(i):
+            col = {}
+            for v in self.complex.vertices:
+                r = dst_index.get(f | {v})  # None for v in f: f is no (i+1)-face
+                if r is not None:
+                    pos = sum(1 for w in f if vorder[w] < vorder[v])
+                    col[r] = -1 if pos % 2 else 1
+            columns.append(col)
+        return columns
+
+
+def reduced_cochain_complex(cx):
+    if cx.is_void:
+        raise ValueError("void complex has no reduced cochain complex")
+    return CochainComplex(cx)
+
+
+def reduced_cohomology_dims(cx, field):
+    """Reduced cohomology dimensions as a map degree -> dim, degrees -1..dim."""
+    cc = reduced_cochain_complex(cx)
+    ranks = {i: len(span(field, cc.delta(i)).rows) for i in range(-1, cc.top + 1)}
+    dims = {}
+    for i in range(-1, cc.top + 1):
+        below = ranks.get(i - 1, 0)
+        dims[i] = cc.n_faces(i) - ranks[i] - below
+    return dims
 
 
 # ---------------------------------------------------------------------------

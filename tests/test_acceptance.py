@@ -14,6 +14,7 @@ from conftest import (
     positional_columns,
     product_reduced,
     reduced_boundary,
+    reduced_cohomology_dims,
     ref_coprime,
 )
 from golod_lab.cli import main
@@ -29,12 +30,7 @@ from golod_lab.massey_golod import (
 )
 from golod_lab.monomial_core import counterexample_ideal, polarize
 from golod_lab.series_engine import p_series, q_series, series_compare
-from golod_lab.simplicial import (
-    complex_of,
-    reduced_cohomology_dims,
-    skeleton,
-    stanley_reisner_ideal,
-)
+from golod_lab.simplicial import complex_of, skeleton, stanley_reisner_ideal
 from golod_lab.counterexample_search import SearchStats, search
 from golod_lab.taylor_dga import fiber_complex, generators_below, lcm_lattice
 

@@ -18,6 +18,7 @@ from conftest import (
     ref_rref,
     ref_solve,
     rows_of,
+    span,
     strand_cells,
 )
 from golod_lab.exact_linalg import (
@@ -28,7 +29,6 @@ from golod_lab.exact_linalg import (
     LinAlgError,
     column_relations,
     parse_field,
-    span,
 )
 from golod_lab.homology_engine import StrandHomology
 from golod_lab.monomial_core import counterexample_ideal

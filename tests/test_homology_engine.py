@@ -22,12 +22,14 @@ from conftest import (
     ref_quotient,
     ref_solve,
     reduced_boundary,
+    reduced_cohomology_dims,
     skeleton_ideal,
     rows_of,
+    span,
     strand_cells,
 )
 from golod_lab import homology_engine, taylor_dga
-from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, span
+from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon
 from golod_lab.homology_engine import (
     StrandHomology,
     betti,
@@ -42,11 +44,7 @@ from golod_lab.massey_golod import (
     ternary_massey_generators,
 )
 from golod_lab.monomial_core import MonomialIdeal, TooLarge, counterexample_ideal
-from golod_lab.simplicial import (
-    SimplicialComplex,
-    reduced_cohomology_dims,
-    stanley_reisner_ideal,
-)
+from golod_lab.simplicial import SimplicialComplex, stanley_reisner_ideal
 from golod_lab.taylor_dga import (
     fiber_complex,
     generators_below,

@@ -552,7 +552,7 @@ def test_box_deficit_rejects_p_above_q():
     # x^2 t^2, so P would exceed its Koszul bound there
     bd = betti(M2, QQ)
     assert _box_deficit(M2, QQ, bd) is None
-    doctored = BettiData(QQ, 2, tuple(e for e in bd.multigraded if e[0] != (1, (2, 0))))
+    doctored = BettiData(QQ, tuple(e for e in bd.multigraded if e[0] != (1, (2, 0))))
     with pytest.raises(AssertionError, match=r"P > Q at \(2, 0\), t\^2"):
         _box_deficit(M2, QQ, doctored)
 

@@ -32,8 +32,8 @@ RECORDS = [
     (HomologyClass,
      ("ideal", "field", "multidegree", "hom_degree", "representative", "coordinates"),
      ("I", "F", (1, 1), 1, ((3, 1),), (1,)), ("J", "G", (1, 2), 2, ((3, -1),), (2,))),
-    (BettiData, ("field", "n_vars", "multigraded"), ("F", 2, (((0, (0, 0)), 1),)),
-     ("G", 3, (((1, (1, 0)), 1),))),
+    (BettiData, ("field", "multigraded"), ("F", (((0, (0, 0)), 1),)),
+     ("G", (((1, (1, 0)), 1),))),
     (ProductWitness, ("alpha", "beta", "product_chain"), ("p", "q", ((7, 1),)), ("r", "s", ())),
     (MasseyResult, ("defined", "unique", "value_chain", "value_is_zero", "multidegree",
                     "hom_degree", "system", "obstruction"),
@@ -132,7 +132,7 @@ def test_reprs_are_pinned():
         PolarizationMap: "PolarizationMap(new_to_old=(0, 0, 1))",
         HomologyClass: "HomologyClass(ideal='I', field='F', multidegree=(1, 1), hom_degree=1, "
                        "representative=((3, 1),), coordinates=(1,))",
-        BettiData: "BettiData(field='F', n_vars=2, multigraded=(((0, (0, 0)), 1),))",
+        BettiData: "BettiData(field='F', multigraded=(((0, (0, 0)), 1),))",
         ProductWitness: "ProductWitness(alpha='p', beta='q', product_chain=((7, 1),))",
         MasseyResult: "MasseyResult(defined=True, unique=True, value_chain=((7, 1),), "
                       "value_is_zero=False, multidegree=(1, 1), hom_degree=2, system=((), ()), "

@@ -9,12 +9,15 @@ from conftest import (
     apply_columns,
     chain_to_cochain,
     cochain_vector,
+    complex_dim,
     cone_cells,
+    faces_of_dim,
     ideal_corpus,
     monomial_quotient,
     positional_columns,
     product_reduced,
     reduced_boundary,
+    reduced_cochain_complex,
     ref_generators_below,
     ref_lcm_lattice,
     ref_product,
@@ -34,12 +37,7 @@ from golod_lab.monomial_core import (
     parse_monomial,
     polarize,
 )
-from golod_lab.simplicial import (
-    complex_of,
-    reduced_cochain_complex,
-    skeleton,
-    stanley_reisner_ideal,
-)
+from golod_lab.simplicial import complex_of, skeleton, stanley_reisner_ideal
 from golod_lab.taylor_dga import (
     fiber_complex,
     generators_below,
@@ -372,7 +370,7 @@ def test_fiber_three_edges():
     cx = fiber_complex(EDGES, (1, 1, 1))
     # oracle: all 8 subsets checked by hand; complement must still reach xyz
     faces = {frozenset(), frozenset(["g0"]), frozenset(["g1"]), frozenset(["g2"])}
-    got = {f for k in range(-1, cx.dim + 1) for f in cx.faces_of_dim(k)}
+    got = {f for k in range(-1, complex_dim(cx) + 1) for f in faces_of_dim(cx, k)}
     assert got == faces
 
 
