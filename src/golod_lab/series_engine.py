@@ -35,13 +35,22 @@ generators appear, is the kernel eliminated, with its dimension checked
 against exactness.  The box is finite, so no internal-degree bound is needed;
 the steps stop at the order asked.  Its size is bounded instead: past
 ``_BOX_BOUND`` multidegrees ``box_series`` raises ``TooLarge``.
+
+The steps see every multidegree u <= w as one int (``_Packing``): variable
+k owns a field of w_k.bit_length() + 1 bits, variable 0 the highest, so int
+order is tuple order, the order generators are numbered in.  The top bit of
+each field is a guard bit, 0 in a packed multidegree, and G is their mask.
+Then g + m is one addition, m <= room is ((room | G) - m) & G == G (where
+m_k > room_k the field's own guard bit absorbs the borrow), and u - e_v is
+one subtraction, taken where v's field is nonzero.  The standard-monomial
+table is packed once per call; what ``box_series`` returns is on tuples.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, prod
-from operator import add, le, sub
+from operator import add, le
 
 from .exact_linalg import Echelon, column_relations
 from .homology_engine import betti
@@ -130,6 +139,31 @@ def _std_table(ideal, box):
 # the resolution engine
 
 
+class _Packing:
+    """Multidegrees u <= w packed into one int each.
+
+    Variable k owns a field of ``w_k.bit_length() + 1`` bits whose top bit,
+    its guard bit, is 0 in every packed multidegree; variable 0 owns the
+    highest field, so int order is tuple order.  ``guard`` is the mask of
+    the guard bits, and ``steps`` holds, per variable v with w_v > 0, the
+    mask of v's value bits and e_v packed, so u - e_v is taken only where
+    u_v > 0.
+    """
+
+    def __init__(self, w):
+        self.widths = [x.bit_length() for x in w]
+        self.shifts = [sum(self.widths[k + 1:]) + len(w) - k - 1 for k in range(len(w))]
+        self.guard = sum(1 << (s + b) for s, b in zip(self.shifts, self.widths))
+        self.steps = [((1 << (s + b)) - (1 << s), 1 << s)
+                      for s, b in zip(self.shifts, self.widths) if b]
+
+    def pack(self, u):
+        return sum(x << s for x, s in zip(u, self.shifts))
+
+    def unpack(self, p):
+        return tuple((p >> s) & ((1 << b) - 1) for s, b in zip(self.shifts, self.widths))
+
+
 class StepReport(Record):
     """The generators one resolution step found, with ``degrees`` their
     (internal degree, count) pairs."""
@@ -154,14 +188,12 @@ class ResolutionReport(Record):
         return "\n".join(lines)
 
 
-def _kernel_at(field, u, here, phi, is_std, dim):
-    """Kernel of the current map at multidegree u, from ``column_relations``.
+def _kernel_at(field, here, phi, is_std):
+    """Kernel of the current map at one multidegree, from ``column_relations``.
 
-    ``here``: generator index -> its standard monomial at u.  Returns the
+    ``here``: generator index -> its standard monomial there.  Returns the
     kernel vectors keyed by generator index, their scalars in ``Field.of``'s
-    format as the next eliminations read them.  ``dim`` is dim K(u) by
-    exactness; an elimination that does not confirm it is an
-    ``AssertionError``.
+    format as the next eliminations read them.
     """
     columns = {}
     row_keys = {}
@@ -169,13 +201,9 @@ def _kernel_at(field, u, here, phi, is_std, dim):
         col = columns[gi] = {}
         for (pj, me), c in phi[gi].items():
             # m * me is u - prev_degrees[pj]; dead when it leaves the ring
-            if tuple(map(add, m, me)) in is_std:
+            if m + me in is_std:
                 col[row_keys.setdefault(pj, len(row_keys))] = c
     _, relations = column_relations(field, columns, len(row_keys))
-    if len(relations) != dim:
-        raise AssertionError(
-            f"kernel at {u} has dimension {len(relations)}, exactness gives {dim}"
-        )
     return list(relations.values())
 
 
@@ -212,26 +240,29 @@ def _lift(field, here, dim, belows):
     return lifted
 
 
-def _resolution_step(field, std, box, gens, phi, prev):
+def _resolution_step(field, pk, std, box, gens, phi, prev):
     """One minimal-resolution step, multidegree by multidegree, inside the box.
 
-    ``std``: a table of the ring's standard monomials, per degree and as a
-    set, through the degree of ``box`` (``_std_table``); the step walks all
-    of it but keeps only the multidegrees u <= ``box``.
+    Every multidegree here is packed by ``pk`` (``_Packing``).  ``std``: a
+    table of the ring's standard monomials, per degree and as a set, through
+    the degree of ``box``; the step walks all of it but keeps only the
+    multidegrees u <= ``box``, which holds every generator.
     ``gens``: multidegrees of the current free module F's generators.
     ``phi``: per generator, the image as a map (previous gen index, exps) ->
     coeff.  ``prev``: the nonzero dimensions of the previous kernel K' by
     multidegree (None for K' = m), consumed here.  F is onto K' throughout
     the box, so dim K(u) = dim F_u - dim K'(u).  Lifts (``_lift``) reach
     dim K(u) except where new generators appear, and only there does
-    ``_kernel_at`` eliminate.
+    ``_kernel_at`` eliminate; a kernel whose dimension is not dim K(u) is an
+    ``AssertionError``.
 
     Returns (new generator multidegrees, new phi, the nonzero dimensions of
     K by multidegree).
     """
     by_degree, is_std = std
-    degrees = [sum(dg) for dg in gens]
-    rooms = [tuple(map(sub, box, dg)) for dg in gens]  # m fits when m <= room
+    guard = pk.guard
+    degrees = [sum(pk.unpack(g)) for g in gens]
+    rooms = [(box - g) | guard for g in gens]  # m fits when room - m keeps every guard bit
 
     def dim_prev(u):
         return (u in is_std) if prev is None else prev.pop(u, 0)
@@ -242,12 +273,12 @@ def _resolution_step(field, std, box, gens, phi, prev):
     new_phi = []
     for d in range(min(degrees), len(by_degree)):
         layer = {}  # multidegree -> {generator index: its standard monomial there}
-        for gi, dg in enumerate(gens):
+        for gi, g in enumerate(gens):
             if degrees[gi] <= d:
                 room = rooms[gi]
                 for m in by_degree[d - degrees[gi]]:
-                    if all(map(le, m, room)):
-                        layer.setdefault(tuple(map(add, dg, m)), {})[gi] = m
+                    if (room - m) & guard == guard:
+                        layer.setdefault(g + m, {})[gi] = m
         below, kernels = kernels, {}  # lifts come from one degree down only
         for u in sorted(layer):
             here = layer.pop(u)  # popping lowers peak memory
@@ -256,10 +287,14 @@ def _resolution_step(field, std, box, gens, phi, prev):
                 continue
             dims[u] = dim
             lifted = _lift(field, here, dim, [
-                b for v in range(len(u)) if (b := below.get(u[:v] + (u[v] - 1,) + u[v + 1:]))
+                b for bits, unit in pk.steps if u & bits and (b := below.get(u - unit))
             ])
             if len(lifted.rows) < dim:  # new generators at u
-                for vec in _kernel_at(field, u, here, phi, is_std, dim):
+                kernel = _kernel_at(field, here, phi, is_std)
+                if len(kernel) != dim:
+                    raise AssertionError(f"kernel at {pk.unpack(u)} has dimension "
+                                         f"{len(kernel)}, exactness gives {dim}")
+                for vec in kernel:
                     if lifted.absorb(vec):
                         new_gens.append(u)
                         new_phi.append({(gi, here[gi]): c for gi, c in vec.items()})
@@ -290,19 +325,21 @@ def box_series(ideal, field, n):
     box = ideal.box
     if (size := prod(w + 1 for w in box)) > _BOX_BOUND:
         raise TooLarge(f"lcm box {box} has {size:,} multidegrees, past {_BOX_BOUND:,}")
-    std = _std_table(ideal, box)
+    pk = _Packing(box)
+    by_degree = [list(map(pk.pack, ms)) for ms in _std_table(ideal, box)[0]]
+    std = by_degree, set(chain.from_iterable(by_degree))
     # first syzygy module of the residue field is the irrelevant ideal
     support = [v for v in range(nv) if box[v]]
-    gens = [e for v in support if (e := tuple(int(k == v) for k in range(nv))) in std[1]]
+    gens = [e for v in support if (e := 1 << pk.shifts[v]) in std[1]]
     phi = [{(0, e): 1} for e in gens]
-    levels = [{(0,) * nv: 1}, dict.fromkeys(gens, 1)][: n + 1]  # P_B: t^j -> {u: count}
+    levels = [{(0,) * nv: 1}, dict.fromkeys(map(pk.unpack, gens), 1)][: n + 1]  # P_B: t^j -> {u: count}
     dims = None  # K_1 = m: dimension 1 at each nonzero standard monomial
     for j in range(2, n + 1):
         if not gens:
             break
-        gens, phi, dims = _resolution_step(field, std, box, gens, phi, dims)
+        gens, phi, dims = _resolution_step(field, pk, std, pk.pack(box), gens, phi, dims)
         level = {}
-        for u in gens:
+        for u in map(pk.unpack, gens):
             level[u] = level.get(u, 0) + 1
         levels.append(level)
     levels += [{}] * (n + 1 - len(levels))

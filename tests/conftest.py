@@ -770,6 +770,17 @@ def serre_boxes(ideal, field, n):
     return boxes
 
 
+def step_codec(pk, gens, phi, dims, code):
+    """The generators, images and kernel dimensions that
+    ``series_engine._resolution_step`` takes and returns, each multidegree
+    mapped by ``code``: ``pk.pack`` from exponent tuples, ``pk.unpack`` back."""
+    return (
+        [code(u) for u in gens],
+        [{(pj, code(m)): c for (pj, m), c in image.items()} for image in phi],
+        None if dims is None else {code(u): k for u, k in dims.items()},
+    )
+
+
 def reference_p_series(ideal, field, n):
     """The resolution-side series with no lcm box: the generators each step
     finds are counted directly, as ``p_series`` did before it read P off the
@@ -792,6 +803,8 @@ def reference_p_series(ideal, field, n):
     boxes = serre_boxes(ideal, field, n)
     later = [tuple(map(max, zip(*boxes[j:]))) for j in range(n + 1)]  # where steps >= j look
     by_degree, is_std = std_table(ideal, max(reach), later[1])
+    pk = series_engine._Packing(later[1])  # every multidegree below lies in later[1]
+    packed = [list(map(pk.pack, ms)) for ms in by_degree], set(map(pk.pack, is_std))
     gens = [e for v in range(nv) if (e := tuple(int(k == v) for k in range(nv))) in is_std]
     phi = [{(0, e): 1} for e in gens]
     coeffs = [1, len(gens)]
@@ -803,8 +816,10 @@ def reference_p_series(ideal, field, n):
             steps.append(StepReport(j, 0, ()))
             continue
         free, prev, box = gens, dims, boxes[j]
-        gens, phi, dims = series_engine._resolution_step(
-            field, (by_degree[:reach[j] + 1], is_std), box, gens, phi, prev)
+        out = series_engine._resolution_step(
+            field, pk, (packed[0][:reach[j] + 1], packed[1]), pk.pack(box),
+            *step_codec(pk, gens, phi, prev, pk.pack))
+        gens, phi, dims = step_codec(pk, *out, pk.unpack)
         ranks = {}  # multidegree -> dim F_u, outside the walk and where a later step looks
         for dg in free if j < n else ():
             room = tuple(map(sub, later[j + 1], dg))

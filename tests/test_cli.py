@@ -589,6 +589,54 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+ALL_COMMANDS = "{betti,products,massey3,golod,series,polarize,fiber,complex,sr,skeleton,pattern-check,search}"
+
+
+def _parse_exit(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("flag, code", [("--help", 0), ("--no-such-flag", 2)])
+@pytest.mark.parametrize("command", [c[0] for c in cli.COMMANDS])
+def test_narrowed_parser_prints_what_the_full_parser_does(capsys, monkeypatch, command, flag, code):
+    """``main`` builds only the named subcommand's parser; its help, and its
+    usage error with the usage line that lists every subcommand, are the
+    full parser's, byte for byte."""
+    built = []
+    build = cli.build_parser
+
+    def recording(*args):
+        ap = build(*args)
+        built.append(sorted(ap._subparsers._group_actions[0].choices))
+        return ap
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    narrowed = _parse_exit(capsys, main, [command, flag])
+    assert built == [[command]]
+    assert narrowed == _parse_exit(capsys, build().parse_args, [command, flag])
+    assert narrowed[0] == code
+    if flag != "--help":  # unless a required option is missing first
+        assert ALL_COMMANDS in narrowed[2] or "arguments are required: --" in narrowed[2]
+
+
+@pytest.mark.parametrize("argv, stream, line", [
+    ([], 2, "golod-lab: error: the following arguments are required: command"),
+    (["--help"], 1, "pattern search for trivial-product non-Golod ideals"),
+    (["nosuch"], 2, "golod-lab: error: argument command: invalid choice: 'nosuch' (choose from 'betti',"),
+])
+def test_top_level_usage_builds_every_subcommand(capsys, argv, stream, line):
+    """With no command, ``--help`` or an unknown command, ``main`` prints
+    what the full parser prints, naming the action ``command``."""
+    got = _parse_exit(capsys, main, argv)
+    assert got == _parse_exit(capsys, cli.build_parser().parse_args, argv)
+    assert got[0] == (0 if argv == ["--help"] else 2)
+    assert ALL_COMMANDS in got[stream] and line in got[stream]
+
+
 def test_complex_with_unknown_vertex_is_a_parse_error(tmp_path):
     # run as a process, so an uncaught exception would show as a traceback
     cx = tmp_path / "bad.cx"

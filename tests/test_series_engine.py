@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb
 from operator import add, le
 
@@ -14,6 +15,7 @@ from conftest import (
     ref_divides,
     reference_p_series,
     std_table,
+    step_codec,
 )
 from golod_lab import homology_engine, series_engine
 from golod_lab.exact_linalg import GF2, GF3, QQ, Echelon, column_relations
@@ -30,6 +32,14 @@ from golod_lab.series_engine import (
 )
 
 M2 = MonomialIdeal.from_strings(("x", "y"), ["x^2", "x*y", "y^2"])
+# lcm boxes whose exponents sit at the edges of the packed field widths
+EDGE_IDEALS = [
+    MonomialIdeal.from_strings(tuple("xyzwv"), ["x*y^3", "y^2*z^4", "z*w^7", "w^2*v^8"]),
+    MonomialIdeal.from_strings(tuple("xyz"), ["x^3*y", "y^4*z", "x*z^7"]),
+    MonomialIdeal.from_strings(tuple("xy"), ["x^8", "x*y^3", "y^4"]),
+    MonomialIdeal.from_strings(tuple("xyzw"), ["x^7*y", "y^8", "z*w", "x^4*w^3"]),
+    MonomialIdeal.from_strings(tuple("xyz"), ["x^8*y", "y^7*z^3", "x*z^4"]),
+]
 
 
 def test_expand_rational_trivial():
@@ -151,6 +161,30 @@ def test_p_series_matches_the_unboxed_resolution(example_ideal):
         got, want = p_series(example_ideal, field, 6), reference_p_series(example_ideal, field, 6)
         assert got == want and got[1].describe() == want[1].describe(), field
         assert got[0].coeffs == (1, 5, 18, 64, 227, 805, 2855)
+    # box exponents at the edges of the packed fields' widths (1, 3 | 4, 7 | 8)
+    for ideal, n in ((EDGE_IDEALS[0], 4), *((i, 5) for i in EDGE_IDEALS[1:])):
+        assert set(ideal.box) <= {1, 3, 4, 7, 8}, ideal.box
+        got, want = p_series(ideal, QQ, n), reference_p_series(ideal, QQ, n)
+        assert got == want and got[1].describe() == want[1].describe(), ideal
+
+
+@pytest.mark.parametrize("box", [(1, 3, 4), (8, 0, 7), (7, 1, 8, 3), (4, 0, 1)])
+def test_packed_multidegrees_keep_order_and_divisibility(box):
+    # every u <= box: int order is tuple order, unpack inverts pack, the
+    # guard-bit test of m <= room is the componentwise one on every pair,
+    # and u - e_v is taken exactly where u_v > 0
+    pk = series_engine._Packing(box)
+    box_tuples = list(product(*(range(w + 1) for w in box)))
+    packed = list(map(pk.pack, box_tuples))
+    assert packed == sorted(packed) and len(set(packed)) == len(packed)
+    assert list(map(pk.unpack, packed)) == box_tuples
+    for room, r in zip(box_tuples, packed):
+        for m, x in zip(box_tuples, packed):
+            assert (((r | pk.guard) - x) & pk.guard == pk.guard) == all(map(le, m, room))
+    support = [v for v, w in enumerate(box) if w]
+    for u, x in zip(box_tuples, packed):
+        down = [pk.unpack(x - unit) for mask, unit in pk.steps if x & mask]
+        assert down == [u[:v] + (u[v] - 1,) + u[v + 1:] for v in support if u[v]]
 
 
 def test_std_table_grows_only_inside_the_box(example_ideal):
@@ -378,11 +412,11 @@ def test_resolution_step_matches_reference(monkeypatch, example_ideal):
     for ideal, field, n in cases:
         steps = []
 
-        def checked(f, std, box, gens, phi, prev):
-            out = step(f, std, box, gens, phi, prev)
-            ref = _reference_step(ideal, f, box, gens, phi)
-            assert out[:2] == ref[:2], (ideal, field, n, len(steps) + 2)
-            steps.append(ref)
+        def checked(f, pk, std, box, gens, phi, prev):
+            out = step(f, pk, std, box, gens, phi, prev)
+            ref = _reference_step(ideal, f, pk.unpack(box), *step_codec(pk, gens, phi, None, pk.unpack)[:2])
+            assert step_codec(pk, *out, pk.unpack)[:2] == ref[:2], (ideal, field, n, len(steps) + 2)
+            steps.append(step_codec(pk, *ref, pk.pack))
             return out
 
         with monkeypatch.context() as m:
@@ -422,22 +456,24 @@ def test_p_series_eliminates_only_where_generators_appear(monkeypatch, example_i
     reduce = Echelon.reduce
     step = series_engine._resolution_step
 
-    def counting(field, u, *rest):
-        eliminated.append(u)
-        return kernel_at(field, u, *rest)
+    def counting(*args):
+        eliminated.append(1)
+        return kernel_at(*args)
 
     def counting_reduce(self, vec):
         reductions.append(1)
         return reduce(self, vec)
 
-    def visiting(field, std, box, gens, phi, prev):
+    def visiting(field, pk, std, box, gens, phi, prev):
         # every u = g + m in the box and within the table's degrees, m a
         # standard monomial
+        top = pk.unpack(box)
+        table = [list(map(pk.unpack, ms)) for ms in std[0]]
         visited.append(len({
-            u for g in gens for ms in std[0] for m in ms
-            if all(map(le, u := tuple(map(add, g, m)), box)) and sum(u) < len(std[0])
+            u for g in map(pk.unpack, gens) for ms in table for m in ms
+            if all(map(le, u := tuple(map(add, g, m)), top)) and sum(u) < len(table)
         }))
-        return step(field, std, box, gens, phi, prev)
+        return step(field, pk, std, box, gens, phi, prev)
 
     monkeypatch.setattr(series_engine, "_kernel_at", counting)
     monkeypatch.setattr(Echelon, "reduce", counting_reduce)
@@ -455,22 +491,23 @@ def test_resolution_step_checks_known_dimensions(monkeypatch):
     calls = []
     step = series_engine._resolution_step
 
-    def recording(field, std, box, gens, phi, prev):
-        calls.append((field, std, box, gens, phi, None if prev is None else dict(prev)))
-        return step(field, std, box, gens, phi, prev)
+    def recording(field, pk, std, box, gens, phi, prev):
+        calls.append((field, pk, std, box, gens, phi, None if prev is None else dict(prev)))
+        return step(field, pk, std, box, gens, phi, prev)
 
     monkeypatch.setattr(series_engine, "_resolution_step", recording)
     assert p_series(M2, QQ, 3)[0].coeffs == (1, 2, 4, 8)
-    field, std, box, gens, phi, prev = calls[1]  # step 3, after K_2's dimensions
-    assert box == (2, 2)
-    assert step(field, std, box, gens, phi, dict(prev))[0].count((1, 2)) == 3
+    field, pk, std, box, gens, phi, prev = calls[1]  # step 3, after K_2's dimensions
+    assert pk.unpack(box) == (2, 2)
+    u = pk.pack((1, 2))
+    assert step(field, pk, std, box, gens, phi, dict(prev))[0].count(u) == 3
     # three new generators at (1, 2): raising dim K_2 there by 1 claims one
     # kernel dimension too few, which still leaves the lifts short, so the
     # kernel is eliminated there and contradicts it
     wrong = dict(prev)
-    wrong[(1, 2)] = wrong.get((1, 2), 0) + 1
+    wrong[u] = wrong.get(u, 0) + 1
     with pytest.raises(AssertionError, match=r"kernel at \(1, 2\)"):
-        step(field, std, box, gens, phi, wrong)
+        step(field, pk, std, box, gens, phi, wrong)
 
 
 def test_p_series_does_not_hash_the_ideal(monkeypatch, example_ideal):
