@@ -9,14 +9,24 @@ a strand degree, fiber complex, ``complex`` or ``sr`` input, lcm box
 bound; nothing on standard output), and 4 for a failed internal invariant
 (an ``AssertionError``, reported on one line of standard error).
 ``--format json`` emits the same data as the text renderers.
+
+Each subcommand's options are data in ``COMMANDS``, read by two parsers.
+A plain argv (a command, then only full option names, each at most once
+and each followed by a value that does not start with ``-`` unless it is a
+``store_true`` flag, every value converting and in its choices, the
+required options present and at most one of an exclusive group) is read by
+``_plain_args``, without importing argparse.  Every other argv (``--help``,
+usage errors, abbreviations, ``--opt=value``, repeats, ``--``) goes to
+argparse, through ``build_parser``, which is the one source of help text
+and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
+from types import SimpleNamespace
 
 from . import massey_golod as mg
 from . import series_engine as se
@@ -96,26 +106,29 @@ def _non_negative(convert, what):
         try:
             x = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} value: {text!r}"
-            ) from None
-        if not x >= 0:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"{what} must be non-negative")
-        return x
+            message = f"invalid {convert.__name__} value: {text!r}"
+        else:
+            if x >= 0:  # also rejects nan
+                return x
+            message = f"{what} must be non-negative"
+        from argparse import ArgumentTypeError  # only a bad value imports argparse
+
+        raise ArgumentTypeError(message)
 
     return parse
 
 
-def _add_common(p, ideal_input=True):
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    if ideal_input:
-        p.add_argument("--example", help="built-in ideal preset (paper)")
-        p.add_argument("--ideal", help="ideal file")
-
-
-def _with_field(p, ideal_input=True):
-    _add_common(p, ideal_input)
-    p.add_argument("--field", default="q", help="coefficients: q or fp:<prime>")
+# an option: (flag, add_argument keywords); "exclusive" is not an argparse
+# keyword but marks the members of the command's one mutually exclusive group
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_COMMON = (
+    _FORMAT,
+    ("--example", {"help": "built-in ideal preset (paper)"}),
+    ("--ideal", {"help": "ideal file"}),
+)
+_FIELD = ("--field", {"default": "q", "help": "coefficients: q or fp:<prime>"})
+_WITH_FIELD = (*_COMMON, _FIELD)
+_COMPLEX = (_FORMAT, ("--complex", {"required": True, "help": "complex file"}))
 
 
 def cmd_betti(args):
@@ -433,67 +446,50 @@ def cmd_search(args):
     return 3 if stats.budget_exhausted and not stats.pattern_hits else 0
 
 
-def _massey3_args(p):
-    _with_field(p)
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--gens", help="three generators, e.g. m_a,m_b,m_c or 0,3,6")
-    which.add_argument("--all", action="store_true", help="check every ternary product")
-
-
-def _series_args(p):
-    _with_field(p)
-    p.add_argument("--trunc", type=_non_negative(int, "truncation order"), default=5)
-
-
-def _fiber_args(p):
-    _add_common(p)
-    p.add_argument("--mdeg", required=True, help="comma-separated multidegree")
-
-
-def _complex_args(p):
-    _add_common(p, ideal_input=False)
-    p.add_argument("--complex", required=True, help="complex file")
-
-
-def _skeleton_args(p):
-    _complex_args(p)
-    p.add_argument("--dim", type=int, required=True)
-
-
-def _pattern_check_args(p):
-    _add_common(p)
-    p.add_argument("--roles", help="e.g. a=0,b=3,c=6,ab=1,bc=4,ca=7,ab#c=2,bc#a=5,ca#b=5")
-
-
-def _search_args(p):
-    _with_field(p, ideal_input=False)
-    p.add_argument("--vars", type=_non_negative(int, "variable count"), required=True)
-    p.add_argument("--max-gens", type=_non_negative(int, "generator count"), required=True)
-    p.add_argument("--budget", type=_non_negative(int, "budget"), default=1000)
-    p.add_argument("--seconds", type=_non_negative(float, "seconds"), default=None)
-
-
-# the subcommands in help order: (name, help, run, add its arguments)
+# the subcommands in help order: (name, help, run, options)
 COMMANDS = (
-    ("betti", "multigraded and coarse Betti numbers", cmd_betti, _with_field),
-    ("products", "exhaustive binary product check", cmd_products, _with_field),
-    ("massey3", "ternary Massey products", cmd_massey3, _massey3_args),
-    ("golod", "decide the Golod property", cmd_golod, _with_field),
-    ("series", "resolution-side vs bound-side series", cmd_series, _series_args),
-    ("polarize", "polarize an ideal to a squarefree one", cmd_polarize, _add_common),
-    ("fiber", "fiber complex of a lattice multidegree", cmd_fiber, _fiber_args),
-    ("complex", "Stanley-Reisner complex of a squarefree ideal", cmd_complex, _add_common),
-    ("sr", "Stanley-Reisner ideal of a complex", cmd_sr, _complex_args),
-    ("skeleton", "skeleton of a complex", cmd_skeleton, _skeleton_args),
-    ("pattern-check", "role-pattern conditions on a squarefree ideal", cmd_pattern_check,
-     _pattern_check_args),
-    ("search", "pattern search for trivial-product non-Golod ideals", cmd_search, _search_args),
+    ("betti", "multigraded and coarse Betti numbers", cmd_betti, _WITH_FIELD),
+    ("products", "exhaustive binary product check", cmd_products, _WITH_FIELD),
+    ("massey3", "ternary Massey products", cmd_massey3, (
+        *_WITH_FIELD,
+        ("--gens", {"exclusive": True, "help": "three generators, e.g. m_a,m_b,m_c or 0,3,6"}),
+        ("--all", {"exclusive": True, "action": "store_true", "default": False,
+                   "help": "check every ternary product"}),
+    )),
+    ("golod", "decide the Golod property", cmd_golod, _WITH_FIELD),
+    ("series", "resolution-side vs bound-side series", cmd_series, (
+        *_WITH_FIELD,
+        ("--trunc", {"type": _non_negative(int, "truncation order"), "default": 5}),
+    )),
+    ("polarize", "polarize an ideal to a squarefree one", cmd_polarize, _COMMON),
+    ("fiber", "fiber complex of a lattice multidegree", cmd_fiber, (
+        *_COMMON, ("--mdeg", {"required": True, "help": "comma-separated multidegree"}),
+    )),
+    ("complex", "Stanley-Reisner complex of a squarefree ideal", cmd_complex, _COMMON),
+    ("sr", "Stanley-Reisner ideal of a complex", cmd_sr, _COMPLEX),
+    ("skeleton", "skeleton of a complex", cmd_skeleton, (
+        *_COMPLEX, ("--dim", {"type": int, "required": True}),
+    )),
+    ("pattern-check", "role-pattern conditions on a squarefree ideal", cmd_pattern_check, (
+        *_COMMON,
+        ("--roles", {"help": "e.g. a=0,b=3,c=6,ab=1,bc=4,ca=7,ab#c=2,bc#a=5,ca#b=5"}),
+    )),
+    ("search", "pattern search for trivial-product non-Golod ideals", cmd_search, (
+        _FORMAT,
+        _FIELD,
+        ("--vars", {"type": _non_negative(int, "variable count"), "required": True}),
+        ("--max-gens", {"type": _non_negative(int, "generator count"), "required": True}),
+        ("--budget", {"type": _non_negative(int, "budget"), "default": 1000}),
+        ("--seconds", {"type": _non_negative(float, "seconds"), "default": None}),
+    )),
 )
 
 
 def build_parser(command=None):
     """The parser of every subcommand, or, when ``command`` names one, of
     that one only; its usage line still lists them all."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="golod-lab",
         description="Koszul homology products, Massey products, and Golod decisions for monomial rings",
@@ -502,11 +498,55 @@ def build_parser(command=None):
     # an explicit metavar would rename the action in the errors only the full parser raises
     metavar = "{" + ",".join(c[0] for c in COMMANDS) + "}" if len(wanted) == 1 else None
     sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, run, configure in wanted:
+    for name, help_text, run, options in wanted:
         p = sub.add_parser(name, help=help_text)
-        configure(p)
+        group = None
+        for flag, keywords in options:
+            keywords = dict(keywords)
+            if keywords.pop("exclusive", False):
+                group = group or p.add_mutually_exclusive_group()
+                group.add_argument(flag, **keywords)
+            else:
+                p.add_argument(flag, **keywords)
         p.set_defaults(fn=run)
     return ap
+
+
+def _plain_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, when argv
+    is plain (see the module docstring); None otherwise."""
+    command = next((c for c in COMMANDS if argv and argv[0] == c[0]), None)
+    if command is None:
+        return None
+    options = dict(command[3])
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value declines like a dashed one
+        if text.startswith("-"):
+            return None
+        convert = keywords.get("type")
+        try:
+            value = convert(text) if convert else text
+        except Exception:  # argparse converts it again, and reports or raises
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    if any(k.get("required") and f not in given for f, k in options.items()):
+        return None
+    if sum(options[f].get("exclusive", False) for f in given) > 1:
+        return None
+    args = SimpleNamespace(command=command[0], fn=command[2])
+    for flag, keywords in options.items():
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, keywords.get("default")))
+    return args
 
 
 def main(argv=None):
@@ -519,16 +559,21 @@ def main(argv=None):
     Later calls freeze nothing, so the cyclic garbage of one call is still
     collected, as is everything a command makes.
 
-    Only the parser of the subcommand ``argv[0]`` names is built, so
-    ``series`` builds and parses in 3.9 ms cold instead of 5.2 (medians of
-    21 processes under ``python -S``); with no command, ``--help`` or an
-    unknown name all 12 are built.  The one-command parser's usage line
-    lists all 12, so every help text and usage error is unchanged.
+    A plain argv (see the module docstring), such as each command of the
+    ``paper`` benchmark, is read by ``_plain_args`` and never imports
+    argparse, whose first use (``gettext`` importing ``locale``, its
+    regexes, the first ``HelpFormatter``) and parser build cost a cold
+    command about 4.5 ms: ``betti --example paper`` runs ``main`` in
+    2.2 ms instead of 6.7 (medians of 21 processes under ``python -S``).
+    Any other argv is parsed by argparse with the parser of only the
+    subcommand ``argv[0]`` names; with no command, ``--help`` or an unknown
+    name all 12 are built.  The one-command parser's usage line lists all
+    12, so every help text and usage error is unchanged.
     """
     if not gc.get_freeze_count():
         gc.freeze()
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -635,6 +636,145 @@ def test_top_level_usage_builds_every_subcommand(capsys, argv, stream, line):
     assert got == _parse_exit(capsys, cli.build_parser().parse_args, argv)
     assert got[0] == (0 if argv == ["--help"] else 2)
     assert ALL_COMMANDS in got[stream] and line in got[stream]
+
+
+# valid values of each option that takes one
+VALUES = {
+    "--format": ["text", "json"], "--example": ["paper", "nope"], "--ideal": ["in.ideal", ""],
+    "--field": ["q", "fp:2", "fp:0"], "--gens": ["m_a,m_b,m_c", "0,3,6"],
+    "--trunc": ["0", "5", "007"], "--mdeg": ["1,2,1,2,3"], "--complex": ["in.cx"],
+    "--dim": ["4", "0"], "--roles": ["a=0,b=3", "ab#c=2"], "--vars": ["7", "0"],
+    "--max-gens": ["9"], "--budget": ["150", "0"], "--seconds": ["0.5", "1e-3", "inf"],
+}
+
+
+def _argv_forms(command):
+    """(argv, plain) pairs for ``command``: plain command lines in several
+    orders, and forms only argparse reads, each made from a plain one.  The
+    options, and which are required, store_true or exclusive, are argparse's."""
+    sub = cli.build_parser(command)._subparsers._group_actions[0].choices[command]
+    actions = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    exclusive = [a.option_strings[0] for g in sub._mutually_exclusive_groups
+                 for a in g._group_actions]
+    rng = random.Random(command)
+
+    def pair(a):
+        return [a.option_strings[0]] + ([] if a.nargs == 0 else [rng.choice(VALUES[a.option_strings[0]])])
+
+    forms = []
+    for k in range(6):  # the required options alone, every option, then random sets
+        chosen = actions if k == 1 else [a for a in actions if a.required or (k and rng.random() < 0.6)]
+        mutex = [a for a in chosen if a.option_strings[0] in exclusive]
+        chosen = [a for a in chosen if a not in mutex[1:]]
+        rng.shuffle(chosen)
+        forms.append(([command] + [t for a in chosen for t in pair(a)], True))
+    full = forms[1][0]  # every option that takes a value, and no store_true flag
+
+    def replaced(flag, value):
+        i = full.index(flag)
+        return full[:i + 1] + [value] + full[i + 2:]
+
+    declined = [
+        [command, f"{full[1]}={full[2]}", *full[3:]],
+        [command] + [t[:-1] if t.startswith("--") else t for t in full[1:]],
+        full + full[1:3],
+        full + ["--"],
+        [command, "--"] + full[1:],
+        full + ["-h"],
+        full + ["--help"],
+        replaced("--format", "xml"),
+        full + ["extra"],
+    ]
+    for a in actions:
+        flag = a.option_strings[0]
+        if a.required:
+            declined.append([t for i, t in enumerate(full) if flag not in full[i - 1:i + 1]])
+        if a.nargs == 0:  # full + [flag] gives both of massey3's exclusive options
+            declined += [full + [flag], [command, flag, flag], [command, flag, "x"]]
+        else:
+            declined.append(replaced(flag, "-" + VALUES[flag][0]))
+            if a.type is not None:
+                declined += [replaced(flag, bad) for bad in ("-1", "x", "nan", "")]
+    return forms + [(argv, False) for argv in declined]
+
+
+@pytest.mark.parametrize("command", [c[0] for c in cli.COMMANDS])
+def test_plain_parse_matches_argparse(capsys, monkeypatch, command):
+    """``main`` reads a plain argv without argparse into the namespace
+    argparse returns, and passes every other form to argparse, which
+    parses it or prints what the full parser prints."""
+    seen, built = [], []
+    build = cli.build_parser
+
+    def recorder(name):
+        def record(args):
+            seen.append((name, vars(args)))
+            return 0
+        return record
+
+    def recording(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        (name, help_text, recorder(name), options)
+        for name, help_text, run, options in cli.COMMANDS))
+    monkeypatch.setattr(cli, "build_parser", recording)
+    forms = _argv_forms(command)
+    for argv, plain in forms:
+        built.clear()
+        try:
+            want = vars(build().parse_args(argv))
+        except SystemExit as exc:
+            want = (exc.code, *capsys.readouterr())
+            assert _parse_exit(capsys, main, argv) == want, argv
+        else:
+            assert main(argv) == 0
+            assert seen.pop() == (command, want), argv
+        assert built == ([] if plain else [(command,)]), argv
+    assert 0 < sum(plain for _, plain in forms) < len(forms)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("field", ["q", "fp:2"])
+def test_benchmark_commands_never_build_the_parser(capsys, monkeypatch, tmp_path, field, seed):
+    """Every command of the paper benchmark's passes is plain: with
+    ``build_parser`` made to raise, it prints what it prints through
+    argparse, with the same exit code."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    def refuse(*args):
+        raise RuntimeError(f"argparse built for {args}")
+
+    for name, argv, code, check in workloads.paper_commands(field, seed, str(tmp_path / "in.ideal")):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_plain_args", lambda argv: None)
+            through_argparse = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", refuse)
+            assert run(capsys, *argv) == through_argparse
+        assert through_argparse[0] == code and not check(json.loads(through_argparse[1])), name
+
+
+def test_plain_command_imports_no_argparse():
+    """A plain command imports neither argparse nor what its first use
+    imports; a usage error does, through the argparse path."""
+    _run_child("""
+import contextlib, io, sys
+from golod_lab import cli
+def loaded():
+    return sorted(sys.modules.keys() & {"argparse", "gettext", "locale"})
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["betti", "--example", "paper", "--format", "json"]) == 0
+assert not loaded(), loaded()
+with contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(["betti", "--no-such-flag"])
+    except SystemExit as exc:
+        code = exc.code
+assert code == 2 and loaded() == ["argparse", "gettext", "locale"], loaded()
+""", "-S")
 
 
 def test_complex_with_unknown_vertex_is_a_parse_error(tmp_path):
