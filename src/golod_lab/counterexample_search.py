@@ -7,7 +7,8 @@ pairwise disjoint supports a, b, c; bridges ab, bc, ca between consecutive
 ones; covering conditions b inside ab|bc and a inside ab|ca (or the mirror
 for c); and, because bridges are coprime to the opposite corner, one further
 generator per bridge-corner pair.  The search enumerates such patterns with
-canonical variable blocks and runs the full homological pipeline on matches.
+canonical variable blocks and runs the full homological pipeline on each
+class of them up to renaming variables.
 Supports are int masks over the variables, as an ideal's unary codes are
 (``monomial_core``): a union is an OR and s lies in t iff ``s & ~t == 0``.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import time
 from functools import partial, reduce
 from itertools import chain, combinations
-from operator import and_
+from operator import and_, or_
 
 from .exact_linalg import QQ
 from .massey_golod import all_products_trivial, pair_criterion, ternary_massey_generators
@@ -198,6 +199,12 @@ def _candidate_patterns(n_vars, max_gens):
     third, and two bridges each meet a block the other misses.  Each sharp
     avoids everything drawn before it, except that bc#a and ca#b may coincide:
     with 8 generators they must, and the one shared sharp is drawn once.
+
+    The blocks are fixed, but not which of a block's variables a bridge or a
+    sharp uses, so the stream draws many patterns that are one ideal under
+    renamed variables: 32 of the first 150 patterns on 7 variables and 9
+    generators, 344 of the first 1,000 and 189,148 of the first 200,000.
+    ``search`` judges each such class once (``_renaming_key``).
     """
     if max_gens < 8:
         return
@@ -229,16 +236,65 @@ def _candidate_patterns(n_vars, max_gens):
                                     yield core, (s_ab, s_bc, s_ca)
 
 
-def _pattern_ideal(n_vars, core, sharps):
-    """(ideal, assignment) of a role pattern (``_candidate_patterns``)."""
+def _pattern_supports(core, sharps):
+    """A role pattern's supports in generator order, and its role indices in
+    ``RoleAssignment``'s field order."""
     a, b, c, ab, bc, ca = core
     supports = list(dict.fromkeys([a, ab, b, bc, c, ca, *sharps]))
+    at = supports.index
+    return supports, (at(a), at(b), at(c), at(ab), at(bc), at(sharps[0]), at(sharps[1]),
+                      at(ca), at(sharps[2]))
+
+
+def _pattern_ideal(n_vars, core, sharps):
+    """(ideal, assignment) of a role pattern (``_candidate_patterns``)."""
+    supports, roles = _pattern_supports(core, sharps)
     ideal = MonomialIdeal.from_exponents(
         [f"v{i}" for i in range(n_vars)], [[s >> i & 1 for i in range(n_vars)] for s in supports])
-    at = supports.index
-    return ideal, RoleAssignment(
-        a=at(a), b=at(b), c=at(c), ab=at(ab), bc=at(bc), ca=at(ca),
-        ab_sharp_c=at(sharps[0]), bc_sharp_a=at(sharps[1]), ca_sharp_b=at(sharps[2]))
+    return ideal, RoleAssignment(*roles)
+
+
+def _renaming_key(supports, roles):
+    """A pattern up to renaming its variables, generator order fixed: the
+    role indices, then the multiset of the variables' generator sets (bit k
+    for ``supports[k]``), each set with its count of variables as one int,
+    sorted.  The used variables are split by one support at a time into
+    parts, each the variables of one generator set, so a key has at most
+    2^len(supports) parts whatever the number of variables."""
+    parts, masks = [reduce(or_, supports)], [0]
+    for k, s in enumerate(supports):
+        for i in range(len(parts)):
+            inside = parts[i] & s
+            if inside == parts[i]:
+                masks[i] |= 1 << k
+            elif inside:
+                parts[i] ^= inside
+                parts.append(inside)
+                masks.append(masks[i] | 1 << k)
+    return (*roles, *sorted(p.bit_count() << len(supports) | m for p, m in zip(parts, masks)))
+
+
+# renaming classes remembered at once; the table is emptied when full, which
+# loses little: a key fixes |a|, |b| and |c|, so the classes of a block-size
+# split the stream has left never recur
+_VERDICTS_CAP = 1 << 12
+
+
+def _judge_pattern(verdicts, serial, n_vars, core, sharps, field):
+    """The hit of a pattern, judged once per renaming class: the first
+    pattern of a class is built and evaluated and its verdict stored (None,
+    or the hit's ``all_products_trivial``); a later one is built only if its
+    class is a hit, to report its own ideal and roles."""
+    key = _renaming_key(*_pattern_supports(core, sharps))
+    if key in verdicts:
+        full_ok = verdicts[key]
+        return None if full_ok is None else SearchHit(
+            serial, *_pattern_ideal(n_vars, core, sharps), full_ok)
+    if len(verdicts) >= _VERDICTS_CAP:
+        verdicts.clear()
+    hit = _evaluate_candidate(serial, *_pattern_ideal(n_vars, core, sharps), field)
+    verdicts[key] = None if hit is None else hit.all_products_trivial
+    return hit
 
 
 def search(n_vars, max_gens, budget, seconds=None, seeds=None, field=QQ, stats=None):
@@ -253,6 +309,16 @@ def search(n_vars, max_gens, budget, seconds=None, seeds=None, field=QQ, stats=N
     tests alone (trivial generator products, a nonzero ternary Massey
     product of a, b, c), which are what define a hit.  The stream is
     deterministic; stats (if given) record how the budget was spent.
+
+    A pattern that renames the variables of an earlier one, generator order
+    fixed (``_renaming_key``), is counted, numbered and budget-tested like
+    any other but not judged again: renaming permutes the bits of every
+    unary code alike, so each test sees the same generator-indexed data, and
+    only ``all_products_trivial``'s lattice order, whose boolean alone is
+    kept, changes.  It is built only if its class was a hit, to report its
+    own ideal and roles.  The verdicts live in a table emptied when it holds
+    ``_VERDICTS_CAP`` classes (about 335 bytes each on 7 variables), which
+    costs only reuse; seeds are judged in full.
     """
     if stats is None:
         stats = SearchStats()
@@ -270,18 +336,20 @@ def search(n_vars, max_gens, budget, seconds=None, seeds=None, field=QQ, stats=N
             seconds is not None and time.monotonic() - start >= seconds
         )
 
-    # one stream of builders, seeds first; a candidate is built after its budget test
+    # one stream of judges, seeds first; a candidate is built after its budget test
+    verdicts = {}
     stream = chain(
-        ((lambda seed=seed: seed) for seed in seeds),
-        (partial(_pattern_ideal, n_vars, *p) for p in _candidate_patterns(n_vars, max_gens)),
+        (partial(_evaluate_candidate, ideal=ideal, assignment=assignment, field=field)
+         for ideal, assignment in seeds),
+        (partial(_judge_pattern, verdicts, n_vars=n_vars, core=core, sharps=sharps, field=field)
+         for core, sharps in _candidate_patterns(n_vars, max_gens)),
     )
-    for build in stream:
+    for judge in stream:
         if spent():
             stats.budget_exhausted = True
             return
-        ideal, assignment = build()
         stats.candidates += 1
-        hit = _evaluate_candidate(serial, ideal, assignment, field)
+        hit = judge(serial)
         serial += 1
         if hit is not None:
             stats.pattern_hits += 1

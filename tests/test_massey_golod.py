@@ -485,12 +485,14 @@ def test_massey_checks_bound_without_the_homology_basis(monkeypatch):
     ``value`` is read.
     The pattern search, which reads only ``value_is_zero``, halves its
     tagged eliminations (1,000 before the membership test was shared), and
-    makes 442 images, 158 of them on an empty cone, which build nothing.
-    Its 299 membership tests, 267 of which bound, stop at their answers:
-    drawing from each cone's largest mask down, they absorb 3,286 columns
-    and the class tables 7 more, 3,293 of the 5,952 columns of the other
-    284 images, all of which were spanned before (6,049 counted once per
-    test)."""
+    judges 118 of its 150 candidates, the other 32 renaming the variables of
+    an earlier one; it makes 410 images, 158 of them on an empty cone, which
+    build nothing.  Its 267 membership tests, 235 of which bound, stop at
+    their answers: drawing from each cone's largest mask down, they absorb
+    2,764 columns and the class tables 7 more, 2,771 of the 4,912 columns of
+    the other 252 images, all of which were spanned before.  When all 150
+    candidates were judged, 442 images, 299 tests (267 bounding) and 3,293
+    of 5,952 columns (6,049 counted once per test)."""
     relations = []
     real_relations = homology_engine.column_relations
 
@@ -511,9 +513,9 @@ def test_massey_checks_bound_without_the_homology_basis(monkeypatch):
     hits = list(search(7, 9, budget=150, seeds=[]))
     assert len(hits) == 16
     assert len(relations) <= 500
-    assert len(images) == 442 and sum(not n for n, _ in images) == 158
-    assert sum(n for n, _ in images) == 5952
-    assert sum(drawn for _, drawn in images) == 3293
+    assert len(images) == 410 and sum(not n for n, _ in images) == 158
+    assert sum(n for n, _ in images) == 4912
+    assert sum(drawn for _, drawn in images) == 2771
 
 
 def test_golod_decide_controls():

@@ -248,7 +248,8 @@ def test_search_zero_seconds_yields_nothing():
 
 
 def test_search_keeps_no_candidate_alive(monkeypatch):
-    # what is derived from a candidate lives on its ideal, so it goes with it
+    # what is derived from a candidate lives on its ideal, so it goes with it;
+    # 32 of the 150 patterns rename an earlier one and reuse its verdict
     refs = []
     real = counterexample_search._evaluate_candidate
 
@@ -258,7 +259,7 @@ def test_search_keeps_no_candidate_alive(monkeypatch):
 
     monkeypatch.setattr(counterexample_search, "_evaluate_candidate", recording)
     hits = list(search(7, 9, budget=150, seeds=[]))
-    assert hits and len(refs) == 150
+    assert hits and len(refs) == 118
     del hits
     gc.collect()
     assert sum(r() is not None for r in refs) == 0
@@ -266,8 +267,9 @@ def test_search_keeps_no_candidate_alive(monkeypatch):
 
 def test_search_builds_one_strand_per_asked_multidegree(monkeypatch):
     """The combinatorial fillers are written down, so the 150-candidate
-    search builds strands only for its homological questions: 442 of them,
-    720 while each filler read its sign off a strand of its own."""
+    search builds strands only for its homological questions: 410 of them
+    for the 118 candidates it judges (442 when it judged all 150, 720 while
+    each filler read its sign off a strand of its own)."""
     built = []
     real_init = homology_engine.StrandHomology.__init__
 
@@ -277,7 +279,7 @@ def test_search_builds_one_strand_per_asked_multidegree(monkeypatch):
 
     monkeypatch.setattr(homology_engine.StrandHomology, "__init__", counted_init)
     assert len(list(search(7, 9, budget=150, seeds=[]))) == 16
-    assert len(built) <= 442
+    assert len(built) <= 410
 
 
 def _reference_candidates(n_vars, max_gens):
@@ -312,7 +314,8 @@ def _reference_candidates(n_vars, max_gens):
 
 
 def _reference_search(n_vars, max_gens, budget, evaluate):
-    """(serial, format_ideal, assignment) of each hit, and the SearchStats."""
+    """(serial, format_ideal, assignment, all_products_trivial) of each hit,
+    and the SearchStats."""
     stats = SearchStats()
     stream = []
     serial = 0
@@ -327,23 +330,32 @@ def _reference_search(n_vars, max_gens, budget, evaluate):
         if hit is not None:
             stats.pattern_hits += 1
             stats.survivors += hit.is_counterexample
-            stream.append((hit.serial, format_ideal(hit.ideal), hit.assignment))
+            stream.append((hit.serial, format_ideal(hit.ideal), hit.assignment,
+                           hit.all_products_trivial))
     return stream, stats
 
 
-@pytest.mark.parametrize("n_vars, max_gens, budget", [(7, 9, 150), (9, 9, 3)])
+# judged candidates, and hits among the renamed ones, per (n_vars, max_gens, budget)
+_JUDGED = {(7, 9, 150): (118, 0), (9, 9, 3): (3, 0), (7, 9, 1000): (656, 44)}
+
+
+@pytest.mark.parametrize("n_vars, max_gens, budget", list(_JUDGED))
 def test_search_stream_matches_minimalize_reference(monkeypatch, n_vars, max_gens, budget):
     """No pattern is rejected after it is drawn, and a candidate is built only
     after its budget test; the hits, the SearchStats and every evaluated
     candidate must be those of the route that builds Monomials and asks
-    minimalize.  The reference reuses the evaluation of each candidate only
-    after checking its inputs agree."""
-    evaluated = []
+    minimalize.  The search evaluates the first pattern of each class up to
+    renaming variables and builds a later one only if its class is a hit;
+    the reference reuses an evaluation only after checking its inputs agree,
+    and evaluates every other candidate afresh, so each verdict the search
+    reused is checked against one of its own."""
+    judged, renamed_hits = _JUDGED[n_vars, max_gens, budget]
+    evaluated = {}
     real = counterexample_search._evaluate_candidate
 
     def recording(serial, ideal, assignment, field):
         hit = real(serial, ideal, assignment, field)
-        evaluated.append((serial, ideal, assignment, hit))
+        evaluated[serial] = (ideal, assignment, hit)
         return hit
 
     built = []
@@ -356,21 +368,91 @@ def test_search_stream_matches_minimalize_reference(monkeypatch, n_vars, max_gen
     monkeypatch.setattr(counterexample_search, "_evaluate_candidate", recording)
     monkeypatch.setattr(counterexample_search, "_pattern_ideal", counted_build)
     stats = SearchStats()
-    stream = [(h.serial, format_ideal(h.ideal), h.assignment)
+    stream = [(h.serial, format_ideal(h.ideal), h.assignment, h.all_products_trivial)
               for h in search(n_vars, max_gens, budget=budget, stats=stats)]
-    assert stats.candidates == len(evaluated) and stats.budget_exhausted
-    # reject before build: a pattern is built only as a candidate, after the seed if it fits
+    assert stats.candidates == budget and stats.budget_exhausted
+    assert len(evaluated) == judged
+    assert sum(hit[0] not in evaluated for hit in stream) == renamed_hits
+    # reject before build: a pattern is built only as a candidate, after the seed if it
+    # fits, and a renamed one only as a hit
     pol = seed_pattern()[0]
     seeded = pol.n_vars <= n_vars and pol.n_gens <= max_gens
-    assert len(built) == stats.candidates - seeded
+    assert len(built) == judged - seeded + renamed_hits
 
     def replay(serial, ideal, assignment):
-        want_serial, want_ideal, want_assignment, hit = evaluated[serial]
-        assert (serial, ideal, assignment) == (want_serial, want_ideal, want_assignment)
+        if serial not in evaluated:
+            return real(serial, ideal, assignment, QQ)
+        want_ideal, want_assignment, hit = evaluated[serial]
+        assert (ideal, assignment) == (want_ideal, want_assignment)
         return hit
 
     assert (stream, stats) == _reference_search(n_vars, max_gens, budget, replay)
     assert stream
+
+
+def _renamed(supports, perm):
+    """The supports with variable k renamed perm[k]."""
+    return [sum(1 << perm[k] for k in mask_members(s)) for s in supports]
+
+
+def test_renaming_key_ignores_variable_names():
+    """Permuting the variables inside a block, or any variables at all,
+    leaves a pattern's key unchanged, and variables no generator uses do not
+    enter it."""
+    rng = random.Random(7)
+    for core, sharps in islice(counterexample_search._candidate_patterns(7, 9), 300):
+        supports, roles = counterexample_search._pattern_supports(core, sharps)
+        key = counterexample_search._renaming_key(supports, roles)
+        in_blocks = []
+        for block in core[:3]:
+            members = list(mask_members(block))
+            in_blocks += rng.sample(members, len(members))
+        in_blocks += range(len(in_blocks), 7)
+        assert counterexample_search._renaming_key(_renamed(supports, in_blocks), roles) == key
+        anywhere = rng.sample(range(40), 7)
+        assert counterexample_search._renaming_key(_renamed(supports, anywhere), roles) == key
+
+
+def test_renaming_key_tells_roles_and_blocks_apart():
+    """Changing a role index, or moving a variable from one block to
+    another, changes the key."""
+    for core, sharps in islice(counterexample_search._candidate_patterns(7, 9), 300):
+        supports, roles = counterexample_search._pattern_supports(core, sharps)
+        key = counterexample_search._renaming_key(supports, roles)
+        for k in range(len(roles)):
+            other = (*roles[:k], (roles[k] + 1) % len(supports), *roles[k + 1:])
+            assert counterexample_search._renaming_key(supports, other) != key
+        a, b = supports[0], supports[2]
+        low = a & -a
+        moved = [a & ~low, *supports[1:2], b | low, *supports[3:]]
+        assert counterexample_search._renaming_key(moved, roles) != key
+
+
+def test_search_verdict_table_stays_within_its_cap(monkeypatch):
+    """Emptying the verdict table when it is full loses only reuse: with room
+    for 4 renaming classes, the (7, 9, 150) stream and SearchStats are those
+    of the uncapped table, and the table never holds more than 4."""
+
+    def run():
+        stats = SearchStats()
+        stream = [(h.serial, format_ideal(h.ideal), h.assignment, h.all_products_trivial)
+                  for h in search(7, 9, budget=150, stats=stats)]
+        return stream, stats
+
+    want = run()
+    sizes = []
+    real = counterexample_search._judge_pattern
+
+    def recording(verdicts, *args, **kwargs):
+        hit = real(verdicts, *args, **kwargs)
+        sizes.append(len(verdicts))
+        return hit
+
+    monkeypatch.setattr(counterexample_search, "_VERDICTS_CAP", 4)
+    monkeypatch.setattr(counterexample_search, "_judge_pattern", recording)
+    assert run() == want
+    assert len(sizes) == 150 and max(sizes) == 4
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # emptied
 
 
 def _canonical_pattern(pattern):
